@@ -22,9 +22,11 @@ from .patterns import (
     embed_element,
     enumerate_embeddings,
     flatten,
+    forced_bottom,
     format_interval_spec,
     interval_embeds,
     interval_pattern_avoids,
+    interval_pattern_instances,
     interval_poset_reachable,
     parse_interval_spec,
     pattern_avoids,
@@ -81,6 +83,7 @@ __all__ = [
     "KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth",
     "SubsystemEmbedding", "enumerate_embeddings", "embed_element", "flatten",
     "pattern_embeds", "pattern_avoids", "interval_embeds",
+    "forced_bottom", "interval_pattern_instances",
     "interval_pattern_avoids", "interval_poset_reachable",
     "parse_interval_spec", "format_interval_spec",
     "VerificationReport",

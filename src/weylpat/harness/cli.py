@@ -32,6 +32,7 @@ from ..roots import build_root_system
 from ..weyl import (
     DEFAULT_ENUMERATION_CAP,
     bruhat_leq,
+    element_label,
     enumerate_elements,
     format_word,
     interval,
@@ -51,13 +52,11 @@ def _element_json(w) -> dict:
     return out
 
 
-def _element_text(w) -> str:
-    ol = one_line(w)
-    return f"{format_word(w)} ({ol})" if ol is not None else format_word(w)
-
-
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
+    """Print the JSON payload, or the text lines; cases and failures default to none."""
     if args.format == "json":
+        payload.setdefault("cases", None)
+        payload.setdefault("failures", [])
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in text_lines:
@@ -94,8 +93,6 @@ def _cmd_roots(args) -> int:
             "ambient_dim": rs.ambient_dim,
             "roots": rows,
         },
-        "cases": None,
-        "failures": [],
     }
     lines = [f"{rs.cartan_type}: {len(rs.roots)} roots, {rs.num_positive} positive, "
              f"rank {rs.rank}, ambient dimension {rs.ambient_dim}"]
@@ -120,12 +117,10 @@ def _cmd_enumerate(args) -> int:
         "inputs": {"type": rs.cartan_type},
         "result": {"order": len(elements),
                    "elements": [_element_json(w) for w in elements]},
-        "cases": None,
-        "failures": [],
     }
     lines = [f"{rs.cartan_type}: {len(elements)} elements"]
     for w in elements:
-        lines.append(f"  l={w.length:>2}  {_element_text(w)}")
+        lines.append(f"  l={w.length:>2}  {element_label(w)}")
     _emit(args, payload, lines)
     return 0
 
@@ -139,20 +134,18 @@ def _cmd_bruhat(args) -> int:
         "command": "bruhat",
         "inputs": {"type": rs.cartan_type, "u": _element_json(u), "v": _element_json(v)},
         "result": {"comparable": comparable},
-        "cases": None,
-        "failures": [],
     }
     if not comparable:
-        _emit(args, payload, [f"{_element_text(u)} is not below {_element_text(v)}"])
+        _emit(args, payload, [f"{element_label(u)} is not below {element_label(v)}"])
         return 1
     iv = interval(u, v, args.cap)
     payload["result"]["size"] = iv.size
     payload["result"]["rank"] = iv.rank_span
     payload["result"]["elements"] = [_element_json(z) for z in iv.elements]
-    lines = [f"interval [{_element_text(u)}, {_element_text(v)}] in {rs.cartan_type}: "
+    lines = [f"interval [{element_label(u)}, {element_label(v)}] in {rs.cartan_type}: "
              f"{iv.size} elements, rank {iv.rank_span}"]
     for level, members in enumerate(iv.levels):
-        names = ", ".join(_element_text(iv.elements[k]) for k in members)
+        names = ", ".join(element_label(iv.elements[k]) for k in members)
         lines.append(f"  rank {level}: {names}")
     _emit(args, payload, lines)
     return 0
@@ -169,7 +162,6 @@ def _cmd_kl(args) -> int:
             "command": "kl",
             "inputs": {"type": rs.cartan_type, "u": _element_json(u), "v": _element_json(v)},
             "result": None,
-            "cases": None,
             "failures": [str(exc)],
         }
         _emit(args, payload, [str(exc)])
@@ -178,8 +170,6 @@ def _cmd_kl(args) -> int:
         "command": "kl",
         "inputs": {"type": rs.cartan_type, "u": _element_json(u), "v": _element_json(v)},
         "result": {"text": str(poly), "coefficients": list(poly.coefficients)},
-        "cases": None,
-        "failures": [],
     }
     _emit(args, payload, [str(poly)])
     return 0
@@ -203,8 +193,6 @@ def _cmd_embeddings(args) -> int:
                 for k, emb in enumerate(embs)
             ],
         },
-        "cases": None,
-        "failures": [],
     }
     lines = [f"{len(embs)} embeddings of {source.cartan_type} into {target.cartan_type}"]
     for k, emb in enumerate(embs):
@@ -231,10 +219,8 @@ def _cmd_flatten(args) -> int:
         "inputs": {"source": source.cartan_type, "target": target.cartan_type,
                    "embedding": args.embedding, "w": _element_json(w)},
         "result": _element_json(result),
-        "cases": None,
-        "failures": [],
     }
-    _emit(args, payload, [_element_text(result)])
+    _emit(args, payload, [element_label(result)])
     return 0
 
 
@@ -252,8 +238,6 @@ def _cmd_avoids(args) -> int:
         "inputs": {"type": rs.cartan_type, "w": _element_json(w),
                    "pattern": {"type": source.cartan_type, "v": _element_json(v)}},
         "result": {"avoids": avoided},
-        "cases": None,
-        "failures": [],
     }
     _emit(args, payload, ["avoids" if avoided else "does not avoid"])
     return 0 if avoided else 1
@@ -270,8 +254,6 @@ def _cmd_interval_avoids(args) -> int:
                    "interval": {"type": source.cartan_type,
                                 "u": _element_json(u), "v": _element_json(v)}},
         "result": {"avoids": avoided},
-        "cases": None,
-        "failures": [],
     }
     _emit(args, payload, ["avoids" if avoided else "does not avoid"])
     return 0 if avoided else 1

@@ -20,6 +20,10 @@ The properties checked:
                         under the two upward moves of the interval poset;
 * ``type-a-smoothness`` rational smoothness by KL sweep coincides with
                         avoidance of the one-line patterns 3412 and 4231.
+
+The interval suites read the forced-bottom scan, whose oracle is the
+coset walk of ``x-determination``; ``kl-transfer`` and ``upper-ideal``
+keep its pairs with equal length gaps, as ``length-sufficiency`` checks.
 """
 
 from __future__ import annotations
@@ -36,7 +40,9 @@ from ..patterns import (
     embed_element,
     enumerate_embeddings,
     flatten,
+    forced_bottom,
     format_interval_spec,
+    interval_pattern_instances,
     pattern_avoids,
 )
 from ..roots import RootSystem, build_root_system
@@ -50,7 +56,6 @@ from ..weyl import (
     format_word,
     interval,
     interval_isomorphic,
-    inverse,
     multiply,
     parse_element,
 )
@@ -98,54 +103,13 @@ def matrix_pairs(window: dict, slow: bool = False) -> list[tuple[str, str]]:
 
 
 # ---------------------------------------------------------------------------
-# shared scans
+# shared helpers
 # ---------------------------------------------------------------------------
 
-_ISO_CACHE: dict[tuple, bool] = {}
-_COND12_CACHE: dict[tuple[str, str], list] = {}
-
-
-def _intervals_isomorphic_cached(u: WeylElement, v: WeylElement,
-                                 x: WeylElement, w: WeylElement) -> bool:
-    key = (u.group.cartan_type, u.inversions, v.inversions,
-           x.group.cartan_type, x.inversions, w.inversions)
-    got = _ISO_CACHE.get(key)
-    if got is None:
-        got = interval_isomorphic(interval(u, v), interval(x, w))
-        _ISO_CACHE[key] = got
-    return got
-
-
-def _cond12_instances(source: RootSystem, target: RootSystem,
-                      cap: int = DEFAULT_ENUMERATION_CAP):
-    """All (emb, u, v, x, w, iso) with u <= v, x <= w, matching flattenings
-    at both ends and x in the same right coset of the embedded subgroup.
-
-    Walking each coset of the embedded subgroup covers every possible x
-    for a given w, so the scan is exhaustive over the window.
-    """
-    key = (source.cartan_type, target.cartan_type)
-    cached = _COND12_CACHE.get(key)
-    if cached is not None:
-        return cached
-    out = []
-    source_elements = enumerate_elements(source, cap)
-    target_elements = enumerate_elements(target, cap)
+def _instances(source: RootSystem, target: RootSystem, cap: int):
+    """(u, v, x, w) from the forced-bottom scan of every embedding."""
     for emb in enumerate_embeddings(source, target):
-        subgroup = [embed_element(emb, g) for g in source_elements]
-        for w in target_elements:
-            v = flatten(emb, w)
-            for g in subgroup:
-                x = multiply(g, w)
-                u = flatten(emb, x)
-                if not bruhat_leq(u, v):
-                    continue
-                if not bruhat_leq(x, w):
-                    continue
-                iso = _intervals_isomorphic_cached(u, v, x, w)
-                out.append((emb, u, v, x, w, iso))
-    _COND12_CACHE[key] = out
-    return out
+        yield from interval_pattern_instances(emb, cap)
 
 
 def _pair_label(u: WeylElement, v: WeylElement, x: WeylElement, w: WeylElement) -> str:
@@ -194,13 +158,21 @@ def verify_x_determination(source_type: str, target_type: str,
         "x-determination", {"source": source.cartan_type, "target": target.cartan_type})
 
     def run(rep: VerificationReport) -> None:
-        for emb, u, v, x, w, _iso in _cond12_instances(source, target, cap):
-            expected = multiply(embed_element(emb, multiply(u, inverse(v))), w)
-            rep.cases += 1
-            if x != expected:
-                rep.failures.append(
-                    f"{_pair_label(u, v, x, w)}: bottom differs from forced value "
-                    f"{element_label(expected)}")
+        source_elements = enumerate_elements(source, cap)
+        target_elements = enumerate_elements(target, cap)
+        for emb in enumerate_embeddings(source, target):
+            embedded = [embed_element(emb, g) for g in source_elements]
+            for w in target_elements:
+                v = flatten(emb, w)
+                # every bottom in the coset i(W')w, not only the forced one
+                for g in embedded:
+                    x = multiply(g, w)
+                    u = flatten(emb, x)
+                    if not bruhat_leq(u, v) or not bruhat_leq(x, w):
+                        continue
+                    rep.cases += 1
+                    if x != forced_bottom(emb, u, v, w):
+                        rep.failures.append(f"{_pair_label(u, v, x, w)}: bottom is not forced")
 
     return _timed(run, report)
 
@@ -214,10 +186,10 @@ def verify_length_sufficiency(source_type: str, target_type: str,
         "length-sufficiency", {"source": source.cartan_type, "target": target.cartan_type})
 
     def run(rep: VerificationReport) -> None:
-        for emb, u, v, x, w, iso in _cond12_instances(source, target, cap):
+        for u, v, x, w in _instances(source, target, cap):
             rep.cases += 1
-            lengths_equal = (v.length - u.length) == (w.length - x.length)
-            if iso != lengths_equal:
+            iso = interval_isomorphic(interval(u, v, cap), interval(x, w, cap))
+            if iso != (v.length - u.length == w.length - x.length):
                 kind = ("isomorphic with unequal gaps" if iso
                         else "equal gaps without isomorphism")
                 rep.failures.append(f"{_pair_label(u, v, x, w)}: {kind}")
@@ -234,8 +206,8 @@ def verify_kl_transfer(source_type: str, target_type: str,
         "kl-transfer", {"source": source.cartan_type, "target": target.cartan_type})
 
     def run(rep: VerificationReport) -> None:
-        for emb, u, v, x, w, iso in _cond12_instances(source, target, cap):
-            if not iso:
+        for u, v, x, w in _instances(source, target, cap):
+            if v.length - u.length != w.length - x.length:
                 continue
             rep.cases += 1
             p1 = kl_polynomial(u, v, cap)
@@ -301,11 +273,9 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
                     if wg.leq_idx(ui, vi) and prop(kl_polynomial(wg.elements[ui], v, cap))
                 ]
                 for ui in holders:
-                    m = wg.downsets[ui] & ~(1 << ui)
-                    while m:
-                        low = m & -m
-                        u2 = low.bit_length() - 1
-                        m ^= low
+                    for u2 in wg.below(ui):
+                        if u2 == ui:
+                            continue
                         rep.cases += 1
                         if not prop(kl_polynomial(wg.elements[u2], v, cap)):
                             rep.failures.append(
@@ -316,8 +286,8 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
         # interval pattern embeddings
         for s, t in pair_list:
             src, tgt = build_root_system(s), build_root_system(t)
-            for emb, u, v, x, w, iso in _cond12_instances(src, tgt, cap):
-                if not iso:
+            for u, v, x, w in _instances(src, tgt, cap):
+                if v.length - u.length != w.length - x.length:
                     continue
                 rep.cases += 1
                 if prop(kl_polynomial(u, v, cap)) and not prop(kl_polynomial(x, w, cap)):

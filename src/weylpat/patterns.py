@@ -17,6 +17,10 @@ embedding, pattern avoidance, interval pattern embedding (flattenings
 match at both ends, bottom and top share a right coset of the embedded
 subgroup, and the two Bruhat intervals are poset isomorphic) and
 interval pattern avoidance are all built on it.
+
+Interval-pattern searches test only the forced bottom x = i(u v^-1) w
+(x-determination) and compare length gaps in place of poset isomorphism
+(length sufficiency); :func:`interval_embeds` keeps the definition.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     bruhat_leq,
-    enumerate_elements,
     format_word,
     from_inversion_set,
     identity,
@@ -61,6 +64,8 @@ __all__ = [
     "pattern_embeds",
     "pattern_avoids",
     "interval_embeds",
+    "forced_bottom",
+    "interval_pattern_instances",
     "interval_pattern_avoids",
     "interval_poset_reachable",
     "parse_interval_spec",
@@ -79,7 +84,7 @@ class SubsystemEmbedding:
     """
 
     __slots__ = ("source", "target", "simple_images", "full_map",
-                 "_pos_pairs", "_subgroup", "_embed_cache")
+                 "_pos_pairs", "_subgroup", "_embed_cache", "_instances")
 
     def __init__(self, source: RootSystem, target: RootSystem,
                  simple_images: tuple[int, ...], full_map: tuple[int, ...]):
@@ -94,6 +99,7 @@ class SubsystemEmbedding:
         )
         self._subgroup: frozenset[int] | None = None
         self._embed_cache: dict[int, WeylElement] = {}
+        self._instances: tuple[tuple[WeylElement, ...], ...] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -117,11 +123,10 @@ class SubsystemEmbedding:
 
     def subgroup_inversions(self, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[int]:
         """Inversion masks of the embedded subgroup inside the target group."""
+        # enumerate first, so that the cap holds on a warm memo too
+        elements = WeylGroup.for_system(self.source, cap).elements
         if self._subgroup is None:
-            self._subgroup = frozenset(
-                embed_element(self, w).inversions
-                for w in enumerate_elements(self.source, cap)
-            )
+            self._subgroup = frozenset(embed_element(self, w).inversions for w in elements)
         return self._subgroup
 
 
@@ -148,7 +153,8 @@ def _closed_subsystem(rs: RootSystem, seeds: Sequence[int]) -> frozenset[int]:
     return frozenset(closed)
 
 
-_EMBEDDINGS_CACHE: dict[tuple[str, str], tuple[SubsystemEmbedding, ...]] = {}
+# (source type, target type) -> (candidate simple-system count, embeddings)
+_EMBEDDINGS_CACHE: dict[tuple[str, str], tuple[int, tuple[SubsystemEmbedding, ...]]] = {}
 
 
 def enumerate_embeddings(source: RootSystem, target: RootSystem,
@@ -166,17 +172,19 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
     key = (source.cartan_type, target.cartan_type)
     cached = _EMBEDDINGS_CACHE.get(key)
     if cached is not None:
-        return cached
+        candidates, result = cached
+        if candidates > cap:
+            raise CapExceededError("cap exceeded while enumerating embeddings")
+        return result
     r = source.rank
     found: list[SubsystemEmbedding] = []
+    subsets: list[tuple[int, ...]] = []
     if r <= target.rank:
         pos = list(target.positive)
         pair_ok = {
             (a, b): dot(target.roots[a], target.roots[b]) <= 0
             for a in pos for b in pos if a < b
         }
-
-        subsets: list[tuple[int, ...]] = []
 
         def grow(start: int, chosen: list[int]) -> None:
             if len(chosen) == r:
@@ -215,7 +223,7 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
                     found.append(_build_embedding(source, target, images))
     found.sort(key=lambda e: (tuple(sorted(e.simple_images)), e.simple_images))
     result = tuple(found)
-    _EMBEDDINGS_CACHE[key] = result
+    _EMBEDDINGS_CACHE[key] = (len(subsets), result)
     return result
 
 
@@ -314,21 +322,55 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     return interval_isomorphic(interval(u, v), interval(x, w))
 
 
+def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
+                  w: WeylElement) -> WeylElement | None:
+    """x = i(u v^-1) w when fl(w) = v, x <= w and fl(x) = u, else None.
+
+    By x-determination no other x in the coset of w can be the bottom of
+    an interval pattern [u, v] -> [x, w] along emb.
+    """
+    if flatten(emb, w) != v:
+        return None
+    x = multiply(embed_element(emb, multiply(u, inverse(v))), w)
+    if not bruhat_leq(x, w) or flatten(emb, x) != u:
+        return None
+    return x
+
+
+def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUMERATION_CAP
+                               ) -> tuple[tuple[WeylElement, ...], ...]:
+    """Each (u, v, x, w) with u <= v = fl(w) that :func:`forced_bottom` accepts.
+
+    Scanned once and kept on emb; cap is checked against both groups on
+    every call, so it holds whether the memo is cold or warm.
+    """
+    source = WeylGroup.for_system(emb.source, cap)
+    target = WeylGroup.for_system(emb.target, cap)
+    if emb._instances is None:
+        found = []
+        for w in target.elements:
+            v = flatten(emb, w)
+            for ui in source.below(source.idx(v)):
+                u = source.elements[ui]
+                x = forced_bottom(emb, u, v, w)
+                if x is not None:
+                    found.append((u, v, x, w))
+        emb._instances = tuple(found)
+    return emb._instances
+
+
 def interval_pattern_avoids(w: WeylElement, u: WeylElement, v: WeylElement,
                             cap: int = DEFAULT_EMBEDDING_CAP) -> bool:
     """True when no embedding realizes [u, v] as an interval pattern in w.
 
-    For each embedding the only possible bottom is x = i(u v^-1) w, so
-    that interval is the one tested.
+    Tests the forced bottom of each embedding by its length gap, so no
+    group is enumerated.
     """
     if not bruhat_leq(u, v):
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
-    g = multiply(u, inverse(v))
     for emb in enumerate_embeddings(u.group, w.group, cap):
-        x = multiply(embed_element(emb, g), w)
-        if not bruhat_leq(x, w):
-            continue
-        if interval_embeds(emb, u, v, x, w):
+        x = forced_bottom(emb, u, v, w)
+        if x is not None and w.length - x.length == v.length - u.length:
             return False
     return True
 
@@ -395,31 +437,18 @@ def interval_poset_reachable(generators: Sequence[BruhatInterval],
         top = wg.elements[wg.index[top_inv]]
         # move 2: lower the bottom
         bot_idx = wg.idx(bot)
-        m = wg.downsets[bot_idx] & ~(1 << bot_idx)
-        while m:
-            low = m & -m
-            u2 = wg.elements[low.bit_length() - 1]
-            m ^= low
-            if push(sys, u2, top):
+        for k in wg.below(bot_idx):
+            if k != bot_idx and push(sys, wg.elements[k], top):
                 return True
         # move 1: interval pattern embeddings into every window group
-        g = multiply(bot, inverse(top))
         for tgt in window:
             if sys.rank > tgt.rank:
                 continue
             for emb in enumerate_embeddings(sys, tgt):
-                ig = embed_element(emb, g)
-                for w2 in enumerate_elements(tgt):
-                    if flatten(emb, w2) != top:
-                        continue
-                    x2 = multiply(ig, w2)
-                    if not bruhat_leq(x2, w2):
-                        continue
-                    if flatten(emb, x2) != bot:
-                        continue
-                    if not interval_isomorphic(interval(bot, top), interval(x2, w2)):
-                        continue
-                    if push(tgt, x2, w2):
+                for u, v, x2, w2 in interval_pattern_instances(emb):
+                    if (u == bot and v == top
+                            and w2.length - x2.length == top.length - bot.length
+                            and push(tgt, x2, w2)):
                         return True
     return False
 

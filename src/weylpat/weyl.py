@@ -27,7 +27,7 @@ coordinates by w(e_i) = e_(w(i)).
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -347,10 +347,17 @@ class WeylGroup:
     def leq_idx(self, a: int, b: int) -> bool:
         return bool(self.downsets[b] >> a & 1)
 
+    def below(self, b: int) -> Iterator[int]:
+        """Ascending indices z <= b: the set bits of D(b)."""
+        m = self.downsets[b]
+        while m:
+            low = m & -m
+            m ^= low
+            yield low.bit_length() - 1
+
     def interval_indices(self, a: int, b: int) -> list[int]:
-        down_b = self.downsets[b]
-        return [z for z in range(self.size)
-                if down_b >> z & 1 and self.downsets[z] >> a & 1]
+        down = self.downsets
+        return [z for z in self.below(b) if down[z] >> a & 1]
 
 
 def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> list[WeylElement]:
@@ -479,12 +486,13 @@ def interval(u: WeylElement, v: WeylElement,
              cap: int = DEFAULT_ENUMERATION_CAP) -> BruhatInterval:
     """The Bruhat interval [u, v]; raises NotComparableError when u is not <= v."""
     _check_same_group(u, v)
-    if not bruhat_leq(u, v):
+    wg = WeylGroup.for_system(u.group, cap)
+    a, b = wg.idx(u), wg.idx(v)
+    if not wg.leq_idx(a, b):
         raise NotComparableError(
             f"not comparable: {format_word(u)} !<= {format_word(v)}"
         )
-    wg = WeylGroup.for_system(u.group, cap)
-    idxs = wg.interval_indices(wg.idx(u), wg.idx(v))
+    idxs = wg.interval_indices(a, b)
     elements = [wg.elements[z] for z in idxs]
     pos = {z: k for k, z in enumerate(idxs)}
     pairs: list[tuple[int, int]] = []

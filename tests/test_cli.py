@@ -82,6 +82,14 @@ def test_interval_avoids_command(capsys):
     assert code == 0
 
 
+def test_interval_avoids_enumerates_no_group(capsys):
+    # only the forced bottom of each embedding is inspected, so a target
+    # above the default enumeration cap (|W(D6)| = 23040) still answers
+    code, out, err = run(capsys, "interval-avoids", "D6", "--cap", "30000",
+                         "--w", "1 2 3 4 5 6", "--interval", "A1:e..1")
+    assert (code, out.strip(), err) == (1, "does not avoid", "")
+
+
 def test_verify_command(capsys):
     code, out, _ = run(capsys, "verify", "kl-transfer", "A1", "A2")
     assert code == 0 and "PASS" in out

@@ -1,15 +1,17 @@
 import pytest
 
 from helpers import classical_contains, flip_perm, naive_embeddings, perm_of
-from weylpat.errors import GroupMismatchError, NotComparableError
+from weylpat.errors import CapExceededError, GroupMismatchError, NotComparableError
 from weylpat.kl import kl_polynomial
 from weylpat.patterns import (
     embed_element,
     enumerate_embeddings,
     flatten,
+    forced_bottom,
     format_interval_spec,
     interval_embeds,
     interval_pattern_avoids,
+    interval_pattern_instances,
     interval_poset_reachable,
     parse_interval_spec,
     pattern_avoids,
@@ -192,8 +194,6 @@ def test_pattern_avoidance_is_vacuous_without_embeddings():
 
 
 def test_interval_poset_reachable_cap():
-    from weylpat.errors import CapExceededError
-
     a3 = build_root_system("A3")
     u = parse_element(a3, "1324")
     v = parse_element(a3, "3412")
@@ -250,25 +250,86 @@ def test_interval_pattern_avoids_basics():
 
 
 def test_interval_pattern_avoids_equals_search_over_all_bottoms():
-    # the implementation only inspects the forced bottom i(u v^-1) w;
-    # compare against a definition-level search over every x <= w
+    # the implementation only inspects the forced bottom i(u v^-1) w and
+    # compares length gaps; compare against a definition-level search
+    # over every x <= w that decides poset isomorphism, in and out of
+    # type A
+    for src_type, tgt_type in [("A2", "A3"), ("A1", "G2"), ("A1", "B3"), ("A1xA1", "B3")]:
+        source = build_root_system(src_type)
+        target = build_root_system(tgt_type)
+        embs = enumerate_embeddings(source, target)
+        src = enumerate_elements(source)
+        tgt = enumerate_elements(target)
+        for v in src:
+            for u in src:
+                if not bruhat_leq(u, v):
+                    continue
+                for w in tgt:
+                    brute = not any(
+                        interval_embeds(emb, u, v, x, w)
+                        for emb in embs
+                        for x in tgt
+                        if bruhat_leq(x, w)
+                    )
+                    assert interval_pattern_avoids(w, u, v) == brute, (src_type, tgt_type)
+
+
+def test_forced_bottom_checks_both_flattenings_and_order():
+    a1 = build_root_system("A1")
     a2 = build_root_system("A2")
-    a3 = build_root_system("A3")
-    embs = enumerate_embeddings(a2, a3)
-    src = enumerate_elements(a2)
-    tgt = enumerate_elements(a3)
-    for v in src:
-        for u in src:
-            if not bruhat_leq(u, v):
-                continue
-            for w in tgt:
-                brute = not any(
-                    interval_embeds(emb, u, v, x, w)
-                    for emb in embs
-                    for x in tgt
-                    if bruhat_leq(x, w)
-                )
-                assert interval_pattern_avoids(w, u, v) == brute
+    emb = enumerate_embeddings(a1, a2)[0]
+    e, s = identity(a1), simple_reflection(a1, 1)
+    w = identity(a2)
+    assert forced_bottom(emb, e, e, w) == w
+    assert forced_bottom(emb, e, s, w) is None  # w flattens to e, not s
+    assert forced_bottom(emb, s, s, w) is None
+    # i(s) w flattens to s but lies above w
+    assert forced_bottom(emb, s, e, w) is None
+
+
+@pytest.mark.parametrize("src,tgt", [("A1", "A2"), ("A2", "A3"), ("A1xA1", "B3")])
+def test_interval_pattern_instances_match_coset_walk(src, tgt):
+    # every pair with matching flattenings, a shared coset and u <= v,
+    # x <= w, found by walking whole cosets, is exactly what the
+    # forced-bottom scan yields
+    source, target = build_root_system(src), build_root_system(tgt)
+    src_elements = enumerate_elements(source)
+    for emb in enumerate_embeddings(source, target):
+        walked = set()
+        for w in enumerate_elements(target):
+            v = flatten(emb, w)
+            for g in src_elements:
+                x = multiply(embed_element(emb, g), w)
+                u = flatten(emb, x)
+                if bruhat_leq(u, v) and bruhat_leq(x, w):
+                    walked.add((u, v, x, w))
+        scanned = interval_pattern_instances(emb)
+        assert len(scanned) == len(set(scanned))
+        assert set(scanned) == walked
+
+
+def test_caps_hold_on_warm_caches():
+    from weylpat import patterns
+
+    a2, a4 = build_root_system("A2"), build_root_system("A4")
+    patterns._EMBEDDINGS_CACHE.pop(("A2", "A4"), None)
+    with pytest.raises(CapExceededError):
+        enumerate_embeddings(a2, a4, cap=3)
+    embs = enumerate_embeddings(a2, a4)
+    assert len(embs) == 20
+    with pytest.raises(CapExceededError):
+        enumerate_embeddings(a2, a4, cap=3)
+
+    emb = embs[0]
+    assert len(emb.subgroup_inversions()) == 6
+    with pytest.raises(CapExceededError):
+        emb.subgroup_inversions(cap=5)
+
+    assert interval_pattern_instances(emb)
+    with pytest.raises(CapExceededError):
+        interval_pattern_instances(emb, cap=119)  # |W(A4)| = 120
+    with pytest.raises(CapExceededError):
+        interval_pattern_instances(emb, cap=5)  # |W(A2)| = 6
 
 
 def test_interval_pattern_avoids_finds_singular_transfer():
@@ -307,6 +368,20 @@ def test_interval_poset_reachable_crosses_groups():
     w = from_word(a3, [1, 2])
     x = identity(a3)
     assert interval_poset_reachable([gen], x, w, groups=[a2, a3])
+
+
+def test_interval_poset_reachable_needs_equal_length_gaps():
+    # the reflection s_(e1-e4) of A3 flattens to w0 of A2 with forced
+    # bottom e, but [e, s_(e1-e4)] has rank 5 and the hexagon [e, w0]
+    # rank 3: that pair is no interval pattern, and no other route leads
+    # from the hexagon to [e, s_(e1-e4)]
+    a2 = build_root_system("A2")
+    a3 = build_root_system("A3")
+    gen = interval(identity(a2), from_word(a2, [1, 2, 1]))
+    assert interval_poset_reachable([gen], identity(a3), from_word(a3, [1, 2, 1]),
+                                    groups=[a2, a3])
+    assert not interval_poset_reachable([gen], identity(a3), from_word(a3, [1, 2, 3, 2, 1]),
+                                        groups=[a2, a3])
 
 
 def test_singular_locus_upper_ideal_in_a3():

@@ -209,6 +209,16 @@ def test_bruhat_differential_small(cartan_type):
             assert fast == bruhat_leq_by_reflection_closure(u, v)
 
 
+@pytest.mark.parametrize("cartan_type", ["A3", "G2"])
+def test_interval_indices_match_a_scan_of_the_whole_group(cartan_type):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    for b in range(wg.size):
+        assert list(wg.below(b)) == [z for z in range(wg.size) if wg.leq_idx(z, b)]
+        for a in range(wg.size):
+            assert wg.interval_indices(a, b) == [
+                z for z in range(wg.size) if wg.leq_idx(a, z) and wg.leq_idx(z, b)]
+
+
 def test_covers():
     rs = build_root_system("A2")
     w0 = from_word(rs, [1, 2, 1])

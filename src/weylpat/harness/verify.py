@@ -186,9 +186,14 @@ def verify_length_sufficiency(source_type: str, target_type: str,
         "length-sufficiency", {"source": source.cartan_type, "target": target.cartan_type})
 
     def run(rep: VerificationReport) -> None:
+        # several embeddings can yield the same quadruple; decide it once
+        iso_of: dict[tuple[WeylElement, ...], bool] = {}
         for u, v, x, w in _instances(source, target, cap):
             rep.cases += 1
-            iso = interval_isomorphic(interval(u, v, cap), interval(x, w, cap))
+            iso = iso_of.get((u, v, x, w))
+            if iso is None:
+                iso = iso_of[u, v, x, w] = interval_isomorphic(
+                    interval(u, v, cap), interval(x, w, cap))
             if iso != (v.length - u.length == w.length - x.length):
                 kind = ("isomorphic with unequal gaps" if iso
                         else "equal gaps without isomorphism")
@@ -268,10 +273,8 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
             wg = WeylGroup.for_system(rs, cap)
             for vi in range(wg.size):
                 v = wg.elements[vi]
-                holders = [
-                    ui for ui in range(wg.size)
-                    if wg.leq_idx(ui, vi) and prop(kl_polynomial(wg.elements[ui], v, cap))
-                ]
+                holders = [ui for ui in wg.below(vi)
+                           if prop(kl_polynomial(wg.elements[ui], v, cap))]
                 for ui in holders:
                     for u2 in wg.below(ui):
                         if u2 == ui:

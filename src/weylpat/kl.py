@@ -13,20 +13,22 @@ that case.  The descent is chosen deterministically (smallest simple
 index); independence of the choice is asserted in the test suite by
 recomputing whole tables with other descent choices.
 
-Tables are memoized per group and filled column by column (fixed v, all
-u <= v together), keyed on element indices of the enumerated group.
-Inside a table, polynomials are packed as Python ints with 16 bits per
-coefficient, which keeps the sweeps over six-letter symmetric groups
-fast; coefficients at the ranks this package targets stay far below
-2^16.  Table fills are idempotent, so concurrent callers at worst repeat
-work and observe identical values.
+Tables are memoized per group as a list indexed by the element index v
+of the enumerated group: entry v is None until column v is filled, then
+a dict over the down-set D(v) mapping each u <= v to P(u,v).  A column
+is built locally after every column below it and stored in one
+assignment, so a concurrent caller sees no column or the whole column.
+Polynomials are packed as Python ints with 16 bits per coefficient,
+which keeps the sweeps over six-letter symmetric groups fast;
+coefficients at the ranks this package targets stay far below 2^16.
+Decoding checks the sign, the constant term and the degree bound.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .errors import NotComparableError
+from .errors import InternalInvariantError, NotComparableError
 from .roots import RootSystem
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
@@ -99,93 +101,80 @@ class KLPolynomial:
         return f"KLPolynomial({self})"
 
 
-def _unpack(val: int) -> KLPolynomial:
+def _unpack(val: int, gap: int) -> KLPolynomial:
+    """Decode a packed P(u,v) with l(v) - l(u) = gap, checking its invariants."""
+    if val < 0:
+        raise InternalInvariantError(f"negative packed KL value {val}")
     coeffs = []
     while val:
         coeffs.append(val & _MASK)
         val >>= _SHIFT
-    return KLPolynomial(coeffs)
+    poly = KLPolynomial(coeffs)
+    if poly.coefficient(0) != 1:
+        raise InternalInvariantError(f"KL polynomial {poly} has constant term other than 1")
+    if 2 * poly.degree > max(gap - 1, 0):
+        raise InternalInvariantError(
+            f"KL polynomial {poly} exceeds the degree bound for length gap {gap}")
+    return poly
 
 
 class _KLTable:
-    """Per-group memo of packed polynomials, filled column by column."""
+    """Per-group memo: ``packed[v]`` is None or the dict u -> packed P(u,v) over D(v)."""
 
     def __init__(self, wg: WeylGroup, descent: Callable[[int], int] | None = None):
         self.wg = wg
-        self.packed: dict[tuple[int, int], int] = {}
-        self.cols_done: set[int] = set()
+        self.packed: list[dict[int, int] | None] = [None] * wg.size
         # descent maps an element index to a 0-based simple index that is
         # a left descent; default is the smallest one
         self.descent = descent or (lambda v: self.wg.min_left_descent_idx(v))
 
-    def ensure_column(self, v: int) -> None:
-        if v in self.cols_done:
-            return
-        down_v = self.wg.downsets[v]
-        m = down_v
-        pending = []
-        while m:
-            low = m & -m
-            y = low.bit_length() - 1
-            if y not in self.cols_done:
-                pending.append(y)
-            m ^= low
-        for y in pending:  # bit extraction above yields ascending indices
-            self._compute_column(y)
-            self.cols_done.add(y)
-
-    def _compute_column(self, v: int) -> None:
-        wg = self.wg
+    def ensure_column(self, v: int) -> dict[int, int]:
         packed = self.packed
+        if packed[v] is None:
+            # ascending indices: each column's inputs are filled before it
+            for y in self.wg.below(v):
+                if packed[y] is None:
+                    packed[y] = self._compute_column(y)
+        return packed[v]
+
+    def _compute_column(self, v: int) -> dict[int, int]:
+        wg = self.wg
         lengths = wg.lengths
         if lengths[v] == 0:
-            packed[(v, v)] = 1
-            return
+            return {v: 1}
+        packed = self.packed
         s = self.descent(v)
         row = wg.lmult[s]
         sv = row[v]
         lv = lengths[v]
-        downsets = wg.downsets
+        col_sv = packed[sv]
 
         # mu data of column sv, restricted to z with sz < z
-        mu_terms: list[tuple[int, int, int]] = []
-        m = downsets[sv] & ~(1 << sv)
-        while m:
-            low = m & -m
-            z = low.bit_length() - 1
-            m ^= low
-            if lengths[row[z]] >= lengths[z]:
-                continue
+        mu_terms: list[tuple[dict[int, int], int, int]] = []
+        for z, p in col_sv.items():
             gap = lengths[sv] - lengths[z]
-            if gap % 2 == 0:
+            if gap % 2 == 0 or lengths[row[z]] >= lengths[z]:
                 continue
-            mu_val = (packed[(z, sv)] >> (_SHIFT * ((gap - 1) // 2))) & _MASK
+            mu_val = (p >> (_SHIFT * ((gap - 1) // 2))) & _MASK
             if mu_val:
-                mu_terms.append((z, mu_val, _SHIFT * ((lv - lengths[z]) // 2)))
+                mu_terms.append((packed[z], mu_val, _SHIFT * ((lv - lengths[z]) // 2)))
 
-        order = []
-        m = downsets[v]
-        while m:
-            low = m & -m
-            order.append(low.bit_length() - 1)
-            m ^= low
-        for u in reversed(order):  # descending index = descending length first
+        col: dict[int, int] = {}
+        for u in reversed(list(wg.below(v))):  # descending index = descending length first
             if u == v:
-                packed[(u, v)] = 1
+                col[u] = 1
                 continue
             su = row[u]
             if lengths[su] > lengths[u]:
-                packed[(u, v)] = packed[(su, v)]
+                col[u] = col[su]
                 continue
-            val = packed.get((su, sv), 0) + (packed.get((u, sv), 0) << _SHIFT)
-            for z, mu_val, shift in mu_terms:
-                if downsets[z] >> u & 1:
-                    val -= mu_val * (packed[(u, z)] << shift)
-            packed[(u, v)] = val
-
-    def get(self, u: int, v: int) -> int:
-        self.ensure_column(v)
-        return self.packed.get((u, v), 0)
+            val = col_sv.get(su, 0) + (col_sv.get(u, 0) << _SHIFT)
+            for col_z, mu_val, shift in mu_terms:
+                p = col_z.get(u)
+                if p is not None:
+                    val -= mu_val * (p << shift)
+            col[u] = val
+        return col
 
 
 _TABLES: dict[str, _KLTable] = {}
@@ -208,7 +197,8 @@ def kl_polynomial(u: WeylElement, v: WeylElement,
         raise NotComparableError(
             f"not comparable: {format_word(u)} !<= {format_word(v)}"
         )
-    return _unpack(_table_for(wg).get(ui, vi))
+    column = _table_for(wg).ensure_column(vi)
+    return _unpack(column[ui], wg.lengths[vi] - wg.lengths[ui])
 
 
 def mu(u: WeylElement, v: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -231,17 +221,8 @@ def is_rationally_smooth(v: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     Schubert variety.
     """
     wg = WeylGroup.for_system(v.group, cap)
-    table = _table_for(wg)
-    vi = wg.idx(v)
-    table.ensure_column(vi)
-    m = wg.downsets[vi]
-    while m:
-        low = m & -m
-        u = low.bit_length() - 1
-        m ^= low
-        if table.packed[(u, vi)] != 1:
-            return False
-    return True
+    column = _table_for(wg).ensure_column(wg.idx(v))
+    return all(p == 1 for p in column.values())
 
 
 def _fresh_table(rs: RootSystem, descent: Callable[[int], int] | None = None,

@@ -1,8 +1,16 @@
 import pytest
 
 from helpers import kl_defining_identity_holds
-from weylpat.errors import NotComparableError
-from weylpat.kl import KLPolynomial, is_rationally_smooth, kl_polynomial, mu, _fresh_table
+from weylpat.errors import InternalInvariantError, NotComparableError
+from weylpat.harness.cli import main
+from weylpat.kl import (
+    _TABLES,
+    KLPolynomial,
+    _fresh_table,
+    is_rationally_smooth,
+    kl_polynomial,
+    mu,
+)
 from weylpat.roots import build_root_system
 from weylpat.weyl import (
     WeylGroup,
@@ -143,6 +151,36 @@ def test_rational_smoothness():
     assert not is_rationally_smooth(parse_element(a3, "4231"))
     smooth = [w for w in enumerate_elements(a3) if is_rationally_smooth(w)]
     assert len(smooth) == 22
+
+
+@pytest.mark.parametrize("cartan_type", ["B3", "G2", "D4", "A4"])
+def test_rational_smoothness_matches_carrell_peterson(cartan_type):
+    # Carrell-Peterson: v is rationally smooth iff the rank generating
+    # function of [e, v] (the down-set counted by length) is palindromic
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    for vi in range(wg.size):
+        ranks = [0] * (wg.lengths[vi] + 1)
+        for u in wg.below(vi):
+            ranks[wg.lengths[u]] += 1
+        assert is_rationally_smooth(wg.elements[vi]) == (ranks == ranks[::-1])
+
+
+@pytest.mark.parametrize("bad, message", [
+    (-1, "negative"),
+    (2, "constant term"),
+    (1 + (1 << 16), "degree bound"),  # 1 + q over a length gap of 2
+])
+def test_bad_packed_values_are_rejected_on_decode(monkeypatch, capsys, bad, message):
+    a3 = build_root_system("A3")
+    wg = WeylGroup.for_system(a3)
+    u, v = identity(a3), parse_element(a3, "1 2")
+    table = _fresh_table(a3)
+    table.ensure_column(wg.idx(v))[wg.idx(u)] = bad
+    monkeypatch.setitem(_TABLES, "A3", table)
+    with pytest.raises(InternalInvariantError, match=message):
+        kl_polynomial(u, v)
+    assert main(["kl", "A3", "--u", "e", "--v", "1 2"]) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_memoization_is_stable():

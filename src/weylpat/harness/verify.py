@@ -339,9 +339,9 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
 # ---------------------------------------------------------------------------
 
 def run_suite(name: str, args: Sequence[str], window: dict,
-              slow: bool = False, cap: int | None = None) -> list[VerificationReport]:
+              slow: bool = False,
+              cap: int = DEFAULT_ENUMERATION_CAP) -> list[VerificationReport]:
     """Run one named suite; without args, sweep the window's defaults."""
-    cap = cap or int(window.get("enumeration_cap", DEFAULT_ENUMERATION_CAP))
     if name in ("flattening", "x-determination", "length-sufficiency", "kl-transfer"):
         fn = {
             "flattening": verify_flattening,

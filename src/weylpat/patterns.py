@@ -25,7 +25,6 @@ Interval-pattern searches test only the forced bottom x = i(u v^-1) w
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from fractions import Fraction
 from typing import Sequence
@@ -130,30 +129,7 @@ class SubsystemEmbedding:
         return self._subgroup
 
 
-def _cartan_int(rs: RootSystem, a: int, b: int) -> Fraction:
-    ra, rb = rs.roots[a], rs.roots[b]
-    return 2 * dot(ra, rb) / dot(ra, ra)
-
-
-def _closed_subsystem(rs: RootSystem, seeds: Sequence[int]) -> frozenset[int]:
-    """Closure of a set of root indices under reflections in its own members."""
-    closed = set(seeds)
-    table = rs.reflection_table
-    changed = True
-    while changed:
-        changed = False
-        snapshot = list(closed)
-        for a in snapshot:
-            row = table[a]
-            for b in snapshot:
-                img = row[b]
-                if img not in closed:
-                    closed.add(img)
-                    changed = True
-    return frozenset(closed)
-
-
-# (source type, target type) -> (candidate simple-system count, embeddings)
+# (source type, target type) -> (search nodes tried, embeddings)
 _EMBEDDINGS_CACHE: dict[tuple[str, str], tuple[int, tuple[SubsystemEmbedding, ...]]] = {}
 
 
@@ -161,69 +137,68 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
                          cap: int = DEFAULT_EMBEDDING_CAP) -> tuple[SubsystemEmbedding, ...]:
     """All subsystem embeddings of source into target, in canonical order.
 
-    Candidate simple systems are the subsets S of the positive roots of
-    the target that are pairwise non-positively paired (such sets are
-    automatically linearly independent); S is kept when the target roots
-    inside the rational span of S are exactly the subsystem S generates.
-    Each surviving S contributes one embedding per Cartan-compatible
-    bijection from the simple roots of the source.  The result is sorted
-    by (sorted image tuple, image tuple) and cached per system pair.
+    A depth-first search picks the image of each source simple root in
+    turn among the positive roots of the target, and keeps a root only
+    when its Cartan integers with the images already chosen equal the
+    entries of ``source.cartan_matrix``.  Matching Cartan integers make
+    the images pairwise non-positively paired, hence linearly
+    independent, and make them a simple system of a subsystem isomorphic
+    to the source, whose positive roots all lie in their rational span.
+    So a full assignment is closed exactly when the span holds
+    ``source.num_positive`` positive target roots, no more; that count
+    is taken once per distinct image set.  The result is sorted by
+    (sorted image tuple, image tuple) and cached per system pair.
+
+    ``cap`` bounds the search nodes tried, one per partial assignment
+    the search extends to; the memo keeps that count, so a warm call
+    raises CapExceededError exactly when a cold one would.
     """
     key = (source.cartan_type, target.cartan_type)
     cached = _EMBEDDINGS_CACHE.get(key)
     if cached is not None:
-        candidates, result = cached
-        if candidates > cap:
+        nodes, result = cached
+        if nodes > cap:
             raise CapExceededError("cap exceeded while enumerating embeddings")
         return result
-    r = source.rank
+    r, cartan = source.rank, source.cartan_matrix
+    pos, roots = target.positive, target.roots
     found: list[SubsystemEmbedding] = []
-    subsets: list[tuple[int, ...]] = []
-    if r <= target.rank:
-        pos = list(target.positive)
-        pair_ok = {
-            (a, b): dot(target.roots[a], target.roots[b]) <= 0
-            for a in pos for b in pos if a < b
-        }
+    closed: dict[frozenset[int], bool] = {}
+    nodes = 0
+    # Cartan integers 2(a, b)/(a, a) of the target's positive roots
+    pairing: dict[int, dict[int, int]] = {}
+    for a in pos:
+        half_norm = dot(roots[a], roots[a]) / 2
+        pairing[a] = {b: int(dot(roots[a], roots[b]) / half_norm) for b in pos}
 
-        def grow(start: int, chosen: list[int]) -> None:
-            if len(chosen) == r:
-                subsets.append(tuple(chosen))
-                if len(subsets) > cap:
+    def extend(images: list[int]) -> None:
+        nonlocal nodes
+        k = len(images)
+        if k == r:
+            span_key = frozenset(images)
+            if span_key not in closed:
+                span = RationalSpan([roots[i] for i in images])
+                inside = sum(1 for i in pos if span.contains(roots[i]))
+                closed[span_key] = inside == source.num_positive
+            if closed[span_key]:
+                found.append(_build_embedding(source, target, tuple(images)))
+            return
+        for b in pos:
+            if all(pairing[a][b] == cartan[j][k] and pairing[b][a] == cartan[k][j]
+                   for j, a in enumerate(images)):
+                nodes += 1
+                if nodes > cap:
                     raise CapExceededError("cap exceeded while enumerating embeddings")
-                return
-            for k in range(start, len(pos)):
-                cand = pos[k]
-                if all(pair_ok[(min(c, cand), max(c, cand))] for c in chosen):
-                    chosen.append(cand)
-                    grow(k + 1, chosen)
-                    chosen.pop()
+                images.append(b)
+                extend(images)
+                images.pop()
 
-        grow(0, [])
-
-        src_cartan = [
-            [_cartan_int(source, source.simple[i], source.simple[j]) for j in range(r)]
-            for i in range(r)
-        ]
-        for S in subsets:
-            span = RationalSpan([target.roots[i] for i in S])
-            members = frozenset(
-                i for i, root in enumerate(target.roots) if span.contains(root)
-            )
-            if members != _closed_subsystem(target, S):
-                continue
-            tgt_cartan = {
-                (a, b): _cartan_int(target, a, b) for a in S for b in S
-            }
-            for images in itertools.permutations(S):
-                if all(
-                    tgt_cartan[(images[i], images[j])] == src_cartan[i][j]
-                    for i in range(r) for j in range(r)
-                ):
-                    found.append(_build_embedding(source, target, images))
+    # more simple roots than the target's rank cannot be independent
+    if r <= target.rank:
+        extend([])
     found.sort(key=lambda e: (tuple(sorted(e.simple_images)), e.simple_images))
     result = tuple(found)
-    _EMBEDDINGS_CACHE[key] = (len(subsets), result)
+    _EMBEDDINGS_CACHE[key] = (nodes, result)
     return result
 
 

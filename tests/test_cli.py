@@ -124,6 +124,9 @@ def test_usage_errors(capsys):
 def test_cap_flag(capsys):
     code, out, err = run(capsys, "enumerate", "B3", "--cap", "10")
     assert code == 2 and "cap exceeded" in err
+    # verify uses --cap as given, 0 included
+    code, out, err = run(capsys, "verify", "type-a-smoothness", "4", "--cap", "0")
+    assert code == 2 and "cap exceeded" in err
 
 
 def test_well_formed_commands_never_hit_exit_3(capsys):

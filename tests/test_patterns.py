@@ -54,6 +54,8 @@ EMBEDDING_COUNTS = [
     ("A1xA1", "B3", 12),  # one short root with one long root of the
                           # orthogonal complement
     ("B2", "D4", 0),      # simply laced target has no short roots
+    ("A1xA1", "E6", 540),  # 36 positive roots, each orthogonal to 15
+    ("D4", "E6", 270),    # 45 D4 subsystems times 6 diagram automorphisms
 ]
 
 
@@ -68,6 +70,12 @@ def test_embedding_counts(src, tgt, count):
     ("A1", "A2"), ("A1", "B2"), ("A1", "G2"), ("A1xA1", "A3"), ("A1xA1", "B2"),
     ("A2", "A3"), ("A2", "B3"), ("B2", "B3"), ("A2", "A2"), ("A3", "A3"),
     ("A2", "G2"), ("A1xA1", "B3"),
+    # the rest of the default window
+    ("A1", "A3"), ("A1", "B3"), ("A1", "A4"), ("A1xA1", "A2"), ("A1xA1", "G2"),
+    ("A1xA1", "A4"), ("A2", "B2"), ("A2", "A4"), ("B2", "A2"), ("B2", "A3"),
+    ("B2", "B2"), ("B2", "G2"), ("B2", "A4"), ("A3", "B3"), ("A3", "A4"),
+    # the slow tier
+    ("A2", "D4"), ("A1xA1", "D4"), ("B2", "F4"),
 ])
 def test_embeddings_match_brute_force(src, tgt):
     source, target = build_root_system(src), build_root_system(tgt)

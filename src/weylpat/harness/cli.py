@@ -213,7 +213,7 @@ def _cmd_flatten(args) -> int:
             f"embedding index {args.embedding} out of range; "
             f"{len(embs)} embeddings exist (see the embeddings command)")
     w = parse_element(target, args.w)
-    result = flatten(embs[args.embedding], w)
+    result = flatten(embs[args.embedding], w, args.cap)
     payload = {
         "command": "flatten",
         "inputs": {"source": source.cartan_type, "target": target.cartan_type,
@@ -232,7 +232,7 @@ def _cmd_avoids(args) -> int:
         raise ValueError('pattern must look like "SRC:V", e.g. "A3:3412"')
     source = build_root_system(src_type)
     v = parse_element(source, v_text)
-    avoided = pattern_avoids(v, w)
+    avoided = pattern_avoids(v, w, args.cap)
     payload = {
         "command": "avoids",
         "inputs": {"type": rs.cartan_type, "w": _element_json(w),

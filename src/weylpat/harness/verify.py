@@ -86,7 +86,12 @@ def load_window(path: str | None = None) -> dict:
         return default_window()
     with open(path, "r", encoding="utf-8") as fh:
         window = json.load(fh)
+    if not isinstance(window, dict):
+        raise ValueError(f"window file {path} must hold a JSON object")
     base = default_window()
+    unknown = sorted(set(window) - set(base))
+    if unknown:
+        raise ValueError(f"unknown window key(s) in {path}: {', '.join(unknown)}")
     base.update(window)
     return base
 

@@ -15,9 +15,16 @@ recomputing whole tables with other descent choices.
 
 Tables are memoized per group as a list indexed by the element index v
 of the enumerated group: entry v is None until column v is filled, then
-a dict over the down-set D(v) mapping each u <= v to P(u,v).  A column
-is built locally after every column below it and stored in one
-assignment, so a concurrent caller sees no column or the whole column.
+a dict over the down-set D(v) mapping each u <= v to P(u,v).  Columns
+are filled on demand: column v reads only column sv and the columns z of
+its mu-terms, and fills those first, recursively, so a query touches a
+few columns rather than all of D(v), at a recursion depth of at most
+l(v) + 1.  The keys of column v come from the lifting step
+D(v) = D(sv) | s.D(sv) over the keys of column sv, so the table never
+needs the group's Bruhat down-sets.  A column is built locally and
+stored in one assignment, so a concurrent caller sees no column or the
+whole column; a column filled twice by racing callers is filled with the
+same values.
 Polynomials are packed as Python ints with 16 bits per coefficient,
 which keeps the sweeps over six-letter symmetric groups fast;
 coefficients at the ranks this package targets stay far below 2^16.
@@ -129,27 +136,25 @@ class _KLTable:
         self.descent = descent or (lambda v: self.wg.min_left_descent_idx(v))
 
     def ensure_column(self, v: int) -> dict[int, int]:
-        packed = self.packed
-        if packed[v] is None:
-            # ascending indices: each column's inputs are filled before it
-            for y in self.wg.below(v):
-                if packed[y] is None:
-                    packed[y] = self._compute_column(y)
-        return packed[v]
+        """Column v, filled first if need be, with the columns it reads."""
+        col = self.packed[v]
+        if col is None:
+            col = self.packed[v] = self._compute_column(v)
+        return col
 
     def _compute_column(self, v: int) -> dict[int, int]:
         wg = self.wg
         lengths = wg.lengths
         if lengths[v] == 0:
             return {v: 1}
-        packed = self.packed
         s = self.descent(v)
         row = wg.lmult[s]
         sv = row[v]
         lv = lengths[v]
-        col_sv = packed[sv]
+        col_sv = self.ensure_column(sv)
 
-        # mu data of column sv, restricted to z with sz < z
+        # mu data of column sv, restricted to z with sz < z; each column z
+        # read below is filled here first, so depth stays within l(v) + 1
         mu_terms: list[tuple[dict[int, int], int, int]] = []
         for z, p in col_sv.items():
             gap = lengths[sv] - lengths[z]
@@ -157,10 +162,14 @@ class _KLTable:
                 continue
             mu_val = (p >> (_SHIFT * ((gap - 1) // 2))) & _MASK
             if mu_val:
-                mu_terms.append((packed[z], mu_val, _SHIFT * ((lv - lengths[z]) // 2)))
+                mu_terms.append((self.ensure_column(z), mu_val,
+                                 _SHIFT * ((lv - lengths[z]) // 2)))
 
+        # lifting: D(v) = D(sv) | s.D(sv); descending index = descending length first
+        down = set(col_sv)
+        down.update([row[z] for z in col_sv])
         col: dict[int, int] = {}
-        for u in reversed(list(wg.below(v))):  # descending index = descending length first
+        for u in sorted(down, reverse=True):
             if u == v:
                 col[u] = 1
                 continue
@@ -193,11 +202,11 @@ def kl_polynomial(u: WeylElement, v: WeylElement,
     """The Kazhdan-Lusztig polynomial P_(u,v); requires u <= v."""
     wg = WeylGroup.for_system(u.group, cap)
     ui, vi = wg.idx(u), wg.idx(v)
-    if not wg.leq_idx(ui, vi):
+    column = _table_for(wg).ensure_column(vi)
+    if ui not in column:
         raise NotComparableError(
             f"not comparable: {format_word(u)} !<= {format_word(v)}"
         )
-    column = _table_for(wg).ensure_column(vi)
     return _unpack(column[ui], wg.lengths[vi] - wg.lengths[ui])
 
 

@@ -33,7 +33,6 @@ from .errors import (
     CapExceededError,
     GroupMismatchError,
     InternalInvariantError,
-    NotAnInversionSetError,
     NotComparableError,
 )
 from .roots import RationalSpan, RootSystem, build_root_system, dot
@@ -44,7 +43,6 @@ from .weyl import (
     WeylGroup,
     bruhat_leq,
     format_word,
-    from_inversion_set,
     identity,
     interval,
     interval_isomorphic,
@@ -245,21 +243,27 @@ def embed_element(emb: SubsystemEmbedding, w: WeylElement) -> WeylElement:
     return out
 
 
-def flatten(emb: SubsystemEmbedding, w: WeylElement) -> WeylElement:
-    """Flattening: the source element whose inversion set pulls back I(w)."""
+def flatten(emb: SubsystemEmbedding, w: WeylElement,
+            cap: int = DEFAULT_ENUMERATION_CAP) -> WeylElement:
+    """Flattening: the source element whose inversion set pulls back I(w).
+
+    The pulled-back mask is looked up among the inversion sets of the
+    enumerated source group (bounded by cap); a mask that is no element's
+    inversion set is not biconvex, which means the embedding is invalid.
+    """
     if w.group != emb.target:
         raise GroupMismatchError("element does not belong to the embedding target")
+    source = WeylGroup.for_system(emb.source, cap)
     bits = 0
     inv = w.inversions
     for sp, tp in emb._pos_pairs:
         if inv >> tp & 1:
             bits |= 1 << sp
-    try:
-        return from_inversion_set(emb.source, bits)
-    except NotAnInversionSetError:
+    k = source.index.get(bits)
+    if k is None:
         raise InternalInvariantError(
-            "pulled-back inversion set is not biconvex; embedding is invalid"
-        ) from None
+            "pulled-back inversion set is not biconvex; embedding is invalid")
+    return source.elements[k]
 
 
 def pattern_embeds(emb: SubsystemEmbedding, v: WeylElement, w: WeylElement) -> bool:
@@ -271,9 +275,12 @@ def pattern_embeds(emb: SubsystemEmbedding, v: WeylElement, w: WeylElement) -> b
 
 def pattern_avoids(v: WeylElement, w: WeylElement,
                    cap: int = DEFAULT_EMBEDDING_CAP) -> bool:
-    """True when no embedding of v's system into w's system flattens w to v."""
+    """True when no embedding of v's system into w's system flattens w to v.
+
+    cap bounds both the embedding search and the enumeration of v's group.
+    """
     for emb in enumerate_embeddings(v.group, w.group, cap):
-        if flatten(emb, w) == v:
+        if flatten(emb, w, cap) == v:
             return False
     return True
 

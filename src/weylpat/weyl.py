@@ -249,18 +249,17 @@ class WeylGroup:
     """Fully enumerated Weyl group with index-level operation tables.
 
     Elements are indexed 0..|W|-1, sorted by (length, reduced word).
-    Provides left multiplication tables and Bruhat down-sets as bit masks,
-    which the polynomial and pattern layers key everything on.
+    Provides an index keyed by inversion set, left multiplication tables
+    and, built on first use, Bruhat down-sets as bit masks, which the
+    polynomial and pattern layers key everything on.
     """
 
     _CACHE: dict[str, "WeylGroup"] = {}
 
     def __init__(self, rs: RootSystem, cap: int):
         self.rs = rs
-        images: dict[int, tuple[int, ...]] = {}
-        ident = tuple(range(len(rs.roots)))
-        start = WeylElement(rs, ident)
-        images[start.inversions] = ident
+        start = WeylElement(rs, tuple(range(len(rs.roots))))
+        found: dict[int, WeylElement] = {start.inversions: start}
         frontier = [start]
         srows = [rs.reflection_table[s] for s in rs.simple]
         while frontier:
@@ -268,24 +267,24 @@ class WeylGroup:
             for w in frontier:
                 im = w.root_image
                 for row in srows:
-                    cand = tuple(im[b] for b in row)
-                    el = WeylElement(rs, cand)
-                    if el.inversions not in images:
-                        images[el.inversions] = cand
-                        if len(images) > cap:
+                    el = WeylElement(rs, tuple(im[b] for b in row))
+                    if el.inversions not in found:
+                        found[el.inversions] = el
+                        if len(found) > cap:
                             raise CapExceededError(
                                 f"cap exceeded: |W({rs.cartan_type})| > {cap}"
                             )
                         new.append(el)
             frontier = new
 
-        elements = [WeylElement(rs, im) for im in images.values()]
-        elements.sort(key=lambda w: (w.length, to_reduced_word(w)))
+        # reduced words are unique, so the sort never compares elements
+        ranked = sorted((w.length, to_reduced_word(w), w) for w in found.values())
+        elements = [w for _, _, w in ranked]
         self.elements: list[WeylElement] = elements
         self.size = len(elements)
         self.index: dict[int, int] = {w.inversions: k for k, w in enumerate(elements)}
         self.lengths: list[int] = [w.length for w in elements]
-        self.words: list[tuple[int, ...]] = [to_reduced_word(w) for w in elements]
+        self.words: list[tuple[int, ...]] = [word for _, word, _ in ranked]
         self.lmult: list[list[int]] = []
         for i in range(rs.rank):
             row = srows[i]

@@ -129,6 +129,26 @@ def test_cap_flag(capsys):
     assert code == 2 and "cap exceeded" in err
 
 
+def test_flatten_and_avoids_honour_cap(capsys):
+    code, out, err = run(capsys, "flatten", "A2", "A3", "--cap", "2", "--w", "1 2")
+    assert code == 2 and "cap exceeded" in err  # |W(A2)| = 6
+    code, out, err = run(capsys, "avoids", "A4", "--w", "45312", "--pattern", "A3:3412",
+                         "--cap", "23")
+    assert code == 2 and "cap exceeded" in err  # |W(A3)| = 24
+
+
+def test_config_rejects_unknown_keys(capsys, tmp_path):
+    window = tmp_path / "window.json"
+    window.write_text(json.dumps({"enumeration_cap": 5}))
+    code, out, err = run(capsys, "verify", "type-a-smoothness", "4",
+                         "--config", str(window))
+    assert code == 2 and "enumeration_cap" in err
+    window.write_text(json.dumps(["sources"]))
+    code, out, err = run(capsys, "verify", "type-a-smoothness", "4",
+                         "--config", str(window))
+    assert code == 2 and "JSON object" in err
+
+
 def test_well_formed_commands_never_hit_exit_3(capsys):
     grid = [
         ["roots", "G2"],

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from helpers import kl_defining_identity_holds
@@ -6,6 +8,7 @@ from weylpat.harness.cli import main
 from weylpat.kl import (
     _TABLES,
     KLPolynomial,
+    _KLTable,
     _fresh_table,
     is_rationally_smooth,
     kl_polynomial,
@@ -13,8 +16,10 @@ from weylpat.kl import (
 )
 from weylpat.roots import build_root_system
 from weylpat.weyl import (
+    DEFAULT_ENUMERATION_CAP,
     WeylGroup,
     bruhat_leq,
+    bruhat_leq_by_reflection_closure,
     covers,
     enumerate_elements,
     identity,
@@ -123,6 +128,49 @@ def test_descent_choice_independence_b2():
         alt.ensure_column(b)
         ref.ensure_column(b)
     assert alt.packed == ref.packed
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "G2", "D4"])
+def test_on_demand_columns_match_an_ascending_fill(cartan_type):
+    rs = build_root_system(cartan_type)
+    wg = WeylGroup.for_system(rs)
+    ref = _fresh_table(rs)
+    for v in range(wg.size):
+        ref.ensure_column(v)
+    order = list(range(wg.size))
+    random.Random(cartan_type).shuffle(order)
+    scrambled = _fresh_table(rs)
+    for v in order[:10]:  # point queries first, each on a cold column
+        scrambled.ensure_column(v)
+    for v in order:
+        scrambled.ensure_column(v)
+    assert scrambled.packed == ref.packed
+    # the keys of column v are exactly the down-set of v
+    for vi, v in enumerate(wg.elements):
+        column = ref.packed[vi]
+        for ui, u in enumerate(wg.elements):
+            assert (ui in column) == bruhat_leq_by_reflection_closure(u, v)
+
+
+def test_kl_fill_never_builds_down_sets():
+    # a group object of its own, so no other test has built its down-sets
+    wg = WeylGroup(build_root_system("B3"), DEFAULT_ENUMERATION_CAP)
+    table = _KLTable(wg)
+    for v in reversed(range(wg.size)):
+        table.ensure_column(v)
+    assert wg._downsets is None
+
+
+def test_cold_point_query_fills_few_columns(monkeypatch):
+    a5 = build_root_system("A5")
+    wg = WeylGroup.for_system(a5)
+    table = _fresh_table(a5)
+    monkeypatch.setitem(_TABLES, "A5", table)
+    w0 = wg.elements[-1]
+    assert kl_polynomial(identity(a5), w0) == 1
+    filled = sum(col is not None for col in table.packed)
+    assert table.packed[wg.size - 1] is not None
+    assert filled < wg.size // 2
 
 
 def test_mu():

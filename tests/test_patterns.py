@@ -1,9 +1,15 @@
 import pytest
 
 from helpers import classical_contains, flip_perm, naive_embeddings, perm_of
-from weylpat.errors import CapExceededError, GroupMismatchError, NotComparableError
+from weylpat.errors import (
+    CapExceededError,
+    GroupMismatchError,
+    InternalInvariantError,
+    NotComparableError,
+)
 from weylpat.kl import kl_polynomial
 from weylpat.patterns import (
+    SubsystemEmbedding,
     embed_element,
     enumerate_embeddings,
     flatten,
@@ -22,9 +28,11 @@ from weylpat.weyl import (
     bruhat_leq,
     enumerate_elements,
     format_word,
+    from_inversion_set,
     from_word,
     identity,
     interval,
+    inversion_roots,
     multiply,
     parse_element,
     simple_reflection,
@@ -148,6 +156,36 @@ def test_flatten_section_and_equivariance(src, tgt):
             fw = flatten(emb, w)
             for g in src_elements:
                 assert flatten(emb, multiply(embed_element(emb, g), w)) == multiply(g, fw)
+
+
+def _pulled_back_mask(emb, w):
+    inverted = set(inversion_roots(w))
+    return sum(1 << emb.source.positive_position(r)
+               for r in emb.source.positive if emb.image_root(r) in inverted)
+
+
+@pytest.mark.parametrize("src,tgt", [("A1xA1", "B3"), ("A1", "G2"), ("A3", "A4")])
+def test_flatten_matches_inversion_set_reconstruction(src, tgt):
+    source, target = build_root_system(src), build_root_system(tgt)
+    embs = enumerate_embeddings(source, target)
+    assert embs
+    for emb in embs:
+        for w in enumerate_elements(target):
+            assert flatten(emb, w) == from_inversion_set(source, _pulled_back_mask(emb, w))
+
+
+def test_flatten_rejects_an_invalid_embedding():
+    # swap the images of a2 and a1+a2 in the identity embedding of A2:
+    # w = s1 s2 has I(w) = {a1, a1+a2}, which pulls back to {a1, a2}
+    a2 = build_root_system("A2")
+    good = next(e for e in enumerate_embeddings(a2, a2) if e.simple_images == a2.simple)
+    a2_root, top = a2.simple[1], a2.positive[-1]
+    full = list(good.full_map)
+    full[a2_root], full[top] = full[top], full[a2_root]
+    bad = SubsystemEmbedding(a2, a2, good.simple_images, tuple(full))
+    assert flatten(bad, identity(a2)) == identity(a2)
+    with pytest.raises(InternalInvariantError, match="not biconvex"):
+        flatten(bad, from_word(a2, [1, 2]))
 
 
 def test_flatten_group_mismatch():

@@ -21,6 +21,12 @@ interval pattern avoidance are all built on it.
 Interval-pattern searches test only the forced bottom x = i(u v^-1) w
 (x-determination) and compare length gaps in place of poset isomorphism
 (length sufficiency); :func:`interval_embeds` keeps the definition.
+:func:`interval_pattern_instances` scans every top on element indices:
+each embedding keeps a flatten table and an embed table over the
+enumerated groups, products fold reduced words through the groups'
+left multiplication tables, and x <= w is a bit of the target's
+down-set.  :func:`forced_bottom` is its object-level twin, which
+enumerates no group.
 """
 
 from __future__ import annotations
@@ -78,10 +84,13 @@ class SubsystemEmbedding:
     ``simple_images[k]`` is the target root index of the image of the
     k-th simple root of the source (0-based position in Bourbaki order);
     ``full_map[r]`` extends this linearly to every source root index.
+    :meth:`flat` and :meth:`embed` are the index tables of
+    :func:`flatten` and :func:`embed_element` over the enumerated groups.
     """
 
     __slots__ = ("source", "target", "simple_images", "full_map",
-                 "_pos_pairs", "_subgroup", "_embed_cache", "_instances")
+                 "_pos_pairs", "_subgroup", "_embed_cache", "_instances",
+                 "_flat", "_embed")
 
     def __init__(self, source: RootSystem, target: RootSystem,
                  simple_images: tuple[int, ...], full_map: tuple[int, ...]):
@@ -97,6 +106,8 @@ class SubsystemEmbedding:
         self._subgroup: frozenset[int] | None = None
         self._embed_cache: dict[int, WeylElement] = {}
         self._instances: tuple[tuple[WeylElement, ...], ...] | None = None
+        self._flat: list[int] | None = None
+        self._embed: list[int] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -125,6 +136,42 @@ class SubsystemEmbedding:
         if self._subgroup is None:
             self._subgroup = frozenset(embed_element(self, w).inversions for w in elements)
         return self._subgroup
+
+    def _pull_back(self, mask: int) -> int:
+        """Source inversion mask of the roots whose images lie in mask."""
+        bits = 0
+        for sp, tp in self._pos_pairs:
+            if mask >> tp & 1:
+                bits |= 1 << sp
+        return bits
+
+    def flat(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+        """flat[w] is the source index of fl(w), for each target index w."""
+        source = WeylGroup.for_system(self.source, cap)
+        target = WeylGroup.for_system(self.target, cap)
+        if self._flat is None:
+            index = source.index
+            try:
+                self._flat = [index[self._pull_back(w.inversions)] for w in target.elements]
+            except KeyError:
+                raise InternalInvariantError(
+                    "pulled-back inversion set is not biconvex; embedding is invalid"
+                ) from None
+        return self._flat
+
+    def embed(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+        """embed[g] is the target index of i(g), for each source index g."""
+        source = WeylGroup.for_system(self.source, cap)
+        target = WeylGroup.for_system(self.target, cap)
+        if self._embed is None:
+            refl = [target.idx(reflection(self.target, b)) for b in self.simple_images]
+            out = [0]
+            # g = s_i g' with g' = s_i g shorter, so g' is already placed
+            for g in range(1, source.size):
+                i = source.min_left_descent_idx(g)
+                out.append(target.mul(refl[i], out[source.lmult[i][g]]))
+            self._embed = out
+        return self._embed
 
 
 # (source type, target type) -> (search nodes tried, embeddings)
@@ -254,12 +301,7 @@ def flatten(emb: SubsystemEmbedding, w: WeylElement,
     if w.group != emb.target:
         raise GroupMismatchError("element does not belong to the embedding target")
     source = WeylGroup.for_system(emb.source, cap)
-    bits = 0
-    inv = w.inversions
-    for sp, tp in emb._pos_pairs:
-        if inv >> tp & 1:
-            bits |= 1 << sp
-    k = source.index.get(bits)
+    k = source.index.get(emb._pull_back(w.inversions))
     if k is None:
         raise InternalInvariantError(
             "pulled-back inversion set is not biconvex; embedding is invalid")
@@ -309,7 +351,8 @@ def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     """x = i(u v^-1) w when fl(w) = v, x <= w and fl(x) = u, else None.
 
     By x-determination no other x in the coset of w can be the bottom of
-    an interval pattern [u, v] -> [x, w] along emb.
+    an interval pattern [u, v] -> [x, w] along emb.  This object-level
+    twin of :func:`interval_pattern_instances` enumerates no group.
     """
     if flatten(emb, w) != v:
         return None
@@ -323,20 +366,26 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
                                ) -> tuple[tuple[WeylElement, ...], ...]:
     """Each (u, v, x, w) with u <= v = fl(w) that :func:`forced_bottom` accepts.
 
-    Scanned once and kept on emb; cap is checked against both groups on
-    every call, so it holds whether the memo is cold or warm.
+    Ordered by w, then u, over the enumerated groups; the test runs on
+    indices through the tables of emb and the groups' down-sets.  Scanned
+    once and kept on emb; cap is checked against both groups on every
+    call, so it holds whether the memo is cold or warm.
     """
     source = WeylGroup.for_system(emb.source, cap)
     target = WeylGroup.for_system(emb.target, cap)
     if emb._instances is None:
+        flat, embed = emb.flat(cap), emb.embed(cap)
+        inverses, down = source.inverses, target.downsets
+        src, tgt = source.elements, target.elements
         found = []
-        for w in target.elements:
-            v = flatten(emb, w)
-            for ui in source.below(source.idx(v)):
-                u = source.elements[ui]
-                x = forced_bottom(emb, u, v, w)
-                if x is not None:
-                    found.append((u, v, x, w))
+        for w in range(target.size):
+            v = flat[w]
+            v_inv = inverses[v]
+            below_w = down[w]
+            for u in source.below(v):
+                x = target.mul(embed[source.mul(u, v_inv)], w)
+                if below_w >> x & 1 and flat[x] == u:
+                    found.append((src[u], src[v], tgt[x], tgt[w]))
         emb._instances = tuple(found)
     return emb._instances
 

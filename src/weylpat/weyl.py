@@ -249,50 +249,62 @@ class WeylGroup:
     """Fully enumerated Weyl group with index-level operation tables.
 
     Elements are indexed 0..|W|-1, sorted by (length, reduced word).
-    Provides an index keyed by inversion set, left multiplication tables
-    and, built on first use, Bruhat down-sets as bit masks, which the
-    polynomial and pattern layers key everything on.
+    Provides an index keyed by inversion set, each element's lex-least
+    reduced word, left multiplication tables, the index product
+    :meth:`mul` and, built on first use, inverses and Bruhat down-sets as
+    bit masks, which the polynomial and pattern layers key everything on.
     """
 
     _CACHE: dict[str, "WeylGroup"] = {}
 
     def __init__(self, rs: RootSystem, cap: int):
         self.rs = rs
-        start = WeylElement(rs, tuple(range(len(rs.roots))))
-        found: dict[int, WeylElement] = {start.inversions: start}
-        frontier = [start]
+        # numbered in order of discovery, renumbered once all are found
+        found: list[WeylElement] = [WeylElement(rs, tuple(range(len(rs.roots))))]
+        number: dict[int, int] = {found[0].inversions: 0}
+        words: list[tuple[int, ...]] = [()]
         srows = [rs.reflection_table[s] for s in rs.simple]
+        lmult: list[list[int]] = [[0] for _ in srows]
+        frontier = [0]
         while frontier:
-            new: list[WeylElement] = []
-            for w in frontier:
+            new: list[int] = []
+            for a in frontier:
+                w = found[a]
                 im = w.root_image
-                for row in srows:
-                    el = WeylElement(rs, tuple(im[b] for b in row))
-                    if el.inversions not in found:
-                        found[el.inversions] = el
-                        if len(found) > cap:
+                for i, row in enumerate(srows):
+                    if w.has_left_descent(i + 1):
+                        continue
+                    el = WeylElement(rs, tuple(row[b] for b in im))
+                    b = number.get(el.inversions)
+                    if b is None:
+                        b = number[el.inversions] = len(found)
+                        if b >= cap:
                             raise CapExceededError(
                                 f"cap exceeded: |W({rs.cartan_type})| > {cap}"
                             )
-                        new.append(el)
+                        found.append(el)
+                        words.append(())
+                        for r in lmult:
+                            r.append(0)
+                        new.append(b)
+                    # s_i swaps the ends of each ascent, which covers every pair
+                    lmult[i][a] = b
+                    lmult[i][b] = a
+                    # peeling the smallest left descent gives the lex-least word
+                    if el.min_left_descent() == i + 1:
+                        words[b] = (i + 1,) + words[a]
             frontier = new
 
-        # reduced words are unique, so the sort never compares elements
-        ranked = sorted((w.length, to_reduced_word(w), w) for w in found.values())
-        elements = [w for _, _, w in ranked]
-        self.elements: list[WeylElement] = elements
-        self.size = len(elements)
-        self.index: dict[int, int] = {w.inversions: k for k, w in enumerate(elements)}
-        self.lengths: list[int] = [w.length for w in elements]
-        self.words: list[tuple[int, ...]] = [word for _, word, _ in ranked]
-        self.lmult: list[list[int]] = []
-        for i in range(rs.rank):
-            row = srows[i]
-            self.lmult.append(
-                [self.index[WeylElement(rs, tuple(row[b] for b in w.root_image)).inversions]
-                 for w in elements]
-            )
+        order = sorted(range(len(found)), key=lambda k: (found[k].length, words[k]))
+        self.elements: list[WeylElement] = [found[k] for k in order]
+        self.size = len(order)
+        self.index: dict[int, int] = {w.inversions: k for k, w in enumerate(self.elements)}
+        renumber = [self.index[w.inversions] for w in found]
+        self.lengths: list[int] = [w.length for w in self.elements]
+        self.words: list[tuple[int, ...]] = [words[k] for k in order]
+        self.lmult: list[list[int]] = [[renumber[row[k]] for k in order] for row in lmult]
         self._downsets: list[int] | None = None
+        self._inverses: list[int] | None = None
 
     @classmethod
     def for_system(cls, rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> "WeylGroup":
@@ -314,9 +326,35 @@ class WeylGroup:
             ) from None
 
     def min_left_descent_idx(self, k: int) -> int | None:
-        w = self.elements[k]
-        d = w.min_left_descent()
-        return None if d is None else d - 1
+        """Smallest 0-based left descent: the first letter of the lex-least word."""
+        word = self.words[k]
+        return word[0] - 1 if word else None
+
+    def mul(self, a: int, b: int) -> int:
+        """Index of the product elements[a] * elements[b].
+
+        Folds the reduced word of a through the lmult rows, so no
+        |W| x |W| table is built.
+        """
+        lmult = self.lmult
+        for i in reversed(self.words[a]):
+            b = lmult[i - 1][b]
+        return b
+
+    @property
+    def inverses(self) -> list[int]:
+        """inverses[k] is the index of elements[k]^-1, built on first use."""
+        if self._inverses is None:
+            lmult = self.lmult
+            out = []
+            for word in self.words:
+                # s_ik ... s_i1 for the word s_i1 ... s_ik
+                k = 0
+                for i in word:
+                    k = lmult[i - 1][k]
+                out.append(k)
+            self._inverses = out
+        return self._inverses
 
     @property
     def downsets(self) -> list[int]:

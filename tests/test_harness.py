@@ -17,6 +17,9 @@ from weylpat.harness.verify import (
     verify_x_determination,
 )
 from weylpat.kl import KLPolynomial
+from weylpat.patterns import enumerate_embeddings, interval_pattern_instances
+from weylpat.roots import build_root_system
+from weylpat.weyl import WeylGroup
 
 
 def test_report_round_trip():
@@ -68,6 +71,29 @@ def test_property_parser():
     assert deep(KLPolynomial([1, 0, 3]))
     with pytest.raises(ValueError):
         _parse_property("gorenstein")
+
+
+@pytest.mark.parametrize("plant,message", [
+    ("wrong", "bottom is not forced"),
+    ("extra", "scanned bottom outside the coset walk"),
+])
+def test_x_determination_catches_a_planted_scan_error(monkeypatch, plant, message):
+    # the coset walk is an oracle of the scan: a wrong bottom, or one the
+    # walk cannot reach, planted in one embedding's memo must show up
+    a2 = build_root_system("A2")
+    w0 = WeylGroup.for_system(a2).elements[-1]
+    emb = enumerate_embeddings(a2, build_root_system("A3"))[0]
+    found = list(interval_pattern_instances(emb))
+    k = next(k for k, (u, v, x, w) in enumerate(found) if x != w and v != w0)
+    u, v, x, w = found[k]
+    if plant == "wrong":
+        found[k] = (u, v, w, w)
+    else:
+        found.append((w0, v, x, w))  # w0 is not below v, so no walk reaches it
+    monkeypatch.setattr(emb, "_instances", tuple(found))
+    r = verify_x_determination("A2", "A3")
+    assert not r.passed
+    assert any(f.endswith(message) for f in r.failures)
 
 
 def test_verify_suites_on_small_pairs():

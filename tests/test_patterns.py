@@ -354,6 +354,34 @@ def test_interval_pattern_instances_match_coset_walk(src, tgt):
         assert set(scanned) == walked
 
 
+@pytest.mark.parametrize("src,tgt", [("A1", "G2"), ("A2", "B3"), ("A1xA1", "B3"), ("A3", "A4")])
+def test_index_tables_match_flatten_and_embed_element(src, tgt):
+    source, target = build_root_system(src), build_root_system(tgt)
+    src_elements, tgt_elements = enumerate_elements(source), enumerate_elements(target)
+    for emb in enumerate_embeddings(source, target):
+        assert [src_elements[k] for k in emb.flat()] == [flatten(emb, w) for w in tgt_elements]
+        assert ([tgt_elements[k] for k in emb.embed()]
+                == [embed_element(emb, g) for g in src_elements])
+
+
+@pytest.mark.parametrize("src,tgt", [("A2", "A3"), ("A1xA1", "B3"), ("A1", "F4")])
+def test_interval_pattern_instances_match_object_level_forced_bottom(src, tgt):
+    # the index scan yields, in order, what the object-level forced
+    # bottom accepts over every w and every u <= fl(w)
+    source, target = build_root_system(src), build_root_system(tgt)
+    src_elements = enumerate_elements(source)
+    for emb in enumerate_embeddings(source, target):
+        expected = []
+        for w in enumerate_elements(target):
+            v = flatten(emb, w)
+            for u in src_elements:
+                if bruhat_leq(u, v):
+                    x = forced_bottom(emb, u, v, w)
+                    if x is not None:
+                        expected.append((u, v, x, w))
+        assert list(interval_pattern_instances(emb)) == expected
+
+
 def test_caps_hold_on_warm_caches():
     from weylpat import patterns
 

@@ -119,6 +119,30 @@ def test_reduced_word_is_lex_least(cartan_type):
         assert from_word(rs, to_reduced_word(w)) == w
 
 
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "G2", "D4", "A1xA1"])
+def test_group_words_and_lmult_match_the_object_level(cartan_type):
+    # the enumeration derives both from its search; the greedy descent
+    # peel and object-level products are the oracles
+    rs = build_root_system(cartan_type)
+    wg = WeylGroup.for_system(rs)
+    for k, w in enumerate(wg.elements):
+        assert wg.words[k] == to_reduced_word(w)
+        for i in range(rs.rank):
+            assert wg.elements[wg.lmult[i][k]] == multiply(simple_reflection(rs, i + 1), w)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_index_product_and_inverse_match_the_object_level(data):
+    rs = build_root_system(data.draw(st.sampled_from(["A3", "B3", "G2", "A1xA1"])))
+    wg = WeylGroup.for_system(rs)
+    a = data.draw(st.integers(0, wg.size - 1))
+    b = data.draw(st.integers(0, wg.size - 1))
+    u, v = wg.elements[a], wg.elements[b]
+    assert wg.elements[wg.mul(a, b)] == multiply(u, v)
+    assert wg.elements[wg.inverses[a]] == inverse(u)
+
+
 def test_longest_element_word():
     rs = build_root_system("A2")
     w0 = enumerate_elements(rs)[-1]

@@ -45,6 +45,7 @@ from ..patterns import (
 from ..roots import RootSystem, build_root_system
 from ..weyl import (
     DEFAULT_ENUMERATION_CAP,
+    BruhatInterval,
     WeylElement,
     WeylGroup,
     element_label,
@@ -195,25 +196,45 @@ def verify_x_determination(source_type: str, target_type: str,
 
 def verify_length_sufficiency(source_type: str, target_type: str,
                               cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
-    """Given the first two conditions, poset isomorphism iff equal length gaps."""
+    """Given the first two conditions, poset isomorphism iff equal length gaps.
+
+    Each scanned quadruple is decided once, however many embeddings yield
+    it, and each of its failures is reported once per yield.  Target
+    intervals are built one at a time, each compared with every source
+    interval scanned against it; source intervals are built once per run.
+    """
     source = build_root_system(source_type)
     target = build_root_system(target_type)
     report = VerificationReport(
         "length-sufficiency", {"source": source.cartan_type, "target": target.cartan_type})
 
     def run(rep: VerificationReport) -> None:
-        # several embeddings can yield the same quadruple; decide it once
-        iso_of: dict[tuple[WeylElement, ...], bool] = {}
+        src = WeylGroup.for_system(source, cap)
+        tgt = WeylGroup.for_system(target, cap)
+        n, m = tgt.size, src.size
+        # times each quadruple is scanned, keyed by its indices (x, w, u, v)
+        # packed into one int, so that sorted keys come grouped by (x, w)
+        counts: dict[int, int] = {}
         for u, v, x, w in _instances(source, target, cap):
             rep.cases += 1
-            iso = iso_of.get((u, v, x, w))
-            if iso is None:
-                iso = iso_of[u, v, x, w] = interval_isomorphic(
-                    interval(u, v, cap), interval(x, w, cap))
+            key = ((tgt.idx(x) * n + tgt.idx(w)) * m + src.idx(u)) * m + src.idx(v)
+            counts[key] = counts.get(key, 0) + 1
+        src_intervals: dict[int, BruhatInterval] = {}
+        top_key, top = -1, None
+        for key in sorted(counts):
+            xw, uv = divmod(key, m * m)
+            x, w = (tgt.elements[k] for k in divmod(xw, n))
+            u, v = (src.elements[k] for k in divmod(uv, m))
+            if xw != top_key:
+                top_key, top = xw, interval(x, w, cap)
+            bottom = src_intervals.get(uv)
+            if bottom is None:
+                bottom = src_intervals[uv] = interval(u, v, cap)
+            iso = interval_isomorphic(bottom, top)
             if iso != (v.length - u.length == w.length - x.length):
                 kind = ("isomorphic with unequal gaps" if iso
                         else "equal gaps without isomorphism")
-                rep.failures.append(f"{_pair_label(u, v, x, w)}: {kind}")
+                rep.failures.extend([f"{_pair_label(u, v, x, w)}: {kind}"] * counts[key])
 
     return _timed(run, report)
 
@@ -289,14 +310,17 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
             wg = WeylGroup.for_system(rs, cap)
             for vi in range(wg.size):
                 v = wg.elements[vi]
-                holders = [ui for ui in wg.below(vi)
-                           if prop(kl_polynomial(wg.elements[ui], v, cap))]
-                for ui in holders:
+                # every u' <= u <= v is below v, so one lookup per u serves all
+                holds = {ui: prop(kl_polynomial(wg.elements[ui], v, cap))
+                         for ui in wg.below(vi)}
+                for ui, held in holds.items():
+                    if not held:
+                        continue
                     for u2 in wg.below(ui):
                         if u2 == ui:
                             continue
                         rep.cases += 1
-                        if not prop(kl_polynomial(wg.elements[u2], v, cap)):
+                        if not holds[u2]:
                             rep.failures.append(
                                 f"{t}: property holds on "
                                 f"[{format_word(wg.elements[ui])}..{format_word(v)}] "

@@ -393,8 +393,22 @@ class WeylGroup:
             yield low.bit_length() - 1
 
     def interval_indices(self, a: int, b: int) -> list[int]:
+        """Ascending indices z with a <= z <= b.
+
+        Indices ascend with length, so every z >= a other than a is
+        longer and has a larger index: the bits of D(b) below a are
+        skipped untested.
+        """
         down = self.downsets
-        return [z for z in self.below(b) if down[z] >> a & 1]
+        out = []
+        m = down[b] >> a
+        while m:
+            low = m & -m
+            m ^= low
+            z = a + low.bit_length() - 1
+            if down[z] >> a & 1:
+                out.append(z)
+        return out
 
 
 def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> list[WeylElement]:
@@ -482,7 +496,7 @@ def covers(v: WeylElement) -> list[WeylElement]:
 class BruhatInterval:
     """The graded poset of all z with u <= z <= v."""
 
-    __slots__ = ("bottom", "top", "elements", "cover_pairs", "_levels")
+    __slots__ = ("bottom", "top", "elements", "cover_pairs", "_levels", "_shape")
 
     def __init__(self, bottom: WeylElement, top: WeylElement,
                  elements: Sequence[WeylElement], cover_pairs: Sequence[tuple[int, int]]):
@@ -491,6 +505,8 @@ class BruhatInterval:
         self.elements = tuple(elements)
         self.cover_pairs = tuple(cover_pairs)
         self._levels: tuple[tuple[int, ...], ...] | None = None
+        # (down-cover lists, refined colours, sorted colours), see _shape
+        self._shape: tuple[list[list[int]], list[int], list[int]] | None = None
 
     @property
     def size(self) -> int:
@@ -531,12 +547,17 @@ def interval(u: WeylElement, v: WeylElement,
         )
     idxs = wg.interval_indices(a, b)
     elements = [wg.elements[z] for z in idxs]
-    pos = {z: k for k, z in enumerate(idxs)}
-    pairs: list[tuple[int, int]] = []
+    lengths, down = wg.lengths, wg.downsets
+    levels: list[list[int]] = [[] for _ in range(lengths[b] - lengths[a] + 1)]
     for k, z in enumerate(idxs):
-        for z2 in idxs:
-            if wg.lengths[z2] == wg.lengths[z] + 1 and wg.leq_idx(z, z2):
-                pairs.append((k, pos[z2]))
+        levels[lengths[z] - lengths[a]].append(k)
+    # a cover joins adjacent ranks, so only those pairs are tested; idxs
+    # ascend by length, so the pairs come out sorted by position
+    pairs: list[tuple[int, int]] = []
+    for lower, upper in zip(levels, levels[1:]):
+        for k in lower:
+            z = idxs[k]
+            pairs.extend((k, k2) for k2 in upper if down[idxs[k2]] >> z & 1)
     return BruhatInterval(elements[0], elements[-1], elements, pairs)
 
 
@@ -544,15 +565,24 @@ def interval(u: WeylElement, v: WeylElement,
 # graded poset isomorphism
 # ---------------------------------------------------------------------------
 
-def _interval_graph(iv: BruhatInterval) -> tuple[list[list[int]], list[list[int]], list[int]]:
-    n = iv.size
-    up: list[list[int]] = [[] for _ in range(n)]
-    down: list[list[int]] = [[] for _ in range(n)]
-    for a, b in iv.cover_pairs:
-        up[a].append(b)
-        down[b].append(a)
-    ranks = [iv.rank_of(z) for z in iv.elements]
-    return up, down, ranks
+def _shape(iv: BruhatInterval) -> tuple[list[list[int]], list[int], list[int]]:
+    """Down-cover lists, refined colours and sorted colours of iv, built once.
+
+    The colours depend only on the poset, not on how its elements are
+    listed, since each round's palette is the sorted set of signatures;
+    so one interval's colours are comparable with any other's and the
+    refinement runs once per interval, however many comparisons it meets.
+    """
+    if iv._shape is None:
+        n = iv.size
+        up: list[list[int]] = [[] for _ in range(n)]
+        down: list[list[int]] = [[] for _ in range(n)]
+        for a, b in iv.cover_pairs:
+            up[a].append(b)
+            down[b].append(a)
+        colors = _refine_colors(up, down, [iv.rank_of(z) for z in iv.elements])
+        iv._shape = (down, colors, sorted(colors))
+    return iv._shape
 
 
 def _refine_colors(up: list[list[int]], down: list[list[int]], ranks: list[int]) -> list[int]:
@@ -578,17 +608,17 @@ def interval_isomorphic(i1: BruhatInterval, i2: BruhatInterval) -> bool:
     Both posets are graded with unique minimum and maximum, so any
     isomorphism preserves rank; the search assigns elements level by
     level after an iterated degree refinement prunes the candidates.
+    The refinement is kept on each interval, so an interval compared
+    many times is refined once.
     """
     if i1.size != i2.size or i1.rank_span != i2.rank_span:
         return False
     lv1, lv2 = i1.levels, i2.levels
     if [len(l) for l in lv1] != [len(l) for l in lv2]:
         return False
-    up1, down1, r1 = _interval_graph(i1)
-    up2, down2, r2 = _interval_graph(i2)
-    c1 = _refine_colors(up1, down1, r1)
-    c2 = _refine_colors(up2, down2, r2)
-    if sorted(c1) != sorted(c2):
+    down1, c1, sorted1 = _shape(i1)
+    down2, c2, sorted2 = _shape(i2)
+    if sorted1 != sorted2:
         return False
 
     mapping = [-1] * i1.size

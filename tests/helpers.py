@@ -269,3 +269,40 @@ def naive_embeddings(source, target) -> set[tuple[int, ...]]:
         if members == image_set:
             result.add(tuple(images))
     return result
+
+
+# ---------------------------------------------------------------------------
+# poset isomorphism by trying bijections
+# ---------------------------------------------------------------------------
+
+def brute_force_isomorphic(i1, i2) -> bool:
+    """Whether two intervals are isomorphic, found by trying bijections.
+
+    A finite poset is determined by its cover relation, so the intervals
+    are isomorphic exactly when some bijection of their positions carries
+    one set of cover pairs onto the other.  Positions of i1 are mapped in
+    list order, and a partial map is dropped as soon as it breaks a pair
+    between mapped positions; ranks and colours are never used.
+    """
+    n = i1.size
+    if n != i2.size or len(i1.cover_pairs) != len(i2.cover_pairs):
+        return False
+    covers1, covers2 = set(i1.cover_pairs), set(i2.cover_pairs)
+    image: list[int] = []
+
+    def extend(k: int) -> bool:
+        if k == n:
+            return True
+        for b in range(n):
+            if b in image:
+                continue
+            if all(((j, k) in covers1) == ((image[j], b) in covers2)
+                   and ((k, j) in covers1) == ((b, image[j]) in covers2)
+                   for j in range(k)):
+                image.append(b)
+                if extend(k + 1):
+                    return True
+                image.pop()
+        return False
+
+    return extend(0)

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -94,6 +95,32 @@ def test_x_determination_catches_a_planted_scan_error(monkeypatch, plant, messag
     r = verify_x_determination("A2", "A3")
     assert not r.passed
     assert any(f.endswith(message) for f in r.failures)
+
+
+def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch):
+    # the suite decides each distinct quadruple once, yet a quadruple that
+    # k embeddings yield must still be counted, and fail, k times
+    from weylpat.harness import verify
+
+    a2, a3 = build_root_system("A2"), build_root_system("A3")
+    yields = Counter(q for emb in enumerate_embeddings(a2, a3)
+                     for q in interval_pattern_instances(emb))
+    (u, v, x, w), k = next(
+        (q, k) for q, k in yields.items()
+        if k > 1 and q[0] != q[1] and q[1].length - q[0].length == q[3].length - q[2].length)
+    cases = verify_length_sufficiency("A2", "A3").cases
+    real = verify.interval_isomorphic
+
+    def planted(i1, i2):
+        if (i1.bottom, i1.top, i2.bottom, i2.top) == (u, v, x, w):
+            return False
+        return real(i1, i2)
+
+    monkeypatch.setattr(verify, "interval_isomorphic", planted)
+    r = verify_length_sufficiency("A2", "A3")
+    assert r.cases == cases == sum(yields.values())
+    assert r.failures == [
+        f"{verify._pair_label(u, v, x, w)}: equal gaps without isomorphism"] * k
 
 
 def test_verify_suites_on_small_pairs():

@@ -25,6 +25,7 @@ from weylpat.patterns import (
 )
 from weylpat.roots import build_root_system, dot
 from weylpat.weyl import (
+    WeylGroup,
     bruhat_leq,
     enumerate_elements,
     format_word,
@@ -380,6 +381,36 @@ def test_interval_pattern_instances_match_object_level_forced_bottom(src, tgt):
                     if x is not None:
                         expected.append((u, v, x, w))
         assert list(interval_pattern_instances(emb)) == expected
+
+
+@pytest.mark.parametrize("table,check", [("_embed", "flat"), ("_flat", "order")])
+def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, table, check):
+    # with valid tables neither x <= w nor fl(x) = u ever rejects (see
+    # interval_pattern_instances), so a wrong table is planted: the named
+    # check must reject some candidate the other one passes, and the scan
+    # must keep exactly the candidates that pass both
+    source, target = build_root_system("A2"), build_root_system("A3")
+    src, tgt = WeylGroup.for_system(source), WeylGroup.for_system(target)
+    emb = enumerate_embeddings(source, target)[0]
+    flat, embed = list(emb.flat()), list(emb.embed())
+    if table == "_embed":
+        embed = embed[1:] + embed[:1]
+        monkeypatch.setattr(emb, "_embed", embed)
+    else:
+        flat = flat[::-1]
+        monkeypatch.setattr(emb, "_flat", flat)
+    monkeypatch.setattr(emb, "_instances", None)
+    kept, rejected = [], 0
+    for w in range(tgt.size):
+        v = flat[w]
+        for u in src.below(v):
+            x = tgt.mul(embed[src.mul(u, src.inverses[v])], w)
+            order_ok, flat_ok = tgt.leq_idx(x, w), flat[x] == u
+            if order_ok and flat_ok:
+                kept.append((src.elements[u], src.elements[v], tgt.elements[x], tgt.elements[w]))
+            rejected += (flat_ok and not order_ok) if check == "order" else (order_ok and not flat_ok)
+    assert rejected > 0
+    assert list(interval_pattern_instances(emb)) == kept
 
 
 def test_caps_hold_on_warm_caches():

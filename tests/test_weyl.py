@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_reduced_words, cayley_distances, is_biconvex
+from helpers import all_reduced_words, brute_force_isomorphic, cayley_distances, is_biconvex
 from weylpat.errors import (
     CapExceededError,
     GroupMismatchError,
@@ -304,15 +306,25 @@ def test_intervals_are_graded():
 
 
 def test_interval_cover_relation_matches_global_covers():
-    rs = build_root_system("A3")
-    v = parse_element(rs, "3412")
-    iv = interval(identity(rs), v)
-    pairs = set()
-    for k, z in enumerate(iv.elements):
-        for u in covers(z):
-            if u in iv.elements:
-                pairs.add((iv.elements.index(u), k))
-    assert pairs == set(iv.cover_pairs)
+    # on every interval, the cover pairs taken from adjacent ranks equal
+    # the quadratic definition (z <= z2, one length apart), in its order,
+    # and the object-level covers() restricted to the interval
+    for cartan_type in ("A3", "B3", "G2"):
+        wg = WeylGroup.for_system(build_root_system(cartan_type))
+        covered = [{wg.idx(u) for u in covers(z)} for z in wg.elements]
+        for a in range(wg.size):
+            for b in range(wg.size):
+                if not wg.leq_idx(a, b):
+                    continue
+                iv = interval(wg.elements[a], wg.elements[b])
+                idxs = [wg.idx(z) for z in iv.elements]
+                quadratic = [
+                    (k, k2) for k, z in enumerate(idxs) for k2, z2 in enumerate(idxs)
+                    if wg.leq_idx(z, z2) and wg.lengths[z2] == wg.lengths[z] + 1]
+                by_covers = {(k, k2) for k, z in enumerate(idxs)
+                             for k2, z2 in enumerate(idxs) if z in covered[z2]}
+                assert list(iv.cover_pairs) == quadratic
+                assert set(iv.cover_pairs) == by_covers
 
 
 def test_interval_isomorphism():
@@ -354,6 +366,86 @@ def test_isomorphic_intervals_across_groups():
     d1 = interval(identity(a2), from_word(a2, [1, 2]))
     d2 = interval(identity(b2), from_word(b2, [2, 1]))
     assert interval_isomorphic(d1, d2)
+
+
+def _small_intervals(max_size: int = 8) -> list[BruhatInterval]:
+    out = []
+    for cartan_type in ("A3", "B2", "G2"):
+        wg = WeylGroup.for_system(build_root_system(cartan_type))
+        for a in range(wg.size):
+            for b in range(wg.size):
+                if wg.leq_idx(a, b) and len(wg.interval_indices(a, b)) <= max_size:
+                    out.append(interval(wg.elements[a], wg.elements[b]))
+    return out
+
+
+def _scrambled(iv: BruhatInterval, seed: int) -> BruhatInterval:
+    """The same poset with its elements listed in a shuffled order."""
+    order = list(range(iv.size))
+    random.Random(seed).shuffle(order)
+    relabel = {old: new for new, old in enumerate(order)}
+    return BruhatInterval(
+        iv.bottom, iv.top, [iv.elements[k] for k in order],
+        [(relabel[a], relabel[b]) for a, b in iv.cover_pairs])
+
+
+def test_interval_isomorphism_matches_brute_force():
+    # every pair of intervals of at most 8 elements in A3, B2 and G2,
+    # within and across groups, against a search over bijections
+    intervals = _small_intervals()
+    isomorphic = 0
+    for k, i1 in enumerate(intervals):
+        for i2 in intervals[k:]:
+            got = interval_isomorphic(i1, i2)
+            assert got == brute_force_isomorphic(i1, i2), (i1, i2)
+            isomorphic += got
+    assert isomorphic > len(intervals)  # more than the reflexive pairs
+
+    # a hand-built interval listed in a scrambled order, with its colours
+    # refined in that order, meets every interval again
+    b2 = build_root_system("B2")
+    scrambled = _scrambled(interval(identity(b2), enumerate_elements(b2)[-1]), seed=7)
+    matches = 0
+    for iv in intervals:
+        got = interval_isomorphic(scrambled, iv)
+        assert got == brute_force_isomorphic(scrambled, iv)
+        assert got == interval_isomorphic(iv, scrambled)
+        matches += got
+    assert matches > 1  # B2's [e, w0] and G2's intervals of rank 4
+
+
+def test_interval_isomorphism_separates_what_refinement_cannot():
+    # in [1324, 3412] ranks 1 and 2 form an 8-cycle; rewired into two
+    # 4-cycles every element keeps its rank and degrees, so the colours
+    # agree and only the matcher can tell the two posets apart
+    a3 = build_root_system("A3")
+    iv = interval(parse_element(a3, "1324"), parse_element(a3, "3412"))
+    assert iv.levels == ((0,), (1, 2, 3, 4), (5, 6, 7, 8), (9,))
+    outer = [(a, b) for a, b in iv.cover_pairs if a == 0 or b == 9]
+    rewired = BruhatInterval(
+        iv.bottom, iv.top, iv.elements,
+        outer + [(1, 5), (1, 6), (2, 5), (2, 6), (3, 7), (3, 8), (4, 7), (4, 8)])
+    assert not interval_isomorphic(iv, rewired)
+    assert not brute_force_isomorphic(iv, rewired)
+    assert interval_isomorphic(_scrambled(rewired, seed=3), rewired)
+    assert brute_force_isomorphic(_scrambled(rewired, seed=3), rewired)
+
+
+def test_interval_colours_are_refined_once_per_interval(monkeypatch):
+    from weylpat import weyl
+
+    refined = []
+    real = weyl._refine_colors
+    monkeypatch.setattr(
+        weyl, "_refine_colors", lambda *args: refined.append(1) or real(*args))
+    rs = build_root_system("B2")
+    w0 = enumerate_elements(rs)[-1]
+    intervals = [interval(identity(rs), w0), _scrambled(interval(identity(rs), w0), seed=1)]
+    for _ in range(3):
+        for i1 in intervals:
+            for i2 in intervals:
+                assert interval_isomorphic(i1, i2)
+    assert len(refined) == len(intervals)
 
 
 def test_enumeration_cap():

@@ -32,7 +32,7 @@ from .patterns import (
     pattern_avoids,
     pattern_embeds,
 )
-from .roots import RootSystem, build_root_system, inner_product, reflect
+from .roots import RootSystem, build_root_system, clear_caches, inner_product, reflect
 from .weyl import (
     BruhatInterval,
     WeylElement,
@@ -73,7 +73,7 @@ __version__ = "0.1.0"
 __all__ = [
     "WeylError", "InvalidCartanType", "GroupMismatchError", "NotComparableError",
     "NotAnInversionSetError", "CapExceededError", "InternalInvariantError",
-    "RootSystem", "build_root_system", "reflect", "inner_product",
+    "RootSystem", "build_root_system", "clear_caches", "reflect", "inner_product",
     "WeylElement", "WeylGroup", "BruhatInterval",
     "identity", "simple_reflection", "reflection", "multiply", "inverse", "apply",
     "from_word", "to_reduced_word", "from_inversion_set", "inversion_roots",

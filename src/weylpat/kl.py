@@ -13,9 +13,9 @@ that case.  The descent is chosen deterministically (smallest simple
 index); independence of the choice is asserted in the test suite by
 recomputing whole tables with other descent choices.
 
-Tables are memoized per group as a list indexed by the element index v
-of the enumerated group: entry v is None until column v is filled, then
-a dict over the down-set D(v) mapping each u <= v to P(u,v).  Columns
+Each ``WeylGroup`` keeps its table, a list indexed by the element index
+v of the enumerated group: entry v is None until column v is filled,
+then a dict over the down-set D(v) mapping each u <= v to P(u,v).  Columns
 are filled on demand: column v reads only column sv and the columns z of
 its mu-terms, and fills those first, recursively, so a query touches a
 few columns rather than all of D(v), at a recursion depth of at most
@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import InternalInvariantError, NotComparableError
-from .roots import RootSystem
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
     WeylElement,
@@ -186,15 +185,11 @@ class _KLTable:
         return col
 
 
-_TABLES: dict[str, _KLTable] = {}
-
-
 def _table_for(wg: WeylGroup) -> _KLTable:
-    table = _TABLES.get(wg.rs.cartan_type)
-    if table is None:
-        table = _KLTable(wg)
-        _TABLES[wg.rs.cartan_type] = table
-    return table
+    """The KL table of wg, built on first use and kept on wg."""
+    if wg._kl_table is None:
+        wg._kl_table = _KLTable(wg)
+    return wg._kl_table
 
 
 def kl_polynomial(u: WeylElement, v: WeylElement,
@@ -233,12 +228,3 @@ def is_rationally_smooth(v: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     column = _table_for(wg).ensure_column(wg.idx(v))
     return all(p == 1 for p in column.values())
 
-
-def _fresh_table(rs: RootSystem, descent: Callable[[int], int] | None = None,
-                 cap: int = DEFAULT_ENUMERATION_CAP) -> _KLTable:
-    """A standalone table, optionally with a custom descent choice.
-
-    Used by the test suite to assert that the recursion result does not
-    depend on which left descent is taken at each step.
-    """
-    return _KLTable(WeylGroup.for_system(rs, cap), descent)

@@ -89,8 +89,7 @@ class SubsystemEmbedding:
     """
 
     __slots__ = ("source", "target", "simple_images", "full_map",
-                 "_pos_pairs", "_subgroup", "_embed_cache", "_instances",
-                 "_flat", "_embed")
+                 "_pos_pairs", "_subgroup", "_instances", "_flat", "_embed")
 
     def __init__(self, source: RootSystem, target: RootSystem,
                  simple_images: tuple[int, ...], full_map: tuple[int, ...]):
@@ -104,7 +103,6 @@ class SubsystemEmbedding:
             for r in source.positive
         )
         self._subgroup: frozenset[int] | None = None
-        self._embed_cache: dict[int, WeylElement] = {}
         self._instances: tuple[tuple[WeylElement, ...], ...] | None = None
         self._flat: list[int] | None = None
         self._embed: list[int] | None = None
@@ -174,10 +172,6 @@ class SubsystemEmbedding:
         return self._embed
 
 
-# (source type, target type) -> (search nodes tried, embeddings)
-_EMBEDDINGS_CACHE: dict[tuple[str, str], tuple[int, tuple[SubsystemEmbedding, ...]]] = {}
-
-
 def enumerate_embeddings(source: RootSystem, target: RootSystem,
                          cap: int = DEFAULT_EMBEDDING_CAP) -> tuple[SubsystemEmbedding, ...]:
     """All subsystem embeddings of source into target, in canonical order.
@@ -192,14 +186,14 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
     So a full assignment is closed exactly when the span holds
     ``source.num_positive`` positive target roots, no more; that count
     is taken once per distinct image set.  The result is sorted by
-    (sorted image tuple, image tuple) and cached per system pair.
+    (sorted image tuple, image tuple) and kept on the source system,
+    keyed by the target's type.
 
     ``cap`` bounds the search nodes tried, one per partial assignment
     the search extends to; the memo keeps that count, so a warm call
     raises CapExceededError exactly when a cold one would.
     """
-    key = (source.cartan_type, target.cartan_type)
-    cached = _EMBEDDINGS_CACHE.get(key)
+    cached = source._embeddings.get(target.cartan_type)
     if cached is not None:
         nodes, result = cached
         if nodes > cap:
@@ -243,7 +237,7 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
         extend([])
     found.sort(key=lambda e: (tuple(sorted(e.simple_images)), e.simple_images))
     result = tuple(found)
-    _EMBEDDINGS_CACHE[key] = (nodes, result)
+    source._embeddings[target.cartan_type] = (nodes, result)
     return result
 
 
@@ -279,14 +273,10 @@ def embed_element(emb: SubsystemEmbedding, w: WeylElement) -> WeylElement:
     """
     if w.group != emb.source:
         raise GroupMismatchError("element does not belong to the embedding source")
-    got = emb._embed_cache.get(w.inversions)
-    if got is not None:
-        return got
     tgt = emb.target
     out = identity(tgt)
     for i in to_reduced_word(w):
         out = multiply(out, reflection(tgt, emb.simple_images[i - 1]))
-    emb._embed_cache[w.inversions] = out
     return out
 
 

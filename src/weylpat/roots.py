@@ -46,6 +46,7 @@ __all__ = [
     "RootSystem",
     "RationalSpan",
     "build_root_system",
+    "clear_caches",
     "reflect",
     "inner_product",
     "dot",
@@ -238,16 +239,25 @@ def _factor_simples(letter: str, rank: int) -> tuple[list[Vector], int]:
 class RootSystem:
     """A reduced crystallographic root system in a fixed exact realization.
 
-    Immutable after construction; all operations elsewhere in the package
-    treat instances as values and are safe for concurrent reads.  Build
-    instances with :func:`build_root_system`, which interns them per
-    canonical type string.
+    The roots and their tables are immutable after construction; all
+    operations elsewhere in the package treat instances as values and are
+    safe for concurrent reads.  Build instances with
+    :func:`build_root_system`, which interns them per canonical type
+    string.
+
+    The instance is the root of all cached state.  Two slots are filled
+    lazily and idempotently: ``_group`` holds the enumerated
+    :class:`~weylpat.weyl.WeylGroup`, which owns the per-group tables,
+    and ``_embeddings`` maps another system's type to the search-node
+    count and the embeddings of this system into it, which own their
+    index tables and scans.
     """
 
     __slots__ = (
         "cartan_type", "rank", "ambient_dim", "roots", "positive", "simple",
         "reflection_table", "cartan_matrix", "heights", "simple_coords",
         "_neg", "_pos_position", "_root_index", "num_positive",
+        "_group", "_embeddings",
     )
 
     def __init__(self, cartan_type: str, simples: list[Vector], ambient_dim: int):
@@ -291,6 +301,8 @@ class RootSystem:
             )
             for i in range(self.rank)
         )
+        self._group = None
+        self._embeddings: dict[str, tuple] = {}
 
     # -- basic queries ------------------------------------------------------
 
@@ -343,7 +355,17 @@ def _close_under_simple_reflections(simples: Sequence[Vector]) -> list[Vector]:
     return sorted(roots)
 
 
+# the only module-level memo: every other one hangs off an interned system
 _SYSTEMS: dict[str, RootSystem] = {}
+
+
+def clear_caches() -> None:
+    """Forget every interned root system, and with them every memo.
+
+    Groups, KL tables, embeddings and scans are owned by their root
+    system, so they are freed once no caller holds that system.
+    """
+    _SYSTEMS.clear()
 
 
 def build_root_system(cartan_type: str) -> RootSystem:

@@ -253,9 +253,9 @@ class WeylGroup:
     reduced word, left multiplication tables, the index product
     :meth:`mul` and, built on first use, inverses and Bruhat down-sets as
     bit masks, which the polynomial and pattern layers key everything on.
+    Its root system keeps it (:meth:`for_system`), and it keeps the other
+    per-group memos: the reflection-closure down-sets and the KL table.
     """
-
-    _CACHE: dict[str, "WeylGroup"] = {}
 
     def __init__(self, rs: RootSystem, cap: int):
         self.rs = rs
@@ -305,25 +305,26 @@ class WeylGroup:
         self.lmult: list[list[int]] = [[renumber[row[k]] for k in order] for row in lmult]
         self._downsets: list[int] | None = None
         self._inverses: list[int] | None = None
+        self._closure: list[int] | None = None
+        self._kl_table = None  # kl._KLTable, built on the first KL query
 
     @classmethod
     def for_system(cls, rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> "WeylGroup":
-        wg = cls._CACHE.get(rs.cartan_type)
+        """The enumerated group of rs, built once and kept on rs."""
+        wg = rs._group
         if wg is None:
-            wg = cls(rs, cap)
-            cls._CACHE[rs.cartan_type] = wg
+            wg = rs._group = cls(rs, cap)
         elif wg.size > cap:
             # keep the cap contract independent of cache warmth
             raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
         return wg
 
     def idx(self, w: WeylElement) -> int:
-        try:
-            return self.index[w.inversions]
-        except KeyError:
+        if w.group is not self.rs and w.group != self.rs:
             raise GroupMismatchError(
-                f"element does not belong to W({self.rs.cartan_type})"
-            ) from None
+                f"element of {w.group.cartan_type} does not belong to W({self.rs.cartan_type})"
+            )
+        return self.index[w.inversions]
 
     def min_left_descent_idx(self, k: int) -> int | None:
         """Smallest 0-based left descent: the first letter of the lex-least word."""
@@ -456,13 +457,10 @@ def bruhat_leq_by_reflection_closure(u: WeylElement, v: WeylElement,
     return bool(_reflection_closure_downsets(wg)[wg.idx(v)] >> wg.idx(u) & 1)
 
 
-_CLOSURE_CACHE: dict[str, list[int]] = {}
-
-
 def _reflection_closure_downsets(wg: WeylGroup) -> list[int]:
-    cached = _CLOSURE_CACHE.get(wg.rs.cartan_type)
-    if cached is not None:
-        return cached
+    """Down-sets from reflection moves, built once and kept on wg."""
+    if wg._closure is not None:
+        return wg._closure
     rs = wg.rs
     down = [0] * wg.size
     refls = [reflection(rs, rs.positive[p]) for p in range(rs.num_positive)]
@@ -474,7 +472,7 @@ def _reflection_closure_downsets(wg: WeylGroup) -> list[int]:
             if u.length < v.length:
                 mask |= down[wg.idx(u)]
         down[v_idx] = mask
-    _CLOSURE_CACHE[wg.rs.cartan_type] = down
+    wg._closure = down
     return down
 
 

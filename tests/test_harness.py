@@ -19,7 +19,7 @@ from weylpat.harness.verify import (
 )
 from weylpat.kl import KLPolynomial
 from weylpat.patterns import enumerate_embeddings, interval_pattern_instances
-from weylpat.roots import build_root_system
+from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import WeylGroup
 
 
@@ -165,11 +165,9 @@ def test_kl_transfer_into_a_d_type_target():
 
 
 def test_reports_are_deterministic_across_fresh_runs():
-    from weylpat import patterns
-
     first = verify_kl_transfer("A1", "G2")
-    # the embeddings own the scan memos; dropping them runs the scan cold
-    patterns._EMBEDDINGS_CACHE.clear()
+    # the root systems own every memo; dropping them runs the sweep cold
+    clear_caches()
     second = verify_kl_transfer("A1", "G2")
     assert (first.cases, first.failures) == (second.cases, second.failures)
     assert first.parameters == second.parameters

@@ -3,18 +3,11 @@ import random
 import pytest
 
 from helpers import kl_defining_identity_holds
-from weylpat.errors import InternalInvariantError, NotComparableError
+from weylpat.errors import GroupMismatchError, InternalInvariantError, NotComparableError
 from weylpat.harness.cli import main
-from weylpat.kl import (
-    _TABLES,
-    KLPolynomial,
-    _KLTable,
-    _fresh_table,
-    is_rationally_smooth,
-    kl_polynomial,
-    mu,
-)
-from weylpat.roots import build_root_system
+from weylpat.kl import KLPolynomial, _KLTable, is_rationally_smooth, kl_polynomial, mu
+from weylpat.patterns import enumerate_embeddings
+from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
     WeylGroup,
@@ -22,7 +15,9 @@ from weylpat.weyl import (
     bruhat_leq_by_reflection_closure,
     covers,
     enumerate_elements,
+    from_word,
     identity,
+    interval,
     inverse,
     parse_element,
 )
@@ -122,8 +117,8 @@ def test_descent_choice_independence_b2():
         w = wg.elements[v_idx]
         return max(i - 1 for i in range(1, rs.rank + 1) if w.has_left_descent(i))
 
-    alt = _fresh_table(rs, descent=max_descent)
-    ref = _fresh_table(rs)
+    alt = _KLTable(wg, descent=max_descent)
+    ref = _KLTable(wg)
     for b in range(wg.size):
         alt.ensure_column(b)
         ref.ensure_column(b)
@@ -134,12 +129,12 @@ def test_descent_choice_independence_b2():
 def test_on_demand_columns_match_an_ascending_fill(cartan_type):
     rs = build_root_system(cartan_type)
     wg = WeylGroup.for_system(rs)
-    ref = _fresh_table(rs)
+    ref = _KLTable(wg)
     for v in range(wg.size):
         ref.ensure_column(v)
     order = list(range(wg.size))
     random.Random(cartan_type).shuffle(order)
-    scrambled = _fresh_table(rs)
+    scrambled = _KLTable(wg)
     for v in order[:10]:  # point queries first, each on a cold column
         scrambled.ensure_column(v)
     for v in order:
@@ -164,8 +159,8 @@ def test_kl_fill_never_builds_down_sets():
 def test_cold_point_query_fills_few_columns(monkeypatch):
     a5 = build_root_system("A5")
     wg = WeylGroup.for_system(a5)
-    table = _fresh_table(a5)
-    monkeypatch.setitem(_TABLES, "A5", table)
+    table = _KLTable(wg)
+    monkeypatch.setattr(wg, "_kl_table", table)
     w0 = wg.elements[-1]
     assert kl_polynomial(identity(a5), w0) == 1
     filled = sum(col is not None for col in table.packed)
@@ -222,9 +217,9 @@ def test_bad_packed_values_are_rejected_on_decode(monkeypatch, capsys, bad, mess
     a3 = build_root_system("A3")
     wg = WeylGroup.for_system(a3)
     u, v = identity(a3), parse_element(a3, "1 2")
-    table = _fresh_table(a3)
+    table = _KLTable(wg)
     table.ensure_column(wg.idx(v))[wg.idx(u)] = bad
-    monkeypatch.setitem(_TABLES, "A3", table)
+    monkeypatch.setattr(wg, "_kl_table", table)
     with pytest.raises(InternalInvariantError, match=message):
         kl_polynomial(u, v)
     assert main(["kl", "A3", "--u", "e", "--v", "1 2"]) == 3
@@ -239,24 +234,70 @@ def test_memoization_is_stable():
     assert kl_polynomial(e, v).coefficients == (1, 1)
 
 
+def _memo_queries():
+    """Queries that each fill one memo on first use and return plain data.
+
+    Every query fetches its systems from the registry, so after
+    clear_caches() the first callers also race to build them.
+    """
+    def group(t):
+        return WeylGroup.for_system(build_root_system(t))
+
+    def embedding(k):
+        return enumerate_embeddings(build_root_system("A2"), build_root_system("A4"))[k]
+
+    def closure_row(t, v):
+        els = group(t).elements
+        return [bruhat_leq_by_reflection_closure(u, els[v]) for u in els]
+
+    def kl_column(v):
+        wg = group("B3")
+        return [kl_polynomial(wg.elements[u], wg.elements[v]).coefficients
+                for u in wg.below(v)]
+
+    queries = []
+    for t in ("B3", "A2", "A4"):
+        queries += [
+            lambda t=t: [w.inversions for w in enumerate_elements(build_root_system(t))],
+            lambda t=t: group(t).downsets,
+            lambda t=t: group(t).inverses,
+        ]
+    queries += [lambda t=t, v=v: closure_row(t, v)
+                for t, size in (("B3", 48), ("A4", 120)) for v in range(size)]
+    queries.append(lambda: [e.simple_images for e in enumerate_embeddings(
+        build_root_system("A2"), build_root_system("A4"))])
+    queries += [lambda k=k: (embedding(k).flat(), embedding(k).embed()) for k in range(20)]
+    queries += [lambda v=v: kl_column(v) for v in reversed(range(48))]
+    return queries
+
+
 def test_concurrent_queries_are_consistent():
-    # the memo table is filled idempotently, so racing callers must see
-    # exactly the values a sequential sweep produces
+    # every memo is filled idempotently, so callers racing from a cleared
+    # registry must see exactly what a sequential run produces; each
+    # query is issued twice in a row, so two workers start it together
     from concurrent.futures import ThreadPoolExecutor
 
-    from weylpat.kl import _TABLES
-
-    rs = build_root_system("B3")
-    wg = WeylGroup.for_system(rs)
-    pairs = [(wg.elements[a], wg.elements[b])
-             for a in range(wg.size) for b in range(wg.size) if wg.leq_idx(a, b)]
-    _TABLES.pop("B3", None)
+    queries = _memo_queries()
+    clear_caches()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        concurrent = list(pool.map(
-            lambda p: kl_polynomial(p[0], p[1]).coefficients, pairs))
-    _TABLES.pop("B3", None)
-    sequential = [kl_polynomial(u, v).coefficients for u, v in pairs]
-    assert concurrent == sequential
+        concurrent = list(pool.map(lambda q: q(), [q for q in queries for _ in (0, 1)]))
+    clear_caches()
+    sequential = [q() for q in queries]
+    assert concurrent[::2] == sequential
+    assert concurrent[1::2] == sequential
+
+
+def test_elements_of_another_group_are_rejected():
+    # s1 s2 s1 of B3 has the inversion mask of an element of A3, so only a
+    # group check tells the two apart at the index level
+    a3, b3 = build_root_system("A3"), build_root_system("B3")
+    u, v = identity(a3), from_word(b3, [1, 2, 1])
+    assert v.inversions in WeylGroup.for_system(a3).index
+    for query in (kl_polynomial, mu, interval, bruhat_leq_by_reflection_closure):
+        with pytest.raises(GroupMismatchError):
+            query(u, v)
+    with pytest.raises(GroupMismatchError):
+        WeylGroup.for_system(a3).idx(v)
 
 
 def test_doctests():

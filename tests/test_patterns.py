@@ -7,7 +7,7 @@ from weylpat.errors import (
     InternalInvariantError,
     NotComparableError,
 )
-from weylpat.kl import kl_polynomial
+from weylpat.kl import is_rationally_smooth, kl_polynomial, mu
 from weylpat.patterns import (
     SubsystemEmbedding,
     embed_element,
@@ -23,10 +23,11 @@ from weylpat.patterns import (
     pattern_avoids,
     pattern_embeds,
 )
-from weylpat.roots import build_root_system, dot
+from weylpat.roots import build_root_system, clear_caches, dot
 from weylpat.weyl import (
     WeylGroup,
     bruhat_leq,
+    bruhat_leq_by_reflection_closure,
     enumerate_elements,
     format_word,
     from_inversion_set,
@@ -413,28 +414,56 @@ def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, tab
     assert list(interval_pattern_instances(emb)) == kept
 
 
-def test_caps_hold_on_warm_caches():
-    from weylpat import patterns
+def _a4_pair():
+    a4 = build_root_system("A4")
+    return identity(a4), from_word(a4, [1, 2, 1])
 
-    a2, a4 = build_root_system("A2"), build_root_system("A4")
-    patterns._EMBEDDINGS_CACHE.pop(("A2", "A4"), None)
-    with pytest.raises(CapExceededError):
-        enumerate_embeddings(a2, a4, cap=3)
-    embs = enumerate_embeddings(a2, a4)
-    assert len(embs) == 20
-    with pytest.raises(CapExceededError):
-        enumerate_embeddings(a2, a4, cap=3)
 
-    emb = embs[0]
-    assert len(emb.subgroup_inversions()) == 6
-    with pytest.raises(CapExceededError):
-        emb.subgroup_inversions(cap=5)
+def _a2_into_a4():
+    return enumerate_embeddings(build_root_system("A2"), build_root_system("A4"))[0]
 
-    assert interval_pattern_instances(emb)
+
+def _a2_pattern():
+    return from_word(build_root_system("A2"), [1, 2, 1])
+
+
+# a query taking cap=..., and a cap too small for it: |W(A2)| = 6,
+# |W(A4)| = 120, and the A2 -> A4 search tries more than 3 nodes
+CAP_CASES = {
+    "enumerate_elements": (lambda **kw: enumerate_elements(build_root_system("A4"), **kw), 119),
+    "interval": (lambda **kw: interval(*_a4_pair(), **kw), 119),
+    "bruhat_leq_by_reflection_closure":
+        (lambda **kw: bruhat_leq_by_reflection_closure(*_a4_pair(), **kw), 119),
+    "kl_polynomial": (lambda **kw: kl_polynomial(*_a4_pair(), **kw), 119),
+    "mu": (lambda **kw: mu(*_a4_pair(), **kw), 119),
+    "is_rationally_smooth": (lambda **kw: is_rationally_smooth(_a4_pair()[1], **kw), 119),
+    "flatten": (lambda **kw: flatten(_a2_into_a4(), _a4_pair()[1], **kw), 5),
+    "pattern_avoids": (lambda **kw: pattern_avoids(_a2_pattern(), _a4_pair()[1], **kw), 3),
+    "interval_pattern_avoids": (lambda **kw: interval_pattern_avoids(
+        _a4_pair()[1], identity(build_root_system("A2")), _a2_pattern(), **kw), 3),
+    "enumerate_embeddings": (lambda **kw: enumerate_embeddings(
+        build_root_system("A2"), build_root_system("A4"), **kw), 3),
+    "subgroup_inversions": (lambda **kw: _a2_into_a4().subgroup_inversions(**kw), 5),
+    "flat": (lambda **kw: _a2_into_a4().flat(**kw), 119),
+    "embed": (lambda **kw: _a2_into_a4().embed(**kw), 119),
+    "interval_pattern_instances-target":
+        (lambda **kw: interval_pattern_instances(_a2_into_a4(), **kw), 119),
+    "interval_pattern_instances-source":
+        (lambda **kw: interval_pattern_instances(_a2_into_a4(), **kw), 5),
+}
+
+
+@pytest.mark.parametrize("name", list(CAP_CASES))
+def test_caps_hold_on_warm_caches(name):
+    # the same too-small cap must fail on fresh systems and again once the
+    # memo it guards has been filled with the default cap
+    query, small = CAP_CASES[name]
+    clear_caches()
     with pytest.raises(CapExceededError):
-        interval_pattern_instances(emb, cap=119)  # |W(A4)| = 120
+        query(cap=small)
+    query()
     with pytest.raises(CapExceededError):
-        interval_pattern_instances(emb, cap=5)  # |W(A2)| = 6
+        query(cap=small)
 
 
 def test_interval_pattern_avoids_finds_singular_transfer():

@@ -2,9 +2,15 @@ from fractions import Fraction as Q
 
 import pytest
 
-import weylpat.roots as roots_mod
 from weylpat.errors import InvalidCartanType
-from weylpat.roots import RationalSpan, build_root_system, dot, inner_product, reflect
+from weylpat.roots import (
+    RationalSpan,
+    build_root_system,
+    clear_caches,
+    dot,
+    inner_product,
+    reflect,
+)
 
 ROOT_COUNTS = {
     "A1": 2, "A2": 6, "A3": 12, "A4": 20,
@@ -158,8 +164,9 @@ def test_cartan_matrix_shape_invariants(cartan_type):
 def test_deterministic_reconstruction():
     before = build_root_system("B3")
     snapshot = (before.roots, before.simple, before.positive, before.cartan_matrix)
-    roots_mod._SYSTEMS.pop("B3")
+    clear_caches()
     after = build_root_system("B3")
+    assert after is not before
     assert (after.roots, after.simple, after.positive, after.cartan_matrix) == snapshot
     assert after == before
 

@@ -247,7 +247,7 @@ def _cmd_interval_avoids(args) -> int:
     rs = build_root_system(args.type)
     w = parse_element(rs, args.w)
     source, u, v = parse_interval_spec(args.interval)
-    avoided = interval_pattern_avoids(w, u, v)
+    avoided = interval_pattern_avoids(w, u, v, args.cap)
     payload = {
         "command": "interval-avoids",
         "inputs": {"type": rs.cartan_type, "w": _element_json(w),

@@ -46,7 +46,6 @@ from ..roots import RootSystem, build_root_system
 from ..weyl import (
     DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
-    WeylElement,
     WeylGroup,
     element_label,
     enumerate_elements,
@@ -108,13 +107,15 @@ def matrix_pairs(window: dict, slow: bool = False) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 def _instances(source: RootSystem, target: RootSystem, cap: int):
-    """(u, v, x, w) from the forced-bottom scan of every embedding."""
+    """(u, v, x, w) indices from the forced-bottom scan of every embedding."""
     for emb in enumerate_embeddings(source, target):
         yield from interval_pattern_instances(emb, cap)
 
 
-def _pair_label(u: WeylElement, v: WeylElement, x: WeylElement, w: WeylElement) -> str:
-    return (f"[{format_interval_spec(u, v)}] -> [{format_interval_spec(x, w)}]")
+def _pair_label(src: WeylGroup, tgt: WeylGroup, u: int, v: int, x: int, w: int) -> str:
+    """[u, v] -> [x, w] in interval notation, from element indices."""
+    return (f"[{format_interval_spec(src.elements[u], src.elements[v])}] -> "
+            f"[{format_interval_spec(tgt.elements[x], tgt.elements[w])}]")
 
 
 def _timed(fn: Callable[[VerificationReport], None], report: VerificationReport) -> VerificationReport:
@@ -167,14 +168,9 @@ def verify_x_determination(source_type: str, target_type: str,
         tgt = WeylGroup.for_system(target, cap)
         src_down, tgt_down = src.downsets, tgt.downsets
 
-        def label(u: int, v: int, x: int, w: int) -> str:
-            return _pair_label(src.elements[u], src.elements[v],
-                               tgt.elements[x], tgt.elements[w])
-
         for emb in enumerate_embeddings(source, target):
             flat, embedded = emb.flat(cap), emb.embed(cap)
-            bottom = {(src.idx(u), tgt.idx(w)): tgt.idx(x)
-                      for u, _, x, w in interval_pattern_instances(emb, cap)}
+            bottom = {(u, w): x for u, _, x, w in interval_pattern_instances(emb, cap)}
             for w in range(tgt.size):
                 v = flat[w]
                 # every bottom in the coset i(W')w, not only the forced one
@@ -185,11 +181,12 @@ def verify_x_determination(source_type: str, target_type: str,
                         continue
                     rep.cases += 1
                     if bottom.pop((u, w), None) != x:
-                        rep.failures.append(f"{label(u, v, x, w)}: bottom is not forced")
+                        rep.failures.append(
+                            f"{_pair_label(src, tgt, u, v, x, w)}: bottom is not forced")
             # the scan must yield nothing the walk did not reach
             for (u, w), x in bottom.items():
                 rep.failures.append(
-                    f"{label(u, flat[w], x, w)}: scanned bottom outside the coset walk")
+                    f"{_pair_label(src, tgt, u, flat[w], x, w)}: scanned bottom outside the coset walk")
 
     return _timed(run, report)
 
@@ -217,24 +214,24 @@ def verify_length_sufficiency(source_type: str, target_type: str,
         counts: dict[int, int] = {}
         for u, v, x, w in _instances(source, target, cap):
             rep.cases += 1
-            key = ((tgt.idx(x) * n + tgt.idx(w)) * m + src.idx(u)) * m + src.idx(v)
+            key = ((x * n + w) * m + u) * m + v
             counts[key] = counts.get(key, 0) + 1
         src_intervals: dict[int, BruhatInterval] = {}
         top_key, top = -1, None
         for key in sorted(counts):
             xw, uv = divmod(key, m * m)
-            x, w = (tgt.elements[k] for k in divmod(xw, n))
-            u, v = (src.elements[k] for k in divmod(uv, m))
+            x, w = divmod(xw, n)
+            u, v = divmod(uv, m)
             if xw != top_key:
-                top_key, top = xw, interval(x, w, cap)
+                top_key, top = xw, interval(tgt.elements[x], tgt.elements[w], cap)
             bottom = src_intervals.get(uv)
             if bottom is None:
-                bottom = src_intervals[uv] = interval(u, v, cap)
+                bottom = src_intervals[uv] = interval(src.elements[u], src.elements[v], cap)
             iso = interval_isomorphic(bottom, top)
-            if iso != (v.length - u.length == w.length - x.length):
+            if iso != (src.lengths[v] - src.lengths[u] == tgt.lengths[w] - tgt.lengths[x]):
                 kind = ("isomorphic with unequal gaps" if iso
                         else "equal gaps without isomorphism")
-                rep.failures.extend([f"{_pair_label(u, v, x, w)}: {kind}"] * counts[key])
+                rep.failures.extend([f"{_pair_label(src, tgt, u, v, x, w)}: {kind}"] * counts[key])
 
     return _timed(run, report)
 
@@ -248,15 +245,17 @@ def verify_kl_transfer(source_type: str, target_type: str,
         "kl-transfer", {"source": source.cartan_type, "target": target.cartan_type})
 
     def run(rep: VerificationReport) -> None:
+        src = WeylGroup.for_system(source, cap)
+        tgt = WeylGroup.for_system(target, cap)
         for u, v, x, w in _instances(source, target, cap):
-            if v.length - u.length != w.length - x.length:
+            if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
                 continue
             rep.cases += 1
-            p1 = kl_polynomial(u, v, cap)
-            p2 = kl_polynomial(x, w, cap)
+            p1 = kl_polynomial(src.elements[u], src.elements[v], cap)
+            p2 = kl_polynomial(tgt.elements[x], tgt.elements[w], cap)
             if p1 != p2:
                 rep.failures.append(
-                    f"{_pair_label(u, v, x, w)}: {p1} != {p2}")
+                    f"{_pair_label(src, tgt, u, v, x, w)}: {p1} != {p2}")
 
     return _timed(run, report)
 
@@ -328,14 +327,16 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
         # move 1, across each window pair: property transports along
         # interval pattern embeddings
         for s, t in pair_list:
-            src, tgt = build_root_system(s), build_root_system(t)
-            for u, v, x, w in _instances(src, tgt, cap):
-                if v.length - u.length != w.length - x.length:
+            src = WeylGroup.for_system(build_root_system(s), cap)
+            tgt = WeylGroup.for_system(build_root_system(t), cap)
+            for u, v, x, w in _instances(src.rs, tgt.rs, cap):
+                if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
                     continue
                 rep.cases += 1
-                if prop(kl_polynomial(u, v, cap)) and not prop(kl_polynomial(x, w, cap)):
+                if (prop(kl_polynomial(src.elements[u], src.elements[v], cap))
+                        and not prop(kl_polynomial(tgt.elements[x], tgt.elements[w], cap))):
                     rep.failures.append(
-                        f"{_pair_label(u, v, x, w)}: property lost along embedding")
+                        f"{_pair_label(src, tgt, u, v, x, w)}: property lost along embedding")
 
     return _timed(run, report)
 

@@ -21,8 +21,8 @@ interval pattern avoidance are all built on it.
 Interval-pattern searches test only the forced bottom x = i(u v^-1) w
 (x-determination) and compare length gaps in place of poset isomorphism
 (length sufficiency); :func:`interval_embeds` keeps the definition.
-:func:`interval_pattern_instances` scans every top on element indices:
-each embedding keeps a flatten table and an embed table over the
+:func:`interval_pattern_instances` streams index quadruples and keeps
+none: each embedding keeps a flatten table and an embed table over the
 enumerated groups, products fold reduced words through the groups'
 left multiplication tables, and x <= w is a bit of the target's
 down-set.  :func:`forced_bottom` is its object-level twin, which
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -89,7 +89,7 @@ class SubsystemEmbedding:
     """
 
     __slots__ = ("source", "target", "simple_images", "full_map",
-                 "_pos_pairs", "_subgroup", "_instances", "_flat", "_embed")
+                 "_pos_pairs", "_subgroup", "_flat", "_embed")
 
     def __init__(self, source: RootSystem, target: RootSystem,
                  simple_images: tuple[int, ...], full_map: tuple[int, ...]):
@@ -103,7 +103,6 @@ class SubsystemEmbedding:
             for r in source.positive
         )
         self._subgroup: frozenset[int] | None = None
-        self._instances: tuple[tuple[WeylElement, ...], ...] | None = None
         self._flat: list[int] | None = None
         self._embed: list[int] | None = None
 
@@ -353,13 +352,13 @@ def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
 
 
 def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUMERATION_CAP
-                               ) -> tuple[tuple[WeylElement, ...], ...]:
+                               ) -> Iterator[tuple[int, int, int, int]]:
     """Each (u, v, x, w) with u <= v = fl(w) that :func:`forced_bottom` accepts.
 
-    Ordered by w, then u, over the enumerated groups; the test runs on
-    indices through the tables of emb and the groups' down-sets.  Scanned
-    once and kept on emb; cap is checked against both groups on every
-    call, so it holds whether the memo is cold or warm.
+    Streams source indices u, v and target indices x, w, ordered by w,
+    then u, and keeps nothing.  cap is checked against both groups, and
+    the flat and embed tables are built, when the call is made; the scan
+    runs on those tables and the groups' down-sets.
 
     With valid tables neither test rejects a candidate.  Flattening is
     equivariant, fl(i(g) y) = g fl(y), so fl(x) = u v^-1 v = u; and by the
@@ -371,11 +370,10 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     """
     source = WeylGroup.for_system(emb.source, cap)
     target = WeylGroup.for_system(emb.target, cap)
-    if emb._instances is None:
-        flat, embed = emb.flat(cap), emb.embed(cap)
+    flat, embed = emb.flat(cap), emb.embed(cap)
+
+    def scan() -> Iterator[tuple[int, int, int, int]]:
         inverses, down = source.inverses, target.downsets
-        src, tgt = source.elements, target.elements
-        found = []
         for w in range(target.size):
             v = flat[w]
             v_inv = inverses[v]
@@ -383,9 +381,9 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
             for u in source.below(v):
                 x = target.mul(embed[source.mul(u, v_inv)], w)
                 if below_w >> x & 1 and flat[x] == u:
-                    found.append((src[u], src[v], tgt[x], tgt[w]))
-        emb._instances = tuple(found)
-    return emb._instances
+                    yield u, v, x, w
+
+    return scan()
 
 
 def interval_pattern_avoids(w: WeylElement, u: WeylElement, v: WeylElement,
@@ -424,61 +422,62 @@ def interval_poset_reachable(generators: Sequence[BruhatInterval],
 
     The search is a breadth-first walk upward from the generators,
     restricted to the supplied window of groups (default: the groups of
-    the generators plus the group of the goal).
+    the generators plus the group of the goal), on (type, bottom, top)
+    element-index states.  cap bounds the states visited, each group's
+    enumeration and each embedding search.
     """
     if not bruhat_leq(x, w):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    window: list[RootSystem] = []
-    seen_types = set()
-    for sys in [g.bottom.group for g in generators] + ([w.group] if groups is None else list(groups)):
-        if sys.cartan_type not in seen_types:
-            seen_types.add(sys.cartan_type)
-            window.append(sys)
-    if groups is not None and w.group.cartan_type not in seen_types:
-        window.append(w.group)
+    # the window by type, in first-seen order
+    systems: dict[str, RootSystem] = {}
+    for sys in [g.bottom.group for g in generators] + list(groups or ()) + [w.group]:
+        systems.setdefault(sys.cartan_type, sys)
 
-    goal = (w.group.cartan_type, x.inversions, w.inversions)
+    def state(bot: WeylElement, top: WeylElement) -> tuple[str, int, int]:
+        wg = WeylGroup.for_system(top.group, cap)
+        return (top.group.cartan_type, wg.idx(bot), wg.idx(top))
+
+    goal = state(x, w)
     queue: deque[tuple[str, int, int]] = deque()
     visited: set[tuple[str, int, int]] = set()
 
-    def push(sys: RootSystem, bot: WeylElement, top: WeylElement) -> bool:
-        state = (sys.cartan_type, bot.inversions, top.inversions)
-        if state in visited:
+    def push(st: tuple[str, int, int]) -> bool:
+        if st in visited:
             return False
-        visited.add(state)
+        visited.add(st)
         if len(visited) > cap:
             raise CapExceededError("cap exceeded in interval poset search")
-        queue.append(state)
-        return state == goal
+        queue.append(st)
+        return st == goal
 
-    systems = {sys.cartan_type: sys for sys in window}
     for gen in generators:
-        if push(gen.bottom.group, gen.bottom, gen.top):
+        if push(state(gen.bottom, gen.top)):
             return True
 
+    # move 1 out of each source type, filled when a state of it is first
+    # popped: (u, v) -> the states its scans reach with equal length gaps
+    moves: dict[str, dict[tuple[int, int], list[tuple[str, int, int]]]] = {}
     while queue:
-        sys_type, bot_inv, top_inv = queue.popleft()
-        sys = systems.get(sys_type)
-        if sys is None:
-            continue
-        wg = WeylGroup.for_system(sys)
-        bot = wg.elements[wg.index[bot_inv]]
-        top = wg.elements[wg.index[top_inv]]
+        sys_type, bot, top = queue.popleft()
+        sys = systems[sys_type]
+        wg = WeylGroup.for_system(sys, cap)
         # move 2: lower the bottom
-        bot_idx = wg.idx(bot)
-        for k in wg.below(bot_idx):
-            if k != bot_idx and push(sys, wg.elements[k], top):
+        for k in wg.below(bot):
+            if k != bot and push((sys_type, k, top)):
                 return True
         # move 1: interval pattern embeddings into every window group
-        for tgt in window:
-            if sys.rank > tgt.rank:
-                continue
-            for emb in enumerate_embeddings(sys, tgt):
-                for u, v, x2, w2 in interval_pattern_instances(emb):
-                    if (u == bot and v == top
-                            and w2.length - x2.length == top.length - bot.length
-                            and push(tgt, x2, w2)):
-                        return True
+        hits = moves.get(sys_type)
+        if hits is None:
+            hits = moves[sys_type] = {}
+            for tgt in systems.values():
+                for emb in enumerate_embeddings(sys, tgt, cap):
+                    tgt_lengths = WeylGroup.for_system(tgt, cap).lengths
+                    for u, v, x2, w2 in interval_pattern_instances(emb, cap):
+                        if tgt_lengths[w2] - tgt_lengths[x2] == wg.lengths[v] - wg.lengths[u]:
+                            hits.setdefault((u, v), []).append((tgt.cartan_type, x2, w2))
+        for st in hits.get((bot, top), ()):
+            if push(st):
+                return True
     return False
 
 

@@ -135,6 +135,10 @@ def test_flatten_and_avoids_honour_cap(capsys):
     code, out, err = run(capsys, "avoids", "A4", "--w", "45312", "--pattern", "A3:3412",
                          "--cap", "23")
     assert code == 2 and "cap exceeded" in err  # |W(A3)| = 24
+    # 3 is too few nodes for the search of A2 embeddings into A4
+    code, out, err = run(capsys, "interval-avoids", "A4", "--w", "1 2",
+                         "--interval", "A2:e..1 2", "--cap", "3")
+    assert code == 2 and "cap exceeded" in err
 
 
 def test_config_rejects_unknown_keys(capsys, tmp_path):

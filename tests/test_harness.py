@@ -18,7 +18,11 @@ from weylpat.harness.verify import (
     verify_x_determination,
 )
 from weylpat.kl import KLPolynomial
-from weylpat.patterns import enumerate_embeddings, interval_pattern_instances
+from weylpat.patterns import (
+    enumerate_embeddings,
+    format_interval_spec,
+    interval_pattern_instances,
+)
 from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import WeylGroup
 
@@ -80,9 +84,11 @@ def test_property_parser():
 ])
 def test_x_determination_catches_a_planted_scan_error(monkeypatch, plant, message):
     # the coset walk is an oracle of the scan: a wrong bottom, or one the
-    # walk cannot reach, planted in one embedding's memo must show up
+    # walk cannot reach, planted in one embedding's scan must show up
+    from weylpat.harness import verify
+
     a2 = build_root_system("A2")
-    w0 = WeylGroup.for_system(a2).elements[-1]
+    w0 = WeylGroup.for_system(a2).size - 1  # the longest element is indexed last
     emb = enumerate_embeddings(a2, build_root_system("A3"))[0]
     found = list(interval_pattern_instances(emb))
     k = next(k for k, (u, v, x, w) in enumerate(found) if x != w and v != w0)
@@ -91,7 +97,9 @@ def test_x_determination_catches_a_planted_scan_error(monkeypatch, plant, messag
         found[k] = (u, v, w, w)
     else:
         found.append((w0, v, x, w))  # w0 is not below v, so no walk reaches it
-    monkeypatch.setattr(emb, "_instances", tuple(found))
+    real = verify.interval_pattern_instances
+    monkeypatch.setattr(verify, "interval_pattern_instances",
+                        lambda e, cap: iter(found) if e is emb else real(e, cap))
     r = verify_x_determination("A2", "A3")
     assert not r.passed
     assert any(f.endswith(message) for f in r.failures)
@@ -103,8 +111,9 @@ def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch
     from weylpat.harness import verify
 
     a2, a3 = build_root_system("A2"), build_root_system("A3")
-    yields = Counter(q for emb in enumerate_embeddings(a2, a3)
-                     for q in interval_pattern_instances(emb))
+    src, tgt = WeylGroup.for_system(a2).elements, WeylGroup.for_system(a3).elements
+    yields = Counter((src[u], src[v], tgt[x], tgt[w]) for emb in enumerate_embeddings(a2, a3)
+                     for u, v, x, w in interval_pattern_instances(emb))
     (u, v, x, w), k = next(
         (q, k) for q, k in yields.items()
         if k > 1 and q[0] != q[1] and q[1].length - q[0].length == q[3].length - q[2].length)
@@ -119,8 +128,8 @@ def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch
     monkeypatch.setattr(verify, "interval_isomorphic", planted)
     r = verify_length_sufficiency("A2", "A3")
     assert r.cases == cases == sum(yields.values())
-    assert r.failures == [
-        f"{verify._pair_label(u, v, x, w)}: equal gaps without isomorphism"] * k
+    label = f"[{format_interval_spec(u, v)}] -> [{format_interval_spec(x, w)}]"
+    assert r.failures == [f"{label}: equal gaps without isomorphism"] * k
 
 
 def test_verify_suites_on_small_pairs():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from helpers import classical_contains, flip_perm, naive_embeddings, perm_of
@@ -248,6 +250,12 @@ def test_interval_poset_reachable_cap():
     gen = interval(u, v)
     with pytest.raises(CapExceededError):
         interval_poset_reachable([gen], identity(a3), v, cap=1)
+    # |W(A2)| = 6 fits a cap of 6, but the 14 states above [e, s] of A1
+    # do not; [s1, s1] has gap 0, so no upward move reaches it
+    a1, a2 = build_root_system("A1"), build_root_system("A2")
+    s1 = from_word(a2, [1])
+    with pytest.raises(CapExceededError, match="interval poset search"):
+        interval_poset_reachable([interval(identity(a1), from_word(a1, [1]))], s1, s1, cap=6)
 
 
 def test_smoothness_pattern_count():
@@ -335,6 +343,12 @@ def test_forced_bottom_checks_both_flattenings_and_order():
     assert forced_bottom(emb, s, e, w) is None
 
 
+def _scanned(emb):
+    """The scan of emb, its index quadruples mapped to group elements."""
+    src, tgt = enumerate_elements(emb.source), enumerate_elements(emb.target)
+    return [(src[u], src[v], tgt[x], tgt[w]) for u, v, x, w in interval_pattern_instances(emb)]
+
+
 @pytest.mark.parametrize("src,tgt", [("A1", "A2"), ("A2", "A3"), ("A1xA1", "B3")])
 def test_interval_pattern_instances_match_coset_walk(src, tgt):
     # every pair with matching flattenings, a shared coset and u <= v,
@@ -351,7 +365,7 @@ def test_interval_pattern_instances_match_coset_walk(src, tgt):
                 u = flatten(emb, x)
                 if bruhat_leq(u, v) and bruhat_leq(x, w):
                     walked.add((u, v, x, w))
-        scanned = interval_pattern_instances(emb)
+        scanned = _scanned(emb)
         assert len(scanned) == len(set(scanned))
         assert set(scanned) == walked
 
@@ -381,7 +395,7 @@ def test_interval_pattern_instances_match_object_level_forced_bottom(src, tgt):
                     x = forced_bottom(emb, u, v, w)
                     if x is not None:
                         expected.append((u, v, x, w))
-        assert list(interval_pattern_instances(emb)) == expected
+        assert _scanned(emb) == expected
 
 
 @pytest.mark.parametrize("table,check", [("_embed", "flat"), ("_flat", "order")])
@@ -400,7 +414,6 @@ def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, tab
     else:
         flat = flat[::-1]
         monkeypatch.setattr(emb, "_flat", flat)
-    monkeypatch.setattr(emb, "_instances", None)
     kept, rejected = [], 0
     for w in range(tgt.size):
         v = flat[w]
@@ -408,10 +421,31 @@ def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, tab
             x = tgt.mul(embed[src.mul(u, src.inverses[v])], w)
             order_ok, flat_ok = tgt.leq_idx(x, w), flat[x] == u
             if order_ok and flat_ok:
-                kept.append((src.elements[u], src.elements[v], tgt.elements[x], tgt.elements[w]))
+                kept.append((u, v, x, w))
             rejected += (flat_ok and not order_ok) if check == "order" else (order_ok and not flat_ok)
     assert rejected > 0
     assert list(interval_pattern_instances(emb)) == kept
+
+
+def test_a_finished_scan_retains_nothing():
+    # the scan streams its quadruples: once the tables it reads exist,
+    # exhausting all 24 scans of A1 -> F4 (41,472 quadruples) keeps nothing
+    a1, f4 = build_root_system("A1"), build_root_system("F4")
+    embs = enumerate_embeddings(a1, f4)
+    assert len(embs) == 24
+    for emb in embs:
+        emb.flat(), emb.embed()
+    for wg in (WeylGroup.for_system(a1), WeylGroup.for_system(f4)):
+        wg.downsets, wg.inverses
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        count = sum(1 for emb in embs for _ in interval_pattern_instances(emb))
+        growth = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert count == 41_472
+    assert growth < 64 * 1024
 
 
 def _a4_pair():
@@ -450,6 +484,9 @@ CAP_CASES = {
         (lambda **kw: interval_pattern_instances(_a2_into_a4(), **kw), 119),
     "interval_pattern_instances-source":
         (lambda **kw: interval_pattern_instances(_a2_into_a4(), **kw), 5),
+    # the hexagon of A2 reaches [e, s1 s2 s1] of A4 in under 119 states
+    "interval_poset_reachable": (lambda **kw: interval_poset_reachable(
+        [interval(identity(build_root_system("A2")), _a2_pattern())], *_a4_pair(), **kw), 119),
 }
 
 

@@ -142,7 +142,7 @@ def verify_flattening(source_type: str, target_type: str,
         for emb in enumerate_embeddings(source, target):
             for w in enumerate_elements(target, cap):
                 try:
-                    flatten(emb, w)
+                    flatten(emb, w, cap)
                 except InternalInvariantError as exc:
                     rep.failures.append(
                         f"{emb!r} on {element_label(w)}: {exc}")

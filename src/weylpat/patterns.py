@@ -32,7 +32,6 @@ enumerates no group.
 from __future__ import annotations
 
 from collections import deque
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -41,7 +40,7 @@ from .errors import (
     InternalInvariantError,
     NotComparableError,
 )
-from .roots import RationalSpan, RootSystem, build_root_system, dot
+from .roots import RootSystem, _echelon, _reduce, build_root_system
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
@@ -184,9 +183,14 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
     to the source, whose positive roots all lie in their rational span.
     So a full assignment is closed exactly when the span holds
     ``source.num_positive`` positive target roots, no more; that count
-    is taken once per distinct image set.  The result is sorted by
-    (sorted image tuple, image tuple) and kept on the source system,
-    keyed by the target's type.
+    is taken once per distinct image set.  Everything is integer: the
+    Cartan integers come from the target's reflection and height tables,
+    the span test is a fraction-free echelon form of the images'
+    simple-root coordinates that counts the target positive roots
+    reducing to zero, and each source root maps to the root whose
+    coordinates are the same integer combination of the images.  The
+    result is sorted by (sorted image tuple, image tuple) and kept on the
+    source system, keyed by the target's type.
 
     ``cap`` bounds the search nodes tried, one per partial assignment
     the search extends to; the memo keeps that count, so a warm call
@@ -199,15 +203,16 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
             raise CapExceededError("cap exceeded while enumerating embeddings")
         return result
     r, cartan = source.rank, source.cartan_matrix
-    pos, roots = target.positive, target.roots
+    pos, heights, refl = target.positive, target.heights, target.reflection_table
+    coords = target.simple_coords
+    coord_index = {c: i for i, c in enumerate(coords)}
     found: list[SubsystemEmbedding] = []
     closed: dict[frozenset[int], bool] = {}
     nodes = 0
-    # Cartan integers 2(a, b)/(a, a) of the target's positive roots
-    pairing: dict[int, dict[int, int]] = {}
-    for a in pos:
-        half_norm = dot(roots[a], roots[a]) / 2
-        pairing[a] = {b: int(dot(roots[a], roots[b]) / half_norm) for b in pos}
+    # Cartan integers <b, a^v> of the target's positive roots, read off
+    # s_a(b) = b - <b, a^v> a through the height, which is linear
+    pairing = {a: {b: (heights[b] - heights[refl[a][b]]) // heights[a] for b in pos}
+               for a in pos}
 
     def extend(images: list[int]) -> None:
         nonlocal nodes
@@ -215,11 +220,11 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
         if k == r:
             span_key = frozenset(images)
             if span_key not in closed:
-                span = RationalSpan([roots[i] for i in images])
-                inside = sum(1 for i in pos if span.contains(roots[i]))
+                basis = _echelon([coords[i] for i in images])
+                inside = sum(1 for i in pos if not any(_reduce(basis, coords[i])))
                 closed[span_key] = inside == source.num_positive
             if closed[span_key]:
-                found.append(_build_embedding(source, target, tuple(images)))
+                found.append(_build_embedding(source, target, tuple(images), coord_index))
             return
         for b in pos:
             if all(pairing[a][b] == cartan[j][k] and pairing[b][a] == cartan[k][j]
@@ -240,22 +245,20 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
     return result
 
 
-def _build_embedding(source: RootSystem, target: RootSystem,
-                     images: tuple[int, ...]) -> SubsystemEmbedding:
+def _build_embedding(source: RootSystem, target: RootSystem, images: tuple[int, ...],
+                     coord_index: dict[tuple[int, ...], int]) -> SubsystemEmbedding:
+    image_coords = [target.simple_coords[i] for i in images]
     full: list[int] = []
-    for r_idx in range(len(source.roots)):
-        coeffs = source.simple_coords[r_idx]
-        vec = [Fraction(0)] * target.ambient_dim
-        for c, img in zip(coeffs, images):
+    for r_idx, coeffs in enumerate(source.simple_coords):
+        vec = [0] * target.rank
+        for c, img in zip(coeffs, image_coords):
             if c:
-                root = target.roots[img]
-                vec = [x + c * y for x, y in zip(vec, root)]
-        try:
-            t_idx = target.index_of(tuple(vec))
-        except ValueError:
+                vec = [x + c * y for x, y in zip(vec, img)]
+        t_idx = coord_index.get(tuple(vec))
+        if t_idx is None:
             raise InternalInvariantError(
                 f"image of source root {r_idx} is not a root of {target.cartan_type}"
-            ) from None
+            )
         if source.is_positive(r_idx) and not target.is_positive(t_idx):
             raise InternalInvariantError(
                 "embedding maps a positive root to a negative root"

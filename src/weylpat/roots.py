@@ -1,8 +1,15 @@
 """Exact realizations of the finite crystallographic root systems.
 
-Every coordinate is a `fractions.Fraction`; no floating point is used
-anywhere in the package.  The realization of each simple type is fixed
-once and for all so that root indices are reproducible bit for bit:
+All arithmetic is exact; no floating point is used anywhere in the
+package.  The root tables are integer: each root is built, reflected and
+negated in its integer coordinates over the simple roots
+(``simple_coords``), closing the unit vectors under the simple
+reflections that the Cartan matrix gives (Bourbaki, Lie Groups and Lie
+Algebras, ch. VI, 1).  Each root's ambient vector, with
+`fractions.Fraction` coordinates, is computed once from those and serves
+only for ordering, parsing and display.  The realization of each simple
+type is fixed once and for all so that root indices are reproducible bit
+for bit:
 
     A1          {+-e1} in R^1
     An (n>=2)   {e_i - e_j : i != j} in R^(n+1),  alpha_i = e_i - e_(i+1)
@@ -32,6 +39,7 @@ simple root.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from typing import Sequence
@@ -44,7 +52,6 @@ Vector = tuple[Fraction, ...]
 __all__ = [
     "Vector",
     "RootSystem",
-    "RationalSpan",
     "build_root_system",
     "clear_caches",
     "reflect",
@@ -66,125 +73,50 @@ def _reflect_vec(alpha: Vector, v: Vector) -> Vector:
     return tuple(x - c * a for x, a in zip(v, alpha))
 
 
-class RationalSpan:
-    """The rational span of a linearly independent set of vectors.
+def _reduce(basis: list[tuple[int, list[int]]], v: Sequence[int]) -> list[int]:
+    """v with every pivot column of an echelon basis cleared, fraction free.
 
-    Solves membership and coordinate questions exactly via the inverse
-    Gram matrix of the basis.
+    The result is all zero exactly when v lies in the span of the basis.
     """
+    for p, row in basis:
+        if v[p]:
+            c, q = row[p], v[p]
+            v = [c * x - q * y for x, y in zip(v, row)]
+    return list(v)
 
-    def __init__(self, basis: Sequence[Vector]):
-        self.basis = [tuple(Q(x) for x in b) for b in basis]
-        n = len(self.basis)
-        gram = [[dot(a, b) for b in self.basis] for a in self.basis]
-        # invert the Gram matrix by Gauss-Jordan elimination
-        aug = [row[:] + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(gram)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("basis is linearly dependent")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = Q(1) / aug[col][col]
-            aug[col] = [x * inv for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col] != 0:
-                    f = aug[r][col]
-                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-        self._gram_inv = [row[n:] for row in aug]
 
-    def coefficients(self, v: Vector) -> tuple[Fraction, ...] | None:
-        """Coordinates of v in the basis, or None when v is outside the span."""
-        rhs = [dot(b, v) for b in self.basis]
-        coeffs = tuple(
-            sum((self._gram_inv[i][j] * rhs[j] for j in range(len(rhs))), Q(0))
-            for i in range(len(self.basis))
-        )
-        recon = [Q(0)] * len(v)
-        for c, b in zip(coeffs, self.basis):
-            if c:
-                recon = [x + c * y for x, y in zip(recon, b)]
-        if tuple(recon) != tuple(v):
-            return None
-        return coeffs
+def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """An integer echelon basis of independent rows, as (pivot, row) pairs.
 
-    def contains(self, v: Vector) -> bool:
-        return self.coefficients(v) is not None
+    Each row is reduced against the rows before it, so it is zero in
+    their pivot columns.  Raises ValueError on linearly dependent rows.
+    """
+    basis: list[tuple[int, list[int]]] = []
+    for v in rows:
+        v = _reduce(basis, v)
+        pivot = next((j for j, x in enumerate(v) if x), None)
+        if pivot is None:
+            raise ValueError("basis is linearly dependent")
+        basis.append((pivot, v))
+    return basis
 
 
 # ---------------------------------------------------------------------------
 # simple root tables
 # ---------------------------------------------------------------------------
 
-def _unit(n: int, i: int, c: Fraction = Q(1)) -> Vector:
-    v = [Q(0)] * n
-    v[i] = c
-    return tuple(v)
+def _chain(n: int, dim: int) -> list[tuple[int, ...]]:
+    """e_i - e_(i+1) for i = 1..n, in R^dim."""
+    return [tuple(1 if k == i else -1 if k == i + 1 else 0 for k in range(dim))
+            for i in range(n)]
 
 
-def _simples_a(n: int) -> tuple[list[Vector], int]:
-    if n == 1:
-        return [(Q(1),)], 1
-    dim = n + 1
-    return [
-        tuple(Q(1) if k == i else Q(-1) if k == i + 1 else Q(0) for k in range(dim))
-        for i in range(n)
-    ], dim
-
-
-def _simples_b(n: int) -> tuple[list[Vector], int]:
-    simples = [
-        tuple(Q(1) if k == i else Q(-1) if k == i + 1 else Q(0) for k in range(n))
-        for i in range(n - 1)
-    ]
-    simples.append(_unit(n, n - 1))
-    return simples, n
-
-
-def _simples_c(n: int) -> tuple[list[Vector], int]:
-    simples, dim = _simples_b(n)
-    simples[-1] = _unit(n, n - 1, Q(2))
-    return simples, dim
-
-
-def _simples_d(n: int) -> tuple[list[Vector], int]:
-    simples, dim = _simples_b(n)
-    last = [Q(0)] * n
-    last[n - 2] = Q(1)
-    last[n - 1] = Q(1)
-    simples[-1] = tuple(last)
-    return simples, dim
-
-
-_E8_SIMPLES: list[Vector] = [
-    (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)),
-    (Q(1), Q(1), Q(0), Q(0), Q(0), Q(0), Q(0), Q(0)),
-    (Q(-1), Q(1), Q(0), Q(0), Q(0), Q(0), Q(0), Q(0)),
-    (Q(0), Q(-1), Q(1), Q(0), Q(0), Q(0), Q(0), Q(0)),
-    (Q(0), Q(0), Q(-1), Q(1), Q(0), Q(0), Q(0), Q(0)),
-    (Q(0), Q(0), Q(0), Q(-1), Q(1), Q(0), Q(0), Q(0)),
-    (Q(0), Q(0), Q(0), Q(0), Q(-1), Q(1), Q(0), Q(0)),
-    (Q(0), Q(0), Q(0), Q(0), Q(0), Q(-1), Q(1), Q(0)),
+_H = Q(1, 2)
+_E8_SIMPLES = [(_H, -_H, -_H, -_H, -_H, -_H, -_H, _H), (1, 1, 0, 0, 0, 0, 0, 0)] + [
+    tuple(-x for x in r) for r in _chain(6, 8)
 ]
-
-
-def _simples_e(n: int) -> tuple[list[Vector], int]:
-    return list(_E8_SIMPLES[:n]), 8
-
-
-def _simples_f() -> tuple[list[Vector], int]:
-    return [
-        (Q(0), Q(1), Q(-1), Q(0)),
-        (Q(0), Q(0), Q(1), Q(-1)),
-        (Q(0), Q(0), Q(0), Q(1)),
-        (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)),
-    ], 4
-
-
-def _simples_g() -> tuple[list[Vector], int]:
-    return [
-        (Q(1), Q(-1), Q(0)),
-        (Q(-2), Q(1), Q(1)),
-    ], 3
+# the last simple root of Bn, Cn and Dn, padded on the left: e_n, 2e_n, e_(n-1) + e_n
+_BCD_LAST = {"B": (0, 1), "C": (0, 2), "D": (1, 1)}
 
 
 _FACTOR_RE = re.compile(r"([A-G])([0-9]+)")
@@ -216,20 +148,17 @@ def _parse_cartan_type(text: str) -> list[tuple[str, int]]:
     return factors
 
 
-def _factor_simples(letter: str, rank: int) -> tuple[list[Vector], int]:
+def _factor_simples(letter: str, rank: int) -> tuple[list[tuple], int]:
+    """The simple roots of one irreducible factor, and its ambient dimension."""
     if letter == "A":
-        return _simples_a(rank)
-    if letter == "B":
-        return _simples_b(rank)
-    if letter == "C":
-        return _simples_c(rank)
-    if letter == "D":
-        return _simples_d(rank)
+        return (_chain(rank, rank + 1), rank + 1) if rank > 1 else ([(1,)], 1)
+    if letter in _BCD_LAST:
+        return _chain(rank - 1, rank) + [(0,) * (rank - 2) + _BCD_LAST[letter]], rank
     if letter == "E":
-        return _simples_e(rank)
+        return _E8_SIMPLES[:rank], 8
     if letter == "F":
-        return _simples_f()
-    return _simples_g()
+        return [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (_H, -_H, -_H, -_H)], 4
+    return [(1, -1, 0), (-2, 1, 1)], 3
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +179,10 @@ class RootSystem:
     :class:`~weylpat.weyl.WeylGroup`, which owns the per-group tables,
     and ``_embeddings`` maps another system's type to the search-node
     count and the embeddings of this system into it, which own their
-    index tables and scans.
+    flatten and embed tables.
+
+    Linearly dependent simple roots raise ValueError, and a pairing
+    2(b, a)/(a, a) that is not an integer raises InvalidCartanType.
     """
 
     __slots__ = (
@@ -260,47 +192,54 @@ class RootSystem:
         "_group", "_embeddings",
     )
 
-    def __init__(self, cartan_type: str, simples: list[Vector], ambient_dim: int):
+    def __init__(self, cartan_type: str, simples: Sequence[Sequence[Fraction | int]],
+                 ambient_dim: int):
         self.cartan_type = cartan_type
         self.rank = len(simples)
         self.ambient_dim = ambient_dim
 
-        allroots = _close_under_simple_reflections(simples)
-        span = RationalSpan(simples)
-        keyed = []
-        for r in allroots:
-            coeffs = span.coefficients(r)
-            if coeffs is None or any(c.denominator != 1 for c in coeffs):
-                raise InvalidCartanType(
-                    f"internal construction failure for {cartan_type}: bad root {r}"
-                )
-            ints = tuple(int(c) for c in coeffs)
-            height = sum(ints)
-            keyed.append((height, r, ints))
-        keyed.sort(key=lambda t: (t[0], t[1]))
+        # the simple roots over a common denominator, and their integer Gram matrix
+        fracs = [tuple(Q(x) for x in s) for s in simples]
+        scale = math.lcm(*(x.denominator for s in fracs for x in s))
+        ints = [tuple(int(x * scale) for x in s) for s in fracs]
+        _echelon(ints)  # dependent simple roots raise ValueError
+        gram = [[sum(x * y for x, y in zip(a, b)) for b in ints] for a in ints]
+        self.cartan_matrix = tuple(
+            tuple(_cartan_integer(cartan_type, g, row[i]) for g in row)
+            for i, row in enumerate(gram)
+        )
 
-        self.roots = tuple(r for _, r, _ in keyed)
+        # sort by height, then by ambient vector, as integer tuples
+        columns = list(zip(*ints))
+        keyed = sorted(
+            (sum(c), tuple(sum(x * y for x, y in zip(c, col)) for col in columns), c)
+            for c in _integer_roots(self.cartan_matrix)
+        )
+        self.roots = tuple(tuple(Q(x, scale) for x in v) for _, v, _ in keyed)
         self.heights = tuple(h for h, _, _ in keyed)
         self.simple_coords = tuple(c for _, _, c in keyed)
+        coord_index = {c: i for i, c in enumerate(self.simple_coords)}
         self._root_index = {r: i for i, r in enumerate(self.roots)}
         self.positive = tuple(i for i, h in enumerate(self.heights) if h > 0)
         self.num_positive = len(self.positive)
         self._pos_position = {r: p for p, r in enumerate(self.positive)}
-        self.simple = tuple(self._root_index[s] for s in simples)
-        self._neg = tuple(
-            self._root_index[tuple(-x for x in r)] for r in self.roots
+        self.simple = tuple(
+            coord_index[tuple(int(i == j) for j in range(self.rank))] for i in range(self.rank)
         )
-        self.reflection_table = tuple(
-            tuple(self._root_index[_reflect_vec(a, b)] for b in self.roots)
-            for a in self.roots
-        )
-        self.cartan_matrix = tuple(
-            tuple(
-                int(2 * dot(simples[i], simples[j]) / dot(simples[i], simples[i]))
-                for j in range(self.rank)
-            )
-            for i in range(self.rank)
-        )
+        self._neg = tuple(coord_index[tuple(-x for x in c)] for c in self.simple_coords)
+
+        # s_a(b) = b - k a with k = 2B(b, a)/B(a, a); paired[b][j] = B(b, a_j)
+        paired = [tuple(sum(x * g for x, g in zip(c, col)) for col in gram)
+                  for c in self.simple_coords]
+        table = []
+        for ca, pa in zip(self.simple_coords, paired):
+            norm = sum(x * y for x, y in zip(ca, pa))
+            row = []
+            for b, cb in enumerate(self.simple_coords):
+                k = _cartan_integer(cartan_type, sum(x * y for x, y in zip(cb, pa)), norm)
+                row.append(coord_index[tuple(x - k * y for x, y in zip(cb, ca))] if k else b)
+            table.append(tuple(row))
+        self.reflection_table = tuple(table)
         self._group = None
         self._embeddings: dict[str, tuple] = {}
 
@@ -338,21 +277,35 @@ class RootSystem:
         return hash(self.cartan_type)
 
 
-def _close_under_simple_reflections(simples: Sequence[Vector]) -> list[Vector]:
-    norms = [dot(a, a) for a in simples]
-    roots = set(simples)
-    frontier = list(simples)
+def _cartan_integer(cartan_type: str, pairing: int, norm: int) -> int:
+    """2 pairing / norm, which must be an integer."""
+    k, rest = divmod(2 * pairing, norm)
+    if rest:
+        raise InvalidCartanType(
+            f"internal construction failure for {cartan_type}: "
+            f"Cartan quotient {2 * pairing}/{norm} is not an integer"
+        )
+    return k
+
+
+def _integer_roots(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """Simple-root coordinates of every root: the unit vectors closed under
+    s_i(b) = b - <b, a_i^v> e_i, where <b, a_i^v> = sum_j b_j cartan[i][j]."""
+    n = len(cartan)
+    roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+    frontier = list(roots)
     while frontier:
-        new: list[Vector] = []
+        new: list[tuple[int, ...]] = []
         for beta in frontier:
-            for alpha, norm in zip(simples, norms):
-                c = 2 * dot(beta, alpha) / norm
-                img = tuple(x - c * a for x, a in zip(beta, alpha))
-                if img not in roots:
-                    roots.add(img)
-                    new.append(img)
+            for i, row in enumerate(cartan):
+                k = sum(b * c for b, c in zip(beta, row))
+                if k:
+                    img = beta[:i] + (beta[i] - k,) + beta[i + 1:]
+                    if img not in roots:
+                        roots.add(img)
+                        new.append(img)
         frontier = new
-    return sorted(roots)
+    return roots
 
 
 # the only module-level memo: every other one hangs off an interned system
@@ -362,8 +315,8 @@ _SYSTEMS: dict[str, RootSystem] = {}
 def clear_caches() -> None:
     """Forget every interned root system, and with them every memo.
 
-    Groups, KL tables, embeddings and scans are owned by their root
-    system, so they are freed once no caller holds that system.
+    Groups, KL tables, embeddings and their index tables are owned by
+    their root system, so they are freed once no caller holds that system.
     """
     _SYSTEMS.clear()
 
@@ -380,15 +333,13 @@ def build_root_system(cartan_type: str) -> RootSystem:
     cached = _SYSTEMS.get(canonical)
     if cached is not None:
         return cached
-    simples: list[Vector] = []
+    simples: list[tuple] = []
     offset = 0
     total_dim = sum(_factor_simples(l, r)[1] for l, r in factors)
     for letter, rank in factors:
         fsimples, fdim = _factor_simples(letter, rank)
         for s in fsimples:
-            simples.append(
-                tuple([Q(0)] * offset + list(s) + [Q(0)] * (total_dim - offset - fdim))
-            )
+            simples.append((0,) * offset + tuple(s) + (0,) * (total_dim - offset - fdim))
         offset += fdim
     rs = RootSystem(canonical, simples, total_dim)
     _SYSTEMS[canonical] = rs

@@ -7,10 +7,11 @@ a second classical recursion.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from fractions import Fraction
 
-from weylpat.roots import RationalSpan, dot
+from weylpat.roots import dot
 from weylpat.weyl import (
     WeylElement,
     enumerate_elements,
@@ -220,6 +221,52 @@ def is_biconvex(rs, mask: int) -> bool:
 # brute-force embedding enumeration
 # ---------------------------------------------------------------------------
 
+class RationalSpan:
+    """The rational span of a linearly independent set of ambient vectors.
+
+    Solves membership and coordinate questions in `Fraction` arithmetic
+    via the inverse Gram matrix of the basis, independently of the
+    integer echelon form the package uses.
+    """
+
+    def __init__(self, basis):
+        self.basis = [tuple(Q(x) for x in b) for b in basis]
+        n = len(self.basis)
+        gram = [[dot(a, b) for b in self.basis] for a in self.basis]
+        # invert the Gram matrix by Gauss-Jordan elimination
+        aug = [row[:] + [Q(1) if i == j else Q(0) for j in range(n)] for i, row in enumerate(gram)]
+        for col in range(n):
+            pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+            if pivot is None:
+                raise ValueError("basis is linearly dependent")
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            inv = Q(1) / aug[col][col]
+            aug[col] = [x * inv for x in aug[col]]
+            for r in range(n):
+                if r != col and aug[r][col] != 0:
+                    f = aug[r][col]
+                    aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
+        self._gram_inv = [row[n:] for row in aug]
+
+    def coefficients(self, v):
+        """Coordinates of v in the basis, or None when v is outside the span."""
+        rhs = [dot(b, v) for b in self.basis]
+        coeffs = tuple(
+            sum((self._gram_inv[i][j] * rhs[j] for j in range(len(rhs))), Q(0))
+            for i in range(len(self.basis))
+        )
+        recon = [Q(0)] * len(v)
+        for c, b in zip(coeffs, self.basis):
+            if c:
+                recon = [x + c * y for x, y in zip(recon, b)]
+        if tuple(recon) != tuple(v):
+            return None
+        return coeffs
+
+    def contains(self, v) -> bool:
+        return self.coefficients(v) is not None
+
+
 def naive_embeddings(source, target) -> set[tuple[int, ...]]:
     """All valid simple-image tuples, found without any of the pruning the
     implementation uses: try every injective assignment of source simple
@@ -306,3 +353,12 @@ def brute_force_isomorphic(i1, i2) -> bool:
         return False
 
     return extend(0)
+
+
+# ---------------------------------------------------------------------------
+# table digests
+# ---------------------------------------------------------------------------
+
+def digest(obj) -> str:
+    """First 16 hex digits of the sha256 of repr(obj), for pinned tables."""
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]

@@ -141,6 +141,13 @@ def test_flatten_and_avoids_honour_cap(capsys):
     assert code == 2 and "cap exceeded" in err
 
 
+def test_verify_flattening_honours_cap_for_the_source(capsys):
+    # |W(A6xA1)| = 10,080 is over the default cap of 10,000
+    code, payload = run_json(capsys, "verify", "flattening", "A6xA1", "A6xA1",
+                             "--cap", "30000")
+    assert code == 0 and payload["result"] == "pass"
+
+
 def test_config_rejects_unknown_keys(capsys, tmp_path):
     window = tmp_path / "window.json"
     window.write_text(json.dumps({"enumeration_cap": 5}))

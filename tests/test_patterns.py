@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from helpers import classical_contains, flip_perm, naive_embeddings, perm_of
+from helpers import classical_contains, digest, flip_perm, naive_embeddings, perm_of
 from weylpat.errors import (
     CapExceededError,
     GroupMismatchError,
@@ -595,3 +595,30 @@ def test_interval_spec_round_trip():
         parse_interval_spec("A3(1234,3412)")
     with pytest.raises(ValueError):
         parse_interval_spec("A3:1234")
+
+
+DIGEST_TARGETS = ["A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "C3", "C4",
+                  "D4", "D5", "G2", "F4", "E6"]
+# per source: the rank-compatible targets (120 pairs in all) and the
+# sha256 prefix (helpers.digest) of their (simple_images, full_map) lists
+# in order, recorded from the ambient Fraction search that the integer
+# one replaced
+EMBEDDING_DIGESTS = {
+    "A1": (15, "70616e6052fc53ff"), "A1xA1": (15, "ee64dd77fb3fa872"),
+    "A2": (15, "9784f5ade9c559e9"), "B2": (15, "a54acf0388fcc212"),
+    "G2": (15, "bac4bc7c10697393"), "A3": (12, "605dd16e6e5c11a1"),
+    "B3": (12, "44072bf8b36c626e"), "C3": (12, "9c7640a47bcecd5a"),
+    "D4": (9, "6c7f58da914eca76"),
+}
+
+
+@pytest.mark.parametrize("src", EMBEDDING_DIGESTS)
+def test_embeddings_match_pinned_digests(src):
+    source = build_root_system(src)
+    found = []
+    for tgt in DIGEST_TARGETS:
+        target = build_root_system(tgt)
+        if source.rank <= target.rank:
+            found.append((tgt, tuple((e.simple_images, e.full_map)
+                                     for e in enumerate_embeddings(source, target))))
+    assert (len(found), digest(tuple(found))) == EMBEDDING_DIGESTS[src]

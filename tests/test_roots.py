@@ -2,9 +2,10 @@ from fractions import Fraction as Q
 
 import pytest
 
+from helpers import RationalSpan, digest
 from weylpat.errors import InvalidCartanType
 from weylpat.roots import (
-    RationalSpan,
+    RootSystem,
     build_root_system,
     clear_caches,
     dot,
@@ -111,7 +112,8 @@ def test_reflect_matches_table_and_formula():
 
 
 def test_reflect_agrees_with_table_on_all_root_pairs():
-    for cartan_type in ["A3", "B3", "G2"]:
+    # the ambient Fraction reflection is an oracle for the integer table
+    for cartan_type in sorted(ROOT_COUNTS) + ["E6", "A2xB2"]:
         rs = build_root_system(cartan_type)
         for a in range(len(rs.roots)):
             for b in range(len(rs.roots)):
@@ -188,3 +190,48 @@ def test_rational_span():
     assert coeffs == (Q(2), Q(1))
     with pytest.raises(ValueError):
         RationalSpan([a1, tuple(-x for x in a1)])
+
+
+# sha256 prefixes (helpers.digest) of each system's tables, recorded from
+# the ambient Fraction construction that the integer one replaced: every
+# root index, and so everything keyed on it, must stay where it was
+TABLE_DIGESTS = {
+    "A1": "c172e200fd035b11", "A2": "2787c91a9e649947", "A3": "bffd74ac8d287084",
+    "A4": "f2939b85eafe810e", "A5": "03184b210e3fe249", "A6": "d02f9997767dd1ae",
+    "A7": "5a0ee935479d49b7", "B2": "dca73d8c6dc7632d", "B3": "8eae90961b14deca",
+    "B4": "35b8e47fa896e8f1", "B5": "800aa15fe93b559f", "C2": "dbe95cfae7807b7a",
+    "C3": "f839b87d427b1b0d", "C4": "3c80998b6a9a1122", "C5": "0d19aa92369f50a8",
+    "D4": "1a870582ad62cf8c", "D5": "9c9fe6a4a1f7676d", "D6": "e0ebd44f0b08c462",
+    "E6": "73f0544119ff3386", "E7": "a65ee20e1d6533a7", "E8": "afbb2666aa284aea",
+    "F4": "9cb94a105af5ad3e", "G2": "2b42782dd0c026fc", "A1xA1": "7691d83dcaf7cb5d",
+    "A1xA1xA1": "abdacdbd8a81a8c8", "A1xA2": "e9c1b388cf549f31",
+    "A1xB2": "b71b8a946b645b31", "A2xB2": "485c48d883e011a6",
+}
+
+
+@pytest.mark.parametrize("cartan_type", sorted(TABLE_DIGESTS))
+def test_root_tables_match_pinned_digests(cartan_type):
+    rs = build_root_system(cartan_type)
+    tables = (
+        tuple(tuple(str(x) for x in r) for r in rs.roots), rs.heights, rs.simple_coords,
+        rs.positive, rs.simple, rs.reflection_table, rs.cartan_matrix,
+        tuple(rs.negative_of(i) for i in range(len(rs.roots))),
+    )
+    assert digest(tables) == TABLE_DIGESTS[cartan_type]
+
+
+def test_non_integer_cartan_quotient_is_rejected():
+    # 2(a2, a1)/(a2, a2) = -4/8
+    with pytest.raises(InvalidCartanType):
+        RootSystem("X", [(1, 0), (-2, 2)], 2)
+
+
+@pytest.mark.parametrize("simples", [
+    [(1, 0), (-1, 0)],
+    [(1, -1, 0), (0, 1, -1), (-1, 0, 1)],  # the A2 roots a1, a2, -(a1 + a2)
+])
+def test_dependent_simple_roots_are_rejected(simples):
+    # their Cartan matrices are affine, so a closure would never end
+    with pytest.raises(ValueError) as excinfo:
+        RootSystem("X", simples, len(simples[0]))
+    assert excinfo.type is ValueError

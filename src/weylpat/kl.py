@@ -13,18 +13,36 @@ that case.  The descent is chosen deterministically (smallest simple
 index); independence of the choice is asserted in the test suite by
 recomputing whole tables with other descent choices.
 
+Two classical identities (Kazhdan-Lusztig 1979; Bjorner-Brenti, GTM 231,
+ch. 5) tie columns together:
+
+    P(u,v) = P(u^-1, v^-1)    and    P(u,v) = P(w0 u w0, w0 v w0),
+
+the second because conjugation by the longest element w0 is a Coxeter
+automorphism (it permutes the simple reflections by the diagram
+automorphism -w0).  Inversion and w0-conjugation are commuting
+involutions of the group, so with their product and the identity they
+split it into orbits {v, v^-1, w0 v w0, w0 v^-1 w0}.  The table stores a
+column only for the representative r(v) of each orbit, its smallest
+element index, and maps any other column onto it: P(u,v) = P(f(u), r(v))
+where f is the involution of the four that takes v to r(v).  Where w0 is
+central (types B, C, D_even, E7, E8, F4, G2) conjugation is the identity
+and inversion alone halves the table.
+
 Each ``WeylGroup`` keeps its table, a list indexed by the element index
-v of the enumerated group: entry v is None until column v is filled,
-then a dict over the down-set D(v) mapping each u <= v to P(u,v).  Columns
-are filled on demand: column v reads only column sv and the columns z of
-its mu-terms, and fills those first, recursively, so a query touches a
-few columns rather than all of D(v), at a recursion depth of at most
-l(v) + 1.  The keys of column v come from the lifting step
-D(v) = D(sv) | s.D(sv) over the keys of column sv, so the table never
-needs the group's Bruhat down-sets.  A column is built locally and
-stored in one assignment, so a concurrent caller sees no column or the
-whole column; a column filled twice by racing callers is filled with the
-same values.
+v of the enumerated group: entry v is None until v is a filled
+representative, then a dict over the down-set D(v) mapping each u <= v to
+P(u,v).  Columns are filled on demand: column v reads only column sv and
+the columns z of its mu-terms, and fills their representatives first,
+recursively, so a query touches a few columns rather than all of D(v),
+at a recursion depth of at most l(v) + 1.  A column read through another
+representative is relabelled into a short-lived dict for that one fill.
+The keys of column v come from the lifting step D(v) = D(sv) | s.D(sv)
+over the keys of column sv, so the table never needs the group's Bruhat
+down-sets.  A column is built locally and stored in one assignment, so a
+concurrent caller sees no column or the whole column; a column filled
+twice by racing callers is filled with the same values.  The orbit maps
+are built in the table's constructor, before any caller can see it.
 Polynomials are packed as Python ints with 16 bits per coefficient,
 which keeps the sweeps over six-letter symmetric groups fast;
 coefficients at the ranks this package targets stay far below 2^16.
@@ -124,8 +142,34 @@ def _unpack(val: int, gap: int) -> KLPolynomial:
     return poly
 
 
+def _w0_conjugation(wg: WeylGroup) -> list[int]:
+    """conj[k] is the index of w0 * elements[k] * w0, w0 = elements[-1].
+
+    w0 s_i w0 = s_sigma(i) for a permutation sigma of the simple indices,
+    so each reduced word is folded through the lmult rows with its
+    letters relabelled by sigma, as ``WeylGroup.inverses`` folds them.
+    """
+    w0 = wg.size - 1
+    lmult = wg.lmult
+    sigma = [wg.words[wg.mul(w0, wg.mul(row[0], w0))][0] - 1 for row in lmult]
+    conj = []
+    for word in wg.words:
+        k = 0
+        for i in reversed(word):
+            k = lmult[sigma[i - 1]][k]
+        conj.append(k)
+    return conj
+
+
 class _KLTable:
-    """Per-group memo: ``packed[v]`` is None or the dict u -> packed P(u,v) over D(v)."""
+    """Per-group memo over orbit representatives.
+
+    ``packed[r]`` is None or, for a representative r, the dict
+    u -> packed P(u,r) over D(r); other entries stay None.  ``rep[v]`` is
+    the representative of v's orbit under inversion and w0-conjugation,
+    and ``flip[v]`` the involution of that orbit group taking v to
+    ``rep[v]``, as an index list, or None for the identity.
+    """
 
     def __init__(self, wg: WeylGroup, descent: Callable[[int], int] | None = None):
         self.wg = wg
@@ -133,13 +177,34 @@ class _KLTable:
         # descent maps an element index to a 0-based simple index that is
         # a left descent; default is the smallest one
         self.descent = descent or (lambda v: self.wg.min_left_descent_idx(v))
+        inv = wg.inverses
+        self.conj = conj = _w0_conjugation(wg)
+        inv_conj = [inv[k] for k in conj]
+        maps = (None, inv, conj, inv_conj)
+        self.rep: list[int] = []
+        self.flip: list[list[int] | None] = []
+        for v in range(wg.size):
+            images = (v, inv[v], conj[v], inv_conj[v])
+            r = min(images)
+            self.rep.append(r)
+            self.flip.append(maps[images.index(r)])
 
     def ensure_column(self, v: int) -> dict[int, int]:
-        """Column v, filled first if need be, with the columns it reads."""
-        col = self.packed[v]
+        """The column of rep[v], keyed by D(rep[v]), filled first if need be."""
+        r = self.rep[v]
+        col = self.packed[r]
         if col is None:
-            col = self.packed[v] = self._compute_column(v)
+            col = self.packed[r] = self._compute_column(r)
         return col
+
+    def column(self, v: int) -> dict[int, int]:
+        """Column v keyed by D(v): the representative's column relabelled.
+
+        A representative's stored dict is returned as it is, not copied.
+        """
+        col = self.ensure_column(v)
+        f = self.flip[v]
+        return col if f is None else {f[u]: p for u, p in col.items()}
 
     def _compute_column(self, v: int) -> dict[int, int]:
         wg = self.wg
@@ -150,7 +215,7 @@ class _KLTable:
         row = wg.lmult[s]
         sv = row[v]
         lv = lengths[v]
-        col_sv = self.ensure_column(sv)
+        col_sv = self.column(sv)
 
         # mu data of column sv, restricted to z with sz < z; each column z
         # read below is filled here first, so depth stays within l(v) + 1
@@ -161,7 +226,7 @@ class _KLTable:
                 continue
             mu_val = (p >> (_SHIFT * ((gap - 1) // 2))) & _MASK
             if mu_val:
-                mu_terms.append((self.ensure_column(z), mu_val,
+                mu_terms.append((self.column(z), mu_val,
                                  _SHIFT * ((lv - lengths[z]) // 2)))
 
         # lifting: D(v) = D(sv) | s.D(sv); descending index = descending length first
@@ -197,12 +262,16 @@ def kl_polynomial(u: WeylElement, v: WeylElement,
     """The Kazhdan-Lusztig polynomial P_(u,v); requires u <= v."""
     wg = WeylGroup.for_system(u.group, cap)
     ui, vi = wg.idx(u), wg.idx(v)
-    column = _table_for(wg).ensure_column(vi)
-    if ui not in column:
+    table = _table_for(wg)
+    column = table.ensure_column(vi)
+    f = table.flip[vi]
+    # P(u,v) = P(f(u), rep(v)): one lookup in the representative's column
+    packed = column.get(ui if f is None else f[ui])
+    if packed is None:
         raise NotComparableError(
             f"not comparable: {format_word(u)} !<= {format_word(v)}"
         )
-    return _unpack(column[ui], wg.lengths[vi] - wg.lengths[ui])
+    return _unpack(packed, wg.lengths[vi] - wg.lengths[ui])
 
 
 def mu(u: WeylElement, v: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -225,6 +294,7 @@ def is_rationally_smooth(v: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     Schubert variety.
     """
     wg = WeylGroup.for_system(v.group, cap)
+    # the representative's column holds the same values as v's, relabelled
     column = _table_for(wg).ensure_column(wg.idx(v))
     return all(p == 1 for p in column.values())
 

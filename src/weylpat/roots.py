@@ -290,8 +290,17 @@ def _cartan_integer(cartan_type: str, pairing: int, norm: int) -> int:
 
 def _integer_roots(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
     """Simple-root coordinates of every root: the unit vectors closed under
-    s_i(b) = b - <b, a_i^v> e_i, where <b, a_i^v> = sum_j b_j cartan[i][j]."""
+    s_i(b) = b - <b, a_i^v> e_i, where <b, a_i^v> = sum_j b_j cartan[i][j].
+
+    A finite root system of rank n has at most 2n(n + 7) roots: an
+    irreducible one of rank k has at most 2k^2 + 14k (E8 meets it, the
+    classical types have at most 2k^2), and the bound adds up over the
+    factors of a product.  A closure that passes it comes from a matrix
+    of no finite type, such as an affine one, and would never end, so it
+    raises InvalidCartanType.
+    """
     n = len(cartan)
+    limit = 2 * n * (n + 7)
     roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
     frontier = list(roots)
     while frontier:
@@ -304,6 +313,10 @@ def _integer_roots(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
                     if img not in roots:
                         roots.add(img)
                         new.append(img)
+        if len(roots) > limit:
+            raise InvalidCartanType(
+                f"internal construction failure: the Cartan matrix {cartan} "
+                f"has more than {limit} roots, so it is of no finite type")
         frontier = new
     return roots
 

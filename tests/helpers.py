@@ -162,6 +162,44 @@ def kl_defining_identity_holds(rs, kl_coeffs) -> bool:
     return True
 
 
+def plain_kl_columns(wg) -> list[dict[int, int]]:
+    """Every KL column of wg by the plain left-descent recursion.
+
+    Column v maps each u <= v to P(u,v), packed 16 bits per coefficient as
+    in ``weylpat.kl``.  Columns are filled in ascending index order, which
+    is ascending length, so each column reads only finished ones; no
+    column is shared through inversion or w0-conjugation.
+    """
+    shift, mask = 16, (1 << 16) - 1
+    lengths = wg.lengths
+    cols: list[dict[int, int]] = [{0: 1}]
+    for v in range(1, wg.size):
+        row = wg.lmult[wg.min_left_descent_idx(v)]
+        sv = row[v]
+        col_sv = cols[sv]
+        mu_terms = []
+        for z, p in col_sv.items():
+            gap = lengths[sv] - lengths[z]
+            if gap % 2 and lengths[row[z]] < lengths[z]:
+                mu_val = (p >> (shift * ((gap - 1) // 2))) & mask
+                if mu_val:
+                    mu_terms.append((cols[z], mu_val, shift * ((lengths[v] - lengths[z]) // 2)))
+        col: dict[int, int] = {}
+        for u in sorted(set(col_sv) | {row[z] for z in col_sv}, reverse=True):
+            su = row[u]
+            if u == v:
+                col[u] = 1
+            elif lengths[su] > lengths[u]:
+                col[u] = col[su]
+            else:
+                val = col_sv.get(su, 0) + (col_sv.get(u, 0) << shift)
+                for col_z, mu_val, sh in mu_terms:
+                    val -= mu_val * (col_z.get(u, 0) << sh)
+                col[u] = val
+        cols.append(col)
+    return cols
+
+
 # ---------------------------------------------------------------------------
 # word and inversion-set oracles
 # ---------------------------------------------------------------------------

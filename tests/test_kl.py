@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import kl_defining_identity_holds
+from helpers import kl_defining_identity_holds, plain_kl_columns
 from weylpat.errors import GroupMismatchError, InternalInvariantError, NotComparableError
 from weylpat.harness.cli import main
 from weylpat.kl import KLPolynomial, _KLTable, is_rationally_smooth, kl_polynomial, mu
@@ -72,7 +72,7 @@ def test_not_comparable():
         kl_polynomial(parse_element(a3, "3412"), identity(a3))
 
 
-@pytest.mark.parametrize("cartan_type", ["A3", "B2", "G2"])
+@pytest.mark.parametrize("cartan_type", ["A3", "B2", "G2", "B3"])
 def test_defining_identity_via_r_polynomials(cartan_type):
     # q^(l(v)-l(u)) P(u,v)(1/q) = sum R(u,z) P(z,v): together with the
     # degree bound this determines the KL table, so agreement with the
@@ -140,11 +140,56 @@ def test_on_demand_columns_match_an_ascending_fill(cartan_type):
     for v in order:
         scrambled.ensure_column(v)
     assert scrambled.packed == ref.packed
-    # the keys of column v are exactly the down-set of v
+    # the keys of column v, relabelled from its representative, are
+    # exactly the down-set of v
     for vi, v in enumerate(wg.elements):
-        column = ref.packed[vi]
+        column = ref.column(vi)
         for ui, u in enumerate(wg.elements):
             assert (ui in column) == bruhat_leq_by_reflection_closure(u, v)
+
+
+@pytest.mark.parametrize("cartan_type",
+                         ["A4", "B3", "C3", "D4", "G2", "F4", "A1xA2", "A2xB2"])
+def test_every_column_matches_the_plain_recursion(cartan_type):
+    # the oracle fills every column by the recursion alone, so it checks
+    # both symmetry identities the table stores its orbits by
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    oracle = plain_kl_columns(wg)
+    table = _KLTable(wg)
+    for vi in range(wg.size):
+        assert table.column(vi) == oracle[vi]
+
+
+@pytest.mark.parametrize("cartan_type, central",
+                         [("B3", True), ("F4", True), ("G2", True),
+                          ("A4", False), ("D5", False), ("A1xA2", False)])
+def test_orbit_maps_are_commuting_involutions(cartan_type, central):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    inv, conj = wg.inverses, _KLTable(wg).conj
+    w0 = wg.size - 1
+    assert wg.lengths[w0] == max(wg.lengths)
+    for k in range(wg.size):
+        assert inv[inv[k]] == k and conj[conj[k]] == k
+        assert inv[conj[k]] == conj[inv[k]]
+        assert wg.lengths[inv[k]] == wg.lengths[conj[k]] == wg.lengths[k]
+        # conj is conjugation by w0, checked against the group product
+        assert conj[k] == wg.mul(w0, wg.mul(k, w0))
+    for fixed in (0, w0):
+        assert inv[fixed] == fixed and conj[fixed] == fixed
+    # w0 is central exactly when conjugation is the identity
+    assert (conj == list(range(wg.size))) == central
+
+
+def test_full_fill_stores_one_column_per_orbit():
+    wg = WeylGroup.for_system(build_root_system("A5"))
+    table = _KLTable(wg)
+    for v in range(wg.size):
+        table.ensure_column(v)
+    inv, conj = wg.inverses, table.conj
+    orbits = {frozenset((k, inv[k], conj[k], inv[conj[k]])) for k in range(wg.size)}
+    stored = [r for r, col in enumerate(table.packed) if col is not None]
+    assert stored == sorted(min(orbit) for orbit in orbits)
+    assert len(stored) < wg.size // 2
 
 
 def test_kl_fill_never_builds_down_sets():

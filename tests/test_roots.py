@@ -6,6 +6,7 @@ from helpers import RationalSpan, digest
 from weylpat.errors import InvalidCartanType
 from weylpat.roots import (
     RootSystem,
+    _integer_roots,
     build_root_system,
     clear_caches,
     dot,
@@ -235,3 +236,19 @@ def test_dependent_simple_roots_are_rejected(simples):
     with pytest.raises(ValueError) as excinfo:
         RootSystem("X", simples, len(simples[0]))
     assert excinfo.type is ValueError
+
+
+@pytest.mark.parametrize("cartan", [
+    [[2, -2], [-2, 2]],  # affine A1
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2
+])
+def test_closure_of_an_infinite_type_stops(cartan):
+    # the closure never ends on these matrices, so it must stop at the
+    # root-count bound and raise
+    with pytest.raises(InvalidCartanType, match="no finite type"):
+        _integer_roots(cartan)
+
+
+def test_root_count_bound_admits_a_product_past_e8():
+    # E8xA1 has rank 9 and 242 roots, more than E8 and more than 2 * 9^2
+    assert len(build_root_system("E8xA1").roots) == 242

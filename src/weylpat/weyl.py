@@ -26,7 +26,6 @@ coordinates by w(e_i) = e_(w(i)).
 
 from __future__ import annotations
 
-from fractions import Fraction as Q
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -251,10 +250,13 @@ class WeylGroup:
     Elements are indexed 0..|W|-1, sorted by (length, reduced word).
     Provides an index keyed by inversion set, each element's lex-least
     reduced word, left multiplication tables, the index product
-    :meth:`mul` and, built on first use, inverses and Bruhat down-sets as
-    bit masks, which the polynomial and pattern layers key everything on.
-    Its root system keeps it (:meth:`for_system`), and it keeps the other
-    per-group memos: the reflection-closure down-sets and the KL table.
+    :meth:`mul` and, built on first use, inverses, the lower-cover lists
+    of Bruhat order and the down-sets as bit masks, which the polynomial
+    and pattern layers key everything on.  The cover lists come from the
+    lifting property, one lookup per cover (see :attr:`lower_covers`);
+    down-sets and intervals are read off them.  Its root system keeps it
+    (:meth:`for_system`), and it keeps the other per-group memos: the
+    reflection-closure down-sets and the KL table.
     """
 
     def __init__(self, rs: RootSystem, cap: int):
@@ -303,6 +305,7 @@ class WeylGroup:
         self.lengths: list[int] = [w.length for w in self.elements]
         self.words: list[tuple[int, ...]] = [words[k] for k in order]
         self.lmult: list[list[int]] = [[renumber[row[k]] for k in order] for row in lmult]
+        self._covers: list[list[int]] | None = None
         self._downsets: list[int] | None = None
         self._inverses: list[int] | None = None
         self._closure: list[int] | None = None
@@ -358,27 +361,40 @@ class WeylGroup:
         return self._inverses
 
     @property
+    def lower_covers(self) -> list[list[int]]:
+        """lower_covers[v] lists the indices u covered by v: u < v, l(u) = l(v) - 1.
+
+        Built on first use by the lifting property (Bjorner-Brenti,
+        *Combinatorics of Coxeter Groups*, GTM 231, section 2.2): for a
+        left descent s of v, the covers of v are sv and sc for each cover
+        c of sv with sc > c.  sv precedes the rest, which follow the list
+        of sv.
+        """
+        if self._covers is None:
+            lengths, lmult = self.lengths, self.lmult
+            table: list[list[int]] = [[]]
+            for v in range(1, self.size):
+                row = lmult[self.min_left_descent_idx(v)]
+                sv = row[v]
+                table.append([sv] + [row[c] for c in table[sv] if lengths[row[c]] > lengths[c]])
+            self._covers = table
+        return self._covers
+
+    @property
     def downsets(self) -> list[int]:
         """downsets[v] is the bit mask of {z : z <= v} over element indices.
 
-        Built with the lifting recurrence D(v) = D(sv) | s.D(sv) for any
-        left descent s of v, independent of both the lifting decision
+        D(v) is {v} together with D(c) for every lower cover c of v
+        (:attr:`lower_covers`), independent of both the lifting decision
         procedure and the reflection-closure oracle.
         """
         if self._downsets is None:
-            down = [0] * self.size
-            down[0] = 1
-            for v in range(1, self.size):
-                s = self.min_left_descent_idx(v)
-                sv = self.lmult[s][v]
-                m = down[sv]
-                out = m
-                row = self.lmult[s]
-                while m:
-                    low = m & -m
-                    out |= 1 << row[low.bit_length() - 1]
-                    m ^= low
-                down[v] = out
+            down: list[int] = []
+            for v, cs in enumerate(self.lower_covers):
+                m = 1 << v
+                for c in cs:
+                    m |= down[c]
+                down.append(m)
             self._downsets = down
         return self._downsets
 
@@ -394,22 +410,22 @@ class WeylGroup:
             yield low.bit_length() - 1
 
     def interval_indices(self, a: int, b: int) -> list[int]:
-        """Ascending indices z with a <= z <= b.
+        """Ascending indices z with a <= z <= b; empty unless a <= b.
 
-        Indices ascend with length, so every z >= a other than a is
-        longer and has a larger index: the bits of D(b) below a are
-        skipped untested.
+        Every z in [a, b] other than b lies below an upper cover inside
+        the interval, so the walk down from b through the cover lists,
+        keeping each cover above a, reaches all of it.
         """
-        down = self.downsets
-        out = []
-        m = down[b] >> a
-        while m:
-            low = m & -m
-            m ^= low
-            z = a + low.bit_length() - 1
-            if down[z] >> a & 1:
-                out.append(z)
-        return out
+        down, lower = self.downsets, self.lower_covers
+        if not down[b] >> a & 1:
+            return []
+        seen, stack = {b}, [b]
+        while stack:
+            for c in lower[stack.pop()]:
+                if c not in seen and down[c] >> a & 1:
+                    seen.add(c)
+                    stack.append(c)
+        return sorted(seen)
 
 
 def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> list[WeylElement]:
@@ -545,17 +561,9 @@ def interval(u: WeylElement, v: WeylElement,
         )
     idxs = wg.interval_indices(a, b)
     elements = [wg.elements[z] for z in idxs]
-    lengths, down = wg.lengths, wg.downsets
-    levels: list[list[int]] = [[] for _ in range(lengths[b] - lengths[a] + 1)]
-    for k, z in enumerate(idxs):
-        levels[lengths[z] - lengths[a]].append(k)
-    # a cover joins adjacent ranks, so only those pairs are tested; idxs
-    # ascend by length, so the pairs come out sorted by position
-    pairs: list[tuple[int, int]] = []
-    for lower, upper in zip(levels, levels[1:]):
-        for k in lower:
-            z = idxs[k]
-            pairs.extend((k, k2) for k2 in upper if down[idxs[k2]] >> z & 1)
+    pos = {z: k for k, z in enumerate(idxs)}
+    lower = wg.lower_covers
+    pairs = sorted((pos[c], k) for k, z in enumerate(idxs) for c in lower[z] if c in pos)
     return BruhatInterval(elements[0], elements[-1], elements, pairs)
 
 
@@ -667,42 +675,32 @@ def one_line(w: WeylElement) -> str | None:
     rs = w.group
     if not _is_single_type_a(rs):
         return None
-    if rs.rank == 1:
-        return "12" if w.length == 0 else "21"
-    n = rs.ambient_dim
-    perm = [0] * n
-    prev = None
-    for k in range(n - 1):
-        src = rs.index_of(tuple(
-            Q(1) if j == k else Q(-1) if j == k + 1 else Q(0) for j in range(n)
-        ))
-        vec = rs.roots[w.root_image[src]]
-        a = vec.index(Q(1)) + 1
-        b = vec.index(Q(-1)) + 1
-        perm[k] = a
-        perm[k + 1] = b
-        if prev is not None and prev != a:
-            raise AssertionError("inconsistent permutation recovery")
-        prev = b
-    if n <= 9:
-        return "".join(str(x) for x in perm)
-    return ",".join(str(x) for x in perm)
+    # w(alpha_k) = e_w(k) - e_w(k+1) = +-(alpha_i + ... + alpha_(j-1)) for
+    # i < j: its support gives the two letters and its sign their order;
+    # step k sets w(k), already found by step k-1, and appends w(k+1)
+    perm: list[int] = []
+    for k, s in enumerate(rs.simple):
+        c = rs.simple_coords[w.root_image[s]]
+        support = [i for i, x in enumerate(c) if x]
+        i, j = support[0] + 1, support[-1] + 2
+        perm[k:] = (i, j) if c[support[0]] > 0 else (j, i)
+    return ("" if len(perm) <= 9 else ",").join(str(x) for x in perm)
 
 
 def _element_from_one_line(rs: RootSystem, digits: Sequence[int]) -> WeylElement:
     n = rs.rank + 1
     if sorted(digits) != list(range(1, n + 1)):
         raise ValueError(f"{digits} is not a permutation of 1..{n}")
-    if rs.rank == 1:
-        return identity(rs) if list(digits) == [1, 2] else simple_reflection(rs, 1)
-    perm = {i + 1: digits[i] for i in range(n)}
-    image = []
-    for r in rs.roots:
-        vec = [Q(0)] * n
-        for j in range(n):
-            vec[perm[j + 1] - 1] = r[j]
-        image.append(rs.index_of(tuple(vec)))
-    return WeylElement(rs, tuple(image))
+    # swapping the letters at positions i, i+1 multiplies by s_i on the
+    # right, so bubble-sorting w to the identity spells a reduced word of w
+    # backwards
+    perm, word = list(digits), []
+    for end in range(n - 1, 0, -1):
+        for i in range(end):
+            if perm[i] > perm[i + 1]:
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+                word.append(i + 1)
+    return from_word(rs, reversed(word))
 
 
 def parse_element(rs: RootSystem, text: str) -> WeylElement:

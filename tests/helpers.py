@@ -201,6 +201,28 @@ def plain_kl_columns(wg) -> list[dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
+# Bruhat down-sets by the lifting recurrence
+# ---------------------------------------------------------------------------
+
+def lifting_downsets(wg) -> list[int]:
+    """Every down-set of wg as a bit mask, by D(v) = D(sv) | s.D(sv).
+
+    s is the smallest left descent of v; the image s.D(sv) is taken bit by
+    bit through the lmult row of s, so no cover list is used.
+    """
+    down = [1]
+    for v in range(1, wg.size):
+        row = wg.lmult[wg.min_left_descent_idx(v)]
+        m = out = down[row[v]]
+        while m:
+            low = m & -m
+            out |= 1 << row[low.bit_length() - 1]
+            m ^= low
+        down.append(out)
+    return down
+
+
+# ---------------------------------------------------------------------------
 # word and inversion-set oracles
 # ---------------------------------------------------------------------------
 

@@ -199,6 +199,7 @@ def test_kl_fill_never_builds_down_sets():
     for v in reversed(range(wg.size)):
         table.ensure_column(v)
     assert wg._downsets is None
+    assert wg._covers is None
 
 
 def test_cold_point_query_fills_few_columns(monkeypatch):
@@ -304,6 +305,7 @@ def _memo_queries():
     for t in ("B3", "A2", "A4"):
         queries += [
             lambda t=t: [w.inversions for w in enumerate_elements(build_root_system(t))],
+            lambda t=t: group(t).lower_covers,
             lambda t=t: group(t).downsets,
             lambda t=t: group(t).inverses,
         ]

@@ -3,7 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import all_reduced_words, brute_force_isomorphic, cayley_distances, is_biconvex
+from helpers import (
+    all_reduced_words,
+    brute_force_isomorphic,
+    cayley_distances,
+    is_biconvex,
+    lifting_downsets,
+)
 from weylpat.errors import (
     CapExceededError,
     GroupMismatchError,
@@ -14,6 +20,7 @@ from weylpat.roots import build_root_system
 from weylpat.weyl import (
     BruhatInterval,
     WeylGroup,
+    _reflection_closure_downsets,
     apply,
     bruhat_leq,
     bruhat_leq_by_reflection_closure,
@@ -245,6 +252,25 @@ def test_interval_indices_match_a_scan_of_the_whole_group(cartan_type):
                 z for z in range(wg.size) if wg.leq_idx(a, z) and wg.leq_idx(z, b)]
 
 
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "C3", "D4", "G2", "F4", "A1xA2"])
+def test_lower_covers_match_object_level_covers(cartan_type):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    for v, z in enumerate(wg.elements):
+        assert sorted(wg.lower_covers[v]) == sorted(wg.idx(u) for u in covers(z))
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B4", "C3", "D4", "D5", "F4", "G2", "A2xB2"])
+def test_downsets_match_reflection_closure(cartan_type):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    assert wg.downsets == _reflection_closure_downsets(wg)
+
+
+@pytest.mark.parametrize("cartan_type", ["A5", "B4", "D4"])
+def test_downsets_match_lifting_recurrence(cartan_type):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    assert wg.downsets == lifting_downsets(wg)
+
+
 def test_covers():
     rs = build_root_system("A2")
     w0 = from_word(rs, [1, 2, 1])
@@ -306,7 +332,7 @@ def test_intervals_are_graded():
 
 
 def test_interval_cover_relation_matches_global_covers():
-    # on every interval, the cover pairs taken from adjacent ranks equal
+    # on every interval, the cover pairs read off the lower-cover lists equal
     # the quadratic definition (z <= z2, one length apart), in its order,
     # and the object-level covers() restricted to the interval
     for cartan_type in ("A3", "B3", "G2"):
@@ -462,6 +488,30 @@ def test_one_line_round_trip():
             assert parse_element(rs, one_line(w)) == w
             assert parse_element(rs, format_word(w)) == w
     assert one_line(identity(build_root_system("B2"))) is None
+
+
+def _permutation_of_word(word, n):
+    # w = s_i1 ... s_ik as functions, and w s_i swaps the letters at i, i+1
+    perm = list(range(1, n + 1))
+    for i in word:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
+    return perm
+
+
+def test_one_line_is_the_product_of_adjacent_transpositions():
+    for n in range(1, 6):
+        rs = build_root_system(f"A{n}")
+        for w in enumerate_elements(rs):
+            perm = _permutation_of_word(to_reduced_word(w), n + 1)
+            assert one_line(w) == "".join(map(str, perm))
+    rnd = random.Random(3)
+    for n in (9, 12):
+        rs = build_root_system(f"A{n}")
+        for _ in range(50):
+            w = from_word(rs, [rnd.randint(1, n) for _ in range(rnd.randint(0, 60))])
+            perm = _permutation_of_word(to_reduced_word(w), n + 1)
+            assert one_line(w) == ",".join(map(str, perm))
+            assert parse_element(rs, one_line(w)) == w
 
 
 def test_parse_element_errors():

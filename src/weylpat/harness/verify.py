@@ -13,7 +13,10 @@ The properties checked:
 * ``x-determination``   when the two flattening conditions hold for a
                         coset pair, the bottom is forced to i(u v^-1) w;
 * ``length-sufficiency`` given the flattening and coset conditions, the
-                        intervals are isomorphic iff the length gaps agree;
+                        intervals are isomorphic iff the length gaps agree:
+                        equal gaps are proved isomorphic by the coset map
+                        z -> i(z v^-1) w, with the generic search as
+                        fallback;
 * ``kl-transfer``       interval pattern embeddings preserve
                         Kazhdan-Lusztig polynomials;
 * ``upper-ideal``       interval sets cut out by KL properties are closed
@@ -24,6 +27,16 @@ The properties checked:
 The interval suites read the forced-bottom scan, whose oracle is the
 coset walk of ``x-determination``; ``kl-transfer`` and ``upper-ideal``
 keep its pairs with equal length gaps, as ``length-sufficiency`` checks.
+
+``length-sufficiency`` works on element indices.  Unequal gaps need no
+check, since the rank span of an interval is its gap.  For equal gaps
+it proves that the coset map of the Billey-Braden lemma, read off the
+embed() table of the first embedding that yields the pair, is a
+bijection of the two intervals' index lists that carries lower covers
+exactly onto lower covers; only when that proof fails are the two
+intervals built and handed to the generic :func:`interval_isomorphic`.
+Over the slow-tier window the proof never fails.  ``kl-transfer`` and
+``upper-ideal`` read KL polynomials on indices from the groups' tables.
 """
 
 from __future__ import annotations
@@ -35,7 +48,7 @@ from importlib import resources
 from typing import Callable, Sequence
 
 from ..errors import InternalInvariantError
-from ..kl import KLPolynomial, is_rationally_smooth, kl_polynomial
+from ..kl import KLPolynomial, _table_for, is_rationally_smooth
 from ..patterns import (
     enumerate_embeddings,
     flatten,
@@ -45,7 +58,6 @@ from ..patterns import (
 from ..roots import RootSystem, build_root_system
 from ..weyl import (
     DEFAULT_ENUMERATION_CAP,
-    BruhatInterval,
     WeylGroup,
     element_label,
     enumerate_elements,
@@ -191,14 +203,44 @@ def verify_x_determination(source_type: str, target_type: str,
     return _timed(run, report)
 
 
+def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, embed: list[int],
+                            u: int, v: int, x: int, w: int) -> bool:
+    """Whether z -> i(z v^-1) w is a poset isomorphism of [u, v] onto [x, w].
+
+    embed is the embed() table of an embedding that yields the quadruple.
+    True when the map is a bijection of ``src.interval_indices(u, v)``
+    onto ``tgt.interval_indices(x, w)`` that carries the in-interval
+    lower covers of each z exactly onto those of its image: the order of
+    a finite poset is the transitive closure of its covers, so such a
+    bijection is an isomorphism.  False proves nothing either way.
+    """
+    bottom = src.interval_indices(u, v)
+    top = tgt.interval_indices(x, w)
+    if len(bottom) != len(top):
+        return False
+    v_inv = src.inverses[v]
+    phi = {z: tgt.mul(embed[src.mul(z, v_inv)], w) for z in bottom}
+    image = set(top)
+    if set(phi.values()) != image:
+        return False
+    src_lower, tgt_lower = src.lower_covers, tgt.lower_covers
+    return all({phi[c] for c in src_lower[z] if c in phi}
+               == {c for c in tgt_lower[phi[z]] if c in image}
+               for z in bottom)
+
+
 def verify_length_sufficiency(source_type: str, target_type: str,
                               cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
-    """Given the first two conditions, poset isomorphism iff equal length gaps.
+    """Given the first two conditions, equal length gaps give poset isomorphism.
 
-    Each scanned quadruple is decided once, however many embeddings yield
-    it, and each of its failures is reported once per yield.  Target
-    intervals are built one at a time, each compared with every source
-    interval scanned against it; source intervals are built once per run.
+    Unequal gaps rule isomorphism out, since an interval's rank span is
+    its gap, so only equal-gap quadruples are decided: first by proving
+    that the coset map z -> i(z v^-1) w of the embedding that first
+    yields the quadruple is an isomorphism (:func:`_pattern_map_isomorphic`),
+    on element indices, and only when that proof fails by the generic
+    search :func:`interval_isomorphic` on the two built intervals.  Each
+    quadruple is decided once, however many embeddings yield it, and
+    each of its failures is reported once per yield.
     """
     source = build_root_system(source_type)
     target = build_root_system(target_type)
@@ -209,29 +251,28 @@ def verify_length_sufficiency(source_type: str, target_type: str,
         src = WeylGroup.for_system(source, cap)
         tgt = WeylGroup.for_system(target, cap)
         n, m = tgt.size, src.size
-        # times each quadruple is scanned, keyed by its indices (x, w, u, v)
-        # packed into one int, so that sorted keys come grouped by (x, w)
+        # times each quadruple is scanned, keyed by its indices packed into one int
         counts: dict[int, int] = {}
-        for u, v, x, w in _instances(source, target, cap):
-            rep.cases += 1
-            key = ((x * n + w) * m + u) * m + v
-            counts[key] = counts.get(key, 0) + 1
-        src_intervals: dict[int, BruhatInterval] = {}
-        top_key, top = -1, None
-        for key in sorted(counts):
-            xw, uv = divmod(key, m * m)
-            x, w = divmod(xw, n)
-            u, v = divmod(uv, m)
-            if xw != top_key:
-                top_key, top = xw, interval(tgt.elements[x], tgt.elements[w], cap)
-            bottom = src_intervals.get(uv)
-            if bottom is None:
-                bottom = src_intervals[uv] = interval(src.elements[u], src.elements[v], cap)
-            iso = interval_isomorphic(bottom, top)
-            if iso != (src.lengths[v] - src.lengths[u] == tgt.lengths[w] - tgt.lengths[x]):
-                kind = ("isomorphic with unequal gaps" if iso
-                        else "equal gaps without isomorphism")
-                rep.failures.extend([f"{_pair_label(src, tgt, u, v, x, w)}: {kind}"] * counts[key])
+        failed: list[tuple[int, int, int, int, int]] = []
+        for emb in enumerate_embeddings(source, target):
+            embed = emb.embed(cap)
+            for u, v, x, w in interval_pattern_instances(emb, cap):
+                rep.cases += 1
+                key = ((x * n + w) * m + u) * m + v
+                seen = counts.get(key)
+                if seen is None:
+                    seen = 0
+                    if (src.lengths[v] - src.lengths[u] == tgt.lengths[w] - tgt.lengths[x]
+                            and not _pattern_map_isomorphic(src, tgt, embed, u, v, x, w)
+                            and not interval_isomorphic(
+                                interval(src.elements[u], src.elements[v], cap),
+                                interval(tgt.elements[x], tgt.elements[w], cap))):
+                        failed.append((key, u, v, x, w))
+                counts[key] = seen + 1
+        for key, u, v, x, w in failed:
+            rep.failures.extend(
+                [f"{_pair_label(src, tgt, u, v, x, w)}: equal gaps without isomorphism"]
+                * counts[key])
 
     return _timed(run, report)
 
@@ -247,12 +288,13 @@ def verify_kl_transfer(source_type: str, target_type: str,
     def run(rep: VerificationReport) -> None:
         src = WeylGroup.for_system(source, cap)
         tgt = WeylGroup.for_system(target, cap)
+        src_kl, tgt_kl = _table_for(src), _table_for(tgt)
         for u, v, x, w in _instances(source, target, cap):
             if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
                 continue
             rep.cases += 1
-            p1 = kl_polynomial(src.elements[u], src.elements[v], cap)
-            p2 = kl_polynomial(tgt.elements[x], tgt.elements[w], cap)
+            p1 = src_kl.polynomial(u, v)
+            p2 = tgt_kl.polynomial(x, w)
             if p1 != p2:
                 rep.failures.append(
                     f"{_pair_label(src, tgt, u, v, x, w)}: {p1} != {p2}")
@@ -307,11 +349,11 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
         for t in type_list:
             rs = build_root_system(t)
             wg = WeylGroup.for_system(rs, cap)
+            table = _table_for(wg)
             for vi in range(wg.size):
                 v = wg.elements[vi]
                 # every u' <= u <= v is below v, so one lookup per u serves all
-                holds = {ui: prop(kl_polynomial(wg.elements[ui], v, cap))
-                         for ui in wg.below(vi)}
+                holds = {ui: prop(table.polynomial(ui, vi)) for ui in wg.below(vi)}
                 for ui, held in holds.items():
                     if not held:
                         continue
@@ -329,12 +371,12 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
         for s, t in pair_list:
             src = WeylGroup.for_system(build_root_system(s), cap)
             tgt = WeylGroup.for_system(build_root_system(t), cap)
+            src_kl, tgt_kl = _table_for(src), _table_for(tgt)
             for u, v, x, w in _instances(src.rs, tgt.rs, cap):
                 if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
                     continue
                 rep.cases += 1
-                if (prop(kl_polynomial(src.elements[u], src.elements[v], cap))
-                        and not prop(kl_polynomial(tgt.elements[x], tgt.elements[w], cap))):
+                if prop(src_kl.polynomial(u, v)) and not prop(tgt_kl.polynomial(x, w)):
                     rep.failures.append(
                         f"{_pair_label(src, tgt, u, v, x, w)}: property lost along embedding")
 

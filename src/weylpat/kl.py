@@ -46,7 +46,9 @@ are built in the table's constructor, before any caller can see it.
 Polynomials are packed as Python ints with 16 bits per coefficient,
 which keeps the sweeps over six-letter symmetric groups fast;
 coefficients at the ranks this package targets stay far below 2^16.
-Decoding checks the sign, the constant term and the degree bound.
+Decoding checks the sign, the constant term and the degree bound; each
+table decodes a distinct (packed value, length gap) once and hands the
+same immutable ``KLPolynomial`` to every index-level read of it.
 """
 
 from __future__ import annotations
@@ -168,12 +170,14 @@ class _KLTable:
     u -> packed P(u,r) over D(r); other entries stay None.  ``rep[v]`` is
     the representative of v's orbit under inversion and w0-conjugation,
     and ``flip[v]`` the involution of that orbit group taking v to
-    ``rep[v]``, as an index list, or None for the identity.
+    ``rep[v]``, as an index list, or None for the identity.  ``decoded``
+    memoizes :meth:`polynomial` by (packed value, length gap).
     """
 
     def __init__(self, wg: WeylGroup, descent: Callable[[int], int] | None = None):
         self.wg = wg
         self.packed: list[dict[int, int] | None] = [None] * wg.size
+        self.decoded: dict[tuple[int, int], KLPolynomial] = {}
         # descent maps an element index to a 0-based simple index that is
         # a left descent; default is the smallest one
         self.descent = descent or (lambda v: self.wg.min_left_descent_idx(v))
@@ -196,6 +200,27 @@ class _KLTable:
         if col is None:
             col = self.packed[r] = self._compute_column(r)
         return col
+
+    def polynomial(self, u: int, v: int) -> KLPolynomial:
+        """P(u,v) for element indices u <= v, decoded once per distinct value.
+
+        ``decoded`` maps (packed, l(v) - l(u)) to its polynomial, so each
+        distinct value passes the checks of :func:`_unpack` once and is
+        shared by every pair that holds it.
+        """
+        f = self.flip[v]
+        # P(u,v) = P(f(u), rep(v)): one lookup in the representative's column
+        packed = self.ensure_column(v).get(u if f is None else f[u])
+        wg = self.wg
+        if packed is None:
+            raise NotComparableError(
+                f"not comparable: {format_word(wg.elements[u])} !<= {format_word(wg.elements[v])}"
+            )
+        key = (packed, wg.lengths[v] - wg.lengths[u])
+        poly = self.decoded.get(key)
+        if poly is None:
+            poly = self.decoded[key] = _unpack(*key)
+        return poly
 
     def column(self, v: int) -> dict[int, int]:
         """Column v keyed by D(v): the representative's column relabelled.
@@ -261,17 +286,7 @@ def kl_polynomial(u: WeylElement, v: WeylElement,
                   cap: int = DEFAULT_ENUMERATION_CAP) -> KLPolynomial:
     """The Kazhdan-Lusztig polynomial P_(u,v); requires u <= v."""
     wg = WeylGroup.for_system(u.group, cap)
-    ui, vi = wg.idx(u), wg.idx(v)
-    table = _table_for(wg)
-    column = table.ensure_column(vi)
-    f = table.flip[vi]
-    # P(u,v) = P(f(u), rep(v)): one lookup in the representative's column
-    packed = column.get(ui if f is None else f[ui])
-    if packed is None:
-        raise NotComparableError(
-            f"not comparable: {format_word(u)} !<= {format_word(v)}"
-        )
-    return _unpack(packed, wg.lengths[vi] - wg.lengths[ui])
+    return _table_for(wg).polynomial(wg.idx(u), wg.idx(v))
 
 
 def mu(u: WeylElement, v: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> int:

@@ -3,8 +3,10 @@ from collections import Counter
 
 import pytest
 
+from helpers import brute_force_isomorphic
 from weylpat.harness.report import VerificationReport
 from weylpat.harness.verify import (
+    _pattern_map_isomorphic,
     _parse_property,
     default_window,
     load_window,
@@ -24,7 +26,7 @@ from weylpat.patterns import (
     interval_pattern_instances,
 )
 from weylpat.roots import build_root_system, clear_caches
-from weylpat.weyl import WeylGroup
+from weylpat.weyl import WeylGroup, interval, interval_isomorphic
 
 
 def test_report_round_trip():
@@ -118,18 +120,83 @@ def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch
         (q, k) for q, k in yields.items()
         if k > 1 and q[0] != q[1] and q[1].length - q[0].length == q[3].length - q[2].length)
     cases = verify_length_sufficiency("A2", "A3").cases
-    real = verify.interval_isomorphic
+    real_proof, real_iso = verify._pattern_map_isomorphic, verify.interval_isomorphic
+
+    # both the pattern-map proof and the generic search deny this one quadruple
+    def planted_proof(sg, tg, embed, a, b, c, d):
+        if (sg.elements[a], sg.elements[b], tg.elements[c], tg.elements[d]) == (u, v, x, w):
+            return False
+        return real_proof(sg, tg, embed, a, b, c, d)
 
     def planted(i1, i2):
         if (i1.bottom, i1.top, i2.bottom, i2.top) == (u, v, x, w):
             return False
-        return real(i1, i2)
+        return real_iso(i1, i2)
 
+    monkeypatch.setattr(verify, "_pattern_map_isomorphic", planted_proof)
     monkeypatch.setattr(verify, "interval_isomorphic", planted)
     r = verify_length_sufficiency("A2", "A3")
     assert r.cases == cases == sum(yields.values())
     label = f"[{format_interval_spec(u, v)}] -> [{format_interval_spec(x, w)}]"
     assert r.failures == [f"{label}: equal gaps without isomorphism"] * k
+
+
+def _equal_gap_instances(source, target):
+    """(embed table, u, v, x, w) for every scanned yield with equal length gaps."""
+    s, t = build_root_system(source), build_root_system(target)
+    src, tgt = WeylGroup.for_system(s), WeylGroup.for_system(t)
+    for emb in enumerate_embeddings(s, t):
+        for u, v, x, w in interval_pattern_instances(emb):
+            if src.lengths[v] - src.lengths[u] == tgt.lengths[w] - tgt.lengths[x]:
+                yield emb.embed(), u, v, x, w
+
+
+@pytest.mark.parametrize("source,target", [
+    ("A2", "A3"), ("A1xA1", "B3"), ("B2", "B3"), ("A1", "G2"), ("A2", "B3")])
+def test_pattern_map_proof_agrees_with_both_isomorphism_searches(source, target):
+    # the coset map of every embedding that yields an equal-gap quadruple
+    # is proved an isomorphism, and both searches find one too
+    src = WeylGroup.for_system(build_root_system(source))
+    tgt = WeylGroup.for_system(build_root_system(target))
+    searched: dict[tuple[int, int, int, int], bool] = {}
+    for embed, u, v, x, w in _equal_gap_instances(source, target):
+        q = (u, v, x, w)
+        if q not in searched:
+            i1 = interval(src.elements[u], src.elements[v])
+            i2 = interval(tgt.elements[x], tgt.elements[w])
+            searched[q] = interval_isomorphic(i1, i2)
+            assert searched[q] == brute_force_isomorphic(i1, i2)
+        assert _pattern_map_isomorphic(src, tgt, embed, *q) == searched[q]
+    assert searched and all(searched.values())
+
+
+def test_pattern_map_proof_rejects_a_bijection_that_breaks_covers():
+    a2 = WeylGroup.for_system(build_root_system("A2"))
+    w0 = a2.size - 1
+    embed = list(enumerate_embeddings(a2.rs, a2.rs)[0].embed())
+    assert _pattern_map_isomorphic(a2, a2, embed, 0, w0, 0, w0)
+    # still a bijection of [e, w0] onto itself, but s1 trades places with a length-2 element
+    embed[1], embed[3] = embed[3], embed[1]
+    assert a2.lengths[1] != a2.lengths[3]
+    assert not _pattern_map_isomorphic(a2, a2, embed, 0, w0, 0, w0)
+
+
+def test_length_sufficiency_falls_back_to_the_search_on_a_wrong_embed_table(monkeypatch):
+    # with every i(g) planted as the identity the map sends [u, v] onto w,
+    # so the proof fails whenever u < v and the generic search decides
+    from weylpat.harness import verify
+
+    cases = verify_length_sufficiency("A2", "A3").cases
+    real_proof, real_iso = verify._pattern_map_isomorphic, verify.interval_isomorphic
+    searched = []
+    monkeypatch.setattr(verify, "_pattern_map_isomorphic",
+                        lambda sg, tg, embed, *q: real_proof(sg, tg, [0] * len(embed), *q))
+    monkeypatch.setattr(verify, "interval_isomorphic",
+                        lambda i1, i2: searched.append((i1.bottom, i1.top)) or real_iso(i1, i2))
+    r = verify_length_sufficiency("A2", "A3")
+    assert r.passed and r.cases == cases
+    distinct = {tuple(q) for _, *q in _equal_gap_instances("A2", "A3") if q[0] != q[1]}
+    assert len(searched) == len(distinct) > 0
 
 
 def test_verify_suites_on_small_pairs():

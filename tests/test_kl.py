@@ -72,6 +72,21 @@ def test_not_comparable():
         kl_polynomial(parse_element(a3, "3412"), identity(a3))
 
 
+def test_index_reads_decode_each_distinct_value_once(monkeypatch):
+    from weylpat import kl
+
+    wg = WeylGroup.for_system(build_root_system("B3"))
+    table = _KLTable(wg)
+    decoded = []
+    real = kl._unpack
+    monkeypatch.setattr(kl, "_unpack", lambda val, gap: decoded.append((val, gap)) or real(val, gap))
+    polys = {(u, v): table.polynomial(u, v) for v in range(wg.size) for u in wg.below(v)}
+    assert len(decoded) == len(set(decoded)) == len(table.decoded) < len(polys)
+    assert all(p == kl_polynomial(wg.elements[u], wg.elements[v]) for (u, v), p in polys.items())
+    with pytest.raises(NotComparableError, match="not comparable"):
+        table.polynomial(wg.size - 1, 0)
+
+
 @pytest.mark.parametrize("cartan_type", ["A3", "B2", "G2", "B3"])
 def test_defining_identity_via_r_polynomials(cartan_type):
     # q^(l(v)-l(u)) P(u,v)(1/q) = sum R(u,z) P(z,v): together with the

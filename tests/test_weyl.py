@@ -252,6 +252,21 @@ def test_interval_indices_match_a_scan_of_the_whole_group(cartan_type):
                 z for z in range(wg.size) if wg.leq_idx(a, z) and wg.leq_idx(z, b)]
 
 
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_interval_indices_and_lower_covers_match_reflection_closure(data):
+    wg = WeylGroup.for_system(build_root_system(data.draw(st.sampled_from(["A4", "B3", "G2", "F4"]))))
+    closure = _reflection_closure_downsets(wg)
+    b = data.draw(st.integers(0, wg.size - 1))
+    below_b = [z for z in range(wg.size) if closure[b] >> z & 1]
+    # half the bottoms are drawn below b, so most intervals are not empty
+    a = data.draw(st.one_of(st.sampled_from(below_b), st.integers(0, wg.size - 1)))
+    assert wg.interval_indices(a, b) == [z for z in below_b if closure[z] >> a & 1]
+    for y in (a, b):
+        assert sorted(wg.lower_covers[y]) == [
+            z for z in range(wg.size) if closure[y] >> z & 1 and wg.lengths[z] == wg.lengths[y] - 1]
+
+
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "C3", "D4", "G2", "F4", "A1xA2"])
 def test_lower_covers_match_object_level_covers(cartan_type):
     wg = WeylGroup.for_system(build_root_system(cartan_type))

@@ -39,7 +39,6 @@ from .weyl import (
     WeylGroup,
     apply,
     bruhat_leq,
-    bruhat_leq_by_reflection_closure,
     covers,
     element_label,
     enumerate_elements,
@@ -48,7 +47,6 @@ from .weyl import (
     from_word,
     identity,
     interval,
-    interval_isomorphic,
     inverse,
     inversion_roots,
     multiply,
@@ -77,8 +75,7 @@ __all__ = [
     "WeylElement", "WeylGroup", "BruhatInterval",
     "identity", "simple_reflection", "reflection", "multiply", "inverse", "apply",
     "from_word", "to_reduced_word", "from_inversion_set", "inversion_roots",
-    "enumerate_elements", "bruhat_leq", "bruhat_leq_by_reflection_closure",
-    "covers", "interval", "interval_isomorphic",
+    "enumerate_elements", "bruhat_leq", "covers", "interval",
     "parse_element", "format_word", "one_line", "element_label",
     "KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth",
     "SubsystemEmbedding", "enumerate_embeddings", "embed_element", "flatten",

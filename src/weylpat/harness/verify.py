@@ -15,8 +15,7 @@ The properties checked:
 * ``length-sufficiency`` given the flattening and coset conditions, the
                         intervals are isomorphic iff the length gaps agree:
                         equal gaps are proved isomorphic by the coset map
-                        z -> i(z v^-1) w, with the generic search as
-                        fallback;
+                        z -> i(z v^-1) w;
 * ``kl-transfer``       interval pattern embeddings preserve
                         Kazhdan-Lusztig polynomials;
 * ``upper-ideal``       interval sets cut out by KL properties are closed
@@ -33,10 +32,10 @@ check, since the rank span of an interval is its gap.  For equal gaps
 it proves that the coset map of the Billey-Braden lemma, read off the
 embed() table of the first embedding that yields the pair, is a
 bijection of the two intervals' index lists that carries lower covers
-exactly onto lower covers; only when that proof fails are the two
-intervals built and handed to the generic :func:`interval_isomorphic`.
-Over the slow-tier window the proof never fails.  ``kl-transfer`` and
-``upper-ideal`` read KL polynomials on indices from the groups' tables.
+exactly onto lower covers.  That proof is complete, so its verdict is
+the answer: a failure means the intervals are not isomorphic.  No
+interval is built.  ``kl-transfer`` and ``upper-ideal`` read KL
+polynomials on indices from the groups' tables.
 """
 
 from __future__ import annotations
@@ -50,6 +49,7 @@ from typing import Callable, Sequence
 from ..errors import InternalInvariantError
 from ..kl import KLPolynomial, _table_for, is_rationally_smooth
 from ..patterns import (
+    _pattern_map_isomorphic,
     enumerate_embeddings,
     flatten,
     format_interval_spec,
@@ -62,8 +62,6 @@ from ..weyl import (
     element_label,
     enumerate_elements,
     format_word,
-    interval,
-    interval_isomorphic,
     parse_element,
 )
 from .report import VerificationReport
@@ -203,44 +201,18 @@ def verify_x_determination(source_type: str, target_type: str,
     return _timed(run, report)
 
 
-def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, embed: list[int],
-                            u: int, v: int, x: int, w: int) -> bool:
-    """Whether z -> i(z v^-1) w is a poset isomorphism of [u, v] onto [x, w].
-
-    embed is the embed() table of an embedding that yields the quadruple.
-    True when the map is a bijection of ``src.interval_indices(u, v)``
-    onto ``tgt.interval_indices(x, w)`` that carries the in-interval
-    lower covers of each z exactly onto those of its image: the order of
-    a finite poset is the transitive closure of its covers, so such a
-    bijection is an isomorphism.  False proves nothing either way.
-    """
-    bottom = src.interval_indices(u, v)
-    top = tgt.interval_indices(x, w)
-    if len(bottom) != len(top):
-        return False
-    v_inv = src.inverses[v]
-    phi = {z: tgt.mul(embed[src.mul(z, v_inv)], w) for z in bottom}
-    image = set(top)
-    if set(phi.values()) != image:
-        return False
-    src_lower, tgt_lower = src.lower_covers, tgt.lower_covers
-    return all({phi[c] for c in src_lower[z] if c in phi}
-               == {c for c in tgt_lower[phi[z]] if c in image}
-               for z in bottom)
-
-
 def verify_length_sufficiency(source_type: str, target_type: str,
                               cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """Given the first two conditions, equal length gaps give poset isomorphism.
 
     Unequal gaps rule isomorphism out, since an interval's rank span is
-    its gap, so only equal-gap quadruples are decided: first by proving
-    that the coset map z -> i(z v^-1) w of the embedding that first
-    yields the quadruple is an isomorphism (:func:`_pattern_map_isomorphic`),
-    on element indices, and only when that proof fails by the generic
-    search :func:`interval_isomorphic` on the two built intervals.  Each
-    quadruple is decided once, however many embeddings yield it, and
-    each of its failures is reported once per yield.
+    its gap, so only equal-gap quadruples are decided, on element
+    indices, by :func:`~weylpat.patterns._pattern_map_isomorphic`: the
+    coset map z -> i(z v^-1) w of the embedding that first yields the
+    quadruple is an isomorphism, or by the completeness of that proof
+    no isomorphism exists.  Each quadruple is decided once, however many
+    embeddings yield it, and each of its failures is reported once per
+    yield.
     """
     source = build_root_system(source_type)
     target = build_root_system(target_type)
@@ -263,10 +235,7 @@ def verify_length_sufficiency(source_type: str, target_type: str,
                 if seen is None:
                     seen = 0
                     if (src.lengths[v] - src.lengths[u] == tgt.lengths[w] - tgt.lengths[x]
-                            and not _pattern_map_isomorphic(src, tgt, embed, u, v, x, w)
-                            and not interval_isomorphic(
-                                interval(src.elements[u], src.elements[v], cap),
-                                interval(tgt.elements[x], tgt.elements[w], cap))):
+                            and not _pattern_map_isomorphic(src, tgt, embed, u, v, x, w)):
                         failed.append((key, u, v, x, w))
                 counts[key] = seen + 1
         for key, u, v, x, w in failed:

@@ -20,7 +20,10 @@ interval pattern avoidance are all built on it.
 
 Interval-pattern searches test only the forced bottom x = i(u v^-1) w
 (x-determination) and compare length gaps in place of poset isomorphism
-(length sufficiency); :func:`interval_embeds` keeps the definition.
+(length sufficiency).  :func:`interval_embeds` decides the definition
+through the coset map z -> i(z v^-1) w, which
+:func:`_pattern_map_isomorphic` proves an isomorphism or refutes; it is
+the library's only poset-isomorphism decision.
 :func:`interval_pattern_instances` streams index quadruples and keeps
 none: each embedding keeps a flatten table and an embed table over the
 enumerated groups, products fold reduced words through the groups'
@@ -49,8 +52,6 @@ from .weyl import (
     bruhat_leq,
     format_word,
     identity,
-    interval,
-    interval_isomorphic,
     inverse,
     multiply,
     parse_element,
@@ -88,7 +89,7 @@ class SubsystemEmbedding:
     """
 
     __slots__ = ("source", "target", "simple_images", "full_map",
-                 "_pos_pairs", "_subgroup", "_flat", "_embed")
+                 "_pos_pairs", "_flat", "_embed")
 
     def __init__(self, source: RootSystem, target: RootSystem,
                  simple_images: tuple[int, ...], full_map: tuple[int, ...]):
@@ -101,7 +102,6 @@ class SubsystemEmbedding:
             (source.positive_position(r), target.positive_position(full_map[r]))
             for r in source.positive
         )
-        self._subgroup: frozenset[int] | None = None
         self._flat: list[int] | None = None
         self._embed: list[int] | None = None
 
@@ -124,14 +124,6 @@ class SubsystemEmbedding:
     def image_root(self, r: int) -> int:
         """Target root index of the image of source root index r."""
         return self.full_map[r]
-
-    def subgroup_inversions(self, cap: int = DEFAULT_ENUMERATION_CAP) -> frozenset[int]:
-        """Inversion masks of the embedded subgroup inside the target group."""
-        # enumerate first, so that the cap holds on a warm memo too
-        elements = WeylGroup.for_system(self.source, cap).elements
-        if self._subgroup is None:
-            self._subgroup = frozenset(embed_element(self, w).inversions for w in elements)
-        return self._subgroup
 
     def _pull_back(self, mask: int) -> int:
         """Source inversion mask of the roots whose images lie in mask."""
@@ -323,19 +315,61 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
                     x: WeylElement, w: WeylElement) -> bool:
     """Interval pattern embedding of [u, v] into [x, w] along emb.
 
-    All three conditions are required: the flattenings of w and x are v
-    and u, x and w lie in the same right coset of the embedded subgroup,
-    and [u, v] and [x, w] are isomorphic as posets.
+    The definition asks for three conditions: the flattenings of w and x
+    are v and u, x and w lie in the same right coset of the embedded
+    subgroup, and [u, v] and [x, w] are isomorphic as posets.  Two
+    checks decide them: fl(w) = v, and :func:`_pattern_map_isomorphic`
+    on element indices.  A proved isomorphism maps the minimum u to the
+    minimum x, so x = i(u v^-1) w, which shares the coset of w and
+    flattens to u by equivariance.  Conversely the three conditions
+    force that x, since fl inverts g -> i(g v^-1) w on the coset, and
+    then the proof succeeds by its completeness.
     """
-    if not bruhat_leq(u, v):
+    src = WeylGroup.for_system(emb.source)
+    tgt = WeylGroup.for_system(emb.target)
+    a, b, c, d = src.idx(u), src.idx(v), tgt.idx(x), tgt.idx(w)
+    if not src.leq_idx(a, b):
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
-    if not bruhat_leq(x, w):
+    if not tgt.leq_idx(c, d):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    if flatten(emb, w) != v or flatten(emb, x) != u:
+    return emb.flat()[d] == b and _pattern_map_isomorphic(src, tgt, emb.embed(), a, b, c, d)
+
+
+def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, embed: list[int],
+                            u: int, v: int, x: int, w: int) -> bool:
+    """Whether z -> i(z v^-1) w is a poset isomorphism of [u, v] onto [x, w].
+
+    embed is the embed() table of an embedding.  True when the map phi
+    is a bijection of ``src.interval_indices(u, v)`` onto
+    ``tgt.interval_indices(x, w)`` that carries the in-interval lower
+    covers of each z exactly onto those of its image: the order of a
+    finite poset is the transitive closure of its covers, so such a
+    bijection is an isomorphism.
+
+    The proof is complete when fl(w) = v and x = i(u v^-1) w, as for
+    every quadruple the forced-bottom scan yields.  Then phi(g) = i(g) m
+    with m = i(v^-1) w and fl(m) = e, and by the Billey-Braden coset
+    lemma phi is injective and order preserving on all of W', so it
+    maps [u, v] into [phi(u), phi(v)] = [x, w].  If [u, v] and [x, w]
+    are isomorphic they have as many elements and as many comparable
+    pairs, so phi is onto [x, w], and onto its comparable pairs too:
+    phi and its inverse both preserve order, phi carries covers
+    exactly, and the proof succeeds.  So when it fails, the two
+    intervals are not isomorphic.
+    """
+    bottom = src.interval_indices(u, v)
+    top = tgt.interval_indices(x, w)
+    if len(bottom) != len(top):
         return False
-    if multiply(x, inverse(w)).inversions not in emb.subgroup_inversions():
+    v_inv = src.inverses[v]
+    phi = {z: tgt.mul(embed[src.mul(z, v_inv)], w) for z in bottom}
+    image = set(top)
+    if set(phi.values()) != image:
         return False
-    return interval_isomorphic(interval(u, v), interval(x, w))
+    src_lower, tgt_lower = src.lower_covers, tgt.lower_covers
+    return all({phi[c] for c in src_lower[z] if c in phi}
+               == {c for c in tgt_lower[phi[z]] if c in image}
+               for z in bottom)
 
 
 def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,

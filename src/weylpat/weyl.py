@@ -13,9 +13,9 @@ Conventions fixed here and relied on everywhere else:
   (components of reducible types numbered consecutively);
 * ``from_word([1, 2, 1])`` means s1 s2 s1;
 * Bruhat order uses left multiplication, u <= v decided by the lifting
-  recursion (equivalent to the subword property), with the closure of
-  length-decreasing reflection moves kept as an independent oracle in
-  :func:`bruhat_leq_by_reflection_closure`;
+  recursion (equivalent to the subword property); the closure of
+  length-decreasing reflection moves, its independent oracle, lives with
+  the tests;
 * all deterministic tie breaking is by the lexicographically least
   reduced word.
 
@@ -51,10 +51,8 @@ __all__ = [
     "inversion_roots",
     "enumerate_elements",
     "bruhat_leq",
-    "bruhat_leq_by_reflection_closure",
     "covers",
     "interval",
-    "interval_isomorphic",
     "parse_element",
     "format_word",
     "one_line",
@@ -255,8 +253,7 @@ class WeylGroup:
     and pattern layers key everything on.  The cover lists come from the
     lifting property, one lookup per cover (see :attr:`lower_covers`);
     down-sets and intervals are read off them.  Its root system keeps it
-    (:meth:`for_system`), and it keeps the other per-group memos: the
-    reflection-closure down-sets and the KL table.
+    (:meth:`for_system`), and it keeps the KL table.
     """
 
     def __init__(self, rs: RootSystem, cap: int):
@@ -308,7 +305,6 @@ class WeylGroup:
         self._covers: list[list[int]] | None = None
         self._downsets: list[int] | None = None
         self._inverses: list[int] | None = None
-        self._closure: list[int] | None = None
         self._kl_table = None  # kl._KLTable, built on the first KL query
 
     @classmethod
@@ -385,8 +381,8 @@ class WeylGroup:
         """downsets[v] is the bit mask of {z : z <= v} over element indices.
 
         D(v) is {v} together with D(c) for every lower cover c of v
-        (:attr:`lower_covers`), independent of both the lifting decision
-        procedure and the reflection-closure oracle.
+        (:attr:`lower_covers`), independent of the lifting decision
+        procedure :func:`bruhat_leq`.
         """
         if self._downsets is None:
             down: list[int] = []
@@ -460,38 +456,6 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
         v = multiply(s, v)
 
 
-def bruhat_leq_by_reflection_closure(u: WeylElement, v: WeylElement,
-                                     cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """Bruhat order from its definition as a closure of reflection moves.
-
-    Takes the reflexive transitive closure of x' < x whenever x' = s_alpha x
-    for some root alpha with l(x') < l(x).  Enumerates the whole group, so
-    this is an oracle for testing, not a fast path.
-    """
-    _check_same_group(u, v)
-    wg = WeylGroup.for_system(u.group, cap)
-    return bool(_reflection_closure_downsets(wg)[wg.idx(v)] >> wg.idx(u) & 1)
-
-
-def _reflection_closure_downsets(wg: WeylGroup) -> list[int]:
-    """Down-sets from reflection moves, built once and kept on wg."""
-    if wg._closure is not None:
-        return wg._closure
-    rs = wg.rs
-    down = [0] * wg.size
-    refls = [reflection(rs, rs.positive[p]) for p in range(rs.num_positive)]
-    for v_idx in range(wg.size):
-        v = wg.elements[v_idx]
-        mask = 1 << v_idx
-        for t in refls:
-            u = multiply(t, v)
-            if u.length < v.length:
-                mask |= down[wg.idx(u)]
-        down[v_idx] = mask
-    wg._closure = down
-    return down
-
-
 def covers(v: WeylElement) -> list[WeylElement]:
     """All u covered by v: u = s_alpha v with l(u) = l(v) - 1."""
     rs = v.group
@@ -510,7 +474,7 @@ def covers(v: WeylElement) -> list[WeylElement]:
 class BruhatInterval:
     """The graded poset of all z with u <= z <= v."""
 
-    __slots__ = ("bottom", "top", "elements", "cover_pairs", "_levels", "_shape")
+    __slots__ = ("bottom", "top", "elements", "cover_pairs", "_levels")
 
     def __init__(self, bottom: WeylElement, top: WeylElement,
                  elements: Sequence[WeylElement], cover_pairs: Sequence[tuple[int, int]]):
@@ -519,8 +483,6 @@ class BruhatInterval:
         self.elements = tuple(elements)
         self.cover_pairs = tuple(cover_pairs)
         self._levels: tuple[tuple[int, ...], ...] | None = None
-        # (down-cover lists, refined colours, sorted colours), see _shape
-        self._shape: tuple[list[list[int]], list[int], list[int]] | None = None
 
     @property
     def size(self) -> int:
@@ -565,97 +527,6 @@ def interval(u: WeylElement, v: WeylElement,
     lower = wg.lower_covers
     pairs = sorted((pos[c], k) for k, z in enumerate(idxs) for c in lower[z] if c in pos)
     return BruhatInterval(elements[0], elements[-1], elements, pairs)
-
-
-# ---------------------------------------------------------------------------
-# graded poset isomorphism
-# ---------------------------------------------------------------------------
-
-def _shape(iv: BruhatInterval) -> tuple[list[list[int]], list[int], list[int]]:
-    """Down-cover lists, refined colours and sorted colours of iv, built once.
-
-    The colours depend only on the poset, not on how its elements are
-    listed, since each round's palette is the sorted set of signatures;
-    so one interval's colours are comparable with any other's and the
-    refinement runs once per interval, however many comparisons it meets.
-    """
-    if iv._shape is None:
-        n = iv.size
-        up: list[list[int]] = [[] for _ in range(n)]
-        down: list[list[int]] = [[] for _ in range(n)]
-        for a, b in iv.cover_pairs:
-            up[a].append(b)
-            down[b].append(a)
-        colors = _refine_colors(up, down, [iv.rank_of(z) for z in iv.elements])
-        iv._shape = (down, colors, sorted(colors))
-    return iv._shape
-
-
-def _refine_colors(up: list[list[int]], down: list[list[int]], ranks: list[int]) -> list[int]:
-    n = len(ranks)
-    colors = [(ranks[k], len(up[k]), len(down[k])) for k in range(n)]
-    for _ in range(n):
-        sig = [
-            (colors[k], tuple(sorted(colors[j] for j in up[k])),
-             tuple(sorted(colors[j] for j in down[k])))
-            for k in range(n)
-        ]
-        palette = {s: c for c, s in enumerate(sorted(set(sig)))}
-        new = [palette[s] for s in sig]
-        if new == colors:
-            break
-        colors = new
-    return colors
-
-
-def interval_isomorphic(i1: BruhatInterval, i2: BruhatInterval) -> bool:
-    """Decide whether two Bruhat intervals are isomorphic as posets.
-
-    Both posets are graded with unique minimum and maximum, so any
-    isomorphism preserves rank; the search assigns elements level by
-    level after an iterated degree refinement prunes the candidates.
-    The refinement is kept on each interval, so an interval compared
-    many times is refined once.
-    """
-    if i1.size != i2.size or i1.rank_span != i2.rank_span:
-        return False
-    lv1, lv2 = i1.levels, i2.levels
-    if [len(l) for l in lv1] != [len(l) for l in lv2]:
-        return False
-    down1, c1, sorted1 = _shape(i1)
-    down2, c2, sorted2 = _shape(i2)
-    if sorted1 != sorted2:
-        return False
-
-    mapping = [-1] * i1.size
-
-    def match_level(level: int) -> bool:
-        if level > i1.rank_span:
-            return True
-        nodes = sorted(lv1[level], key=lambda k: (-len(down1[k]), c1[k]))
-        pool = list(lv2[level])
-
-        def place(pos: int, used: set[int]) -> bool:
-            if pos == len(nodes):
-                return match_level(level + 1)
-            a = nodes[pos]
-            want = frozenset(mapping[d] for d in down1[a])
-            for b in pool:
-                if b in used or c2[b] != c1[a]:
-                    continue
-                if frozenset(down2[b]) != want:
-                    continue
-                mapping[a] = b
-                used.add(b)
-                if place(pos + 1, used):
-                    return True
-                used.discard(b)
-                mapping[a] = -1
-            return False
-
-        return place(0, set())
-
-    return match_level(0)
 
 
 # ---------------------------------------------------------------------------

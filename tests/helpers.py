@@ -7,16 +7,23 @@ a second classical recursion.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from fractions import Fraction
 
+from weylpat.patterns import embed_element, flatten
 from weylpat.roots import dot
 from weylpat.weyl import (
+    BruhatInterval,
     WeylElement,
+    WeylGroup,
     enumerate_elements,
     identity,
+    interval,
+    inverse,
     multiply,
+    reflection,
     simple_reflection,
 )
 
@@ -223,6 +230,37 @@ def lifting_downsets(wg) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# Bruhat order as the closure of reflection moves
+# ---------------------------------------------------------------------------
+
+def bruhat_leq_by_reflection_closure(u: WeylElement, v: WeylElement) -> bool:
+    """Bruhat order from its definition as a closure of reflection moves.
+
+    Takes the reflexive transitive closure of x' < x whenever x' = s_alpha x
+    for some root alpha with l(x') < l(x), over the whole group of u.
+    """
+    wg = WeylGroup.for_system(u.group)
+    return bool(_reflection_closure_downsets(wg)[wg.idx(v)] >> wg.idx(u) & 1)
+
+
+@functools.cache
+def _reflection_closure_downsets(wg: WeylGroup) -> list[int]:
+    """Down-sets from reflection moves, as bit masks over wg's indices."""
+    rs = wg.rs
+    down = [0] * wg.size
+    refls = [reflection(rs, rs.positive[p]) for p in range(rs.num_positive)]
+    for v_idx in range(wg.size):
+        v = wg.elements[v_idx]
+        mask = 1 << v_idx
+        for t in refls:
+            u = multiply(t, v)
+            if u.length < v.length:
+                mask |= down[wg.idx(u)]
+        down[v_idx] = mask
+    return down
+
+
+# ---------------------------------------------------------------------------
 # word and inversion-set oracles
 # ---------------------------------------------------------------------------
 
@@ -379,8 +417,90 @@ def naive_embeddings(source, target) -> set[tuple[int, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# poset isomorphism by trying bijections
+# poset isomorphism: a colour-refined search and a search over bijections
 # ---------------------------------------------------------------------------
+
+def _shape(iv: BruhatInterval) -> tuple[list[list[int]], list[int], list[int]]:
+    """Down-cover lists, refined colours and sorted colours of iv.
+
+    The colours depend only on the poset, not on how its elements are
+    listed, since each round's palette is the sorted set of signatures;
+    so one interval's colours are comparable with any other's.
+    """
+    n = iv.size
+    up: list[list[int]] = [[] for _ in range(n)]
+    down: list[list[int]] = [[] for _ in range(n)]
+    for a, b in iv.cover_pairs:
+        up[a].append(b)
+        down[b].append(a)
+    colors = _refine_colors(up, down, [iv.rank_of(z) for z in iv.elements])
+    return down, colors, sorted(colors)
+
+
+def _refine_colors(up: list[list[int]], down: list[list[int]], ranks: list[int]) -> list[int]:
+    n = len(ranks)
+    colors = [(ranks[k], len(up[k]), len(down[k])) for k in range(n)]
+    for _ in range(n):
+        sig = [
+            (colors[k], tuple(sorted(colors[j] for j in up[k])),
+             tuple(sorted(colors[j] for j in down[k])))
+            for k in range(n)
+        ]
+        palette = {s: c for c, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
+        if new == colors:
+            break
+        colors = new
+    return colors
+
+
+def interval_isomorphic(i1: BruhatInterval, i2: BruhatInterval) -> bool:
+    """Decide whether two Bruhat intervals are isomorphic as posets.
+
+    Both posets are graded with unique minimum and maximum, so any
+    isomorphism preserves rank; the search assigns elements level by
+    level after an iterated degree refinement prunes the candidates.
+    """
+    if i1.size != i2.size or i1.rank_span != i2.rank_span:
+        return False
+    lv1, lv2 = i1.levels, i2.levels
+    if [len(l) for l in lv1] != [len(l) for l in lv2]:
+        return False
+    down1, c1, sorted1 = _shape(i1)
+    down2, c2, sorted2 = _shape(i2)
+    if sorted1 != sorted2:
+        return False
+
+    mapping = [-1] * i1.size
+
+    def match_level(level: int) -> bool:
+        if level > i1.rank_span:
+            return True
+        nodes = sorted(lv1[level], key=lambda k: (-len(down1[k]), c1[k]))
+        pool = list(lv2[level])
+
+        def place(pos: int, used: set[int]) -> bool:
+            if pos == len(nodes):
+                return match_level(level + 1)
+            a = nodes[pos]
+            want = frozenset(mapping[d] for d in down1[a])
+            for b in pool:
+                if b in used or c2[b] != c1[a]:
+                    continue
+                if frozenset(down2[b]) != want:
+                    continue
+                mapping[a] = b
+                used.add(b)
+                if place(pos + 1, used):
+                    return True
+                used.discard(b)
+                mapping[a] = -1
+            return False
+
+        return place(0, set())
+
+    return match_level(0)
+
 
 def brute_force_isomorphic(i1, i2) -> bool:
     """Whether two intervals are isomorphic, found by trying bijections.
@@ -413,6 +533,31 @@ def brute_force_isomorphic(i1, i2) -> bool:
         return False
 
     return extend(0)
+
+
+# ---------------------------------------------------------------------------
+# interval pattern embedding by its definition
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _subgroup_inversions(emb) -> frozenset[int]:
+    """Inversion masks of the embedded subgroup inside the target group."""
+    return frozenset(embed_element(emb, g).inversions for g in enumerate_elements(emb.source))
+
+
+def interval_embeds(emb, u: WeylElement, v: WeylElement,
+                    x: WeylElement, w: WeylElement) -> bool:
+    """Interval pattern embedding of [u, v] into [x, w], condition by condition.
+
+    The flattenings of w and x are v and u, x and w lie in the same right
+    coset of the embedded subgroup, and the two intervals are isomorphic
+    by :func:`interval_isomorphic`.
+    """
+    if flatten(emb, w) != v or flatten(emb, x) != u:
+        return False
+    if multiply(x, inverse(w)).inversions not in _subgroup_inversions(emb):
+        return False
+    return interval_isomorphic(interval(u, v), interval(x, w))
 
 
 # ---------------------------------------------------------------------------

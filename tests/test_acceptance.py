@@ -9,6 +9,7 @@ first.
 
 import time
 
+from helpers import bruhat_leq_by_reflection_closure
 from weylpat.kl import _KLTable, kl_polynomial
 from weylpat.harness.verify import (
     default_window,
@@ -24,7 +25,6 @@ from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
     WeylGroup,
     bruhat_leq,
-    bruhat_leq_by_reflection_closure,
     enumerate_elements,
     identity,
     parse_element,

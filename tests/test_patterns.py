@@ -2,7 +2,14 @@ import tracemalloc
 
 import pytest
 
-from helpers import classical_contains, digest, flip_perm, naive_embeddings, perm_of
+from helpers import (
+    classical_contains,
+    digest,
+    flip_perm,
+    interval_embeds as defined_interval_embeds,
+    naive_embeddings,
+    perm_of,
+)
 from weylpat.errors import (
     CapExceededError,
     GroupMismatchError,
@@ -29,7 +36,6 @@ from weylpat.roots import build_root_system, clear_caches, dot
 from weylpat.weyl import (
     WeylGroup,
     bruhat_leq,
-    bruhat_leq_by_reflection_closure,
     enumerate_elements,
     format_word,
     from_inversion_set,
@@ -202,6 +208,17 @@ def test_flatten_group_mismatch():
         embed_element(emb, identity(a3))
 
 
+def test_interval_embeds_group_mismatch():
+    # the bottom pair must come from the source, the top pair from the target
+    a2, a3, b2 = (build_root_system(t) for t in ("A2", "A3", "B2"))
+    emb = enumerate_embeddings(a2, a3)[0]
+    e2, e3 = identity(a2), identity(a3)
+    for u, v, x, w in [(identity(b2), from_word(b2, [1, 2]), e3, from_word(a3, [1, 2])),
+                       (e2, from_word(a2, [1, 2]), identity(b2), from_word(b2, [1, 2]))]:
+        with pytest.raises(GroupMismatchError):
+            interval_embeds(emb, u, v, x, w)
+
+
 def test_pattern_embedding_basics():
     a3 = build_root_system("A3")
     v = parse_element(a3, "3412")
@@ -309,7 +326,7 @@ def test_interval_pattern_avoids_equals_search_over_all_bottoms():
     # the implementation only inspects the forced bottom i(u v^-1) w and
     # compares length gaps; compare against a definition-level search
     # over every x <= w that decides poset isomorphism, in and out of
-    # type A
+    # type A, which interval_embeds must agree with at every x
     for src_type, tgt_type in [("A2", "A3"), ("A1", "G2"), ("A1", "B3"), ("A1xA1", "B3")]:
         source = build_root_system(src_type)
         target = build_root_system(tgt_type)
@@ -321,13 +338,38 @@ def test_interval_pattern_avoids_equals_search_over_all_bottoms():
                 if not bruhat_leq(u, v):
                     continue
                 for w in tgt:
-                    brute = not any(
-                        interval_embeds(emb, u, v, x, w)
-                        for emb in embs
-                        for x in tgt
-                        if bruhat_leq(x, w)
-                    )
+                    bottoms = [x for x in tgt if bruhat_leq(x, w)]
+                    brute = True
+                    for emb in embs:
+                        for x in bottoms:
+                            got = defined_interval_embeds(emb, u, v, x, w)
+                            assert interval_embeds(emb, u, v, x, w) == got
+                            brute &= not got
                     assert interval_pattern_avoids(w, u, v) == brute, (src_type, tgt_type)
+
+
+@pytest.mark.parametrize("source,target", [
+    ("A2", "A3"), ("A1xA1", "B3"), ("B2", "B3"), ("A2", "B3"), ("G2", "G2"),
+    ("A1", "G2"), ("A2", "A4"), ("A3", "D4"), ("A1xA1", "D4"), ("B2", "F4")])
+def test_coset_map_is_an_order_embedding(source, target):
+    # the Billey-Braden coset lemma, on which the completeness of the
+    # coset-map isomorphism proof rests: for each m with fl(m) = e the
+    # map g -> i(g) m is injective, inverted by fl, and order preserving.
+    # The converse fails on some cosets, which is why the proof checks covers
+    src = WeylGroup.for_system(build_root_system(source))
+    tgt = WeylGroup.for_system(build_root_system(target))
+    embs = enumerate_embeddings(src.rs, tgt.rs)
+    assert embs
+    for emb in embs:
+        flat, embed = emb.flat(), emb.embed()
+        for m in range(tgt.size):
+            if flat[m] != 0:
+                continue
+            phi = [tgt.mul(embed[g], m) for g in range(src.size)]
+            assert len(set(phi)) == src.size
+            assert [flat[z] for z in phi] == list(range(src.size))
+            for g in range(src.size):
+                assert all(tgt.leq_idx(phi[h], phi[g]) for h in src.below(g))
 
 
 def test_forced_bottom_checks_both_flattenings_and_order():
@@ -466,8 +508,6 @@ def _a2_pattern():
 CAP_CASES = {
     "enumerate_elements": (lambda **kw: enumerate_elements(build_root_system("A4"), **kw), 119),
     "interval": (lambda **kw: interval(*_a4_pair(), **kw), 119),
-    "bruhat_leq_by_reflection_closure":
-        (lambda **kw: bruhat_leq_by_reflection_closure(*_a4_pair(), **kw), 119),
     "kl_polynomial": (lambda **kw: kl_polynomial(*_a4_pair(), **kw), 119),
     "mu": (lambda **kw: mu(*_a4_pair(), **kw), 119),
     "is_rationally_smooth": (lambda **kw: is_rationally_smooth(_a4_pair()[1], **kw), 119),
@@ -477,7 +517,6 @@ CAP_CASES = {
         _a4_pair()[1], identity(build_root_system("A2")), _a2_pattern(), **kw), 3),
     "enumerate_embeddings": (lambda **kw: enumerate_embeddings(
         build_root_system("A2"), build_root_system("A4"), **kw), 3),
-    "subgroup_inversions": (lambda **kw: _a2_into_a4().subgroup_inversions(**kw), 5),
     "flat": (lambda **kw: _a2_into_a4().flat(**kw), 119),
     "embed": (lambda **kw: _a2_into_a4().embed(**kw), 119),
     "interval_pattern_instances-target":

@@ -4,9 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    _reflection_closure_downsets,
     all_reduced_words,
     brute_force_isomorphic,
+    bruhat_leq_by_reflection_closure,
     cayley_distances,
+    interval_isomorphic,
     is_biconvex,
     lifting_downsets,
 )
@@ -20,10 +23,8 @@ from weylpat.roots import build_root_system
 from weylpat.weyl import (
     BruhatInterval,
     WeylGroup,
-    _reflection_closure_downsets,
     apply,
     bruhat_leq,
-    bruhat_leq_by_reflection_closure,
     covers,
     enumerate_elements,
     format_word,
@@ -31,7 +32,6 @@ from weylpat.weyl import (
     from_word,
     identity,
     interval,
-    interval_isomorphic,
     inverse,
     inversion_roots,
     multiply,
@@ -470,23 +470,6 @@ def test_interval_isomorphism_separates_what_refinement_cannot():
     assert not brute_force_isomorphic(iv, rewired)
     assert interval_isomorphic(_scrambled(rewired, seed=3), rewired)
     assert brute_force_isomorphic(_scrambled(rewired, seed=3), rewired)
-
-
-def test_interval_colours_are_refined_once_per_interval(monkeypatch):
-    from weylpat import weyl
-
-    refined = []
-    real = weyl._refine_colors
-    monkeypatch.setattr(
-        weyl, "_refine_colors", lambda *args: refined.append(1) or real(*args))
-    rs = build_root_system("B2")
-    w0 = enumerate_elements(rs)[-1]
-    intervals = [interval(identity(rs), w0), _scrambled(interval(identity(rs), w0), seed=1)]
-    for _ in range(3):
-        for i1 in intervals:
-            for i2 in intervals:
-                assert interval_isomorphic(i1, i2)
-    assert len(refined) == len(intervals)
 
 
 def test_enumeration_cap():

@@ -29,13 +29,15 @@ keep its pairs with equal length gaps, as ``length-sufficiency`` checks.
 
 ``length-sufficiency`` works on element indices.  Unequal gaps need no
 check, since the rank span of an interval is its gap.  For equal gaps
-it proves that the coset map of the Billey-Braden lemma, read off the
-embed() table of the first embedding that yields the pair, is a
+it proves that the coset map phi_w of the Billey-Braden lemma, taken
+from ``coset_maps()`` of the first embedding that yields the pair, is a
 bijection of the two intervals' index lists that carries lower covers
 exactly onto lower covers.  That proof is complete, so its verdict is
 the answer: a failure means the intervals are not isomorphic.  No
-interval is built.  ``kl-transfer`` and ``upper-ideal`` read KL
-polynomials on indices from the groups' tables.
+interval is built.  ``x-determination`` builds the embedded subgroup
+from :func:`~weylpat.patterns.embed_element`, not from the scan's
+tables.  ``kl-transfer`` and ``upper-ideal`` read KL polynomials on
+indices from the groups' tables.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from ..errors import InternalInvariantError
 from ..kl import KLPolynomial, _table_for, is_rationally_smooth
 from ..patterns import (
     _pattern_map_isomorphic,
+    embed_element,
     enumerate_embeddings,
     flatten,
     format_interval_spec,
@@ -167,6 +170,8 @@ def verify_x_determination(source_type: str, target_type: str,
 
     Walks every x in each coset i(W')w on element indices and compares
     each case with the bottom the forced-bottom scan gives for (u, w).
+    The subgroup i(W') comes from :func:`embed_element`, independent of
+    the coset maps the scan reads.
     """
     source = build_root_system(source_type)
     target = build_root_system(target_type)
@@ -179,7 +184,8 @@ def verify_x_determination(source_type: str, target_type: str,
         src_down, tgt_down = src.downsets, tgt.downsets
 
         for emb in enumerate_embeddings(source, target):
-            flat, embedded = emb.flat(cap), emb.embed(cap)
+            flat = emb.flat(cap)
+            embedded = [tgt.idx(embed_element(emb, g)) for g in src.elements]
             bottom = {(u, w): x for u, _, x, w in interval_pattern_instances(emb, cap)}
             for w in range(tgt.size):
                 v = flat[w]
@@ -223,25 +229,21 @@ def verify_length_sufficiency(source_type: str, target_type: str,
         src = WeylGroup.for_system(source, cap)
         tgt = WeylGroup.for_system(target, cap)
         n, m = tgt.size, src.size
-        # times each quadruple is scanned, keyed by its indices packed into one int
-        counts: dict[int, int] = {}
-        failed: list[tuple[int, int, int, int, int]] = []
+        # verdict of each equal-gap quadruple, keyed by its indices packed into one int
+        decided: dict[int, bool] = {}
         for emb in enumerate_embeddings(source, target):
-            embed = emb.embed(cap)
+            maps = emb.coset_maps(cap)
             for u, v, x, w in interval_pattern_instances(emb, cap):
                 rep.cases += 1
+                if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
+                    continue
                 key = ((x * n + w) * m + u) * m + v
-                seen = counts.get(key)
-                if seen is None:
-                    seen = 0
-                    if (src.lengths[v] - src.lengths[u] == tgt.lengths[w] - tgt.lengths[x]
-                            and not _pattern_map_isomorphic(src, tgt, embed, u, v, x, w)):
-                        failed.append((key, u, v, x, w))
-                counts[key] = seen + 1
-        for key, u, v, x, w in failed:
-            rep.failures.extend(
-                [f"{_pair_label(src, tgt, u, v, x, w)}: equal gaps without isomorphism"]
-                * counts[key])
+                iso = decided.get(key)
+                if iso is None:
+                    iso = decided[key] = _pattern_map_isomorphic(src, tgt, maps[w], u, v, x, w)
+                if not iso:
+                    rep.failures.append(
+                        f"{_pair_label(src, tgt, u, v, x, w)}: equal gaps without isomorphism")
 
     return _timed(run, report)
 

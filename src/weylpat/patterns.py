@@ -20,16 +20,18 @@ interval pattern avoidance are all built on it.
 
 Interval-pattern searches test only the forced bottom x = i(u v^-1) w
 (x-determination) and compare length gaps in place of poset isomorphism
-(length sufficiency).  :func:`interval_embeds` decides the definition
-through the coset map z -> i(z v^-1) w, which
-:func:`_pattern_map_isomorphic` proves an isomorphism or refutes; it is
-the library's only poset-isomorphism decision.
+(length sufficiency).  All three conditions of the definition are
+settled by the coset map phi_w(g) = i(g fl(w)^-1) w of the
+Billey-Braden lemma: :meth:`SubsystemEmbedding.coset_maps` gives one
+such table per right coset of the embedded subgroup.
+:func:`interval_embeds` decides the definition through it, and
+:func:`_pattern_map_isomorphic` proves phi_w an isomorphism or refutes
+one; it is the library's only poset-isomorphism decision.
 :func:`interval_pattern_instances` streams index quadruples and keeps
-none: each embedding keeps a flatten table and an embed table over the
-enumerated groups, products fold reduced words through the groups'
-left multiplication tables, and x <= w is a bit of the target's
-down-set.  :func:`forced_bottom` is its object-level twin, which
-enumerates no group.
+none: each embedding keeps a flatten table over the enumerated groups,
+the forced bottom x = phi_w[u] is one lookup, and x <= w is a bit of
+the target's down-set.  :func:`forced_bottom` is its object-level twin,
+which enumerates no group.
 """
 
 from __future__ import annotations
@@ -84,12 +86,13 @@ class SubsystemEmbedding:
     ``simple_images[k]`` is the target root index of the image of the
     k-th simple root of the source (0-based position in Bourbaki order);
     ``full_map[r]`` extends this linearly to every source root index.
-    :meth:`flat` and :meth:`embed` are the index tables of
-    :func:`flatten` and :func:`embed_element` over the enumerated groups.
+    :meth:`flat` is the index table of :func:`flatten` over the
+    enumerated groups; :meth:`coset_maps` gives each target index the
+    coset map of its right coset of the embedded subgroup.
     """
 
     __slots__ = ("source", "target", "simple_images", "full_map",
-                 "_pos_pairs", "_flat", "_embed")
+                 "_pos_pairs", "_flat")
 
     def __init__(self, source: RootSystem, target: RootSystem,
                  simple_images: tuple[int, ...], full_map: tuple[int, ...]):
@@ -103,7 +106,6 @@ class SubsystemEmbedding:
             for r in source.positive
         )
         self._flat: list[int] | None = None
-        self._embed: list[int] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -147,19 +149,43 @@ class SubsystemEmbedding:
                 ) from None
         return self._flat
 
-    def embed(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
-        """embed[g] is the target index of i(g), for each source index g."""
+    def coset_maps(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
+        """maps[w][g] is the target index of i(g fl(w)^-1) w, for each target index w.
+
+        Every w in a right coset i(W')m, with fl(m) = e, shares the one
+        tuple phi_m[g] = i(g) m, filled in source index order by
+        phi[g] = i(s_j) phi[s_j g] for the smallest left descent s_j of
+        g, one column over all cosets at a time.  Built afresh on each
+        call, after checking cap against both groups.  Raises
+        InternalInvariantError when the cosets do not cover the target
+        exactly once, which only an invalid flat table can cause.
+        """
         source = WeylGroup.for_system(self.source, cap)
         target = WeylGroup.for_system(self.target, cap)
-        if self._embed is None:
-            refl = [target.idx(reflection(self.target, b)) for b in self.simple_images]
-            out = [0]
-            # g = s_i g' with g' = s_i g shorter, so g' is already placed
-            for g in range(1, source.size):
-                i = source.min_left_descent_idx(g)
-                out.append(target.mul(refl[i], out[source.lmult[i][g]]))
-            self._embed = out
-        return self._embed
+        flat = self.flat(cap)
+        # each i(s_j) as the lmult rows of its reduced word, applied right to left
+        refl = []
+        for b in self.simple_images:
+            word = target.words[target.idx(reflection(self.target, b))]
+            refl.append([target.lmult[i - 1] for i in reversed(word)])
+        # cols[g][c] = i(g) m_c over the coset minima m_c, s_j g shorter than g
+        cols = [[m for m in range(target.size) if flat[m] == 0]]
+        for g in range(1, source.size):
+            j = source.min_left_descent_idx(g)
+            col = cols[source.lmult[j][g]]
+            for row in refl[j]:
+                col = [row[y] for y in col]
+            cols.append(col)
+        # () marks a target index no coset has reached yet
+        maps: list[tuple[int, ...]] = [()] * target.size
+        for phi in zip(*cols):
+            for y in phi:
+                if maps[y]:
+                    raise InternalInvariantError("cosets of the embedded subgroup overlap")
+                maps[y] = phi
+        if not all(maps):
+            raise InternalInvariantError("cosets of the embedded subgroup miss a target element")
+        return maps
 
 
 def enumerate_embeddings(source: RootSystem, target: RootSystem,
@@ -332,26 +358,27 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
     if not tgt.leq_idx(c, d):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    return emb.flat()[d] == b and _pattern_map_isomorphic(src, tgt, emb.embed(), a, b, c, d)
+    return emb.flat()[d] == b and _pattern_map_isomorphic(src, tgt, emb.coset_maps()[d],
+                                                           a, b, c, d)
 
 
-def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, embed: list[int],
+def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
                             u: int, v: int, x: int, w: int) -> bool:
-    """Whether z -> i(z v^-1) w is a poset isomorphism of [u, v] onto [x, w].
+    """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w].
 
-    embed is the embed() table of an embedding.  True when the map phi
-    is a bijection of ``src.interval_indices(u, v)`` onto
-    ``tgt.interval_indices(x, w)`` that carries the in-interval lower
-    covers of each z exactly onto those of its image: the order of a
-    finite poset is the transitive closure of its covers, so such a
-    bijection is an isomorphism.
+    phi is the coset map phi_w = ``coset_maps()[w]`` of an embedding,
+    phi[g] = i(g fl(w)^-1) w.  True when phi is a bijection of
+    ``src.interval_indices(u, v)`` onto ``tgt.interval_indices(x, w)``
+    that carries the in-interval lower covers of each z exactly onto
+    those of its image: the order of a finite poset is the transitive
+    closure of its covers, so such a bijection is an isomorphism.
 
-    The proof is complete when fl(w) = v and x = i(u v^-1) w, as for
-    every quadruple the forced-bottom scan yields.  Then phi(g) = i(g) m
-    with m = i(v^-1) w and fl(m) = e, and by the Billey-Braden coset
-    lemma phi is injective and order preserving on all of W', so it
-    maps [u, v] into [phi(u), phi(v)] = [x, w].  If [u, v] and [x, w]
-    are isomorphic they have as many elements and as many comparable
+    The proof is complete when fl(w) = v and x = phi[u], as for every
+    quadruple the forced-bottom scan yields.  Then phi(g) = i(g) m with
+    m = i(v^-1) w and fl(m) = e, and by the Billey-Braden coset lemma
+    phi is injective and order preserving on all of W', so it maps
+    [u, v] into [phi(u), phi(v)] = [x, w].  If [u, v] and [x, w] are
+    isomorphic they have as many elements and as many comparable
     pairs, so phi is onto [x, w], and onto its comparable pairs too:
     phi and its inverse both preserve order, phi carries covers
     exactly, and the proof succeeds.  So when it fails, the two
@@ -361,13 +388,11 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, embed: list[int],
     top = tgt.interval_indices(x, w)
     if len(bottom) != len(top):
         return False
-    v_inv = src.inverses[v]
-    phi = {z: tgt.mul(embed[src.mul(z, v_inv)], w) for z in bottom}
-    image = set(top)
-    if set(phi.values()) != image:
+    domain, image = set(bottom), set(top)
+    if {phi[z] for z in bottom} != image:
         return False
     src_lower, tgt_lower = src.lower_covers, tgt.lower_covers
-    return all({phi[c] for c in src_lower[z] if c in phi}
+    return all({phi[c] for c in src_lower[z] if c in domain}
                == {c for c in tgt_lower[phi[z]] if c in image}
                for z in bottom)
 
@@ -394,8 +419,9 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
 
     Streams source indices u, v and target indices x, w, ordered by w,
     then u, and keeps nothing.  cap is checked against both groups, and
-    the flat and embed tables are built, when the call is made; the scan
-    runs on those tables and the groups' down-sets.
+    the flat table and the coset maps are built, when the call is made;
+    the scan reads x = phi_w[u] off the coset map of w and tests it on
+    the target's down-sets.
 
     With valid tables neither test rejects a candidate.  Flattening is
     equivariant, fl(i(g) y) = g fl(y), so fl(x) = u v^-1 v = u; and by the
@@ -403,20 +429,21 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     reflection subgroups) the bijection g -> i(g v^-1) w of W' onto the
     coset W'w, which fl inverts, preserves Bruhat order, so u <= v gives
     x <= w.  Over the 846,820 candidates of the slow-tier window no test
-    rejects.  Both stay, as runtime checks on the flat and embed tables.
+    rejects.  Both stay, as runtime checks on the flat table and the
+    coset maps.
     """
     source = WeylGroup.for_system(emb.source, cap)
     target = WeylGroup.for_system(emb.target, cap)
-    flat, embed = emb.flat(cap), emb.embed(cap)
+    flat, maps = emb.flat(cap), emb.coset_maps(cap)
 
     def scan() -> Iterator[tuple[int, int, int, int]]:
-        inverses, down = source.inverses, target.downsets
+        down = target.downsets
         for w in range(target.size):
             v = flat[w]
-            v_inv = inverses[v]
+            phi = maps[w]
             below_w = down[w]
             for u in source.below(v):
-                x = target.mul(embed[source.mul(u, v_inv)], w)
+                x = phi[u]
                 if below_w >> x & 1 and flat[x] == u:
                     yield u, v, x, w
 

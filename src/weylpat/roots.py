@@ -179,7 +179,7 @@ class RootSystem:
     :class:`~weylpat.weyl.WeylGroup`, which owns the per-group tables,
     and ``_embeddings`` maps another system's type to the search-node
     count and the embeddings of this system into it, which own their
-    flatten and embed tables.
+    flatten tables.
 
     Linearly dependent simple roots raise ValueError, and a pairing
     2(b, a)/(a, a) that is not an integer raises InvalidCartanType.

@@ -136,13 +136,14 @@ def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch
 
 
 def _equal_gap_instances(source, target):
-    """(embed table, u, v, x, w) for every scanned yield with equal length gaps."""
+    """(coset map of w, u, v, x, w) for every scanned yield with equal length gaps."""
     s, t = build_root_system(source), build_root_system(target)
     src, tgt = WeylGroup.for_system(s), WeylGroup.for_system(t)
     for emb in enumerate_embeddings(s, t):
+        maps = emb.coset_maps()
         for u, v, x, w in interval_pattern_instances(emb):
             if src.lengths[v] - src.lengths[u] == tgt.lengths[w] - tgt.lengths[x]:
-                yield emb.embed(), u, v, x, w
+                yield maps[w], u, v, x, w
 
 
 @pytest.mark.parametrize("source,target", matrix_pairs(default_window()))
@@ -153,7 +154,7 @@ def test_pattern_map_proof_agrees_with_both_isomorphism_searches(source, target)
     src = WeylGroup.for_system(build_root_system(source))
     tgt = WeylGroup.for_system(build_root_system(target))
     searched: dict[tuple[int, int, int, int], bool] = {}
-    for embed, u, v, x, w in _equal_gap_instances(source, target):
+    for phi, u, v, x, w in _equal_gap_instances(source, target):
         q = (u, v, x, w)
         if q not in searched:
             i1 = interval(src.elements[u], src.elements[v])
@@ -161,7 +162,7 @@ def test_pattern_map_proof_agrees_with_both_isomorphism_searches(source, target)
             searched[q] = interval_isomorphic(i1, i2)
             if i1.size <= 8:
                 assert searched[q] == brute_force_isomorphic(i1, i2)
-        assert _pattern_map_isomorphic(src, tgt, embed, *q) == searched[q]
+        assert _pattern_map_isomorphic(src, tgt, phi, *q) == searched[q]
     assert all(searched.values())
     # some window pairs, such as A1xA1 -> A2, have no embedding
     assert bool(searched) == bool(enumerate_embeddings(src.rs, tgt.rs))
@@ -170,23 +171,24 @@ def test_pattern_map_proof_agrees_with_both_isomorphism_searches(source, target)
 def test_pattern_map_proof_rejects_a_bijection_that_breaks_covers():
     a2 = WeylGroup.for_system(build_root_system("A2"))
     w0 = a2.size - 1
-    embed = list(enumerate_embeddings(a2.rs, a2.rs)[0].embed())
-    assert _pattern_map_isomorphic(a2, a2, embed, 0, w0, 0, w0)
+    phi = list(enumerate_embeddings(a2.rs, a2.rs)[0].coset_maps()[w0])
+    assert _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0)
     # still a bijection of [e, w0] onto itself, but s1 trades places with a length-2 element
-    embed[1], embed[3] = embed[3], embed[1]
+    phi[1], phi[3] = phi[3], phi[1]
     assert a2.lengths[1] != a2.lengths[3]
-    assert not _pattern_map_isomorphic(a2, a2, embed, 0, w0, 0, w0)
+    assert not _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0)
 
 
 def test_length_sufficiency_catches_a_wrong_embed_table(monkeypatch):
-    # with every i(g) planted as the identity the map sends [u, v] onto w,
-    # so the proof fails whenever u < v, and each such yield is reported
+    # with a coset map planted that sends all of [u, v] onto w the proof
+    # fails whenever u < v, and each such yield is reported
     from weylpat.harness import verify
 
     cases = verify_length_sufficiency("A2", "A3").cases
     real_proof = verify._pattern_map_isomorphic
     monkeypatch.setattr(verify, "_pattern_map_isomorphic",
-                        lambda sg, tg, embed, *q: real_proof(sg, tg, [0] * len(embed), *q))
+                        lambda sg, tg, phi, u, v, x, w:
+                        real_proof(sg, tg, [w] * len(phi), u, v, x, w))
     r = verify_length_sufficiency("A2", "A3")
     assert r.cases == cases
     yields = [tuple(q) for _, *q in _equal_gap_instances("A2", "A3") if q[0] != q[1]]

@@ -325,7 +325,7 @@ def _memo_queries():
         ]
     queries.append(lambda: [e.simple_images for e in enumerate_embeddings(
         build_root_system("A2"), build_root_system("A4"))])
-    queries += [lambda k=k: (embedding(k).flat(), embedding(k).embed()) for k in range(20)]
+    queries += [lambda k=k: (embedding(k).flat(), embedding(k).coset_maps()) for k in range(20)]
     queries += [lambda v=v: kl_column(v) for v in reversed(range(48))]
     return queries
 

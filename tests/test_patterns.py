@@ -42,6 +42,7 @@ from weylpat.weyl import (
     from_word,
     identity,
     interval,
+    inverse,
     inversion_roots,
     multiply,
     parse_element,
@@ -348,9 +349,13 @@ def test_interval_pattern_avoids_equals_search_over_all_bottoms():
                     assert interval_pattern_avoids(w, u, v) == brute, (src_type, tgt_type)
 
 
-@pytest.mark.parametrize("source,target", [
+# pairs on which the coset maps are checked whole, every w and every g
+COSET_PAIRS = [
     ("A2", "A3"), ("A1xA1", "B3"), ("B2", "B3"), ("A2", "B3"), ("G2", "G2"),
-    ("A1", "G2"), ("A2", "A4"), ("A3", "D4"), ("A1xA1", "D4"), ("B2", "F4")])
+    ("A1", "G2"), ("A2", "A4"), ("A3", "D4"), ("A1xA1", "D4"), ("B2", "F4")]
+
+
+@pytest.mark.parametrize("source,target", COSET_PAIRS)
 def test_coset_map_is_an_order_embedding(source, target):
     # the Billey-Braden coset lemma, on which the completeness of the
     # coset-map isomorphism proof rests: for each m with fl(m) = e the
@@ -361,15 +366,53 @@ def test_coset_map_is_an_order_embedding(source, target):
     embs = enumerate_embeddings(src.rs, tgt.rs)
     assert embs
     for emb in embs:
-        flat, embed = emb.flat(), emb.embed()
+        flat, maps = emb.flat(), emb.coset_maps()
         for m in range(tgt.size):
             if flat[m] != 0:
                 continue
-            phi = [tgt.mul(embed[g], m) for g in range(src.size)]
+            phi = maps[m]
+            assert phi[0] == m
             assert len(set(phi)) == src.size
             assert [flat[z] for z in phi] == list(range(src.size))
             for g in range(src.size):
                 assert all(tgt.leq_idx(phi[h], phi[g]) for h in src.below(g))
+
+
+@pytest.mark.parametrize("source,target", COSET_PAIRS)
+def test_coset_maps_match_the_object_level_definition(source, target):
+    # maps[w][g] is i(g fl(w)^-1) w, computed on elements for every w and g
+    s, t = build_root_system(source), build_root_system(target)
+    src_elements, tgt_elements = enumerate_elements(s), enumerate_elements(t)
+    for emb in enumerate_embeddings(s, t):
+        maps = emb.coset_maps()
+        assert len(maps) == len(tgt_elements)
+        # embed_element over the (small) source group, once per embedding
+        image = {g: embed_element(emb, g) for g in src_elements}
+        for w, phi in zip(tgt_elements, maps):
+            fl_inv = inverse(flatten(emb, w))
+            assert ([tgt_elements[k] for k in phi]
+                    == [multiply(image[multiply(g, fl_inv)], w) for g in src_elements])
+
+
+@pytest.mark.parametrize("flat", ["overlap", "gap"])
+def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
+    # a flat table whose cosets overlap (every element a coset minimum)
+    # or leave a gap (no minimum at all) is an internal fault, raised by
+    # the library and reported by the CLI with exit code 3
+    from weylpat.harness.cli import main
+
+    source, target = build_root_system("A2"), build_root_system("A3")
+    size = WeylGroup.for_system(target).size
+    planted = [0] * size if flat == "overlap" else [1] * size
+    for emb in enumerate_embeddings(source, target):
+        monkeypatch.setattr(emb, "_flat", planted)
+    emb = enumerate_embeddings(source, target)[0]
+    with pytest.raises(InternalInvariantError, match="cosets"):
+        emb.coset_maps()
+    with pytest.raises(InternalInvariantError, match="cosets"):
+        list(interval_pattern_instances(emb))
+    assert main(["verify", "length-sufficiency", "A2", "A3"]) == 3
+    assert "cosets of the embedded subgroup" in capsys.readouterr().err
 
 
 def test_forced_bottom_checks_both_flattenings_and_order():
@@ -418,7 +461,8 @@ def test_index_tables_match_flatten_and_embed_element(src, tgt):
     src_elements, tgt_elements = enumerate_elements(source), enumerate_elements(target)
     for emb in enumerate_embeddings(source, target):
         assert [src_elements[k] for k in emb.flat()] == [flatten(emb, w) for w in tgt_elements]
-        assert ([tgt_elements[k] for k in emb.embed()]
+        # the coset map of the identity's coset is the embedding itself
+        assert ([tgt_elements[k] for k in emb.coset_maps()[0]]
                 == [embed_element(emb, g) for g in src_elements])
 
 
@@ -440,27 +484,29 @@ def test_interval_pattern_instances_match_object_level_forced_bottom(src, tgt):
         assert _scanned(emb) == expected
 
 
-@pytest.mark.parametrize("table,check", [("_embed", "flat"), ("_flat", "order")])
-def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, table, check):
+@pytest.mark.parametrize("shift,check", [("within", "flat"), ("across", "order")])
+def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, shift, check):
     # with valid tables neither x <= w nor fl(x) = u ever rejects (see
-    # interval_pattern_instances), so a wrong table is planted: the named
-    # check must reject some candidate the other one passes, and the scan
-    # must keep exactly the candidates that pass both
+    # interval_pattern_instances), so wrong coset maps are planted: each
+    # map rotated within itself, which breaks fl(x) = u, or each w given
+    # the map of w - 1, often another coset's, which keeps fl(x) = u but
+    # not always x <= w.
+    # The named check must reject some candidate the other one passes,
+    # and the scan must keep exactly the candidates that pass both
     source, target = build_root_system("A2"), build_root_system("A3")
     src, tgt = WeylGroup.for_system(source), WeylGroup.for_system(target)
     emb = enumerate_embeddings(source, target)[0]
-    flat, embed = list(emb.flat()), list(emb.embed())
-    if table == "_embed":
-        embed = embed[1:] + embed[:1]
-        monkeypatch.setattr(emb, "_embed", embed)
+    flat, maps = emb.flat(), emb.coset_maps()
+    if shift == "within":
+        maps = [phi[1:] + phi[:1] for phi in maps]
     else:
-        flat = flat[::-1]
-        monkeypatch.setattr(emb, "_flat", flat)
+        maps = maps[-1:] + maps[:-1]
+    monkeypatch.setattr(SubsystemEmbedding, "coset_maps", lambda self, cap=None: maps)
     kept, rejected = [], 0
     for w in range(tgt.size):
         v = flat[w]
         for u in src.below(v):
-            x = tgt.mul(embed[src.mul(u, src.inverses[v])], w)
+            x = maps[w][u]
             order_ok, flat_ok = tgt.leq_idx(x, w), flat[x] == u
             if order_ok and flat_ok:
                 kept.append((u, v, x, w))
@@ -476,9 +522,9 @@ def test_a_finished_scan_retains_nothing():
     embs = enumerate_embeddings(a1, f4)
     assert len(embs) == 24
     for emb in embs:
-        emb.flat(), emb.embed()
+        emb.flat()
     for wg in (WeylGroup.for_system(a1), WeylGroup.for_system(f4)):
-        wg.downsets, wg.inverses
+        wg.downsets
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -518,7 +564,8 @@ CAP_CASES = {
     "enumerate_embeddings": (lambda **kw: enumerate_embeddings(
         build_root_system("A2"), build_root_system("A4"), **kw), 3),
     "flat": (lambda **kw: _a2_into_a4().flat(**kw), 119),
-    "embed": (lambda **kw: _a2_into_a4().embed(**kw), 119),
+    "coset_maps-target": (lambda **kw: _a2_into_a4().coset_maps(**kw), 119),
+    "coset_maps-source": (lambda **kw: _a2_into_a4().coset_maps(**kw), 5),
     "interval_pattern_instances-target":
         (lambda **kw: interval_pattern_instances(_a2_into_a4(), **kw), 119),
     "interval_pattern_instances-source":

@@ -31,29 +31,47 @@ and inversion alone halves the table.
 
 Each ``WeylGroup`` keeps its table, a list indexed by the element index
 v of the enumerated group: entry v is None until v is a filled
-representative, then a dict over the down-set D(v) mapping each u <= v to
-P(u,v).  Columns are filled on demand: column v reads only column sv and
-the columns z of its mu-terms, and fills their representatives first,
-recursively, so a query touches a few columns rather than all of D(v),
-at a recursion depth of at most l(v) + 1.  A column read through another
-representative is relabelled into a short-lived dict for that one fill.
-The keys of column v come from the lifting step D(v) = D(sv) | s.D(sv)
-over the keys of column sv, so the table never needs the group's Bruhat
-down-sets.  A column is built locally and stored in one assignment, so a
-concurrent caller sees no column or the whole column; a column filled
-twice by racing callers is filled with the same values.  The orbit maps
+representative, then a pair of arrays over the down-set D(v): ``keys``,
+an ``array('i')`` of the u <= v in ascending index, and ``ids``, an
+aligned ``array('H')`` of ids into one table-wide list of the distinct
+packed values, as in du Cloux's *Coxeter* (Experiment. Math. 11, 2002).
+An entry takes 6 bytes; the full S7 table has about a million entries
+but 98 distinct values.  Id 0 is the value 1, so v is rationally smooth
+exactly when every id of its column is 0.  A query finds u among the
+keys by bisection.  Columns are filled on demand: column v reads only
+column sv and the columns z of its mu-terms, and fills their
+representatives first, recursively, so a query touches a few columns
+rather than all of D(v), at a recursion depth of at most l(v) + 1.  A
+fill scatters into one dense list over the group, indexed by element:
+each P(x,sv) lands on the descent of the pair {x, s.x}, as q P(x,sv) at
+x or as P(x,sv) at s.x, each mu-term column is subtracted entry by
+entry, and each ascent u (su > u) then takes the value at su, which is
+final.  A column read through another representative is read with its
+keys relabelled, and no column is turned into a dict.  The keys of column v
+are the lifting step D(v) = D(sv) | s.D(sv) over the keys of column sv,
+so the table never needs the group's Bruhat down-sets.  A column is built
+locally and stored in one assignment, so a concurrent caller sees no
+column or the whole column.  The value list is the one state that fills
+share: a value seen for the first time is checked and appended under a
+lock, checked for again inside it, so racing fills give a value one id
+and a column filled twice is filled with the same ids.  The orbit maps
 are built in the table's constructor, before any caller can see it.
 Polynomials are packed as Python ints with 16 bits per coefficient,
-which keeps the sweeps over six-letter symmetric groups fast;
-coefficients at the ranks this package targets stay far below 2^16.
-Decoding checks the sign, the constant term and the degree bound; each
-table decodes a distinct (packed value, length gap) once and hands the
+which keeps the sweeps over six-letter symmetric groups fast; the
+largest coefficient seen, in the full S8 table, is 73.  A value is
+checked as it is interned: positive, constant term 1 and every
+coefficient below 2^15, so a borrow from a negative coefficient cannot
+pass.  Decoding checks the sign, the constant term and the degree bound;
+each table decodes a distinct (value id, length gap) once and hands the
 same immutable ``KLPolynomial`` to every index-level read of it.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import threading
+from array import array
+from bisect import bisect_left
+from typing import Callable, Iterable
 
 from .errors import InternalInvariantError, NotComparableError
 from .weyl import (
@@ -67,6 +85,8 @@ __all__ = ["KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth"]
 
 _SHIFT = 16
 _MASK = (1 << _SHIFT) - 1
+_COEFF_LIMIT = 1 << (_SHIFT - 1)  # a borrow leaves a coefficient at or above this
+_ID_LIMIT = 1 << 16  # the ids of one table must fit array('H')
 
 
 class KLPolynomial:
@@ -163,20 +183,70 @@ def _w0_conjugation(wg: WeylGroup) -> list[int]:
     return conj
 
 
+class _ValueIds(dict):
+    """Packed value -> id over the distinct values of one table; 1 -> 0.
+
+    ``values[i]`` is the value with id i.  Looking up a value not seen
+    before interns it through ``__missing__``: under ``lock``, and only
+    if no racing fill interned it first, the value's bounds are checked
+    and it takes the next id, of at most 2^16 that ``array('H')`` holds.
+    A hit is a plain dict lookup.
+    """
+
+    def __init__(self):
+        super().__init__({1: 0})
+        self.values = [1]
+        self.lock = threading.Lock()
+
+    def __missing__(self, val: int) -> int:
+        with self.lock:
+            i = self.get(val)
+            if i is None:
+                _check_bounds(val)
+                i = len(self.values)
+                if i == _ID_LIMIT:
+                    raise InternalInvariantError(
+                        f"more than {_ID_LIMIT} distinct packed KL values in one table")
+                # append first, so any id a reader finds has its value
+                self.values.append(val)
+                self[val] = i
+        return i
+
+
+def _check_bounds(val: int) -> None:
+    """Raise unless val is positive with constant term 1 and coefficients below 2^15."""
+    if val <= 0:
+        raise InternalInvariantError(f"packed KL value {val} is not positive")
+    if val & _MASK != 1:
+        raise InternalInvariantError(
+            f"packed KL value {val:#x} has constant term {val & _MASK}, not 1")
+    rest = val
+    while rest:
+        if rest & _MASK >= _COEFF_LIMIT:
+            raise InternalInvariantError(
+                f"packed KL value {val:#x} has a coefficient of at least 2^{_SHIFT - 1}")
+        rest >>= _SHIFT
+
+
 class _KLTable:
     """Per-group memo over orbit representatives.
 
-    ``packed[r]`` is None or, for a representative r, the dict
-    u -> packed P(u,r) over D(r); other entries stay None.  ``rep[v]`` is
-    the representative of v's orbit under inversion and w0-conjugation,
-    and ``flip[v]`` the involution of that orbit group taking v to
-    ``rep[v]``, as an index list, or None for the identity.  ``decoded``
-    memoizes :meth:`polynomial` by (packed value, length gap).
+    ``packed[r]`` is None or, for a representative r, the pair
+    (keys, ids): ``keys`` is an ``array('i')`` of D(r) in ascending index,
+    and ``ids`` an aligned ``array('H')`` with P(u,r) = values[id].
+    ``ids`` interns the values and ``values`` lists them by id, with
+    ``values[0] == 1``.  ``rep[v]`` is the representative of v's orbit
+    under inversion and w0-conjugation, and ``flip[v]`` the involution of
+    that orbit group taking v to ``rep[v]``, as an index list, or None for
+    the identity.  ``decoded`` memoizes :meth:`polynomial` by
+    (value id, length gap).
     """
 
     def __init__(self, wg: WeylGroup, descent: Callable[[int], int] | None = None):
         self.wg = wg
-        self.packed: list[dict[int, int] | None] = [None] * wg.size
+        self.packed: list[tuple[array, array] | None] = [None] * wg.size
+        self.ids = _ValueIds()
+        self.values = self.ids.values
         self.decoded: dict[tuple[int, int], KLPolynomial] = {}
         # descent maps an element index to a 0-based simple index that is
         # a left descent; default is the smallest one
@@ -193,8 +263,8 @@ class _KLTable:
             self.rep.append(r)
             self.flip.append(maps[images.index(r)])
 
-    def ensure_column(self, v: int) -> dict[int, int]:
-        """The column of rep[v], keyed by D(rep[v]), filled first if need be."""
+    def ensure_column(self, v: int) -> tuple[array, array]:
+        """(keys, ids) of the column of rep[v], filled first if need be."""
         r = self.rep[v]
         col = self.packed[r]
         if col is None:
@@ -204,75 +274,77 @@ class _KLTable:
     def polynomial(self, u: int, v: int) -> KLPolynomial:
         """P(u,v) for element indices u <= v, decoded once per distinct value.
 
-        ``decoded`` maps (packed, l(v) - l(u)) to its polynomial, so each
+        ``decoded`` maps (id, l(v) - l(u)) to its polynomial, so each
         distinct value passes the checks of :func:`_unpack` once and is
         shared by every pair that holds it.
         """
         f = self.flip[v]
-        # P(u,v) = P(f(u), rep(v)): one lookup in the representative's column
-        packed = self.ensure_column(v).get(u if f is None else f[u])
+        keys, ids = self.ensure_column(v)
+        # P(u,v) = P(f(u), rep(v)): one search in the representative's keys
+        k = u if f is None else f[u]
+        i = bisect_left(keys, k)
         wg = self.wg
-        if packed is None:
+        if i == len(keys) or keys[i] != k:
             raise NotComparableError(
                 f"not comparable: {format_word(wg.elements[u])} !<= {format_word(wg.elements[v])}"
             )
-        key = (packed, wg.lengths[v] - wg.lengths[u])
+        key = (ids[i], wg.lengths[v] - wg.lengths[u])
         poly = self.decoded.get(key)
         if poly is None:
-            poly = self.decoded[key] = _unpack(*key)
+            poly = self.decoded[key] = _unpack(self.values[key[0]], key[1])
         return poly
 
     def column(self, v: int) -> dict[int, int]:
-        """Column v keyed by D(v): the representative's column relabelled.
+        """Column v as a fresh dict u -> packed P(u,v) over D(v)."""
+        return dict(zip(*self._entries(v)))
 
-        A representative's stored dict is returned as it is, not copied.
-        """
-        col = self.ensure_column(v)
+    def _entries(self, v: int) -> tuple[Iterable[int], Iterable[int]]:
+        """Column v as two aligned iterators, u in D(v) and packed P(u,v)."""
+        keys, ids = self.ensure_column(v)
         f = self.flip[v]
-        return col if f is None else {f[u]: p for u, p in col.items()}
+        return (keys if f is None else map(f.__getitem__, keys),
+                map(self.values.__getitem__, ids))
 
-    def _compute_column(self, v: int) -> dict[int, int]:
+    def _compute_column(self, v: int) -> tuple[array, array]:
         wg = self.wg
         lengths = wg.lengths
         if lengths[v] == 0:
-            return {v: 1}
+            return array("i", [v]), array("H", [0])
         s = self.descent(v)
         row = wg.lmult[s]
         sv = row[v]
-        lv = lengths[v]
-        col_sv = self.column(sv)
+        lv, lsv = lengths[v], lengths[sv]
+        keys_sv, vals_sv = map(list, self._entries(sv))
 
-        # mu data of column sv, restricted to z with sz < z; each column z
-        # read below is filled here first, so depth stays within l(v) + 1
-        mu_terms: list[tuple[dict[int, int], int, int]] = []
-        for z, p in col_sv.items():
-            gap = lengths[sv] - lengths[z]
-            if gap % 2 == 0 or lengths[row[z]] >= lengths[z]:
+        # at each descent u (su < u; indices ascend with length):
+        #   P(u,v) = P(su,sv) + q P(u,sv) - sum of mu(z,sv) q^((l(v)-l(z))/2) P(u,z)
+        # over the descents z of D(sv) with l(sv) - l(z) odd; each term is
+        # scattered into acc, and what lands on ascents is never read
+        acc = [0] * wg.size
+        mu_terms: list[tuple[int, int]] = []
+        for x, p in zip(keys_sv, vals_sv):
+            sx = row[x]
+            if sx > x:
+                acc[sx] += p
                 continue
-            mu_val = (p >> (_SHIFT * ((gap - 1) // 2))) & _MASK
-            if mu_val:
-                mu_terms.append((self.column(z), mu_val,
-                                 _SHIFT * ((lv - lengths[z]) // 2)))
+            acc[x] += p << _SHIFT
+            gap = lsv - lengths[x]
+            if gap % 2:
+                mu_val = (p >> (_SHIFT * (gap // 2))) & _MASK
+                if mu_val:
+                    mu_terms.append((x, mu_val << (_SHIFT * ((lv - lengths[x]) // 2))))
+        for z, m in mu_terms:
+            # fills column z first if need be, so depth stays within l(v) + 1
+            for x, p in zip(*self._entries(z)):
+                acc[x] -= m * p
 
-        # lifting: D(v) = D(sv) | s.D(sv); descending index = descending length first
-        down = set(col_sv)
-        down.update([row[z] for z in col_sv])
-        col: dict[int, int] = {}
-        for u in sorted(down, reverse=True):
-            if u == v:
-                col[u] = 1
-                continue
-            su = row[u]
-            if lengths[su] > lengths[u]:
-                col[u] = col[su]
-                continue
-            val = col_sv.get(su, 0) + (col_sv.get(u, 0) << _SHIFT)
-            for col_z, mu_val, shift in mu_terms:
-                p = col_z.get(u)
-                if p is not None:
-                    val -= mu_val * (p << shift)
-            col[u] = val
-        return col
+        # lifting: D(v) = D(sv) | s.D(sv); an ascent u takes P(su,v)
+        down = set(keys_sv)
+        down.update(map(row.__getitem__, keys_sv))
+        keys = sorted(down)
+        vals = [acc[su] if (su := row[u]) > u else acc[u] for u in keys]
+        # arrays from lists are allocated to size; from iterators they over-allocate
+        return array("i", keys), array("H", list(map(self.ids.__getitem__, vals)))
 
 
 def _table_for(wg: WeylGroup) -> _KLTable:
@@ -309,7 +381,8 @@ def is_rationally_smooth(v: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     Schubert variety.
     """
     wg = WeylGroup.for_system(v.group, cap)
-    # the representative's column holds the same values as v's, relabelled
-    column = _table_for(wg).ensure_column(wg.idx(v))
-    return all(p == 1 for p in column.values())
+    # the representative's column holds the same values as v's, relabelled;
+    # id 0 is the value 1
+    _, ids = _table_for(wg).ensure_column(wg.idx(v))
+    return not any(ids)
 

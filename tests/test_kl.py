@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+from array import array
 
 import pytest
 
@@ -157,7 +160,9 @@ def test_on_demand_columns_match_an_ascending_fill(cartan_type):
         scrambled.ensure_column(v)
     for v in order:
         scrambled.ensure_column(v)
-    assert scrambled.packed == ref.packed
+    # ids follow the order values are first seen, so compare the values
+    for v in range(wg.size):
+        assert scrambled.column(v) == ref.column(v)
     # the keys of column v, relabelled from its representative, are
     # exactly the down-set of v
     for vi, v in enumerate(wg.elements):
@@ -282,12 +287,87 @@ def test_bad_packed_values_are_rejected_on_decode(monkeypatch, capsys, bad, mess
     wg = WeylGroup.for_system(a3)
     u, v = identity(a3), parse_element(a3, "1 2")
     table = _KLTable(wg)
-    table.ensure_column(wg.idx(v))[wg.idx(u)] = bad
+    # plant the value under a new id, past the bounds checked on interning;
+    # u = e is fixed by every orbit map, so it keys the representative's column
+    keys, ids = table.ensure_column(wg.idx(v))
+    ids[keys.index(wg.idx(u))] = len(table.values)
+    table.values.append(bad)
     monkeypatch.setattr(wg, "_kl_table", table)
     with pytest.raises(InternalInvariantError, match=message):
         kl_polynomial(u, v)
     assert main(["kl", "A3", "--u", "e", "--v", "1 2"]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_full_a5_columns_are_index_arrays_of_value_ids():
+    wg = WeylGroup.for_system(build_root_system("A5"))
+    table = _KLTable(wg)
+    for v in range(wg.size):
+        table.ensure_column(v)
+    assert table.values[0] == 1 and table.ids[1] == 0
+    assert all(table.ids[p] == i for i, p in enumerate(table.values))
+    for r, col in enumerate(table.packed):
+        if col is None:
+            continue
+        keys, ids = col
+        assert (keys.typecode, ids.typecode) == ("i", "H")
+        assert list(keys) == list(wg.below(r))  # D(r), ascending
+        assert len(ids) == len(keys)
+        # 6 bytes an entry: the arrays are allocated to size
+        empty = sys.getsizeof(array("i")) + sys.getsizeof(array("H"))
+        assert sys.getsizeof(keys) + sys.getsizeof(ids) - empty == 6 * len(keys)
+
+
+@pytest.mark.parametrize("val, message", [
+    (1 - (1 << 16), "not positive"),  # 1 - q
+    (1 - (1 << 16) + (1 << 32), "coefficient of at least"),  # 1 - q + q^2: q borrows
+    (2, "constant term 2"),
+    (2 << 16, "constant term 0"),
+])
+def test_values_out_of_bounds_are_rejected_on_interning(val, message):
+    table = _KLTable(WeylGroup.for_system(build_root_system("A3")))
+    with pytest.raises(InternalInvariantError, match=message):
+        table.ids[val]
+    assert table.values == [1]
+    assert table.ids[1 + (73 << 16)] == 1  # the largest coefficient seen in S8
+
+
+def test_a_table_holds_at_most_65536_distinct_values():
+    table = _KLTable(WeylGroup.for_system(build_root_system("A3")))
+    # id k is taken by the well-formed value 1 + b q + a q^2, (a, b) = divmod(k, 256)
+    for k in range(1, 1 << 16):
+        a, b = divmod(k, 256)
+        assert table.ids[1 + (b << 16) + (a << 32)] == k
+    assert len(table.values) == 1 << 16
+    assert table.ids[1 + (5 << 16)] == 5  # a seen value keeps its id
+    with pytest.raises(InternalInvariantError, match="more than 65536 distinct"):
+        table.ids[1 + (1 << 48)]
+    assert len(table.values) == 1 << 16
+
+
+def test_threads_filling_one_table_agree_with_a_sequential_fill():
+    from concurrent.futures import ThreadPoolExecutor
+
+    wg = WeylGroup.for_system(build_root_system("A5"))
+    ref = _KLTable(wg)
+    for v in range(wg.size):
+        ref.ensure_column(v)
+    shared = _KLTable(wg)
+    barrier = threading.Barrier(8)
+
+    def fill(k):
+        barrier.wait()
+        # each thread walks all columns from its own offset, so fills race
+        for v in range(wg.size):
+            shared.ensure_column((v * 7 + k * wg.size // 8) % wg.size)
+
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(fill, range(8)))  # re-raises what a thread raised
+    assert [c is None for c in shared.packed] == [c is None for c in ref.packed]
+    assert sorted(shared.values) == sorted(ref.values)
+    assert all(shared.ids[p] == i for i, p in enumerate(shared.values))
+    for v in range(wg.size):
+        assert shared.column(v) == ref.column(v)
 
 
 def test_memoization_is_stable():

@@ -42,9 +42,9 @@ keys by bisection.  Columns are filled on demand: column v reads only
 column sv and the columns z of its mu-terms, and fills their
 representatives first, recursively, so a query touches a few columns
 rather than all of D(v), at a recursion depth of at most l(v) + 1.  A
-fill scatters into one dense list over the group, indexed by element:
-each P(x,sv) lands on the descent of the pair {x, s.x}, as q P(x,sv) at
-x or as P(x,sv) at s.x, each mu-term column is subtracted entry by
+fill scatters into one dense list over the indices up to v, where D(v)
+lies as indices ascend with length: each P(x,sv) lands on the descent
+of the pair {x, s.x}, as q P(x,sv) at x or as P(x,sv) at s.x, each mu-term column is subtracted entry by
 entry, and each ascent u (su > u) then takes the value at su, which is
 final.  A column read through another representative is read with its
 keys relabelled, and no column is turned into a dict.  The keys of column v
@@ -319,8 +319,9 @@ class _KLTable:
         # at each descent u (su < u; indices ascend with length):
         #   P(u,v) = P(su,sv) + q P(u,sv) - sum of mu(z,sv) q^((l(v)-l(z))/2) P(u,z)
         # over the descents z of D(sv) with l(sv) - l(z) odd; each term is
-        # scattered into acc, and what lands on ascents is never read
-        acc = [0] * wg.size
+        # scattered into acc, and what lands on ascents is never read;
+        # every index of D(v) is at most v (indices ascend with length)
+        acc = [0] * (v + 1)
         mu_terms: list[tuple[int, int]] = []
         for x, p in zip(keys_sv, vals_sv):
             sx = row[x]

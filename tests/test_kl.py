@@ -143,7 +143,10 @@ def test_descent_choice_independence_b2():
     for b in range(wg.size):
         alt.ensure_column(b)
         ref.ensure_column(b)
-    assert alt.packed == ref.packed
+    # the same down-sets; ids follow the order values are first seen, so
+    # compare the values themselves
+    assert [c and c[0] for c in alt.packed] == [c and c[0] for c in ref.packed]
+    assert all(alt.column(v) == ref.column(v) for v in range(wg.size))
 
 
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "G2", "D4"])

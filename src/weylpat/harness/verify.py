@@ -51,6 +51,7 @@ from typing import Callable, Sequence
 from ..errors import InternalInvariantError
 from ..kl import KLPolynomial, _table_for, is_rationally_smooth
 from ..patterns import (
+    _interval_covers,
     _pattern_map_isomorphic,
     embed_element,
     enumerate_embeddings,
@@ -218,7 +219,8 @@ def verify_length_sufficiency(source_type: str, target_type: str,
     quadruple is an isomorphism, or by the completeness of that proof
     no isomorphism exists.  Each quadruple is decided once, however many
     embeddings yield it, and each of its failures is reported once per
-    yield.
+    yield.  Each source interval [u, v], with its in-interval lower
+    covers, is built once per call and shared by every proof that reads it.
     """
     source = build_root_system(source_type)
     target = build_root_system(target_type)
@@ -231,6 +233,8 @@ def verify_length_sufficiency(source_type: str, target_type: str,
         n, m = tgt.size, src.size
         # verdict of each equal-gap quadruple, keyed by its indices packed into one int
         decided: dict[int, bool] = {}
+        # each source interval [u, v] with its in-interval lower covers, built once
+        bottoms: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
         for emb in enumerate_embeddings(source, target):
             maps = emb.coset_maps(cap)
             for u, v, x, w in interval_pattern_instances(emb, cap):
@@ -240,7 +244,11 @@ def verify_length_sufficiency(source_type: str, target_type: str,
                 key = ((x * n + w) * m + u) * m + v
                 iso = decided.get(key)
                 if iso is None:
-                    iso = decided[key] = _pattern_map_isomorphic(src, tgt, maps[w], u, v, x, w)
+                    bottom = bottoms.get((u, v))
+                    if bottom is None:
+                        bottom = bottoms[(u, v)] = _interval_covers(src, u, v)
+                    iso = decided[key] = _pattern_map_isomorphic(src, tgt, maps[w], u, v, x, w,
+                                                                 bottom)
                 if not iso:
                     rep.failures.append(
                         f"{_pair_label(src, tgt, u, v, x, w)}: equal gaps without isomorphism")
@@ -323,8 +331,8 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
             table = _table_for(wg)
             for vi in range(wg.size):
                 v = wg.elements[vi]
-                # every u' <= u <= v is below v, so one lookup per u serves all
-                holds = {ui: prop(table.polynomial(ui, vi)) for ui in wg.below(vi)}
+                # every u' <= u <= v is below v, so one pass over column v serves all
+                holds = {ui: prop(p) for ui, p in table.polynomials(vi)}
                 for ui, held in holds.items():
                     if not held:
                         continue
@@ -357,9 +365,12 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
 def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """KL rational smoothness equals 3412/4231 avoidance in S_n.
 
-    The two sides are computed through independent pipelines: a full
-    Kazhdan-Lusztig sweep on one side, flattening through every A3
-    subsystem embedding on the other.
+    The two sides are computed through independent pipelines.  The KL
+    side asks :func:`~weylpat.kl.is_rationally_smooth` of every element,
+    which fills the full Kazhdan-Lusztig table in index order.  The
+    pattern side streams one fresh flat table per A3 subsystem
+    embedding, keeping none, and marks each element index whose
+    flattening is 3412 or 4231 in one bytearray.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -369,20 +380,27 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
     report = VerificationReport("type-a-smoothness", {"n": n})
 
     def run(rep: VerificationReport) -> None:
-        elements = enumerate_elements(rs, cap)
-        embeddings = enumerate_embeddings(a3, rs)
+        wg = WeylGroup.for_system(rs, cap)
+        # the pattern group under the default cap, as object-level flatten reads it
+        src = WeylGroup.for_system(a3)
+        bad = {src.idx(p) for p in singular}
+        # contains[w] is 1 once some embedding flattens w to 3412 or 4231
+        contains = bytearray(wg.size)
+        for emb in enumerate_embeddings(a3, rs):
+            for w, f in enumerate(emb._flat_table(src, wg)):
+                if f in bad:
+                    contains[w] = 1
         smooth_kl = 0
         smooth_pattern = 0
-        for w in elements:
+        for w, el in enumerate(wg.elements):
             rep.cases += 1
-            by_kl = is_rationally_smooth(w, cap)
-            # one flattening per embedding serves both patterns
-            by_pattern = all(flatten(emb, w) not in singular for emb in embeddings)
+            by_kl = is_rationally_smooth(el, cap)
+            by_pattern = not contains[w]
             smooth_kl += by_kl
             smooth_pattern += by_pattern
             if by_kl != by_pattern:
                 rep.failures.append(
-                    f"{element_label(w)}: kl says {'smooth' if by_kl else 'singular'}, "
+                    f"{element_label(el)}: kl says {'smooth' if by_kl else 'singular'}, "
                     f"patterns say {'smooth' if by_pattern else 'singular'}")
         rep.parameters["smooth_kl"] = smooth_kl
         rep.parameters["smooth_pattern"] = smooth_pattern

@@ -9,9 +9,16 @@ Computation uses the classical recursion on a left descent s of v:
 with c = 1 when su < u and c = 0 otherwise, where mu(z,y) is the
 coefficient of q^((l(y)-l(z)-1)/2) in P(z,y).  When su > u the recursion
 collapses to P(u,v) = P(su,v), which is what the implementation uses for
-that case.  The descent is chosen deterministically (smallest simple
-index); independence of the choice is asserted in the test suite by
-recomputing whole tables with other descent choices.
+that case.  The descent is chosen deterministically: among the left
+descents s of v whose column sv is already filled, the one with the
+fewest keys (the smaller s on a tie), else the smallest descent.  A
+short column sv means fewer entries to scatter and fewer mu-terms to
+subtract; the rule reads only columns already filled and fills none
+itself, so a cold point query fills no column it would not fill with
+the smallest descent, while a sweep in index order, where every sv is
+filled, always gets the cheapest choice.  Independence of the choice is
+asserted in the test suite by recomputing whole tables with other
+descent choices.
 
 Two classical identities (Kazhdan-Lusztig 1979; Bjorner-Brenti, GTM 231,
 ch. 5) tie columns together:
@@ -71,7 +78,7 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import InternalInvariantError, NotComparableError
 from .weyl import (
@@ -249,8 +256,8 @@ class _KLTable:
         self.values = self.ids.values
         self.decoded: dict[tuple[int, int], KLPolynomial] = {}
         # descent maps an element index to a 0-based simple index that is
-        # a left descent; default is the smallest one
-        self.descent = descent or (lambda v: self.wg.min_left_descent_idx(v))
+        # a left descent
+        self.descent = descent or self._cheapest_descent
         inv = wg.inverses
         self.conj = conj = _w0_conjugation(wg)
         inv_conj = [inv[k] for k in conj]
@@ -262,6 +269,27 @@ class _KLTable:
             r = min(images)
             self.rep.append(r)
             self.flip.append(maps[images.index(r)])
+
+    def _cheapest_descent(self, v: int) -> int:
+        """The left descent s of v whose filled column sv has the fewest keys.
+
+        Only representatives already in ``packed`` are candidates, and the
+        smaller s wins a tie; with none filled, the smallest descent.
+        Fills nothing.  A left descent is an s with s.v < v, since
+        indices ascend with length.
+        """
+        packed, rep = self.packed, self.rep
+        first = best = -1
+        fewest = 0
+        for s, row in enumerate(self.wg.lmult):
+            sv = row[v]
+            if sv < v:
+                if first < 0:
+                    first = s
+                col = packed[rep[sv]]
+                if col is not None and (best < 0 or len(col[0]) < fewest):
+                    best, fewest = s, len(col[0])
+        return first if best < 0 else best
 
     def ensure_column(self, v: int) -> tuple[array, array]:
         """(keys, ids) of the column of rep[v], filled first if need be."""
@@ -288,10 +316,27 @@ class _KLTable:
             raise NotComparableError(
                 f"not comparable: {format_word(wg.elements[u])} !<= {format_word(wg.elements[v])}"
             )
-        key = (ids[i], wg.lengths[v] - wg.lengths[u])
-        poly = self.decoded.get(key)
+        return self._decode(ids[i], wg.lengths[v] - wg.lengths[u])
+
+    def polynomials(self, v: int) -> Iterator[tuple[int, KLPolynomial]]:
+        """(u, P(u,v)) for every u in D(v), read in one pass over column v.
+
+        The order is that of the representative's keys; each (id, gap)
+        is decoded through ``decoded`` as in :meth:`polynomial`.
+        """
+        keys, ids = self.ensure_column(v)
+        f = self.flip[v]
+        lengths = self.wg.lengths
+        lv = lengths[v]
+        for k, i in zip(keys, ids):
+            u = k if f is None else f[k]
+            yield u, self._decode(i, lv - lengths[u])
+
+    def _decode(self, i: int, gap: int) -> KLPolynomial:
+        """The polynomial of value id i at length gap, decoded once per pair."""
+        poly = self.decoded.get((i, gap))
         if poly is None:
-            poly = self.decoded[key] = _unpack(self.values[key[0]], key[1])
+            poly = self.decoded[(i, gap)] = _unpack(self.values[i], gap)
         return poly
 
     def column(self, v: int) -> dict[int, int]:

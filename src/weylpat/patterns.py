@@ -136,18 +136,51 @@ class SubsystemEmbedding:
         return bits
 
     def flat(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
-        """flat[w] is the source index of fl(w), for each target index w."""
+        """flat[w] is the source index of fl(w), for each target index w; memoized."""
         source = WeylGroup.for_system(self.source, cap)
         target = WeylGroup.for_system(self.target, cap)
         if self._flat is None:
-            index = source.index
-            try:
-                self._flat = [index[self._pull_back(w.inversions)] for w in target.elements]
-            except KeyError:
-                raise InternalInvariantError(
-                    "pulled-back inversion set is not biconvex; embedding is invalid"
-                ) from None
+            self._flat = self._flat_table(source, target)
         return self._flat
+
+    def _flat_table(self, source: WeylGroup, target: WeylGroup) -> list[int]:
+        """A fresh flat table over the enumerated groups, not memoized.
+
+        Each byte of a target inversion mask maps through its own table
+        to the source bits its set bits pull back to, so fl(w) is one
+        lookup per byte, ORed, then one in ``source.index``.  A byte
+        table is filled in 2^b steps, t[m] = t[m & (m - 1)] | the image
+        of the lowest set bit of m, and the last one is only as wide as
+        the bits left in the mask.  Raises InternalInvariantError when a
+        pulled-back mask is no element's inversion set, that is, not
+        biconvex, which means the embedding is invalid.
+        """
+        # image[tp] is the source bit pulled back from target positive position tp
+        image = [0] * self.target.num_positive
+        for sp, tp in self._pos_pairs:
+            image[tp] = 1 << sp
+        tables = []
+        for lo in range(0, len(image), 8):
+            bits = image[lo:lo + 8]
+            t = [0]
+            for m in range(1, 1 << len(bits)):
+                t.append(t[m & (m - 1)] | bits[(m & -m).bit_length() - 1])
+            tables.append(t)
+        masks = [w.inversions for w in target.elements]
+        # one pass reads the first three bytes, padded with [0] for a
+        # shorter mask; each further byte takes one more pass
+        t0, t1, t2 = (tables + [[0], [0]])[:3]
+        pulled = [t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255] for m in masks]
+        for k in range(3, len(tables)):
+            t, lo = tables[k], 8 * k
+            pulled = [p | t[m >> lo & 255] for p, m in zip(pulled, masks)]
+        index = source.index
+        try:
+            return [index[p] for p in pulled]
+        except KeyError:
+            raise InternalInvariantError(
+                "pulled-back inversion set is not biconvex; embedding is invalid"
+            ) from None
 
     def coset_maps(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
         """maps[w][g] is the target index of i(g fl(w)^-1) w, for each target index w.
@@ -362,8 +395,17 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
                                                            a, b, c, d)
 
 
+def _interval_covers(wg: WeylGroup, a: int, b: int) -> list[tuple[int, list[int]]]:
+    """(z, the lower covers of z inside [a, b]) for each z of ``interval_indices(a, b)``."""
+    elements = wg.interval_indices(a, b)
+    inside = set(elements)
+    lower = wg.lower_covers
+    return [(z, [c for c in lower[z] if c in inside]) for z in elements]
+
+
 def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
-                            u: int, v: int, x: int, w: int) -> bool:
+                            u: int, v: int, x: int, w: int,
+                            bottom: list[tuple[int, list[int]]] | None = None) -> bool:
     """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w].
 
     phi is the coset map phi_w = ``coset_maps()[w]`` of an embedding,
@@ -372,6 +414,9 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     that carries the in-interval lower covers of each z exactly onto
     those of its image: the order of a finite poset is the transitive
     closure of its covers, so such a bijection is an isomorphism.
+    ``bottom`` is ``_interval_covers(src, u, v)``, computed here when not
+    given, so a caller deciding many quadruples can build each source
+    interval once.
 
     The proof is complete when fl(w) = v and x = phi[u], as for every
     quadruple the forced-bottom scan yields.  Then phi(g) = i(g) m with
@@ -384,17 +429,17 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     exactly, and the proof succeeds.  So when it fails, the two
     intervals are not isomorphic.
     """
-    bottom = src.interval_indices(u, v)
+    if bottom is None:
+        bottom = _interval_covers(src, u, v)
     top = tgt.interval_indices(x, w)
     if len(bottom) != len(top):
         return False
-    domain, image = set(bottom), set(top)
-    if {phi[z] for z in bottom} != image:
+    image = set(top)
+    if {phi[z] for z, _ in bottom} != image:
         return False
-    src_lower, tgt_lower = src.lower_covers, tgt.lower_covers
-    return all({phi[c] for c in src_lower[z] if c in domain}
-               == {c for c in tgt_lower[phi[z]] if c in image}
-               for z in bottom)
+    tgt_lower = tgt.lower_covers
+    return all({phi[c] for c in below} == {c for c in tgt_lower[phi[z]] if c in image}
+               for z, below in bottom)
 
 
 def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,

@@ -20,6 +20,7 @@ from weylpat.harness.verify import (
 )
 from weylpat.kl import KLPolynomial
 from weylpat.patterns import (
+    _interval_covers,
     _pattern_map_isomorphic,
     enumerate_embeddings,
     format_interval_spec,
@@ -123,10 +124,10 @@ def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch
     real_proof = verify._pattern_map_isomorphic
 
     # the pattern-map proof denies this one quadruple
-    def planted_proof(sg, tg, embed, a, b, c, d):
+    def planted_proof(sg, tg, embed, a, b, c, d, bottom=None):
         if (sg.elements[a], sg.elements[b], tg.elements[c], tg.elements[d]) == (u, v, x, w):
             return False
-        return real_proof(sg, tg, embed, a, b, c, d)
+        return real_proof(sg, tg, embed, a, b, c, d, bottom)
 
     monkeypatch.setattr(verify, "_pattern_map_isomorphic", planted_proof)
     r = verify_length_sufficiency("A2", "A3")
@@ -163,6 +164,9 @@ def test_pattern_map_proof_agrees_with_both_isomorphism_searches(source, target)
             if i1.size <= 8:
                 assert searched[q] == brute_force_isomorphic(i1, i2)
         assert _pattern_map_isomorphic(src, tgt, phi, *q) == searched[q]
+        # a source interval built ahead, as the suite keeps it, gives the same verdict
+        bottom = _interval_covers(src, u, v)
+        assert _pattern_map_isomorphic(src, tgt, phi, *q, bottom) == searched[q]
     assert all(searched.values())
     # some window pairs, such as A1xA1 -> A2, have no embedding
     assert bool(searched) == bool(enumerate_embeddings(src.rs, tgt.rs))
@@ -187,8 +191,8 @@ def test_length_sufficiency_catches_a_wrong_embed_table(monkeypatch):
     cases = verify_length_sufficiency("A2", "A3").cases
     real_proof = verify._pattern_map_isomorphic
     monkeypatch.setattr(verify, "_pattern_map_isomorphic",
-                        lambda sg, tg, phi, u, v, x, w:
-                        real_proof(sg, tg, [w] * len(phi), u, v, x, w))
+                        lambda sg, tg, phi, u, v, x, w, bottom=None:
+                        real_proof(sg, tg, [w] * len(phi), u, v, x, w, bottom))
     r = verify_length_sufficiency("A2", "A3")
     assert r.cases == cases
     yields = [tuple(q) for _, *q in _equal_gap_instances("A2", "A3") if q[0] != q[1]]

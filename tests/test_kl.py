@@ -93,6 +93,22 @@ def test_index_reads_decode_each_distinct_value_once(monkeypatch):
         table.polynomial(wg.size - 1, 0)
 
 
+@pytest.mark.parametrize("cartan_type", ["A4", "B3"])
+def test_column_reads_match_point_reads(monkeypatch, cartan_type):
+    # A4 relabels most columns through an orbit map; B3 through inversion alone
+    from weylpat import kl
+
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    table = _KLTable(wg)
+    decoded = []
+    real = kl._unpack
+    monkeypatch.setattr(kl, "_unpack", lambda val, gap: decoded.append((val, gap)) or real(val, gap))
+    for v in range(wg.size):
+        column = dict(table.polynomials(v))
+        assert column == {u: table.polynomial(u, v) for u in wg.below(v)}
+    assert len(decoded) == len(set(decoded)) == len(table.decoded)
+
+
 @pytest.mark.parametrize("cartan_type", ["A3", "B2", "G2", "B3"])
 def test_defining_identity_via_r_polynomials(cartan_type):
     # q^(l(v)-l(u)) P(u,v)(1/q) = sum R(u,z) P(z,v): together with the
@@ -147,6 +163,58 @@ def test_descent_choice_independence_b2():
     # compare the values themselves
     assert [c and c[0] for c in alt.packed] == [c and c[0] for c in ref.packed]
     assert all(alt.column(v) == ref.column(v) for v in range(wg.size))
+
+
+def _expected_descent(wg, table, v):
+    """The left descent of v whose filled column sv has the fewest keys, by object-level data.
+
+    Column sv holds D(sv), whose size the down-set bitmask gives; with
+    no such column filled, the smallest descent.
+    """
+    lmult = wg.lmult
+    descents = [i - 1 for i in range(1, wg.rs.rank + 1) if wg.elements[v].has_left_descent(i)]
+    filled = [s for s in descents if table.packed[table.rep[lmult[s][v]]] is not None]
+    if not filled:
+        return descents[0]
+    return min(filled, key=lambda s: (wg.downsets[lmult[s][v]].bit_count(), s))
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4"])
+def test_cheapest_descent_reads_only_filled_columns(cartan_type):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    table = _KLTable(wg)
+    # cold: the smallest descent, and the choice fills nothing
+    for v in range(1, wg.size):
+        assert table._cheapest_descent(v) == wg.min_left_descent_idx(v)
+    assert all(col is None for col in table.packed)
+    # half filled, then full: the filled column sv with the fewest keys
+    for stop in (wg.size // 2, wg.size):
+        for v in range(stop):
+            table.ensure_column(v)
+        filled = sum(col is not None for col in table.packed)
+        for v in range(1, wg.size):
+            assert table._cheapest_descent(v) == _expected_descent(wg, table, v)
+        assert sum(col is not None for col in table.packed) == filled
+    # the full table takes another descent than the smallest somewhere
+    assert any(table._cheapest_descent(v) != wg.min_left_descent_idx(v)
+               for v in range(1, wg.size))
+
+
+@pytest.mark.parametrize("order", ["ascending", "shuffled"])
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4"])
+def test_default_descent_matches_the_smallest_descent(cartan_type, order):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    ref = _KLTable(wg, descent=wg.min_left_descent_idx)
+    for v in range(wg.size):
+        ref.ensure_column(v)
+    fill = list(range(wg.size))
+    if order == "shuffled":
+        random.Random(cartan_type).shuffle(fill)
+    table = _KLTable(wg)
+    for v in fill:
+        table.ensure_column(v)
+    # ids follow the order values are first seen, so compare the values
+    assert all(table.column(v) == ref.column(v) for v in range(wg.size))
 
 
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "G2", "D4"])

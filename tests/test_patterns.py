@@ -197,6 +197,8 @@ def test_flatten_rejects_an_invalid_embedding():
     assert flatten(bad, identity(a2)) == identity(a2)
     with pytest.raises(InternalInvariantError, match="not biconvex"):
         flatten(bad, from_word(a2, [1, 2]))
+    with pytest.raises(InternalInvariantError, match="not biconvex"):
+        bad.flat()
 
 
 def test_flatten_group_mismatch():
@@ -455,7 +457,11 @@ def test_interval_pattern_instances_match_coset_walk(src, tgt):
         assert set(scanned) == walked
 
 
-@pytest.mark.parametrize("src,tgt", [("A1", "G2"), ("A2", "B3"), ("A1xA1", "B3"), ("A3", "A4")])
+@pytest.mark.parametrize("src,tgt", [
+    ("A1", "G2"), ("A2", "B3"), ("A1xA1", "B3"), ("A3", "A4"),
+    # masks of three bytes (D5: 20 positive roots, F4: 24) and of four (B5: 25)
+    ("A1", "D5"), ("A2", "D5"), ("A3", "D5"), ("A2", "F4"), ("B2", "F4"), ("A1", "B5"),
+])
 def test_index_tables_match_flatten_and_embed_element(src, tgt):
     source, target = build_root_system(src), build_root_system(tgt)
     src_elements, tgt_elements = enumerate_elements(source), enumerate_elements(target)

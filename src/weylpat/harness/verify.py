@@ -330,7 +330,6 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
             wg = WeylGroup.for_system(rs, cap)
             table = _table_for(wg)
             for vi in range(wg.size):
-                v = wg.elements[vi]
                 # every u' <= u <= v is below v, so one pass over column v serves all
                 holds = {ui: prop(p) for ui, p in table.polynomials(vi)}
                 for ui, held in holds.items():
@@ -341,10 +340,9 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
                             continue
                         rep.cases += 1
                         if not holds[u2]:
-                            rep.failures.append(
-                                f"{t}: property holds on "
-                                f"[{format_word(wg.elements[ui])}..{format_word(v)}] "
-                                f"but not on [{format_word(wg.elements[u2])}..{format_word(v)}]")
+                            lo, lo2, top = (format_word(wg.elements[k]) for k in (ui, u2, vi))
+                            rep.failures.append(f"{t}: property holds on [{lo}..{top}] "
+                                                f"but not on [{lo2}..{top}]")
         # move 1, across each window pair: property transports along
         # interval pattern embeddings
         for s, t in pair_list:

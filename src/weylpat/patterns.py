@@ -166,7 +166,7 @@ class SubsystemEmbedding:
             for m in range(1, 1 << len(bits)):
                 t.append(t[m & (m - 1)] | bits[(m & -m).bit_length() - 1])
             tables.append(t)
-        masks = [w.inversions for w in target.elements]
+        masks = target.masks
         # one pass reads the first three bytes, padded with [0] for a
         # shorter mask; each further byte takes one more pass
         t0, t1, t2 = (tables + [[0], [0]])[:3]

@@ -188,7 +188,7 @@ class RootSystem:
     __slots__ = (
         "cartan_type", "rank", "ambient_dim", "roots", "positive", "simple",
         "reflection_table", "cartan_matrix", "heights", "simple_coords",
-        "_neg", "_pos_position", "_root_index", "num_positive",
+        "_neg", "_pos_position", "_root_index", "num_positive", "_left_steps",
         "_group", "_embeddings",
     )
 
@@ -240,6 +240,11 @@ class RootSystem:
                 row.append(coord_index[tuple(x - k * y for x, y in zip(cb, ca))] if k else b)
             table.append(tuple(row))
         self.reflection_table = tuple(table)
+        # per simple root a, for weyl._left_step: the bit of a, and the bit of
+        # s_a(b) for each positive root b, 0 for b = a
+        pos = self._pos_position
+        self._left_steps = tuple((1 << pos[a], tuple(0 if b == a else 1 << pos[table[a][b]]
+                                                     for b in self.positive)) for a in self.simple)
         self._group = None
         self._embeddings: dict[str, tuple] = {}
 

@@ -1,10 +1,12 @@
 """Weyl group elements, length, inversion sets, Bruhat order and intervals.
 
-An element is stored as its action on the root list (a permutation of
-root indices) together with the inversion set as a bit vector over the
-positive root positions.  The inversion set determines the element, so
-equality and hashing go through it; the number of set bits is the
-length.
+An element is determined by its inversion set I(w), a bit mask over the
+positive root positions: equality and hashing go through it, and its set
+bits count the length.  The only left multiplication by a simple
+reflection is one step on masks, I(s_i w) = s_i(I(w) minus {a_i}) plus
+a_i when a_i is not in I(w).  :class:`WeylGroup` keeps only integers; a
+:class:`WeylElement`, which adds the permutation of root indices that w
+induces, for products and inverses, is built only at the API edges.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -99,15 +101,12 @@ class WeylElement:
 
     def has_left_descent(self, i: int) -> bool:
         """True when s_i * w is shorter than w (i is 1-based)."""
-        simple_root = self.group.simple[i - 1]
-        return bool(self.inversions >> self.group.positive_position(simple_root) & 1)
+        return bool(self.inversions & self.group._left_steps[i - 1][0])
 
     def min_left_descent(self) -> int | None:
         """Smallest 1-based left descent, or None for the identity."""
-        for i in range(1, self.group.rank + 1):
-            if self.has_left_descent(i):
-                return i
-        return None
+        i = _first_descent(self.group, self.inversions)
+        return None if i is None else i + 1
 
 
 def _check_same_group(a: WeylElement, b: WeylElement) -> None:
@@ -167,21 +166,42 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     return WeylElement(rs, tuple(image))
 
 
-def to_reduced_word(w: WeylElement) -> tuple[int, ...]:
-    """The lexicographically least reduced word, as 1-based simple indices.
+def _left_step(rs: RootSystem, mask: int, i: int) -> int:
+    """I(s_i w) from I(w) = mask, i 0-based: s_i permutes the positive roots
+    other than a_i, one lookup per set bit, and a_i joins or leaves the set."""
+    bit, images = rs._left_steps[i]
+    out, rest = 0, mask
+    while rest:
+        low = rest & -rest
+        out |= images[low.bit_length() - 1]
+        rest ^= low
+    return out if mask & bit else out | bit
 
-    Greedy: the possible first letters of reduced words of w are exactly
-    its left descents, so repeatedly peeling the smallest one is lex-least.
+
+def _first_descent(rs: RootSystem, mask: int) -> int | None:
+    """The smallest 0-based i with a_i in mask, or None."""
+    for i, (bit, _) in enumerate(rs._left_steps):
+        if mask & bit:
+            return i
+    return None
+
+
+def _peel(rs: RootSystem, mask: int) -> tuple[list[int], int]:
+    """The 1-based letters of peeling the smallest simple root off mask while
+    one is in it, and the mask left: 0 for an inversion set I(w), whose
+    letters are then the lex-least reduced word of w, since the possible
+    first letters of reduced words of w are exactly its left descents.
     """
-    rs = w.group
     word: list[int] = []
-    current = w
-    while True:
-        i = current.min_left_descent()
-        if i is None:
-            return tuple(word)
-        word.append(i)
-        current = multiply(simple_reflection(rs, i), current)
+    while (i := _first_descent(rs, mask)) is not None:
+        word.append(i + 1)
+        mask = _left_step(rs, mask, i)
+    return word, mask
+
+
+def to_reduced_word(w: WeylElement) -> tuple[int, ...]:
+    """The lexicographically least reduced word, as 1-based simple indices."""
+    return tuple(_peel(w.group, w.inversions)[0])
 
 
 def inversion_roots(w: WeylElement) -> tuple[int, ...]:
@@ -210,30 +230,9 @@ def from_inversion_set(rs: RootSystem, S: int | Iterable[int]) -> WeylElement:
                 raise ValueError(f"root index {idx} is not positive in {rs.cartan_type}")
             mask |= 1 << rs.positive_position(idx)
 
-    want = mask
-    word: list[int] = []
-    table = rs.reflection_table
-    while mask:
-        for i in range(rs.rank):
-            simple_root = rs.simple[i]
-            bit = rs.positive_position(simple_root)
-            if mask >> bit & 1:
-                break
-        else:
-            raise NotAnInversionSetError("not an inversion set")
-        word.append(i + 1)
-        row = table[simple_root]
-        new_mask = 0
-        rest = mask & ~(1 << bit)
-        while rest:
-            low = rest & -rest
-            p = low.bit_length() - 1
-            img = row[rs.positive[p]]
-            new_mask |= 1 << rs.positive_position(img)
-            rest ^= low
-        mask = new_mask
+    word, rest = _peel(rs, mask)
     w = from_word(rs, word)
-    if w.inversions != want:
+    if rest or w.inversions != mask:
         raise NotAnInversionSetError("not an inversion set")
     return w
 
@@ -243,44 +242,42 @@ def from_inversion_set(rs: RootSystem, S: int | Iterable[int]) -> WeylElement:
 # ---------------------------------------------------------------------------
 
 class WeylGroup:
-    """Fully enumerated Weyl group with index-level operation tables.
+    """Fully enumerated Weyl group, held as integers.
 
-    Elements are indexed 0..|W|-1, sorted by (length, reduced word).
-    Provides an index keyed by inversion set, each element's lex-least
-    reduced word, left multiplication tables, the index product
-    :meth:`mul` and, built on first use, inverses, the lower-cover lists
-    of Bruhat order and the down-sets as bit masks, which the polynomial
-    and pattern layers key everything on.  The cover lists come from the
-    lifting property, one lookup per cover (see :attr:`lower_covers`);
-    down-sets and intervals are read off them.  Its root system keeps it
-    (:meth:`for_system`), and it keeps the KL table.
+    Elements are indexed 0..|W|-1, sorted by (length, reduced word).  A
+    breadth-first search extends inversion masks by the left step and
+    gives each element's mask (``masks``; ``index`` is keyed by them),
+    lex-least reduced word and left multiplication tables.  The index
+    product :meth:`mul` and, built on first use, inverses, the lower-cover
+    lists of Bruhat order (by the lifting property, see
+    :attr:`lower_covers`), the down-sets as bit masks and ``elements``,
+    the only list of :class:`WeylElement` objects, are read off them.
+    Its root system keeps it (:meth:`for_system`), and it keeps the KL table.
     """
 
     def __init__(self, rs: RootSystem, cap: int):
         self.rs = rs
-        # numbered in order of discovery, renumbered once all are found
-        found: list[WeylElement] = [WeylElement(rs, tuple(range(len(rs.roots))))]
-        number: dict[int, int] = {found[0].inversions: 0}
+        # inversion masks, numbered in order of discovery, renumbered once all are found
+        found = [0]
+        number: dict[int, int] = {0: 0}
         words: list[tuple[int, ...]] = [()]
-        srows = [rs.reflection_table[s] for s in rs.simple]
-        lmult: list[list[int]] = [[0] for _ in srows]
+        bits = [bit for bit, _ in rs._left_steps]
+        earlier = [sum(bits[:i]) for i in range(len(bits))]  # the bits of a_j, j < i
+        lmult: list[list[int]] = [[0] for _ in bits]
         frontier = [0]
         while frontier:
             new: list[int] = []
             for a in frontier:
-                w = found[a]
-                im = w.root_image
-                for i, row in enumerate(srows):
-                    if w.has_left_descent(i + 1):
+                m = found[a]
+                for i, bit in enumerate(bits):
+                    if m & bit:
                         continue
-                    el = WeylElement(rs, tuple(row[b] for b in im))
-                    b = number.get(el.inversions)
+                    el = _left_step(rs, m, i)
+                    b = number.get(el)
                     if b is None:
-                        b = number[el.inversions] = len(found)
+                        b = number[el] = len(found)
                         if b >= cap:
-                            raise CapExceededError(
-                                f"cap exceeded: |W({rs.cartan_type})| > {cap}"
-                            )
+                            raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
                         found.append(el)
                         words.append(())
                         for r in lmult:
@@ -290,18 +287,19 @@ class WeylGroup:
                     lmult[i][a] = b
                     lmult[i][b] = a
                     # peeling the smallest left descent gives the lex-least word
-                    if el.min_left_descent() == i + 1:
+                    if not el & earlier[i]:
                         words[b] = (i + 1,) + words[a]
             frontier = new
 
-        order = sorted(range(len(found)), key=lambda k: (found[k].length, words[k]))
-        self.elements: list[WeylElement] = [found[k] for k in order]
+        order = sorted(range(len(found)), key=lambda k: (found[k].bit_count(), words[k]))
+        self.masks: list[int] = [found[k] for k in order]
         self.size = len(order)
-        self.index: dict[int, int] = {w.inversions: k for k, w in enumerate(self.elements)}
-        renumber = [self.index[w.inversions] for w in found]
-        self.lengths: list[int] = [w.length for w in self.elements]
+        self.index: dict[int, int] = {m: k for k, m in enumerate(self.masks)}
+        renumber = [self.index[m] for m in found]
+        self.lengths: list[int] = [m.bit_count() for m in self.masks]
         self.words: list[tuple[int, ...]] = [words[k] for k in order]
         self.lmult: list[list[int]] = [[renumber[row[k]] for k in order] for row in lmult]
+        self._elements: list[WeylElement] | None = None
         self._covers: list[list[int]] | None = None
         self._downsets: list[int] | None = None
         self._inverses: list[int] | None = None
@@ -317,6 +315,20 @@ class WeylGroup:
             # keep the cap contract independent of cache warmth
             raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
         return wg
+
+    @property
+    def elements(self) -> list[WeylElement]:
+        """elements[k] as a WeylElement, built on first use: s_i times the earlier
+        element that the first letter i of its word peels to, one tuple product each."""
+        if self._elements is None:
+            rs, lmult = self.rs, self.lmult
+            gens = [simple_reflection(rs, i + 1) for i in range(rs.rank)]
+            els = [identity(rs)]
+            for k in range(1, self.size):
+                i = self.words[k][0] - 1
+                els.append(multiply(gens[i], els[lmult[i][k]]))
+            self._elements = els
+        return self._elements
 
     def idx(self, w: WeylElement) -> int:
         if w.group is not self.rs and w.group != self.rs:
@@ -438,22 +450,16 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
 
     Equivalent to the subword property: u <= v iff some reduced word of v
     contains a reduced word of u as a subword.  For a left descent s of v,
-    u <= v iff (su <= sv when su < u, else u <= sv).
+    u <= v iff (su <= sv when su < u, else u <= sv), so peeling the
+    lex-least word of v off v, and each letter that is a left descent of
+    u off u, ends at the identity from u exactly when u <= v.
     """
     _check_same_group(u, v)
-    rs = u.group
-    while True:
-        if u.length > v.length:
-            return False
-        if u.length == 0:
-            return True
-        if u.length == v.length:
-            return u.inversions == v.inversions
-        i = v.min_left_descent()
-        s = simple_reflection(rs, i)
-        if u.has_left_descent(i):
-            u = multiply(s, u)
-        v = multiply(s, v)
+    rs, a = u.group, u.inversions
+    for i in _peel(rs, v.inversions)[0]:
+        if a & rs._left_steps[i - 1][0]:
+            a = _left_step(rs, a, i - 1)
+    return a == 0
 
 
 def covers(v: WeylElement) -> list[WeylElement]:

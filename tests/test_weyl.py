@@ -19,10 +19,14 @@ from weylpat.errors import (
     NotAnInversionSetError,
     NotComparableError,
 )
-from weylpat.roots import build_root_system
+from weylpat.harness.verify import verify_upper_ideal
+from weylpat.kl import _table_for
+from weylpat.patterns import enumerate_embeddings, interval_pattern_instances
+from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
     BruhatInterval,
     WeylGroup,
+    _left_step,
     apply,
     bruhat_leq,
     covers,
@@ -118,7 +122,17 @@ def test_from_word():
         from_word(rs, [7])
 
 
-@pytest.mark.parametrize("cartan_type", ["A2", "B2", "A3"])
+@pytest.mark.parametrize("cartan_type", ["A1xA1", "A3", "B3", "C3", "D4", "G2", "F4", "A2xB2"])
+def test_left_step_matches_the_tuple_product(cartan_type):
+    # the one left multiplication of masks, against root-image products
+    rs = build_root_system(cartan_type)
+    for w in enumerate_elements(rs):
+        for i in range(rs.rank):
+            assert _left_step(rs, w.inversions, i) == \
+                multiply(simple_reflection(rs, i + 1), w).inversions
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B2", "A3", "B3", "G2", "A1xA1"])
 def test_reduced_word_is_lex_least(cartan_type):
     rs = build_root_system(cartan_type)
     for w in enumerate_elements(rs):
@@ -178,19 +192,19 @@ def test_inversion_set_round_trip(cartan_type):
         assert from_inversion_set(rs, w.inversions) == w
 
 
-@given(data=st.data())
-@settings(max_examples=150, deadline=None)
-def test_from_inversion_set_matches_biconvexity(data):
-    rs = build_root_system("A3")
-    mask = data.draw(st.integers(min_value=0, max_value=(1 << rs.num_positive) - 1))
-    expected = is_biconvex(rs, mask)
-    try:
-        w = from_inversion_set(rs, mask)
-    except NotAnInversionSetError:
-        assert not expected
-    else:
-        assert expected
-        assert w.inversions == mask
+def test_from_inversion_set_matches_biconvexity():
+    # every mask, against naive closure under root addition
+    for cartan_type in ("A3", "B3", "G2"):
+        rs = build_root_system(cartan_type)
+        for mask in range(1 << rs.num_positive):
+            expected = is_biconvex(rs, mask)
+            try:
+                w = from_inversion_set(rs, mask)
+            except NotAnInversionSetError:
+                assert not expected
+            else:
+                assert expected
+                assert w.inversions == mask
 
 
 @given(data=st.data())
@@ -473,10 +487,33 @@ def test_interval_isomorphism_separates_what_refinement_cannot():
 
 
 def test_enumeration_cap():
+    clear_caches()
     rs = build_root_system("B3")
     with pytest.raises(CapExceededError, match="cap exceeded"):
         enumerate_elements(rs, cap=10)
+    # one short of |W(B3)| = 48, cold and then warm
+    with pytest.raises(CapExceededError, match="cap exceeded"):
+        enumerate_elements(rs, cap=47)
     assert len(enumerate_elements(rs, cap=48)) == 48
+    with pytest.raises(CapExceededError, match="cap exceeded"):
+        enumerate_elements(rs, cap=47)
+
+
+def test_element_objects_are_built_only_at_the_edges():
+    clear_caches()
+    a2, b3 = build_root_system("A2"), build_root_system("B3")
+    wg = WeylGroup.for_system(b3)
+    assert wg.lower_covers and wg.downsets
+    assert str(_table_for(wg).polynomial(0, wg.size - 1)) == "1"
+    for emb in enumerate_embeddings(a2, b3):
+        for _ in interval_pattern_instances(emb):
+            pass
+    assert wg._elements is None and WeylGroup.for_system(a2)._elements is None
+    assert wg.elements == [from_word(b3, word) for word in wg.words]
+
+    report = verify_upper_ideal("kl-nontrivial", ["A3"])
+    assert report.cases and not report.failures
+    assert WeylGroup.for_system(build_root_system("A3"))._elements is None
 
 
 def test_one_line_round_trip():

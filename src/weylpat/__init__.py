@@ -39,7 +39,6 @@ from .weyl import (
     WeylGroup,
     apply,
     bruhat_leq,
-    covers,
     element_label,
     enumerate_elements,
     format_word,
@@ -75,7 +74,7 @@ __all__ = [
     "WeylElement", "WeylGroup", "BruhatInterval",
     "identity", "simple_reflection", "reflection", "multiply", "inverse", "apply",
     "from_word", "to_reduced_word", "from_inversion_set", "inversion_roots",
-    "enumerate_elements", "bruhat_leq", "covers", "interval",
+    "enumerate_elements", "bruhat_leq", "interval",
     "parse_element", "format_word", "one_line", "element_label",
     "KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth",
     "SubsystemEmbedding", "enumerate_embeddings", "embed_element", "flatten",

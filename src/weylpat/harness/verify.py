@@ -51,21 +51,24 @@ from typing import Callable, Sequence
 from ..errors import InternalInvariantError
 from ..kl import KLPolynomial, _table_for, is_rationally_smooth
 from ..patterns import (
+    _equal_gap_instances,
     _interval_covers,
     _pattern_map_isomorphic,
+    _scan,
     embed_element,
     enumerate_embeddings,
     flatten,
     format_interval_spec,
     interval_pattern_instances,
 )
-from ..roots import RootSystem, build_root_system
+from ..roots import build_root_system
 from ..weyl import (
     DEFAULT_ENUMERATION_CAP,
     WeylGroup,
     element_label,
     enumerate_elements,
     format_word,
+    from_word,
     parse_element,
 )
 from .report import VerificationReport
@@ -120,16 +123,12 @@ def matrix_pairs(window: dict, slow: bool = False) -> list[tuple[str, str]]:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _instances(source: RootSystem, target: RootSystem, cap: int):
-    """(u, v, x, w) indices from the forced-bottom scan of every embedding."""
-    for emb in enumerate_embeddings(source, target):
-        yield from interval_pattern_instances(emb, cap)
-
-
 def _pair_label(src: WeylGroup, tgt: WeylGroup, u: int, v: int, x: int, w: int) -> str:
-    """[u, v] -> [x, w] in interval notation, from element indices."""
-    return (f"[{format_interval_spec(src.elements[u], src.elements[v])}] -> "
-            f"[{format_interval_spec(tgt.elements[x], tgt.elements[w])}]")
+    """[u, v] -> [x, w] in interval notation, the four elements built from their words."""
+    def spec(wg: WeylGroup, a: int, b: int) -> str:
+        return format_interval_spec(from_word(wg.rs, wg.words[a]), from_word(wg.rs, wg.words[b]))
+
+    return f"[{spec(src, u, v)}] -> [{spec(tgt, x, w)}]"
 
 
 def _timed(fn: Callable[[VerificationReport], None], report: VerificationReport) -> VerificationReport:
@@ -172,7 +171,8 @@ def verify_x_determination(source_type: str, target_type: str,
     Walks every x in each coset i(W')w on element indices and compares
     each case with the bottom the forced-bottom scan gives for (u, w).
     The subgroup i(W') comes from :func:`embed_element`, independent of
-    the coset maps the scan reads.
+    the coset maps the scan reads.  The reduced word of each i(g) is folded
+    through the target's lmult rows over all w at once, one column per g.
     """
     source = build_root_system(source_type)
     target = build_root_system(target_type)
@@ -186,14 +186,15 @@ def verify_x_determination(source_type: str, target_type: str,
 
         for emb in enumerate_embeddings(source, target):
             flat = emb.flat(cap)
-            embedded = [tgt.idx(embed_element(emb, g)) for g in src.elements]
             bottom = {(u, w): x for u, _, x, w in interval_pattern_instances(emb, cap)}
-            for w in range(tgt.size):
-                v = flat[w]
-                # every bottom in the coset i(W')w, not only the forced one
-                for g in embedded:
-                    x = tgt.mul(g, w)
-                    u = flat[x]
+            # every bottom x = i(g) w in the coset i(W')w, not only the forced one
+            for g in src.elements:
+                col = range(tgt.size)
+                for i in reversed(tgt.words[tgt.idx(embed_element(emb, g))]):
+                    row = tgt.lmult[i - 1]
+                    col = [row[y] for y in col]
+                for w, x in enumerate(col):
+                    v, u = flat[w], flat[x]
                     if not (src_down[v] >> u & 1 and tgt_down[w] >> x & 1):
                         continue
                     rep.cases += 1
@@ -237,7 +238,7 @@ def verify_length_sufficiency(source_type: str, target_type: str,
         bottoms: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
         for emb in enumerate_embeddings(source, target):
             maps = emb.coset_maps(cap)
-            for u, v, x, w in interval_pattern_instances(emb, cap):
+            for u, v, x, w in _scan(src, tgt, emb.flat(cap), maps):
                 rep.cases += 1
                 if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
                     continue
@@ -268,9 +269,7 @@ def verify_kl_transfer(source_type: str, target_type: str,
         src = WeylGroup.for_system(source, cap)
         tgt = WeylGroup.for_system(target, cap)
         src_kl, tgt_kl = _table_for(src), _table_for(tgt)
-        for u, v, x, w in _instances(source, target, cap):
-            if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
-                continue
+        for u, v, x, w in _equal_gap_instances(enumerate_embeddings(source, target), cap):
             rep.cases += 1
             p1 = src_kl.polynomial(u, v)
             p2 = tgt_kl.polynomial(x, w)
@@ -340,7 +339,8 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
                             continue
                         rep.cases += 1
                         if not holds[u2]:
-                            lo, lo2, top = (format_word(wg.elements[k]) for k in (ui, u2, vi))
+                            lo, lo2, top = (format_word(from_word(rs, wg.words[k]))
+                                            for k in (ui, u2, vi))
                             rep.failures.append(f"{t}: property holds on [{lo}..{top}] "
                                                 f"but not on [{lo2}..{top}]")
         # move 1, across each window pair: property transports along
@@ -349,9 +349,7 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
             src = WeylGroup.for_system(build_root_system(s), cap)
             tgt = WeylGroup.for_system(build_root_system(t), cap)
             src_kl, tgt_kl = _table_for(src), _table_for(tgt)
-            for u, v, x, w in _instances(src.rs, tgt.rs, cap):
-                if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
-                    continue
+            for u, v, x, w in _equal_gap_instances(enumerate_embeddings(src.rs, tgt.rs), cap):
                 rep.cases += 1
                 if prop(src_kl.polynomial(u, v)) and not prop(tgt_kl.polynomial(x, w)):
                     rep.failures.append(

@@ -86,6 +86,7 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     format_word,
+    from_word,
 )
 
 __all__ = ["KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth"]
@@ -174,13 +175,15 @@ def _unpack(val: int, gap: int) -> KLPolynomial:
 def _w0_conjugation(wg: WeylGroup) -> list[int]:
     """conj[k] is the index of w0 * elements[k] * w0, w0 = elements[-1].
 
-    w0 s_i w0 = s_sigma(i) for a permutation sigma of the simple indices,
-    so each reduced word is folded through the lmult rows with its
-    letters relabelled by sigma, as ``WeylGroup.inverses`` folds them.
+    w0 s_i w0 = s_sigma(i) for a permutation sigma of the simple indices.
+    Since w0 s_i = (s_i w0)^-1 = s_sigma(i) w0, sigma(i) is the j with
+    s_j w0 = (s_i w0)^-1, read off the column of w0 in the lmult rows.
+    Each reduced word is folded through the lmult rows with its letters
+    relabelled by sigma, as ``WeylGroup.inverses`` folds them.
     """
-    w0 = wg.size - 1
-    lmult = wg.lmult
-    sigma = [wg.words[wg.mul(w0, wg.mul(row[0], w0))][0] - 1 for row in lmult]
+    lmult, inv = wg.lmult, wg.inverses
+    col = [row[wg.size - 1] for row in lmult]  # s_i w0 for each i
+    sigma = [col.index(inv[c]) for c in col]
     conj = []
     for word in wg.words:
         k = 0
@@ -314,7 +317,8 @@ class _KLTable:
         wg = self.wg
         if i == len(keys) or keys[i] != k:
             raise NotComparableError(
-                f"not comparable: {format_word(wg.elements[u])} !<= {format_word(wg.elements[v])}"
+                f"not comparable: {format_word(from_word(wg.rs, wg.words[u]))} "
+                f"!<= {format_word(from_word(wg.rs, wg.words[v]))}"
             )
         return self._decode(ids[i], wg.lengths[v] - wg.lengths[u])
 

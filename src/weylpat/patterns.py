@@ -479,20 +479,34 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     """
     source = WeylGroup.for_system(emb.source, cap)
     target = WeylGroup.for_system(emb.target, cap)
-    flat, maps = emb.flat(cap), emb.coset_maps(cap)
+    return _scan(source, target, emb.flat(cap), emb.coset_maps(cap))
 
-    def scan() -> Iterator[tuple[int, int, int, int]]:
-        down = target.downsets
-        for w in range(target.size):
-            v = flat[w]
-            phi = maps[w]
-            below_w = down[w]
-            for u in source.below(v):
-                x = phi[u]
-                if below_w >> x & 1 and flat[x] == u:
-                    yield u, v, x, w
 
-    return scan()
+def _scan(source: WeylGroup, target: WeylGroup, flat: Sequence[int],
+          maps: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
+    """The walk of :func:`interval_pattern_instances` over an embedding's
+    flat table and coset maps, so a caller that holds them builds neither again."""
+    down = target.downsets
+    for w in range(target.size):
+        v = flat[w]
+        phi = maps[w]
+        below_w = down[w]
+        for u in source.below(v):
+            x = phi[u]
+            if below_w >> x & 1 and flat[x] == u:
+                yield u, v, x, w
+
+
+def _equal_gap_instances(embeddings: Sequence[SubsystemEmbedding], cap: int
+                         ) -> Iterator[tuple[int, int, int, int]]:
+    """The (u, v, x, w) of each embedding's scan in turn with l(v) - l(u) = l(w) - l(x),
+    the interval pattern embeddings among them, as ``length-sufficiency`` checks."""
+    for emb in embeddings:
+        src = WeylGroup.for_system(emb.source, cap).lengths
+        tgt = WeylGroup.for_system(emb.target, cap).lengths
+        for u, v, x, w in interval_pattern_instances(emb, cap):
+            if src[v] - src[u] == tgt[w] - tgt[x]:
+                yield u, v, x, w
 
 
 def interval_pattern_avoids(w: WeylElement, u: WeylElement, v: WeylElement,
@@ -579,11 +593,8 @@ def interval_poset_reachable(generators: Sequence[BruhatInterval],
         if hits is None:
             hits = moves[sys_type] = {}
             for tgt in systems.values():
-                for emb in enumerate_embeddings(sys, tgt, cap):
-                    tgt_lengths = WeylGroup.for_system(tgt, cap).lengths
-                    for u, v, x2, w2 in interval_pattern_instances(emb, cap):
-                        if tgt_lengths[w2] - tgt_lengths[x2] == wg.lengths[v] - wg.lengths[u]:
-                            hits.setdefault((u, v), []).append((tgt.cartan_type, x2, w2))
+                for u, v, x2, w2 in _equal_gap_instances(enumerate_embeddings(sys, tgt, cap), cap):
+                    hits.setdefault((u, v), []).append((tgt.cartan_type, x2, w2))
         for st in hits.get((bot, top), ()):
             if push(st):
                 return True

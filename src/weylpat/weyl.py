@@ -53,7 +53,6 @@ __all__ = [
     "inversion_roots",
     "enumerate_elements",
     "bruhat_leq",
-    "covers",
     "interval",
     "parse_element",
     "format_word",
@@ -247,11 +246,12 @@ class WeylGroup:
     Elements are indexed 0..|W|-1, sorted by (length, reduced word).  A
     breadth-first search extends inversion masks by the left step and
     gives each element's mask (``masks``; ``index`` is keyed by them),
-    lex-least reduced word and left multiplication tables.  The index
-    product :meth:`mul` and, built on first use, inverses, the lower-cover
-    lists of Bruhat order (by the lifting property, see
-    :attr:`lower_covers`), the down-sets as bit masks and ``elements``,
-    the only list of :class:`WeylElement` objects, are read off them.
+    lex-least reduced word and left multiplication tables.  Built on
+    first use, inverses, the lower-cover lists of Bruhat order (by the
+    lifting property, see :attr:`lower_covers`), the down-sets as bit
+    masks and ``elements``, the only list of :class:`WeylElement`
+    objects, are read off them.  Products on indices apply ``lmult`` rows
+    to whole columns.
     Its root system keeps it (:meth:`for_system`), and it keeps the KL table.
     """
 
@@ -341,17 +341,6 @@ class WeylGroup:
         """Smallest 0-based left descent: the first letter of the lex-least word."""
         word = self.words[k]
         return word[0] - 1 if word else None
-
-    def mul(self, a: int, b: int) -> int:
-        """Index of the product elements[a] * elements[b].
-
-        Folds the reduced word of a through the lmult rows, so no
-        |W| x |W| table is built.
-        """
-        lmult = self.lmult
-        for i in reversed(self.words[a]):
-            b = lmult[i - 1][b]
-        return b
 
     @property
     def inverses(self) -> list[int]:
@@ -462,17 +451,6 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
     return a == 0
 
 
-def covers(v: WeylElement) -> list[WeylElement]:
-    """All u covered by v: u = s_alpha v with l(u) = l(v) - 1."""
-    rs = v.group
-    seen: dict[int, WeylElement] = {}
-    for p in range(rs.num_positive):
-        u = multiply(reflection(rs, rs.positive[p]), v)
-        if u.length == v.length - 1:
-            seen.setdefault(u.inversions, u)
-    return sorted(seen.values(), key=to_reduced_word)
-
-
 # ---------------------------------------------------------------------------
 # intervals
 # ---------------------------------------------------------------------------
@@ -519,7 +497,8 @@ class BruhatInterval:
 
 def interval(u: WeylElement, v: WeylElement,
              cap: int = DEFAULT_ENUMERATION_CAP) -> BruhatInterval:
-    """The Bruhat interval [u, v]; raises NotComparableError when u is not <= v."""
+    """The Bruhat interval [u, v], its elements built from ``words``; raises
+    NotComparableError when u is not <= v."""
     _check_same_group(u, v)
     wg = WeylGroup.for_system(u.group, cap)
     a, b = wg.idx(u), wg.idx(v)
@@ -528,7 +507,7 @@ def interval(u: WeylElement, v: WeylElement,
             f"not comparable: {format_word(u)} !<= {format_word(v)}"
         )
     idxs = wg.interval_indices(a, b)
-    elements = [wg.elements[z] for z in idxs]
+    elements = [from_word(u.group, wg.words[z]) for z in idxs]
     pos = {z: k for k, z in enumerate(idxs)}
     lower = wg.lower_covers
     pairs = sorted((pos[c], k) for k, z in enumerate(idxs) for c in lower[z] if c in pos)

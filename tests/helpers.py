@@ -25,6 +25,7 @@ from weylpat.weyl import (
     multiply,
     reflection,
     simple_reflection,
+    to_reduced_word,
 )
 
 Q = Fraction
@@ -227,6 +228,32 @@ def lifting_downsets(wg) -> list[int]:
             m ^= low
         down.append(out)
     return down
+
+
+# ---------------------------------------------------------------------------
+# products and covers, one pair or one element at a time
+# ---------------------------------------------------------------------------
+
+def mul(wg: WeylGroup, a: int, b: int) -> int:
+    """Index of the product elements[a] * elements[b], one index at a time.
+
+    Folds the reduced word of a through the lmult rows, where the library
+    applies them to whole columns.
+    """
+    for i in reversed(wg.words[a]):
+        b = wg.lmult[i - 1][b]
+    return b
+
+
+def covers(v: WeylElement) -> list[WeylElement]:
+    """All u covered by v: u = s_alpha v with l(u) = l(v) - 1, from every reflection."""
+    rs = v.group
+    seen: dict[int, WeylElement] = {}
+    for p in range(rs.num_positive):
+        u = multiply(reflection(rs, rs.positive[p]), v)
+        if u.length == v.length - 1:
+            seen.setdefault(u.inversions, u)
+    return sorted(seen.values(), key=to_reduced_word)
 
 
 # ---------------------------------------------------------------------------

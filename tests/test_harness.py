@@ -19,7 +19,9 @@ from weylpat.harness.verify import (
     verify_x_determination,
 )
 from weylpat.kl import KLPolynomial
+from weylpat import patterns
 from weylpat.patterns import (
+    SubsystemEmbedding,
     _interval_covers,
     _pattern_map_isomorphic,
     enumerate_embeddings,
@@ -27,7 +29,7 @@ from weylpat.patterns import (
     interval_pattern_instances,
 )
 from weylpat.roots import build_root_system, clear_caches
-from weylpat.weyl import WeylGroup, interval
+from weylpat.weyl import DEFAULT_ENUMERATION_CAP, WeylGroup, interval
 
 
 def test_report_round_trip():
@@ -202,6 +204,33 @@ def test_length_sufficiency_catches_a_wrong_embed_table(monkeypatch):
         f"[{format_interval_spec(src.elements[u], src.elements[v])}] -> "
         f"[{format_interval_spec(tgt.elements[x], tgt.elements[w])}]: "
         "equal gaps without isomorphism" for u, v, x, w in yields)
+
+
+@pytest.mark.parametrize("source,target", matrix_pairs(default_window()))
+def test_equal_gap_generator_matches_the_scan_filtered_by_gap(source, target):
+    # the walk that kl-transfer, upper-ideal and the interval poset share
+    # keeps exactly the scanned yields whose length gaps agree, each as often
+    s, t = build_root_system(source), build_root_system(target)
+    src, tgt = WeylGroup.for_system(s).lengths, WeylGroup.for_system(t).lengths
+    embs = enumerate_embeddings(s, t)
+    filtered = Counter((u, v, x, w) for emb in embs for u, v, x, w in interval_pattern_instances(emb)
+                       if src[v] - src[u] == tgt[w] - tgt[x])
+    assert Counter(patterns._equal_gap_instances(embs, DEFAULT_ENUMERATION_CAP)) == filtered
+
+
+def test_length_sufficiency_builds_each_embeddings_coset_maps_once(monkeypatch):
+    calls = Counter()
+    real = SubsystemEmbedding.coset_maps
+
+    def counted(self, *args, **kwargs):
+        calls[self] += 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SubsystemEmbedding, "coset_maps", counted)
+    r = verify_length_sufficiency("A2", "A3")
+    embs = enumerate_embeddings(build_root_system("A2"), build_root_system("A3"))
+    assert r.passed and r.cases
+    assert calls == Counter(embs)
 
 
 def test_verify_suites_on_small_pairs():

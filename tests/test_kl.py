@@ -7,19 +7,27 @@ import pytest
 
 from helpers import (
     bruhat_leq_by_reflection_closure,
+    covers,
     kl_defining_identity_holds,
+    mul,
     plain_kl_columns,
 )
 from weylpat.errors import GroupMismatchError, InternalInvariantError, NotComparableError
 from weylpat.harness.cli import main
-from weylpat.kl import KLPolynomial, _KLTable, is_rationally_smooth, kl_polynomial, mu
+from weylpat.kl import (
+    KLPolynomial,
+    _KLTable,
+    _w0_conjugation,
+    is_rationally_smooth,
+    kl_polynomial,
+    mu,
+)
 from weylpat.patterns import enumerate_embeddings
 from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
     WeylGroup,
     bruhat_leq,
-    covers,
     enumerate_elements,
     from_word,
     identity,
@@ -267,11 +275,33 @@ def test_orbit_maps_are_commuting_involutions(cartan_type, central):
         assert inv[conj[k]] == conj[inv[k]]
         assert wg.lengths[inv[k]] == wg.lengths[conj[k]] == wg.lengths[k]
         # conj is conjugation by w0, checked against the group product
-        assert conj[k] == wg.mul(w0, wg.mul(k, w0))
+        assert conj[k] == mul(wg, w0, mul(wg, k, w0))
     for fixed in (0, w0):
         assert inv[fixed] == fixed and conj[fixed] == fixed
     # w0 is central exactly when conjugation is the identity
     assert (conj == list(range(wg.size))) == central
+
+
+@pytest.mark.parametrize("cartan_type, central",
+                         [("A4", False), ("D5", False), ("E6", False), ("A2xB2", False),
+                          ("A1", True), ("B3", True), ("F4", True), ("G2", True)])
+def test_w0_conjugation_relabels_simple_roots_as_minus_w0(cartan_type, central):
+    # w0 s_i w0 = s_sigma(i) with -w0(a_i) = a_sigma(i), read off the root
+    # permutation of w0 built from its word, not off the lmult tables
+    rs = build_root_system(cartan_type)
+    wg = WeylGroup.for_system(rs, 60_000)
+    conj = _w0_conjugation(wg)
+    w0 = from_word(rs, wg.words[-1]).root_image
+    sigma = [rs.simple.index(rs.negative_of(w0[a])) for a in rs.simple]
+    assert sorted(sigma) == list(range(rs.rank))
+    assert (sigma == list(range(rs.rank))) == central
+    for i in range(rs.rank):
+        assert wg.words[conj[wg.lmult[i][0]]] == (sigma[i] + 1,)
+    if wg.size <= 2000:
+        # every element: w0 s_i1 ... s_ik w0 = s_sigma(i1) ... s_sigma(ik)
+        for k, word in enumerate(wg.words):
+            relabelled = from_word(rs, [sigma[i - 1] + 1 for i in word])
+            assert conj[k] == wg.index[relabelled.inversions]
 
 
 def test_full_fill_stores_one_column_per_orbit():
@@ -306,6 +336,16 @@ def test_cold_point_query_fills_few_columns(monkeypatch):
     filled = sum(col is not None for col in table.packed)
     assert table.packed[wg.size - 1] is not None
     assert filled < wg.size // 2
+
+
+def test_incomparable_query_builds_no_element_list():
+    # the error message labels u and v from their words, so a cold query
+    # that fails leaves the group's WeylElement list unbuilt
+    clear_caches()
+    d5 = build_root_system("D5")
+    with pytest.raises(NotComparableError, match="not comparable: 1 2 3 !<= e"):
+        kl_polynomial(parse_element(d5, "1 2 3"), identity(d5))
+    assert WeylGroup.for_system(d5)._elements is None
 
 
 def test_mu():

@@ -9,9 +9,11 @@ from helpers import (
     brute_force_isomorphic,
     bruhat_leq_by_reflection_closure,
     cayley_distances,
+    covers,
     interval_isomorphic,
     is_biconvex,
     lifting_downsets,
+    mul,
 )
 from weylpat.errors import (
     CapExceededError,
@@ -29,7 +31,6 @@ from weylpat.weyl import (
     _left_step,
     apply,
     bruhat_leq,
-    covers,
     enumerate_elements,
     format_word,
     from_inversion_set,
@@ -162,7 +163,7 @@ def test_index_product_and_inverse_match_the_object_level(data):
     a = data.draw(st.integers(0, wg.size - 1))
     b = data.draw(st.integers(0, wg.size - 1))
     u, v = wg.elements[a], wg.elements[b]
-    assert wg.elements[wg.mul(a, b)] == multiply(u, v)
+    assert wg.elements[mul(wg, a, b)] == multiply(u, v)
     assert wg.elements[wg.inverses[a]] == inverse(u)
 
 
@@ -508,6 +509,8 @@ def test_element_objects_are_built_only_at_the_edges():
     for emb in enumerate_embeddings(a2, b3):
         for _ in interval_pattern_instances(emb):
             pass
+    iv = interval(from_word(b3, [2]), from_word(b3, [1, 2, 3]))
+    assert [format_word(z) for z in iv.elements] == ["2", "1 2", "2 3", "1 2 3"]
     assert wg._elements is None and WeylGroup.for_system(a2)._elements is None
     assert wg.elements == [from_word(b3, word) for word in wg.words]
 

@@ -7,16 +7,16 @@ Computation uses the classical recursion on a left descent s of v:
                mu(z,sv) q^((l(v)-l(z))/2) P(u,z)
 
 with c = 1 when su < u and c = 0 otherwise, where mu(z,y) is the
-coefficient of q^((l(y)-l(z)-1)/2) in P(z,y).  When su > u the recursion
-collapses to P(u,v) = P(su,v), which is what the implementation uses for
-that case.  The descent is chosen deterministically: among the left
-descents s of v whose column sv is already filled, the one with the
-fewest keys (the smaller s on a tie), else the smallest descent.  A
-short column sv means fewer entries to scatter and fewer mu-terms to
-subtract; the rule reads only columns already filled and fills none
-itself, so a cold point query fills no column it would not fill with
-the smallest descent, while a sweep in index order, where every sv is
-filled, always gets the cheapest choice.  Independence of the choice is
+coefficient of q^((l(y)-l(z)-1)/2) in P(z,y).  The descent is chosen
+deterministically: among the left descents s of v whose column sv is
+already filled, the one with the fewest keys (the smaller s on a tie),
+else the smallest descent.  A column sv with few keys has a short
+mu-list, so each key of v subtracts fewer mu-terms: the full E6 table
+fills in about half the time it takes with the smallest descent.  The
+rule reads only columns already filled and fills none itself, so a
+cold point query fills no column it would not fill with the smallest
+descent, while a sweep in index order, where every sv is filled,
+always gets the cheapest choice.  Independence of the choice is
 asserted in the test suite by recomputing whole tables with other
 descent choices.
 
@@ -36,40 +36,62 @@ where f is the involution of the four that takes v to r(v).  Where w0 is
 central (types B, C, D_even, E7, E8, F4, G2) conjugation is the identity
 and inversion alone halves the table.
 
+A column stores only its extremal pairs (Kazhdan-Lusztig 1979, 2.3;
+du Cloux, *Coxeter*, Experiment. Math. 11, 2002).  For a left descent s
+of v with su > u, P(u,v) = P(su,v), and u <= v exactly when su <= v; on
+the right likewise for a right descent t of v with ut > u.  Raising u
+through the left descents of v it lacks and then through the right ones
+(a right step never drops a left descent) ends at the maximum of the
+double coset W_I u W_J, I and J the left and right descents of v, so
+every value of column v is a value at an extremal u: a u <= v with
+D_L(u) >= D_L(v) and D_R(u) >= D_R(v).  The keys of column v are its
+extremal u; a read flips u into the representative's column, raises it
+and finds it by bisection, and a miss means u is not below v, so
+comparability comes from the keys and the table never needs the
+group's Bruhat down-sets.  The full S7 table holds 14,668 entries where
+the whole down-sets hold 1,014,883, and the full E6 table 1,808,621.
+
+A fill reads only extremal values.  At an extremal u of v, s is a left
+descent of u too, so the recursion reads P(su,sv), P(u,sv) and each
+P(u,z), raised in the columns of sv and z, with 0 for a miss.  Its
+mu-terms come from a mu-list kept per filled representative y: its
+odd-gap keys z with mu(z,y) != 0, and its coatoms sy and yt for its left
+descents s and right descents t.  That list is every z with
+mu(z,y) != 0, since a z < y that lacks a left descent s of y has
+mu(z,y) != 0 only for z = sy, and one that lacks a right descent t only
+for z = yt (Kazhdan-Lusztig 1979, 2.3; Bjorner-Brenti, GTM 231, ch. 5).
+The keys of v are found among the indices up to v whose descents
+contain those of v, the intersection of one cached bit mask per simple
+reflection and side: such a u is below v exactly when su <= sv, that
+is when the read of P(su,sv) hits.  Columns are filled on demand:
+column v reads only column sv and the columns z of its mu-terms, and
+fills their representatives first, recursively, so a query touches a
+few columns rather than all of D(v), at a recursion depth of at most
+l(v) + 1.
+
 Each ``WeylGroup`` keeps its table, a list indexed by the element index
 v of the enumerated group: entry v is None until v is a filled
-representative, then a pair of arrays over the down-set D(v): ``keys``,
-an ``array('i')`` of the u <= v in ascending index, and ``ids``, an
-aligned ``array('H')`` of ids into one table-wide list of the distinct
-packed values, as in du Cloux's *Coxeter* (Experiment. Math. 11, 2002).
-An entry takes 6 bytes; the full S7 table has about a million entries
-but 98 distinct values.  Id 0 is the value 1, so v is rationally smooth
-exactly when every id of its column is 0.  A query finds u among the
-keys by bisection.  Columns are filled on demand: column v reads only
-column sv and the columns z of its mu-terms, and fills their
-representatives first, recursively, so a query touches a few columns
-rather than all of D(v), at a recursion depth of at most l(v) + 1.  A
-fill scatters into one dense list over the indices up to v, where D(v)
-lies as indices ascend with length: each P(x,sv) lands on the descent
-of the pair {x, s.x}, as q P(x,sv) at x or as P(x,sv) at s.x, each mu-term column is subtracted entry by
-entry, and each ascent u (su > u) then takes the value at su, which is
-final.  A column read through another representative is read with its
-keys relabelled, and no column is turned into a dict.  The keys of column v
-are the lifting step D(v) = D(sv) | s.D(sv) over the keys of column sv,
-so the table never needs the group's Bruhat down-sets.  A column is built
-locally and stored in one assignment, so a concurrent caller sees no
-column or the whole column.  The value list is the one state that fills
-share: a value seen for the first time is checked and appended under a
-lock, checked for again inside it, so racing fills give a value one id
-and a column filled twice is filled with the same ids.  The orbit maps
-are built in the table's constructor, before any caller can see it.
-Polynomials are packed as Python ints with 16 bits per coefficient,
-which keeps the sweeps over six-letter symmetric groups fast; the
-largest coefficient seen, in the full S8 table, is 73.  A value is
+representative, then a pair of arrays, ``keys``, an ``array('i')`` of
+its extremal u in ascending index, and ``ids``, an aligned
+``array('H')`` of ids into one table-wide list of the distinct packed
+values.  An entry takes 6 bytes.  Id 0 is the value 1, so v is
+rationally smooth exactly when every id of its column is 0.  The ids
+of one table must fit ``array('H')``: the S7 table has 98 distinct
+values, S8 1,118 and E6 46,681 of the 65,536.  A full column over D(v),
+for the value oracles, is read by walking the double coset of each key.
+A column is built locally and stored in one assignment, so a concurrent
+caller sees no column or the whole column.  The value list is the one
+state that fills share: a value seen for the first time is checked and
+appended under a lock, checked for again inside it, so racing fills
+give a value one id and a column filled twice is filled with the same
+ids.  The orbit maps, descent sets and right multiplication rows are
+built in the table's constructor, before any caller can see it.
+Polynomials are packed as Python ints with 16 bits per coefficient;
+the largest coefficient seen, in the full S8 table, is 73.  A value is
 checked as it is interned: positive, constant term 1 and every
 coefficient below 2^15, so a borrow from a negative coefficient cannot
 pass.  Decoding checks the sign, the constant term and the degree bound;
-each table decodes a distinct (value id, length gap) once and hands the
+each table decodes a distinct (value, length gap) once and hands the
 same immutable ``KLPolynomial`` to every index-level read of it.
 """
 
@@ -78,7 +100,7 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from .errors import InternalInvariantError, NotComparableError
 from .weyl import (
@@ -238,23 +260,48 @@ def _check_bounds(val: int) -> None:
         rest >>= _SHIFT
 
 
+def _index_set(descents: list[int], s: int) -> int:
+    """The bit mask over element indices of the u whose descent mask has bit s."""
+    return int("".join("1" if d >> s & 1 else "0" for d in reversed(descents)), 2)
+
+
+def _bits(m: int) -> list[int]:
+    """The set bits of m >= 0, ascending: one C-level search per bit of bin(m)."""
+    digits = bin(m)
+    top = len(digits) - 1
+    out = []
+    i = digits.rfind("1")
+    while i > 1:
+        out.append(top - i)
+        i = digits.rfind("1", 2, i)
+    return out
+
+
 class _KLTable:
-    """Per-group memo over orbit representatives.
+    """Per-group memo over orbit representatives and their extremal keys.
 
     ``packed[r]`` is None or, for a representative r, the pair
-    (keys, ids): ``keys`` is an ``array('i')`` of D(r) in ascending index,
-    and ``ids`` an aligned ``array('H')`` with P(u,r) = values[id].
+    (keys, ids): ``keys`` is an ``array('i')`` of the extremal u of r,
+    the u <= r with D_L(u) >= D_L(r) and D_R(u) >= D_R(r), in ascending
+    index, and ``ids`` an aligned ``array('H')`` with P(u,r) = values[id].
     ``ids`` interns the values and ``values`` lists them by id, with
     ``values[0] == 1``.  ``rep[v]`` is the representative of v's orbit
     under inversion and w0-conjugation, and ``flip[v]`` the involution of
     that orbit group taking v to ``rep[v]``, as an index list, or None for
-    the identity.  ``decoded`` memoizes :meth:`polynomial` by
-    (value id, length gap).
+    the identity.  ``left[u]`` and ``right[u]`` are the left and right
+    descent sets of u as bit masks over 0-based simple indices,
+    ``rmult[t][u]`` is the index of u s_t, and ``with_left[s]`` and
+    ``with_right[t]`` are bit masks over element indices of the u with s
+    in D_L(u), resp. t in D_R(u).  ``mus[r]`` is the mu-list of a filled
+    representative r, and ``decoded`` memoizes :meth:`polynomial` by
+    (packed value, length gap).
     """
 
     def __init__(self, wg: WeylGroup, descent: Callable[[int], int] | None = None):
         self.wg = wg
-        self.packed: list[tuple[array, array] | None] = [None] * wg.size
+        size = wg.size
+        self.packed: list[tuple[array, array] | None] = [None] * size
+        self.mus: list[list[tuple[int, int]] | None] = [None] * size
         self.ids = _ValueIds()
         self.values = self.ids.values
         self.decoded: dict[tuple[int, int], KLPolynomial] = {}
@@ -267,31 +314,38 @@ class _KLTable:
         maps = (None, inv, conj, inv_conj)
         self.rep: list[int] = []
         self.flip: list[list[int] | None] = []
-        for v in range(wg.size):
+        for v in range(size):
             images = (v, inv[v], conj[v], inv_conj[v])
             r = min(images)
             self.rep.append(r)
             self.flip.append(maps[images.index(r)])
+        # s is a left descent of u when s.u < u, since indices ascend with length
+        self.left = left = [0] * size
+        for s, row in enumerate(wg.lmult):
+            for u, su in enumerate(row):
+                if su < u:
+                    left[u] |= 1 << s
+        self.right = right = [left[k] for k in inv]
+        self.rmult = [[inv[row[k]] for k in inv] for row in wg.lmult]  # u s = (s u^-1)^-1
+        self.with_left = [_index_set(left, s) for s in range(len(wg.lmult))]
+        self.with_right = [_index_set(right, s) for s in range(len(wg.lmult))]
 
     def _cheapest_descent(self, v: int) -> int:
         """The left descent s of v whose filled column sv has the fewest keys.
 
         Only representatives already in ``packed`` are candidates, and the
         smaller s wins a tie; with none filled, the smallest descent.
-        Fills nothing.  A left descent is an s with s.v < v, since
-        indices ascend with length.
+        Fills nothing.
         """
-        packed, rep = self.packed, self.rep
+        packed, rep, lmult = self.packed, self.rep, self.wg.lmult
         first = best = -1
         fewest = 0
-        for s, row in enumerate(self.wg.lmult):
-            sv = row[v]
-            if sv < v:
-                if first < 0:
-                    first = s
-                col = packed[rep[sv]]
-                if col is not None and (best < 0 or len(col[0]) < fewest):
-                    best, fewest = s, len(col[0])
+        for s in _bits(self.left[v]):
+            if first < 0:
+                first = s
+            col = packed[rep[lmult[s][v]]]
+            if col is not None and (best < 0 or len(col[0]) < fewest):
+                best, fewest = s, len(col[0])
         return first if best < 0 else best
 
     def ensure_column(self, v: int) -> tuple[array, array]:
@@ -302,17 +356,67 @@ class _KLTable:
             col = self.packed[r] = self._compute_column(r)
         return col
 
+    def _raise(self, u: int, r: int) -> int:
+        """u raised through the left descents of r it lacks, then the right ones.
+
+        P(u,r) = P(su,r) for a left descent s of r with su > u, and u <= r
+        exactly when su <= r; on the right likewise with ut.  A right step
+        never drops a left descent, so the raised u is the extremal element
+        of r in the double coset of u, and u <= r exactly when it is a key.
+        """
+        left, lmult = self.left, self.wg.lmult
+        need = left[r]
+        missing = need & ~left[u]
+        while missing:
+            u = lmult[(missing & -missing).bit_length() - 1][u]
+            missing = need & ~left[u]
+        right, rmult = self.right, self.rmult
+        need = right[r]
+        missing = need & ~right[u]
+        while missing:
+            u = rmult[(missing & -missing).bit_length() - 1][u]
+            missing = need & ~right[u]
+        return u
+
+    def _reader(self, v: int) -> Callable[[int], int]:
+        """u -> packed P(u,v), 0 when u is not below v; fills column rep[v] first.
+
+        u is flipped into the frame of r = rep[v] and raised as by
+        :meth:`_raise`, whose loops the fill's reads inline, then found
+        among the keys of r by bisection.
+        """
+        keys, ids = self.ensure_column(v)
+        r, f = self.rep[v], self.flip[v]
+        left, right, lmult, rmult = self.left, self.right, self.wg.lmult, self.rmult
+        need_left, need_right = left[r], right[r]
+        values, n = self.values, len(keys)
+
+        def read(u: int) -> int:
+            if f is not None:
+                u = f[u]
+            missing = need_left & ~left[u]
+            while missing:
+                u = lmult[(missing & -missing).bit_length() - 1][u]
+                missing = need_left & ~left[u]
+            missing = need_right & ~right[u]
+            while missing:
+                u = rmult[(missing & -missing).bit_length() - 1][u]
+                missing = need_right & ~right[u]
+            i = bisect_left(keys, u)
+            return values[ids[i]] if i < n and keys[i] == u else 0
+        return read
+
     def polynomial(self, u: int, v: int) -> KLPolynomial:
         """P(u,v) for element indices u <= v, decoded once per distinct value.
 
-        ``decoded`` maps (id, l(v) - l(u)) to its polynomial, so each
+        ``decoded`` maps (value, l(v) - l(u)) to its polynomial, so each
         distinct value passes the checks of :func:`_unpack` once and is
         shared by every pair that holds it.
         """
         f = self.flip[v]
         keys, ids = self.ensure_column(v)
-        # P(u,v) = P(f(u), rep(v)): one search in the representative's keys
-        k = u if f is None else f[u]
+        # P(u,v) = P(f(u), rep(v)) = P(k, rep(v)) for the key k that f(u) raises to
+        k = self._raise(u if f is None else f[u], self.rep[v])
         i = bisect_left(keys, k)
         wg = self.wg
         if i == len(keys) or keys[i] != k:
@@ -320,39 +424,79 @@ class _KLTable:
                 f"not comparable: {format_word(from_word(wg.rs, wg.words[u]))} "
                 f"!<= {format_word(from_word(wg.rs, wg.words[v]))}"
             )
-        return self._decode(ids[i], wg.lengths[v] - wg.lengths[u])
+        return self._decode(self.values[ids[i]], wg.lengths[v] - wg.lengths[u])
 
     def polynomials(self, v: int) -> Iterator[tuple[int, KLPolynomial]]:
-        """(u, P(u,v)) for every u in D(v), read in one pass over column v.
+        """(u, P(u,v)) for every u in D(v), ascending u, in one pass over column v.
 
-        The order is that of the representative's keys; each (id, gap)
-        is decoded through ``decoded`` as in :meth:`polynomial`.
+        Each (value, gap) is decoded through ``decoded`` as in :meth:`polynomial`.
         """
-        keys, ids = self.ensure_column(v)
-        f = self.flip[v]
         lengths = self.wg.lengths
         lv = lengths[v]
-        for k, i in zip(keys, ids):
-            u = k if f is None else f[k]
-            yield u, self._decode(i, lv - lengths[u])
+        for u, p in self._entries(v):
+            yield u, self._decode(p, lv - lengths[u])
 
-    def _decode(self, i: int, gap: int) -> KLPolynomial:
-        """The polynomial of value id i at length gap, decoded once per pair."""
-        poly = self.decoded.get((i, gap))
+    def _decode(self, val: int, gap: int) -> KLPolynomial:
+        """The polynomial of packed value val at length gap, decoded once per pair."""
+        poly = self.decoded.get((val, gap))
         if poly is None:
-            poly = self.decoded[(i, gap)] = _unpack(self.values[i], gap)
+            poly = self.decoded[(val, gap)] = _unpack(val, gap)
         return poly
 
     def column(self, v: int) -> dict[int, int]:
         """Column v as a fresh dict u -> packed P(u,v) over D(v)."""
-        return dict(zip(*self._entries(v)))
+        return dict(self._entries(v))
 
-    def _entries(self, v: int) -> tuple[Iterable[int], Iterable[int]]:
-        """Column v as two aligned iterators, u in D(v) and packed P(u,v)."""
+    def _entries(self, v: int) -> list[tuple[int, int]]:
+        """(u, packed P(u,v)) for every u in D(v), ascending u.
+
+        D(rep[v]) is the union of the double cosets W_I k W_J of its keys
+        k, I and J its left and right descents, each a Bruhat interval
+        with top k on which P(-, rep[v]) is constant; each is walked from
+        k through the lmult rows of I and the rmult rows of J.
+        """
         keys, ids = self.ensure_column(v)
-        f = self.flip[v]
-        return (keys if f is None else map(f.__getitem__, keys),
-                map(self.values.__getitem__, ids))
+        r, f = self.rep[v], self.flip[v]
+        steps = ([self.wg.lmult[s] for s in _bits(self.left[r])]
+                 + [self.rmult[t] for t in _bits(self.right[r])])
+        found: dict[int, int] = {}
+        for k, p in zip(keys, map(self.values.__getitem__, ids)):
+            found[k] = p
+            stack = [k]
+            while stack:
+                x = stack.pop()
+                for row in steps:
+                    y = row[x]
+                    if y not in found:
+                        found[y] = p
+                        stack.append(y)
+        return sorted(found.items() if f is None else ((f[u], p) for u, p in found.items()))
+
+    def _mu_list(self, r: int) -> list[tuple[int, int]]:
+        """(z, mu(z,r)) for every z with mu(z,r) != 0; column r must be filled.
+
+        A z with mu(z,r) != 0 that lacks a left descent s of r is sr, and
+        one that lacks a right descent t of r is rt (Kazhdan-Lusztig 1979,
+        2.3; Bjorner-Brenti, GTM 231, ch. 5), where mu is 1; every other z
+        is a key of r.
+        """
+        mus = self.mus[r]
+        if mus is None:
+            keys, ids = self.packed[r]
+            lengths, values = self.wg.lengths, self.values
+            lr = lengths[r]
+            mus = []
+            for z, i in zip(keys, ids):
+                gap = lr - lengths[z]
+                if gap % 2:
+                    m = (values[i] >> (_SHIFT * (gap // 2))) & _MASK
+                    if m:
+                        mus.append((z, m))
+            coatoms = {self.wg.lmult[s][r] for s in _bits(self.left[r])}
+            coatoms.update(self.rmult[t][r] for t in _bits(self.right[r]))
+            mus += [(z, 1) for z in sorted(coatoms)]
+            self.mus[r] = mus
+        return mus
 
     def _compute_column(self, v: int) -> tuple[array, array]:
         wg = self.wg
@@ -362,37 +506,41 @@ class _KLTable:
         s = self.descent(v)
         row = wg.lmult[s]
         sv = row[v]
-        lv, lsv = lengths[v], lengths[sv]
-        keys_sv, vals_sv = map(list, self._entries(sv))
+        lv = lengths[v]
+        read_sv = self._reader(sv)
 
-        # at each descent u (su < u; indices ascend with length):
+        # the mu-terms z < sv with sz < z, as readers of column z, each
+        # filled first if need be, so depth stays within l(v) + 1
+        f = self.flip[sv]
+        terms = []
+        for z, m in self._mu_list(self.rep[sv]):
+            if f is not None:
+                z = f[z]
+            if row[z] < z:
+                terms.append((z, m << (_SHIFT * ((lv - lengths[z]) // 2)), self._reader(z)))
+
+        # the keys of v: each u up to index v with D_L(u) >= D_L(v) and
+        # D_R(u) >= D_R(v) for which u <= v, that is su <= sv; there
         #   P(u,v) = P(su,sv) + q P(u,sv) - sum of mu(z,sv) q^((l(v)-l(z))/2) P(u,z)
-        # over the descents z of D(sv) with l(sv) - l(z) odd; each term is
-        # scattered into acc, and what lands on ascents is never read;
-        # every index of D(v) is at most v (indices ascend with length)
-        acc = [0] * (v + 1)
-        mu_terms: list[tuple[int, int]] = []
-        for x, p in zip(keys_sv, vals_sv):
-            sx = row[x]
-            if sx > x:
-                acc[sx] += p
-                continue
-            acc[x] += p << _SHIFT
-            gap = lsv - lengths[x]
-            if gap % 2:
-                mu_val = (p >> (_SHIFT * (gap // 2))) & _MASK
-                if mu_val:
-                    mu_terms.append((x, mu_val << (_SHIFT * ((lv - lengths[x]) // 2))))
-        for z, m in mu_terms:
-            # fills column z first if need be, so depth stays within l(v) + 1
-            for x, p in zip(*self._entries(z)):
-                acc[x] -= m * p
-
-        # lifting: D(v) = D(sv) | s.D(sv); an ascent u takes P(su,v)
-        down = set(keys_sv)
-        down.update(map(row.__getitem__, keys_sv))
-        keys = sorted(down)
-        vals = [acc[su] if (su := row[u]) > u else acc[u] for u in keys]
+        below = (2 << v) - 1
+        for d in _bits(self.left[v]):
+            below &= self.with_left[d]
+        for d in _bits(self.right[v]):
+            below &= self.with_right[d]
+        keys, vals = [], []
+        for u in _bits(below):
+            p = read_sv(row[u])
+            if p:
+                keys.append(u)
+                vals.append(p + (read_sv(u) << _SHIFT))
+        for z, m, read_z in terms:
+            # P(u,z) = 0 unless u <= z, so no key past index z
+            for i, u in enumerate(keys):
+                if u > z:
+                    break
+                p = read_z(u)
+                if p:
+                    vals[i] -= m * p
         # arrays from lists are allocated to size; from iterators they over-allocate
         return array("i", keys), array("H", list(map(self.ids.__getitem__, vals)))
 
@@ -431,8 +579,8 @@ def is_rationally_smooth(v: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> 
     Schubert variety.
     """
     wg = WeylGroup.for_system(v.group, cap)
-    # the representative's column holds the same values as v's, relabelled;
-    # id 0 is the value 1
+    # every value of column v is a value at a key of the representative's
+    # column; id 0 is the value 1
     _, ids = _table_for(wg).ensure_column(wg.idx(v))
     return not any(ids)
 

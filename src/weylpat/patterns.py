@@ -409,36 +409,39 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w].
 
     phi is the coset map phi_w = ``coset_maps()[w]`` of an embedding,
-    phi[g] = i(g fl(w)^-1) w.  True when phi is a bijection of
-    ``src.interval_indices(u, v)`` onto ``tgt.interval_indices(x, w)``
-    that carries the in-interval lower covers of each z exactly onto
-    those of its image: the order of a finite poset is the transitive
-    closure of its covers, so such a bijection is an isomorphism.
-    ``bottom`` is ``_interval_covers(src, u, v)``, computed here when not
-    given, so a caller deciding many quadruples can build each source
-    interval once.
+    phi[g] = i(g fl(w)^-1) w, with fl(w) = v, so phi[v] = w.  True when,
+    for each z of [u, v], phi carries the lower covers of z inside
+    [u, v] onto the lower covers c of phi[z] with x <= c, each tested by
+    one bit of the target's down-set of c; the target interval is never
+    built.  ``bottom`` is ``_interval_covers(src, u, v)``, computed here
+    when not given, so a caller deciding many quadruples can build each
+    source interval once.
 
-    The proof is complete when fl(w) = v and x = phi[u], as for every
-    quadruple the forced-bottom scan yields.  Then phi(g) = i(g) m with
-    m = i(v^-1) w and fl(m) = e, and by the Billey-Braden coset lemma
-    phi is injective and order preserving on all of W', so it maps
-    [u, v] into [phi(u), phi(v)] = [x, w].  If [u, v] and [x, w] are
-    isomorphic they have as many elements and as many comparable
-    pairs, so phi is onto [x, w], and onto its comparable pairs too:
-    phi and its inverse both preserve order, phi carries covers
-    exactly, and the proof succeeds.  So when it fails, the two
-    intervals are not isomorphic.
+    The proof is sound.  phi is injective on W', as the bijection
+    g -> i(g) m of W' onto the coset of m = i(v^-1) w.  Every z of
+    [u, v] lies on a chain of covers down from v inside [u, v], so by
+    induction down the chain, from phi[v] = w, phi[z] lies in [x, w].
+    Every element of [x, w] lies on a chain of covers down from w inside
+    [x, w], so by the same induction it is phi of some z of [u, v].  So
+    phi is a bijection of [u, v] onto [x, w] that carries the
+    in-interval lower covers of each z exactly onto those of its image,
+    and as the order of a finite poset is the transitive closure of its
+    covers, it is an isomorphism.
+
+    The proof is complete when x = phi[u], as for every quadruple the
+    forced-bottom scan yields.  Then phi(g) = i(g) m with fl(m) = e, and
+    by the Billey-Braden coset lemma phi is injective and order
+    preserving on all of W', so it maps [u, v] into [phi(u), phi(v)] =
+    [x, w].  If [u, v] and [x, w] are isomorphic they have as many
+    elements and as many comparable pairs, so phi is onto [x, w], and
+    onto its comparable pairs too: phi and its inverse both preserve
+    order, phi carries covers exactly, and the proof succeeds.  So when
+    it fails, the two intervals are not isomorphic.
     """
     if bottom is None:
         bottom = _interval_covers(src, u, v)
-    top = tgt.interval_indices(x, w)
-    if len(bottom) != len(top):
-        return False
-    image = set(top)
-    if {phi[z] for z, _ in bottom} != image:
-        return False
-    tgt_lower = tgt.lower_covers
-    return all({phi[c] for c in below} == {c for c in tgt_lower[phi[z]] if c in image}
+    down, lower = tgt.downsets, tgt.lower_covers
+    return all({phi[c] for c in below} == {c for c in lower[phi[z]] if down[c] >> x & 1}
                for z, below in bottom)
 
 

@@ -562,6 +562,30 @@ def brute_force_isomorphic(i1, i2) -> bool:
     return extend(0)
 
 
+def pattern_map_isomorphic_on_target_interval(src: WeylGroup, tgt: WeylGroup, phi,
+                                              u: int, v: int, x: int, w: int) -> bool:
+    """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w], both built.
+
+    True when phi is a bijection of ``src.interval_indices(u, v)`` onto
+    ``tgt.interval_indices(x, w)`` that carries the in-interval lower
+    covers of each z exactly onto those of its image.  It builds both
+    intervals and compares them whole, where the library's proof never
+    builds [x, w].
+    """
+    bottom = src.interval_indices(u, v)
+    top = tgt.interval_indices(x, w)
+    if len(bottom) != len(top):
+        return False
+    image = set(top)
+    if {phi[z] for z in bottom} != image:
+        return False
+    inside = set(bottom)
+    src_lower, tgt_lower = src.lower_covers, tgt.lower_covers
+    return all({phi[c] for c in src_lower[z] if c in inside}
+               == {c for c in tgt_lower[phi[z]] if c in image}
+               for z in bottom)
+
+
 # ---------------------------------------------------------------------------
 # interval pattern embedding by its definition
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from array import array
 import pytest
 
 from helpers import (
+    _reflection_closure_downsets,
     bruhat_leq_by_reflection_closure,
     covers,
     kl_defining_identity_holds,
@@ -173,10 +174,11 @@ def test_descent_choice_independence_b2():
     assert all(alt.column(v) == ref.column(v) for v in range(wg.size))
 
 
-def _expected_descent(wg, table, v):
+def _expected_descent(wg, table, v, extremal):
     """The left descent of v whose filled column sv has the fewest keys, by object-level data.
 
-    Column sv holds D(sv), whose size the down-set bitmask gives; with
+    Column sv holds the extremal set of rep(sv), as large as that of sv,
+    since each orbit map carries one extremal set onto the other; with
     no such column filled, the smallest descent.
     """
     lmult = wg.lmult
@@ -184,12 +186,13 @@ def _expected_descent(wg, table, v):
     filled = [s for s in descents if table.packed[table.rep[lmult[s][v]]] is not None]
     if not filled:
         return descents[0]
-    return min(filled, key=lambda s: (wg.downsets[lmult[s][v]].bit_count(), s))
+    return min(filled, key=lambda s: (len(extremal[lmult[s][v]]), s))
 
 
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4"])
 def test_cheapest_descent_reads_only_filled_columns(cartan_type):
     wg = WeylGroup.for_system(build_root_system(cartan_type))
+    extremal = _extremal_sets(wg)
     table = _KLTable(wg)
     # cold: the smallest descent, and the choice fills nothing
     for v in range(1, wg.size):
@@ -201,7 +204,7 @@ def test_cheapest_descent_reads_only_filled_columns(cartan_type):
             table.ensure_column(v)
         filled = sum(col is not None for col in table.packed)
         for v in range(1, wg.size):
-            assert table._cheapest_descent(v) == _expected_descent(wg, table, v)
+            assert table._cheapest_descent(v) == _expected_descent(wg, table, v, extremal)
         assert sum(col is not None for col in table.packed) == filled
     # the full table takes another descent than the smallest somewhere
     assert any(table._cheapest_descent(v) != wg.min_left_descent_idx(v)
@@ -260,6 +263,83 @@ def test_every_column_matches_the_plain_recursion(cartan_type):
     table = _KLTable(wg)
     for vi in range(wg.size):
         assert table.column(vi) == oracle[vi]
+
+
+def _descent_sets(wg):
+    """(D_L(u), D_R(u)) of every element, 1-based, read off WeylElement objects."""
+    simple = range(1, wg.rs.rank + 1)
+    return [({i for i in simple if el.has_left_descent(i)},
+             {i for i in simple if inverse(el).has_left_descent(i)}) for el in wg.elements]
+
+
+def _extremal_sets(wg):
+    """For each r, the ascending u <= r with D_L(u) >= D_L(r) and D_R(u) >= D_R(r).
+
+    Bruhat order comes from the reflection-closure oracle.
+    """
+    down = _reflection_closure_downsets(wg)
+    descents = _descent_sets(wg)
+    return [[u for u in range(r + 1) if down[r] >> u & 1
+             and descents[u][0] >= descents[r][0] and descents[u][1] >= descents[r][1]]
+            for r in range(wg.size)]
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "G2", "F4", "A1xA2"])
+def test_stored_keys_are_the_extremal_set(cartan_type):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    table = _KLTable(wg)
+    for v in range(wg.size):
+        table.ensure_column(v)
+    extremal = _extremal_sets(wg)
+    stored = [r for r, col in enumerate(table.packed) if col is not None]
+    assert stored
+    for r in stored:
+        assert list(table.packed[r][0]) == extremal[r]
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4"])
+def test_mu_lemma_against_the_plain_recursion(cartan_type):
+    # mu(z,y) != 0 with a left descent s of y missing from z forces z = sy,
+    # and with a right descent t missing, z = yt; so the mu-list of each
+    # representative, its odd-gap keys with mu != 0 and its coatoms sy and
+    # yt, is every z with mu(z,y) != 0
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    oracle = plain_kl_columns(wg)
+    descents = _descent_sets(wg)
+    simple = {i: wg.lmult[i - 1][0] for i in range(1, wg.rs.rank + 1)}
+    lengths = wg.lengths
+    table = _KLTable(wg)
+    for y in range(wg.size):
+        mus = {}
+        for z, p in oracle[y].items():
+            gap = lengths[y] - lengths[z]
+            if gap % 2 and (m := p >> (16 * (gap // 2)) & 0xFFFF):
+                mus[z] = m
+        for z, m in mus.items():
+            for s in descents[y][0] - descents[z][0]:
+                assert z == mul(wg, simple[s], y) and m == 1
+            for t in descents[y][1] - descents[z][1]:
+                assert z == mul(wg, y, simple[t]) and m == 1
+        if table.rep[y] == y:
+            table.ensure_column(y)
+            assert dict(table._mu_list(y)) == mus
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3"])
+def test_incomparable_pairs_miss_every_key(cartan_type):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    down = _reflection_closure_downsets(wg)
+    table = _KLTable(wg)
+    for v in range(wg.size):
+        read = table._reader(v)
+        for u in range(wg.size):
+            if down[v] >> u & 1:
+                assert read(u)
+            else:
+                # u raises to no key of v's representative
+                assert read(u) == 0
+                with pytest.raises(NotComparableError, match="not comparable"):
+                    table.polynomial(u, v)
 
 
 @pytest.mark.parametrize("cartan_type, central",
@@ -399,9 +479,14 @@ def test_bad_packed_values_are_rejected_on_decode(monkeypatch, capsys, bad, mess
     u, v = identity(a3), parse_element(a3, "1 2")
     table = _KLTable(wg)
     # plant the value under a new id, past the bounds checked on interning;
-    # u = e is fixed by every orbit map, so it keys the representative's column
-    keys, ids = table.ensure_column(wg.idx(v))
-    ids[keys.index(wg.idx(u))] = len(table.values)
+    # s1 s2 is the smallest index of its orbit, so its column is its own, and
+    # e is not one of its keys: it raises by s1 on the left, then by s2 on the
+    # right, to the key s1 s2
+    k = wg.idx(v)
+    assert table.rep[k] == k
+    keys, ids = table.ensure_column(k)
+    assert wg.idx(u) not in keys
+    ids[keys.index(k)] = len(table.values)
     table.values.append(bad)
     monkeypatch.setattr(wg, "_kl_table", table)
     with pytest.raises(InternalInvariantError, match=message):
@@ -417,12 +502,13 @@ def test_full_a5_columns_are_index_arrays_of_value_ids():
         table.ensure_column(v)
     assert table.values[0] == 1 and table.ids[1] == 0
     assert all(table.ids[p] == i for i, p in enumerate(table.values))
+    extremal = _extremal_sets(wg)
     for r, col in enumerate(table.packed):
         if col is None:
             continue
         keys, ids = col
         assert (keys.typecode, ids.typecode) == ("i", "H")
-        assert list(keys) == list(wg.below(r))  # D(r), ascending
+        assert list(keys) == extremal[r]  # ascending
         assert len(ids) == len(keys)
         # 6 bytes an entry: the arrays are allocated to size
         empty = sys.getsizeof(array("i")) + sys.getsizeof(array("H"))

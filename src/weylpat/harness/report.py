@@ -3,23 +3,40 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class VerificationReport:
     """Outcome of one verification sweep.
 
     ``failures`` holds canonical one-line descriptions of every
     counterexample; the suite passed exactly when it is empty.  Reports
-    are deterministic apart from ``wall_time``.
+    are deterministic apart from ``wall_time``.  Two reports are equal
+    when all five fields are.
     """
 
-    suite: str
-    parameters: dict = field(default_factory=dict)
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    wall_time: float = 0.0
+    __slots__ = ("suite", "parameters", "cases", "failures", "wall_time")
+    __hash__ = None  # mutable, compared by value
+
+    def __init__(self, suite: str, parameters: dict | None = None, cases: int = 0,
+                 failures: list[str] | None = None, wall_time: float = 0.0):
+        self.suite = suite
+        self.parameters = {} if parameters is None else parameters
+        self.cases = cases
+        self.failures = [] if failures is None else failures
+        self.wall_time = wall_time
+
+    def _fields(self) -> tuple:
+        return (self.suite, self.parameters, self.cases, self.failures, self.wall_time)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"VerificationReport(suite={self.suite!r}, parameters={self.parameters!r}, "
+                f"cases={self.cases!r}, failures={self.failures!r}, "
+                f"wall_time={self.wall_time!r})")
 
     @property
     def passed(self) -> bool:

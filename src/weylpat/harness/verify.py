@@ -64,12 +64,16 @@ from ..patterns import (
 from ..roots import build_root_system
 from ..weyl import (
     DEFAULT_ENUMERATION_CAP,
+    WeylElement,
     WeylGroup,
     element_label,
     enumerate_elements,
     format_word,
     from_word,
+    identity,
+    multiply,
     parse_element,
+    simple_reflection,
 )
 from .report import VerificationReport
 
@@ -363,10 +367,14 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
 
     The two sides are computed through independent pipelines.  The KL
     side asks :func:`~weylpat.kl.is_rationally_smooth` of every element,
-    which fills the full Kazhdan-Lusztig table in index order.  The
-    pattern side streams one fresh flat table per A3 subsystem
-    embedding, keeping none, and marks each element index whose
-    flattening is 3412 or 4231 in one bytearray.
+    which fills the full Kazhdan-Lusztig table.  It builds each
+    :class:`~weylpat.weyl.WeylElement` on a depth-first walk of the word
+    tree, element k being s_i times the element of its word's tail, and
+    holds only the path, so no element list is built; the answers are
+    kept by index and compared in index order.  The pattern side streams
+    one fresh flat table per A3 subsystem embedding, keeping none: each
+    is a ``bytes``, translated through a 256-byte table that marks 3412
+    and 4231, and the marks of all embeddings are ORed as one big int.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -379,24 +387,41 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
         wg = WeylGroup.for_system(rs, cap)
         # the pattern group under the default cap, as object-level flatten reads it
         src = WeylGroup.for_system(a3)
-        bad = {src.idx(p) for p in singular}
-        # contains[w] is 1 once some embedding flattens w to 3412 or 4231
-        contains = bytearray(wg.size)
+        mark = bytearray(256)
+        for p in singular:
+            mark[src.idx(p)] = 1
+        # byte w of contains is 1 once some embedding flattens w to 3412 or 4231;
+        # A3's masks fit one byte, so each flat table is a bytes
+        found = 0
         for emb in enumerate_embeddings(a3, rs):
-            for w, f in enumerate(emb._flat_table(src, wg)):
-                if f in bad:
-                    contains[w] = 1
+            found |= int.from_bytes(emb._flat_table(src, wg).translate(mark), "little")
+        contains = found.to_bytes(wg.size, "little")
+
+        lmult, lengths, words = wg.lmult, wg.lengths, wg.words
+        gens = [simple_reflection(rs, i + 1) for i in range(rs.rank)]
+        smooth = bytearray(wg.size)
+
+        def visit(k: int, el: WeylElement) -> None:
+            smooth[k] = is_rationally_smooth(el, cap)
+            # the children of k: each longer s_i k whose lex-least word starts with i
+            for i, row in enumerate(lmult):
+                c = row[k]
+                if lengths[c] > lengths[k] and words[c][0] == i + 1:
+                    visit(c, multiply(gens[i], el))
+
+        visit(0, identity(rs))
         smooth_kl = 0
         smooth_pattern = 0
-        for w, el in enumerate(wg.elements):
+        for w in range(wg.size):
             rep.cases += 1
-            by_kl = is_rationally_smooth(el, cap)
+            by_kl = bool(smooth[w])
             by_pattern = not contains[w]
             smooth_kl += by_kl
             smooth_pattern += by_pattern
             if by_kl != by_pattern:
                 rep.failures.append(
-                    f"{element_label(el)}: kl says {'smooth' if by_kl else 'singular'}, "
+                    f"{element_label(from_word(rs, words[w]))}: "
+                    f"kl says {'smooth' if by_kl else 'singular'}, "
                     f"patterns say {'smooth' if by_pattern else 'singular'}")
         rep.parameters["smooth_kl"] = smooth_kl
         rep.parameters["smooth_pattern"] = smooth_pattern

@@ -29,8 +29,10 @@ such table per right coset of the embedded subgroup.
 one; it is the library's only poset-isomorphism decision.
 :func:`interval_pattern_instances` streams index quadruples and keeps
 none: each embedding keeps a flatten table over the enumerated groups,
-the forced bottom x = phi_w[u] is one lookup, and x <= w is a bit of
-the target's down-set.  :func:`forced_bottom` is its object-level twin,
+pulled back from the byte planes of the target's masks by
+``bytes.translate`` and itself a ``bytes`` when the source's masks fit
+one byte, the forced bottom x = phi_w[u] is one lookup, and x <= w is a
+bit of the target's down-set.  :func:`forced_bottom` is its object-level twin,
 which enumerates no group.
 """
 
@@ -45,7 +47,7 @@ from .errors import (
     InternalInvariantError,
     NotComparableError,
 )
-from .roots import RootSystem, _echelon, _reduce, build_root_system
+from .roots import RootSystem, _byte_tables, _echelon, _reduce, build_root_system
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
@@ -105,7 +107,7 @@ class SubsystemEmbedding:
             (source.positive_position(r), target.positive_position(full_map[r]))
             for r in source.positive
         )
-        self._flat: list[int] | None = None
+        self._flat: Sequence[int] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -135,7 +137,7 @@ class SubsystemEmbedding:
                 bits |= 1 << sp
         return bits
 
-    def flat(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[int]:
+    def flat(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Sequence[int]:
         """flat[w] is the source index of fl(w), for each target index w; memoized."""
         source = WeylGroup.for_system(self.source, cap)
         target = WeylGroup.for_system(self.target, cap)
@@ -143,15 +145,19 @@ class SubsystemEmbedding:
             self._flat = self._flat_table(source, target)
         return self._flat
 
-    def _flat_table(self, source: WeylGroup, target: WeylGroup) -> list[int]:
+    def _flat_table(self, source: WeylGroup, target: WeylGroup) -> Sequence[int]:
         """A fresh flat table over the enumerated groups, not memoized.
 
-        Each byte of a target inversion mask maps through its own table
-        to the source bits its set bits pull back to, so fl(w) is one
-        lookup per byte, ORed, then one in ``source.index``.  A byte
-        table is filled in 2^b steps, t[m] = t[m & (m - 1)] | the image
-        of the lowest set bit of m, and the last one is only as wide as
-        the bits left in the mask.  Raises InternalInvariantError when a
+        Byte j of every pulled-back mask comes out at once: each of the
+        target's byte planes (``target.planes``) goes through one
+        ``bytes.translate`` that maps a byte of a target mask to byte j of
+        the source bits its set bits pull back to (from the byte tables of
+        :func:`~weylpat.roots._byte_tables`), and the translated planes are
+        ORed as big ints.  When the source's masks fit one byte,
+        |W(source)| <= 2^8, so one more translate maps the masks to their
+        source indices and the table is a ``bytes``; a wider source's
+        masks are assembled per element and looked up in
+        ``source.index``.  Raises InternalInvariantError when a
         pulled-back mask is no element's inversion set, that is, not
         biconvex, which means the embedding is invalid.
         """
@@ -159,24 +165,30 @@ class SubsystemEmbedding:
         image = [0] * self.target.num_positive
         for sp, tp in self._pos_pairs:
             image[tp] = 1 << sp
-        tables = []
-        for lo in range(0, len(image), 8):
-            bits = image[lo:lo + 8]
-            t = [0]
-            for m in range(1, 1 << len(bits)):
-                t.append(t[m & (m - 1)] | bits[(m & -m).bit_length() - 1])
-            tables.append(t)
-        masks = target.masks
-        # one pass reads the first three bytes, padded with [0] for a
-        # shorter mask; each further byte takes one more pass
-        t0, t1, t2 = (tables + [[0], [0]])[:3]
-        pulled = [t0[m & 255] | t1[m >> 8 & 255] | t2[m >> 16 & 255] for m in masks]
-        for k in range(3, len(tables)):
-            t, lo = tables[k], 8 * k
-            pulled = [p | t[m >> lo & 255] for p, m in zip(pulled, masks)]
-        index = source.index
+        tables = _byte_tables(image)
+        size = target.size
+        planes = []
+        for lo in range(0, self.source.num_positive, 8):
+            acc = 0
+            for plane, t in zip(target.planes, tables):
+                tr = bytes(x >> lo & 255 for x in t)
+                if any(tr):
+                    acc |= int.from_bytes(plane.translate(tr.ljust(256, b"\0")), "little")
+            planes.append(acc.to_bytes(size, "little"))
+        if len(planes) == 1:
+            masks = bytes(source.masks)
+            if planes[0].translate(None, delete=masks):
+                raise InternalInvariantError(
+                    "pulled-back inversion set is not biconvex; embedding is invalid")
+            index = bytearray(256)
+            for k, m in enumerate(masks):
+                index[m] = k
+            return planes[0].translate(index)
+        pulled: Sequence[int] = planes[0]
+        for k in range(1, len(planes)):
+            pulled = [p | b << 8 * k for p, b in zip(pulled, planes[k])]
         try:
-            return [index[p] for p in pulled]
+            return [source.index[p] for p in pulled]
         except KeyError:
             raise InternalInvariantError(
                 "pulled-back inversion set is not biconvex; embedding is invalid"

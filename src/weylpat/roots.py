@@ -101,6 +101,25 @@ def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     return basis
 
 
+def _byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """One table per byte of a mask over len(images) bits, so that the OR of
+    images[j] over the set bits j of a mask m is the OR over k of
+    tables[k][m >> 8k & 255].
+
+    A table is filled in 2^b steps, t[m] = t[m & (m - 1)] | the image of
+    the lowest set bit of m, so the last one is only as long as the bits
+    left: 2^b entries for b < 8 bits.
+    """
+    tables = []
+    for lo in range(0, len(images), 8):
+        bits = images[lo:lo + 8]
+        t = [0]
+        for m in range(1, 1 << len(bits)):
+            t.append(t[m & (m - 1)] | bits[(m & -m).bit_length() - 1])
+        tables.append(tuple(t))
+    return tuple(tables)
+
+
 # ---------------------------------------------------------------------------
 # simple root tables
 # ---------------------------------------------------------------------------
@@ -240,11 +259,13 @@ class RootSystem:
                 row.append(coord_index[tuple(x - k * y for x, y in zip(cb, ca))] if k else b)
             table.append(tuple(row))
         self.reflection_table = tuple(table)
-        # per simple root a, for weyl._left_step: the bit of a, and the bit of
-        # s_a(b) for each positive root b, 0 for b = a
+        # per simple root a, for weyl._left_step: the bit of a, and the byte
+        # tables of the bits of s_a(b) over the positive roots b, 0 for b = a
         pos = self._pos_position
-        self._left_steps = tuple((1 << pos[a], tuple(0 if b == a else 1 << pos[table[a][b]]
-                                                     for b in self.positive)) for a in self.simple)
+        self._left_steps = tuple(
+            (1 << pos[a], _byte_tables([0 if b == a else 1 << pos[table[a][b]]
+                                        for b in self.positive]))
+            for a in self.simple)
         self._group = None
         self._embeddings: dict[str, tuple] = {}
 

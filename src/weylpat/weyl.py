@@ -167,13 +167,13 @@ def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
 
 def _left_step(rs: RootSystem, mask: int, i: int) -> int:
     """I(s_i w) from I(w) = mask, i 0-based: s_i permutes the positive roots
-    other than a_i, one lookup per set bit, and a_i joins or leaves the set."""
-    bit, images = rs._left_steps[i]
+    other than a_i, one lookup per byte of mask in the byte tables of
+    ``rs._left_steps``, and a_i joins or leaves the set."""
+    bit, tables = rs._left_steps[i]
     out, rest = 0, mask
-    while rest:
-        low = rest & -rest
-        out |= images[low.bit_length() - 1]
-        rest ^= low
+    for t in tables:
+        out |= t[rest & 255]
+        rest >>= 8
     return out if mask & bit else out | bit
 
 
@@ -249,8 +249,9 @@ class WeylGroup:
     lex-least reduced word and left multiplication tables.  Built on
     first use, inverses, the lower-cover lists of Bruhat order (by the
     lifting property, see :attr:`lower_covers`), the down-sets as bit
-    masks and ``elements``, the only list of :class:`WeylElement`
-    objects, are read off them.  Products on indices apply ``lmult`` rows
+    masks, the byte planes of the masks (:attr:`planes`) and
+    ``elements``, the only list of :class:`WeylElement` objects, are
+    read off them.  Products on indices apply ``lmult`` rows
     to whole columns.
     Its root system keeps it (:meth:`for_system`), and it keeps the KL table.
     """
@@ -303,6 +304,7 @@ class WeylGroup:
         self._covers: list[list[int]] | None = None
         self._downsets: list[int] | None = None
         self._inverses: list[int] | None = None
+        self._planes: list[bytes] | None = None
         self._kl_table = None  # kl._KLTable, built on the first KL query
 
     @classmethod
@@ -356,6 +358,16 @@ class WeylGroup:
                 out.append(k)
             self._inverses = out
         return self._inverses
+
+    @property
+    def planes(self) -> list[bytes]:
+        """planes[k] holds byte k of every mask in index order, one bytes per
+        byte of a mask, built on first use for whole-group ``bytes.translate``."""
+        if self._planes is None:
+            width = (self.rs.num_positive + 7) // 8
+            joined = b"".join(m.to_bytes(width, "little") for m in self.masks)
+            self._planes = [joined[k::width] for k in range(width)]
+        return self._planes
 
     @property
     def lower_covers(self) -> list[list[int]]:

@@ -8,6 +8,7 @@ from helpers import (
     interval_isomorphic,
     pattern_map_isomorphic_on_target_interval,
 )
+from weylpat.harness import verify as verify_module
 from weylpat.harness.report import VerificationReport
 from weylpat.harness.verify import (
     _parse_property,
@@ -33,7 +34,7 @@ from weylpat.patterns import (
     interval_pattern_instances,
 )
 from weylpat.roots import build_root_system, clear_caches
-from weylpat.weyl import DEFAULT_ENUMERATION_CAP, WeylGroup, interval
+from weylpat.weyl import DEFAULT_ENUMERATION_CAP, WeylGroup, interval, parse_element
 
 
 def test_report_round_trip():
@@ -268,6 +269,28 @@ def test_verify_suites_on_small_pairs():
     assert r.passed  # vacuous: every KL polynomial in A2 is 1
     r = verify_type_a_smoothness(3)
     assert r.passed and r.parameters["smooth_kl"] == 6
+
+
+def test_type_a_smoothness_builds_no_element_list():
+    clear_caches()
+    assert verify_type_a_smoothness(5).passed
+    assert WeylGroup.for_system(build_root_system("A4"))._elements is None
+
+
+def test_type_a_smoothness_reports_a_planted_disagreement(monkeypatch):
+    # flip the KL answer of 3412 alone: the sweep names it, in its usual text
+    real = verify_module.is_rationally_smooth
+    planted = parse_element(build_root_system("A3"), "3412")
+
+    def flipped(v, cap=DEFAULT_ENUMERATION_CAP):
+        return real(v, cap) != (v == planted)
+
+    monkeypatch.setattr(verify_module, "is_rationally_smooth", flipped)
+    report = verify_type_a_smoothness(4)
+    assert report.cases == 24
+    assert report.failures == ["2 1 3 2 (3412): kl says smooth, patterns say singular"]
+    assert report.parameters["smooth_kl"] == 23
+    assert report.parameters["smooth_pattern"] == 22
 
 
 def test_verify_type_a_smoothness_rejects_tiny_n():

@@ -185,20 +185,51 @@ def test_flatten_matches_inversion_set_reconstruction(src, tgt):
             assert flatten(emb, w) == from_inversion_set(source, _pulled_back_mask(emb, w))
 
 
+def _swapped_identity_embedding(rs):
+    """The identity embedding of rs with the images of a2 and the highest root swapped."""
+    good = next(e for e in enumerate_embeddings(rs, rs) if e.simple_images == rs.simple)
+    a2_root, top = rs.simple[1], rs.positive[-1]
+    full = list(good.full_map)
+    full[a2_root], full[top] = full[top], full[a2_root]
+    return SubsystemEmbedding(rs, rs, good.simple_images, tuple(full))
+
+
 def test_flatten_rejects_an_invalid_embedding():
     # swap the images of a2 and a1+a2 in the identity embedding of A2:
     # w = s1 s2 has I(w) = {a1, a1+a2}, which pulls back to {a1, a2}
     a2 = build_root_system("A2")
-    good = next(e for e in enumerate_embeddings(a2, a2) if e.simple_images == a2.simple)
-    a2_root, top = a2.simple[1], a2.positive[-1]
-    full = list(good.full_map)
-    full[a2_root], full[top] = full[top], full[a2_root]
-    bad = SubsystemEmbedding(a2, a2, good.simple_images, tuple(full))
+    bad = _swapped_identity_embedding(a2)
     assert flatten(bad, identity(a2)) == identity(a2)
     with pytest.raises(InternalInvariantError, match="not biconvex"):
         flatten(bad, from_word(a2, [1, 2]))
     with pytest.raises(InternalInvariantError, match="not biconvex"):
         bad.flat()
+    # sources whose masks take two bytes (B3: 9 positive roots, D4: 12), whose
+    # flat tables are lists: I(s2) = {a2} pulls back to the highest root alone
+    for cartan_type in ("B3", "D4"):
+        rs = build_root_system(cartan_type)
+        bad = _swapped_identity_embedding(rs)
+        with pytest.raises(InternalInvariantError, match="not biconvex"):
+            flatten(bad, from_word(rs, [2]))
+        with pytest.raises(InternalInvariantError, match="not biconvex"):
+            bad.flat()
+
+
+@pytest.mark.parametrize("src,tgt", [
+    # sources whose masks fit one byte, with bytes tables, into targets of one to three bytes
+    ("A1xA1", "B3"), ("A2", "A4"), ("B2", "F4"), ("G2", "G2"), ("A3", "D5"),
+    # sources of 9 and 12 positive roots, with list tables
+    ("B3", "F4"), ("D4", "D5"),
+])
+def test_flat_table_matches_the_pullback_oracle(src, tgt):
+    source, target = build_root_system(src), build_root_system(tgt)
+    src_group, tgt_group = WeylGroup.for_system(source), WeylGroup.for_system(target)
+    embs = enumerate_embeddings(source, target)
+    assert embs
+    for emb in embs:
+        flat = emb.flat()
+        assert isinstance(flat, bytes) == (source.num_positive <= 8)
+        assert list(flat) == [src_group.index[emb._pull_back(m)] for m in tgt_group.masks]
 
 
 def test_flatten_group_mismatch():

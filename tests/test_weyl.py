@@ -123,11 +123,19 @@ def test_from_word():
         from_word(rs, [7])
 
 
-@pytest.mark.parametrize("cartan_type", ["A1xA1", "A3", "B3", "C3", "D4", "G2", "F4", "A2xB2"])
+@pytest.mark.parametrize("cartan_type",
+                         ["A1xA1", "A3", "B3", "C3", "D4", "G2", "F4", "A2xB2", "E6"])
 def test_left_step_matches_the_tuple_product(cartan_type):
-    # the one left multiplication of masks, against root-image products
+    # the one left multiplication of masks, against root-image products; E6,
+    # with masks of five bytes, on a sample of random words
     rs = build_root_system(cartan_type)
-    for w in enumerate_elements(rs):
+    if cartan_type == "E6":
+        rnd = random.Random(6)
+        elements = [from_word(rs, [rnd.randint(1, 6) for _ in range(rnd.randint(0, 40))])
+                    for _ in range(300)]
+    else:
+        elements = enumerate_elements(rs)
+    for w in elements:
         for i in range(rs.rank):
             assert _left_step(rs, w.inversions, i) == \
                 multiply(simple_reflection(rs, i + 1), w).inversions

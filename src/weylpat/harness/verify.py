@@ -130,7 +130,7 @@ def matrix_pairs(window: dict, slow: bool = False) -> list[tuple[str, str]]:
 def _pair_label(src: WeylGroup, tgt: WeylGroup, u: int, v: int, x: int, w: int) -> str:
     """[u, v] -> [x, w] in interval notation, the four elements built from their words."""
     def spec(wg: WeylGroup, a: int, b: int) -> str:
-        return format_interval_spec(from_word(wg.rs, wg.words[a]), from_word(wg.rs, wg.words[b]))
+        return format_interval_spec(from_word(wg.rs, wg.word(a)), from_word(wg.rs, wg.word(b)))
 
     return f"[{spec(src, u, v)}] -> [{spec(tgt, x, w)}]"
 
@@ -194,7 +194,7 @@ def verify_x_determination(source_type: str, target_type: str,
             # every bottom x = i(g) w in the coset i(W')w, not only the forced one
             for g in src.elements:
                 col = range(tgt.size)
-                for i in reversed(tgt.words[tgt.idx(embed_element(emb, g))]):
+                for i in reversed(tgt.word(tgt.idx(embed_element(emb, g)))):
                     row = tgt.lmult[i - 1]
                     col = [row[y] for y in col]
                 for w, x in enumerate(col):
@@ -343,7 +343,7 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
                             continue
                         rep.cases += 1
                         if not holds[u2]:
-                            lo, lo2, top = (format_word(from_word(rs, wg.words[k]))
+                            lo, lo2, top = (format_word(from_word(rs, wg.word(k)))
                                             for k in (ui, u2, vi))
                             rep.failures.append(f"{t}: property holds on [{lo}..{top}] "
                                                 f"but not on [{lo2}..{top}]")
@@ -397,16 +397,17 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
             found |= int.from_bytes(emb._flat_table(src, wg).translate(mark), "little")
         contains = found.to_bytes(wg.size, "little")
 
-        lmult, lengths, words = wg.lmult, wg.lengths, wg.words
+        lmult, first = wg.lmult, wg.first
         gens = [simple_reflection(rs, i + 1) for i in range(rs.rank)]
         smooth = bytearray(wg.size)
 
         def visit(k: int, el: WeylElement) -> None:
             smooth[k] = is_rationally_smooth(el, cap)
-            # the children of k: each longer s_i k whose lex-least word starts with i
+            # the children of k: each s_i k whose lex-least word starts with i,
+            # which makes i a left descent of s_i k, so s_i k is the longer
             for i, row in enumerate(lmult):
                 c = row[k]
-                if lengths[c] > lengths[k] and words[c][0] == i + 1:
+                if first[c] == i + 1:
                     visit(c, multiply(gens[i], el))
 
         visit(0, identity(rs))
@@ -420,7 +421,7 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
             smooth_pattern += by_pattern
             if by_kl != by_pattern:
                 rep.failures.append(
-                    f"{element_label(from_word(rs, words[w]))}: "
+                    f"{element_label(from_word(rs, wg.word(w)))}: "
                     f"kl says {'smooth' if by_kl else 'singular'}, "
                     f"patterns say {'smooth' if by_pattern else 'singular'}")
         rep.parameters["smooth_kl"] = smooth_kl

@@ -54,9 +54,10 @@ the whole down-sets hold 1,014,883, and the full E6 table 1,808,621.
 A fill reads only extremal values.  At an extremal u of v, s is a left
 descent of u too, so the recursion reads P(su,sv), P(u,sv) and each
 P(u,z), raised in the columns of sv and z, with 0 for a miss.  Its
-mu-terms come from a mu-list kept per filled representative y: its
-odd-gap keys z with mu(z,y) != 0, and its coatoms sy and yt for its left
-descents s and right descents t.  That list is every z with
+mu-terms come from the mu-list of a filled representative y: its
+odd-gap keys z with mu(z,y) != 0, kept with their mu as one array per
+y, and its coatoms sy and yt for its left descents s and right descents
+t, added as the array is read.  That list is every z with
 mu(z,y) != 0, since a z < y that lacks a left descent s of y has
 mu(z,y) != 0 only for z = sy, and one that lacks a right descent t only
 for z = yt (Kazhdan-Lusztig 1979, 2.3; Bjorner-Brenti, GTM 231, ch. 5).
@@ -200,18 +201,16 @@ def _w0_conjugation(wg: WeylGroup) -> list[int]:
     w0 s_i w0 = s_sigma(i) for a permutation sigma of the simple indices.
     Since w0 s_i = (s_i w0)^-1 = s_sigma(i) w0, sigma(i) is the j with
     s_j w0 = (s_i w0)^-1, read off the column of w0 in the lmult rows.
-    Each reduced word is folded through the lmult rows with its letters
-    relabelled by sigma, as ``WeylGroup.inverses`` folds them.
+    One pass in index order: for k = s_i a with i its first letter,
+    w0 k w0 = s_sigma(i) (w0 a w0), and a < k.
     """
-    lmult, inv = wg.lmult, wg.inverses
+    lmult, inv, first = wg.lmult, wg.inverses, wg.first
     col = [row[wg.size - 1] for row in lmult]  # s_i w0 for each i
     sigma = [col.index(inv[c]) for c in col]
-    conj = []
-    for word in wg.words:
-        k = 0
-        for i in reversed(word):
-            k = lmult[sigma[i - 1]][k]
-        conj.append(k)
+    conj = [0]
+    for k in range(1, wg.size):
+        i = first[k] - 1
+        conj.append(lmult[sigma[i]][conj[lmult[i][k]]])
     return conj
 
 
@@ -292,16 +291,18 @@ class _KLTable:
     descent sets of u as bit masks over 0-based simple indices,
     ``rmult[t][u]`` is the index of u s_t, and ``with_left[s]`` and
     ``with_right[t]`` are bit masks over element indices of the u with s
-    in D_L(u), resp. t in D_R(u).  ``mus[r]`` is the mu-list of a filled
-    representative r, and ``decoded`` memoizes :meth:`polynomial` by
-    (packed value, length gap).
+    in D_L(u), resp. t in D_R(u).  ``mus[r]`` holds the odd-gap part of
+    the mu-list of a filled representative r, one ``array('i')`` of its
+    keys z with mu(z,r) != 0 interleaved with their mu, z0, mu0, z1, mu1,
+    ...; :meth:`_mu_list` adds the coatoms.  ``decoded`` memoizes
+    :meth:`polynomial` by (packed value, length gap).
     """
 
     def __init__(self, wg: WeylGroup, descent: Callable[[int], int] | None = None):
         self.wg = wg
         size = wg.size
         self.packed: list[tuple[array, array] | None] = [None] * size
-        self.mus: list[list[tuple[int, int]] | None] = [None] * size
+        self.mus: list[array | None] = [None] * size
         self.ids = _ValueIds()
         self.values = self.ids.values
         self.decoded: dict[tuple[int, int], KLPolynomial] = {}
@@ -421,8 +422,8 @@ class _KLTable:
         wg = self.wg
         if i == len(keys) or keys[i] != k:
             raise NotComparableError(
-                f"not comparable: {format_word(from_word(wg.rs, wg.words[u]))} "
-                f"!<= {format_word(from_word(wg.rs, wg.words[v]))}"
+                f"not comparable: {format_word(from_word(wg.rs, wg.word(u)))} "
+                f"!<= {format_word(from_word(wg.rs, wg.word(v)))}"
             )
         return self._decode(self.values[ids[i]], wg.lengths[v] - wg.lengths[u])
 
@@ -478,25 +479,25 @@ class _KLTable:
         A z with mu(z,r) != 0 that lacks a left descent s of r is sr, and
         one that lacks a right descent t of r is rt (Kazhdan-Lusztig 1979,
         2.3; Bjorner-Brenti, GTM 231, ch. 5), where mu is 1; every other z
-        is a key of r.
+        is a key of r.  The keys come first, in key order, from ``mus[r]``,
+        built on the first call; then the coatoms, ascending.
         """
-        mus = self.mus[r]
-        if mus is None:
+        odd = self.mus[r]
+        if odd is None:
             keys, ids = self.packed[r]
             lengths, values = self.wg.lengths, self.values
             lr = lengths[r]
-            mus = []
+            pairs = []
             for z, i in zip(keys, ids):
                 gap = lr - lengths[z]
                 if gap % 2:
                     m = (values[i] >> (_SHIFT * (gap // 2))) & _MASK
                     if m:
-                        mus.append((z, m))
-            coatoms = {self.wg.lmult[s][r] for s in _bits(self.left[r])}
-            coatoms.update(self.rmult[t][r] for t in _bits(self.right[r]))
-            mus += [(z, 1) for z in sorted(coatoms)]
-            self.mus[r] = mus
-        return mus
+                        pairs += (z, m)
+            odd = self.mus[r] = array("i", pairs)
+        coatoms = {self.wg.lmult[s][r] for s in _bits(self.left[r])}
+        coatoms.update(self.rmult[t][r] for t in _bits(self.right[r]))
+        return list(zip(odd[::2], odd[1::2])) + [(z, 1) for z in sorted(coatoms)]
 
     def _compute_column(self, v: int) -> tuple[array, array]:
         wg = self.wg

@@ -211,7 +211,7 @@ class SubsystemEmbedding:
         # each i(s_j) as the lmult rows of its reduced word, applied right to left
         refl = []
         for b in self.simple_images:
-            word = target.words[target.idx(reflection(self.target, b))]
+            word = target.word(target.idx(reflection(self.target, b)))
             refl.append([target.lmult[i - 1] for i in reversed(word)])
         # cols[g][c] = i(g) m_c over the coset minima m_c, s_j g shorter than g
         cols = [[m for m in range(target.size) if flat[m] == 0]]

@@ -4,9 +4,13 @@ An element is determined by its inversion set I(w), a bit mask over the
 positive root positions: equality and hashing go through it, and its set
 bits count the length.  The only left multiplication by a simple
 reflection is one step on masks, I(s_i w) = s_i(I(w) minus {a_i}) plus
-a_i when a_i is not in I(w).  :class:`WeylGroup` keeps only integers; a
-:class:`WeylElement`, which adds the permutation of root indices that w
-induces, for products and inverses, is built only at the API edges.
+a_i when a_i is not in I(w).  :class:`WeylGroup` keeps only integers,
+built in index order one length level at a time: the masks, and per
+element its length and the first letter of its lex-least reduced word
+as bytes, from which the word is read back down the left
+multiplication rows.  A :class:`WeylElement`, which adds the
+permutation of root indices that w induces, for products and
+inverses, is built only at the API edges.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -243,63 +247,72 @@ def from_inversion_set(rs: RootSystem, S: int | Iterable[int]) -> WeylElement:
 class WeylGroup:
     """Fully enumerated Weyl group, held as integers.
 
-    Elements are indexed 0..|W|-1, sorted by (length, reduced word).  A
-    breadth-first search extends inversion masks by the left step and
-    gives each element's mask (``masks``; ``index`` is keyed by them),
-    lex-least reduced word and left multiplication tables.  Built on
-    first use, inverses, the lower-cover lists of Bruhat order (by the
-    lifting property, see :attr:`lower_covers`), the down-sets as bit
-    masks, the byte planes of the masks (:attr:`planes`) and
-    ``elements``, the only list of :class:`WeylElement` objects, are
-    read off them.  Products on indices apply ``lmult`` rows
-    to whole columns.
+    Elements are indexed 0..|W|-1, sorted by (length, lex-least reduced
+    word), and the build produces them in that order, one length level
+    at a time.  The lex-least word of b is (i+1,) + word(s_i b) for its
+    smallest left descent i, so level l+1 is, in order, the s_i a for i
+    ascending and a of level l in index order with i an ascent of a,
+    skipping each b that has a smaller left descent, which an earlier i
+    has already numbered.  The group keeps the inversion masks
+    (``masks``; ``index`` is keyed by them), ``lengths`` and ``first``,
+    the first letter of each element's word, as ``bytes``, and the left
+    multiplication rows ``lmult``; :meth:`word` reads a word off
+    ``first`` and the rows.  Built on first use, inverses, the
+    lower-cover lists of Bruhat order (by the lifting property, see
+    :attr:`lower_covers`), the down-sets as bit masks, the byte planes
+    of the masks (:attr:`planes`) and ``elements``, the only list of
+    :class:`WeylElement` objects, are read off them.  Products on
+    indices apply ``lmult`` rows to whole columns.
     Its root system keeps it (:meth:`for_system`), and it keeps the KL table.
     """
 
     def __init__(self, rs: RootSystem, cap: int):
         self.rs = rs
-        # inversion masks, numbered in order of discovery, renumbered once all are found
-        found = [0]
-        number: dict[int, int] = {0: 0}
-        words: list[tuple[int, ...]] = [()]
         bits = [bit for bit, _ in rs._left_steps]
         earlier = [sum(bits[:i]) for i in range(len(bits))]  # the bits of a_j, j < i
+        masks = [0]
+        index: dict[int, int] = {0: 0}
+        first = bytearray(1)
+        lengths = bytearray(1)
         lmult: list[list[int]] = [[0] for _ in bits]
-        frontier = [0]
-        while frontier:
-            new: list[int] = []
-            for a in frontier:
-                m = found[a]
-                for i, bit in enumerate(bits):
+        start = 0
+        while start < len(masks):
+            end = len(masks)
+            # index values are the one int object per index, shared by the rows
+            # and every list read off them (inverses, rmult, conj, covers), so
+            # each entry costs one 8-byte pointer; array rows would box a fresh
+            # int on every read, which those lists would then keep, and an
+            # array read costs about twice a list read
+            level = [(index[m], m) for m in masks[start:end]]
+            for i, bit in enumerate(bits):
+                row, before = lmult[i], earlier[i]
+                for a, m in level:
                     if m & bit:
                         continue
                     el = _left_step(rs, m, i)
-                    b = number.get(el)
-                    if b is None:
-                        b = number[el] = len(found)
+                    if el & before:
+                        # a smaller left descent: numbered by an earlier i
+                        b = index[el]
+                    else:
+                        b = len(masks)
                         if b >= cap:
                             raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
-                        found.append(el)
-                        words.append(())
+                        masks.append(el)
+                        index[el] = b
+                        first.append(i + 1)
                         for r in lmult:
                             r.append(0)
-                        new.append(b)
                     # s_i swaps the ends of each ascent, which covers every pair
-                    lmult[i][a] = b
-                    lmult[i][b] = a
-                    # peeling the smallest left descent gives the lex-least word
-                    if not el & earlier[i]:
-                        words[b] = (i + 1,) + words[a]
-            frontier = new
-
-        order = sorted(range(len(found)), key=lambda k: (found[k].bit_count(), words[k]))
-        self.masks: list[int] = [found[k] for k in order]
-        self.size = len(order)
-        self.index: dict[int, int] = {m: k for k, m in enumerate(self.masks)}
-        renumber = [self.index[m] for m in found]
-        self.lengths: list[int] = [m.bit_count() for m in self.masks]
-        self.words: list[tuple[int, ...]] = [words[k] for k in order]
-        self.lmult: list[list[int]] = [[renumber[row[k]] for k in order] for row in lmult]
+                    row[a] = b
+                    row[b] = a
+            lengths += bytes([lengths[start] + 1]) * (len(masks) - end)
+            start = end
+        self.masks: list[int] = masks
+        self.size = len(masks)
+        self.index: dict[int, int] = index
+        self.lengths = bytes(lengths)
+        self.first = bytes(first)
+        self.lmult: list[list[int]] = lmult
         self._elements: list[WeylElement] | None = None
         self._covers: list[list[int]] | None = None
         self._downsets: list[int] | None = None
@@ -323,11 +336,11 @@ class WeylGroup:
         """elements[k] as a WeylElement, built on first use: s_i times the earlier
         element that the first letter i of its word peels to, one tuple product each."""
         if self._elements is None:
-            rs, lmult = self.rs, self.lmult
+            rs, lmult, first = self.rs, self.lmult, self.first
             gens = [simple_reflection(rs, i + 1) for i in range(rs.rank)]
             els = [identity(rs)]
             for k in range(1, self.size):
-                i = self.words[k][0] - 1
+                i = first[k] - 1
                 els.append(multiply(gens[i], els[lmult[i][k]]))
             self._elements = els
         return self._elements
@@ -341,21 +354,33 @@ class WeylGroup:
 
     def min_left_descent_idx(self, k: int) -> int | None:
         """Smallest 0-based left descent: the first letter of the lex-least word."""
-        word = self.words[k]
-        return word[0] - 1 if word else None
+        return self.first[k] - 1 if k else None
+
+    def word(self, k: int) -> tuple[int, ...]:
+        """The lex-least reduced word of element k, 1-based: its first letter
+        i, then the word of s_i k, read down ``first`` and the lmult rows."""
+        first, lmult = self.first, self.lmult
+        out = []
+        while k:
+            i = first[k]
+            out.append(i)
+            k = lmult[i - 1][k]
+        return tuple(out)
 
     @property
     def inverses(self) -> list[int]:
-        """inverses[k] is the index of elements[k]^-1, built on first use."""
+        """inverses[k] is the index of elements[k]^-1, built on first use by
+        walking the first-letter chain of k, s_i1 ... s_ik, and applying the
+        same letters to the identity, which gives s_ik ... s_i1."""
         if self._inverses is None:
-            lmult = self.lmult
+            first, lmult = self.first, self.lmult
             out = []
-            for word in self.words:
-                # s_ik ... s_i1 for the word s_i1 ... s_ik
-                k = 0
-                for i in word:
-                    k = lmult[i - 1][k]
-                out.append(k)
+            for k in range(self.size):
+                j, a = 0, k
+                while a:
+                    row = lmult[first[a] - 1]
+                    j, a = row[j], row[a]
+                out.append(j)
             self._inverses = out
         return self._inverses
 
@@ -509,7 +534,7 @@ class BruhatInterval:
 
 def interval(u: WeylElement, v: WeylElement,
              cap: int = DEFAULT_ENUMERATION_CAP) -> BruhatInterval:
-    """The Bruhat interval [u, v], its elements built from ``words``; raises
+    """The Bruhat interval [u, v], its elements built from their words; raises
     NotComparableError when u is not <= v."""
     _check_same_group(u, v)
     wg = WeylGroup.for_system(u.group, cap)
@@ -519,7 +544,7 @@ def interval(u: WeylElement, v: WeylElement,
             f"not comparable: {format_word(u)} !<= {format_word(v)}"
         )
     idxs = wg.interval_indices(a, b)
-    elements = [from_word(u.group, wg.words[z]) for z in idxs]
+    elements = [from_word(u.group, wg.word(z)) for z in idxs]
     pos = {z: k for k, z in enumerate(idxs)}
     lower = wg.lower_covers
     pairs = sorted((pos[c], k) for k, z in enumerate(idxs) for c in lower[z] if c in pos)

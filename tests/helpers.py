@@ -240,7 +240,7 @@ def mul(wg: WeylGroup, a: int, b: int) -> int:
     Folds the reduced word of a through the lmult rows, where the library
     applies them to whole columns.
     """
-    for i in reversed(wg.words[a]):
+    for i in reversed(wg.word(a)):
         b = wg.lmult[i - 1][b]
     return b
 

@@ -325,6 +325,34 @@ def test_mu_lemma_against_the_plain_recursion(cartan_type):
             assert dict(table._mu_list(y)) == mus
 
 
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4"])
+def test_mu_list_is_the_odd_gap_keys_then_the_sorted_coatoms(cartan_type):
+    # the stored array holds only the odd-gap keys; the list read off it must
+    # be the definition rebuilt from the decoded column, in the same order:
+    # the keys z with odd gap and mu(z,r) != 0 ascending, then the coatoms sr
+    # and rt ascending with mu 1, so a fill interns its values in that order
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    table = _KLTable(wg)
+    for v in range(wg.size):
+        table.ensure_column(v)
+    simple = [wg.lmult[i][0] for i in range(wg.rs.rank)]
+    lengths = wg.lengths
+    for r, col in enumerate(table.packed):
+        if col is None:
+            continue
+        keys = set(col[0])
+        expected = []
+        for z, p in table.polynomials(r):
+            gap = lengths[r] - lengths[z]
+            if z in keys and gap % 2 and (m := p.coefficient(gap // 2)):
+                expected.append((z, m))
+        coatoms = {y for y in (wg.lmult[s][r] for s in range(wg.rs.rank)) if y < r}
+        coatoms.update(y for y in (mul(wg, r, t) for t in simple) if y < r)
+        expected += [(z, 1) for z in sorted(coatoms)]
+        assert table._mu_list(r) == expected
+        assert isinstance(table.mus[r], array)
+
+
 @pytest.mark.parametrize("cartan_type", ["A4", "B3"])
 def test_incomparable_pairs_miss_every_key(cartan_type):
     wg = WeylGroup.for_system(build_root_system(cartan_type))
@@ -371,16 +399,16 @@ def test_w0_conjugation_relabels_simple_roots_as_minus_w0(cartan_type, central):
     rs = build_root_system(cartan_type)
     wg = WeylGroup.for_system(rs, 60_000)
     conj = _w0_conjugation(wg)
-    w0 = from_word(rs, wg.words[-1]).root_image
+    w0 = from_word(rs, wg.word(wg.size - 1)).root_image
     sigma = [rs.simple.index(rs.negative_of(w0[a])) for a in rs.simple]
     assert sorted(sigma) == list(range(rs.rank))
     assert (sigma == list(range(rs.rank))) == central
     for i in range(rs.rank):
-        assert wg.words[conj[wg.lmult[i][0]]] == (sigma[i] + 1,)
+        assert wg.word(conj[wg.lmult[i][0]]) == (sigma[i] + 1,)
     if wg.size <= 2000:
         # every element: w0 s_i1 ... s_ik w0 = s_sigma(i1) ... s_sigma(ik)
-        for k, word in enumerate(wg.words):
-            relabelled = from_word(rs, [sigma[i - 1] + 1 for i in word])
+        for k in range(wg.size):
+            relabelled = from_word(rs, [sigma[i - 1] + 1 for i in wg.word(k)])
             assert conj[k] == wg.index[relabelled.inversions]
 
 

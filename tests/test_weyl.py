@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from weylpat.kl import _table_for
 from weylpat.patterns import enumerate_embeddings, interval_pattern_instances
 from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
+    DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
     WeylGroup,
     _left_step,
@@ -158,9 +160,43 @@ def test_group_words_and_lmult_match_the_object_level(cartan_type):
     rs = build_root_system(cartan_type)
     wg = WeylGroup.for_system(rs)
     for k, w in enumerate(wg.elements):
-        assert wg.words[k] == to_reduced_word(w)
+        assert wg.word(k) == to_reduced_word(w)
         for i in range(rs.rank):
             assert wg.elements[wg.lmult[i][k]] == multiply(simple_reflection(rs, i + 1), w)
+
+
+@pytest.mark.parametrize("cartan_type",
+                         ["A1xA1", "A3", "B3", "C3", "D4", "G2", "F4", "A2xB2", "E6"])
+def test_build_numbers_elements_in_order_of_length_and_word(cartan_type):
+    # the build numbers each level in order with no sort: (length, lex-least
+    # word) increases strictly, and each word, read down the first letters,
+    # is the greedy peel of the element built from the rows
+    rs = build_root_system(cartan_type)
+    wg = WeylGroup(rs, 60_000)
+    keys = [(wg.lengths[k], wg.word(k)) for k in range(wg.size)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    for k, w in enumerate(wg.elements):
+        assert keys[k] == (w.length, to_reduced_word(w))
+        if k:
+            assert wg.min_left_descent_idx(k) == wg.first[k] - 1 == w.min_left_descent() - 1
+    assert wg.min_left_descent_idx(0) is None and wg.first[0] == 0
+    assert isinstance(wg.first, bytes) and isinstance(wg.lengths, bytes)
+
+
+def test_group_keeps_no_word_tuples_and_builds_small():
+    # a cold A6 build keeps masks, one int per index, rows and two bytes
+    # tables; a per-element word tuple list, or a second discovery-order
+    # copy of the tables renumbered by a sort, takes it past 2 MB
+    rs = build_root_system("A6")
+    tracemalloc.start()
+    try:
+        wg = WeylGroup(rs, DEFAULT_ENUMERATION_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wg.size == 5040
+    assert not hasattr(wg, "words")
+    assert peak < 1_000_000
 
 
 @given(data=st.data())
@@ -520,7 +556,7 @@ def test_element_objects_are_built_only_at_the_edges():
     iv = interval(from_word(b3, [2]), from_word(b3, [1, 2, 3]))
     assert [format_word(z) for z in iv.elements] == ["2", "1 2", "2 3", "1 2 3"]
     assert wg._elements is None and WeylGroup.for_system(a2)._elements is None
-    assert wg.elements == [from_word(b3, word) for word in wg.words]
+    assert wg.elements == [from_word(b3, wg.word(k)) for k in range(wg.size)]
 
     report = verify_upper_ideal("kl-nontrivial", ["A3"])
     assert report.cases and not report.failures

@@ -144,9 +144,11 @@ def _cmd_bruhat(args) -> int:
     payload["result"]["elements"] = [_element_json(z) for z in iv.elements]
     lines = [f"interval [{element_label(u)}, {element_label(v)}] in {rs.cartan_type}: "
              f"{iv.size} elements, rank {iv.rank_span}"]
-    for level, members in enumerate(iv.levels):
-        names = ", ".join(element_label(iv.elements[k]) for k in members)
-        lines.append(f"  rank {level}: {names}")
+    levels: list[list[str]] = [[] for _ in range(iv.rank_span + 1)]
+    for z in iv.elements:
+        levels[z.length - iv.bottom.length].append(element_label(z))
+    for level, names in enumerate(levels):
+        lines.append(f"  rank {level}: {', '.join(names)}")
     _emit(args, payload, lines)
     return 0
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 
 class VerificationReport:
     """Outcome of one verification sweep.
@@ -50,23 +48,6 @@ class VerificationReport:
             "failures": list(self.failures),
             "wall_time": self.wall_time,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VerificationReport":
-        return cls(
-            suite=data["suite"],
-            parameters=dict(data["parameters"]),
-            cases=int(data["cases"]),
-            failures=list(data["failures"]),
-            wall_time=float(data["wall_time"]),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        return cls.from_dict(json.loads(text))
 
     def render_text(self) -> str:
         lines = [f"suite: {self.suite}"]

@@ -315,7 +315,8 @@ class _KLTable:
         maps = (None, inv, conj, inv_conj)
         self.rep: list[int] = []
         self.flip: list[list[int] | None] = []
-        for v in range(size):
+        # the group's own int objects, in index order, so each rep is a shared int
+        for v in wg.index.values():
             images = (v, inv[v], conj[v], inv_conj[v])
             r = min(images)
             self.rep.append(r)

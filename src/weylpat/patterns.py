@@ -125,10 +125,6 @@ class SubsystemEmbedding:
         return (f"<SubsystemEmbedding {self.source.cartan_type} -> "
                 f"{self.target.cartan_type}: [{images}]>")
 
-    def image_root(self, r: int) -> int:
-        """Target root index of the image of source root index r."""
-        return self.full_map[r]
-
     def _pull_back(self, mask: int) -> int:
         """Source inversion mask of the roots whose images lie in mask."""
         bits = 0
@@ -216,7 +212,7 @@ class SubsystemEmbedding:
         # cols[g][c] = i(g) m_c over the coset minima m_c, s_j g shorter than g
         cols = [[m for m in range(target.size) if flat[m] == 0]]
         for g in range(1, source.size):
-            j = source.min_left_descent_idx(g)
+            j = source.first[g] - 1
             col = cols[source.lmult[j][g]]
             for row in refl[j]:
                 col = [row[y] for y in col]
@@ -403,8 +399,8 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
     if not tgt.leq_idx(c, d):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    return emb.flat()[d] == b and _pattern_map_isomorphic(src, tgt, emb.coset_maps()[d],
-                                                           a, b, c, d)
+    return emb.flat()[d] == b and _pattern_map_isomorphic(
+        src, tgt, emb.coset_maps()[d], a, b, c, d, _interval_covers(src, a, b))
 
 
 def _interval_covers(wg: WeylGroup, a: int, b: int) -> list[tuple[int, list[int]]]:
@@ -417,7 +413,7 @@ def _interval_covers(wg: WeylGroup, a: int, b: int) -> list[tuple[int, list[int]
 
 def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
                             u: int, v: int, x: int, w: int,
-                            bottom: list[tuple[int, list[int]]] | None = None) -> bool:
+                            bottom: list[tuple[int, list[int]]]) -> bool:
     """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w].
 
     phi is the coset map phi_w = ``coset_maps()[w]`` of an embedding,
@@ -425,9 +421,8 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     for each z of [u, v], phi carries the lower covers of z inside
     [u, v] onto the lower covers c of phi[z] with x <= c, each tested by
     one bit of the target's down-set of c; the target interval is never
-    built.  ``bottom`` is ``_interval_covers(src, u, v)``, computed here
-    when not given, so a caller deciding many quadruples can build each
-    source interval once.
+    built.  ``bottom`` is ``_interval_covers(src, u, v)``, which a caller
+    deciding many quadruples builds once per source interval.
 
     The proof is sound.  phi is injective on W', as the bijection
     g -> i(g) m of W' onto the coset of m = i(v^-1) w.  Every z of
@@ -450,8 +445,6 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     order, phi carries covers exactly, and the proof succeeds.  So when
     it fails, the two intervals are not isomorphic.
     """
-    if bottom is None:
-        bottom = _interval_covers(src, u, v)
     down, lower = tgt.downsets, tgt.lower_covers
     return all({phi[c] for c in below} == {c for c in lower[phi[z]] if down[c] >> x & 1}
                for z, below in bottom)

@@ -207,7 +207,7 @@ class RootSystem:
     __slots__ = (
         "cartan_type", "rank", "ambient_dim", "roots", "positive", "simple",
         "reflection_table", "cartan_matrix", "heights", "simple_coords",
-        "_neg", "_pos_position", "_root_index", "num_positive", "_left_steps",
+        "_pos_position", "num_positive", "_left_steps",
         "_group", "_embeddings",
     )
 
@@ -238,14 +238,12 @@ class RootSystem:
         self.heights = tuple(h for h, _, _ in keyed)
         self.simple_coords = tuple(c for _, _, c in keyed)
         coord_index = {c: i for i, c in enumerate(self.simple_coords)}
-        self._root_index = {r: i for i, r in enumerate(self.roots)}
         self.positive = tuple(i for i, h in enumerate(self.heights) if h > 0)
         self.num_positive = len(self.positive)
         self._pos_position = {r: p for p, r in enumerate(self.positive)}
         self.simple = tuple(
             coord_index[tuple(int(i == j) for j in range(self.rank))] for i in range(self.rank)
         )
-        self._neg = tuple(coord_index[tuple(-x for x in c)] for c in self.simple_coords)
 
         # s_a(b) = b - k a with k = 2B(b, a)/B(a, a); paired[b][j] = B(b, a_j)
         paired = [tuple(sum(x * g for x, g in zip(c, col)) for col in gram)
@@ -271,20 +269,8 @@ class RootSystem:
 
     # -- basic queries ------------------------------------------------------
 
-    def root(self, i: int) -> Vector:
-        return self.roots[i]
-
-    def index_of(self, v: Vector) -> int:
-        try:
-            return self._root_index[tuple(v)]
-        except KeyError:
-            raise ValueError(f"{v} is not a root of {self.cartan_type}") from None
-
     def is_positive(self, i: int) -> bool:
         return self.heights[i] > 0
-
-    def negative_of(self, i: int) -> int:
-        return self._neg[i]
 
     def positive_position(self, i: int) -> int:
         """Position of root index i inside the positive root list."""

@@ -102,15 +102,6 @@ class WeylElement:
     def __repr__(self) -> str:
         return f"<WeylElement {self.group.cartan_type} {format_word(self)!r}>"
 
-    def has_left_descent(self, i: int) -> bool:
-        """True when s_i * w is shorter than w (i is 1-based)."""
-        return bool(self.inversions & self.group._left_steps[i - 1][0])
-
-    def min_left_descent(self) -> int | None:
-        """Smallest 1-based left descent, or None for the identity."""
-        i = _first_descent(self.group, self.inversions)
-        return None if i is None else i + 1
-
 
 def _check_same_group(a: WeylElement, b: WeylElement) -> None:
     if a.group is not b.group and a.group != b.group:
@@ -352,10 +343,6 @@ class WeylGroup:
             )
         return self.index[w.inversions]
 
-    def min_left_descent_idx(self, k: int) -> int | None:
-        """Smallest 0-based left descent: the first letter of the lex-least word."""
-        return self.first[k] - 1 if k else None
-
     def word(self, k: int) -> tuple[int, ...]:
         """The lex-least reduced word of element k, 1-based: its first letter
         i, then the word of s_i k, read down ``first`` and the lmult rows."""
@@ -405,10 +392,10 @@ class WeylGroup:
         of sv.
         """
         if self._covers is None:
-            lengths, lmult = self.lengths, self.lmult
+            lengths, lmult, first = self.lengths, self.lmult, self.first
             table: list[list[int]] = [[]]
             for v in range(1, self.size):
-                row = lmult[self.min_left_descent_idx(v)]
+                row = lmult[first[v] - 1]
                 sv = row[v]
                 table.append([sv] + [row[c] for c in table[sv] if lengths[row[c]] > lengths[c]])
             self._covers = table
@@ -495,7 +482,7 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
 class BruhatInterval:
     """The graded poset of all z with u <= z <= v."""
 
-    __slots__ = ("bottom", "top", "elements", "cover_pairs", "_levels")
+    __slots__ = ("bottom", "top", "elements", "cover_pairs")
 
     def __init__(self, bottom: WeylElement, top: WeylElement,
                  elements: Sequence[WeylElement], cover_pairs: Sequence[tuple[int, int]]):
@@ -503,7 +490,6 @@ class BruhatInterval:
         self.top = top
         self.elements = tuple(elements)
         self.cover_pairs = tuple(cover_pairs)
-        self._levels: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def size(self) -> int:
@@ -512,19 +498,6 @@ class BruhatInterval:
     @property
     def rank_span(self) -> int:
         return self.top.length - self.bottom.length
-
-    def rank_of(self, z: WeylElement) -> int:
-        return z.length - self.bottom.length
-
-    @property
-    def levels(self) -> tuple[tuple[int, ...], ...]:
-        """Element positions grouped by rank, bottom first."""
-        if self._levels is None:
-            buckets: list[list[int]] = [[] for _ in range(self.rank_span + 1)]
-            for k, z in enumerate(self.elements):
-                buckets[self.rank_of(z)].append(k)
-            self._levels = tuple(tuple(b) for b in buckets)
-        return self._levels
 
     def __repr__(self) -> str:
         return (f"<BruhatInterval {self.bottom.group.cartan_type} "

@@ -12,9 +12,11 @@ import hashlib
 import itertools
 from fractions import Fraction
 
-from weylpat.patterns import embed_element, flatten
+from weylpat.errors import InternalInvariantError
+from weylpat.patterns import SubsystemEmbedding, embed_element, enumerate_embeddings, flatten
 from weylpat.roots import dot
 from weylpat.weyl import (
+    DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
     WeylElement,
     WeylGroup,
@@ -63,6 +65,27 @@ def perm_of(w: WeylElement) -> tuple[int, ...]:
     return tuple(int(c) for c in ol) if "," not in ol else tuple(
         int(c) for c in ol.split(",")
     )
+
+
+# ---------------------------------------------------------------------------
+# roots and descents read off vectors and inversion masks
+# ---------------------------------------------------------------------------
+
+def root_index(rs) -> dict:
+    """The root index of each root vector of rs."""
+    return {r: i for i, r in enumerate(rs.roots)}
+
+
+def negatives(rs) -> list[int]:
+    """negatives[i] is the root index of -roots[i], found by its vector."""
+    index = root_index(rs)
+    return [index[tuple(-x for x in r)] for r in rs.roots]
+
+
+def left_descents(w: WeylElement) -> list[int]:
+    """The 1-based i, ascending, with s_i w shorter than w: a_i inverted by w."""
+    rs = w.group
+    return [i for i in range(1, rs.rank + 1) if w.inversions & rs._left_steps[i - 1][0]]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +155,7 @@ class RTable:
         elif u.length >= v.length:
             val = ()
         else:
-            i = v.min_left_descent()
+            i = left_descents(v)[0]
             s = simple_reflection(self.rs, i)
             sv = multiply(s, v)
             su = multiply(s, u)
@@ -182,7 +205,7 @@ def plain_kl_columns(wg) -> list[dict[int, int]]:
     lengths = wg.lengths
     cols: list[dict[int, int]] = [{0: 1}]
     for v in range(1, wg.size):
-        row = wg.lmult[wg.min_left_descent_idx(v)]
+        row = wg.lmult[wg.first[v] - 1]
         sv = row[v]
         col_sv = cols[sv]
         mu_terms = []
@@ -220,7 +243,7 @@ def lifting_downsets(wg) -> list[int]:
     """
     down = [1]
     for v in range(1, wg.size):
-        row = wg.lmult[wg.min_left_descent_idx(v)]
+        row = wg.lmult[wg.first[v] - 1]
         m = out = down[row[v]]
         while m:
             low = m & -m
@@ -315,10 +338,9 @@ def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
         return [()]
     rs = w.group
     out = []
-    for i in range(1, rs.rank + 1):
-        if w.has_left_descent(i):
-            rest = multiply(simple_reflection(rs, i), w)
-            out.extend((i,) + tail for tail in all_reduced_words(rest))
+    for i in left_descents(w):
+        rest = multiply(simple_reflection(rs, i), w)
+        out.extend((i,) + tail for tail in all_reduced_words(rest))
     return out
 
 
@@ -328,13 +350,14 @@ def is_biconvex(rs, mask: int) -> bool:
     pos = rs.positive
     members = [pos[p] for p in range(rs.num_positive) if mask >> p & 1]
     others = [pos[p] for p in range(rs.num_positive) if not mask >> p & 1]
+    index = root_index(rs)
 
     def closed(subset):
         inside = set(subset)
         for a in subset:
             for b in subset:
                 vec = tuple(x + y for x, y in zip(rs.roots[a], rs.roots[b]))
-                idx = rs._root_index.get(vec)
+                idx = index.get(vec)
                 if idx is not None and rs.is_positive(idx) and idx not in inside:
                     return False
         return True
@@ -399,6 +422,7 @@ def naive_embeddings(source, target) -> set[tuple[int, ...]]:
     r = source.rank
     result: set[tuple[int, ...]] = set()
     all_roots = range(len(target.roots))
+    target_index = root_index(target)
 
     def cartan(rs, a, b):
         ra, rb = rs.roots[a], rs.roots[b]
@@ -421,7 +445,7 @@ def naive_embeddings(source, target) -> set[tuple[int, ...]]:
                 sum((Q(c) * target.roots[images[k]][d] for k, c in enumerate(coeffs)), Q(0))
                 for d in range(target.ambient_dim)
             )
-            tidx = target._root_index.get(vec)
+            tidx = target_index.get(vec)
             if tidx is None:
                 ok = False
                 break
@@ -460,7 +484,7 @@ def _shape(iv: BruhatInterval) -> tuple[list[list[int]], list[int], list[int]]:
     for a, b in iv.cover_pairs:
         up[a].append(b)
         down[b].append(a)
-    colors = _refine_colors(up, down, [iv.rank_of(z) for z in iv.elements])
+    colors = _refine_colors(up, down, [z.length - iv.bottom.length for z in iv.elements])
     return down, colors, sorted(colors)
 
 
@@ -481,6 +505,14 @@ def _refine_colors(up: list[list[int]], down: list[list[int]], ranks: list[int])
     return colors
 
 
+def _levels(iv: BruhatInterval) -> list[list[int]]:
+    """Element positions of iv grouped by rank, bottom first."""
+    out: list[list[int]] = [[] for _ in range(iv.rank_span + 1)]
+    for k, z in enumerate(iv.elements):
+        out[z.length - iv.bottom.length].append(k)
+    return out
+
+
 def interval_isomorphic(i1: BruhatInterval, i2: BruhatInterval) -> bool:
     """Decide whether two Bruhat intervals are isomorphic as posets.
 
@@ -490,7 +522,7 @@ def interval_isomorphic(i1: BruhatInterval, i2: BruhatInterval) -> bool:
     """
     if i1.size != i2.size or i1.rank_span != i2.rank_span:
         return False
-    lv1, lv2 = i1.levels, i2.levels
+    lv1, lv2 = _levels(i1), _levels(i2)
     if [len(l) for l in lv1] != [len(l) for l in lv2]:
         return False
     down1, c1, sorted1 = _shape(i1)
@@ -584,6 +616,41 @@ def pattern_map_isomorphic_on_target_interval(src: WeylGroup, tgt: WeylGroup, ph
     return all({phi[c] for c in src_lower[z] if c in inside}
                == {c for c in tgt_lower[phi[z]] if c in image}
                for z in bottom)
+
+
+# ---------------------------------------------------------------------------
+# the flattening sweep, one element at a time
+# ---------------------------------------------------------------------------
+
+def swapped_identity_embedding(rs) -> SubsystemEmbedding:
+    """The identity embedding of rs with the images of a2 and the highest root swapped."""
+    good = next(e for e in enumerate_embeddings(rs, rs) if e.simple_images == rs.simple)
+    a2_root, top = rs.simple[1], rs.positive[-1]
+    full = list(good.full_map)
+    full[a2_root], full[top] = full[top], full[a2_root]
+    return SubsystemEmbedding(rs, rs, good.simple_images, tuple(full))
+
+
+def flattening_by_element(embeddings, target, cap: int = DEFAULT_ENUMERATION_CAP
+                          ) -> tuple[int, list[str]]:
+    """(cases, failures) of the flattening sweep through the object-level flatten.
+
+    Every element of the target group is flattened through every
+    embedding, one case each; an embedding through which some pullback
+    is not biconvex is one failure, in the suite's text.
+    """
+    cases, failures = 0, []
+    for emb in embeddings:
+        error = None
+        for w in enumerate_elements(target, cap):
+            try:
+                flatten(emb, w, cap)
+            except InternalInvariantError as exc:
+                error = error or exc
+            cases += 1
+        if error is not None:
+            failures.append(f"{emb!r}: {error}")
+    return cases, failures
 
 
 # ---------------------------------------------------------------------------

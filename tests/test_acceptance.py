@@ -9,7 +9,7 @@ first.
 
 import time
 
-from helpers import bruhat_leq_by_reflection_closure
+from helpers import bruhat_leq_by_reflection_closure, left_descents
 from weylpat.kl import _KLTable, kl_polynomial
 from weylpat.harness.verify import (
     default_window,
@@ -201,8 +201,7 @@ def test_criterion_10_kl_spot_values():
         wg = WeylGroup.for_system(rs)
 
         def max_descent(v_idx):
-            w = wg.elements[v_idx]
-            return max(i - 1 for i in range(1, rs.rank + 1) if w.has_left_descent(i))
+            return left_descents(wg.elements[v_idx])[-1] - 1
 
         ref = _KLTable(wg)
         alt = _KLTable(wg, descent=max_descent)

@@ -43,6 +43,26 @@ def test_bruhat_command(capsys):
     assert code == 1
 
 
+def test_bruhat_text_lists_the_interval_rank_by_rank(capsys):
+    # each line names, in interval order, the elements that many steps above the bottom
+    code, out, _ = run(capsys, "bruhat", "A3", "--u", "1324", "--v", "3412")
+    assert code == 0
+    assert out.splitlines() == [
+        "interval [2 (1324), 2 1 3 2 (3412)] in A3: 10 elements, rank 3",
+        "  rank 0: 2 (1324)",
+        "  rank 1: 1 2 (2314), 2 1 (3124), 2 3 (1342), 3 2 (1423)",
+        "  rank 2: 1 2 1 (3214), 1 3 2 (2413), 2 1 3 (3142), 2 3 2 (1432)",
+        "  rank 3: 2 1 3 2 (3412)",
+    ]
+    code, out, _ = run(capsys, "bruhat", "A2", "--u", "e", "--v", "1 2 1")
+    assert out.splitlines()[1:] == [
+        "  rank 0: e (123)",
+        "  rank 1: 1 (213), 2 (132)",
+        "  rank 2: 1 2 (231), 2 1 (312)",
+        "  rank 3: 1 2 1 (321)",
+    ]
+
+
 def test_kl_command(capsys):
     code, out, _ = run(capsys, "kl", "A3", "--u", "1234", "--v", "3412")
     assert code == 0 and out.strip() == "1 + q"

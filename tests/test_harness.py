@@ -5,10 +5,13 @@ import pytest
 
 from helpers import (
     brute_force_isomorphic,
+    flattening_by_element,
     interval_isomorphic,
     pattern_map_isomorphic_on_target_interval,
+    swapped_identity_embedding,
 )
 from weylpat.harness import verify as verify_module
+from weylpat.harness.cli import main
 from weylpat.harness.report import VerificationReport
 from weylpat.harness.verify import (
     _parse_property,
@@ -45,7 +48,7 @@ def test_report_round_trip():
         failures=["x", "y"],
         wall_time=0.5,
     )
-    again = VerificationReport.from_json(report.to_json())
+    again = VerificationReport(**report.to_dict())
     assert again == report
     assert not report.passed
     text = report.render_text()
@@ -131,7 +134,7 @@ def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch
     real_proof = verify._pattern_map_isomorphic
 
     # the pattern-map proof denies this one quadruple
-    def planted_proof(sg, tg, embed, a, b, c, d, bottom=None):
+    def planted_proof(sg, tg, embed, a, b, c, d, bottom):
         if (sg.elements[a], sg.elements[b], tg.elements[c], tg.elements[d]) == (u, v, x, w):
             return False
         return real_proof(sg, tg, embed, a, b, c, d, bottom)
@@ -170,8 +173,6 @@ def test_pattern_map_proof_agrees_with_both_isomorphism_searches(source, target)
             searched[q] = interval_isomorphic(i1, i2)
             if i1.size <= 8:
                 assert searched[q] == brute_force_isomorphic(i1, i2)
-        assert _pattern_map_isomorphic(src, tgt, phi, *q) == searched[q]
-        # a source interval built ahead, as the suite keeps it, gives the same verdict
         bottom = _interval_covers(src, u, v)
         assert _pattern_map_isomorphic(src, tgt, phi, *q, bottom) == searched[q]
     assert all(searched.values())
@@ -192,7 +193,7 @@ def test_pattern_map_proof_agrees_with_the_target_interval_proof(source, target)
         q = (u, v, x, w)
         if q not in decided:
             decided.add(q)
-            assert (_pattern_map_isomorphic(src, tgt, phi, *q)
+            assert (_pattern_map_isomorphic(src, tgt, phi, *q, _interval_covers(src, u, v))
                     == pattern_map_isomorphic_on_target_interval(src, tgt, phi, *q))
     assert bool(decided) == bool(enumerate_embeddings(src.rs, tgt.rs))
 
@@ -201,11 +202,12 @@ def test_pattern_map_proof_rejects_a_bijection_that_breaks_covers():
     a2 = WeylGroup.for_system(build_root_system("A2"))
     w0 = a2.size - 1
     phi = list(enumerate_embeddings(a2.rs, a2.rs)[0].coset_maps()[w0])
-    assert _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0)
+    bottom = _interval_covers(a2, 0, w0)
+    assert _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0, bottom)
     # still a bijection of [e, w0] onto itself, but s1 trades places with a length-2 element
     phi[1], phi[3] = phi[3], phi[1]
     assert a2.lengths[1] != a2.lengths[3]
-    assert not _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0)
+    assert not _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0, bottom)
 
 
 def test_length_sufficiency_catches_a_wrong_embed_table(monkeypatch):
@@ -216,7 +218,7 @@ def test_length_sufficiency_catches_a_wrong_embed_table(monkeypatch):
     cases = verify_length_sufficiency("A2", "A3").cases
     real_proof = verify._pattern_map_isomorphic
     monkeypatch.setattr(verify, "_pattern_map_isomorphic",
-                        lambda sg, tg, phi, u, v, x, w, bottom=None:
+                        lambda sg, tg, phi, u, v, x, w, bottom:
                         real_proof(sg, tg, [w] * len(phi), u, v, x, w, bottom))
     r = verify_length_sufficiency("A2", "A3")
     assert r.cases == cases
@@ -269,6 +271,34 @@ def test_verify_suites_on_small_pairs():
     assert r.passed  # vacuous: every KL polynomial in A2 is 1
     r = verify_type_a_smoothness(3)
     assert r.passed and r.parameters["smooth_kl"] == 6
+
+
+@pytest.mark.parametrize("source,target", matrix_pairs(default_window(), slow=True))
+def test_flattening_suite_matches_the_per_element_oracle(source, target):
+    # one flat table per embedding counts and fails as the object-level
+    # flatten does, one element at a time
+    s, t = build_root_system(source), build_root_system(target)
+    r = verify_flattening(source, target)
+    assert (r.cases, r.failures) == flattening_by_element(enumerate_embeddings(s, t), t)
+
+
+@pytest.mark.parametrize("cartan_type", ["A2", "B3"])
+def test_flattening_suite_reports_an_invalid_embedding_once(monkeypatch, capsys, cartan_type):
+    # an embedding whose pullbacks are not all biconvex is one failure, and
+    # its elements still count as cases; B3's masks take two bytes, so its
+    # flat table is a list, A2's a bytes
+    rs = build_root_system(cartan_type)
+    clean = verify_flattening(cartan_type, cartan_type)
+    bad = swapped_identity_embedding(rs)
+    embs = (*enumerate_embeddings(rs, rs), bad)
+    monkeypatch.setattr(verify_module, "enumerate_embeddings", lambda source, target: embs)
+    r = verify_flattening(cartan_type, cartan_type)
+    assert r.failures == [
+        f"{bad!r}: pulled-back inversion set is not biconvex; embedding is invalid"]
+    assert r.cases == clean.cases + WeylGroup.for_system(rs).size
+    assert (r.cases, r.failures) == flattening_by_element(embs, rs)
+    assert main(["verify", "flattening", cartan_type, cartan_type]) == 1
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_type_a_smoothness_builds_no_element_list():

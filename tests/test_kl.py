@@ -10,7 +10,9 @@ from helpers import (
     bruhat_leq_by_reflection_closure,
     covers,
     kl_defining_identity_holds,
+    left_descents,
     mul,
+    negatives,
     plain_kl_columns,
 )
 from weylpat.errors import GroupMismatchError, InternalInvariantError, NotComparableError
@@ -160,8 +162,7 @@ def test_descent_choice_independence_b2():
     wg = WeylGroup.for_system(rs)
 
     def max_descent(v_idx):
-        w = wg.elements[v_idx]
-        return max(i - 1 for i in range(1, rs.rank + 1) if w.has_left_descent(i))
+        return left_descents(wg.elements[v_idx])[-1] - 1
 
     alt = _KLTable(wg, descent=max_descent)
     ref = _KLTable(wg)
@@ -182,7 +183,7 @@ def _expected_descent(wg, table, v, extremal):
     no such column filled, the smallest descent.
     """
     lmult = wg.lmult
-    descents = [i - 1 for i in range(1, wg.rs.rank + 1) if wg.elements[v].has_left_descent(i)]
+    descents = [i - 1 for i in left_descents(wg.elements[v])]
     filled = [s for s in descents if table.packed[table.rep[lmult[s][v]]] is not None]
     if not filled:
         return descents[0]
@@ -196,7 +197,7 @@ def test_cheapest_descent_reads_only_filled_columns(cartan_type):
     table = _KLTable(wg)
     # cold: the smallest descent, and the choice fills nothing
     for v in range(1, wg.size):
-        assert table._cheapest_descent(v) == wg.min_left_descent_idx(v)
+        assert table._cheapest_descent(v) == wg.first[v] - 1
     assert all(col is None for col in table.packed)
     # half filled, then full: the filled column sv with the fewest keys
     for stop in (wg.size // 2, wg.size):
@@ -207,7 +208,7 @@ def test_cheapest_descent_reads_only_filled_columns(cartan_type):
             assert table._cheapest_descent(v) == _expected_descent(wg, table, v, extremal)
         assert sum(col is not None for col in table.packed) == filled
     # the full table takes another descent than the smallest somewhere
-    assert any(table._cheapest_descent(v) != wg.min_left_descent_idx(v)
+    assert any(table._cheapest_descent(v) != wg.first[v] - 1
                for v in range(1, wg.size))
 
 
@@ -215,7 +216,7 @@ def test_cheapest_descent_reads_only_filled_columns(cartan_type):
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4"])
 def test_default_descent_matches_the_smallest_descent(cartan_type, order):
     wg = WeylGroup.for_system(build_root_system(cartan_type))
-    ref = _KLTable(wg, descent=wg.min_left_descent_idx)
+    ref = _KLTable(wg, descent=lambda v: wg.first[v] - 1)
     for v in range(wg.size):
         ref.ensure_column(v)
     fill = list(range(wg.size))
@@ -267,9 +268,7 @@ def test_every_column_matches_the_plain_recursion(cartan_type):
 
 def _descent_sets(wg):
     """(D_L(u), D_R(u)) of every element, 1-based, read off WeylElement objects."""
-    simple = range(1, wg.rs.rank + 1)
-    return [({i for i in simple if el.has_left_descent(i)},
-             {i for i in simple if inverse(el).has_left_descent(i)}) for el in wg.elements]
+    return [(set(left_descents(el)), set(left_descents(inverse(el)))) for el in wg.elements]
 
 
 def _extremal_sets(wg):
@@ -400,7 +399,8 @@ def test_w0_conjugation_relabels_simple_roots_as_minus_w0(cartan_type, central):
     wg = WeylGroup.for_system(rs, 60_000)
     conj = _w0_conjugation(wg)
     w0 = from_word(rs, wg.word(wg.size - 1)).root_image
-    sigma = [rs.simple.index(rs.negative_of(w0[a])) for a in rs.simple]
+    neg = negatives(rs)
+    sigma = [rs.simple.index(neg[w0[a]]) for a in rs.simple]
     assert sorted(sigma) == list(range(rs.rank))
     assert (sigma == list(range(rs.rank))) == central
     for i in range(rs.rank):
@@ -422,6 +422,16 @@ def test_full_fill_stores_one_column_per_orbit():
     stored = [r for r, col in enumerate(table.packed) if col is not None]
     assert stored == sorted(min(orbit) for orbit in orbits)
     assert len(stored) < wg.size // 2
+
+
+def test_orbit_representatives_are_the_groups_own_ints():
+    # each rep is the int object the group's index dict holds, so a table
+    # keeps no int of its own; A6 has indices past the small-int cache
+    wg = WeylGroup.for_system(build_root_system("A6"))
+    table = _KLTable(wg)
+    for v in range(wg.size):
+        table.ensure_column(v)
+    assert all(r is wg.index[wg.masks[r]] for r in table.rep)
 
 
 def test_kl_fill_never_builds_down_sets():

@@ -8,7 +8,9 @@ from helpers import (
     flip_perm,
     interval_embeds as defined_interval_embeds,
     naive_embeddings,
+    negatives,
     perm_of,
+    swapped_identity_embedding,
 )
 from weylpat.errors import (
     CapExceededError,
@@ -112,11 +114,12 @@ def test_embeddings_are_deterministically_ordered():
 @pytest.mark.parametrize("src,tgt", [("A2", "A3"), ("B2", "B3"), ("A1xA1", "A3")])
 def test_embedding_structural_invariants(src, tgt):
     source, target = build_root_system(src), build_root_system(tgt)
+    src_neg, tgt_neg = negatives(source), negatives(target)
     for emb in enumerate_embeddings(source, target):
         fm = emb.full_map
         for r in range(len(source.roots)):
             # commutes with negation
-            assert fm[source.negative_of(r)] == target.negative_of(fm[r])
+            assert fm[src_neg[r]] == tgt_neg[fm[r]]
             # positive roots stay positive
             if source.is_positive(r):
                 assert target.is_positive(fm[r])
@@ -172,7 +175,7 @@ def test_flatten_section_and_equivariance(src, tgt):
 def _pulled_back_mask(emb, w):
     inverted = set(inversion_roots(w))
     return sum(1 << emb.source.positive_position(r)
-               for r in emb.source.positive if emb.image_root(r) in inverted)
+               for r in emb.source.positive if emb.full_map[r] in inverted)
 
 
 @pytest.mark.parametrize("src,tgt", [("A1xA1", "B3"), ("A1", "G2"), ("A3", "A4")])
@@ -185,20 +188,11 @@ def test_flatten_matches_inversion_set_reconstruction(src, tgt):
             assert flatten(emb, w) == from_inversion_set(source, _pulled_back_mask(emb, w))
 
 
-def _swapped_identity_embedding(rs):
-    """The identity embedding of rs with the images of a2 and the highest root swapped."""
-    good = next(e for e in enumerate_embeddings(rs, rs) if e.simple_images == rs.simple)
-    a2_root, top = rs.simple[1], rs.positive[-1]
-    full = list(good.full_map)
-    full[a2_root], full[top] = full[top], full[a2_root]
-    return SubsystemEmbedding(rs, rs, good.simple_images, tuple(full))
-
-
 def test_flatten_rejects_an_invalid_embedding():
     # swap the images of a2 and a1+a2 in the identity embedding of A2:
     # w = s1 s2 has I(w) = {a1, a1+a2}, which pulls back to {a1, a2}
     a2 = build_root_system("A2")
-    bad = _swapped_identity_embedding(a2)
+    bad = swapped_identity_embedding(a2)
     assert flatten(bad, identity(a2)) == identity(a2)
     with pytest.raises(InternalInvariantError, match="not biconvex"):
         flatten(bad, from_word(a2, [1, 2]))
@@ -208,7 +202,7 @@ def test_flatten_rejects_an_invalid_embedding():
     # flat tables are lists: I(s2) = {a2} pulls back to the highest root alone
     for cartan_type in ("B3", "D4"):
         rs = build_root_system(cartan_type)
-        bad = _swapped_identity_embedding(rs)
+        bad = swapped_identity_embedding(rs)
         with pytest.raises(InternalInvariantError, match="not biconvex"):
             flatten(bad, from_word(rs, [2]))
         with pytest.raises(InternalInvariantError, match="not biconvex"):

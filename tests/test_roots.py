@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import RationalSpan, digest
+from helpers import RationalSpan, digest, negatives, root_index
 from weylpat.errors import InvalidCartanType
 from weylpat.roots import (
     RootSystem,
@@ -77,12 +77,13 @@ def test_exceptional_e_series():
 def test_reflection_table_is_total_and_involutive(cartan_type):
     rs = build_root_system(cartan_type)
     n = len(rs.roots)
+    neg = negatives(rs)
     for a in range(n):
         row = rs.reflection_table[a]
         assert sorted(row) == list(range(n))  # a permutation of the roots
         for b in range(n):
             assert rs.reflection_table[a][row[b]] == b
-        assert row[a] == rs.negative_of(a)
+        assert row[a] == neg[a]
 
 
 @pytest.mark.parametrize("cartan_type", sorted(ROOT_COUNTS))
@@ -95,21 +96,22 @@ def test_positive_roots_decompose_over_simples(cartan_type):
     height_one = {i for i, h in enumerate(rs.heights) if h == 1}
     assert height_one == set(rs.simple)
     # halves match under negation
+    neg = negatives(rs)
     for i in rs.positive:
-        assert not rs.is_positive(rs.negative_of(i))
+        assert not rs.is_positive(neg[i])
 
 
 def test_reflect_matches_table_and_formula():
     rs = build_root_system("A2")
     a1, a2 = rs.simple
-    assert reflect(rs, a1, rs.roots[a1]) == rs.roots[rs.negative_of(a1)]
+    assert reflect(rs, a1, rs.roots[a1]) == rs.roots[negatives(rs)[a1]]
     # fixed hyperplane
     v = (Q(1), Q(1), Q(1))
     assert reflect(rs, a1, v) == v
     # s_1(a2) = a1 + a2
     expected = tuple(x + y for x, y in zip(rs.roots[a1], rs.roots[a2]))
     assert reflect(rs, a1, rs.roots[a2]) == expected
-    assert rs.reflection_table[a1][a2] == rs.index_of(expected)
+    assert rs.reflection_table[a1][a2] == root_index(rs)[expected]
 
 
 def test_reflect_agrees_with_table_on_all_root_pairs():
@@ -216,7 +218,7 @@ def test_root_tables_match_pinned_digests(cartan_type):
     tables = (
         tuple(tuple(str(x) for x in r) for r in rs.roots), rs.heights, rs.simple_coords,
         rs.positive, rs.simple, rs.reflection_table, rs.cartan_matrix,
-        tuple(rs.negative_of(i) for i in range(len(rs.roots))),
+        tuple(negatives(rs)),
     )
     assert digest(tables) == TABLE_DIGESTS[cartan_type]
 

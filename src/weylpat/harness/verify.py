@@ -193,8 +193,9 @@ def verify_x_determination(source_type: str, target_type: str,
     def run(rep: VerificationReport) -> None:
         src = WeylGroup.for_system(source, cap)
         tgt = WeylGroup.for_system(target, cap)
-        src_down, tgt_down = src.downsets, tgt.downsets
-
+        # u <= v on the source's below-sets; x <= w by weak order, else by lifting
+        src_below = [set(src.below(v)) for v in range(src.size)]
+        leq, masks = tgt.leq_idx, tgt.masks
         for emb in enumerate_embeddings(source, target):
             flat = emb.flat(cap)
             bottom = {(u, w): x for u, _, x, w in interval_pattern_instances(emb, cap)}
@@ -206,7 +207,7 @@ def verify_x_determination(source_type: str, target_type: str,
                     col = [row[y] for y in col]
                 for w, x in enumerate(col):
                     v, u = flat[w], flat[x]
-                    if not (src_down[v] >> u & 1 and tgt_down[w] >> x & 1):
+                    if u not in src_below[v] or not (masks[x] & ~masks[w] == 0 or leq(x, w)):
                         continue
                     rep.cases += 1
                     if bottom.pop((u, w), None) != x:

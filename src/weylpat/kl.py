@@ -47,9 +47,9 @@ every value of column v is a value at an extremal u: a u <= v with
 D_L(u) >= D_L(v) and D_R(u) >= D_R(v).  The keys of column v are its
 extremal u; a read flips u into the representative's column, raises it
 and finds it by bisection, and a miss means u is not below v, so
-comparability comes from the keys and the table never needs the
-group's Bruhat down-sets.  The full S7 table holds 14,668 entries where
-the whole down-sets hold 1,014,883, and the full E6 table 1,808,621.
+comparability comes from the keys alone.  The full S7 table holds
+14,668 entries where columns over whole down-sets D(v) would hold
+1,014,883, and the full E6 table 1,808,621.
 
 A fill reads only extremal values.  At an extremal u of v, s is a left
 descent of u too, so the recursion reads P(su,sv), P(u,sv) and each

@@ -31,9 +31,9 @@ one; it is the library's only poset-isomorphism decision.
 none: each embedding keeps a flatten table over the enumerated groups,
 pulled back from the byte planes of the target's masks by
 ``bytes.translate`` and itself a ``bytes`` when the source's masks fit
-one byte, the forced bottom x = phi_w[u] is one lookup, and x <= w is a
-bit of the target's down-set.  :func:`forced_bottom` is its object-level twin,
-which enumerates no group.
+one byte, the forced bottom x = phi_w[u] is one lookup, and x <= w is
+I(x) inside I(w) (weak order) or else the lifting test ``leq_idx``.
+:func:`forced_bottom` is its object-level twin, which enumerates no group.
 """
 
 from __future__ import annotations
@@ -114,16 +114,18 @@ class SubsystemEmbedding:
             isinstance(other, SubsystemEmbedding)
             and self.source == other.source
             and self.target == other.target
-            and self.simple_images == other.simple_images
+            and self.full_map == other.full_map
         )
 
     def __hash__(self) -> int:
-        return hash((self.source.cartan_type, self.target.cartan_type, self.simple_images))
+        return hash((self.source.cartan_type, self.target.cartan_type, self.full_map))
 
     def __repr__(self) -> str:
-        images = ", ".join(str(tuple(self.target.roots[i])) for i in self.simple_images)
-        return (f"<SubsystemEmbedding {self.source.cartan_type} -> "
-                f"{self.target.cartan_type}: [{images}]>")
+        # images in simple-root coordinates; those of the positive roots fix full_map
+        coords = self.target.simple_coords
+        positive = [coords[self.full_map[r]] for r in self.source.positive]
+        return (f"<SubsystemEmbedding {self.source.cartan_type} -> {self.target.cartan_type}: "
+                f"simple {[coords[i] for i in self.simple_images]}, positive {positive}>")
 
     def _pull_back(self, mask: int) -> int:
         """Source inversion mask of the roots whose images lie in mask."""
@@ -417,23 +419,24 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w].
 
     phi is the coset map phi_w = ``coset_maps()[w]`` of an embedding,
-    phi[g] = i(g fl(w)^-1) w, with fl(w) = v, so phi[v] = w.  True when,
-    for each z of [u, v], phi carries the lower covers of z inside
-    [u, v] onto the lower covers c of phi[z] with x <= c, each tested by
-    one bit of the target's down-set of c; the target interval is never
-    built.  ``bottom`` is ``_interval_covers(src, u, v)``, which a caller
-    deciding many quadruples builds once per source interval.
+    phi[g] = i(g fl(w)^-1) w, with fl(w) = v, so phi[v] = w.  True when
+    phi sends the minimum u to the minimum x and, for each z of [u, v],
+    carries the lower covers of z inside [u, v] into the lower covers of
+    phi[z], where no other lower cover c has x <= c (``tgt.leq_idx``);
+    the target interval is never built.  ``bottom`` is
+    ``_interval_covers(src, u, v)``, which a caller deciding many
+    quadruples builds once per source interval.
 
     The proof is sound.  phi is injective on W', as the bijection
-    g -> i(g) m of W' onto the coset of m = i(v^-1) w.  Every z of
-    [u, v] lies on a chain of covers down from v inside [u, v], so by
-    induction down the chain, from phi[v] = w, phi[z] lies in [x, w].
-    Every element of [x, w] lies on a chain of covers down from w inside
-    [x, w], so by the same induction it is phi of some z of [u, v].  So
-    phi is a bijection of [u, v] onto [x, w] that carries the
-    in-interval lower covers of each z exactly onto those of its image,
-    and as the order of a finite poset is the transitive closure of its
-    covers, it is an isomorphism.
+    g -> i(g) m of W' onto the coset of m = i(v^-1) w.  It carries chains
+    of covers up from u inside [u, v] to chains up from x, so the lower
+    covers of each phi[z] above x are exactly the images of the
+    in-interval lower covers of z.  Every element of either interval
+    lies on a chain of covers down from its top, so by induction down
+    the chains, from phi[v] = w, phi is a bijection of [u, v] onto
+    [x, w] that carries in-interval lower covers exactly, and as the
+    order of a finite poset is the transitive closure of its covers, it
+    is an isomorphism.
 
     The proof is complete when x = phi[u], as for every quadruple the
     forced-bottom scan yields.  Then phi(g) = i(g) m with fl(m) = e, and
@@ -445,9 +448,15 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     order, phi carries covers exactly, and the proof succeeds.  So when
     it fails, the two intervals are not isomorphic.
     """
-    down, lower = tgt.downsets, tgt.lower_covers
-    return all({phi[c] for c in below} == {c for c in lower[phi[z]] if down[c] >> x & 1}
-               for z, below in bottom)
+    leq, lower, lengths = tgt.leq_idx, tgt.lower_covers, tgt.lengths
+    lx = lengths[x]
+    for z, below in bottom:
+        image = {phi[c] for c in below}
+        # a cover outside the image is above x if it is x, or longer and lifts to x
+        if image != {c for c in lower[phi[z]]
+                     if c in image or c == x or lengths[c] > lx and leq(x, c)}:
+            return False
+    return phi[u] == x
 
 
 def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
@@ -473,8 +482,9 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     Streams source indices u, v and target indices x, w, ordered by w,
     then u, and keeps nothing.  cap is checked against both groups, and
     the flat table and the coset maps are built, when the call is made;
-    the scan reads x = phi_w[u] off the coset map of w and tests it on
-    the target's down-sets.
+    the scan reads x = phi_w[u] off the coset map of w, checks fl(x) = u,
+    and accepts x <= w when I(x) lies in I(w), as weak order refines
+    Bruhat order, or else by the lifting test on the target's indices.
 
     With valid tables neither test rejects a candidate.  Flattening is
     equivariant, fl(i(g) y) = g fl(y), so fl(x) = u v^-1 v = u; and by the
@@ -493,15 +503,15 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
 def _scan(source: WeylGroup, target: WeylGroup, flat: Sequence[int],
           maps: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
     """The walk of :func:`interval_pattern_instances` over an embedding's
-    flat table and coset maps, so a caller that holds them builds neither again."""
-    down = target.downsets
+    flat table and coset maps, so a caller that holds them builds neither again.
+    The source's below-lists are built once per call and dropped with it."""
+    belows = [source.below(v) for v in range(source.size)]
+    leq, masks = target.leq_idx, target.masks
     for w in range(target.size):
-        v = flat[w]
-        phi = maps[w]
-        below_w = down[w]
-        for u in source.below(v):
+        v, phi, mask = flat[w], maps[w], ~masks[w]
+        for u in belows[v]:
             x = phi[u]
-            if below_w >> x & 1 and flat[x] == u:
+            if flat[x] == u and (masks[x] & mask == 0 or leq(x, w)):
                 yield u, v, x, w
 
 

@@ -8,9 +8,10 @@ a_i when a_i is not in I(w).  :class:`WeylGroup` keeps only integers,
 built in index order one length level at a time: the masks, and per
 element its length and the first letter of its lex-least reduced word
 as bytes, from which the word is read back down the left
-multiplication rows.  A :class:`WeylElement`, which adds the
-permutation of root indices that w induces, for products and
-inverses, is built only at the API edges.
+multiplication rows.  Bruhat order on indices is the lifting test down
+those rows and the lower-cover lists; no down-set is kept.  A
+:class:`WeylElement`, which adds the permutation of root indices that w
+induces, for products and inverses, is built only at the API edges.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -32,7 +33,7 @@ coordinates by w(e_i) = e_(w(i)).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     CapExceededError,
@@ -250,10 +251,11 @@ class WeylGroup:
     multiplication rows ``lmult``; :meth:`word` reads a word off
     ``first`` and the rows.  Built on first use, inverses, the
     lower-cover lists of Bruhat order (by the lifting property, see
-    :attr:`lower_covers`), the down-sets as bit masks, the byte planes
-    of the masks (:attr:`planes`) and ``elements``, the only list of
-    :class:`WeylElement` objects, are read off them.  Products on
-    indices apply ``lmult`` rows to whole columns.
+    :attr:`lower_covers`), the byte planes of the masks (:attr:`planes`)
+    and ``elements``, the only list of :class:`WeylElement` objects, are
+    read off them.  Products on indices apply ``lmult`` rows to whole
+    columns; Bruhat order is the lifting test :meth:`leq_idx` on the rows
+    and walks down the cover lists, nothing of size |W|^2.
     Its root system keeps it (:meth:`for_system`), and it keeps the KL table.
     """
 
@@ -306,7 +308,6 @@ class WeylGroup:
         self.lmult: list[list[int]] = lmult
         self._elements: list[WeylElement] | None = None
         self._covers: list[list[int]] | None = None
-        self._downsets: list[int] | None = None
         self._inverses: list[int] | None = None
         self._planes: list[bytes] | None = None
         self._kl_table = None  # kl._KLTable, built on the first KL query
@@ -401,34 +402,22 @@ class WeylGroup:
             self._covers = table
         return self._covers
 
-    @property
-    def downsets(self) -> list[int]:
-        """downsets[v] is the bit mask of {z : z <= v} over element indices.
-
-        D(v) is {v} together with D(c) for every lower cover c of v
-        (:attr:`lower_covers`), independent of the lifting decision
-        procedure :func:`bruhat_leq`.
-        """
-        if self._downsets is None:
-            down: list[int] = []
-            for v, cs in enumerate(self.lower_covers):
-                m = 1 << v
-                for c in cs:
-                    m |= down[c]
-                down.append(m)
-            self._downsets = down
-        return self._downsets
-
     def leq_idx(self, a: int, b: int) -> bool:
-        return bool(self.downsets[b] >> a & 1)
+        """a <= b by the lifting property, as :func:`bruhat_leq`: while b is
+        longer than a, peel the first letter s of b's word off b, and off a
+        when sa < a; then a <= b iff a == b, or a is the identity."""
+        lengths, lmult, first = self.lengths, self.lmult, self.first
+        la = lengths[a]
+        while a and lengths[b] > la:
+            row = lmult[first[b] - 1]
+            b, sa = row[b], row[a]
+            if lengths[sa] < la:
+                a, la = sa, la - 1
+        return not a or a == b
 
-    def below(self, b: int) -> Iterator[int]:
-        """Ascending indices z <= b: the set bits of D(b)."""
-        m = self.downsets[b]
-        while m:
-            low = m & -m
-            m ^= low
-            yield low.bit_length() - 1
+    def below(self, b: int) -> list[int]:
+        """Ascending indices z <= b: the interval [e, b]."""
+        return self.interval_indices(0, b)
 
     def interval_indices(self, a: int, b: int) -> list[int]:
         """Ascending indices z with a <= z <= b; empty unless a <= b.
@@ -437,13 +426,13 @@ class WeylGroup:
         the interval, so the walk down from b through the cover lists,
         keeping each cover above a, reaches all of it.
         """
-        down, lower = self.downsets, self.lower_covers
-        if not down[b] >> a & 1:
+        leq, lower = self.leq_idx, self.lower_covers
+        if not leq(a, b):
             return []
         seen, stack = {b}, [b]
         while stack:
             for c in lower[stack.pop()]:
-                if c not in seen and down[c] >> a & 1:
+                if c not in seen and leq(a, c):
                     seen.add(c)
                     stack.append(c)
         return sorted(seen)

@@ -232,7 +232,7 @@ def plain_kl_columns(wg) -> list[dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Bruhat down-sets by the lifting recurrence
+# Bruhat down-sets as bit masks, by the lifting recurrence and by covers
 # ---------------------------------------------------------------------------
 
 def lifting_downsets(wg) -> list[int]:
@@ -250,6 +250,18 @@ def lifting_downsets(wg) -> list[int]:
             out |= 1 << row[low.bit_length() - 1]
             m ^= low
         down.append(out)
+    return down
+
+
+def cover_downsets(wg) -> list[int]:
+    """Every down-set of wg as a bit mask, by D(v) = {v} | the D(c) over the
+    lower covers c of v, read off ``wg.lower_covers``."""
+    down: list[int] = []
+    for v, cs in enumerate(wg.lower_covers):
+        m = 1 << v
+        for c in cs:
+            m |= down[c]
+        down.append(m)
     return down
 
 

@@ -435,12 +435,13 @@ def test_orbit_representatives_are_the_groups_own_ints():
 
 
 def test_kl_fill_never_builds_down_sets():
-    # a group object of its own, so no other test has built its down-sets
+    # a group object of its own, so no other test has built its cover lists
     wg = WeylGroup(build_root_system("B3"), DEFAULT_ENUMERATION_CAP)
     table = _KLTable(wg)
     for v in reversed(range(wg.size)):
         table.ensure_column(v)
-    assert wg._downsets is None
+    # the group keeps no down-sets at all, and the fill reads no cover list
+    assert not hasattr(wg, "downsets") and not hasattr(wg, "_downsets")
     assert wg._covers is None
 
 
@@ -635,7 +636,7 @@ def _memo_queries():
         queries += [
             lambda t=t: [w.inversions for w in enumerate_elements(build_root_system(t))],
             lambda t=t: group(t).lower_covers,
-            lambda t=t: group(t).downsets,
+            lambda t=t: [group(t).below(v) for v in range(group(t).size)],
             lambda t=t: group(t).inverses,
         ]
     queries.append(lambda: [e.simple_images for e in enumerate_embeddings(

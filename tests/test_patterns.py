@@ -209,6 +209,20 @@ def test_flatten_rejects_an_invalid_embedding():
             bad.flat()
 
 
+@pytest.mark.parametrize("cartan_type", ["A2", "B3", "D4"])
+def test_an_embedding_is_identified_by_its_full_map(cartan_type):
+    # the swapped embedding shares the valid identity embedding's simple
+    # images, so only its full map tells the two apart, in ==, hash and repr
+    rs = build_root_system(cartan_type)
+    bad = swapped_identity_embedding(rs)
+    good = next(e for e in enumerate_embeddings(rs, rs) if e.simple_images == bad.simple_images)
+    assert bad != good and hash(bad) != hash(good)
+    assert repr(bad) != repr(good)
+    twin = SubsystemEmbedding(rs, rs, good.simple_images, good.full_map)
+    assert twin == good and hash(twin) == hash(good) and repr(twin) == repr(good)
+    assert len(set(enumerate_embeddings(rs, rs)) | {bad}) == len(enumerate_embeddings(rs, rs)) + 1
+
+
 @pytest.mark.parametrize("src,tgt", [
     # sources whose masks fit one byte, with bytes tables, into targets of one to three bytes
     ("A1xA1", "B3"), ("A2", "A4"), ("B2", "F4"), ("G2", "G2"), ("A3", "D5"),
@@ -555,7 +569,7 @@ def test_a_finished_scan_retains_nothing():
     for emb in embs:
         emb.flat()
     for wg in (WeylGroup.for_system(a1), WeylGroup.for_system(f4)):
-        wg.downsets
+        wg.lower_covers
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -10,6 +10,7 @@ from helpers import (
     brute_force_isomorphic,
     bruhat_leq_by_reflection_closure,
     cayley_distances,
+    cover_downsets,
     covers,
     interval_isomorphic,
     is_biconvex,
@@ -336,16 +337,57 @@ def test_lower_covers_match_object_level_covers(cartan_type):
         assert sorted(wg.lower_covers[v]) == sorted(wg.idx(u) for u in covers(z))
 
 
+def _below_masks(wg):
+    """wg.below(b) as a bit mask over indices, for every b."""
+    return [sum(1 << z for z in wg.below(b)) for b in range(wg.size)]
+
+
 @pytest.mark.parametrize("cartan_type", ["A4", "B4", "C3", "D4", "D5", "F4", "G2", "A2xB2"])
 def test_downsets_match_reflection_closure(cartan_type):
     wg = WeylGroup.for_system(build_root_system(cartan_type))
-    assert wg.downsets == _reflection_closure_downsets(wg)
+    closure = _reflection_closure_downsets(wg)
+    assert cover_downsets(wg) == closure
+    assert _below_masks(wg) == closure
 
 
 @pytest.mark.parametrize("cartan_type", ["A5", "B4", "D4"])
 def test_downsets_match_lifting_recurrence(cartan_type):
     wg = WeylGroup.for_system(build_root_system(cartan_type))
-    assert wg.downsets == lifting_downsets(wg)
+    lifting = lifting_downsets(wg)
+    assert cover_downsets(wg) == lifting
+    assert _below_masks(wg) == lifting
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4"])
+def test_leq_idx_matches_reflection_closure_on_every_pair(cartan_type):
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    closure = _reflection_closure_downsets(wg)
+    leq, masks = wg.leq_idx, wg.masks
+    for b, m in enumerate(closure):
+        assert [leq(a, b) for a in range(wg.size)] == [bool(m >> a & 1) for a in range(wg.size)]
+        # the weak-order accept of the scans: I(a) inside I(b) gives a <= b
+        assert all(m >> a & 1 for a in range(wg.size) if masks[a] & ~masks[b] == 0)
+
+
+def test_leq_idx_matches_reflection_moves_on_sampled_e6_pairs():
+    # the down-closure of b under the reflection moves of covers(), for short b,
+    # against the lifting test on all of it and on random bottoms from all of W(E6)
+    rs = build_root_system("E6")
+    wg = WeylGroup.for_system(rs, 60_000)
+    rnd = random.Random(6)
+    tops = [b for b in range(wg.size) if 3 <= wg.lengths[b] <= 6]
+    for b in rnd.sample(tops, 20):
+        seen, stack = {wg.masks[b]}, [from_word(rs, wg.word(b))]
+        while stack:
+            for c in covers(stack.pop()):
+                if c.inversions not in seen:
+                    seen.add(c.inversions)
+                    stack.append(c)
+        down = sorted(wg.index[m] for m in seen)
+        assert wg.below(b) == down
+        assert all(wg.leq_idx(a, b) for a in down)
+        for a in rnd.sample(range(wg.size), 400):
+            assert wg.leq_idx(a, b) == (wg.masks[a] in seen)
 
 
 def test_covers():
@@ -551,7 +593,7 @@ def test_element_objects_are_built_only_at_the_edges():
     clear_caches()
     a2, b3 = build_root_system("A2"), build_root_system("B3")
     wg = WeylGroup.for_system(b3)
-    assert wg.lower_covers and wg.downsets
+    assert wg.lower_covers and wg.below(wg.size - 1) == list(range(wg.size))
     assert str(_table_for(wg).polynomial(0, wg.size - 1)) == "1"
     for emb in enumerate_embeddings(a2, b3):
         for _ in interval_pattern_instances(emb):
@@ -564,6 +606,23 @@ def test_element_objects_are_built_only_at_the_edges():
     report = verify_upper_ideal("kl-nontrivial", ["A3"])
     assert report.cases and not report.failures
     assert WeylGroup.for_system(build_root_system("A3"))._elements is None
+
+
+def test_a_cold_d6_interval_keeps_no_down_sets():
+    # interval(e, s1 s2) in D6 (23,040 elements) builds the group and its cover
+    # lists, and nothing of size |W|^2; with one down-set mask per element the
+    # query peaked at 41 MB traced
+    clear_caches()
+    d6 = build_root_system("D6")
+    tracemalloc.start()
+    try:
+        iv = interval(identity(d6), from_word(d6, [1, 2]), cap=30_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert [format_word(z) for z in iv.elements] == ["e", "1", "2", "1 2"]
+    assert peak < 16 * 2**20
 
 
 def test_one_line_round_trip():

@@ -68,11 +68,7 @@ from ..weyl import (
     WeylGroup,
     element_label,
     format_word,
-    from_word,
-    identity,
-    multiply,
     parse_element,
-    simple_reflection,
 )
 from .report import VerificationReport
 
@@ -127,9 +123,10 @@ def matrix_pairs(window: dict, slow: bool = False) -> list[tuple[str, str]]:
 # ---------------------------------------------------------------------------
 
 def _pair_label(src: WeylGroup, tgt: WeylGroup, u: int, v: int, x: int, w: int) -> str:
-    """[u, v] -> [x, w] in interval notation, the four elements built from their words."""
+    """[u, v] -> [x, w] in interval notation, the four elements built from their masks."""
     def spec(wg: WeylGroup, a: int, b: int) -> str:
-        return format_interval_spec(from_word(wg.rs, wg.word(a)), from_word(wg.rs, wg.word(b)))
+        return format_interval_spec(WeylElement(wg.rs, wg.masks[a]),
+                                    WeylElement(wg.rs, wg.masks[b]))
 
     return f"[{spec(src, u, v)}] -> [{spec(tgt, x, w)}]"
 
@@ -351,7 +348,7 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
                             continue
                         rep.cases += 1
                         if not holds[u2]:
-                            lo, lo2, top = (format_word(from_word(rs, wg.word(k)))
+                            lo, lo2, top = (format_word(WeylElement(rs, wg.masks[k]))
                                             for k in (ui, u2, vi))
                             rep.failures.append(f"{t}: property holds on [{lo}..{top}] "
                                                 f"but not on [{lo2}..{top}]")
@@ -376,13 +373,13 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
     The two sides are computed through independent pipelines.  The KL
     side asks :func:`~weylpat.kl.is_rationally_smooth` of every element,
     which fills the full Kazhdan-Lusztig table.  It builds each
-    :class:`~weylpat.weyl.WeylElement` on a depth-first walk of the word
-    tree, element k being s_i times the element of its word's tail, and
-    holds only the path, so no element list is built; the answers are
-    kept by index and compared in index order.  The pattern side streams
-    one fresh flat table per A3 subsystem embedding, keeping none: each
-    is a ``bytes``, translated through a 256-byte table that marks 3412
-    and 4231, and the marks of all embeddings are ORed as one big int.
+    :class:`~weylpat.weyl.WeylElement` from ``masks[k]`` in index order
+    and drops it after the answer, so no element list is built; the
+    answers are kept by index, one byte each, and compared after.  The
+    pattern side streams one fresh flat table per A3 subsystem
+    embedding, keeping none: each is a ``bytes``, translated through a
+    256-byte table that marks 3412 and 4231, and the marks of all
+    embeddings are ORed as one big int.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
@@ -405,23 +402,10 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
             found |= int.from_bytes(emb._flat_table(src, wg).translate(mark), "little")
         contains = found.to_bytes(wg.size, "little")
 
-        lmult, first = wg.lmult, wg.first
-        gens = [simple_reflection(rs, i + 1) for i in range(rs.rank)]
-        smooth = bytearray(wg.size)
-
-        def visit(k: int, el: WeylElement) -> None:
-            smooth[k] = is_rationally_smooth(el, cap)
-            # the children of k: each s_i k whose lex-least word starts with i,
-            # which makes i a left descent of s_i k, so s_i k is the longer
-            for i, row in enumerate(lmult):
-                c = row[k]
-                if first[c] == i + 1:
-                    visit(c, multiply(gens[i], el))
-
-        visit(0, identity(rs))
+        smooth = bytes(is_rationally_smooth(WeylElement(rs, m), cap) for m in wg.masks)
         smooth_kl = 0
         smooth_pattern = 0
-        for w in range(wg.size):
+        for w, m in enumerate(wg.masks):
             rep.cases += 1
             by_kl = bool(smooth[w])
             by_pattern = not contains[w]
@@ -429,7 +413,7 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
             smooth_pattern += by_pattern
             if by_kl != by_pattern:
                 rep.failures.append(
-                    f"{element_label(from_word(rs, wg.word(w)))}: "
+                    f"{element_label(WeylElement(rs, m))}: "
                     f"kl says {'smooth' if by_kl else 'singular'}, "
                     f"patterns say {'smooth' if by_pattern else 'singular'}")
         rep.parameters["smooth_kl"] = smooth_kl

@@ -109,7 +109,6 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     format_word,
-    from_word,
 )
 
 __all__ = ["KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth"]
@@ -423,8 +422,8 @@ class _KLTable:
         wg = self.wg
         if i == len(keys) or keys[i] != k:
             raise NotComparableError(
-                f"not comparable: {format_word(from_word(wg.rs, wg.word(u)))} "
-                f"!<= {format_word(from_word(wg.rs, wg.word(v)))}"
+                f"not comparable: {format_word(WeylElement(wg.rs, wg.masks[u]))} "
+                f"!<= {format_word(WeylElement(wg.rs, wg.masks[v]))}"
             )
         return self._decode(self.values[ids[i]], wg.lengths[v] - wg.lengths[u])
 

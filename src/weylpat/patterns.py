@@ -55,7 +55,7 @@ from .weyl import (
     WeylGroup,
     bruhat_leq,
     format_word,
-    identity,
+    from_word,
     inverse,
     multiply,
     parse_element,
@@ -332,15 +332,14 @@ def embed_element(emb: SubsystemEmbedding, w: WeylElement) -> WeylElement:
     """Image of a source group element in the target group.
 
     Evaluates a reduced word of w through the reflections in the image
-    simple roots; well defined because the Cartan data agree.
+    simple roots, each spelled by its own reduced word in the target; well
+    defined because the Cartan data agree.
     """
     if w.group != emb.source:
         raise GroupMismatchError("element does not belong to the embedding source")
     tgt = emb.target
-    out = identity(tgt)
-    for i in to_reduced_word(w):
-        out = multiply(out, reflection(tgt, emb.simple_images[i - 1]))
-    return out
+    return from_word(tgt, [j for i in to_reduced_word(w)
+                           for j in to_reduced_word(reflection(tgt, emb.simple_images[i - 1]))])
 
 
 def flatten(emb: SubsystemEmbedding, w: WeylElement,
@@ -358,7 +357,7 @@ def flatten(emb: SubsystemEmbedding, w: WeylElement,
     if k is None:
         raise InternalInvariantError(
             "pulled-back inversion set is not biconvex; embedding is invalid")
-    return source.elements[k]
+    return WeylElement(emb.source, source.masks[k])
 
 
 def pattern_embeds(emb: SubsystemEmbedding, v: WeylElement, w: WeylElement) -> bool:

@@ -10,8 +10,9 @@ element its length and the first letter of its lex-least reduced word
 as bytes, from which the word is read back down the left
 multiplication rows.  Bruhat order on indices is the lifting test down
 those rows and the lower-cover lists; no down-set is kept.  A
-:class:`WeylElement`, which adds the permutation of root indices that w
-induces, for products and inverses, is built only at the API edges.
+:class:`WeylElement` is the same mask tagged with its root system, built
+only at the API edges; its products, inverses and action on roots fold
+the left step or the reflection rows along a reduced word.
 
 Conventions fixed here and relied on everywhere else:
 
@@ -71,24 +72,18 @@ DEFAULT_ENUMERATION_CAP = 10_000
 
 
 class WeylElement:
-    """A Weyl group element of a fixed root system."""
+    """A Weyl group element of a fixed root system, held as its inversion set.
 
-    __slots__ = ("group", "root_image", "inversions", "length")
+    ``inversions`` is the bit mask of I(w) over the positive root positions
+    and is not checked; :func:`from_inversion_set` is the checked entry point.
+    """
 
-    def __init__(self, group: RootSystem, root_image: tuple[int, ...]):
+    __slots__ = ("group", "inversions", "length")
+
+    def __init__(self, group: RootSystem, inversions: int):
         self.group = group
-        self.root_image = root_image
-        inv = 0
-        heights = group.heights
-        pos_position = group.positive_position
-        half = len(group.roots) // 2
-        # negative roots occupy the first half of the sorted root list
-        for neg_idx in range(half):
-            img = root_image[neg_idx]
-            if heights[img] > 0:
-                inv |= 1 << pos_position(img)
-        self.inversions = inv
-        self.length = inv.bit_count()
+        self.inversions = inversions
+        self.length = inversions.bit_count()
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -112,53 +107,66 @@ def _check_same_group(a: WeylElement, b: WeylElement) -> None:
 
 
 def identity(rs: RootSystem) -> WeylElement:
-    return WeylElement(rs, tuple(range(len(rs.roots))))
+    return WeylElement(rs, 0)
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElement:
     """The reflection in the i-th simple root (1-based Bourbaki index)."""
     if not 1 <= i <= rs.rank:
         raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
-    return WeylElement(rs, rs.reflection_table[rs.simple[i - 1]])
+    return WeylElement(rs, rs._left_steps[i - 1][0])
 
 
 def reflection(rs: RootSystem, alpha: int) -> WeylElement:
-    """The reflection in the root with index alpha; s_alpha = s_(-alpha)."""
+    """The reflection in the root with index alpha; s_alpha = s_(-alpha).
+
+    s_alpha is its own inverse, so I(s_alpha) is the set of positive roots
+    that its row of ``rs.reflection_table`` sends negative."""
     if not 0 <= alpha < len(rs.roots):
         raise ValueError(f"root index {alpha} out of range for {rs.cartan_type}")
-    return WeylElement(rs, rs.reflection_table[alpha])
+    row, heights = rs.reflection_table[alpha], rs.heights
+    return WeylElement(rs, sum(1 << p for p, b in enumerate(rs.positive) if heights[row[b]] < 0))
+
+
+def _fold(rs: RootSystem, word: Sequence[int], mask: int) -> int:
+    """I(s_i1 ... s_ik w) from I(w) = mask, the 1-based word folded by left
+    steps from its right end."""
+    for i in reversed(word):
+        mask = _left_step(rs, mask, i - 1)
+    return mask
 
 
 def multiply(w1: WeylElement, w2: WeylElement) -> WeylElement:
     _check_same_group(w1, w2)
-    im1 = w1.root_image
-    return WeylElement(w1.group, tuple(im1[b] for b in w2.root_image))
+    rs = w1.group
+    return WeylElement(rs, _fold(rs, _peel(rs, w1.inversions)[0], w2.inversions))
 
 
 def inverse(w: WeylElement) -> WeylElement:
-    n = len(w.root_image)
-    inv = [0] * n
-    for a, b in enumerate(w.root_image):
-        inv[b] = a
-    return WeylElement(w.group, tuple(inv))
+    """The reduced word of w read backwards."""
+    rs = w.group
+    return WeylElement(rs, _fold(rs, _peel(rs, w.inversions)[0][::-1], 0))
 
 
 def apply(w: WeylElement, alpha: int) -> int:
-    """Index of w(alpha) for a root index alpha."""
-    return w.root_image[alpha]
+    """Index of w(alpha) for a root index alpha: the reflection rows of a
+    reduced word of w, applied from its right end."""
+    rs = w.group
+    if not 0 <= alpha < len(rs.roots):
+        raise ValueError(f"root index {alpha} out of range for {rs.cartan_type}")
+    table, simple = rs.reflection_table, rs.simple
+    for i in reversed(_peel(rs, w.inversions)[0]):
+        alpha = table[simple[i - 1]][alpha]
+    return alpha
 
 
 def from_word(rs: RootSystem, word: Iterable[int]) -> WeylElement:
     """Evaluate a word in 1-based simple indices, left to right."""
-    image = list(range(len(rs.roots)))
-    table = rs.reflection_table
-    simple = rs.simple
+    word = list(word)
     for i in word:
         if not 1 <= i <= rs.rank:
             raise ValueError(f"simple index {i} out of range 1..{rs.rank}")
-        row = table[simple[i - 1]]
-        image = [image[b] for b in row]
-    return WeylElement(rs, tuple(image))
+    return WeylElement(rs, _fold(rs, word, 0))
 
 
 def _left_step(rs: RootSystem, mask: int, i: int) -> int:
@@ -225,11 +233,11 @@ def from_inversion_set(rs: RootSystem, S: int | Iterable[int]) -> WeylElement:
                 raise ValueError(f"root index {idx} is not positive in {rs.cartan_type}")
             mask |= 1 << rs.positive_position(idx)
 
-    word, rest = _peel(rs, mask)
-    w = from_word(rs, word)
-    if rest or w.inversions != mask:
+    # each left step is an involution of all masks, so a peel that ends at 0
+    # retraces the steps from I(e) up to mask, which is then I(w)
+    if _peel(rs, mask)[1]:
         raise NotAnInversionSetError("not an inversion set")
-    return w
+    return WeylElement(rs, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +260,8 @@ class WeylGroup:
     ``first`` and the rows.  Built on first use, inverses, the
     lower-cover lists of Bruhat order (by the lifting property, see
     :attr:`lower_covers`), the byte planes of the masks (:attr:`planes`)
-    and ``elements``, the only list of :class:`WeylElement` objects, are
-    read off them.  Products on indices apply ``lmult`` rows to whole
+    and ``elements``, the only list of :class:`WeylElement` objects, one
+    per mask, are read off them.  Products on indices apply ``lmult`` rows to whole
     columns; Bruhat order is the lifting test :meth:`leq_idx` on the rows
     and walks down the cover lists, nothing of size |W|^2.
     Its root system keeps it (:meth:`for_system`), and it keeps the KL table.
@@ -325,16 +333,9 @@ class WeylGroup:
 
     @property
     def elements(self) -> list[WeylElement]:
-        """elements[k] as a WeylElement, built on first use: s_i times the earlier
-        element that the first letter i of its word peels to, one tuple product each."""
+        """elements[k] as a WeylElement on ``masks[k]``, built on first use."""
         if self._elements is None:
-            rs, lmult, first = self.rs, self.lmult, self.first
-            gens = [simple_reflection(rs, i + 1) for i in range(rs.rank)]
-            els = [identity(rs)]
-            for k in range(1, self.size):
-                i = first[k] - 1
-                els.append(multiply(gens[i], els[lmult[i][k]]))
-            self._elements = els
+            self._elements = [WeylElement(self.rs, m) for m in self.masks]
         return self._elements
 
     def idx(self, w: WeylElement) -> int:
@@ -496,7 +497,7 @@ class BruhatInterval:
 
 def interval(u: WeylElement, v: WeylElement,
              cap: int = DEFAULT_ENUMERATION_CAP) -> BruhatInterval:
-    """The Bruhat interval [u, v], its elements built from their words; raises
+    """The Bruhat interval [u, v], its elements built from their masks; raises
     NotComparableError when u is not <= v."""
     _check_same_group(u, v)
     wg = WeylGroup.for_system(u.group, cap)
@@ -506,7 +507,7 @@ def interval(u: WeylElement, v: WeylElement,
             f"not comparable: {format_word(u)} !<= {format_word(v)}"
         )
     idxs = wg.interval_indices(a, b)
-    elements = [from_word(u.group, wg.word(z)) for z in idxs]
+    elements = [WeylElement(u.group, wg.masks[z]) for z in idxs]
     pos = {z: k for k, z in enumerate(idxs)}
     lower = wg.lower_covers
     pairs = sorted((pos[c], k) for k, z in enumerate(idxs) for c in lower[z] if c in pos)
@@ -527,18 +528,17 @@ def one_line(w: WeylElement) -> str | None:
     An element of W(An) permutes n+1 letters; A1 prints as "12" or "21"
     even though its realization lives in one coordinate.
     """
-    rs = w.group
-    if not _is_single_type_a(rs):
+    if not _is_single_type_a(w.group):
         return None
-    # w(alpha_k) = e_w(k) - e_w(k+1) = +-(alpha_i + ... + alpha_(j-1)) for
-    # i < j: its support gives the two letters and its sign their order;
-    # step k sets w(k), already found by step k-1, and appends w(k+1)
-    perm: list[int] = []
-    for k, s in enumerate(rs.simple):
-        c = rs.simple_coords[w.root_image[s]]
-        support = [i for i, x in enumerate(c) if x]
-        i, j = support[0] + 1, support[-1] + 2
-        perm[k:] = (i, j) if c[support[0]] > 0 else (j, i)
+    return _one_line(w.group, to_reduced_word(w))
+
+
+def _one_line(rs: RootSystem, word: Sequence[int]) -> str:
+    # w s_i swaps the letters at positions i and i+1, so swapping them
+    # along the word, from the identity, spells w
+    perm = list(range(1, rs.rank + 2))
+    for i in word:
+        perm[i - 1], perm[i] = perm[i], perm[i - 1]
     return ("" if len(perm) <= 9 else ",").join(str(x) for x in perm)
 
 
@@ -590,12 +590,16 @@ def parse_element(rs: RootSystem, text: str) -> WeylElement:
 
 def format_word(w: WeylElement) -> str:
     """Reduced word rendering; the identity prints as "e"."""
-    word = to_reduced_word(w)
+    return _format(to_reduced_word(w))
+
+
+def _format(word: Sequence[int]) -> str:
     return "e" if not word else " ".join(str(i) for i in word)
 
 
 def element_label(w: WeylElement) -> str:
     """Human-facing label: reduced word, plus one-line form in type A."""
-    ol = one_line(w)
-    word = format_word(w)
-    return f"{word} ({ol})" if ol is not None else word
+    word = to_reduced_word(w)
+    if not _is_single_type_a(w.group):
+        return _format(word)
+    return f"{_format(word)} ({_one_line(w.group, word)})"

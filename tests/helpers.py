@@ -13,7 +13,7 @@ import itertools
 from fractions import Fraction
 
 from weylpat.errors import InternalInvariantError
-from weylpat.patterns import SubsystemEmbedding, embed_element, enumerate_embeddings, flatten
+from weylpat.patterns import SubsystemEmbedding, enumerate_embeddings, flatten
 from weylpat.roots import dot
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
@@ -21,12 +21,7 @@ from weylpat.weyl import (
     WeylElement,
     WeylGroup,
     enumerate_elements,
-    identity,
     interval,
-    inverse,
-    multiply,
-    reflection,
-    simple_reflection,
     to_reduced_word,
 )
 
@@ -89,6 +84,72 @@ def left_descents(w: WeylElement) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# elements as permutations of root indices
+# ---------------------------------------------------------------------------
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation p after q: b -> p[q[b]]."""
+    return tuple(p[b] for b in q)
+
+
+def invert(p: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * len(p)
+    for a, b in enumerate(p):
+        out[b] = a
+    return tuple(out)
+
+
+def word_image(rs, word) -> tuple[int, ...]:
+    """The permutation of root indices that s_i1 ... s_ik induces, composed
+    from the rows of ``rs.reflection_table`` left to right."""
+    image = tuple(range(len(rs.roots)))
+    for i in word:
+        image = compose(image, rs.reflection_table[rs.simple[i - 1]])
+    return image
+
+
+def image_inversions(rs, image: tuple[int, ...]) -> int:
+    """I(w) as a bit mask over positive root positions, for w inducing image:
+    the positive roots w(b) of the negative roots b."""
+    inv = 0
+    # negative roots occupy the first half of the sorted root list
+    for b in range(len(rs.roots) // 2):
+        a = image[b]
+        if rs.heights[a] > 0:
+            inv |= 1 << rs.positive_position(a)
+    return inv
+
+
+def root_image(w: WeylElement) -> tuple[int, ...]:
+    """The permutation of root indices that w induces, from a reduced word of
+    w; an element is its inversion set, so the check pins it to w."""
+    image = word_image(w.group, to_reduced_word(w))
+    assert image_inversions(w.group, image) == w.inversions
+    return image
+
+
+def image_element(rs, image: tuple[int, ...]) -> WeylElement:
+    return WeylElement(rs, image_inversions(rs, image))
+
+
+def one_line_by_coordinates(w: WeylElement) -> str:
+    """One-line notation of w in W(An), read off the images of the simple roots.
+
+    w(alpha_k) = e_w(k) - e_w(k+1) = +-(alpha_i + ... + alpha_(j-1)) for
+    i < j: its support gives the two letters and its sign their order;
+    step k sets w(k), already found by step k-1, and appends w(k+1).
+    """
+    rs, image = w.group, root_image(w)
+    perm: list[int] = []
+    for k, s in enumerate(rs.simple):
+        c = rs.simple_coords[image[s]]
+        support = [i for i, x in enumerate(c) if x]
+        i, j = support[0] + 1, support[-1] + 2
+        perm[k:] = (i, j) if c[support[0]] > 0 else (j, i)
+    return ("" if len(perm) <= 9 else ",").join(str(x) for x in perm)
+
+
+# ---------------------------------------------------------------------------
 # small polynomial arithmetic on coefficient tuples
 # ---------------------------------------------------------------------------
 
@@ -135,7 +196,7 @@ def preverse(a, n):
 # ---------------------------------------------------------------------------
 
 class RTable:
-    """R polynomials by the left-descent recursion.
+    """R polynomials by the left-descent recursion, on root permutations.
 
     R(u,u) = 1, R(u,v) = 0 unless u <= v, and for a left descent s of v:
     R(u,v) = R(su,sv) when su < u, else (q-1) R(u,sv) + q R(su,sv).
@@ -146,23 +207,28 @@ class RTable:
         self.memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def r(self, u: WeylElement, v: WeylElement) -> tuple[int, ...]:
-        key = (u.inversions, v.inversions)
+        got = self.memo.get((u.inversions, v.inversions))
+        return got if got is not None else self._r(root_image(u), root_image(v))
+
+    def _r(self, u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, ...]:
+        rs = self.rs
+        mu, mv = image_inversions(rs, u), image_inversions(rs, v)
+        key = (mu, mv)
         got = self.memo.get(key)
         if got is not None:
             return got
-        if u.inversions == v.inversions:
+        if mu == mv:
             val: tuple[int, ...] = (1,)
-        elif u.length >= v.length:
+        elif mu.bit_count() >= mv.bit_count():
             val = ()
         else:
-            i = left_descents(v)[0]
-            s = simple_reflection(self.rs, i)
-            sv = multiply(s, v)
-            su = multiply(s, u)
-            if su.length < u.length:
-                val = self.r(su, sv)
+            i = left_descents(WeylElement(rs, mv))[0]
+            s = rs.reflection_table[rs.simple[i - 1]]
+            sv, su = compose(s, v), compose(s, u)
+            if image_inversions(rs, su).bit_count() < mu.bit_count():
+                val = self._r(su, sv)
             else:
-                val = padd(pmul((-1, 1), self.r(u, sv)), pshift(self.r(su, sv), 1))
+                val = padd(pmul((-1, 1), self._r(u, sv)), pshift(self._r(su, sv), 1))
         val = ptrim(val)
         self.memo[key] = val
         return val
@@ -282,10 +348,10 @@ def mul(wg: WeylGroup, a: int, b: int) -> int:
 
 def covers(v: WeylElement) -> list[WeylElement]:
     """All u covered by v: u = s_alpha v with l(u) = l(v) - 1, from every reflection."""
-    rs = v.group
+    rs, image = v.group, root_image(v)
     seen: dict[int, WeylElement] = {}
-    for p in range(rs.num_positive):
-        u = multiply(reflection(rs, rs.positive[p]), v)
+    for a in rs.positive:
+        u = image_element(rs, compose(rs.reflection_table[a], image))
         if u.length == v.length - 1:
             seen.setdefault(u.inversions, u)
     return sorted(seen.values(), key=to_reduced_word)
@@ -310,14 +376,14 @@ def _reflection_closure_downsets(wg: WeylGroup) -> list[int]:
     """Down-sets from reflection moves, as bit masks over wg's indices."""
     rs = wg.rs
     down = [0] * wg.size
-    refls = [reflection(rs, rs.positive[p]) for p in range(rs.num_positive)]
-    for v_idx in range(wg.size):
-        v = wg.elements[v_idx]
+    refls = [rs.reflection_table[a] for a in rs.positive]
+    for v_idx, v in enumerate(wg.elements):
+        image = root_image(v)
         mask = 1 << v_idx
         for t in refls:
-            u = multiply(t, v)
-            if u.length < v.length:
-                mask |= down[wg.idx(u)]
+            u = image_inversions(rs, compose(t, image))
+            if u.bit_count() < v.length:
+                mask |= down[wg.index[u]]
         down[v_idx] = mask
     return down
 
@@ -326,34 +392,39 @@ def _reflection_closure_downsets(wg: WeylGroup) -> list[int]:
 # word and inversion-set oracles
 # ---------------------------------------------------------------------------
 
-def cayley_distances(rs) -> dict[int, int]:
-    """BFS word lengths over the Cayley graph: inversions mask -> distance."""
-    start = identity(rs)
-    dist = {start.inversions: 0}
-    frontier = [start]
-    gens = [simple_reflection(rs, i) for i in range(1, rs.rank + 1)]
+def cayley_distances(rs, roots=None) -> dict[int, int]:
+    """BFS word lengths over the Cayley graph of the root permutations that the
+    reflections in roots (the simple roots by default) generate: inversions
+    mask -> distance."""
+    frontier = [tuple(range(len(rs.roots)))]
+    dist = {0: 0}
+    gens = [rs.reflection_table[a] for a in (rs.simple if roots is None else roots)]
     while frontier:
         new = []
         for w in frontier:
+            d = dist[image_inversions(rs, w)] + 1
             for s in gens:
-                nxt = multiply(s, w)
-                if nxt.inversions not in dist:
-                    dist[nxt.inversions] = dist[w.inversions] + 1
+                nxt = compose(s, w)
+                m = image_inversions(rs, nxt)
+                if m not in dist:
+                    dist[m] = d
                     new.append(nxt)
         frontier = new
     return dist
 
 
 def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
-    """Every reduced word of w, via recursion on left descents."""
-    if w.length == 0:
-        return [()]
+    """Every reduced word of w, via recursion on left descents of root permutations."""
     rs = w.group
-    out = []
-    for i in left_descents(w):
-        rest = multiply(simple_reflection(rs, i), w)
-        out.extend((i,) + tail for tail in all_reduced_words(rest))
-    return out
+
+    def words(image: tuple[int, ...]) -> list[tuple[int, ...]]:
+        v = image_element(rs, image)
+        if v.length == 0:
+            return [()]
+        return [(i,) + tail for i in left_descents(v)
+                for tail in words(compose(rs.reflection_table[rs.simple[i - 1]], image))]
+
+    return words(root_image(w))
 
 
 def is_biconvex(rs, mask: int) -> bool:
@@ -671,8 +742,9 @@ def flattening_by_element(embeddings, target, cap: int = DEFAULT_ENUMERATION_CAP
 
 @functools.cache
 def _subgroup_inversions(emb) -> frozenset[int]:
-    """Inversion masks of the embedded subgroup inside the target group."""
-    return frozenset(embed_element(emb, g).inversions for g in enumerate_elements(emb.source))
+    """Inversion masks of the embedded subgroup inside the target group, the
+    group generated by the reflections in the image simple roots."""
+    return frozenset(cayley_distances(emb.target, emb.simple_images))
 
 
 def interval_embeds(emb, u: WeylElement, v: WeylElement,
@@ -685,7 +757,8 @@ def interval_embeds(emb, u: WeylElement, v: WeylElement,
     """
     if flatten(emb, w) != v or flatten(emb, x) != u:
         return False
-    if multiply(x, inverse(w)).inversions not in _subgroup_inversions(emb):
+    if image_inversions(x.group, compose(root_image(x), invert(root_image(w)))) \
+            not in _subgroup_inversions(emb):
         return False
     return interval_isomorphic(interval(u, v), interval(x, w))
 

@@ -14,6 +14,7 @@ from helpers import (
     mul,
     negatives,
     plain_kl_columns,
+    word_image,
 )
 from weylpat.errors import GroupMismatchError, InternalInvariantError, NotComparableError
 from weylpat.harness.cli import main
@@ -398,7 +399,7 @@ def test_w0_conjugation_relabels_simple_roots_as_minus_w0(cartan_type, central):
     rs = build_root_system(cartan_type)
     wg = WeylGroup.for_system(rs, 60_000)
     conj = _w0_conjugation(wg)
-    w0 = from_word(rs, wg.word(wg.size - 1)).root_image
+    w0 = word_image(rs, wg.word(wg.size - 1))
     neg = negatives(rs)
     sigma = [rs.simple.index(neg[w0[a]]) for a in rs.simple]
     assert sorted(sigma) == list(range(rs.rank))

@@ -10,14 +10,20 @@ from helpers import (
     brute_force_isomorphic,
     bruhat_leq_by_reflection_closure,
     cayley_distances,
+    compose,
     cover_downsets,
     covers,
+    image_inversions,
     interval_isomorphic,
+    invert,
     is_biconvex,
     left_descents,
     lifting_downsets,
     mul,
     negatives,
+    one_line_by_coordinates,
+    root_image,
+    word_image,
 )
 from weylpat.errors import (
     CapExceededError,
@@ -27,7 +33,12 @@ from weylpat.errors import (
 )
 from weylpat.harness.verify import verify_upper_ideal
 from weylpat.kl import _table_for
-from weylpat.patterns import enumerate_embeddings, interval_pattern_instances
+from weylpat.patterns import (
+    enumerate_embeddings,
+    flatten,
+    interval_pattern_instances,
+    pattern_avoids,
+)
 from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
@@ -107,6 +118,9 @@ def test_group_arithmetic():
     assert multiply(multiply(s1, s2), inverse(multiply(s1, s2))) == e
     # apply matches the reflection action on roots
     assert apply(s1, rs.simple[1]) == rs.reflection_table[rs.simple[0]][rs.simple[1]]
+    for alpha in (-1, len(rs.roots)):
+        with pytest.raises(ValueError):
+            apply(e, alpha)
     with pytest.raises(GroupMismatchError):
         multiply(s1, identity(build_root_system("B2")))
 
@@ -116,8 +130,9 @@ def test_root_image_commutes_with_negation(cartan_type):
     rs = build_root_system(cartan_type)
     neg = negatives(rs)
     for w in enumerate_elements(rs):
+        image = root_image(w)
         for r in range(len(rs.roots)):
-            assert w.root_image[neg[r]] == neg[w.root_image[r]]
+            assert image[neg[r]] == neg[image[r]]
 
 
 def test_from_word():
@@ -132,8 +147,8 @@ def test_from_word():
 @pytest.mark.parametrize("cartan_type",
                          ["A1xA1", "A3", "B3", "C3", "D4", "G2", "F4", "A2xB2", "E6"])
 def test_left_step_matches_the_tuple_product(cartan_type):
-    # the one left multiplication of masks, against root-image products; E6,
-    # with masks of five bytes, on a sample of random words
+    # the one left multiplication of masks, against products of root
+    # permutations; E6, with masks of five bytes, on a sample of random words
     rs = build_root_system(cartan_type)
     if cartan_type == "E6":
         rnd = random.Random(6)
@@ -142,9 +157,34 @@ def test_left_step_matches_the_tuple_product(cartan_type):
     else:
         elements = enumerate_elements(rs)
     for w in elements:
+        image = root_image(w)
         for i in range(rs.rank):
             assert _left_step(rs, w.inversions, i) == \
-                multiply(simple_reflection(rs, i + 1), w).inversions
+                image_inversions(rs, compose(rs.reflection_table[rs.simple[i]], image))
+
+
+@pytest.mark.parametrize("cartan_type", ["A1xA1", "A3", "B3", "G2", "F4", "A2xB2", "E6"])
+def test_element_operations_match_root_permutations(cartan_type):
+    # from_word, multiply with a sampled partner, inverse, apply and every
+    # reflection, against permutations of root indices composed from the
+    # reflection rows; every element's reduced word, and 300 random E6 words
+    rs = build_root_system(cartan_type)
+    rnd = random.Random(6)
+    if cartan_type == "E6":
+        words = [[rnd.randint(1, 6) for _ in range(rnd.randint(0, 40))] for _ in range(300)]
+    else:
+        words = [to_reduced_word(w) for w in enumerate_elements(rs)]
+    elements = [from_word(rs, word) for word in words]
+    for word, w in zip(words, elements):
+        image = word_image(rs, word)
+        v = rnd.choice(elements)
+        assert w.inversions == image_inversions(rs, image)
+        assert multiply(w, v).inversions == image_inversions(rs, compose(image, root_image(v)))
+        assert inverse(w).inversions == image_inversions(rs, invert(image))
+        assert [apply(w, r) for r in range(len(rs.roots))] == list(image)
+    for alpha in range(len(rs.roots)):
+        assert reflection(rs, alpha).inversions == \
+            image_inversions(rs, rs.reflection_table[alpha])
 
 
 @pytest.mark.parametrize("cartan_type", ["A2", "B2", "A3", "B3", "G2", "A1xA1"])
@@ -600,6 +640,11 @@ def test_element_objects_are_built_only_at_the_edges():
             pass
     iv = interval(from_word(b3, [2]), from_word(b3, [1, 2, 3]))
     assert [format_word(z) for z in iv.elements] == ["2", "1 2", "2 3", "1 2 3"]
+    # w0 = -1 pulls back to the longest element through every embedding
+    w0, a2_w0 = from_inversion_set(b3, (1 << b3.num_positive) - 1), from_word(a2, [1, 2, 1])
+    assert all(flatten(emb, w0) == a2_w0 for emb in enumerate_embeddings(a2, b3))
+    assert not pattern_avoids(a2_w0, w0)
+    assert pattern_avoids(a2_w0, from_word(b3, [1, 2, 3, 2, 1]))
     assert wg._elements is None and WeylGroup.for_system(a2)._elements is None
     assert wg.elements == [from_word(b3, wg.word(k)) for k in range(wg.size)]
 
@@ -643,11 +688,13 @@ def _permutation_of_word(word, n):
 
 
 def test_one_line_is_the_product_of_adjacent_transpositions():
+    # and equals the notation read off the images of the simple roots
     for n in range(1, 6):
         rs = build_root_system(f"A{n}")
         for w in enumerate_elements(rs):
             perm = _permutation_of_word(to_reduced_word(w), n + 1)
             assert one_line(w) == "".join(map(str, perm))
+            assert one_line(w) == one_line_by_coordinates(w)
     rnd = random.Random(3)
     for n in (9, 12):
         rs = build_root_system(f"A{n}")
@@ -655,6 +702,7 @@ def test_one_line_is_the_product_of_adjacent_transpositions():
             w = from_word(rs, [rnd.randint(1, n) for _ in range(rnd.randint(0, 60))])
             perm = _permutation_of_word(to_reduced_word(w), n + 1)
             assert one_line(w) == ",".join(map(str, perm))
+            assert one_line(w) == one_line_by_coordinates(w)
             assert parse_element(rs, one_line(w)) == w
 
 

@@ -31,14 +31,17 @@ keep its pairs with equal length gaps, as ``length-sufficiency`` checks.
 ``length-sufficiency`` works on element indices.  Unequal gaps need no
 check, since the rank span of an interval is its gap.  For equal gaps
 it proves that the coset map phi_w of the Billey-Braden lemma, taken
-from ``coset_maps()`` of the first embedding that yields the pair, is a
+from ``coset_maps()`` of the embedding that yields the pair, is a
 bijection of the two intervals' index lists that carries lower covers
 exactly onto lower covers.  That proof is complete, so its verdict is
-the answer: a failure means the intervals are not isomorphic.  No
-interval is built.  ``x-determination`` builds the embedded subgroup
-from :func:`~weylpat.patterns.embed_element`, not from the scan's
-tables.  ``kl-transfer`` and ``upper-ideal`` read KL polynomials on
-indices from the groups' tables.
+the answer: a failure means the intervals are not isomorphic.  Its
+per-element checks depend on the coset map and the bottom, not on the
+top, so each is taken once per embedding, and no interval is built.
+``x-determination`` builds the embedded subgroup from
+:func:`~weylpat.patterns.embed_element`, not from the scan's tables.
+``kl-transfer`` reads KL polynomials on indices from the groups' tables.
+``upper-ideal`` checks all its properties in one sweep: it decodes each
+KL column once into bit masks, and scans each window pair once.
 """
 
 from __future__ import annotations
@@ -49,12 +52,11 @@ import time
 from importlib import resources
 from typing import Callable, Sequence
 
-from ..errors import InternalInvariantError
-from ..kl import KLPolynomial, _table_for, is_rationally_smooth
+from ..errors import InternalInvariantError, NotComparableError
+from ..kl import KLPolynomial, _bits, _table_for, is_rationally_smooth
 from ..patterns import (
+    _cover_check,
     _equal_gap_instances,
-    _interval_covers,
-    _pattern_map_isomorphic,
     _scan,
     embed_element,
     enumerate_embeddings,
@@ -131,12 +133,16 @@ def _pair_label(src: WeylGroup, tgt: WeylGroup, u: int, v: int, x: int, w: int) 
     return f"[{spec(src, u, v)}] -> [{spec(tgt, x, w)}]"
 
 
-def _timed(fn: Callable[[VerificationReport], None], report: VerificationReport) -> VerificationReport:
+def _timed(fn: Callable[..., None], *reports: VerificationReport) -> VerificationReport:
+    """fn(*reports), then each report's failures sorted and its wall_time set
+    to the whole call's time; returns the first report."""
     start = time.perf_counter()
-    fn(report)
-    report.failures.sort()
-    report.wall_time = time.perf_counter() - start
-    return report
+    fn(*reports)
+    wall_time = time.perf_counter() - start
+    for report in reports:
+        report.failures.sort()
+        report.wall_time = wall_time
+    return reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +230,17 @@ def verify_length_sufficiency(source_type: str, target_type: str,
 
     Unequal gaps rule isomorphism out, since an interval's rank span is
     its gap, so only equal-gap quadruples are decided, on element
-    indices, by :func:`~weylpat.patterns._pattern_map_isomorphic`: the
-    coset map z -> i(z v^-1) w of the embedding that first yields the
-    quadruple is an isomorphism, or by the completeness of that proof
-    no isomorphism exists.  Each quadruple is decided once, however many
-    embeddings yield it, and each of its failures is reported once per
-    yield.  Each source interval [u, v], with its in-interval lower
-    covers, is built once per call and shared by every proof that reads it.
+    indices, by the proof of
+    :func:`~weylpat.patterns._pattern_map_isomorphic`: the coset map
+    phi = phi_w of the embedding that yields the quadruple is an
+    isomorphism, or by the completeness of that proof no isomorphism
+    exists.  The proof is x = phi[u] and one check per z in [u, v], from
+    :func:`~weylpat.patterns._cover_check`, which depends on (phi, u, z)
+    alone.  So each embedding keeps, per coset map and u, a
+    source mask of the z already checked and one of those that failed,
+    and a yield checks only the z of [u, v] not yet checked; the masks
+    are dropped with the embedding.  Each failure is reported once per
+    yield.
     """
     source = build_root_system(source_type)
     target = build_root_system(target_type)
@@ -240,28 +250,39 @@ def verify_length_sufficiency(source_type: str, target_type: str,
     def run(rep: VerificationReport) -> None:
         src = WeylGroup.for_system(source, cap)
         tgt = WeylGroup.for_system(target, cap)
-        n, m = tgt.size, src.size
-        # verdict of each equal-gap quadruple, keyed by its indices packed into one int
-        decided: dict[int, bool] = {}
-        # each source interval [u, v] with its in-interval lower covers, built once
-        bottoms: dict[tuple[int, int], list[tuple[int, list[int]]]] = {}
+        m, src_len, tgt_len = src.size, src.lengths, tgt.lengths
+        # down[v] and above[u] as masks over source indices, so [u, v] less u is
+        # down[v] & above[u]; z = u needs no check, as no lower cover of x lies above x
+        down, above = [0] * m, [0] * m
+        for v in range(m):
+            for u in src.below(v):
+                down[v] |= 1 << u
+                if u != v:
+                    above[u] |= 1 << v
+        check, cases = _cover_check(src, tgt), 0
         for emb in enumerate_embeddings(source, target):
             maps = emb.coset_maps(cap)
+            # (z checked, z failed) masks, keyed by the coset's minimum phi[0] and u
+            proved: dict[int, tuple[int, int]] = {}
             for u, v, x, w in _scan(src, tgt, emb.flat(cap), maps):
-                rep.cases += 1
-                if src.lengths[v] - src.lengths[u] != tgt.lengths[w] - tgt.lengths[x]:
+                cases += 1
+                if src_len[v] - src_len[u] != tgt_len[w] - tgt_len[x]:
                     continue
-                key = ((x * n + w) * m + u) * m + v
-                iso = decided.get(key)
-                if iso is None:
-                    bottom = bottoms.get((u, v))
-                    if bottom is None:
-                        bottom = bottoms[(u, v)] = _interval_covers(src, u, v)
-                    iso = decided[key] = _pattern_map_isomorphic(src, tgt, maps[w], u, v, x, w,
-                                                                 bottom)
-                if not iso:
+                phi, span = maps[w], down[v] & above[u]
+                key = phi[0] * m + u
+                checked, failed = proved.get(key, (0, 0))
+                todo = span & ~checked
+                if todo:
+                    while todo:
+                        bit = todo & -todo
+                        todo ^= bit
+                        if not check(phi, u, bit.bit_length() - 1):
+                            failed |= bit
+                    proved[key] = checked | span, failed
+                if failed & span or phi[u] != x:
                     rep.failures.append(
                         f"{_pair_label(src, tgt, u, v, x, w)}: equal gaps without isomorphism")
+        rep.cases = cases
 
     return _timed(run, report)
 
@@ -305,6 +326,36 @@ def _parse_property(name: str) -> Callable[[KLPolynomial], bool]:
         f"unknown property {name!r}; use kl-nontrivial or kl-coeff(k,c)")
 
 
+def _kl_masks(wg: WeylGroup, props: Sequence[Callable[[KLPolynomial], bool]]
+              ) -> tuple[list[int], list[list[int]]]:
+    """(down, holds) from one pass over each KL column of wg: down[v] is the
+    mask of D(v), and holds[i][v] the mask of the u in D(v) where props[i]
+    holds on [u, v].  Each distinct (packed value, length gap) is decoded
+    once, as :meth:`~weylpat.kl._KLTable.polynomials` decodes it, and each
+    property is asked once per decoded polynomial."""
+    table, lengths = _table_for(wg), wg.lengths
+    down: list[int] = []
+    holds: list[list[int]] = [[] for _ in props]
+    # (packed value, gap) -> indices of the properties its polynomial has
+    verdicts: dict[tuple[int, int], list[int]] = {}
+    for v in range(wg.size):
+        lv, d, h = lengths[v], 0, [0] * len(props)
+        for u, val in table._entries(v):
+            bit = 1 << u
+            d |= bit
+            key = (val, lv - lengths[u])
+            held = verdicts.get(key)
+            if held is None:
+                p = table._decode(*key)
+                held = verdicts[key] = [i for i, prop in enumerate(props) if prop(p)]
+            for i in held:
+                h[i] |= bit
+        down.append(d)
+        for row, mask in zip(holds, h):
+            row.append(mask)
+    return down, holds
+
+
 def verify_upper_ideal(property_name: str, types: Sequence[str],
                        pairs: Sequence[tuple[str, str]] | None = None,
                        cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
@@ -313,9 +364,25 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
     Upward moves in the interval poset lower the bottom within a group
     (the closure of a cell only adds smaller elements) and transport
     along interval pattern embeddings across groups.  Both closures are
-    checked exhaustively inside the window.
+    checked exhaustively inside the window, by the sweep of
+    :func:`_upper_ideal` with this one property.
     """
-    prop = _parse_property(property_name)
+    return _upper_ideal([property_name], types, pairs, cap)[0]
+
+
+def _upper_ideal(property_names: Sequence[str], types: Sequence[str],
+                 pairs: Sequence[tuple[str, str]] | None,
+                 cap: int) -> list[VerificationReport]:
+    """One sweep that checks every property at once, one report per property.
+
+    Each KL column of each group is decoded once, into the mask of D(v)
+    and, per property, the mask of the u in D(v) where it holds on
+    [u, v].  Move 2 reads the masks alone.  Move 1 scans each window
+    pair once and answers every property from the masks; a scanned
+    (u, v) or (x, w) outside its D(v) mask raises NotComparableError.
+    Every report's ``wall_time`` is the time of the whole shared sweep.
+    """
+    props = [_parse_property(name) for name in property_names]
     type_list = [build_root_system(t).cartan_type for t in types]
     if pairs is None:
         pair_list = [
@@ -325,46 +392,54 @@ def verify_upper_ideal(property_name: str, types: Sequence[str],
     else:
         pair_list = [(build_root_system(s).cartan_type, build_root_system(t).cartan_type)
                      for s, t in pairs]
-    report = VerificationReport(
-        "upper-ideal",
-        {"property": property_name, "types": ",".join(type_list),
-         "pairs": ";".join(f"{s}->{t}" for s, t in pair_list)})
+    parameters = {"types": ",".join(type_list),
+                  "pairs": ";".join(f"{s}->{t}" for s, t in pair_list)}
+    reports = [VerificationReport("upper-ideal", {"property": name, **parameters})
+               for name in property_names]
 
-    def run(rep: VerificationReport) -> None:
-        # move 2, inside each group: if the property holds on [u, v] it
-        # must hold on [u', v] for every u' <= u
+    # type -> (group, down, holds) of :func:`_kl_masks`, each built once
+    tables: dict[str, tuple[WeylGroup, list[int], list[list[int]]]] = {}
+
+    def masks(t: str) -> tuple[WeylGroup, list[int], list[list[int]]]:
+        if t not in tables:
+            wg = WeylGroup.for_system(build_root_system(t), cap)
+            tables[t] = (wg, *_kl_masks(wg, props))
+        return tables[t]
+
+    def label(wg: WeylGroup, k: int) -> str:
+        return format_word(WeylElement(wg.rs, wg.masks[k]))
+
+    def run(*reps: VerificationReport) -> None:
+        # move 2, inside each group: if a property holds on [u, v] it must
+        # hold on [u', v] for every u' <= u, and D(u) is in D(v)
         for t in type_list:
-            rs = build_root_system(t)
-            wg = WeylGroup.for_system(rs, cap)
-            table = _table_for(wg)
-            for vi in range(wg.size):
-                # every u' <= u <= v is below v, so one pass over column v serves all
-                holds = {ui: prop(p) for ui, p in table.polynomials(vi)}
-                for ui, held in holds.items():
-                    if not held:
-                        continue
-                    for u2 in wg.below(ui):
-                        if u2 == ui:
-                            continue
-                        rep.cases += 1
-                        if not holds[u2]:
-                            lo, lo2, top = (format_word(WeylElement(rs, wg.masks[k]))
-                                            for k in (ui, u2, vi))
-                            rep.failures.append(f"{t}: property holds on [{lo}..{top}] "
-                                                f"but not on [{lo2}..{top}]")
-        # move 1, across each window pair: property transports along
+            wg, down, holds = masks(t)
+            for rep, held in zip(reps, holds):
+                for v, h in enumerate(held):
+                    for u in _bits(h):
+                        rep.cases += down[u].bit_count() - 1
+                        for u2 in _bits(down[u] & ~h):
+                            rep.failures.append(
+                                f"{t}: property holds on [{label(wg, u)}..{label(wg, v)}] "
+                                f"but not on [{label(wg, u2)}..{label(wg, v)}]")
+        # move 1, across each window pair: every property transports along
         # interval pattern embeddings
         for s, t in pair_list:
-            src = WeylGroup.for_system(build_root_system(s), cap)
-            tgt = WeylGroup.for_system(build_root_system(t), cap)
-            src_kl, tgt_kl = _table_for(src), _table_for(tgt)
+            src, src_down, src_holds = masks(s)
+            tgt, tgt_down, tgt_holds = masks(t)
             for u, v, x, w in _equal_gap_instances(enumerate_embeddings(src.rs, tgt.rs), cap):
-                rep.cases += 1
-                if prop(src_kl.polynomial(u, v)) and not prop(tgt_kl.polynomial(x, w)):
-                    rep.failures.append(
-                        f"{_pair_label(src, tgt, u, v, x, w)}: property lost along embedding")
+                if not src_down[v] >> u & 1:
+                    raise NotComparableError(f"not comparable: {label(src, u)} !<= {label(src, v)}")
+                if not tgt_down[w] >> x & 1:
+                    raise NotComparableError(f"not comparable: {label(tgt, x)} !<= {label(tgt, w)}")
+                for rep, sh, th in zip(reps, src_holds, tgt_holds):
+                    rep.cases += 1
+                    if sh[v] >> u & 1 and not th[w] >> x & 1:
+                        rep.failures.append(
+                            f"{_pair_label(src, tgt, u, v, x, w)}: property lost along embedding")
 
-    return _timed(run, report)
+    _timed(run, *reports)
+    return reports
 
 
 def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
@@ -457,7 +532,7 @@ def run_suite(name: str, args: Sequence[str], window: dict,
             props = window["upper_ideal_properties"]
             types = window_types
             pairs = rel1_pairs
-        return [verify_upper_ideal(p, types, pairs, cap) for p in props]
+        return _upper_ideal(props, types, pairs, cap)
     if name == "type-a-smoothness":
         sizes = [int(a) for a in args] if args else window["smoothness_sizes"]
         return [verify_type_a_smoothness(n, cap) for n in sizes]

@@ -26,20 +26,23 @@ Billey-Braden lemma: :meth:`SubsystemEmbedding.coset_maps` gives one
 such table per right coset of the embedded subgroup.
 :func:`interval_embeds` decides the definition through it, and
 :func:`_pattern_map_isomorphic` proves phi_w an isomorphism or refutes
-one; it is the library's only poset-isomorphism decision.
+one by one check per element, from :func:`_cover_check`, which the
+``length-sufficiency`` sweep shares; that check is the library's only
+poset-isomorphism decision.
 :func:`interval_pattern_instances` streams index quadruples and keeps
 none: each embedding keeps a flatten table over the enumerated groups,
 pulled back from the byte planes of the target's masks by
 ``bytes.translate`` and itself a ``bytes`` when the source's masks fit
 one byte, the forced bottom x = phi_w[u] is one lookup, and x <= w is
 I(x) inside I(w) (weak order) or else the lifting test ``leq_idx``.
-:func:`forced_bottom` is its object-level twin, which enumerates no group.
+:func:`forced_bottom` is its object-level twin, which enumerates no
+target group; its ``flatten`` calls enumerate the source group.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -401,30 +404,43 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     if not tgt.leq_idx(c, d):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
     return emb.flat()[d] == b and _pattern_map_isomorphic(
-        src, tgt, emb.coset_maps()[d], a, b, c, d, _interval_covers(src, a, b))
+        src, tgt, emb.coset_maps()[d], a, b, c, d)
 
 
-def _interval_covers(wg: WeylGroup, a: int, b: int) -> list[tuple[int, list[int]]]:
-    """(z, the lower covers of z inside [a, b]) for each z of ``interval_indices(a, b)``."""
-    elements = wg.interval_indices(a, b)
-    inside = set(elements)
-    lower = wg.lower_covers
-    return [(z, [c for c in lower[z] if c in inside]) for z in elements]
+def _cover_check(src: WeylGroup, tgt: WeylGroup) -> Callable[[Sequence[int], int, int], bool]:
+    """The one step of the proof in :func:`_pattern_map_isomorphic`, bound to two groups.
+
+    ``check(phi, u, z)`` tells whether phi carries the lower covers c of
+    z with u <= c onto exactly the lower covers of phi[z] that lie above
+    x = phi[u].  It depends on (phi, u, z) only, not on the top v, so a
+    caller proving many intervals of one coset map and bottom takes it
+    once per z; it holds vacuously for z = u.  A cover of phi[z] one
+    longer than x lies above x when it covers x; a longer one is tested
+    by ``tgt.leq_idx``.  No target interval is built.
+    """
+    src_lower, src_leq = src.lower_covers, src.leq_idx
+    lower, leq, lengths = tgt.lower_covers, tgt.leq_idx, tgt.lengths
+
+    def check(phi: Sequence[int], u: int, z: int) -> bool:
+        x = phi[u]
+        lx = lengths[x]
+        image = {phi[c] for c in src_lower[z] if src_leq(u, c)}
+        return image == {c for c in lower[phi[z]]
+                         if c in image or c == x or (x in lower[c] if lengths[c] == lx + 1
+                                                     else lengths[c] > lx and leq(x, c))}
+    return check
 
 
 def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
-                            u: int, v: int, x: int, w: int,
-                            bottom: list[tuple[int, list[int]]]) -> bool:
+                            u: int, v: int, x: int, w: int) -> bool:
     """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w].
 
     phi is the coset map phi_w = ``coset_maps()[w]`` of an embedding,
     phi[g] = i(g fl(w)^-1) w, with fl(w) = v, so phi[v] = w.  True when
-    phi sends the minimum u to the minimum x and, for each z of [u, v],
-    carries the lower covers of z inside [u, v] into the lower covers of
-    phi[z], where no other lower cover c has x <= c (``tgt.leq_idx``);
-    the target interval is never built.  ``bottom`` is
-    ``_interval_covers(src, u, v)``, which a caller deciding many
-    quadruples builds once per source interval.
+    phi sends the minimum u to the minimum x and the check of
+    :func:`_cover_check` holds for each z of [u, v]: phi carries the
+    lower covers of z inside [u, v] onto exactly the lower covers of
+    phi[z] above x.  The target interval is never built.
 
     The proof is sound.  phi is injective on W', as the bijection
     g -> i(g) m of W' onto the coset of m = i(v^-1) w.  It carries chains
@@ -447,15 +463,8 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     order, phi carries covers exactly, and the proof succeeds.  So when
     it fails, the two intervals are not isomorphic.
     """
-    leq, lower, lengths = tgt.leq_idx, tgt.lower_covers, tgt.lengths
-    lx = lengths[x]
-    for z, below in bottom:
-        image = {phi[c] for c in below}
-        # a cover outside the image is above x if it is x, or longer and lifts to x
-        if image != {c for c in lower[phi[z]]
-                     if c in image or c == x or lengths[c] > lx and leq(x, c)}:
-            return False
-    return phi[u] == x
+    check = _cover_check(src, tgt)
+    return phi[u] == x and all(check(phi, u, z) for z in src.interval_indices(u, v) if z != u)
 
 
 def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
@@ -464,7 +473,8 @@ def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
 
     By x-determination no other x in the coset of w can be the bottom of
     an interval pattern [u, v] -> [x, w] along emb.  This object-level
-    twin of :func:`interval_pattern_instances` enumerates no group.
+    twin of :func:`interval_pattern_instances` enumerates no target
+    group; ``flatten`` looks the pulled-back masks up in the source group.
     """
     if flatten(emb, w) != v:
         return None
@@ -531,7 +541,7 @@ def interval_pattern_avoids(w: WeylElement, u: WeylElement, v: WeylElement,
     """True when no embedding realizes [u, v] as an interval pattern in w.
 
     Tests the forced bottom of each embedding by its length gap, so no
-    group is enumerated.
+    target group is enumerated; each source group is, by ``flatten``.
     """
     if not bruhat_leq(u, v):
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")

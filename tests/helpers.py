@@ -702,6 +702,52 @@ def pattern_map_isomorphic_on_target_interval(src: WeylGroup, tgt: WeylGroup, ph
 
 
 # ---------------------------------------------------------------------------
+# the upper-ideal sweep, one property and one KL read at a time
+# ---------------------------------------------------------------------------
+
+def upper_ideal_by_reads(prop, types, pairs) -> tuple[int, list[str]]:
+    """(cases, sorted failures) of the upper-ideal sweep for the predicate prop,
+    each polynomial read on its own through the public kl_polynomial.
+
+    Move 2 lowers the bottom of each [u, v] where prop holds to every
+    u' < u; move 1 carries [u, v] along each equal-gap yield of the scan.
+    """
+    from weylpat.kl import kl_polynomial
+    from weylpat.patterns import format_interval_spec, interval_pattern_instances
+    from weylpat.roots import build_root_system
+    from weylpat.weyl import format_word
+
+    cases, failures = 0, []
+    for t in types:
+        wg = WeylGroup.for_system(build_root_system(t))
+        el = wg.elements
+        for v in range(wg.size):
+            holds = {u: prop(kl_polynomial(el[u], el[v])) for u in wg.below(v)}
+            for u in holds:
+                if holds[u]:
+                    for u2 in wg.below(u):
+                        if u2 != u:
+                            cases += 1
+                            if not holds[u2]:
+                                failures.append(
+                                    f"{t}: property holds on [{format_word(el[u])}.."
+                                    f"{format_word(el[v])}] but not on "
+                                    f"[{format_word(el[u2])}..{format_word(el[v])}]")
+    for s, t in pairs:
+        src, tgt = (WeylGroup.for_system(build_root_system(n)) for n in (s, t))
+        for emb in enumerate_embeddings(src.rs, tgt.rs):
+            for u, v, x, w in interval_pattern_instances(emb):
+                u, v, x, w = src.elements[u], src.elements[v], tgt.elements[x], tgt.elements[w]
+                if v.length - u.length != w.length - x.length:
+                    continue
+                cases += 1
+                if prop(kl_polynomial(u, v)) and not prop(kl_polynomial(x, w)):
+                    failures.append(f"[{format_interval_spec(u, v)}] -> "
+                                    f"[{format_interval_spec(x, w)}]: property lost along embedding")
+    return cases, sorted(failures)
+
+
+# ---------------------------------------------------------------------------
 # the flattening sweep, one element at a time
 # ---------------------------------------------------------------------------
 

@@ -9,7 +9,9 @@ from helpers import (
     interval_isomorphic,
     pattern_map_isomorphic_on_target_interval,
     swapped_identity_embedding,
+    upper_ideal_by_reads,
 )
+from weylpat.errors import NotComparableError
 from weylpat.harness import verify as verify_module
 from weylpat.harness.cli import main
 from weylpat.harness.report import VerificationReport
@@ -30,14 +32,14 @@ from weylpat.kl import KLPolynomial
 from weylpat import patterns
 from weylpat.patterns import (
     SubsystemEmbedding,
-    _interval_covers,
+    _cover_check,
     _pattern_map_isomorphic,
     enumerate_embeddings,
     format_interval_spec,
     interval_pattern_instances,
 )
 from weylpat.roots import build_root_system, clear_caches
-from weylpat.weyl import DEFAULT_ENUMERATION_CAP, WeylGroup, interval, parse_element
+from weylpat.weyl import DEFAULT_ENUMERATION_CAP, WeylGroup, format_word, interval, parse_element
 
 
 def test_report_round_trip():
@@ -119,27 +121,34 @@ def test_x_determination_catches_a_planted_scan_error(monkeypatch, plant, messag
 
 
 def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch):
-    # the suite decides each distinct quadruple once, yet a quadruple that
-    # k embeddings yield must still be counted, and fail, k times
+    # the suite takes each per-element check once per coset map and bottom, yet
+    # a quadruple that k embeddings yield must still be counted, and fail, k times
     from weylpat.harness import verify
 
     a2, a3 = build_root_system("A2"), build_root_system("A3")
     src, tgt = WeylGroup.for_system(a2).elements, WeylGroup.for_system(a3).elements
     yields = Counter((src[u], src[v], tgt[x], tgt[w]) for emb in enumerate_embeddings(a2, a3)
                      for u, v, x, w in interval_pattern_instances(emb))
+    # v is the longest element, so no other interval [u, v'] holds v, and a
+    # check denied at z = v fails this quadruple's proof alone
     (u, v, x, w), k = next(
         (q, k) for q, k in yields.items()
-        if k > 1 and q[0] != q[1] and q[1].length - q[0].length == q[3].length - q[2].length)
+        if k > 1 and q[0] != q[1] and q[1] == src[-1]
+        and q[1].length - q[0].length == q[3].length - q[2].length)
     cases = verify_length_sufficiency("A2", "A3").cases
-    real_proof = verify._pattern_map_isomorphic
+    real_cover_check = verify._cover_check
 
-    # the pattern-map proof denies this one quadruple
-    def planted_proof(sg, tg, embed, a, b, c, d, bottom):
-        if (sg.elements[a], sg.elements[b], tg.elements[c], tg.elements[d]) == (u, v, x, w):
-            return False
-        return real_proof(sg, tg, embed, a, b, c, d, bottom)
+    # the per-element check denies z = v of this one quadruple's proof
+    def planted_cover_check(sg, tg):
+        real_check = real_cover_check(sg, tg)
 
-    monkeypatch.setattr(verify, "_pattern_map_isomorphic", planted_proof)
+        def check(phi, a, z):
+            if (sg.elements[a], sg.elements[z], tg.elements[phi[a]], tg.elements[phi[z]]) == (u, v, x, w):
+                return False
+            return real_check(phi, a, z)
+        return check
+
+    monkeypatch.setattr(verify, "_cover_check", planted_cover_check)
     r = verify_length_sufficiency("A2", "A3")
     assert r.cases == cases == sum(yields.values())
     label = f"[{format_interval_spec(u, v)}] -> [{format_interval_spec(x, w)}]"
@@ -173,8 +182,7 @@ def test_pattern_map_proof_agrees_with_both_isomorphism_searches(source, target)
             searched[q] = interval_isomorphic(i1, i2)
             if i1.size <= 8:
                 assert searched[q] == brute_force_isomorphic(i1, i2)
-        bottom = _interval_covers(src, u, v)
-        assert _pattern_map_isomorphic(src, tgt, phi, *q, bottom) == searched[q]
+        assert _pattern_map_isomorphic(src, tgt, phi, *q) == searched[q]
     assert all(searched.values())
     # some window pairs, such as A1xA1 -> A2, have no embedding
     assert bool(searched) == bool(enumerate_embeddings(src.rs, tgt.rs))
@@ -182,44 +190,45 @@ def test_pattern_map_proof_agrees_with_both_isomorphism_searches(source, target)
 
 @pytest.mark.parametrize("source,target", matrix_pairs(default_window(), slow=True))
 def test_pattern_map_proof_agrees_with_the_target_interval_proof(source, target):
-    # every equal-gap quadruple of the default and slow tiers, decided as the
-    # suite decides it, by the coset map of the first embedding that yields it:
-    # the proof by cover chains from the top agrees with the oracle that builds
-    # [x, w] and compares it whole
+    # every equal-gap yield of the default and slow tiers, each with the coset
+    # map of the embedding that yields it, as the suite decides it: the proof
+    # by cover chains from the top agrees with the oracle that builds [x, w]
+    # and compares it whole
     src = WeylGroup.for_system(build_root_system(source))
     tgt = WeylGroup.for_system(build_root_system(target))
-    decided = set()
+    yields = 0
     for phi, u, v, x, w in _equal_gap_instances(source, target):
-        q = (u, v, x, w)
-        if q not in decided:
-            decided.add(q)
-            assert (_pattern_map_isomorphic(src, tgt, phi, *q, _interval_covers(src, u, v))
-                    == pattern_map_isomorphic_on_target_interval(src, tgt, phi, *q))
-    assert bool(decided) == bool(enumerate_embeddings(src.rs, tgt.rs))
+        yields += 1
+        assert (_pattern_map_isomorphic(src, tgt, phi, u, v, x, w)
+                == pattern_map_isomorphic_on_target_interval(src, tgt, phi, u, v, x, w))
+    assert bool(yields) == bool(enumerate_embeddings(src.rs, tgt.rs))
 
 
 def test_pattern_map_proof_rejects_a_bijection_that_breaks_covers():
     a2 = WeylGroup.for_system(build_root_system("A2"))
     w0 = a2.size - 1
     phi = list(enumerate_embeddings(a2.rs, a2.rs)[0].coset_maps()[w0])
-    bottom = _interval_covers(a2, 0, w0)
-    assert _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0, bottom)
+    assert _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0)
     # still a bijection of [e, w0] onto itself, but s1 trades places with a length-2 element
     phi[1], phi[3] = phi[3], phi[1]
     assert a2.lengths[1] != a2.lengths[3]
-    assert not _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0, bottom)
+    assert not _pattern_map_isomorphic(a2, a2, phi, 0, w0, 0, w0)
 
 
 def test_length_sufficiency_catches_a_wrong_embed_table(monkeypatch):
-    # with a coset map planted that sends all of [u, v] onto w the proof
-    # fails whenever u < v, and each such yield is reported
+    # with a coset map planted that sends all of W' onto phi[z], every check
+    # of a z above u fails, so the proof fails whenever u < v, and each such
+    # yield is reported
     from weylpat.harness import verify
 
     cases = verify_length_sufficiency("A2", "A3").cases
-    real_proof = verify._pattern_map_isomorphic
-    monkeypatch.setattr(verify, "_pattern_map_isomorphic",
-                        lambda sg, tg, phi, u, v, x, w, bottom:
-                        real_proof(sg, tg, [w] * len(phi), u, v, x, w, bottom))
+    real_cover_check = verify._cover_check
+
+    def planted_cover_check(sg, tg):
+        real_check = real_cover_check(sg, tg)
+        return lambda phi, u, z: real_check([phi[z]] * len(phi), u, z)
+
+    monkeypatch.setattr(verify, "_cover_check", planted_cover_check)
     r = verify_length_sufficiency("A2", "A3")
     assert r.cases == cases
     yields = [tuple(q) for _, *q in _equal_gap_instances("A2", "A3") if q[0] != q[1]]
@@ -372,3 +381,181 @@ def test_run_suite_sweeps_window_when_no_args():
     assert len(reports) == 1 and reports[0].parameters["n"] == 3
     assert all(r.passed for r in run_suite("length-sufficiency", [], window))
     assert all(r.passed for r in run_suite("x-determination", [], window))
+
+
+def test_length_sufficiency_per_coset_checks_match_the_per_yield_proof(monkeypatch):
+    # with a check planted that fails on a scattered set of (phi, u, z), the
+    # suite, which takes each check once per coset map and bottom, fails
+    # exactly the yields whose own proof fails
+    from weylpat.harness import verify
+
+    real_cover_check = patterns._cover_check
+
+    def planted_cover_check(sg, tg):
+        real_check = real_cover_check(sg, tg)
+        return lambda phi, u, z: (phi[u] + 3 * phi[z] + z) % 7 != 0 and real_check(phi, u, z)
+
+    monkeypatch.setattr(verify, "_cover_check", planted_cover_check)
+    monkeypatch.setattr(patterns, "_cover_check", planted_cover_check)
+    src, tgt = (WeylGroup.for_system(build_root_system(t)) for t in ("A2", "B3"))
+    expected = sorted(
+        f"{verify._pair_label(src, tgt, u, v, x, w)}: equal gaps without isomorphism"
+        for phi, u, v, x, w in _equal_gap_instances("A2", "B3")
+        if not _pattern_map_isomorphic(src, tgt, phi, u, v, x, w))
+    r = verify_length_sufficiency("A2", "B3")
+    assert expected and r.failures == expected
+
+
+def _upper_ideal_window(slow):
+    """(properties, types, pairs) as run_suite sweeps the shipped window."""
+    window = default_window()
+    types = sorted({*window["sources"], *window["targets"]},
+                   key=lambda t: (build_root_system(t).rank, t))
+    return window["upper_ideal_properties"], types, matrix_pairs(window, slow)
+
+
+def _without_wall_time(reports):
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_time"} for r in reports]
+
+
+@pytest.mark.parametrize("slow", [False, True])
+def test_upper_ideal_sweep_gives_each_property_its_own_report(slow):
+    # one sweep for all the window's properties reports as one call per property
+    props, types, pairs = _upper_ideal_window(slow)
+    assert len(props) == 2
+    together = run_suite("upper-ideal", [], default_window(), slow=slow)
+    assert len({r.wall_time for r in together}) == 1
+    apart = [verify_upper_ideal(p, types, pairs) for p in props]
+    assert _without_wall_time(together) == _without_wall_time(apart)
+
+
+def test_upper_ideal_scans_each_embedding_once_for_two_properties(monkeypatch):
+    calls = Counter()
+    real = patterns._scan
+
+    def counted(source, target, flat, maps):
+        calls[source.rs.cartan_type, target.rs.cartan_type] += 1
+        return real(source, target, flat, maps)
+
+    monkeypatch.setattr(patterns, "_scan", counted)
+    props, _, pairs = _upper_ideal_window(False)
+    reports = run_suite("upper-ideal", [], default_window())
+    assert [r.parameters["property"] for r in reports] == props
+    expected = Counter()
+    for s, t in pairs:
+        n = len(enumerate_embeddings(build_root_system(s), build_root_system(t)))
+        if n:
+            expected[s, t] = n
+    assert calls == expected
+
+
+def test_upper_ideal_reports_a_planted_failure_under_its_own_property(monkeypatch):
+    # kl-coeff(0,0) holds on every interval; planted false on one [u0, v0] of A3,
+    # it fails move 2 once per u in (u0, v0] and move 1 once per yield onto
+    # [u0, v0] from elsewhere, while the kl-nontrivial report stays as it was
+    window = default_window()
+    window["upper_ideal_properties"] = ["kl-nontrivial", "kl-coeff(0,0)"]
+    clean = run_suite("upper-ideal", [], window)
+    assert all(r.passed for r in clean)
+    a3 = WeylGroup.for_system(build_root_system("A3"))
+    into_a3 = [(s, t) for s, t in matrix_pairs(window) if t == "A3"]
+    yields = [(s, u, v, x, w) for s, t in into_a3 for u, v, x, w in patterns._equal_gap_instances(
+        enumerate_embeddings(build_root_system(s), a3.rs), DEFAULT_ENUMERATION_CAP)]
+    u0, v0 = next((x, w) for *_, x, w in yields if x != w)
+    real = verify_module._kl_masks
+
+    def planted(wg, props):
+        down, holds = real(wg, props)
+        if wg is a3:
+            holds[1][v0] &= ~(1 << u0)
+        return down, holds
+
+    monkeypatch.setattr(verify_module, "_kl_masks", planted)
+    nontrivial, coeff = run_suite("upper-ideal", [], window)
+    assert _without_wall_time([nontrivial]) == _without_wall_time(clean[:1])
+    # u0 no longer holds at v0, so move 2 checks nothing below it there
+    assert coeff.cases == clean[1].cases - (len(a3.below(u0)) - 1)
+    label = [format_word(a3.elements[k]) for k in (u0, v0)]
+    moved = [f for f in coeff.failures if f.startswith("A3: ")]
+    assert moved == sorted(
+        f"A3: property holds on [{format_word(a3.elements[u])}..{label[1]}] "
+        f"but not on [{label[0]}..{label[1]}]"
+        for u in a3.interval_indices(u0, v0) if u != u0)
+    lost = [f for f in coeff.failures if not f.startswith("A3: ")]
+    # a yield onto [u0, v0] from [u0, v0] itself loses nothing: the property fails on both
+    assert len(lost) == sum((x, w) == (u0, v0) and (s, u, v) != ("A3", u0, v0)
+                            for s, u, v, x, w in yields) > 0
+    assert all(f.endswith(f"-> [A3:{label[0]}..{label[1]}]: property lost along embedding")
+               for f in lost)
+
+
+@pytest.mark.parametrize("prop", ["kl-nontrivial", "kl-coeff(1,0)", "kl-coeff(0,0)"])
+def test_upper_ideal_masks_match_one_kl_read_per_case(prop):
+    # the sweep reads holder masks decoded once per column; the oracle reads
+    # every polynomial on its own, one property at a time
+    _, types, pairs = _upper_ideal_window(False)
+    r = verify_upper_ideal(prop, types, pairs)
+    assert (r.cases, r.failures) == upper_ideal_by_reads(_parse_property(prop), types, pairs)
+    assert r.cases
+
+
+@pytest.mark.parametrize("source,target", [("A2", "A3"), ("B2", "B3"), ("A1xA1", "D4")])
+def test_cover_check_matches_its_definition_on_any_map(source, target):
+    # on coset maps and on maps shifted off them, the check holds exactly when
+    # the in-interval covers of z go onto the covers of phi[z] above x = phi[u],
+    # each cover tested by the lifting test; the shifted maps also exercise a
+    # cover outside the image that lies above x, one longer than x or more
+    src = WeylGroup.for_system(build_root_system(source))
+    tgt = WeylGroup.for_system(build_root_system(target))
+    check = _cover_check(src, tgt)
+    outcomes = Counter()
+    for emb in enumerate_embeddings(src.rs, tgt.rs):
+        maps = emb.coset_maps()
+        for w in range(0, tgt.size, 7):
+            for phi in (maps[w], maps[w][1:] + maps[w][:1], [(y + 1) % tgt.size for y in maps[w]]):
+                for u in range(src.size):
+                    for z in src.below(src.size - 1):
+                        x, y = phi[u], phi[z]
+                        image = {phi[c] for c in src.lower_covers[z] if src.leq_idx(u, c)}
+                        above = {c for c in tgt.lower_covers[y] if tgt.leq_idx(x, c)}
+                        expected = image == above | (image & set(tgt.lower_covers[y]))
+                        assert check(phi, u, z) == expected
+                        # the least length gap from x to a cover above x outside the image
+                        stray = min((tgt.lengths[c] - tgt.lengths[x] for c in above - image),
+                                    default=None)
+                        outcomes[expected, stray] += 1
+    assert outcomes[True, None] and outcomes[False, None]
+    assert outcomes[False, 1] and any(not ok and gap and gap > 1 for ok, gap in outcomes)
+
+
+def test_length_sufficiency_takes_each_check_once_per_coset_map_and_bottom(monkeypatch):
+    # a check depends on (phi, u, z) alone, so the suite takes none twice, however
+    # many tops of one coset share it, and never takes the vacuous z = u
+    from weylpat.harness import verify
+
+    taken = Counter()
+    real_cover_check = verify._cover_check
+
+    def counted_cover_check(sg, tg):
+        real_check = real_cover_check(sg, tg)
+
+        def check(phi, u, z):
+            taken[tuple(phi), u, z] += 1
+            return real_check(phi, u, z)
+        return check
+
+    monkeypatch.setattr(verify, "_cover_check", counted_cover_check)
+    assert verify_length_sufficiency("A2", "B3").passed
+    assert taken and max(taken.values()) == 1
+    assert all(u != z for _, u, z in taken)
+
+
+@pytest.mark.parametrize("side", ["source", "target"])
+def test_upper_ideal_rejects_a_scanned_pair_outside_its_down_set(monkeypatch, side):
+    # move 1 reads holder masks where it read polynomials; a yield whose bottom
+    # is not below its top still raises, as the read did
+    top = WeylGroup.for_system(build_root_system("A2")).size - 1
+    bad = (top, 0, 0, 0) if side == "source" else (0, 0, top, 0)
+    monkeypatch.setattr(verify_module, "_equal_gap_instances", lambda embs, cap: iter([bad]))
+    with pytest.raises(NotComparableError, match="not comparable: 1 2 1 !<= e"):
+        verify_upper_ideal("kl-nontrivial", ["A2"], [("A2", "A2")])

@@ -469,6 +469,20 @@ def test_forced_bottom_checks_both_flattenings_and_order():
     assert forced_bottom(emb, s, e, w) is None
 
 
+def test_forced_bottom_enumerates_no_target_group():
+    # flatten looks the pulled-back masks up in W(source); W(target) stays unbuilt,
+    # for the forced bottom and for interval pattern avoidance alike
+    clear_caches()
+    a1, b3 = build_root_system("A1"), build_root_system("B3")
+    emb = enumerate_embeddings(a1, b3)[0]
+    e, s = identity(a1), simple_reflection(a1, 1)
+    w = embed_element(emb, s)
+    assert forced_bottom(emb, e, s, w) == identity(b3)
+    assert not interval_pattern_avoids(w, e, s)
+    assert isinstance(a1._group, WeylGroup)
+    assert b3._group is None
+
+
 def _scanned(emb):
     """The scan of emb, its index quadruples mapped to group elements."""
     src, tgt = enumerate_elements(emb.source), enumerate_elements(emb.target)

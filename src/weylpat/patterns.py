@@ -414,9 +414,9 @@ def _cover_check(src: WeylGroup, tgt: WeylGroup) -> Callable[[Sequence[int], int
     z with u <= c onto exactly the lower covers of phi[z] that lie above
     x = phi[u].  It depends on (phi, u, z) only, not on the top v, so a
     caller proving many intervals of one coset map and bottom takes it
-    once per z; it holds vacuously for z = u.  A cover of phi[z] one
-    longer than x lies above x when it covers x; a longer one is tested
-    by ``tgt.leq_idx``.  No target interval is built.
+    once per z; it holds vacuously for z = u.  A cover of phi[z] outside
+    the image is above x if it is x, or longer and lifts to x
+    (``tgt.leq_idx``).  No target interval is built.
     """
     src_lower, src_leq = src.lower_covers, src.leq_idx
     lower, leq, lengths = tgt.lower_covers, tgt.leq_idx, tgt.lengths
@@ -426,8 +426,7 @@ def _cover_check(src: WeylGroup, tgt: WeylGroup) -> Callable[[Sequence[int], int
         lx = lengths[x]
         image = {phi[c] for c in src_lower[z] if src_leq(u, c)}
         return image == {c for c in lower[phi[z]]
-                         if c in image or c == x or (x in lower[c] if lengths[c] == lx + 1
-                                                     else lengths[c] > lx and leq(x, c))}
+                         if c in image or c == x or lengths[c] > lx and leq(x, c)}
     return check
 
 

@@ -64,11 +64,23 @@ for z = yt (Kazhdan-Lusztig 1979, 2.3; Bjorner-Brenti, GTM 231, ch. 5).
 The keys of v are found among the indices up to v whose descents
 contain those of v, the intersection of one cached bit mask per simple
 reflection and side: such a u is below v exactly when su <= sv, that
-is when the read of P(su,sv) hits.  Columns are filled on demand:
-column v reads only column sv and the columns z of its mu-terms, and
-fills their representatives first, recursively, so a query touches a
-few columns rather than all of D(v), at a recursion depth of at most
-l(v) + 1.
+is when the read of P(su,sv) hits.  Two necessary conditions for u <= v
+trim these candidates before any read.  A u as long as v is below v
+only if u = v, and levels are contiguous in index order, so only v and
+the indices before v's level remain.  And the projection of W onto a
+parabolic quotient preserves Bruhat order on either side
+(Bjorner-Brenti, GTM 231, Prop. 2.5.1), so for each maximal parabolic
+W_J, J = S - {s_i}, the minimal elements of W_J u and of u W_J are no
+longer than those of v.  Their lengths count the inversions of u, or of
+u^-1, whose support holds a_i: one ``bytes`` per parabolic and side,
+built from the byte planes of the masks, and per value t a bit mask of
+the u at most t, built on first use by one translate.  Over the full
+S7 table 17,767 of the 32,434 candidates by descents alone are not below
+v, and the cut leaves 288 of those; over S8, 672,533 of 986,897, and it
+leaves 14,516.  Columns are filled on demand: column v reads only
+column sv and the columns z of its mu-terms, and fills their
+representatives first, recursively, so a query touches a few columns
+rather than all of D(v), at a recursion depth of at most l(v) + 1.
 
 Each ``WeylGroup`` keeps its table, a list indexed by the element index
 v of the enumerated group: entry v is None until v is a filled
@@ -85,8 +97,11 @@ caller sees no column or the whole column.  The value list is the one
 state that fills share: a value seen for the first time is checked and
 appended under a lock, checked for again inside it, so racing fills
 give a value one id and a column filled twice is filled with the same
-ids.  The orbit maps, descent sets and right multiplication rows are
-built in the table's constructor, before any caller can see it.
+ids.  The orbit maps, descent sets, right multiplication rows and
+parabolic lengths are built in the table's constructor, before any
+caller can see it.  A threshold mask of the cut is built on first use
+and stored in one assignment; racing fills may both build it, and both
+store the same int.
 Polynomials are packed as Python ints with 16 bits per coefficient;
 the largest coefficient seen, in the full S8 table, is 73.  A value is
 checked as it is interned: positive, constant term 1 and every
@@ -101,6 +116,7 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left
+from itertools import repeat
 from typing import Callable, Iterator
 
 from .errors import InternalInvariantError, NotComparableError
@@ -108,6 +124,7 @@ from .weyl import (
     DEFAULT_ENUMERATION_CAP,
     WeylElement,
     WeylGroup,
+    _byte_planes,
     format_word,
 )
 
@@ -258,9 +275,57 @@ def _check_bounds(val: int) -> None:
         rest >>= _SHIFT
 
 
-def _index_set(descents: list[int], s: int) -> int:
-    """The bit mask over element indices of the u whose descent mask has bit s."""
-    return int("".join("1" if d >> s & 1 else "0" for d in reversed(descents)), 2)
+def _index_sets(descents: list[int], rank: int) -> list[int]:
+    """sets[s] is the bit mask over element indices of the u whose descent mask has bit s.
+
+    Each byte of the descent masks becomes one ``bytes`` over the elements,
+    reversed so that index 0 comes last; one ``bytes.translate`` per bit
+    writes its ASCII digits and ``int(..., 2)`` reads them as a mask.
+    """
+    sets = []
+    for lo in range(0, rank, 8):
+        part = descents if rank <= 8 else map(
+            (255).__and__, map(int.__rshift__, descents, repeat(lo)))
+        plane = bytes(part)[::-1]
+        for b in range(min(8, rank - lo)):
+            # bit b of x is 1 on runs of 2^b bytes, starting at x = 2^b
+            sets.append(int(plane.translate((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b)), 2))
+    return sets
+
+
+def _parabolic_lengths(wg: WeylGroup) -> list[bytes]:
+    """For each maximal parabolic J = S - {s_i}, on each side, the length of
+    every element's minimal coset representative, as ``bytes`` with byte
+    size - 1 - u for element u, index 0 last, ready for ``int(..., 2)``.
+
+    The minimal element of W_J u is as long as the inversions of u outside
+    the roots of W_J, those whose support holds a_i: the set bits of
+    masks[u] & R_i, in the first rank fields; the other rank fields hold
+    those of u W_J, read off the masks of the inverses.  Each byte plane
+    of the masks is translated to the bit counts of its bytes within R_i
+    and the planes are summed as big ints, one byte per element: a count
+    is at most the element's length, below 2^8, so no byte carries into
+    the next.
+    """
+    rs = wg.rs
+    support = [sum(1 << p for p, r in enumerate(rs.positive) if rs.simple_coords[r][i])
+               for i in range(rs.rank)]
+    plus_one = bytes(range(1, 256)) + b"\0"  # x -> x + 1, a translate table
+    fields = []
+    for masks in (wg.masks, map(wg.masks.__getitem__, wg.inverses)):
+        planes = _byte_planes(masks, rs.num_positive)
+        for r in support:
+            acc = 0
+            for k, plane in enumerate(planes):
+                rb = r >> 8 * k & 255
+                if rb:
+                    # counts[x] = the set bits of x & rb, doubled over the 8 bits
+                    counts = b"\0"
+                    for b in range(8):
+                        counts += counts.translate(plus_one) if rb >> b & 1 else counts
+                    acc += int.from_bytes(plane.translate(counts), "little")
+            fields.append(acc.to_bytes(wg.size, "big"))
+    return fields
 
 
 def _bits(m: int) -> list[int]:
@@ -290,7 +355,12 @@ class _KLTable:
     descent sets of u as bit masks over 0-based simple indices,
     ``rmult[t][u]`` is the index of u s_t, and ``with_left[s]`` and
     ``with_right[t]`` are bit masks over element indices of the u with s
-    in D_L(u), resp. t in D_R(u).  ``mus[r]`` holds the odd-gap part of
+    in D_L(u), resp. t in D_R(u); ``bits[m]`` lists the set bits of a
+    descent mask m.  ``starts[l]`` is the first index of length l,
+    ``fields`` the parabolic lengths of :func:`_parabolic_lengths`, and
+    ``at_most[f][t]`` the bit mask over element indices of the u with
+    value at most t in ``fields[f]``, built on first use by
+    :meth:`_candidates`.  ``mus[r]`` holds the odd-gap part of
     the mu-list of a filled representative r, one ``array('i')`` of its
     keys z with mu(z,r) != 0 interleaved with their mu, z0, mu0, z1, mu1,
     ...; :meth:`_mu_list` adds the coatoms.  ``decoded`` memoizes
@@ -309,8 +379,10 @@ class _KLTable:
         # a left descent
         self.descent = descent or self._cheapest_descent
         inv = wg.inverses
+        # built first, while its byte planes are the largest thing held
+        self.fields = _parabolic_lengths(wg)
         self.conj = conj = _w0_conjugation(wg)
-        inv_conj = [inv[k] for k in conj]
+        inv_conj = list(map(inv.__getitem__, conj))
         maps = (None, inv, conj, inv_conj)
         self.rep: list[int] = []
         self.flip: list[list[int] | None] = []
@@ -320,16 +392,30 @@ class _KLTable:
             r = min(images)
             self.rep.append(r)
             self.flip.append(maps[images.index(r)])
-        # s is a left descent of u when s.u < u, since indices ascend with length
-        self.left = left = [0] * size
-        for s, row in enumerate(wg.lmult):
-            for u, su in enumerate(row):
-                if su < u:
-                    left[u] |= 1 << s
-        self.right = right = [left[k] for k in inv]
-        self.rmult = [[inv[row[k]] for k in inv] for row in wg.lmult]  # u s = (s u^-1)^-1
-        self.with_left = [_index_set(left, s) for s in range(len(wg.lmult))]
-        self.with_right = [_index_set(right, s) for s in range(len(wg.lmult))]
+        rs = wg.rs
+        rank = rs.rank
+        # bits[m] lists the set bits of a descent mask m < 2^rank, ascending
+        self.bits: list[tuple[int, ...]] = [()]
+        for b in range(rank):
+            self.bits += [t + (b,) for t in self.bits]
+        # the simple roots take the first rank positive positions (height 1);
+        # order[m] is the descent mask, over simple indices, of a mask m over
+        # those positions, so left[u] reads the low bits of masks[u]
+        order = [0]
+        for p in sorted(range(rank), key=lambda i: rs._left_steps[i][0]):
+            order += [m | 1 << p for m in order]
+        self.left = left = list(map(order.__getitem__, map(((1 << rank) - 1).__and__, wg.masks)))
+        self.right = list(map(left.__getitem__, inv))
+        # u s = (s u^-1)^-1
+        self.rmult = [list(map(inv.__getitem__, map(row.__getitem__, inv))) for row in wg.lmult]
+        self.with_left = _index_sets(left, rank)
+        self.with_right = _index_sets(self.right, rank)
+        # starts[l] is the first index of length l, as levels are contiguous
+        lengths = wg.lengths
+        self.starts = [0]
+        for length in range(1, lengths[-1] + 1):
+            self.starts.append(lengths.index(length, self.starts[-1]))
+        self.at_most: list[dict[int, int]] = [{} for _ in self.fields]
 
     def _cheapest_descent(self, v: int) -> int:
         """The left descent s of v whose filled column sv has the fewest keys.
@@ -341,7 +427,7 @@ class _KLTable:
         packed, rep, lmult = self.packed, self.rep, self.wg.lmult
         first = best = -1
         fewest = 0
-        for s in _bits(self.left[v]):
+        for s in self.bits[self.left[v]]:
             if first < 0:
                 first = s
             col = packed[rep[lmult[s][v]]]
@@ -458,8 +544,8 @@ class _KLTable:
         """
         keys, ids = self.ensure_column(v)
         r, f = self.rep[v], self.flip[v]
-        steps = ([self.wg.lmult[s] for s in _bits(self.left[r])]
-                 + [self.rmult[t] for t in _bits(self.right[r])])
+        steps = ([self.wg.lmult[s] for s in self.bits[self.left[r]]]
+                 + [self.rmult[t] for t in self.bits[self.right[r]]])
         found: dict[int, int] = {}
         for k, p in zip(keys, map(self.values.__getitem__, ids)):
             found[k] = p
@@ -495,9 +581,35 @@ class _KLTable:
                     if m:
                         pairs += (z, m)
             odd = self.mus[r] = array("i", pairs)
-        coatoms = {self.wg.lmult[s][r] for s in _bits(self.left[r])}
-        coatoms.update(self.rmult[t][r] for t in _bits(self.right[r]))
+        coatoms = {self.wg.lmult[s][r] for s in self.bits[self.left[r]]}
+        coatoms.update(self.rmult[t][r] for t in self.bits[self.right[r]])
         return list(zip(odd[::2], odd[1::2])) + [(z, 1) for z in sorted(coatoms)]
+
+    def _candidates(self, v: int) -> int:
+        """The bit mask over element indices of the candidate keys of v.
+
+        These are v and the u shorter than v (u <= v with l(u) = l(v)
+        means u = v) whose descents contain those of v and whose minimal
+        coset representatives, for each maximal parabolic on either side,
+        are no longer than those of v: projection onto a parabolic
+        quotient preserves Bruhat order (Bjorner-Brenti, GTM 231, Prop.
+        2.5.1).
+        """
+        bits = self.bits
+        below = (1 << self.starts[self.wg.lengths[v]]) - 1 | 1 << v
+        for d in bits[self.left[v]]:
+            below &= self.with_left[d]
+        for d in bits[self.right[v]]:
+            below &= self.with_right[d]
+        for field, at_most in zip(self.fields, self.at_most):
+            t = field[~v]
+            m = at_most.get(t)
+            if m is None:
+                # the mask of the u with field value at most t; racing fills
+                # may both build it, and they store the same int
+                m = at_most[t] = int(field.translate(b"1" * (t + 1) + b"0" * (255 - t)), 2)
+            below &= m
+        return below
 
     def _compute_column(self, v: int) -> tuple[array, array]:
         wg = self.wg
@@ -520,14 +632,10 @@ class _KLTable:
             if row[z] < z:
                 terms.append((z, m << (_SHIFT * ((lv - lengths[z]) // 2)), self._reader(z)))
 
-        # the keys of v: each u up to index v with D_L(u) >= D_L(v) and
+        # the keys of v: each candidate u with D_L(u) >= D_L(v) and
         # D_R(u) >= D_R(v) for which u <= v, that is su <= sv; there
         #   P(u,v) = P(su,sv) + q P(u,sv) - sum of mu(z,sv) q^((l(v)-l(z))/2) P(u,z)
-        below = (2 << v) - 1
-        for d in _bits(self.left[v]):
-            below &= self.with_left[d]
-        for d in _bits(self.right[v]):
-            below &= self.with_right[d]
+        below = self._candidates(v)
         keys, vals = [], []
         for u in _bits(below):
             p = read_sv(row[u])

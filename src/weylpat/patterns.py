@@ -42,6 +42,7 @@ target group; its ``flatten`` calls enumerate the source group.
 from __future__ import annotations
 
 from collections import deque
+from functools import cache
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -50,7 +51,7 @@ from .errors import (
     InternalInvariantError,
     NotComparableError,
 )
-from .roots import RootSystem, _byte_tables, _echelon, _reduce, build_root_system
+from .roots import RootSystem, _echelon, _reduce, build_root_system
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
@@ -152,13 +153,13 @@ class SubsystemEmbedding:
         Byte j of every pulled-back mask comes out at once: each of the
         target's byte planes (``target.planes``) goes through one
         ``bytes.translate`` that maps a byte of a target mask to byte j of
-        the source bits its set bits pull back to (from the byte tables of
-        :func:`~weylpat.roots._byte_tables`), and the translated planes are
-        ORed as big ints.  When the source's masks fit one byte,
-        |W(source)| <= 2^8, so one more translate maps the masks to their
-        source indices and the table is a ``bytes``; a wider source's
-        masks are assembled per element and looked up in
-        ``source.index``.  Raises InternalInvariantError when a
+        the source bits its set bits pull back to, a table built by
+        doubling over the byte's 8 bits, each step one translate through
+        an OR table, and the translated planes are ORed as big ints.
+        When the source's masks fit one byte, |W(source)| <= 2^8, so one
+        more translate maps the masks to their source indices and the
+        table is a ``bytes``; a wider source's masks are assembled per
+        element and looked up in ``source.index``.  Raises InternalInvariantError when a
         pulled-back mask is no element's inversion set, that is, not
         biconvex, which means the embedding is invalid.
         """
@@ -166,14 +167,18 @@ class SubsystemEmbedding:
         image = [0] * self.target.num_positive
         for sp, tp in self._pos_pairs:
             image[tp] = 1 << sp
-        tables = _byte_tables(image)
         size = target.size
         planes = []
         for lo in range(0, self.source.num_positive, 8):
             acc = 0
-            for plane, t in zip(target.planes, tables):
-                tr = bytes(x >> lo & 255 for x in t)
-                if any(tr):
+            for k, plane in enumerate(target.planes):
+                bits = [b >> lo & 255 for b in image[8 * k:8 * k + 8]]
+                if any(bits):
+                    # tr[x] is the OR of bits[j] over the set bits j of x,
+                    # doubled once per bit
+                    tr = b"\0"
+                    for b in bits:
+                        tr += tr.translate(_or_table(b))
                     acc |= int.from_bytes(plane.translate(tr.ljust(256, b"\0")), "little")
             planes.append(acc.to_bytes(size, "little"))
         if len(planes) == 1:
@@ -232,6 +237,12 @@ class SubsystemEmbedding:
         if not all(maps):
             raise InternalInvariantError("cosets of the embedded subgroup miss a target element")
         return maps
+
+
+@cache
+def _or_table(b: int) -> bytes:
+    """The ``bytes.translate`` table x -> x | b, kept for each byte b."""
+    return bytes(x | b for x in range(256))
 
 
 def enumerate_embeddings(source: RootSystem, target: RootSystem,

@@ -106,16 +106,15 @@ def _byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     images[j] over the set bits j of a mask m is the OR over k of
     tables[k][m >> 8k & 255].
 
-    A table is filled in 2^b steps, t[m] = t[m & (m - 1)] | the image of
-    the lowest set bit of m, so the last one is only as long as the bits
-    left: 2^b entries for b < 8 bits.
+    A table doubles once per bit: the entries with that bit set are the
+    entries so far ORed with its image, so the last table is only as long
+    as the bits left, 2^b entries for b < 8 bits.
     """
     tables = []
     for lo in range(0, len(images), 8):
-        bits = images[lo:lo + 8]
         t = [0]
-        for m in range(1, 1 << len(bits)):
-            t.append(t[m & (m - 1)] | bits[(m & -m).bit_length() - 1])
+        for image in images[lo:lo + 8]:
+            t += [x | image for x in t]
         tables.append(tuple(t))
     return tuple(tables)
 

@@ -34,6 +34,9 @@ coordinates by w(e_i) = e_(w(i)).
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -378,9 +381,7 @@ class WeylGroup:
         """planes[k] holds byte k of every mask in index order, one bytes per
         byte of a mask, built on first use for whole-group ``bytes.translate``."""
         if self._planes is None:
-            width = (self.rs.num_positive + 7) // 8
-            joined = b"".join(m.to_bytes(width, "little") for m in self.masks)
-            self._planes = [joined[k::width] for k in range(width)]
+            self._planes = _byte_planes(self.masks, self.rs.num_positive)
         return self._planes
 
     @property
@@ -437,6 +438,26 @@ class WeylGroup:
                     seen.add(c)
                     stack.append(c)
         return sorted(seen)
+
+
+def _byte_planes(masks: Iterable[int], bits: int) -> list[bytes]:
+    """planes[k] holds byte k of every mask, in order, for masks below 2^bits.
+
+    Eight bytes of every mask at a time are packed into one ``array('Q')``,
+    whose little-endian bytes are sliced into planes, so no object is
+    made per mask.
+    """
+    if bits > 64:
+        masks = list(masks)  # read once per eight bytes
+    planes: list[bytes] = []
+    for lo in range(0, bits, 64):
+        words = array("Q", masks if bits <= 64 else map(
+            ((1 << 64) - 1).__and__, map(int.__rshift__, masks, repeat(lo))))
+        if sys.byteorder == "big":
+            words.byteswap()
+        joined = words.tobytes()
+        planes += [joined[k::8] for k in range(min(8, (bits - lo + 7) // 8))]
+    return planes
 
 
 def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> list[WeylElement]:

@@ -297,6 +297,74 @@ def plain_kl_columns(wg) -> list[dict[int, int]]:
     return cols
 
 
+def kl_identity_holds_on_columns(wg, tops, kl_coeffs) -> bool:
+    """The identity of :func:`kl_defining_identity_holds` on the columns of
+    the element indices ``tops`` only, for groups too large for every pair.
+
+    D(v) is read off ``wg.below``; R(u,z) is 0 unless u <= z, so the sum
+    runs over all of D(v).  ``kl_coeffs(u, v)`` takes indices.
+    """
+    rt = RTable(wg.rs)
+    elements, lengths = wg.elements, wg.lengths
+    for v in tops:
+        down = wg.below(v)
+        for u in down:
+            lhs = preverse(kl_coeffs(u, v), lengths[v] - lengths[u])
+            rhs: tuple[int, ...] = ()
+            for z in down:
+                if lengths[z] >= lengths[u]:
+                    rhs = padd(rhs, pmul(rt.r(elements[u], elements[z]), kl_coeffs(z, v)))
+            if ptrim(lhs) != ptrim(rhs):
+                return False
+    return True
+
+
+def lmult_left_descents(wg) -> list[int]:
+    """The left descent mask of every element, over 0-based simple indices,
+    from the lmult rows: s is a left descent of u when s.u < u, since
+    indices ascend with length."""
+    left = [0] * wg.size
+    for s, row in enumerate(wg.lmult):
+        for u, su in enumerate(row):
+            if su < u:
+                left[u] |= 1 << s
+    return left
+
+
+def coset_lengths(wg) -> list[list[int]]:
+    """For each maximal parabolic J = S - {s_i}, the length of the minimal
+    element of W_J u for every u, then of u W_J, by peeling the descents in
+    J off u one simple reflection at a time; 2 * rank lists."""
+    inv, lmult = wg.inverses, wg.lmult
+    rank = len(lmult)
+
+    def peel(u: int, i: int, step) -> int:
+        lowered = True
+        while lowered:
+            lowered = False
+            for j in range(rank):
+                if j != i and step(j, u) < u:
+                    u, lowered = step(j, u), True
+        return wg.lengths[u]
+
+    left = [[peel(u, i, lambda j, x: lmult[j][x]) for u in range(wg.size)] for i in range(rank)]
+    right = [[peel(u, i, lambda j, x: inv[lmult[j][inv[x]]]) for u in range(wg.size)]
+             for i in range(rank)]
+    return left + right
+
+
+def uncut_candidates(table, v: int) -> int:
+    """The candidate keys of column v before the length and parabolic cut:
+    every index up to v whose descents contain those of v."""
+    below = (2 << v) - 1
+    for d in range(len(table.wg.lmult)):
+        if table.left[v] >> d & 1:
+            below &= table.with_left[d]
+        if table.right[v] >> d & 1:
+            below &= table.with_right[d]
+    return below
+
+
 # ---------------------------------------------------------------------------
 # Bruhat down-sets as bit masks, by the lifting recurrence and by covers
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from array import array
 from collections import Counter
 
 import pytest
@@ -28,7 +29,7 @@ from weylpat.harness.verify import (
     verify_upper_ideal,
     verify_x_determination,
 )
-from weylpat.kl import KLPolynomial
+from weylpat.kl import KLPolynomial, _KLTable, _table_for
 from weylpat import patterns
 from weylpat.patterns import (
     SubsystemEmbedding,
@@ -358,6 +359,69 @@ def test_kl_transfer_into_a_d_type_target():
     assert ("A1xA1", "D4") in pairs
 
 
+def _plant_in_a_read_key(table, pairs, miss=False):
+    """Set to 1 the value of a key of ``table`` that is not 1 and that a
+    pair (u, v) of ``pairs`` reads, or with ``miss`` drop that key."""
+    for u, v in pairs:
+        r, f = table.rep[v], table.flip[v]
+        k = table._raise(u if f is None else f[u], r)
+        keys, ids = table.ensure_column(v)
+        i = keys.index(k)
+        if ids[i]:
+            if miss:
+                table.packed[r] = (keys[:i] + keys[i + 1:], ids[:i] + ids[i + 1:])
+            else:
+                planted = array("H", ids)
+                planted[i] = 0
+                table.packed[r] = (keys, planted)
+            return
+    raise AssertionError("no key to plant in")
+
+
+def _a3_a4_tables(monkeypatch):
+    """Fresh KL tables of A3 and A4 put on their groups, and the equal-gap
+    instances of A3 -> A4."""
+    a3, a4 = build_root_system("A3"), build_root_system("A4")
+    src, tgt = WeylGroup.for_system(a3), WeylGroup.for_system(a4)
+    tables = _KLTable(src), _KLTable(tgt)
+    monkeypatch.setattr(src, "_kl_table", tables[0])
+    monkeypatch.setattr(tgt, "_kl_table", tables[1])
+    instances = list(patterns._equal_gap_instances(enumerate_embeddings(a3, a4),
+                                                   DEFAULT_ENUMERATION_CAP))
+    return src, tgt, tables, instances
+
+
+def test_kl_transfer_reports_a_planted_value_as_per_pair_reads_do(monkeypatch):
+    # the suite compares packed values; a pair whose values differ is
+    # decoded to the same failure text that reading both polynomials gives
+    src, tgt, (src_kl, tgt_kl), instances = _a3_a4_tables(monkeypatch)
+    _plant_in_a_read_key(tgt_kl, [(x, w) for _, _, x, w in instances])
+    expected = []
+    for u, v, x, w in instances:
+        p1, p2 = src_kl.polynomial(u, v), tgt_kl.polynomial(x, w)
+        if p1 != p2:
+            expected.append(f"{verify_module._pair_label(src, tgt, u, v, x, w)}: {p1} != {p2}")
+    r = verify_kl_transfer("A3", "A4")
+    assert expected and r.failures == sorted(expected)
+    assert r.cases == len(instances)
+
+
+@pytest.mark.parametrize("sides", [(False, True), (True, False), (True, True)])
+def test_kl_transfer_raises_on_a_planted_miss(monkeypatch, sides):
+    # a miss on either side, or on both, where the packed values agree at
+    # 0; the sweep is given the one instance whose keys are dropped
+    _, _, tables, instances = _a3_a4_tables(monkeypatch)
+    u, v, x, w = next((u, v, x, w) for u, v, x, w in instances
+                      if tables[0]._reader(v)(u) != 1 and tables[1]._reader(w)(x) != 1)
+    for table, pair, planted in zip(tables, [(u, v), (x, w)], sides):
+        if planted:
+            _plant_in_a_read_key(table, [pair], miss=True)
+    monkeypatch.setattr(verify_module, "_equal_gap_instances",
+                        lambda embeddings, cap: iter([(u, v, x, w)]))
+    with pytest.raises(NotComparableError):
+        verify_kl_transfer("A3", "A4")
+
+
 def test_reports_are_deterministic_across_fresh_runs():
     first = verify_kl_transfer("A1", "G2")
     # the root systems own every memo; dropping them runs the sweep cold
@@ -403,7 +467,7 @@ def test_length_sufficiency_per_coset_checks_match_the_per_yield_proof(monkeypat
         for phi, u, v, x, w in _equal_gap_instances("A2", "B3")
         if not _pattern_map_isomorphic(src, tgt, phi, u, v, x, w))
     r = verify_length_sufficiency("A2", "B3")
-    assert expected and r.failures == expected
+    assert expected and r.failures == sorted(expected)
 
 
 def _upper_ideal_window(slow):

@@ -8,12 +8,17 @@ import pytest
 from helpers import (
     _reflection_closure_downsets,
     bruhat_leq_by_reflection_closure,
+    coset_lengths,
+    cover_downsets,
     covers,
     kl_defining_identity_holds,
+    kl_identity_holds_on_columns,
     left_descents,
+    lmult_left_descents,
     mul,
     negatives,
     plain_kl_columns,
+    uncut_candidates,
     word_image,
 )
 from weylpat.errors import GroupMismatchError, InternalInvariantError, NotComparableError
@@ -21,6 +26,7 @@ from weylpat.harness.cli import main
 from weylpat.kl import (
     KLPolynomial,
     _KLTable,
+    _bits,
     _w0_conjugation,
     is_rationally_smooth,
     kl_polynomial,
@@ -295,6 +301,87 @@ def test_stored_keys_are_the_extremal_set(cartan_type):
     assert stored
     for r in stored:
         assert list(table.packed[r][0]) == extremal[r]
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4", "G2"])
+def test_parabolic_lengths_never_exceed_those_of_an_upper_element(cartan_type):
+    # the cut's fields are the coset lengths found by peeling descents, and
+    # on every pair u <= v each of u's is at most v's (Bjorner-Brenti, GTM
+    # 231, Prop. 2.5.1), so the threshold masks of v hold all of D(v)
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    table = _KLTable(wg)
+    peeled = coset_lengths(wg)
+    assert len(table.fields) == 2 * wg.rs.rank
+    assert [list(f[::-1]) for f in table.fields] == peeled
+    down = cover_downsets(wg)
+    for lengths in peeled:
+        for v in range(wg.size):
+            assert all(lengths[u] <= lengths[v] for u in range(v + 1) if down[v] >> u & 1)
+    for v in range(wg.size):
+        table._candidates(v)  # builds the threshold masks at v's values
+        for field, at_most in zip(table.fields, table.at_most):
+            assert down[v] & ~at_most[field[~v]] == 0
+    for lengths, at_most in zip(peeled, table.at_most):
+        for t, mask in at_most.items():
+            assert mask == sum(1 << u for u in range(wg.size) if lengths[u] <= t)
+
+
+@pytest.mark.parametrize("cartan_type", ["A5", "B4", "D5", "F4"])
+def test_the_cut_fills_the_same_table_as_the_uncut_candidates(cartan_type):
+    # keys, ids and the order in which values are interned all agree
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    cut, uncut = _KLTable(wg), _KLTable(wg)
+    uncut._candidates = lambda v: uncut_candidates(uncut, v)
+    for v in range(wg.size):
+        cut.ensure_column(v)
+        uncut.ensure_column(v)
+    assert cut.values == uncut.values
+    assert cut.packed == uncut.packed
+    assert any(uncut_candidates(cut, v) & ~cut._candidates(v) for v in range(wg.size))
+    # v is the only candidate of its length
+    for v in range(wg.size):
+        assert [u for u in _bits(cut._candidates(v)) if wg.lengths[u] >= wg.lengths[v]] == [v]
+
+
+@pytest.mark.parametrize("cartan_type, positions", [
+    ("E6", [4, 5, 0, 1, 2, 3]), ("D4", [3, 2, 0, 1]), ("F4", [2, 1, 0, 3]),
+    ("A3xA2xA2xA1xA1", [8, 7, 6, 5, 4, 3, 2, 1, 0]),
+])
+def test_descent_kernels_match_the_lmult_rows(cartan_type, positions):
+    # the simple roots sit at permuted positive positions, and rank 9 needs
+    # descent masks wider than a byte
+    rs = build_root_system(cartan_type)
+    assert [rs._left_steps[i][0].bit_length() - 1 for i in range(rs.rank)] == positions
+    wg = WeylGroup.for_system(rs, 60000)
+    table = _KLTable(wg)
+    left = lmult_left_descents(wg)
+    assert table.left == left
+    assert table.right == [left[k] for k in wg.inverses]
+    for s in range(rs.rank):
+        assert table.with_left[s] == sum(1 << u for u in range(wg.size) if left[u] >> s & 1)
+        assert table.with_right[s] == sum(1 << u for u in range(wg.size)
+                                          if table.right[u] >> s & 1)
+    assert table.bits == [tuple(_bits(m)) for m in range(1 << rs.rank)]
+
+
+def test_rank_nine_table_counts_its_smooth_elements_and_meets_the_r_oracle():
+    # A3xA2xA2xA1xA1 (3,456 elements) has rank 9: its descent masks need
+    # more than a byte; v is rationally smooth exactly when its A3 part is
+    # (22 of 24), so 22 * 6 * 6 * 2 * 2 = 3,168 are
+    wg = WeylGroup.for_system(build_root_system("A3xA2xA2xA1xA1"))
+    table = _KLTable(wg)
+    smooth = [not any(table.ensure_column(v)[1]) for v in range(wg.size)]
+    assert (wg.size, sum(smooth)) == (3456, 3168)
+    # the defining identity with the R-polynomials on sampled columns of
+    # both kinds, each with a down-set of 30 to 120 elements
+    sizes = [len(wg.below(v)) for v in range(wg.size)]
+    rng = random.Random(9)
+    tops = []
+    for kind in (False, True):
+        tops += rng.sample([v for v in range(wg.size)
+                            if smooth[v] == kind and 30 <= sizes[v] <= 120], 4)
+    assert kl_identity_holds_on_columns(
+        wg, tops, lambda u, v: table.polynomial(u, v).coefficients)
 
 
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4"])
@@ -598,8 +685,16 @@ def test_threads_filling_one_table_agree_with_a_sequential_fill():
         for v in range(wg.size):
             shared.ensure_column((v * 7 + k * wg.size // 8) % wg.size)
 
-    with ThreadPoolExecutor(max_workers=8) as pool:
-        list(pool.map(fill, range(8)))  # re-raises what a thread raised
+    # a short switch interval makes the threads interleave inside fills,
+    # where the cut's threshold masks are built on first use
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            list(pool.map(fill, range(8), timeout=120))  # re-raises what a thread raised
+    finally:
+        sys.setswitchinterval(interval)
+    assert shared.at_most == ref.at_most
     assert [c is None for c in shared.packed] == [c is None for c in ref.packed]
     assert sorted(shared.values) == sorted(ref.values)
     assert all(shared.ids[p] == i for i, p in enumerate(shared.values))

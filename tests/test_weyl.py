@@ -44,6 +44,7 @@ from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
     WeylGroup,
+    _byte_planes,
     _left_step,
     apply,
     bruhat_leq,
@@ -714,3 +715,20 @@ def test_parse_element_errors():
         parse_element(rs, "5 1")  # bad simple index
     with pytest.raises(ValueError):
         parse_element(rs, "what")
+
+
+@pytest.mark.parametrize("bits", [6, 36, 64, 65, 130])
+def test_byte_planes_hold_each_byte_of_every_mask(bits):
+    # past 64 bits the masks are packed eight bytes at a time; an iterator
+    # of masks is read as a list would be
+    rnd = random.Random(bits)
+    masks = [rnd.getrandbits(bits) for _ in range(300)] + [(1 << bits) - 1, 0]
+    width = (bits + 7) // 8
+    expected = [bytes(m >> 8 * k & 255 for m in masks) for k in range(width)]
+    assert _byte_planes(masks, bits) == expected
+    assert _byte_planes(iter(masks), bits) == expected
+
+
+def test_group_planes_are_the_byte_planes_of_its_masks():
+    wg = WeylGroup.for_system(build_root_system("E6"), 60000)
+    assert wg.planes == [bytes(m >> 8 * k & 255 for m in wg.masks) for k in range(5)]

@@ -24,24 +24,29 @@ The properties checked:
 * ``type-a-smoothness`` rational smoothness by KL sweep coincides with
                         avoidance of the one-line patterns 3412 and 4231.
 
-The interval suites read the forced-bottom scan, whose oracle is the
-coset walk of ``x-determination``; ``kl-transfer`` and ``upper-ideal``
-keep its pairs with equal length gaps, as ``length-sufficiency`` checks.
+The interval suites read the per-coset sweep of
+:func:`~weylpat.patterns._cosets`: along each embedding, each right
+coset of the embedded subgroup, with its coset map phi checked once, and
+its pairs u <= v with equal length gaps, each the pair
+[u, v] -> [phi[u], phi[v]].  ``kl-transfer`` and ``upper-ideal`` keep
+exactly those pairs, as ``length-sufficiency`` checks.  The oracle of
+the sweep is the coset walk of ``x-determination``, which builds the
+embedded subgroup from :func:`~weylpat.patterns.embed_element`, not from
+the coset maps, and compares it with
+:func:`~weylpat.patterns.interval_pattern_instances`.
 
 ``length-sufficiency`` works on element indices.  Unequal gaps need no
-check, since the rank span of an interval is its gap.  For equal gaps
-it proves that the coset map phi_w of the Billey-Braden lemma, taken
-from ``coset_maps()`` of the embedding that yields the pair, is a
-bijection of the two intervals' index lists that carries lower covers
-exactly onto lower covers.  That proof is complete, so its verdict is
-the answer: a failure means the intervals are not isomorphic.  Its
-per-element checks depend on the coset map and the bottom, not on the
-top, so each is taken once per embedding, and no interval is built.
-``x-determination`` builds the embedded subgroup from
-:func:`~weylpat.patterns.embed_element`, not from the scan's tables.
+check, since the rank span of an interval is its gap; each coset counts
+one case per u <= v of W'.  For equal gaps it proves that the coset map
+is a bijection of the two intervals' index lists that carries lower
+covers exactly onto lower covers.  That proof is complete, so its
+verdict is the answer: a failure means the intervals are not
+isomorphic.  Its per-element checks depend on the coset map and the
+bottom, not on the top, so each is taken once per coset, and no
+interval is built.
 ``kl-transfer`` reads KL polynomials on indices from the groups' tables.
 ``upper-ideal`` checks all its properties in one sweep: it decodes each
-KL column once into bit masks, and scans each window pair once.
+KL column once into bit masks, and sweeps each window pair once.
 """
 
 from __future__ import annotations
@@ -55,9 +60,9 @@ from typing import Callable, Sequence
 from ..errors import InternalInvariantError, NotComparableError
 from ..kl import KLPolynomial, _bits, _table_for, is_rationally_smooth
 from ..patterns import (
+    _cosets,
     _cover_check,
     _equal_gap_instances,
-    _scan,
     embed_element,
     enumerate_embeddings,
     format_interval_spec,
@@ -183,9 +188,10 @@ def verify_x_determination(source_type: str, target_type: str,
     """With matching flattenings and a shared coset, the bottom is forced.
 
     Walks every x in each coset i(W')w on element indices and compares
-    each case with the bottom the forced-bottom scan gives for (u, w).
+    each case with the bottom that
+    :func:`~weylpat.patterns.interval_pattern_instances` gives for (u, w).
     The subgroup i(W') comes from :func:`embed_element`, independent of
-    the coset maps the scan reads.  The reduced word of each i(g) is folded
+    the coset maps that listing reads.  The reduced word of each i(g) is folded
     through the target's lmult rows over all w at once, one column per g.
     """
     source = build_root_system(source_type)
@@ -216,7 +222,7 @@ def verify_x_determination(source_type: str, target_type: str,
                     if bottom.pop((u, w), None) != x:
                         rep.failures.append(
                             f"{_pair_label(src, tgt, u, v, x, w)}: bottom is not forced")
-            # the scan must yield nothing the walk did not reach
+            # the listing must yield nothing the walk did not reach
             for (u, w), x in bottom.items():
                 rep.failures.append(
                     f"{_pair_label(src, tgt, u, flat[w], x, w)}: scanned bottom outside the coset walk")
@@ -229,18 +235,18 @@ def verify_length_sufficiency(source_type: str, target_type: str,
     """Given the first two conditions, equal length gaps give poset isomorphism.
 
     Unequal gaps rule isomorphism out, since an interval's rank span is
-    its gap, so only equal-gap quadruples are decided, on element
-    indices, by the proof of
-    :func:`~weylpat.patterns._pattern_map_isomorphic`: the coset map
-    phi = phi_w of the embedding that yields the quadruple is an
-    isomorphism, or by the completeness of that proof no isomorphism
-    exists.  The proof is x = phi[u] and one check per z in [u, v], from
+    its gap, so each coset of the sweep counts one case per u <= v of W',
+    and only its equal-gap pairs are decided, on element indices, by the
+    proof of :func:`~weylpat.patterns._pattern_map_isomorphic`: the
+    coset map phi is an isomorphism [u, v] -> [phi[u], phi[v]], or by
+    the completeness of that proof no isomorphism exists.  The proof is
+    one check per z in [u, v], from
     :func:`~weylpat.patterns._cover_check`, which depends on (phi, u, z)
-    alone.  So each embedding keeps, per coset map and u, a
-    source mask of the z already checked and one of those that failed,
-    and a yield checks only the z of [u, v] not yet checked; the masks
-    are dropped with the embedding.  Each failure is reported once per
-    yield.
+    alone.  So each coset keeps, per u, a source mask of the z already
+    checked and one of those that failed, and a pair checks only the z
+    of [u, v] not yet checked.  Each failure is reported once per coset
+    and pair, so a quadruple that several embeddings reach is reported
+    by each.
     """
     source = build_root_system(source_type)
     target = build_root_system(target_type)
@@ -250,27 +256,24 @@ def verify_length_sufficiency(source_type: str, target_type: str,
     def run(rep: VerificationReport) -> None:
         src = WeylGroup.for_system(source, cap)
         tgt = WeylGroup.for_system(target, cap)
-        m, src_len, tgt_len = src.size, src.lengths, tgt.lengths
         # down[v] and above[u] as masks over source indices, so [u, v] less u is
         # down[v] & above[u]; z = u needs no check, as no lower cover of x lies above x
-        down, above = [0] * m, [0] * m
-        for v in range(m):
+        down, above = [0] * src.size, [0] * src.size
+        for v in range(src.size):
             for u in src.below(v):
                 down[v] |= 1 << u
                 if u != v:
                     above[u] |= 1 << v
-        check, cases = _cover_check(src, tgt), 0
-        for emb in enumerate_embeddings(source, target):
-            maps = emb.coset_maps(cap)
-            # (z checked, z failed) masks, keyed by the coset's minimum phi[0] and u
+        # every u <= v of W' is one case in each coset
+        per_coset = sum(map(int.bit_count, down))
+        check = _cover_check(src, tgt)
+        for phi, pairs in _cosets(enumerate_embeddings(source, target), cap):
+            rep.cases += per_coset
+            # u -> (z checked, z failed) masks
             proved: dict[int, tuple[int, int]] = {}
-            for u, v, x, w in _scan(src, tgt, emb.flat(cap), maps):
-                cases += 1
-                if src_len[v] - src_len[u] != tgt_len[w] - tgt_len[x]:
-                    continue
-                phi, span = maps[w], down[v] & above[u]
-                key = phi[0] * m + u
-                checked, failed = proved.get(key, (0, 0))
+            for u, v in pairs:
+                span = down[v] & above[u]
+                checked, failed = proved.get(u, (0, 0))
                 todo = span & ~checked
                 if todo:
                     while todo:
@@ -278,11 +281,10 @@ def verify_length_sufficiency(source_type: str, target_type: str,
                         todo ^= bit
                         if not check(phi, u, bit.bit_length() - 1):
                             failed |= bit
-                    proved[key] = checked | span, failed
-                if failed & span or phi[u] != x:
-                    rep.failures.append(
-                        f"{_pair_label(src, tgt, u, v, x, w)}: equal gaps without isomorphism")
-        rep.cases = cases
+                    proved[u] = checked | span, failed
+                if failed & span:
+                    rep.failures.append(f"{_pair_label(src, tgt, u, v, phi[u], phi[v])}: "
+                                        "equal gaps without isomorphism")
 
     return _timed(run, report)
 
@@ -393,8 +395,8 @@ def _upper_ideal(property_names: Sequence[str], types: Sequence[str],
 
     Each KL column of each group is decoded once, into the mask of D(v)
     and, per property, the mask of the u in D(v) where it holds on
-    [u, v].  Move 2 reads the masks alone.  Move 1 scans each window
-    pair once and answers every property from the masks; a scanned
+    [u, v].  Move 2 reads the masks alone.  Move 1 sweeps each window
+    pair once and answers every property from the masks; a swept
     (u, v) or (x, w) outside its D(v) mask raises NotComparableError.
     Every report's ``wall_time`` is the time of the whole shared sweep.
     """

@@ -381,7 +381,8 @@ class _KLTable:
         inv = wg.inverses
         # built first, while its byte planes are the largest thing held
         self.fields = _parabolic_lengths(wg)
-        self.conj = conj = _w0_conjugation(wg)
+        # not kept: where w0 is central conj is the identity, and no flip is conj
+        conj = _w0_conjugation(wg)
         inv_conj = list(map(inv.__getitem__, conj))
         maps = (None, inv, conj, inv_conj)
         self.rep: list[int] = []
@@ -443,34 +444,13 @@ class _KLTable:
             col = self.packed[r] = self._compute_column(r)
         return col
 
-    def _raise(self, u: int, r: int) -> int:
-        """u raised through the left descents of r it lacks, then the right ones.
-
-        P(u,r) = P(su,r) for a left descent s of r with su > u, and u <= r
-        exactly when su <= r; on the right likewise with ut.  A right step
-        never drops a left descent, so the raised u is the extremal element
-        of r in the double coset of u, and u <= r exactly when it is a key.
-        """
-        left, lmult = self.left, self.wg.lmult
-        need = left[r]
-        missing = need & ~left[u]
-        while missing:
-            u = lmult[(missing & -missing).bit_length() - 1][u]
-            missing = need & ~left[u]
-        right, rmult = self.right, self.rmult
-        need = right[r]
-        missing = need & ~right[u]
-        while missing:
-            u = rmult[(missing & -missing).bit_length() - 1][u]
-            missing = need & ~right[u]
-        return u
-
     def _reader(self, v: int) -> Callable[[int], int]:
         """u -> packed P(u,v), 0 when u is not below v; fills column rep[v] first.
 
-        u is flipped into the frame of r = rep[v] and raised as by
-        :meth:`_raise`, whose loops the fill's reads inline, then found
-        among the keys of r by bisection.
+        u is flipped into the frame of r = rep[v], raised through the left
+        descents of r it lacks, then the right ones, to the extremal element
+        of r in its double coset, and found among the keys of r by
+        bisection; u <= r exactly when that element is a key.
         """
         keys, ids = self.ensure_column(v)
         r, f = self.rep[v], self.flip[v]
@@ -500,18 +480,14 @@ class _KLTable:
         distinct value passes the checks of :func:`_unpack` once and is
         shared by every pair that holds it.
         """
-        f = self.flip[v]
-        keys, ids = self.ensure_column(v)
-        # P(u,v) = P(f(u), rep(v)) = P(k, rep(v)) for the key k that f(u) raises to
-        k = self._raise(u if f is None else f[u], self.rep[v])
-        i = bisect_left(keys, k)
+        val = self._reader(v)(u)
         wg = self.wg
-        if i == len(keys) or keys[i] != k:
+        if not val:
             raise NotComparableError(
                 f"not comparable: {format_word(WeylElement(wg.rs, wg.masks[u]))} "
                 f"!<= {format_word(WeylElement(wg.rs, wg.masks[v]))}"
             )
-        return self._decode(self.values[ids[i]], wg.lengths[v] - wg.lengths[u])
+        return self._decode(val, wg.lengths[v] - wg.lengths[u])
 
     def polynomials(self, v: int) -> Iterator[tuple[int, KLPolynomial]]:
         """(u, P(u,v)) for every u in D(v), ascending u, in one pass over column v.

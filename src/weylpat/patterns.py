@@ -29,20 +29,26 @@ such table per right coset of the embedded subgroup.
 one by one check per element, from :func:`_cover_check`, which the
 ``length-sufficiency`` sweep shares; that check is the library's only
 poset-isomorphism decision.
-:func:`interval_pattern_instances` streams index quadruples and keeps
-none: each embedding keeps a flatten table over the enumerated groups,
-pulled back from the byte planes of the target's masks by
-``bytes.translate`` and itself a ``bytes`` when the source's masks fit
-one byte, the forced bottom x = phi_w[u] is one lookup, and x <= w is
-I(x) inside I(w) (weak order) or else the lifting test ``leq_idx``.
-:func:`forced_bottom` is its object-level twin, which enumerates no
-target group; its ``flatten`` calls enumerate the source group.
+
+Along one embedding the interval patterns are read per coset:
+:func:`_cosets` takes each right coset by its coset map phi_m[g] = i(g) m,
+checks the map once, by fl(phi_m[g]) = g and by lengths across the
+covers of W', and gives its pairs u <= v with equal length gaps, each
+the pattern [u, v] -> [phi_m[u], phi_m[v]].  The suites read that sweep,
+and :func:`interval_pattern_instances` lists every pair u <= v = fl(w) in
+the order of the top w after the same checks, with no test per pair.
+Each embedding keeps a flatten table over the enumerated groups, pulled
+back from the byte planes of the target's masks by ``bytes.translate``
+and itself a ``bytes`` when the source's masks fit one byte.
+:func:`forced_bottom` is the object-level twin of that listing, which
+enumerates no target group; its ``flatten`` calls enumerate the source group.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cache
+from itertools import compress
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -464,7 +470,7 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     is an isomorphism.
 
     The proof is complete when x = phi[u], as for every quadruple the
-    forced-bottom scan yields.  Then phi(g) = i(g) m with fl(m) = e, and
+    per-coset sweep yields.  Then phi(g) = i(g) m with fl(m) = e, and
     by the Billey-Braden coset lemma phi is injective and order
     preserving on all of W', so it maps [u, v] into [phi(u), phi(v)] =
     [x, w].  If [u, v] and [x, w] are isomorphic they have as many
@@ -499,51 +505,84 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     """Each (u, v, x, w) with u <= v = fl(w) that :func:`forced_bottom` accepts.
 
     Streams source indices u, v and target indices x, w, ordered by w,
-    then u, and keeps nothing.  cap is checked against both groups, and
-    the flat table and the coset maps are built, when the call is made;
-    the scan reads x = phi_w[u] off the coset map of w, checks fl(x) = u,
-    and accepts x <= w when I(x) lies in I(w), as weak order refines
-    Bruhat order, or else by the lifting test on the target's indices.
-
-    With valid tables neither test rejects a candidate.  Flattening is
-    equivariant, fl(i(g) y) = g fl(y), so fl(x) = u v^-1 v = u; and by the
-    Billey-Braden coset lemma (Billey-Braden 2003, from Dyer's work on
-    reflection subgroups) the bijection g -> i(g v^-1) w of W' onto the
-    coset W'w, which fl inverts, preserves Bruhat order, so u <= v gives
-    x <= w.  Over the 846,820 candidates of the slow-tier window no test
-    rejects.  Both stay, as runtime checks on the flat table and the
-    coset maps.
+    then u, and keeps nothing but the coset maps.  cap is checked against
+    both groups, the flat table and the coset maps are built, and every
+    coset passes the checks of :func:`_cosets`, when the call is made.
+    Then x = phi_w[u] for every u <= fl(w), with no test per yield: by
+    those checks fl(x) = u and x <= w.
     """
     source = WeylGroup.for_system(emb.source, cap)
-    target = WeylGroup.for_system(emb.target, cap)
-    return _scan(source, target, emb.flat(cap), emb.coset_maps(cap))
-
-
-def _scan(source: WeylGroup, target: WeylGroup, flat: Sequence[int],
-          maps: Sequence[Sequence[int]]) -> Iterator[tuple[int, int, int, int]]:
-    """The walk of :func:`interval_pattern_instances` over an embedding's
-    flat table and coset maps, so a caller that holds them builds neither again.
-    The source's below-lists are built once per call and dropped with it."""
+    flat = emb.flat(cap)
+    maps: list[Sequence[int]] = [()] * len(flat)
+    for phi, _ in _cosets((emb,), cap):
+        for y in phi:
+            maps[y] = phi
     belows = [source.below(v) for v in range(source.size)]
-    leq, masks = target.leq_idx, target.masks
-    for w in range(target.size):
-        v, phi, mask = flat[w], maps[w], ~masks[w]
-        for u in belows[v]:
-            x = phi[u]
-            if flat[x] == u and (masks[x] & mask == 0 or leq(x, w)):
-                yield u, v, x, w
+    return ((u, v, maps[w][u], w) for w, v in enumerate(flat) for u in belows[v])
+
+
+def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
+            ) -> Iterator[tuple[Sequence[int], list[tuple[int, int]]]]:
+    """(phi, pairs) for each right coset of each embedded subgroup in turn.
+
+    The embeddings share one source and one target.  A coset is taken by
+    its minimum m, flat[m] = 0, in index order; phi = phi_m, phi[g] = i(g) m,
+    and pairs lists the (u, v) with u <= v in W' and l(v) - l(u) =
+    l(phi[v]) - l(phi[u]), by v, then u.  By the Billey-Braden coset lemma
+    the interval patterns of the coset are exactly (u, v, phi[u], phi[v])
+    over all u <= v: flattening is equivariant, so fl(phi[g]) = g, and
+    g -> phi[g] preserves Bruhat order.  So no pair is tested, and each
+    coset map is checked instead, raising InternalInvariantError on a
+    fault:
+
+    * phi[0] = m and fl(phi[g]) = g for every g;
+    * l(phi[c]) < l(phi[g]) for every cover c of g in W'.  This is exact:
+      g = t c for a reflection t of W', so phi[g] = i(t) phi[c] differs
+      from phi[c] by a reflection of W, and of two such elements the
+      longer is the larger (Bjorner-Brenti, GTM 231, 2.1).  Along chains
+      of covers it gives phi[u] <= phi[v] for every u <= v.
+
+    The pairs and the cover test depend only on the coset's length
+    signature (l(phi[g]) - l(m))_g, so both are taken once per signature
+    in one memo for the whole call.
+    """
+    if not embeddings:
+        return
+    source = WeylGroup.for_system(embeddings[0].source, cap)
+    target = WeylGroup.for_system(embeddings[0].target, cap)
+    src_len, tgt_len, lengths = source.lengths, target.lengths, bytes(target.lengths)
+    ident = list(range(source.size))
+    # every u <= v of W', shared by the pair lists of all signatures
+    below_pairs = [(u, v) for v in ident for u in source.below(v)]
+    covers = [(c, g) for g in ident for c in source.lower_covers[g]]
+    # shift[l] is the translate table y -> (y - l) mod 256, the identity rotated; it is
+    # one-to-one on lengths, so a key names one signature, checked on the lengths themselves
+    shift = [(bytes(range(256)) * 2)[256 - l:512 - l] for l in range(max(lengths) + 1)]
+    memo: dict[bytes, list[tuple[int, int]]] = {}
+    for emb in embeddings:
+        flat, maps = emb.flat(cap), emb.coset_maps(cap)
+        for m in compress(range(len(flat)), map((0).__eq__, flat)):
+            phi = maps[m]
+            if phi[0] != m or list(map(flat.__getitem__, phi)) != ident:
+                raise InternalInvariantError(f"the flat table does not invert coset map {m}")
+            key = bytes(map(lengths.__getitem__, phi)).translate(shift[tgt_len[m]])
+            pairs = memo.get(key)
+            if pairs is None:
+                rel = [tgt_len[y] - tgt_len[m] for y in phi]
+                if any(rel[c] >= rel[g] for c, g in covers):
+                    raise InternalInvariantError(f"coset map {m} does not lengthen a cover")
+                pairs = memo[key] = [p for p in below_pairs
+                                     if rel[p[1]] - rel[p[0]] == src_len[p[1]] - src_len[p[0]]]
+            yield phi, pairs
 
 
 def _equal_gap_instances(embeddings: Sequence[SubsystemEmbedding], cap: int
                          ) -> Iterator[tuple[int, int, int, int]]:
-    """The (u, v, x, w) of each embedding's scan in turn with l(v) - l(u) = l(w) - l(x),
-    the interval pattern embeddings among them, as ``length-sufficiency`` checks."""
-    for emb in embeddings:
-        src = WeylGroup.for_system(emb.source, cap).lengths
-        tgt = WeylGroup.for_system(emb.target, cap).lengths
-        for u, v, x, w in interval_pattern_instances(emb, cap):
-            if src[v] - src[u] == tgt[w] - tgt[x]:
-                yield u, v, x, w
+    """(u, v, phi[u], phi[v]) for each pair of each coset of :func:`_cosets`:
+    the interval pattern embeddings, those with equal length gaps."""
+    for phi, pairs in _cosets(embeddings, cap):
+        for u, v in pairs:
+            yield u, v, phi[u], phi[v]
 
 
 def interval_pattern_avoids(w: WeylElement, u: WeylElement, v: WeylElement,
@@ -615,7 +654,7 @@ def interval_poset_reachable(generators: Sequence[BruhatInterval],
             return True
 
     # move 1 out of each source type, filled when a state of it is first
-    # popped: (u, v) -> the states its scans reach with equal length gaps
+    # popped: (u, v) -> the states its sweeps reach with equal length gaps
     moves: dict[str, dict[tuple[int, int], list[tuple[str, int, int]]]] = {}
     while queue:
         sys_type, bot, top = queue.popleft()

@@ -462,7 +462,7 @@ def test_incomparable_pairs_miss_every_key(cartan_type):
                           ("A4", False), ("D5", False), ("A1xA2", False)])
 def test_orbit_maps_are_commuting_involutions(cartan_type, central):
     wg = WeylGroup.for_system(build_root_system(cartan_type))
-    inv, conj = wg.inverses, _KLTable(wg).conj
+    inv, conj = wg.inverses, _w0_conjugation(wg)
     w0 = wg.size - 1
     assert wg.lengths[w0] == max(wg.lengths)
     for k in range(wg.size):
@@ -473,8 +473,12 @@ def test_orbit_maps_are_commuting_involutions(cartan_type, central):
         assert conj[k] == mul(wg, w0, mul(wg, k, w0))
     for fixed in (0, w0):
         assert inv[fixed] == fixed and conj[fixed] == fixed
-    # w0 is central exactly when conjugation is the identity
+    # w0 is central exactly when conjugation is the identity, and then the
+    # table keeps no conjugation list: every flip is the identity or inversion
     assert (conj == list(range(wg.size))) == central
+    table = _KLTable(wg)
+    assert not hasattr(table, "conj")
+    assert all(f is None or f is inv for f in table.flip) == central
 
 
 @pytest.mark.parametrize("cartan_type, central",
@@ -505,7 +509,7 @@ def test_full_fill_stores_one_column_per_orbit():
     table = _KLTable(wg)
     for v in range(wg.size):
         table.ensure_column(v)
-    inv, conj = wg.inverses, table.conj
+    inv, conj = wg.inverses, _w0_conjugation(wg)
     orbits = {frozenset((k, inv[k], conj[k], inv[conj[k]])) for k in range(wg.size)}
     stored = [r for r, col in enumerate(table.packed) if col is not None]
     assert stored == sorted(min(orbit) for orbit in orbits)

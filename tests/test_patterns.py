@@ -543,35 +543,68 @@ def test_interval_pattern_instances_match_object_level_forced_bottom(src, tgt):
         assert _scanned(emb) == expected
 
 
-@pytest.mark.parametrize("shift,check", [("within", "flat"), ("across", "order")])
-def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, shift, check):
-    # with valid tables neither x <= w nor fl(x) = u ever rejects (see
-    # interval_pattern_instances), so wrong coset maps are planted: each
-    # map rotated within itself, which breaks fl(x) = u, or each w given
-    # the map of w - 1, often another coset's, which keeps fl(x) = u but
-    # not always x <= w.
-    # The named check must reject some candidate the other one passes,
-    # and the scan must keep exactly the candidates that pass both
+@pytest.mark.parametrize("shift,check", [("within", "flat"), ("across", "order"), ("table", "flat")])
+def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, capsys, shift, check):
+    # with valid tables neither per-coset check rejects (see _cosets), so
+    # wrong tables are planted: each coset map rotated within itself, which
+    # moves phi[0] off the coset's minimum; each coset keeping its minimum but
+    # taking the rest of its map from the coset before it, which keeps
+    # fl(phi[g]) = g but not the order of every cover; or a flat table with
+    # s1 and s2 swapped, whose cosets stay the same.  The named check must
+    # raise for every interval reader, and the CLI must exit 3
+    from weylpat.harness.cli import main
+    from weylpat.harness.verify import (
+        verify_kl_transfer, verify_length_sufficiency, verify_upper_ideal)
+
     source, target = build_root_system("A2"), build_root_system("A3")
-    src, tgt = WeylGroup.for_system(source), WeylGroup.for_system(target)
-    emb = enumerate_embeddings(source, target)[0]
-    flat, maps = emb.flat(), emb.coset_maps()
-    if shift == "within":
-        maps = [phi[1:] + phi[:1] for phi in maps]
+    message = {"flat": "does not invert coset map", "order": "does not lengthen a cover"}[check]
+    if shift == "table":
+        for emb in enumerate_embeddings(source, target):
+            monkeypatch.setattr(emb, "_flat", [{1: 2, 2: 1}.get(f, f) for f in emb.flat()])
     else:
-        maps = maps[-1:] + maps[:-1]
-    monkeypatch.setattr(SubsystemEmbedding, "coset_maps", lambda self, cap=None: maps)
-    kept, rejected = [], 0
-    for w in range(tgt.size):
-        v = flat[w]
-        for u in src.below(v):
-            x = maps[w][u]
-            order_ok, flat_ok = tgt.leq_idx(x, w), flat[x] == u
-            if order_ok and flat_ok:
-                kept.append((u, v, x, w))
-            rejected += (flat_ok and not order_ok) if check == "order" else (order_ok and not flat_ok)
-    assert rejected > 0
-    assert list(interval_pattern_instances(emb)) == kept
+        real = SubsystemEmbedding.coset_maps
+
+        def planted(self, cap):
+            maps = real(self, cap)
+            # the coset maps in the order of their minima phi[0]
+            phis = sorted(set(maps))
+            if shift == "within":
+                wrong = {phi: phi[1:] + phi[:1] for phi in phis}
+            else:
+                wrong = {phi: phi[:1] + prev[1:] for phi, prev in zip(phis, phis[-1:] + phis[:-1])}
+            return [wrong[phi] for phi in maps]
+        monkeypatch.setattr(SubsystemEmbedding, "coset_maps", planted)
+    with pytest.raises(InternalInvariantError, match=message):
+        interval_pattern_instances(enumerate_embeddings(source, target)[0])
+    for suite in (lambda: verify_length_sufficiency("A2", "A3"),
+                  lambda: verify_kl_transfer("A2", "A3"),
+                  lambda: verify_upper_ideal("kl-nontrivial", ["A2", "A3"], [("A2", "A3")])):
+        with pytest.raises(InternalInvariantError, match=message):
+            suite()
+    assert main(["verify", "length-sufficiency", "A2", "A3"]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source,target", [
+    ("A2", "F4"), ("B2", "F4"), ("A3", "D5"), ("A1xA1", "B3"), ("C3", "F4")])
+def test_coset_order_check_agrees_with_the_lifting_test(source, target):
+    # the order check of _cosets compares lengths across each cover c < g of
+    # W', as phi[g] = i(t) phi[c] for a reflection t of W' and so the longer
+    # of the two is the larger; on every cover of every coset the lifting
+    # test gives the same answer, both ways round
+    src = WeylGroup.for_system(build_root_system(source))
+    tgt = WeylGroup.for_system(build_root_system(target))
+    lengths, leq, covers = tgt.lengths, tgt.leq_idx, 0
+    for emb in enumerate_embeddings(src.rs, tgt.rs):
+        flat, maps = emb.flat(), emb.coset_maps()
+        for phi in (maps[m] for m in range(tgt.size) if flat[m] == 0):
+            for g in range(src.size):
+                for c in src.lower_covers[g]:
+                    a, b = phi[c], phi[g]
+                    assert (lengths[a] < lengths[b]) == leq(a, b)
+                    assert (lengths[b] < lengths[a]) == leq(b, a)
+                    covers += 1
+    assert covers
 
 
 def test_a_finished_scan_retains_nothing():

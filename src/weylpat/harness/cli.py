@@ -41,7 +41,8 @@ from ..weyl import (
 )
 from .verify import SUITES, load_window, run_suite
 
-_USAGE_ERRORS = (InvalidCartanType, NotAnInversionSetError, GroupMismatchError, ValueError)
+_USAGE_ERRORS = (InvalidCartanType, NotAnInversionSetError, GroupMismatchError, ValueError,
+                 CapExceededError)
 
 
 def _element_json(w) -> dict:
@@ -53,8 +54,10 @@ def _element_json(w) -> dict:
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    """Print the JSON payload, or the text lines; cases and failures default to none."""
+    """Print the JSON payload under the subcommand's name, or the text lines;
+    cases and failures default to none."""
     if args.format == "json":
+        payload["command"] = args.command
         payload.setdefault("cases", None)
         payload.setdefault("failures", [])
         print(json.dumps(payload, sort_keys=True))
@@ -84,7 +87,6 @@ def _cmd_roots(args) -> int:
             "simple": simple_rank.get(i),
         })
     payload = {
-        "command": "roots",
         "inputs": {"type": rs.cartan_type},
         "result": {
             "count": len(rs.roots),
@@ -113,7 +115,6 @@ def _cmd_enumerate(args) -> int:
     rs = build_root_system(args.type)
     elements = enumerate_elements(rs, args.cap)
     payload = {
-        "command": "enumerate",
         "inputs": {"type": rs.cartan_type},
         "result": {"order": len(elements),
                    "elements": [_element_json(w) for w in elements]},
@@ -131,7 +132,6 @@ def _cmd_bruhat(args) -> int:
     v = parse_element(rs, args.v)
     comparable = bruhat_leq(u, v)
     payload = {
-        "command": "bruhat",
         "inputs": {"type": rs.cartan_type, "u": _element_json(u), "v": _element_json(v)},
         "result": {"comparable": comparable},
     }
@@ -157,23 +157,15 @@ def _cmd_kl(args) -> int:
     rs = build_root_system(args.type)
     u = parse_element(rs, args.u)
     v = parse_element(rs, args.v)
+    inputs = {"type": rs.cartan_type, "u": _element_json(u), "v": _element_json(v)}
     try:
         poly = kl_polynomial(u, v, args.cap)
     except NotComparableError as exc:
-        payload = {
-            "command": "kl",
-            "inputs": {"type": rs.cartan_type, "u": _element_json(u), "v": _element_json(v)},
-            "result": None,
-            "failures": [str(exc)],
-        }
-        _emit(args, payload, [str(exc)])
+        _emit(args, {"inputs": inputs, "result": None, "failures": [str(exc)]}, [str(exc)])
         return 1
-    payload = {
-        "command": "kl",
-        "inputs": {"type": rs.cartan_type, "u": _element_json(u), "v": _element_json(v)},
-        "result": {"text": str(poly), "coefficients": list(poly.coefficients)},
-    }
-    _emit(args, payload, [str(poly)])
+    _emit(args, {"inputs": inputs,
+                 "result": {"text": str(poly), "coefficients": list(poly.coefficients)}},
+          [str(poly)])
     return 0
 
 
@@ -182,7 +174,6 @@ def _cmd_embeddings(args) -> int:
     target = build_root_system(args.target)
     embs = enumerate_embeddings(source, target)
     payload = {
-        "command": "embeddings",
         "inputs": {"source": source.cartan_type, "target": target.cartan_type},
         "result": {
             "count": len(embs),
@@ -217,7 +208,6 @@ def _cmd_flatten(args) -> int:
     w = parse_element(target, args.w)
     result = flatten(embs[args.embedding], w, args.cap)
     payload = {
-        "command": "flatten",
         "inputs": {"source": source.cartan_type, "target": target.cartan_type,
                    "embedding": args.embedding, "w": _element_json(w)},
         "result": _element_json(result),
@@ -236,7 +226,6 @@ def _cmd_avoids(args) -> int:
     v = parse_element(source, v_text)
     avoided = pattern_avoids(v, w, args.cap)
     payload = {
-        "command": "avoids",
         "inputs": {"type": rs.cartan_type, "w": _element_json(w),
                    "pattern": {"type": source.cartan_type, "v": _element_json(v)}},
         "result": {"avoids": avoided},
@@ -251,7 +240,6 @@ def _cmd_interval_avoids(args) -> int:
     source, u, v = parse_interval_spec(args.interval)
     avoided = interval_pattern_avoids(w, u, v, args.cap)
     payload = {
-        "command": "interval-avoids",
         "inputs": {"type": rs.cartan_type, "w": _element_json(w),
                    "interval": {"type": source.cartan_type,
                                 "u": _element_json(u), "v": _element_json(v)}},
@@ -266,7 +254,6 @@ def _cmd_verify(args) -> int:
     reports = run_suite(args.suite, args.params, window, slow=args.slow, cap=args.cap)
     all_passed = all(r.passed for r in reports)
     payload = {
-        "command": "verify",
         "inputs": {"suite": args.suite, "params": list(args.params)},
         "result": "pass" if all_passed else "fail",
         "cases": sum(r.cases for r in reports),
@@ -371,9 +358,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantError as exc:

@@ -313,7 +313,7 @@ def verify_kl_transfer(source_type: str, target_type: str,
             rep.cases += 1
             column = columns.get(v)
             if column is None:
-                column = columns[v] = src_kl.column(v)
+                column = columns[v] = dict(src_kl._entries(v))
             read = readers.get(w)
             if read is None:
                 read = readers[w] = tgt_kl._reader(w)
@@ -349,7 +349,7 @@ def _kl_masks(wg: WeylGroup, props: Sequence[Callable[[KLPolynomial], bool]]
     """(down, holds) from one pass over each KL column of wg: down[v] is the
     mask of D(v), and holds[i][v] the mask of the u in D(v) where props[i]
     holds on [u, v].  Each distinct (packed value, length gap) is decoded
-    once, as :meth:`~weylpat.kl._KLTable.polynomials` decodes it, and each
+    once, through :meth:`~weylpat.kl._KLTable._decode`, and each
     property is asked once per decoded polynomial."""
     table, lengths = _table_for(wg), wg.lengths
     down: list[int] = []

@@ -117,7 +117,7 @@ import threading
 from array import array
 from bisect import bisect_left
 from itertools import repeat
-from typing import Callable, Iterator
+from typing import Callable
 
 from .errors import InternalInvariantError, NotComparableError
 from .weyl import (
@@ -489,26 +489,12 @@ class _KLTable:
             )
         return self._decode(val, wg.lengths[v] - wg.lengths[u])
 
-    def polynomials(self, v: int) -> Iterator[tuple[int, KLPolynomial]]:
-        """(u, P(u,v)) for every u in D(v), ascending u, in one pass over column v.
-
-        Each (value, gap) is decoded through ``decoded`` as in :meth:`polynomial`.
-        """
-        lengths = self.wg.lengths
-        lv = lengths[v]
-        for u, p in self._entries(v):
-            yield u, self._decode(p, lv - lengths[u])
-
     def _decode(self, val: int, gap: int) -> KLPolynomial:
         """The polynomial of packed value val at length gap, decoded once per pair."""
         poly = self.decoded.get((val, gap))
         if poly is None:
             poly = self.decoded[(val, gap)] = _unpack(val, gap)
         return poly
-
-    def column(self, v: int) -> dict[int, int]:
-        """Column v as a fresh dict u -> packed P(u,v) over D(v)."""
-        return dict(self._entries(v))
 
     def _entries(self, v: int) -> list[tuple[int, int]]:
         """(u, packed P(u,v)) for every u in D(v), ascending u.

@@ -21,22 +21,22 @@ interval pattern avoidance are all built on it.
 Interval-pattern searches test only the forced bottom x = i(u v^-1) w
 (x-determination) and compare length gaps in place of poset isomorphism
 (length sufficiency).  All three conditions of the definition are
-settled by the coset map phi_w(g) = i(g fl(w)^-1) w of the
-Billey-Braden lemma: :meth:`SubsystemEmbedding.coset_maps` gives one
-such table per right coset of the embedded subgroup.
-:func:`interval_embeds` decides the definition through it, and
-:func:`_pattern_map_isomorphic` proves phi_w an isomorphism or refutes
-one by one check per element, from :func:`_cover_check`, which the
-``length-sufficiency`` sweep shares; that check is the library's only
-poset-isomorphism decision.
+settled by the coset map phi_m(g) = i(g) m of the Billey-Braden lemma,
+m the minimum of a right coset of the embedded subgroup:
+:meth:`SubsystemEmbedding.coset_maps` lists one such map per coset.
+:func:`interval_embeds` decides the definition through the map whose
+coset holds w, and :func:`_pattern_map_isomorphic` proves that map an
+isomorphism or refutes one by one check per element, from
+:func:`_cover_check`, which the ``length-sufficiency`` sweep shares;
+that check is the library's only poset-isomorphism decision.
 
 Along one embedding the interval patterns are read per coset:
-:func:`_cosets` takes each right coset by its coset map phi_m[g] = i(g) m,
-checks the map once, by fl(phi_m[g]) = g and by lengths across the
-covers of W', and gives its pairs u <= v with equal length gaps, each
-the pattern [u, v] -> [phi_m[u], phi_m[v]].  The suites read that sweep,
-and :func:`interval_pattern_instances` lists every pair u <= v = fl(w) in
-the order of the top w after the same checks, with no test per pair.
+:func:`_cosets` walks the list of coset maps, checks each map once, by
+fl(phi_m[g]) = g and by lengths across the covers of W', and gives its
+pairs u <= v with equal length gaps, each the pattern
+[u, v] -> [phi_m[u], phi_m[v]].  The suites read that sweep, and
+:func:`interval_pattern_instances` lists every pair u <= v = fl(w) in the
+order of the top w after the same checks, with no test per pair.
 Each embedding keeps a flatten table over the enumerated groups, pulled
 back from the byte planes of the target's masks by ``bytes.translate``
 and itself a ``bytes`` when the source's masks fit one byte.
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cache
-from itertools import compress
+from itertools import chain
 from typing import Callable, Iterator, Sequence
 
 from .errors import (
@@ -99,8 +99,8 @@ class SubsystemEmbedding:
     k-th simple root of the source (0-based position in Bourbaki order);
     ``full_map[r]`` extends this linearly to every source root index.
     :meth:`flat` is the index table of :func:`flatten` over the
-    enumerated groups; :meth:`coset_maps` gives each target index the
-    coset map of its right coset of the embedded subgroup.
+    enumerated groups; :meth:`coset_maps` lists the coset map of each
+    right coset of the embedded subgroup.
     """
 
     __slots__ = ("source", "target", "simple_images", "full_map",
@@ -207,15 +207,28 @@ class SubsystemEmbedding:
             ) from None
 
     def coset_maps(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
-        """maps[w][g] is the target index of i(g fl(w)^-1) w, for each target index w.
+        """The coset map phi_m[g] = i(g) m of each right coset i(W')m of the embedded subgroup.
 
-        Every w in a right coset i(W')m, with fl(m) = e, shares the one
-        tuple phi_m[g] = i(g) m, filled in source index order by
-        phi[g] = i(s_j) phi[s_j g] for the smallest left descent s_j of
-        g, one column over all cosets at a time.  Built afresh on each
-        call, after checking cap against both groups.  Raises
-        InternalInvariantError when the cosets do not cover the target
-        exactly once, which only an invalid flat table can cause.
+        One tuple per coset, in ascending order of its minimum
+        m = phi_m[0], the target index with fl(m) = e.  The maps are filled
+        in source index order by phi[g] = i(s_j) phi[s_j g] for the
+        smallest left descent s_j of g, one column over all cosets at a
+        time.  Built afresh on each call, after checking cap against both
+        groups.
+
+        Raises InternalInvariantError when the cosets do not partition
+        the target, which only an invalid flat table can cause.  The test
+        is exact: the maps hold #cosets * |W'| entries, which must be |W|,
+        and no minimum may stand in a column g != e.  Every ``lmult`` row
+        is an involution of the target indices, so each i(g) is one
+        permutation of them and column g is one permutation of column 0.
+        So an index in two maps, i(g) m = i(h) m' with m != m', has g != h,
+        and puts the minimum m' = i(h^-1 g) m in column h^-1 g != e.  With
+        no such index the entries are distinct, and |W| distinct entries
+        are all of W.  Where fl(phi[g]) = g for every g, as :func:`_cosets`
+        checks, no minimum stands in another column and the count alone
+        would decide; the second test decides without that check, as when
+        a flat table moves a minimum into another coset.
         """
         source = WeylGroup.for_system(self.source, cap)
         target = WeylGroup.for_system(self.target, cap)
@@ -233,16 +246,11 @@ class SubsystemEmbedding:
             for row in refl[j]:
                 col = [row[y] for y in col]
             cols.append(col)
-        # () marks a target index no coset has reached yet
-        maps: list[tuple[int, ...]] = [()] * target.size
-        for phi in zip(*cols):
-            for y in phi:
-                if maps[y]:
-                    raise InternalInvariantError("cosets of the embedded subgroup overlap")
-                maps[y] = phi
-        if not all(maps):
-            raise InternalInvariantError("cosets of the embedded subgroup miss a target element")
-        return maps
+        if (len(cols[0]) * source.size != target.size
+                or not set(cols[0]).isdisjoint(chain.from_iterable(cols[1:]))):
+            raise InternalInvariantError(
+                "cosets of the embedded subgroup do not partition the target")
+        return list(zip(*cols))
 
 
 @cache
@@ -411,7 +419,9 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     minimum x, so x = i(u v^-1) w, which shares the coset of w and
     flattens to u by equivariance.  Conversely the three conditions
     force that x, since fl inverts g -> i(g v^-1) w on the coset, and
-    then the proof succeeds by its completeness.
+    then the proof succeeds by its completeness.  That map is the coset
+    map phi of :meth:`SubsystemEmbedding.coset_maps` with phi[v] = w, and
+    no coset map is built when fl(w) != v.
     """
     src = WeylGroup.for_system(emb.source)
     tgt = WeylGroup.for_system(emb.target)
@@ -420,8 +430,12 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
     if not tgt.leq_idx(c, d):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    return emb.flat()[d] == b and _pattern_map_isomorphic(
-        src, tgt, emb.coset_maps()[d], a, b, c, d)
+    if emb.flat()[d] != b:
+        return False
+    phi = next((phi for phi in emb.coset_maps() if phi[b] == d), None)
+    if phi is None:
+        raise InternalInvariantError(f"no coset map carries fl(w) to w = {d}")
+    return _pattern_map_isomorphic(src, tgt, phi, a, b, c, d)
 
 
 def _cover_check(src: WeylGroup, tgt: WeylGroup) -> Callable[[Sequence[int], int, int], bool]:
@@ -451,9 +465,10 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
                             u: int, v: int, x: int, w: int) -> bool:
     """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w].
 
-    phi is the coset map phi_w = ``coset_maps()[w]`` of an embedding,
-    phi[g] = i(g fl(w)^-1) w, with fl(w) = v, so phi[v] = w.  True when
-    phi sends the minimum u to the minimum x and the check of
+    phi is the coset map phi[g] = i(g fl(w)^-1) w of an embedding, the
+    one of ``coset_maps()`` whose coset holds w, with fl(w) = v, so
+    phi[v] = w.  True when phi sends the minimum u to the minimum x and
+    the check of
     :func:`_cover_check` holds for each z of [u, v]: phi carries the
     lower covers of z inside [u, v] onto exactly the lower covers of
     phi[z] above x.  The target interval is never built.
@@ -525,17 +540,19 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
             ) -> Iterator[tuple[Sequence[int], list[tuple[int, int]]]]:
     """(phi, pairs) for each right coset of each embedded subgroup in turn.
 
-    The embeddings share one source and one target.  A coset is taken by
-    its minimum m, flat[m] = 0, in index order; phi = phi_m, phi[g] = i(g) m,
-    and pairs lists the (u, v) with u <= v in W' and l(v) - l(u) =
-    l(phi[v]) - l(phi[u]), by v, then u.  By the Billey-Braden coset lemma
+    The embeddings share one source and one target.  The cosets come
+    from :meth:`SubsystemEmbedding.coset_maps`, in index order of their
+    minima m, flat[m] = 0; phi = phi_m, phi[g] = i(g) m, and pairs lists
+    the (u, v) with u <= v in W' and l(v) - l(u) = l(phi[v]) - l(phi[u]),
+    by v, then u.  By the Billey-Braden coset lemma
     the interval patterns of the coset are exactly (u, v, phi[u], phi[v])
     over all u <= v: flattening is equivariant, so fl(phi[g]) = g, and
     g -> phi[g] preserves Bruhat order.  So no pair is tested, and each
     coset map is checked instead, raising InternalInvariantError on a
     fault:
 
-    * phi[0] = m and fl(phi[g]) = g for every g;
+    * fl(phi[g]) = g for every g, which at g = 0 makes m = phi[0] the
+      minimum;
     * l(phi[c]) < l(phi[g]) for every cover c of g in W'.  This is exact:
       g = t c for a reflection t of W', so phi[g] = i(t) phi[c] differs
       from phi[c] by a reflection of W, and of two such elements the
@@ -560,10 +577,10 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
     shift = [(bytes(range(256)) * 2)[256 - l:512 - l] for l in range(max(lengths) + 1)]
     memo: dict[bytes, list[tuple[int, int]]] = {}
     for emb in embeddings:
-        flat, maps = emb.flat(cap), emb.coset_maps(cap)
-        for m in compress(range(len(flat)), map((0).__eq__, flat)):
-            phi = maps[m]
-            if phi[0] != m or list(map(flat.__getitem__, phi)) != ident:
+        flat = emb.flat(cap)
+        for phi in emb.coset_maps(cap):
+            m = phi[0]
+            if list(map(flat.__getitem__, phi)) != ident:
                 raise InternalInvariantError(f"the flat table does not invert coset map {m}")
             key = bytes(map(lengths.__getitem__, phi)).translate(shift[tgt_len[m]])
             pairs = memo.get(key)

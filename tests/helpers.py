@@ -877,6 +877,16 @@ def interval_embeds(emb, u: WeylElement, v: WeylElement,
     return interval_isomorphic(interval(u, v), interval(x, w))
 
 
+def coset_maps_by_target(emb) -> list[tuple[int, ...]]:
+    """maps[w] is the coset map of the right coset of w, for each target index w:
+    the per-target view of ``emb.coset_maps()``."""
+    maps: list[tuple[int, ...]] = [()] * len(emb.flat())
+    for phi in emb.coset_maps():
+        for y in phi:
+            maps[y] = phi
+    return maps
+
+
 # ---------------------------------------------------------------------------
 # table digests
 # ---------------------------------------------------------------------------

@@ -210,6 +210,6 @@ def test_criterion_10_kl_spot_values():
             alt.ensure_column(b)
         # ids follow the order values are first seen: compare the values
         ok &= [c and c[0] for c in ref.packed] == [c and c[0] for c in alt.packed]
-        ok &= all(ref.column(v) == alt.column(v) for v in range(wg.size))
+        ok &= all(ref._entries(v) == alt._entries(v) for v in range(wg.size))
     _report(10, ok, "P(id,3412) = 1 + q; gap <= 2 forces 1; descent choice "
                     "independent in A3, B2, G2")

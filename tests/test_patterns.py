@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     classical_contains,
+    coset_maps_by_target,
     digest,
     flip_perm,
     interval_embeds as defined_interval_embeds,
@@ -407,7 +408,7 @@ def test_coset_map_is_an_order_embedding(source, target):
     embs = enumerate_embeddings(src.rs, tgt.rs)
     assert embs
     for emb in embs:
-        flat, maps = emb.flat(), emb.coset_maps()
+        flat, maps = emb.flat(), coset_maps_by_target(emb)
         for m in range(tgt.size):
             if flat[m] != 0:
                 continue
@@ -425,7 +426,7 @@ def test_coset_maps_match_the_object_level_definition(source, target):
     s, t = build_root_system(source), build_root_system(target)
     src_elements, tgt_elements = enumerate_elements(s), enumerate_elements(t)
     for emb in enumerate_embeddings(s, t):
-        maps = emb.coset_maps()
+        maps = coset_maps_by_target(emb)
         assert len(maps) == len(tgt_elements)
         # embed_element over the (small) source group, once per embedding
         image = {g: embed_element(emb, g) for g in src_elements}
@@ -435,23 +436,43 @@ def test_coset_maps_match_the_object_level_definition(source, target):
                     == [multiply(image[multiply(g, fl_inv)], w) for g in src_elements])
 
 
-@pytest.mark.parametrize("flat", ["overlap", "gap"])
+@pytest.mark.parametrize("flat", ["overlap", "gap", "moved"])
 def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
-    # a flat table whose cosets overlap (every element a coset minimum)
-    # or leave a gap (no minimum at all) is an internal fault, raised by
-    # the library and reported by the CLI with exit code 3
+    # a flat table whose cosets overlap (every element a coset minimum),
+    # leave a gap (no minimum at all), or keep their number of minima but
+    # move one (y = phi_e[1], the image of s1, made a minimum and another
+    # coset's minimum not) is an internal fault, raised by the library for
+    # every reader of the coset maps and reported by the CLI with exit code 3
     from weylpat.harness.cli import main
+    from weylpat.harness.verify import (
+        verify_kl_transfer, verify_length_sufficiency, verify_upper_ideal)
 
     source, target = build_root_system("A2"), build_root_system("A3")
-    size = WeylGroup.for_system(target).size
-    planted = [0] * size if flat == "overlap" else [1] * size
-    for emb in enumerate_embeddings(source, target):
+    src, tgt = WeylGroup.for_system(source), WeylGroup.for_system(target)
+    embs = enumerate_embeddings(source, target)
+    ys = []
+    for emb in embs:
+        maps = emb.coset_maps()
+        ys.append(maps[0][1])
+        planted = {"overlap": [0] * tgt.size, "gap": [1] * tgt.size,
+                   "moved": list(emb.flat())}[flat]
+        if flat == "moved":
+            planted[ys[-1]], planted[maps[1][0]] = 0, 1
         monkeypatch.setattr(emb, "_flat", planted)
-    emb = enumerate_embeddings(source, target)[0]
-    with pytest.raises(InternalInvariantError, match="cosets"):
+    emb, y = embs[0], ys[0]
+    with pytest.raises(InternalInvariantError, match="cosets of the embedded subgroup"):
         emb.coset_maps()
     with pytest.raises(InternalInvariantError, match="cosets"):
         list(interval_pattern_instances(emb))
+    # [v, v] -> [y, y] with the planted fl(y) = v reaches the coset maps
+    v, w = src.elements[emb.flat()[y]], tgt.elements[y]
+    with pytest.raises(InternalInvariantError, match="cosets"):
+        interval_embeds(emb, v, v, w, w)
+    for suite in (lambda: verify_length_sufficiency("A2", "A3"),
+                  lambda: verify_kl_transfer("A2", "A3"),
+                  lambda: verify_upper_ideal("kl-nontrivial", ["A2", "A3"], [("A2", "A3")])):
+        with pytest.raises(InternalInvariantError, match="cosets"):
+            suite()
     assert main(["verify", "length-sufficiency", "A2", "A3"]) == 3
     assert "cosets of the embedded subgroup" in capsys.readouterr().err
 
@@ -565,17 +586,22 @@ def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, cap
         real = SubsystemEmbedding.coset_maps
 
         def planted(self, cap):
-            maps = real(self, cap)
-            # the coset maps in the order of their minima phi[0]
-            phis = sorted(set(maps))
+            # the coset maps, in the order of their minima phi[0]
+            phis = real(self, cap)
             if shift == "within":
-                wrong = {phi: phi[1:] + phi[:1] for phi in phis}
-            else:
-                wrong = {phi: phi[:1] + prev[1:] for phi, prev in zip(phis, phis[-1:] + phis[:-1])}
-            return [wrong[phi] for phi in maps]
+                return [phi[1:] + phi[:1] for phi in phis]
+            return [phi[:1] + prev[1:] for phi, prev in zip(phis, phis[-1:] + phis[:-1])]
         monkeypatch.setattr(SubsystemEmbedding, "coset_maps", planted)
     with pytest.raises(InternalInvariantError, match=message):
         interval_pattern_instances(enumerate_embeddings(source, target)[0])
+    if shift == "table":
+        # w = phi_e[1] has the planted fl(w) = s2, and no coset map carries s2 to w
+        emb = enumerate_embeddings(source, target)[0]
+        src, tgt = WeylGroup.for_system(source), WeylGroup.for_system(target)
+        w = emb.coset_maps()[0][1]
+        v = src.elements[emb.flat()[w]]
+        with pytest.raises(InternalInvariantError, match="no coset map carries"):
+            interval_embeds(emb, v, v, tgt.elements[w], tgt.elements[w])
     for suite in (lambda: verify_length_sufficiency("A2", "A3"),
                   lambda: verify_kl_transfer("A2", "A3"),
                   lambda: verify_upper_ideal("kl-nontrivial", ["A2", "A3"], [("A2", "A3")])):
@@ -596,7 +622,7 @@ def test_coset_order_check_agrees_with_the_lifting_test(source, target):
     tgt = WeylGroup.for_system(build_root_system(target))
     lengths, leq, covers = tgt.lengths, tgt.leq_idx, 0
     for emb in enumerate_embeddings(src.rs, tgt.rs):
-        flat, maps = emb.flat(), emb.coset_maps()
+        flat, maps = emb.flat(), coset_maps_by_target(emb)
         for phi in (maps[m] for m in range(tgt.size) if flat[m] == 0):
             for g in range(src.size):
                 for c in src.lower_covers[g]:

@@ -11,12 +11,11 @@ coefficient of q^((l(y)-l(z)-1)/2) in P(z,y).  The descent is chosen
 deterministically: among the left descents s of v whose column sv is
 already filled, the one with the fewest keys (the smaller s on a tie),
 else the smallest descent.  A column sv with few keys has a short
-mu-list, so each key of v subtracts fewer mu-terms: the full E6 table
-fills in about half the time it takes with the smallest descent.  The
-rule reads only columns already filled and fills none itself, so a
-cold point query fills no column it would not fill with the smallest
-descent, while a sweep in index order, where every sv is filled,
-always gets the cheapest choice.  Independence of the choice is
+mu-list, so each key of v subtracts fewer mu-terms.  The rule reads
+only columns already filled and fills none itself, so a cold point
+query fills no column it would not fill with the smallest descent,
+while a sweep in index order, where every sv is filled, always gets
+the cheapest choice.  Independence of the choice is
 asserted in the test suite by recomputing whole tables with other
 descent choices.
 
@@ -45,15 +44,24 @@ through the left descents of v it lacks and then through the right ones
 double coset W_I u W_J, I and J the left and right descents of v, so
 every value of column v is a value at an extremal u: a u <= v with
 D_L(u) >= D_L(v) and D_R(u) >= D_R(v).  The keys of column v are its
-extremal u; a read flips u into the representative's column, raises it
-and finds it by bisection, and a miss means u is not below v, so
-comparability comes from the keys alone.  The full S7 table holds
-14,668 entries where columns over whole down-sets D(v) would hold
-1,014,883, and the full E6 table 1,808,621.
+extremal u.  A read of P(u,v) flips u into the frame of the
+representative r, raises it through the descents of r, and looks the
+result up among the keys of r; a miss means u is not below v, so
+comparability comes from the keys alone.  A point read, for a query,
+finds the raised u by bisection.
 
 A fill reads only extremal values.  At an extremal u of v, s is a left
 descent of u too, so the recursion reads P(su,sv), P(u,sv) and each
-P(u,z), raised in the columns of sv and z, with 0 for a miss.  Its
+P(u,z), raised in the columns of sv and z, with 0 for a miss.  Each of
+those columns is read in bulk, in one pass over its list of u: column
+sv for the su and the u of every candidate, and column z for the keys
+u of v up to index z, since P(u,z) = 0 unless u <= z, and u <= z puts
+u at or before z in index order.  A bulk read takes the frame of the
+representative once: the flip, the descent masks to raise through,
+and a dict from each key to its packed value, built from the stored
+arrays and dropped with the fill.  Then one loop flips, raises and
+looks up every u, with no Python call per read; each raising step
+multiplies by the lowest missing descent, one row lookup.  The
 mu-terms come from the mu-list of a filled representative y: its
 odd-gap keys z with mu(z,y) != 0, kept with their mu as one array per
 y, and its coatoms sy and yt for its left descents s and right descents
@@ -74,13 +82,11 @@ W_J, J = S - {s_i}, the minimal elements of W_J u and of u W_J are no
 longer than those of v.  Their lengths count the inversions of u, or of
 u^-1, whose support holds a_i: one ``bytes`` per parabolic and side,
 built from the byte planes of the masks, and per value t a bit mask of
-the u at most t, built on first use by one translate.  Over the full
-S7 table 17,767 of the 32,434 candidates by descents alone are not below
-v, and the cut leaves 288 of those; over S8, 672,533 of 986,897, and it
-leaves 14,516.  Columns are filled on demand: column v reads only
-column sv and the columns z of its mu-terms, and fills their
-representatives first, recursively, so a query touches a few columns
-rather than all of D(v), at a recursion depth of at most l(v) + 1.
+the u at most t, built on first use by one translate.  Columns are
+filled on demand: column v reads only column sv and the columns z of
+its mu-terms, and fills their representatives first, recursively, so a
+query touches a few columns rather than all of D(v), at a recursion
+depth of at most l(v) + 1.
 
 Each ``WeylGroup`` keeps its table, a list indexed by the element index
 v of the enumerated group: entry v is None until v is a filled
@@ -89,9 +95,9 @@ its extremal u in ascending index, and ``ids``, an aligned
 ``array('H')`` of ids into one table-wide list of the distinct packed
 values.  An entry takes 6 bytes.  Id 0 is the value 1, so v is
 rationally smooth exactly when every id of its column is 0.  The ids
-of one table must fit ``array('H')``: the S7 table has 98 distinct
-values, S8 1,118 and E6 46,681 of the 65,536.  A full column over D(v),
-for the value oracles, is read by walking the double coset of each key.
+of one table must fit ``array('H')``, at most 65,536 distinct values.
+A full column over D(v), for the value oracles, is read by walking the
+double coset of each key.
 A column is built locally and stored in one assignment, so a concurrent
 caller sees no column or the whole column.  The value list is the one
 state that fills share: a value seen for the first time is checked and
@@ -102,21 +108,21 @@ parabolic lengths are built in the table's constructor, before any
 caller can see it.  A threshold mask of the cut is built on first use
 and stored in one assignment; racing fills may both build it, and both
 store the same int.
-Polynomials are packed as Python ints with 16 bits per coefficient;
-the largest coefficient seen, in the full S8 table, is 73.  A value is
-checked as it is interned: positive, constant term 1 and every
-coefficient below 2^15, so a borrow from a negative coefficient cannot
-pass.  Decoding checks the sign, the constant term and the degree bound;
-each table decodes a distinct (value, length gap) once and hands the
-same immutable ``KLPolynomial`` to every index-level read of it.
+Polynomials are packed as Python ints with 16 bits per coefficient.  A
+value is checked as it is interned: positive, constant term 1 and
+every coefficient below 2^15, so a borrow from a negative coefficient
+cannot pass.  Decoding checks the sign, the constant term and the
+degree bound; each table decodes a distinct (value, length gap) once
+and hands the same immutable ``KLPolynomial`` to every index-level read
+of it.
 """
 
 from __future__ import annotations
 
 import threading
 from array import array
-from bisect import bisect_left
-from itertools import repeat
+from bisect import bisect_left, bisect_right
+from itertools import islice, repeat
 from typing import Callable
 
 from .errors import InternalInvariantError, NotComparableError
@@ -356,15 +362,24 @@ class _KLTable:
     ``rmult[t][u]`` is the index of u s_t, and ``with_left[s]`` and
     ``with_right[t]`` are bit masks over element indices of the u with s
     in D_L(u), resp. t in D_R(u); ``bits[m]`` lists the set bits of a
-    descent mask m.  ``starts[l]`` is the first index of length l,
-    ``fields`` the parabolic lengths of :func:`_parabolic_lengths`, and
+    descent mask m, and ``lrows[m]`` and ``rrows[m]`` are the lmult and
+    rmult rows of its lowest bit, the raising step of every read.
+    ``starts[l]`` is the first index of length l, ``fields`` the
+    parabolic lengths of :func:`_parabolic_lengths`, and
     ``at_most[f][t]`` the bit mask over element indices of the u with
     value at most t in ``fields[f]``, built on first use by
-    :meth:`_candidates`.  ``mus[r]`` holds the odd-gap part of
-    the mu-list of a filled representative r, one ``array('i')`` of its
-    keys z with mu(z,r) != 0 interleaved with their mu, z0, mu0, z1, mu1,
-    ...; :meth:`_mu_list` adds the coatoms.  ``decoded`` memoizes
+    :meth:`_candidates`.  ``mus[r]`` holds the odd-gap part of the
+    mu-list of a filled representative r, one ``array('i')`` of its keys
+    z with mu(z,r) != 0 interleaved with their mu, z0, mu0, z1, mu1, ...;
+    :meth:`_mu_list` adds the coatoms.  ``decoded`` memoizes
     :meth:`polynomial` by (packed value, length gap).
+
+    A query reads one value at a time through :meth:`_reader`, which
+    finds the raised u among the keys by bisection.  A fill reads whole
+    lists of u from each column it needs: :meth:`_frame` gives the
+    column's flip, descent masks and key -> value dict once, and
+    :meth:`_compute_column` flips, raises and looks up every u in its
+    own loops.
     """
 
     def __init__(self, wg: WeylGroup, descent: Callable[[int], int] | None = None):
@@ -384,15 +399,22 @@ class _KLTable:
         # not kept: where w0 is central conj is the identity, and no flip is conj
         conj = _w0_conjugation(wg)
         inv_conj = list(map(inv.__getitem__, conj))
-        maps = (None, inv, conj, inv_conj)
         self.rep: list[int] = []
         self.flip: list[list[int] | None] = []
-        # the group's own int objects, in index order, so each rep is a shared int
-        for v in wg.index.values():
-            images = (v, inv[v], conj[v], inv_conj[v])
-            r = min(images)
-            self.rep.append(r)
-            self.flip.append(maps[images.index(r)])
+        rep, flip = self.rep, self.flip
+        # the group's own int objects, in index order, so each rep is a shared
+        # int; the least image wins, the first of equal ones, by three plain
+        # comparisons, which cost less than a call of min on four arguments
+        for v, i, c, ic in zip(wg.index.values(), inv, conj, inv_conj):
+            r, f = v, None
+            if i < r:
+                r, f = i, inv
+            if c < r:
+                r, f = c, conj
+            if ic < r:
+                r, f = ic, inv_conj
+            rep.append(r)
+            flip.append(f)
         rs = wg.rs
         rank = rs.rank
         # bits[m] lists the set bits of a descent mask m < 2^rank, ascending
@@ -409,6 +431,9 @@ class _KLTable:
         self.right = list(map(left.__getitem__, inv))
         # u s = (s u^-1)^-1
         self.rmult = [list(map(inv.__getitem__, map(row.__getitem__, inv))) for row in wg.lmult]
+        # the raising step of a read: the row of the lowest missing descent
+        self.lrows = [wg.lmult[b[0]] if b else None for b in self.bits]
+        self.rrows = [self.rmult[b[0]] if b else None for b in self.bits]
         self.with_left = _index_sets(left, rank)
         self.with_right = _index_sets(self.right, rank)
         # starts[l] is the first index of length l, as levels are contiguous
@@ -454,7 +479,7 @@ class _KLTable:
         """
         keys, ids = self.ensure_column(v)
         r, f = self.rep[v], self.flip[v]
-        left, right, lmult, rmult = self.left, self.right, self.wg.lmult, self.rmult
+        left, right, lrows, rrows = self.left, self.right, self.lrows, self.rrows
         need_left, need_right = left[r], right[r]
         values, n = self.values, len(keys)
 
@@ -463,11 +488,11 @@ class _KLTable:
                 u = f[u]
             missing = need_left & ~left[u]
             while missing:
-                u = lmult[(missing & -missing).bit_length() - 1][u]
+                u = lrows[missing][u]
                 missing = need_left & ~left[u]
             missing = need_right & ~right[u]
             while missing:
-                u = rmult[(missing & -missing).bit_length() - 1][u]
+                u = rrows[missing][u]
                 missing = need_right & ~right[u]
             i = bisect_left(keys, u)
             return values[ids[i]] if i < n and keys[i] == u else 0
@@ -573,6 +598,14 @@ class _KLTable:
             below &= m
         return below
 
+    def _frame(self, v: int) -> tuple[list[int] | None, int, int, dict[int, int]]:
+        """What a bulk read of column v needs: for r = rep[v], filled,
+        (flip[v], D_L(r), D_R(r), the dict key -> packed P(key, r))."""
+        r = self.rep[v]
+        keys, ids = self.packed[r]
+        return (self.flip[v], self.left[r], self.right[r],
+                dict(zip(keys, map(self.values.__getitem__, ids))))
+
     def _compute_column(self, v: int) -> tuple[array, array]:
         wg = self.wg
         lengths = wg.lengths
@@ -582,34 +615,69 @@ class _KLTable:
         row = wg.lmult[s]
         sv = row[v]
         lv = lengths[v]
-        read_sv = self._reader(sv)
+        self.ensure_column(sv)
 
-        # the mu-terms z < sv with sz < z, as readers of column z, each
-        # filled first if need be, so depth stays within l(v) + 1
+        # the mu-terms z < sv with sz < z, each column filled first if need
+        # be, so depth stays within l(v) + 1
         f = self.flip[sv]
         terms = []
         for z, m in self._mu_list(self.rep[sv]):
             if f is not None:
                 z = f[z]
             if row[z] < z:
-                terms.append((z, m << (_SHIFT * ((lv - lengths[z]) // 2)), self._reader(z)))
+                self.ensure_column(z)
+                terms.append((z, m << (_SHIFT * ((lv - lengths[z]) // 2))))
+
+        # Each read below flips u into the frame of a representative r,
+        # raises it through the left descents of r it lacks, then the right
+        # ones, and looks the result up among the keys of r; a miss is 0.
+        # The raise is written out in each loop: a call per read, or per
+        # list of reads, makes the fill slower by about a tenth.
+        left, right, lrows, rrows = self.left, self.right, self.lrows, self.rrows
 
         # the keys of v: each candidate u with D_L(u) >= D_L(v) and
         # D_R(u) >= D_R(v) for which u <= v, that is su <= sv; there
         #   P(u,v) = P(su,sv) + q P(u,sv) - sum of mu(z,sv) q^((l(v)-l(z))/2) P(u,z)
-        below = self._candidates(v)
+        f, need_left, need_right, index = self._frame(sv)
         keys, vals = [], []
-        for u in _bits(below):
-            p = read_sv(row[u])
+        us = _bits(self._candidates(v))
+        sus = map(row.__getitem__, us)
+        for u, x in zip(us, sus if f is None else map(f.__getitem__, sus)):
+            missing = need_left & ~left[x]
+            while missing:
+                x = lrows[missing][x]
+                missing = need_left & ~left[x]
+            missing = need_right & ~right[x]
+            while missing:
+                x = rrows[missing][x]
+                missing = need_right & ~right[x]
+            p = index.get(x)
             if p:
+                x = u if f is None else f[u]
+                missing = need_left & ~left[x]
+                while missing:
+                    x = lrows[missing][x]
+                    missing = need_left & ~left[x]
+                missing = need_right & ~right[x]
+                while missing:
+                    x = rrows[missing][x]
+                    missing = need_right & ~right[x]
                 keys.append(u)
-                vals.append(p + (read_sv(u) << _SHIFT))
-        for z, m, read_z in terms:
+                vals.append(p + (index.get(x, 0) << _SHIFT))
+        for z, m in terms:
+            f, need_left, need_right, index = self._frame(z)
             # P(u,z) = 0 unless u <= z, so no key past index z
-            for i, u in enumerate(keys):
-                if u > z:
-                    break
-                p = read_z(u)
+            us = islice(keys, bisect_right(keys, z))
+            for i, x in enumerate(us if f is None else map(f.__getitem__, us)):
+                missing = need_left & ~left[x]
+                while missing:
+                    x = lrows[missing][x]
+                    missing = need_left & ~left[x]
+                missing = need_right & ~right[x]
+                while missing:
+                    x = rrows[missing][x]
+                    missing = need_right & ~right[x]
+                p = index.get(x)
                 if p:
                     vals[i] -= m * p
         # arrays from lists are allocated to size; from iterators they over-allocate

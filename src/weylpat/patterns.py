@@ -408,7 +408,7 @@ def pattern_avoids(v: WeylElement, w: WeylElement,
 
 
 def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
-                    x: WeylElement, w: WeylElement) -> bool:
+                    x: WeylElement, w: WeylElement, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Interval pattern embedding of [u, v] into [x, w] along emb.
 
     The definition asks for three conditions: the flattenings of w and x
@@ -421,41 +421,45 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     force that x, since fl inverts g -> i(g v^-1) w on the coset, and
     then the proof succeeds by its completeness.  That map is the coset
     map phi of :meth:`SubsystemEmbedding.coset_maps` with phi[v] = w, and
-    no coset map is built when fl(w) != v.
+    no coset map is built when fl(w) != v.  cap bounds both groups.
     """
-    src = WeylGroup.for_system(emb.source)
-    tgt = WeylGroup.for_system(emb.target)
+    src = WeylGroup.for_system(emb.source, cap)
+    tgt = WeylGroup.for_system(emb.target, cap)
     a, b, c, d = src.idx(u), src.idx(v), tgt.idx(x), tgt.idx(w)
     if not src.leq_idx(a, b):
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
     if not tgt.leq_idx(c, d):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    if emb.flat()[d] != b:
+    if emb.flat(cap)[d] != b:
         return False
-    phi = next((phi for phi in emb.coset_maps() if phi[b] == d), None)
+    phi = next((phi for phi in emb.coset_maps(cap) if phi[b] == d), None)
     if phi is None:
         raise InternalInvariantError(f"no coset map carries fl(w) to w = {d}")
     return _pattern_map_isomorphic(src, tgt, phi, a, b, c, d)
 
 
-def _cover_check(src: WeylGroup, tgt: WeylGroup) -> Callable[[Sequence[int], int, int], bool]:
+def _cover_check(src: WeylGroup, tgt: WeylGroup
+                 ) -> Callable[[Sequence[int], int, int, int], bool]:
     """The one step of the proof in :func:`_pattern_map_isomorphic`, bound to two groups.
 
-    ``check(phi, u, z)`` tells whether phi carries the lower covers c of
-    z with u <= c onto exactly the lower covers of phi[z] that lie above
-    x = phi[u].  It depends on (phi, u, z) only, not on the top v, so a
-    caller proving many intervals of one coset map and bottom takes it
-    once per z; it holds vacuously for z = u.  A cover of phi[z] outside
-    the image is above x if it is x, or longer and lifts to x
-    (``tgt.leq_idx``).  No target interval is built.
+    ``check(phi, u, up, z)`` tells whether phi carries the lower covers c
+    of z with u <= c onto exactly the lower covers of phi[z] that lie
+    above x = phi[u].  ``up`` is a bit mask over source indices that
+    holds, among the lower covers of z, exactly those above u: the mask
+    of all c >= u, or of the interval [u, v] when z lies in it.  The
+    check depends on (phi, u, z) only, not on the top v, so a caller
+    proving many intervals of one coset map and bottom takes it once per
+    z; it holds vacuously for z = u.  A cover of phi[z] outside the image
+    is above x if it is x, or longer and lifts to x (``tgt.leq_idx``).
+    No target interval is built.
     """
-    src_lower, src_leq = src.lower_covers, src.leq_idx
+    src_lower = src.lower_covers
     lower, leq, lengths = tgt.lower_covers, tgt.leq_idx, tgt.lengths
 
-    def check(phi: Sequence[int], u: int, z: int) -> bool:
+    def check(phi: Sequence[int], u: int, up: int, z: int) -> bool:
         x = phi[u]
         lx = lengths[x]
-        image = {phi[c] for c in src_lower[z] if src_leq(u, c)}
+        image = {phi[c] for c in src_lower[z] if up >> c & 1}
         return image == {c for c in lower[phi[z]]
                          if c in image or c == x or lengths[c] > lx and leq(x, c)}
     return check
@@ -495,7 +499,9 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     it fails, the two intervals are not isomorphic.
     """
     check = _cover_check(src, tgt)
-    return phi[u] == x and all(check(phi, u, z) for z in src.interval_indices(u, v) if z != u)
+    span = src.interval_indices(u, v)
+    up = sum(1 << z for z in span)
+    return phi[u] == x and all(check(phi, u, up, z) for z in span if z != u)
 
 
 def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,

@@ -10,9 +10,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+from array import array
 from fractions import Fraction
 
 from weylpat.errors import InternalInvariantError
+from weylpat.kl import _bits
 from weylpat.patterns import SubsystemEmbedding, enumerate_embeddings, flatten
 from weylpat.roots import dot
 from weylpat.weyl import (
@@ -363,6 +365,46 @@ def uncut_candidates(table, v: int) -> int:
         if table.right[v] >> d & 1:
             below &= table.with_right[d]
     return below
+
+
+def column_by_point_reads(table, v: int) -> tuple[array, array]:
+    """The column of v as ``_KLTable._compute_column`` fills it, with every
+    read a call of a ``_reader`` closure: the point-read fill.
+
+    Reads go through ``table``, so the columns it reads are filled there
+    first, and the values are interned in the table's own ids.
+    """
+    shift = 16
+    wg = table.wg
+    lengths = wg.lengths
+    if lengths[v] == 0:
+        return array("i", [v]), array("H", [0])
+    s = table.descent(v)
+    row = wg.lmult[s]
+    sv = row[v]
+    lv = lengths[v]
+    read_sv = table._reader(sv)
+    f = table.flip[sv]
+    terms = []
+    for z, m in table._mu_list(table.rep[sv]):
+        if f is not None:
+            z = f[z]
+        if row[z] < z:
+            terms.append((z, m << (shift * ((lv - lengths[z]) // 2)), table._reader(z)))
+    keys, vals = [], []
+    for u in _bits(table._candidates(v)):
+        p = read_sv(row[u])
+        if p:
+            keys.append(u)
+            vals.append(p + (read_sv(u) << shift))
+    for z, m, read_z in terms:
+        for i, u in enumerate(keys):
+            if u > z:
+                break
+            p = read_z(u)
+            if p:
+                vals[i] -= m * p
+    return array("i", keys), array("H", [table.ids[val] for val in vals])
 
 
 # ---------------------------------------------------------------------------
@@ -861,20 +903,20 @@ def _subgroup_inversions(emb) -> frozenset[int]:
     return frozenset(cayley_distances(emb.target, emb.simple_images))
 
 
-def interval_embeds(emb, u: WeylElement, v: WeylElement,
-                    x: WeylElement, w: WeylElement) -> bool:
+def interval_embeds(emb, u: WeylElement, v: WeylElement, x: WeylElement, w: WeylElement,
+                    cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Interval pattern embedding of [u, v] into [x, w], condition by condition.
 
     The flattenings of w and x are v and u, x and w lie in the same right
     coset of the embedded subgroup, and the two intervals are isomorphic
-    by :func:`interval_isomorphic`.
+    by :func:`interval_isomorphic`; cap bounds both groups.
     """
-    if flatten(emb, w) != v or flatten(emb, x) != u:
+    if flatten(emb, w, cap) != v or flatten(emb, x, cap) != u:
         return False
     if image_inversions(x.group, compose(root_image(x), invert(root_image(w)))) \
             not in _subgroup_inversions(emb):
         return False
-    return interval_isomorphic(interval(u, v), interval(x, w))
+    return interval_isomorphic(interval(u, v, cap), interval(x, w, cap))
 
 
 def coset_maps_by_target(emb) -> list[tuple[int, ...]]:

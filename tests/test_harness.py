@@ -144,10 +144,10 @@ def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch
     def planted_cover_check(sg, tg):
         real_check = real_cover_check(sg, tg)
 
-        def check(phi, a, z):
+        def check(phi, a, up, z):
             if (sg.elements[a], sg.elements[z], tg.elements[phi[a]], tg.elements[phi[z]]) == (u, v, x, w):
                 return False
-            return real_check(phi, a, z)
+            return real_check(phi, a, up, z)
         return check
 
     monkeypatch.setattr(verify, "_cover_check", planted_cover_check)
@@ -228,7 +228,7 @@ def test_length_sufficiency_catches_a_wrong_embed_table(monkeypatch):
 
     def planted_cover_check(sg, tg):
         real_check = real_cover_check(sg, tg)
-        return lambda phi, u, z: real_check([phi[z]] * len(phi), u, z)
+        return lambda phi, u, up, z: real_check([phi[z]] * len(phi), u, up, z)
 
     monkeypatch.setattr(verify, "_cover_check", planted_cover_check)
     r = verify_length_sufficiency("A2", "A3")
@@ -465,7 +465,7 @@ def test_length_sufficiency_per_coset_checks_match_the_per_yield_proof(monkeypat
 
     def planted_cover_check(sg, tg):
         real_check = real_cover_check(sg, tg)
-        return lambda phi, u, z: (phi[u] + 3 * phi[z] + z) % 7 != 0 and real_check(phi, u, z)
+        return lambda phi, u, up, z: (phi[u] + 3 * phi[z] + z) % 7 != 0 and real_check(phi, u, up, z)
 
     monkeypatch.setattr(verify, "_cover_check", planted_cover_check)
     monkeypatch.setattr(patterns, "_cover_check", planted_cover_check)
@@ -578,18 +578,20 @@ def test_cover_check_matches_its_definition_on_any_map(source, target):
     src = WeylGroup.for_system(build_root_system(source))
     tgt = WeylGroup.for_system(build_root_system(target))
     check = _cover_check(src, tgt)
+    # ups[u] is the mask of the source elements above u, by the lifting test
+    ups = [sum(1 << c for c in range(src.size) if src.leq_idx(u, c)) for u in range(src.size)]
     outcomes = Counter()
     for emb in enumerate_embeddings(src.rs, tgt.rs):
         maps = coset_maps_by_target(emb)
         for w in range(0, tgt.size, 7):
             for phi in (maps[w], maps[w][1:] + maps[w][:1], [(y + 1) % tgt.size for y in maps[w]]):
-                for u in range(src.size):
+                for u, up in enumerate(ups):
                     for z in src.below(src.size - 1):
                         x, y = phi[u], phi[z]
                         image = {phi[c] for c in src.lower_covers[z] if src.leq_idx(u, c)}
                         above = {c for c in tgt.lower_covers[y] if tgt.leq_idx(x, c)}
                         expected = image == above | (image & set(tgt.lower_covers[y]))
-                        assert check(phi, u, z) == expected
+                        assert check(phi, u, up, z) == expected
                         # the least length gap from x to a cover above x outside the image
                         stray = min((tgt.lengths[c] - tgt.lengths[x] for c in above - image),
                                     default=None)
@@ -609,9 +611,9 @@ def test_length_sufficiency_takes_each_check_once_per_coset_map_and_bottom(monke
     def counted_cover_check(sg, tg):
         real_check = real_cover_check(sg, tg)
 
-        def check(phi, u, z):
+        def check(phi, u, up, z):
             taken[tuple(phi), u, z] += 1
-            return real_check(phi, u, z)
+            return real_check(phi, u, up, z)
         return check
 
     monkeypatch.setattr(verify, "_cover_check", counted_cover_check)

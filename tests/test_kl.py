@@ -8,6 +8,7 @@ import pytest
 from helpers import (
     _reflection_closure_downsets,
     bruhat_leq_by_reflection_closure,
+    column_by_point_reads,
     coset_lengths,
     cover_downsets,
     covers,
@@ -272,6 +273,30 @@ def test_every_column_matches_the_plain_recursion(cartan_type):
     table = _KLTable(wg)
     for vi in range(wg.size):
         assert dict(table._entries(vi)) == oracle[vi]
+
+
+@pytest.mark.parametrize("cartan_type", ["A5", "B4", "D5", "F4", "G2"])
+def test_bulk_reads_fill_the_columns_that_point_reads_fill(cartan_type):
+    # every column of the full table against the fill that makes each read
+    # through a _reader closure; A5 and D5 also flip reads by w0-conjugation,
+    # where B4, F4 and G2 flip by inversion alone
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    table = _KLTable(wg)
+    for v in range(wg.size):
+        table.ensure_column(v)
+    for r, col in enumerate(table.packed):
+        if col is not None:
+            assert col == column_by_point_reads(table, r)
+
+
+def test_bulk_reads_match_point_reads_on_sampled_e6_columns():
+    # cold columns of E6, each filled with the columns it reads, then refilled
+    # with every candidate read made through _reader
+    wg = WeylGroup.for_system(build_root_system("E6"), 60_000)
+    table = _KLTable(wg)
+    rnd = random.Random(33)
+    for v in rnd.sample(range(wg.size), 24):
+        assert table.ensure_column(v) == column_by_point_reads(table, table.rep[v])
 
 
 def _descent_sets(wg):

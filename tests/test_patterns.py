@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -37,6 +38,7 @@ from weylpat.patterns import (
 )
 from weylpat.roots import build_root_system, clear_caches, dot
 from weylpat.weyl import (
+    WeylElement,
     WeylGroup,
     bruhat_leq,
     enumerate_elements,
@@ -350,6 +352,33 @@ def test_interval_embeds_singleton_intervals():
                         continue
                     got = interval_embeds(emb, v, v, x, w)
                     assert got == (x == w and flatten(emb, w) == v)
+
+
+def test_interval_embeds_takes_a_cap():
+    # W(E6) has 51,840 elements, past the default cap of 10,000; at cap 60,000
+    # the answers match the definition, on the forced bottom of every u <= v
+    # and on two bottoms off it, for sampled tops w
+    a2, e6 = build_root_system("A2"), build_root_system("E6")
+    src, tgt = WeylGroup.for_system(a2), WeylGroup.for_system(e6, 60_000)
+    emb = enumerate_embeddings(a2, e6)[5]
+    e = identity(e6)
+    for cap in ({}, {"cap": 10_000}):
+        with pytest.raises(CapExceededError):
+            interval_embeds(emb, identity(a2), identity(a2), e, e, **cap)
+    flat, maps = emb.flat(60_000), emb.coset_maps(60_000)
+    rnd = random.Random(33)
+    outcomes = set()
+    for w in rnd.sample([w for w in range(tgt.size) if tgt.lengths[w] <= 12 and flat[w]], 12):
+        phi, v = next(phi for phi in maps if w in phi), flat[w]
+        bottoms = rnd.sample(tgt.below(w), 2)
+        for u in src.below(v):
+            for x in [phi[u]] + bottoms:
+                args = (src.elements[u], src.elements[v],
+                        WeylElement(e6, tgt.masks[x]), WeylElement(e6, tgt.masks[w]))
+                got = interval_embeds(emb, *args, cap=60_000)
+                assert got == defined_interval_embeds(emb, *args, cap=60_000)
+                outcomes.add((got, x == phi[u]))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def test_interval_pattern_avoids_basics():

@@ -260,14 +260,9 @@ def _cmd_verify(args) -> int:
         "failures": [f for r in reports for f in r.failures],
         "reports": [r.to_dict() for r in reports],
     }
-    lines: list[str] = []
-    for r in reports:
-        lines.append(r.render_text())
-        lines.append("")
-    lines.append(f"verify {args.suite}: "
-                 f"{'PASS' if all_passed else 'FAIL'} "
-                 f"({sum(r.cases for r in reports)} cases, "
-                 f"{sum(len(r.failures) for r in reports)} failures)")
+    lines = [text for r in reports for text in (r.render_text(), "")]
+    lines.append(f"verify {args.suite}: {'PASS' if all_passed else 'FAIL'} "
+                 f"({payload['cases']} cases, {len(payload['failures'])} failures)")
     _emit(args, payload, lines)
     return 0 if all_passed else 1
 

@@ -30,9 +30,9 @@ coset of the embedded subgroup, with its coset map phi checked once, and
 its pairs u <= v with equal length gaps, each the pair
 [u, v] -> [phi[u], phi[v]].  ``kl-transfer`` and ``upper-ideal`` keep
 exactly those pairs, as ``length-sufficiency`` checks.  The oracle of
-the sweep is the coset walk of ``x-determination``, which builds the
-embedded subgroup from :func:`~weylpat.patterns.embed_element`, not from
-the coset maps, and compares it with
+the sweep is the coset walk of ``x-determination``: it builds each
+coset from :func:`~weylpat.patterns.embed_element`, not from the coset
+maps, checks it once itself, and compares it with
 :func:`~weylpat.patterns.interval_pattern_instances`.
 
 ``length-sufficiency`` works on element indices.  Unequal gaps need no
@@ -42,8 +42,8 @@ is a bijection of the two intervals' index lists that carries lower
 covers exactly onto lower covers.  That proof is complete, so its
 verdict is the answer: a failure means the intervals are not
 isomorphic.  Its per-element checks depend on the coset map and the
-bottom, not on the top, so each is taken once per coset, and no
-interval is built.
+bottom, not on the top, so each is taken once per coset and bottom, and
+no interval is built.
 ``kl-transfer`` reads KL polynomials on indices from the groups' tables.
 ``upper-ideal`` checks all its properties in one sweep: it decodes each
 KL column once into bit masks, and sweeps each window pair once.
@@ -60,6 +60,7 @@ from typing import Callable, Sequence
 from ..errors import InternalInvariantError, NotComparableError
 from ..kl import KLPolynomial, _bits, _table_for, is_rationally_smooth
 from ..patterns import (
+    _coset_tables,
     _cosets,
     _cover_check,
     _equal_gap_instances,
@@ -68,7 +69,7 @@ from ..patterns import (
     format_interval_spec,
     interval_pattern_instances,
 )
-from ..roots import build_root_system
+from ..roots import RootSystem, build_root_system
 from ..weyl import (
     DEFAULT_ENUMERATION_CAP,
     WeylElement,
@@ -138,6 +139,14 @@ def _pair_label(src: WeylGroup, tgt: WeylGroup, u: int, v: int, x: int, w: int) 
     return f"[{spec(src, u, v)}] -> [{spec(tgt, x, w)}]"
 
 
+def _pair_report(suite: str, source_type: str, target_type: str
+                 ) -> tuple[RootSystem, RootSystem, VerificationReport]:
+    """(source, target, empty report) of a pair suite."""
+    source, target = build_root_system(source_type), build_root_system(target_type)
+    return source, target, VerificationReport(
+        suite, {"source": source.cartan_type, "target": target.cartan_type})
+
+
 def _timed(fn: Callable[..., None], *reports: VerificationReport) -> VerificationReport:
     """fn(*reports), then each report's failures sorted and its wall_time set
     to the whole call's time; returns the first report."""
@@ -164,10 +173,7 @@ def verify_flattening(source_type: str, target_type: str,
     object-level :func:`~weylpat.patterns.flatten` is the per-element
     oracle in the tests.
     """
-    source = build_root_system(source_type)
-    target = build_root_system(target_type)
-    report = VerificationReport(
-        "flattening", {"source": source.cartan_type, "target": target.cartan_type})
+    source, target, report = _pair_report("flattening", source_type, target_type)
 
     def run(rep: VerificationReport) -> None:
         for emb in enumerate_embeddings(source, target):
@@ -187,45 +193,52 @@ def verify_x_determination(source_type: str, target_type: str,
                            cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
     """With matching flattenings and a shared coset, the bottom is forced.
 
-    Walks every x in each coset i(W')w on element indices and compares
-    each case with the bottom that
-    :func:`~weylpat.patterns.interval_pattern_instances` gives for (u, w).
     The subgroup i(W') comes from :func:`embed_element`, independent of
-    the coset maps that listing reads.  The reduced word of each i(g) is folded
-    through the target's lmult rows over all w at once, one column per g.
+    the coset maps that
+    :func:`~weylpat.patterns.interval_pattern_instances` reads: the word
+    of each i(g) is folded through the lmult rows over the coset minima
+    m, one column per g.  Each coset is checked once, as
+    :func:`~weylpat.patterns._cosets` checks a coset map: fl(i(g) m) = g,
+    and l(i(c) m) < l(i(g) m) for each cover c of g.  Then each u <= v of
+    W' is one case, whose listed bottom for (u, i(v) m) must be i(u) m.
+    A coset that fails is walked pair by pair, u <= v by the below-lists
+    and x <= w by lifting.
     """
-    source = build_root_system(source_type)
-    target = build_root_system(target_type)
-    report = VerificationReport(
-        "x-determination", {"source": source.cartan_type, "target": target.cartan_type})
+    source, target, report = _pair_report("x-determination", source_type, target_type)
 
     def run(rep: VerificationReport) -> None:
-        src = WeylGroup.for_system(source, cap)
-        tgt = WeylGroup.for_system(target, cap)
-        # u <= v on the source's below-sets; x <= w by weak order, else by lifting
-        src_below = [set(src.below(v)) for v in range(src.size)]
-        leq, masks = tgt.leq_idx, tgt.masks
+        src, tgt = WeylGroup.for_system(source, cap), WeylGroup.for_system(target, cap)
+        belows, pairs, covers, _ = _coset_tables(src)
+        ident, leq, lengths = list(range(src.size)), tgt.leq_idx, tgt.lengths
         for emb in enumerate_embeddings(source, target):
             flat = emb.flat(cap)
             bottom = {(u, w): x for u, _, x, w in interval_pattern_instances(emb, cap)}
-            # every bottom x = i(g) w in the coset i(W')w, not only the forced one
+            # cols[g][c] = i(g) m_c over the coset minima m_c
+            minima, cols = [m for m, f in enumerate(flat) if not f], []
             for g in src.elements:
-                col = range(tgt.size)
+                col = minima
                 for i in reversed(tgt.word(tgt.idx(embed_element(emb, g)))):
                     row = tgt.lmult[i - 1]
                     col = [row[y] for y in col]
-                for w, x in enumerate(col):
-                    v, u = flat[w], flat[x]
-                    if u not in src_below[v] or not (masks[x] & ~masks[w] == 0 or leq(x, w)):
-                        continue
-                    rep.cases += 1
+                cols.append(col)
+            for phi in zip(*cols):
+                if (list(map(flat.__getitem__, phi)) == ident
+                        and all(lengths[phi[c]] < lengths[phi[g]] for c, g in covers)):
+                    found = [(u, phi[u], phi[v]) for u, v in pairs]
+                else:
+                    found = [(flat[x], x, w) for w in phi for x in phi
+                             if flat[x] in belows[flat[w]] and leq(x, w)]
+                rep.cases += len(found)
+                for u, x, w in found:
                     if bottom.pop((u, w), None) != x:
                         rep.failures.append(
-                            f"{_pair_label(src, tgt, u, v, x, w)}: bottom is not forced")
+                            f"{_pair_label(src, tgt, u, flat[w], x, w)}: bottom is not forced")
             # the listing must yield nothing the walk did not reach
             for (u, w), x in bottom.items():
                 rep.failures.append(
                     f"{_pair_label(src, tgt, u, flat[w], x, w)}: scanned bottom outside the coset walk")
+            # free the emptied dict's table before the next one is built
+            bottom.clear()
 
     return _timed(run, report)
 
@@ -242,50 +255,41 @@ def verify_length_sufficiency(source_type: str, target_type: str,
     the completeness of that proof no isomorphism exists.  The proof is
     one check per z in [u, v], from
     :func:`~weylpat.patterns._cover_check`, which depends on (phi, u, z)
-    alone.  So each coset keeps, per u, a source mask of the z already
-    checked and one of those that failed, and a pair checks only the z
-    of [u, v] not yet checked.  Each failure is reported once per coset
+    alone.  So each coset takes each bottom u once, checking the z of
+    all its intervals [u, v], listed once per length signature, and
+    visits a pair only to report it.  Each failure is reported once per coset
     and pair, so a quadruple that several embeddings reach is reported
     by each.
     """
-    source = build_root_system(source_type)
-    target = build_root_system(target_type)
-    report = VerificationReport(
-        "length-sufficiency", {"source": source.cartan_type, "target": target.cartan_type})
+    source, target, report = _pair_report("length-sufficiency", source_type, target_type)
 
     def run(rep: VerificationReport) -> None:
-        src = WeylGroup.for_system(source, cap)
-        tgt = WeylGroup.for_system(target, cap)
-        # down[v] and above[u] as masks over source indices, so [u, v] less u is
-        # down[v] & above[u]; z = u needs no check, as no lower cover of x lies above x
+        src, tgt = WeylGroup.for_system(source, cap), WeylGroup.for_system(target, cap)
+        # down[v] and above[u] as masks over source indices, so [u, v] is down[v] & above[u]
+        below_pairs = _coset_tables(src)[1]
         down, above = [0] * src.size, [0] * src.size
-        for v in range(src.size):
-            for u in src.below(v):
-                down[v] |= 1 << u
-                if u != v:
-                    above[u] |= 1 << v
-        # every u <= v of W' is one case in each coset
-        per_coset = sum(map(int.bit_count, down))
+        for u, v in below_pairs:
+            down[v] |= 1 << u
+            above[u] |= 1 << v
         check = _cover_check(src, tgt)
+        # id of a signature's pairs -> (u, the z != u of its [u, v]); z = u needs no check
+        spans: dict[int, list[tuple[int, list[int]]]] = {}
         for phi, pairs in _cosets(enumerate_embeddings(source, target), cap):
-            rep.cases += per_coset
-            # u -> (z checked, z failed) masks
-            proved: dict[int, tuple[int, int]] = {}
-            for u, v in pairs:
-                span = down[v] & above[u]
-                checked, failed = proved.get(u, (0, 0))
-                todo = span & ~checked
-                if todo:
-                    up = above[u] | 1 << u
-                    while todo:
-                        bit = todo & -todo
-                        todo ^= bit
-                        if not check(phi, u, up, bit.bit_length() - 1):
-                            failed |= bit
-                    proved[u] = checked | span, failed
-                if failed & span:
-                    rep.failures.append(f"{_pair_label(src, tgt, u, v, phi[u], phi[v])}: "
-                                        "equal gaps without isomorphism")
+            # every u <= v of W' is one case in each coset
+            rep.cases += len(below_pairs)
+            by_u = spans.get(id(pairs))
+            if by_u is None:
+                union: dict[int, int] = {}
+                for u, v in pairs:
+                    union[u] = union.get(u, 0) | down[v] & above[u] & ~(1 << u)
+                by_u = spans[id(pairs)] = [(u, _bits(span)) for u, span in union.items() if span]
+            for u, zs in by_u:
+                failed = [z for z in zs if not check(phi, u, above[u], z)]
+                if failed:
+                    for a, v in pairs:
+                        if a == u and any(down[v] >> z & 1 for z in failed):
+                            rep.failures.append(f"{_pair_label(src, tgt, u, v, phi[u], phi[v])}: "
+                                                "equal gaps without isomorphism")
 
     return _timed(run, report)
 
@@ -299,14 +303,10 @@ def verify_kl_transfer(source_type: str, target_type: str,
     misses, is decoded, which gives the failure text, or raises
     NotComparableError for the miss.
     """
-    source = build_root_system(source_type)
-    target = build_root_system(target_type)
-    report = VerificationReport(
-        "kl-transfer", {"source": source.cartan_type, "target": target.cartan_type})
+    source, target, report = _pair_report("kl-transfer", source_type, target_type)
 
     def run(rep: VerificationReport) -> None:
-        src = WeylGroup.for_system(source, cap)
-        tgt = WeylGroup.for_system(target, cap)
+        src, tgt = WeylGroup.for_system(source, cap), WeylGroup.for_system(target, cap)
         src_kl, tgt_kl = _table_for(src), _table_for(tgt)
         columns: dict[int, dict[int, int]] = {}
         readers: dict[int, Callable[[int], int]] = {}
@@ -397,9 +397,11 @@ def _upper_ideal(property_names: Sequence[str], types: Sequence[str],
     Each KL column of each group is decoded once, into the mask of D(v)
     and, per property, the mask of the u in D(v) where it holds on
     [u, v].  Move 2 reads the masks alone.  Move 1 sweeps each window
-    pair once and answers every property from the masks; a swept
-    (u, v) or (x, w) outside its D(v) mask raises NotComparableError.
-    Every report's ``wall_time`` is the time of the whole shared sweep.
+    pair once; per length signature and property it keeps the pairs
+    where the property holds, and tests only those on the target.  A
+    swept (u, v) or tested (x, w) outside its D(v) mask raises
+    NotComparableError.  Every report's ``wall_time`` is the time of the
+    whole shared sweep.
     """
     props = [_parse_property(name) for name in property_names]
     type_list = [build_root_system(t).cartan_type for t in types]
@@ -446,16 +448,26 @@ def _upper_ideal(property_names: Sequence[str], types: Sequence[str],
         for s, t in pair_list:
             src, src_down, src_holds = masks(s)
             tgt, tgt_down, tgt_holds = masks(t)
-            for u, v, x, w in _equal_gap_instances(enumerate_embeddings(src.rs, tgt.rs), cap):
-                if not src_down[v] >> u & 1:
-                    raise NotComparableError(f"not comparable: {label(src, u)} !<= {label(src, v)}")
-                if not tgt_down[w] >> x & 1:
-                    raise NotComparableError(f"not comparable: {label(tgt, x)} !<= {label(tgt, w)}")
-                for rep, sh, th in zip(reps, src_holds, tgt_holds):
-                    rep.cases += 1
-                    if sh[v] >> u & 1 and not th[w] >> x & 1:
-                        rep.failures.append(
-                            f"{_pair_label(src, tgt, u, v, x, w)}: property lost along embedding")
+            # id of a signature's pairs -> per property, those where it holds
+            held: dict[int, list[list[tuple[int, int]]]] = {}
+            for phi, equal in _cosets(enumerate_embeddings(src.rs, tgt.rs), cap):
+                if id(equal) not in held:
+                    for u, v in equal:
+                        if not src_down[v] >> u & 1:
+                            raise NotComparableError(
+                                f"not comparable: {label(src, u)} !<= {label(src, v)}")
+                    held[id(equal)] = [[(u, v) for u, v in equal if sh[v] >> u & 1]
+                                       for sh in src_holds]
+                for rep, th, keep in zip(reps, tgt_holds, held[id(equal)]):
+                    rep.cases += len(equal)
+                    for u, v in keep:
+                        x, w = phi[u], phi[v]
+                        if not th[w] >> x & 1:
+                            if not tgt_down[w] >> x & 1:
+                                raise NotComparableError(
+                                    f"not comparable: {label(tgt, x)} !<= {label(tgt, w)}")
+                            rep.failures.append(
+                                f"{_pair_label(src, tgt, u, v, x, w)}: property lost along embedding")
 
     _timed(run, *reports)
     return reports
@@ -522,13 +534,9 @@ def run_suite(name: str, args: Sequence[str], window: dict,
               slow: bool = False,
               cap: int = DEFAULT_ENUMERATION_CAP) -> list[VerificationReport]:
     """Run one named suite; without args, sweep the window's defaults."""
-    if name in ("flattening", "x-determination", "length-sufficiency", "kl-transfer"):
-        fn = {
-            "flattening": verify_flattening,
-            "x-determination": verify_x_determination,
-            "length-sufficiency": verify_length_sufficiency,
-            "kl-transfer": verify_kl_transfer,
-        }[name]
+    fn = {"flattening": verify_flattening, "x-determination": verify_x_determination,
+          "length-sufficiency": verify_length_sufficiency, "kl-transfer": verify_kl_transfer}.get(name)
+    if fn is not None:
         if args:
             if len(args) != 2:
                 raise ValueError(f"suite {name} expects SOURCE TARGET")
@@ -540,16 +548,9 @@ def run_suite(name: str, args: Sequence[str], window: dict,
         window_types = sorted(
             {t for t in window["sources"]} | {t for t in window["targets"]},
             key=lambda t: (build_root_system(t).rank, t))
-        rel1_pairs = matrix_pairs(window, slow)
-        if args:
-            props = [args[0]]
-            types = list(args[1:]) or window_types
-            pairs = None if args[1:] else rel1_pairs
-        else:
-            props = window["upper_ideal_properties"]
-            types = window_types
-            pairs = rel1_pairs
-        return _upper_ideal(props, types, pairs, cap)
+        props = [args[0]] if args else window["upper_ideal_properties"]
+        pairs = None if args[1:] else matrix_pairs(window, slow)
+        return _upper_ideal(props, list(args[1:]) or window_types, pairs, cap)
     if name == "type-a-smoothness":
         sizes = [int(a) for a in args] if args else window["smoothness_sizes"]
         return [verify_type_a_smoothness(n, cap) for n in sizes]

@@ -210,11 +210,9 @@ class SubsystemEmbedding:
         """The coset map phi_m[g] = i(g) m of each right coset i(W')m of the embedded subgroup.
 
         One tuple per coset, in ascending order of its minimum
-        m = phi_m[0], the target index with fl(m) = e.  The maps are filled
-        in source index order by phi[g] = i(s_j) phi[s_j g] for the
-        smallest left descent s_j of g, one column over all cosets at a
-        time.  Built afresh on each call, after checking cap against both
-        groups.
+        m = phi_m[0], the target index with fl(m) = e: the columns of
+        :meth:`_columns` over all the minima at once, zipped.  Built
+        afresh on each call, after checking cap against both groups.
 
         Raises InternalInvariantError when the cosets do not partition
         the target, which only an invalid flat table can cause.  The test
@@ -230,27 +228,46 @@ class SubsystemEmbedding:
         would decide; the second test decides without that check, as when
         a flat table moves a minimum into another coset.
         """
+        flat = self.flat(cap)
+        cols = self._columns([m for m in range(len(flat)) if flat[m] == 0], cap)
+        if (len(cols[0]) * len(cols) != len(flat)
+                or not set(cols[0]).isdisjoint(chain.from_iterable(cols[1:]))):
+            raise InternalInvariantError(
+                "cosets of the embedded subgroup do not partition the target")
+        return list(zip(*cols))
+
+    def _coset_map(self, w: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+        """The entry of :meth:`coset_maps` that holds target index w, alone.
+
+        Its minimum m = i(v^-1) w, v = fl(w), is the column of
+        :meth:`_columns` over [w] at v^-1.  Raises InternalInvariantError
+        unless fl inverts the map and it carries v to w.
+        """
+        flat = self.flat(cap)
+        m = self._columns([w], cap)[WeylGroup.for_system(self.source, cap).inverses[flat[w]]][0]
+        phi = next(zip(*self._columns([m], cap)))
+        if phi[flat[w]] != w or list(map(flat.__getitem__, phi)) != list(range(len(phi))):
+            raise InternalInvariantError(f"no coset map carries fl(w) to w = {w}")
+        return phi
+
+    def _columns(self, col: list[int], cap: int) -> list[list[int]]:
+        """cols[g] = [i(g) y for y in col], filled in source index order by
+        i(g) y = i(s_j) i(s_j g) y for the smallest left descent s_j of g."""
         source = WeylGroup.for_system(self.source, cap)
         target = WeylGroup.for_system(self.target, cap)
-        flat = self.flat(cap)
         # each i(s_j) as the lmult rows of its reduced word, applied right to left
         refl = []
         for b in self.simple_images:
             word = target.word(target.idx(reflection(self.target, b)))
             refl.append([target.lmult[i - 1] for i in reversed(word)])
-        # cols[g][c] = i(g) m_c over the coset minima m_c, s_j g shorter than g
-        cols = [[m for m in range(target.size) if flat[m] == 0]]
+        cols = [col]
         for g in range(1, source.size):
             j = source.first[g] - 1
             col = cols[source.lmult[j][g]]
             for row in refl[j]:
                 col = [row[y] for y in col]
             cols.append(col)
-        if (len(cols[0]) * source.size != target.size
-                or not set(cols[0]).isdisjoint(chain.from_iterable(cols[1:]))):
-            raise InternalInvariantError(
-                "cosets of the embedded subgroup do not partition the target")
-        return list(zip(*cols))
+        return cols
 
 
 @cache
@@ -420,8 +437,8 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     flattens to u by equivariance.  Conversely the three conditions
     force that x, since fl inverts g -> i(g v^-1) w on the coset, and
     then the proof succeeds by its completeness.  That map is the coset
-    map phi of :meth:`SubsystemEmbedding.coset_maps` with phi[v] = w, and
-    no coset map is built when fl(w) != v.  cap bounds both groups.
+    map phi with phi[v] = w, the only one built, and none is built when
+    fl(w) != v.  cap bounds both groups.
     """
     src = WeylGroup.for_system(emb.source, cap)
     tgt = WeylGroup.for_system(emb.target, cap)
@@ -432,10 +449,7 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
     if emb.flat(cap)[d] != b:
         return False
-    phi = next((phi for phi in emb.coset_maps(cap) if phi[b] == d), None)
-    if phi is None:
-        raise InternalInvariantError(f"no coset map carries fl(w) to w = {d}")
-    return _pattern_map_isomorphic(src, tgt, phi, a, b, c, d)
+    return _pattern_map_isomorphic(src, tgt, emb._coset_map(d, cap), a, b, c, d)
 
 
 def _cover_check(src: WeylGroup, tgt: WeylGroup
@@ -470,7 +484,7 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     """Whether z -> phi[z] is a poset isomorphism of [u, v] onto [x, w].
 
     phi is the coset map phi[g] = i(g fl(w)^-1) w of an embedding, the
-    one of ``coset_maps()`` whose coset holds w, with fl(w) = v, so
+    one whose coset holds w, with fl(w) = v, so
     phi[v] = w.  True when phi sends the minimum u to the minimum x and
     the check of
     :func:`_cover_check` holds for each z of [u, v]: phi carries the
@@ -532,14 +546,25 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     Then x = phi_w[u] for every u <= fl(w), with no test per yield: by
     those checks fl(x) = u and x <= w.
     """
-    source = WeylGroup.for_system(emb.source, cap)
     flat = emb.flat(cap)
     maps: list[Sequence[int]] = [()] * len(flat)
     for phi, _ in _cosets((emb,), cap):
         for y in phi:
             maps[y] = phi
-    belows = [source.below(v) for v in range(source.size)]
+    belows = _coset_tables(WeylGroup.for_system(emb.source, cap))[0]
     return ((u, v, maps[w][u], w) for w, v in enumerate(flat) for u in belows[v])
+
+
+def _coset_tables(source: WeylGroup) -> tuple[list, list, list, dict]:
+    """(belows, pairs, covers, memo) of W', built once and kept on the group:
+    belows[v] = below(v), every u <= v by v, every (lower cover c, g),
+    and the memo of :func:`_cosets`."""
+    if source._coset_tables is None:
+        belows = [source.below(v) for v in range(source.size)]
+        source._coset_tables = (
+            belows, [(u, v) for v, below in enumerate(belows) for u in below],
+            [(c, g) for g, lower in enumerate(source.lower_covers) for c in lower], {})
+    return source._coset_tables
 
 
 def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
@@ -567,35 +592,34 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
 
     The pairs and the cover test depend only on the coset's length
     signature (l(phi[g]) - l(m))_g, so both are taken once per signature
-    in one memo for the whole call.
+    in one memo per source group (:func:`_coset_tables`), shared by every
+    target; a reader may key per-signature work by the pairs list's id.
     """
     if not embeddings:
         return
     source = WeylGroup.for_system(embeddings[0].source, cap)
-    target = WeylGroup.for_system(embeddings[0].target, cap)
-    src_len, tgt_len, lengths = source.lengths, target.lengths, bytes(target.lengths)
-    ident = list(range(source.size))
-    # every u <= v of W', shared by the pair lists of all signatures
-    below_pairs = [(u, v) for v in ident for u in source.below(v)]
-    covers = [(c, g) for g in ident for c in source.lower_covers[g]]
+    lengths = WeylGroup.for_system(embeddings[0].target, cap).lengths
+    _, below_pairs, covers, memo = _coset_tables(source)
+    src_len, ident = source.lengths, list(range(source.size))
     # shift[l] is the translate table y -> (y - l) mod 256, the identity rotated; it is
     # one-to-one on lengths, so a key names one signature, checked on the lengths themselves
     shift = [(bytes(range(256)) * 2)[256 - l:512 - l] for l in range(max(lengths) + 1)]
-    memo: dict[bytes, list[tuple[int, int]]] = {}
     for emb in embeddings:
         flat = emb.flat(cap)
         for phi in emb.coset_maps(cap):
             m = phi[0]
             if list(map(flat.__getitem__, phi)) != ident:
                 raise InternalInvariantError(f"the flat table does not invert coset map {m}")
-            key = bytes(map(lengths.__getitem__, phi)).translate(shift[tgt_len[m]])
+            key = bytes(map(lengths.__getitem__, phi)).translate(shift[lengths[m]])
             pairs = memo.get(key)
             if pairs is None:
-                rel = [tgt_len[y] - tgt_len[m] for y in phi]
+                rel = [lengths[y] - lengths[m] for y in phi]
                 if any(rel[c] >= rel[g] for c, g in covers):
                     raise InternalInvariantError(f"coset map {m} does not lengthen a cover")
-                pairs = memo[key] = [p for p in below_pairs
-                                     if rel[p[1]] - rel[p[0]] == src_len[p[1]] - src_len[p[0]]]
+                equal = [p for p in below_pairs
+                         if rel[p[1]] - rel[p[0]] == src_len[p[1]] - src_len[p[0]]]
+                # setdefault keeps the first list stored, so a signature has one list
+                pairs = memo.setdefault(key, equal)
             yield phi, pairs
 
 

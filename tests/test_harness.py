@@ -122,6 +122,38 @@ def test_x_determination_catches_a_planted_scan_error(monkeypatch, plant, messag
     assert any(f.endswith(message) for f in r.failures)
 
 
+def test_x_determination_walks_a_coset_that_fails_its_check_pair_by_pair(monkeypatch):
+    # one g of one embedding is given the image of another element, so every
+    # coset of that embedding fails the walk's own check (fl(i(g) m) = g); the
+    # walk then tests each pair of the coset by the below-lists and the lifting
+    # test, which a valid coset never reaches, and the suite fails
+    from weylpat.harness import verify
+
+    a2, a3 = build_root_system("A2"), build_root_system("A3")
+    src, tgt = WeylGroup.for_system(a2), WeylGroup.for_system(a3)
+    emb = enumerate_embeddings(a2, a3)[0]
+    g, h = src.elements[1], src.elements[2]
+    real_embed = verify.embed_element
+    monkeypatch.setattr(verify, "embed_element",
+                        lambda e, x: real_embed(e, h if e is emb and x == g else x))
+    lifted = Counter()
+    real_leq = WeylGroup.leq_idx
+
+    def counted(wg, a, b):
+        lifted[wg.rs.cartan_type] += 1
+        return real_leq(wg, a, b)
+
+    monkeypatch.setattr(WeylGroup, "leq_idx", counted)
+    r = verify_x_determination("A2", "A3")
+    assert not r.passed
+    assert lifted["A3"] > 0
+    assert all(f.endswith(("bottom is not forced", "scanned bottom outside the coset walk"))
+               for f in r.failures)
+    monkeypatch.setattr(verify, "embed_element", real_embed)
+    lifted.clear()
+    assert verify_x_determination("A2", "A3").passed and not lifted["A3"]
+
+
 def test_length_sufficiency_reports_a_failure_once_per_scanned_yield(monkeypatch):
     # the suite takes each per-element check once per coset map and bottom, yet
     # a quadruple that k embeddings yield must still be counted, and fail, k times
@@ -504,13 +536,13 @@ def test_upper_ideal_sweep_gives_each_property_its_own_report(slow):
 def test_upper_ideal_scans_each_embedding_once_for_two_properties(monkeypatch):
     # move 1 sweeps the cosets of each window pair's embeddings in one call
     calls = Counter()
-    real = patterns._cosets
+    real = verify_module._cosets
 
     def counted(embeddings, cap):
         calls[tuple(embeddings)] += 1
         return real(embeddings, cap)
 
-    monkeypatch.setattr(patterns, "_cosets", counted)
+    monkeypatch.setattr(verify_module, "_cosets", counted)
     props, _, pairs = _upper_ideal_window(False)
     reports = run_suite("upper-ideal", [], default_window())
     assert [r.parameters["property"] for r in reports] == props
@@ -624,10 +656,16 @@ def test_length_sufficiency_takes_each_check_once_per_coset_map_and_bottom(monke
 
 @pytest.mark.parametrize("side", ["source", "target"])
 def test_upper_ideal_rejects_a_scanned_pair_outside_its_down_set(monkeypatch, side):
-    # move 1 reads holder masks where it read polynomials; a yield whose bottom
-    # is not below its top still raises, as the read did
+    # move 1 reads holder masks where it read polynomials; a swept pair whose
+    # bottom is not below its top still raises, as the read did.  The source
+    # side is checked on every pair of a signature, the target side on the
+    # pairs whose source property holds, as kl-coeff(0,0) does on every interval
     top = WeylGroup.for_system(build_root_system("A2")).size - 1
-    bad = (top, 0, 0, 0) if side == "source" else (0, 0, top, 0)
-    monkeypatch.setattr(verify_module, "_equal_gap_instances", lambda embs, cap: iter([bad]))
+    if side == "source":
+        prop, phi, pairs = "kl-nontrivial", tuple(range(top + 1)), [(top, 0)]
+    else:
+        # (u, v) = (e, s1) goes to (x, w) = (w0, e)
+        prop, phi, pairs = "kl-coeff(0,0)", (top, 0) + tuple(range(1, top)), [(0, 1)]
+    monkeypatch.setattr(verify_module, "_cosets", lambda embs, cap: iter([(phi, pairs)]))
     with pytest.raises(NotComparableError, match="not comparable: 1 2 1 !<= e"):
-        verify_upper_ideal("kl-nontrivial", ["A2"], [("A2", "A2")])
+        verify_upper_ideal(prop, ["A2"], [("A2", "A2")])

@@ -465,6 +465,16 @@ def test_coset_maps_match_the_object_level_definition(source, target):
                     == [multiply(image[multiply(g, fl_inv)], w) for g in src_elements])
 
 
+@pytest.mark.parametrize("source,target", [("A2", "A3"), ("B2", "B3")])
+def test_single_coset_map_equals_the_coset_maps_entry(source, target):
+    # interval_embeds builds only the map of w's coset, from w and v = fl(w);
+    # for every target w it is the entry of coset_maps that holds w
+    s, t = build_root_system(source), build_root_system(target)
+    for emb in enumerate_embeddings(s, t):
+        maps = coset_maps_by_target(emb)
+        assert [emb._coset_map(w) for w in range(len(maps))] == maps
+
+
 @pytest.mark.parametrize("flat", ["overlap", "gap", "moved"])
 def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
     # a flat table whose cosets overlap (every element a coset minimum),
@@ -493,9 +503,10 @@ def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
         emb.coset_maps()
     with pytest.raises(InternalInvariantError, match="cosets"):
         list(interval_pattern_instances(emb))
-    # [v, v] -> [y, y] with the planted fl(y) = v reaches the coset maps
+    # [v, v] -> [y, y] with the planted fl(y) = v reaches the one coset map of y,
+    # which the planted table does not invert
     v, w = src.elements[emb.flat()[y]], tgt.elements[y]
-    with pytest.raises(InternalInvariantError, match="cosets"):
+    with pytest.raises(InternalInvariantError, match="no coset map carries"):
         interval_embeds(emb, v, v, w, w)
     for suite in (lambda: verify_length_sufficiency("A2", "A3"),
                   lambda: verify_kl_transfer("A2", "A3"),

@@ -208,7 +208,7 @@ def verify_x_determination(source_type: str, target_type: str,
 
     def run(rep: VerificationReport) -> None:
         src, tgt = WeylGroup.for_system(source, cap), WeylGroup.for_system(target, cap)
-        belows, pairs, covers, _ = _coset_tables(src)
+        belows, pairs, covers = _coset_tables(src)
         ident, leq, lengths = list(range(src.size)), tgt.leq_idx, tgt.lengths
         for emb in enumerate_embeddings(source, target):
             flat = emb.flat(cap)

@@ -283,20 +283,19 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
     A depth-first search picks the image of each source simple root in
     turn among the positive roots of the target, and keeps a root only
     when its Cartan integers with the images already chosen equal the
-    entries of ``source.cartan_matrix``.  Matching Cartan integers make
-    the images pairwise non-positively paired, hence linearly
-    independent, and make them a simple system of a subsystem isomorphic
-    to the source, whose positive roots all lie in their rational span.
-    So a full assignment is closed exactly when the span holds
-    ``source.num_positive`` positive target roots, no more; that count
-    is taken once per distinct image set.  Everything is integer: the
-    Cartan integers come from the target's reflection and height tables,
-    the span test is a fraction-free echelon form of the images'
-    simple-root coordinates that counts the target positive roots
-    reducing to zero, and each source root maps to the root whose
-    coordinates are the same integer combination of the images.  The
-    result is sorted by (sorted image tuple, image tuple) and kept on the
-    source system, keyed by the target's type.
+    entries of ``source.cartan_matrix``: the candidates are the AND of
+    one mask of :func:`_pair_masks` per image chosen, walked in
+    ascending order.  Matching Cartan integers make the images pairwise
+    non-positively paired, hence linearly independent, and make them a
+    simple system of a subsystem isomorphic to the source, whose positive
+    roots all lie in their rational span.  So a full assignment is closed
+    exactly when the span holds ``source.num_positive`` positive target
+    roots, no more; that count is taken once per distinct image set, by a
+    fraction-free echelon form of the images' simple-root coordinates
+    that counts the target positive roots reducing to zero.  Each source
+    root then maps as :func:`_full_map` gives.  The result is sorted by
+    (sorted image tuple, image tuple) and kept on the source system,
+    keyed by the target's type.
 
     ``cap`` bounds the search nodes tried, one per partial assignment
     the search extends to; the memo keeps that count, so a warm call
@@ -309,16 +308,13 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
             raise CapExceededError("cap exceeded while enumerating embeddings")
         return result
     r, cartan = source.rank, source.cartan_matrix
-    pos, heights, refl = target.positive, target.heights, target.reflection_table
-    coords = target.simple_coords
-    coord_index = {c: i for i, c in enumerate(coords)}
+    pos, position, coords = target.positive, target._pos_position, target.simple_coords
+    masks = _pair_masks(target)
+    # keys[k][j]: the pair the image of simple root k must make with that of j < k
+    keys = [[(cartan[j][k], cartan[k][j]) for j in range(k)] for k in range(r)]
     found: list[SubsystemEmbedding] = []
     closed: dict[frozenset[int], bool] = {}
     nodes = 0
-    # Cartan integers <b, a^v> of the target's positive roots, read off
-    # s_a(b) = b - <b, a^v> a through the height, which is linear
-    pairing = {a: {b: (heights[b] - heights[refl[a][b]]) // heights[a] for b in pos}
-               for a in pos}
 
     def extend(images: list[int]) -> None:
         nonlocal nodes
@@ -330,17 +326,21 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
                 inside = sum(1 for i in pos if not any(_reduce(basis, coords[i])))
                 closed[span_key] = inside == source.num_positive
             if closed[span_key]:
-                found.append(_build_embedding(source, target, tuple(images), coord_index))
+                found.append(SubsystemEmbedding(source, target, tuple(images),
+                                                _full_map(source, target, images)))
             return
-        for b in pos:
-            if all(pairing[a][b] == cartan[j][k] and pairing[b][a] == cartan[k][j]
-                   for j, a in enumerate(images)):
-                nodes += 1
-                if nodes > cap:
-                    raise CapExceededError("cap exceeded while enumerating embeddings")
-                images.append(b)
-                extend(images)
-                images.pop()
+        candidates = (1 << len(pos)) - 1
+        for a, key in zip(images, keys[k]):
+            candidates &= masks[position[a]].get(key, 0)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            nodes += 1
+            if nodes > cap:
+                raise CapExceededError("cap exceeded while enumerating embeddings")
+            images.append(pos[low.bit_length() - 1])
+            extend(images)
+            images.pop()
 
     # more simple roots than the target's rank cannot be independent
     if r <= target.rank:
@@ -351,26 +351,50 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
     return result
 
 
-def _build_embedding(source: RootSystem, target: RootSystem, images: tuple[int, ...],
-                     coord_index: dict[tuple[int, ...], int]) -> SubsystemEmbedding:
-    image_coords = [target.simple_coords[i] for i in images]
-    full: list[int] = []
-    for r_idx, coeffs in enumerate(source.simple_coords):
-        vec = [0] * target.rank
-        for c, img in zip(coeffs, image_coords):
-            if c:
-                vec = [x + c * y for x, y in zip(vec, img)]
-        t_idx = coord_index.get(tuple(vec))
-        if t_idx is None:
-            raise InternalInvariantError(
-                f"image of source root {r_idx} is not a root of {target.cartan_type}"
-            )
-        if source.is_positive(r_idx) and not target.is_positive(t_idx):
-            raise InternalInvariantError(
-                "embedding maps a positive root to a negative root"
-            )
-        full.append(t_idx)
-    return SubsystemEmbedding(source, target, images, tuple(full))
+def _pair_masks(target: RootSystem) -> list[dict[tuple[int, int], int]]:
+    """masks[p][(<b, a^v>, <a, b^v>)] is the bit mask, over positive
+    positions, of the positive roots b with that pair of Cartan integers
+    against the positive root a at position p.
+
+    Each <b, a^v> is read off s_a(b) = b - <b, a^v> a through the height,
+    which is linear.  Built once per target and kept on it.
+    """
+    if target._pair_masks is None:
+        pos, heights, refl = target.positive, target.heights, target.reflection_table
+        pairing = [[(heights[b] - heights[refl[a][b]]) // heights[a] for b in pos] for a in pos]
+        masks = []
+        for row, col in zip(pairing, zip(*pairing)):
+            by_pair: dict[tuple[int, int], int] = {}
+            for bit, key in enumerate(zip(row, col)):
+                by_pair[key] = by_pair.get(key, 0) | 1 << bit
+            masks.append(by_pair)
+        target._pair_masks = masks
+    return target._pair_masks
+
+
+def _full_map(source: RootSystem, target: RootSystem, images: Sequence[int]) -> tuple[int, ...]:
+    """The target root index of each source root, given the images of the simple roots.
+
+    Along the source's root tree (``source._root_tree``), each positive
+    root a = s_i(p) past the simple ones goes to s_(images[i]) of the
+    image of p, one row of the target's reflection table, and each
+    negative root -a to the negative of the image of a.  This is the
+    linear extension, as the images' Cartan integers are those of the
+    simple roots.  Raises InternalInvariantError when a positive root
+    goes to a negative one.
+    """
+    refl, heights = target.reflection_table, target.heights
+    last_s, last_t = len(source.simple_coords) - 1, len(target.simple_coords) - 1
+    full = [0] * (last_s + 1)
+    for a, b in zip(source.simple, images):
+        full[a] = b
+    for a, i, p in source._root_tree:
+        full[a] = refl[images[i]][full[p]]
+    for a in source.positive:
+        if heights[full[a]] < 0:
+            raise InternalInvariantError("embedding maps a positive root to a negative root")
+        full[last_s - a] = last_t - full[a]
+    return tuple(full)
 
 
 def embed_element(emb: SubsystemEmbedding, w: WeylElement) -> WeylElement:
@@ -555,15 +579,14 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     return ((u, v, maps[w][u], w) for w, v in enumerate(flat) for u in belows[v])
 
 
-def _coset_tables(source: WeylGroup) -> tuple[list, list, list, dict]:
-    """(belows, pairs, covers, memo) of W', built once and kept on the group:
-    belows[v] = below(v), every u <= v by v, every (lower cover c, g),
-    and the memo of :func:`_cosets`."""
+def _coset_tables(source: WeylGroup) -> tuple[list, list, list]:
+    """(belows, pairs, covers) of W', built once and kept on the group:
+    belows[v] = below(v), every u <= v by v, and every (lower cover c, g)."""
     if source._coset_tables is None:
         belows = [source.below(v) for v in range(source.size)]
         source._coset_tables = (
             belows, [(u, v) for v, below in enumerate(belows) for u in below],
-            [(c, g) for g, lower in enumerate(source.lower_covers) for c in lower], {})
+            [(c, g) for g, lower in enumerate(source.lower_covers) for c in lower])
     return source._coset_tables
 
 
@@ -592,14 +615,16 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
 
     The pairs and the cover test depend only on the coset's length
     signature (l(phi[g]) - l(m))_g, so both are taken once per signature
-    in one memo per source group (:func:`_coset_tables`), shared by every
-    target; a reader may key per-signature work by the pairs list's id.
+    in a memo that lives as long as the sweep; a reader may key
+    per-signature work by the pairs list's id for as long as it reads the
+    sweep.
     """
     if not embeddings:
         return
     source = WeylGroup.for_system(embeddings[0].source, cap)
     lengths = WeylGroup.for_system(embeddings[0].target, cap).lengths
-    _, below_pairs, covers, memo = _coset_tables(source)
+    _, below_pairs, covers = _coset_tables(source)
+    memo: dict[bytes, list[tuple[int, int]]] = {}
     src_len, ident = source.lengths, list(range(source.size))
     # shift[l] is the translate table y -> (y - l) mod 256, the identity rotated; it is
     # one-to-one on lengths, so a key names one signature, checked on the lengths themselves
@@ -616,10 +641,8 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
                 rel = [lengths[y] - lengths[m] for y in phi]
                 if any(rel[c] >= rel[g] for c, g in covers):
                     raise InternalInvariantError(f"coset map {m} does not lengthen a cover")
-                equal = [p for p in below_pairs
-                         if rel[p[1]] - rel[p[0]] == src_len[p[1]] - src_len[p[0]]]
-                # setdefault keeps the first list stored, so a signature has one list
-                pairs = memo.setdefault(key, equal)
+                pairs = memo[key] = [p for p in below_pairs
+                                     if rel[p[1]] - rel[p[0]] == src_len[p[1]] - src_len[p[0]]]
             yield phi, pairs
 
 

@@ -1,15 +1,19 @@
 """Exact realizations of the finite crystallographic root systems.
 
 All arithmetic is exact; no floating point is used anywhere in the
-package.  The root tables are integer: each root is built, reflected and
-negated in its integer coordinates over the simple roots
-(``simple_coords``), closing the unit vectors under the simple
-reflections that the Cartan matrix gives (Bourbaki, Lie Groups and Lie
-Algebras, ch. VI, 1).  Each root's ambient vector, with
-`fractions.Fraction` coordinates, is computed once from those and serves
-only for ordering, parsing and display.  The realization of each simple
-type is fixed once and for all so that root indices are reproducible bit
-for bit:
+package.  The root tables are integer.  The roots are the unit vectors
+of the coordinates over the simple roots (``simple_coords``) closed
+under the simple reflections s_i(b) = b - <b, a_i^v> e_i that the
+Cartan matrix gives (Bourbaki, Lie Groups and Lie Algebras, ch. VI, 1).
+Those steps are the rows of the simple reflections in the reflection
+table, and every other row is a conjugate: s_a = s_i s_p s_i for
+a = s_i(p), two ``map`` calls per row.  The roots are ordered by their
+ambient vectors in integers, the simple roots scaled over one common
+denominator; ``roots``, the ambient vectors with `fractions.Fraction`
+coordinates, is built on first read, for display and for the vector
+functions of this module, so nothing else imports ``fractions``.  The
+realization of each simple type is fixed once and for all so that root
+indices are reproducible bit for bit:
 
     A1          {+-e1} in R^1
     An (n>=2)   {e_i - e_j : i != j} in R^(n+1),  alpha_i = e_i - e_(i+1)
@@ -41,13 +45,15 @@ from __future__ import annotations
 
 import math
 import re
-from fractions import Fraction
-from typing import Sequence
+from operator import mul
+from typing import TYPE_CHECKING, Sequence
 
-from .errors import InvalidCartanType
+from .errors import InternalInvariantError, InvalidCartanType
 
-Q = Fraction
-Vector = tuple[Fraction, ...]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Vector = tuple["Fraction", ...]
 
 __all__ = [
     "Vector",
@@ -62,9 +68,10 @@ __all__ = [
 
 def dot(u: Vector, v: Vector) -> Fraction:
     """Exact Euclidean inner product."""
+    from fractions import Fraction
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Q(0))
+    return sum(map(mul, u, v), Fraction(0))
 
 
 def _reflect_vec(alpha: Vector, v: Vector) -> Vector:
@@ -129,9 +136,9 @@ def _chain(n: int, dim: int) -> list[tuple[int, ...]]:
             for i in range(n)]
 
 
-_H = Q(1, 2)
-_E8_SIMPLES = [(_H, -_H, -_H, -_H, -_H, -_H, -_H, _H), (1, 1, 0, 0, 0, 0, 0, 0)] + [
-    tuple(-x for x in r) for r in _chain(6, 8)
+# the E8 simple roots doubled, so over the denominator 2
+_E8_SIMPLES = [(1, -1, -1, -1, -1, -1, -1, 1), (2, 2, 0, 0, 0, 0, 0, 0)] + [
+    tuple(-2 * x for x in r) for r in _chain(6, 8)
 ]
 # the last simple root of Bn, Cn and Dn, padded on the left: e_n, 2e_n, e_(n-1) + e_n
 _BCD_LAST = {"B": (0, 1), "C": (0, 2), "D": (1, 1)}
@@ -166,17 +173,18 @@ def _parse_cartan_type(text: str) -> list[tuple[str, int]]:
     return factors
 
 
-def _factor_simples(letter: str, rank: int) -> tuple[list[tuple], int]:
-    """The simple roots of one irreducible factor, and its ambient dimension."""
+def _factor_simples(letter: str, rank: int) -> tuple[list[tuple[int, ...]], int, int]:
+    """The simple roots of one irreducible factor as integers over a
+    denominator, its ambient dimension, and that denominator."""
     if letter == "A":
-        return (_chain(rank, rank + 1), rank + 1) if rank > 1 else ([(1,)], 1)
+        return (_chain(rank, rank + 1), rank + 1, 1) if rank > 1 else ([(1,)], 1, 1)
     if letter in _BCD_LAST:
-        return _chain(rank - 1, rank) + [(0,) * (rank - 2) + _BCD_LAST[letter]], rank
+        return _chain(rank - 1, rank) + [(0,) * (rank - 2) + _BCD_LAST[letter]], rank, 1
     if letter == "E":
-        return _E8_SIMPLES[:rank], 8
+        return _E8_SIMPLES[:rank], 8, 2
     if letter == "F":
-        return [(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (_H, -_H, -_H, -_H)], 4
-    return [(1, -1, 0), (-2, 1, 1)], 3
+        return [(0, 2, -2, 0), (0, 0, 2, -2), (0, 0, 0, 2), (1, -1, -1, -1)], 4, 2
+    return [(1, -1, 0), (-2, 1, 1)], 3, 1
 
 
 # ---------------------------------------------------------------------------
@@ -190,81 +198,117 @@ class RootSystem:
     operations elsewhere in the package treat instances as values and are
     safe for concurrent reads.  Build instances with
     :func:`build_root_system`, which interns them per canonical type
-    string.
+    string.  ``simples`` are the simple roots' ambient vectors, integers
+    or fractions, each divided by ``denominator``.
 
-    The instance is the root of all cached state.  Two slots are filled
-    lazily and idempotently: ``_group`` holds the enumerated
+    The instance is the root of all cached state.  Four slots are filled
+    lazily and idempotently: ``_roots`` holds the ambient vectors that
+    ``roots`` gives, ``_group`` the enumerated
     :class:`~weylpat.weyl.WeylGroup`, which owns the per-group tables,
-    and ``_embeddings`` maps another system's type to the search-node
-    count and the embeddings of this system into it, which own their
-    flatten tables.
+    ``_embeddings`` maps another system's type to the search-node count
+    and the embeddings of this system into it, which own their flatten
+    tables, and ``_pair_masks`` holds the Cartan-pairing masks that the
+    embedding search into this system reads.
 
     Linearly dependent simple roots raise ValueError, and a pairing
     2(b, a)/(a, a) that is not an integer raises InvalidCartanType.
     """
 
     __slots__ = (
-        "cartan_type", "rank", "ambient_dim", "roots", "positive", "simple",
+        "cartan_type", "rank", "ambient_dim", "positive", "simple",
         "reflection_table", "cartan_matrix", "heights", "simple_coords",
+        "_ambient", "_denominator", "_root_tree",
         "_pos_position", "num_positive", "_left_steps",
-        "_group", "_embeddings",
+        "_roots", "_group", "_embeddings", "_pair_masks",
     )
 
     def __init__(self, cartan_type: str, simples: Sequence[Sequence[Fraction | int]],
-                 ambient_dim: int):
+                 ambient_dim: int, denominator: int = 1):
         self.cartan_type = cartan_type
-        self.rank = len(simples)
+        self.rank = rank = len(simples)
         self.ambient_dim = ambient_dim
 
-        # the simple roots over a common denominator, and their integer Gram matrix
-        fracs = [tuple(Q(x) for x in s) for s in simples]
-        scale = math.lcm(*(x.denominator for s in fracs for x in s))
-        ints = [tuple(int(x * scale) for x in s) for s in fracs]
+        # the simple roots as integers over one denominator, in lowest terms
+        # so that equal systems store equal vectors, and their Gram matrix
+        scale = math.lcm(*(x.denominator for s in simples for x in s))
+        ints = [tuple(int(x * scale) for x in s) for s in simples]
+        scale *= denominator
+        common = math.gcd(scale, *(x for s in ints for x in s))
+        ints = [tuple(x // common for x in s) for s in ints]
+        scale //= common
         _echelon(ints)  # dependent simple roots raise ValueError
-        gram = [[sum(x * y for x, y in zip(a, b)) for b in ints] for a in ints]
-        self.cartan_matrix = tuple(
+        gram = [[sum(map(mul, a, b)) for b in ints] for a in ints]
+        self.cartan_matrix = cartan = tuple(
             tuple(_cartan_integer(cartan_type, g, row[i]) for g in row)
             for i, row in enumerate(gram)
         )
 
         # sort by height, then by ambient vector, as integer tuples
+        steps = _integer_roots(cartan)
         columns = list(zip(*ints))
         keyed = sorted(
-            (sum(c), tuple(sum(x * y for x, y in zip(c, col)) for col in columns), c)
-            for c in _integer_roots(self.cartan_matrix)
-        )
-        self.roots = tuple(tuple(Q(x, scale) for x in v) for _, v, _ in keyed)
-        self.heights = tuple(h for h, _, _ in keyed)
-        self.simple_coords = tuple(c for _, _, c in keyed)
-        coord_index = {c: i for i, c in enumerate(self.simple_coords)}
-        self.positive = tuple(i for i, h in enumerate(self.heights) if h > 0)
+            (sum(c), tuple(sum(map(mul, c, col)) for col in columns), c) for c in steps)
+        self._ambient = tuple(v for _, v, _ in keyed)
+        self._denominator = scale
+        self._roots: tuple[Vector, ...] | None = None
+        self.heights = heights = tuple(h for h, _, _ in keyed)
+        self.simple_coords = coords = tuple(c for _, _, c in keyed)
+        coord_index = {c: i for i, c in enumerate(coords)}
+        self.positive = tuple(i for i, h in enumerate(heights) if h > 0)
         self.num_positive = len(self.positive)
         self._pos_position = {r: p for p, r in enumerate(self.positive)}
-        self.simple = tuple(
-            coord_index[tuple(int(i == j) for j in range(self.rank))] for i in range(self.rank)
+        self.simple = simple = tuple(
+            coord_index[tuple(int(i == j) for j in range(rank))] for i in range(rank)
         )
 
-        # s_a(b) = b - k a with k = 2B(b, a)/B(a, a); paired[b][j] = B(b, a_j)
-        paired = [tuple(sum(x * g for x, g in zip(c, col)) for col in gram)
-                  for c in self.simple_coords]
-        table = []
-        for ca, pa in zip(self.simple_coords, paired):
-            norm = sum(x * y for x, y in zip(ca, pa))
-            row = []
-            for b, cb in enumerate(self.simple_coords):
-                k = _cartan_integer(cartan_type, sum(x * y for x, y in zip(cb, pa)), norm)
-                row.append(coord_index[tuple(x - k * y for x, y in zip(cb, ca))] if k else b)
-            table.append(tuple(row))
+        # negation reverses the order, so root n - 1 - a is -a, and s_(-a) = s_a.
+        # The simple rows are the closure's steps.  Each positive root a past
+        # the simple ones, in height order, has <a, a_i^v> > 0 for some i, so
+        # p = s_i(a) is a lower positive root, and row a is row i after row p
+        # after row i: s_a = s_i s_p s_i.  The tree keeps (a, i, p).
+        n = len(coords)
+        table: list = [None] * n
+        for i, a in enumerate(simple):
+            table[a] = table[n - 1 - a] = tuple(coord_index[steps[c][i]] for c in coords)
+        tree = []
+        for a in self.positive[rank:]:
+            i = next(i for i, s in enumerate(simple) if heights[table[s][a]] < heights[a])
+            row_i = table[simple[i]]
+            p = row_i[a]
+            row = tuple(map(row_i.__getitem__, map(table[p].__getitem__, row_i)))
+            table[a] = table[n - 1 - a] = row
+            tree.append((a, i, p))
+        ident = list(range(n))
+        for a, row in enumerate(table):
+            if row[a] != n - 1 - a or list(map(row.__getitem__, row)) != ident:
+                raise InternalInvariantError(
+                    f"reflection row {a} of {cartan_type} is not an involution "
+                    "that sends its root to its negative")
         self.reflection_table = tuple(table)
+        self._root_tree = tuple(tree)
         # per simple root a, for weyl._left_step: the bit of a, and the byte
         # tables of the bits of s_a(b) over the positive roots b, 0 for b = a
         pos = self._pos_position
         self._left_steps = tuple(
             (1 << pos[a], _byte_tables([0 if b == a else 1 << pos[table[a][b]]
                                         for b in self.positive]))
-            for a in self.simple)
+            for a in simple)
         self._group = None
         self._embeddings: dict[str, tuple] = {}
+        self._pair_masks = None
+
+    @property
+    def roots(self) -> tuple[Vector, ...]:
+        """The ambient vectors by root index, with `fractions.Fraction` coordinates.
+
+        Built from the integer vectors on first read and kept; racing
+        readers build equal tuples, and either may be kept.
+        """
+        if self._roots is None:
+            from fractions import Fraction
+            d = self._denominator
+            self._roots = tuple(tuple(Fraction(x, d) for x in v) for v in self._ambient)
+        return self._roots
 
     # -- basic queries ------------------------------------------------------
 
@@ -276,13 +320,13 @@ class RootSystem:
         return self._pos_position[i]
 
     def __repr__(self) -> str:
-        return f"RootSystem({self.cartan_type!r}, {len(self.roots)} roots)"
+        return f"RootSystem({self.cartan_type!r}, {len(self.simple_coords)} roots)"
 
     def __eq__(self, other: object) -> bool:
         if self is other:
             return True
-        return isinstance(other, RootSystem) and \
-            self.cartan_type == other.cartan_type and self.roots == other.roots
+        return isinstance(other, RootSystem) and self.cartan_type == other.cartan_type \
+            and self._ambient == other._ambient and self._denominator == other._denominator
 
     def __hash__(self) -> int:
         return hash(self.cartan_type)
@@ -299,8 +343,9 @@ def _cartan_integer(cartan_type: str, pairing: int, norm: int) -> int:
     return k
 
 
-def _integer_roots(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """Simple-root coordinates of every root: the unit vectors closed under
+def _integer_roots(cartan: Sequence[Sequence[int]]) -> dict[tuple[int, ...], tuple]:
+    """Simple-root coordinates of every root, each mapped to its images
+    under s_1, ..., s_n: the unit vectors closed under
     s_i(b) = b - <b, a_i^v> e_i, where <b, a_i^v> = sum_j b_j cartan[i][j].
 
     A finite root system of rank n has at most 2n(n + 7) roots: an
@@ -312,24 +357,27 @@ def _integer_roots(cartan: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
     """
     n = len(cartan)
     limit = 2 * n * (n + 7)
-    roots = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-    frontier = list(roots)
+    frontier = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    # a root maps to None until its images are taken
+    steps: dict[tuple[int, ...], tuple | None] = dict.fromkeys(frontier)
     while frontier:
         new: list[tuple[int, ...]] = []
         for beta in frontier:
+            images = []
             for i, row in enumerate(cartan):
-                k = sum(b * c for b, c in zip(beta, row))
-                if k:
-                    img = beta[:i] + (beta[i] - k,) + beta[i + 1:]
-                    if img not in roots:
-                        roots.add(img)
-                        new.append(img)
-        if len(roots) > limit:
+                k = sum(map(mul, beta, row))
+                img = beta[:i] + (beta[i] - k,) + beta[i + 1:] if k else beta
+                if img not in steps:
+                    steps[img] = None
+                    new.append(img)
+                images.append(img)
+            steps[beta] = tuple(images)
+        if len(steps) > limit:
             raise InvalidCartanType(
                 f"internal construction failure: the Cartan matrix {cartan} "
                 f"has more than {limit} roots, so it is of no finite type")
         frontier = new
-    return roots
+    return steps
 
 
 # the only module-level memo: every other one hangs off an interned system
@@ -357,15 +405,17 @@ def build_root_system(cartan_type: str) -> RootSystem:
     cached = _SYSTEMS.get(canonical)
     if cached is not None:
         return cached
-    simples: list[tuple] = []
+    parts = [_factor_simples(l, r) for l, r in factors]
+    total_dim = sum(fdim for _, fdim, _ in parts)
+    denominator = math.lcm(*(d for _, _, d in parts))
+    simples: list[tuple[int, ...]] = []
     offset = 0
-    total_dim = sum(_factor_simples(l, r)[1] for l, r in factors)
-    for letter, rank in factors:
-        fsimples, fdim = _factor_simples(letter, rank)
+    for fsimples, fdim, d in parts:
         for s in fsimples:
-            simples.append((0,) * offset + tuple(s) + (0,) * (total_dim - offset - fdim))
+            simples.append((0,) * offset + tuple(x * (denominator // d) for x in s)
+                           + (0,) * (total_dim - offset - fdim))
         offset += fdim
-    rs = RootSystem(canonical, simples, total_dim)
+    rs = RootSystem(canonical, simples, total_dim, denominator)
     _SYSTEMS[canonical] = rs
     return rs
 
@@ -375,15 +425,17 @@ def reflect(rs: RootSystem, alpha: int, v: Vector) -> Vector:
 
     Agrees with ``rs.reflection_table[alpha]`` whenever v is itself a root.
     """
-    if not 0 <= alpha < len(rs.roots):
+    from fractions import Fraction
+    if not 0 <= alpha < len(rs.simple_coords):
         raise ValueError(f"root index {alpha} out of range for {rs.cartan_type}")
-    return _reflect_vec(rs.roots[alpha], tuple(Q(x) for x in v))
+    return _reflect_vec(rs.roots[alpha], tuple(Fraction(x) for x in v))
 
 
 def inner_product(rs: RootSystem, v1: Vector, v2: Vector) -> Fraction:
     """Exact inner product in the ambient space of rs."""
+    from fractions import Fraction
     if len(v1) != rs.ambient_dim or len(v2) != rs.ambient_dim:
         raise ValueError(
             f"dimension mismatch: expected {rs.ambient_dim}, got {len(v1)} and {len(v2)}"
         )
-    return dot(tuple(Q(x) for x in v1), tuple(Q(x) for x in v2))
+    return dot(tuple(Fraction(x) for x in v1), tuple(Fraction(x) for x in v2))

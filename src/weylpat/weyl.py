@@ -125,7 +125,7 @@ def reflection(rs: RootSystem, alpha: int) -> WeylElement:
 
     s_alpha is its own inverse, so I(s_alpha) is the set of positive roots
     that its row of ``rs.reflection_table`` sends negative."""
-    if not 0 <= alpha < len(rs.roots):
+    if not 0 <= alpha < len(rs.simple_coords):
         raise ValueError(f"root index {alpha} out of range for {rs.cartan_type}")
     row, heights = rs.reflection_table[alpha], rs.heights
     return WeylElement(rs, sum(1 << p for p, b in enumerate(rs.positive) if heights[row[b]] < 0))
@@ -155,7 +155,7 @@ def apply(w: WeylElement, alpha: int) -> int:
     """Index of w(alpha) for a root index alpha: the reflection rows of a
     reduced word of w, applied from its right end."""
     rs = w.group
-    if not 0 <= alpha < len(rs.roots):
+    if not 0 <= alpha < len(rs.simple_coords):
         raise ValueError(f"root index {alpha} out of range for {rs.cartan_type}")
     table, simple = rs.reflection_table, rs.simple
     for i in reversed(_peel(rs, w.inversions)[0]):

@@ -660,6 +660,22 @@ def naive_embeddings(source, target) -> set[tuple[int, ...]]:
     return result
 
 
+def full_map_by_vector_sums(source, target, images: tuple[int, ...]) -> tuple[int, ...]:
+    """The target root index of each source root, each image summed from
+    the images of the simple roots in simple-root coordinates and looked
+    up: the linear extension, built the way the embedding search once
+    built it."""
+    index = {c: i for i, c in enumerate(target.simple_coords)}
+    image_coords = [target.simple_coords[i] for i in images]
+    full = []
+    for coeffs in source.simple_coords:
+        vec = [0] * target.rank
+        for c, img in zip(coeffs, image_coords):
+            vec = [x + c * y for x, y in zip(vec, img)]
+        full.append(index[tuple(vec)])
+    return tuple(full)
+
+
 # ---------------------------------------------------------------------------
 # poset isomorphism: a colour-refined search and a search over bijections
 # ---------------------------------------------------------------------------

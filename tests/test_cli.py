@@ -1,5 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import pytest
+
+import weylpat
 from weylpat.harness.cli import main
 
 
@@ -195,3 +202,38 @@ def test_well_formed_commands_never_hit_exit_3(capsys):
     for argv in grid:
         assert main(argv) in (0, 1), argv
         capsys.readouterr()
+
+
+# sha256 of the text and of the JSON output, recorded while every root
+# system built its Fraction ambient vectors up front
+OUTPUT_PINS = {
+    ("roots", "F4"): ("d84f105a8368292c664ada3ed1fe1f4b657e8eb4f50dbdf41728cb60565be3aa",
+                      "e7faa298ba00bb13c4f068c5a47bc351df9d085db35c61a5bf75ee4a7b8ca0f9"),
+    ("roots", "E8"): ("ac2ac4c9fa2f49f7affb7bdb5c10e086ca81a2a005c0df8d7272e387a0aa01b4",
+                      "962680ca32a768bb9e851f4702db2383c9392a0b2329a7ff67bd77ab54836fe9"),
+    ("embeddings", "B2", "F4"):
+        ("2d88a8e789c90115c56773903e55f7734823462c31010e285f1eef301ca9dffb",
+         "8eedddc0a41476333fa422b4ff78773f40dd20a3d1eb99f34874b350e3b09983"),
+}
+
+
+@pytest.mark.parametrize("argv", list(OUTPUT_PINS))
+def test_root_and_embedding_output_is_pinned(capsys, argv):
+    got = []
+    for fmt in ((), ("--format", "json")):
+        code, out, _ = run(capsys, *argv, *fmt)
+        assert code == 0
+        got.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(got) == OUTPUT_PINS[argv]
+
+
+def test_a_verify_run_loads_neither_fractions_nor_decimal():
+    # only the ambient vectors read Fraction, and no sweep reads them
+    script = ("import sys\n"
+              "from weylpat.harness.cli import main\n"
+              "assert main(['verify', 'flattening', 'A1', 'A2']) == 0\n"
+              "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylpat.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.splitlines()[-1] == "[]"

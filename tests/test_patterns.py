@@ -8,6 +8,7 @@ from helpers import (
     coset_maps_by_target,
     digest,
     flip_perm,
+    full_map_by_vector_sums,
     interval_embeds as defined_interval_embeds,
     naive_embeddings,
     negatives,
@@ -23,6 +24,8 @@ from weylpat.errors import (
 from weylpat.kl import is_rationally_smooth, kl_polynomial, mu
 from weylpat.patterns import (
     SubsystemEmbedding,
+    _full_map,
+    _pair_masks,
     embed_element,
     enumerate_embeddings,
     flatten,
@@ -866,3 +869,73 @@ def test_embeddings_match_pinned_digests(src):
             found.append((tgt, tuple((e.simple_images, e.full_map)
                                      for e in enumerate_embeddings(source, target))))
     assert (len(found), digest(tuple(found))) == EMBEDDING_DIGESTS[src]
+
+
+# per source, the count and sha256 prefix (helpers.digest) of its
+# (simple_images, full_map) list into E7, recorded from the search that
+# scanned every positive root per node and summed vectors per full map
+E7_DIGESTS = {
+    "A2": (672, "127a125744f1731e"), "A3": (2520, "bb8def7ef4c523fc"),
+    "D4": (1890, "dc29f26857140067"),
+}
+
+
+@pytest.mark.parametrize("src", E7_DIGESTS)
+def test_embeddings_into_e7_match_pinned_digests(src):
+    embs = enumerate_embeddings(build_root_system(src), build_root_system("E7"))
+    found = tuple((e.simple_images, e.full_map) for e in embs)
+    assert (len(found), digest(found)) == E7_DIGESTS[src]
+
+
+@pytest.mark.parametrize("src,tgt,nodes", [("A3", "A6", 161), ("D4", "E7", 5145)])
+def test_embedding_cap_boundary_is_the_node_count(src, tgt, nodes):
+    # the search tries exactly `nodes` partial assignments, counted before
+    # the search used pairing masks: that cap succeeds and one fewer fails,
+    # cold and warm alike
+    for cap, ok in ((nodes - 1, False), (nodes, True)):
+        clear_caches()
+        source, target = build_root_system(src), build_root_system(tgt)
+        if ok:
+            found = enumerate_embeddings(source, target, cap=cap)
+        else:
+            with pytest.raises(CapExceededError):
+                enumerate_embeddings(source, target, cap=cap)
+    with pytest.raises(CapExceededError):
+        enumerate_embeddings(source, target, cap=nodes - 1)
+    assert enumerate_embeddings(source, target, cap=nodes) is found
+
+
+@pytest.mark.parametrize("src,tgt", [
+    ("A2", "F4"), ("B2", "F4"), ("G2", "G2"), ("C3", "F4"), ("A1xA1", "D5"),
+    ("A1xA2", "A2xB2"), ("A3", "E6"), ("D4", "E7"),
+])
+def test_full_maps_match_vector_sums(src, tgt):
+    source, target = build_root_system(src), build_root_system(tgt)
+    embs = enumerate_embeddings(source, target)
+    assert embs
+    for emb in embs:
+        assert emb.full_map == full_map_by_vector_sums(source, target, emb.simple_images)
+
+
+@pytest.mark.parametrize("cartan_type", ["A3", "G2", "B3", "C3", "F4", "A1xB2", "E6"])
+def test_pair_masks_hold_the_cartan_integers(cartan_type):
+    rs = build_root_system(cartan_type)
+    masks = _pair_masks(rs)
+    assert _pair_masks(rs) is masks
+    for pa, a in enumerate(rs.positive):
+        assert sum(masks[pa].values()) == (1 << rs.num_positive) - 1
+        for pb, b in enumerate(rs.positive):
+            ra, rb = rs.roots[a], rs.roots[b]
+            pair = (2 * dot(rb, ra) / dot(ra, ra), 2 * dot(ra, rb) / dot(rb, rb))
+            assert [key for key, m in masks[pa].items() if m >> pb & 1] == [pair]
+
+
+def test_full_map_rejects_a_positive_root_sent_negative():
+    # a1 and -(a1 + a2) have the Cartan integers of a1 and a2, but the
+    # linear map sends a1 + a2 to -a2
+    a2 = build_root_system("A2")
+    images = (a2.simple[0], a2.simple_coords.index((-1, -1)))
+    assert full_map_by_vector_sums(a2, a2, images)[a2.simple_coords.index((1, 1))] \
+        == a2.simple_coords.index((0, -1))
+    with pytest.raises(InternalInvariantError, match="positive root to a negative"):
+        _full_map(a2, a2, images)

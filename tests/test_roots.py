@@ -3,7 +3,8 @@ from fractions import Fraction as Q
 import pytest
 
 from helpers import RationalSpan, digest, negatives, root_index
-from weylpat.errors import InvalidCartanType
+from weylpat import roots
+from weylpat.errors import InternalInvariantError, InvalidCartanType
 from weylpat.roots import (
     RootSystem,
     _integer_roots,
@@ -254,3 +255,39 @@ def test_closure_of_an_infinite_type_stops(cartan):
 def test_root_count_bound_admits_a_product_past_e8():
     # E8xA1 has rank 9 and 242 roots, more than E8 and more than 2 * 9^2
     assert len(build_root_system("E8xA1").roots) == 242
+
+
+def test_ambient_vectors_are_built_on_first_read():
+    rs = RootSystem("G2", [(1, -1, 0), (-2, 1, 1)], 3)
+    assert rs._roots is None
+    first = rs.roots
+    assert rs.roots is first
+    assert first == build_root_system("G2").roots
+
+
+@pytest.mark.parametrize("simples,dim,denominator", [
+    # F4 from Fraction simples, and A1 from a doubled simple root over 2
+    ([(0, 1, -1, 0), (0, 0, 1, -1), (0, 0, 0, 1), (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2))], 4, 1),
+    ([(2,)], 1, 2),
+])
+def test_systems_compare_by_their_ambient_vectors(simples, dim, denominator):
+    rs = RootSystem("F4" if dim == 4 else "A1", simples, dim, denominator)
+    built = build_root_system(rs.cartan_type)
+    assert rs == built and rs.roots == built.roots
+    # the same type over other vectors is another system
+    doubled = RootSystem(rs.cartan_type, [tuple(2 * x for x in s) for s in simples], dim,
+                         denominator)
+    assert doubled != built and doubled.roots != built.roots
+
+
+def test_a_reflection_row_that_is_no_involution_is_rejected(monkeypatch):
+    # plant a wrong step: s_1 fixes the first root it should move
+    def planted(cartan):
+        steps = _integer_roots(cartan)
+        beta = next(b for b, images in steps.items() if images[0] != b)
+        steps[beta] = (beta,) + steps[beta][1:]
+        return steps
+
+    monkeypatch.setattr(roots, "_integer_roots", planted)
+    with pytest.raises(InternalInvariantError, match="not an involution"):
+        RootSystem("A2", [(1, -1, 0), (0, 1, -1)], 3)

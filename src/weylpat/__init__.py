@@ -30,9 +30,8 @@ from .patterns import (
     interval_poset_reachable,
     parse_interval_spec,
     pattern_avoids,
-    pattern_embeds,
 )
-from .roots import RootSystem, build_root_system, clear_caches, inner_product, reflect
+from .roots import RootSystem, build_root_system, clear_caches
 from .weyl import (
     BruhatInterval,
     WeylElement,
@@ -70,7 +69,7 @@ __version__ = "0.1.0"
 __all__ = [
     "WeylError", "InvalidCartanType", "GroupMismatchError", "NotComparableError",
     "NotAnInversionSetError", "CapExceededError", "InternalInvariantError",
-    "RootSystem", "build_root_system", "clear_caches", "reflect", "inner_product",
+    "RootSystem", "build_root_system", "clear_caches",
     "WeylElement", "WeylGroup", "BruhatInterval",
     "identity", "simple_reflection", "reflection", "multiply", "inverse", "apply",
     "from_word", "to_reduced_word", "from_inversion_set", "inversion_roots",
@@ -78,7 +77,7 @@ __all__ = [
     "parse_element", "format_word", "one_line", "element_label",
     "KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth",
     "SubsystemEmbedding", "enumerate_embeddings", "embed_element", "flatten",
-    "pattern_embeds", "pattern_avoids", "interval_embeds",
+    "pattern_avoids", "interval_embeds",
     "forced_bottom", "interval_pattern_instances",
     "interval_pattern_avoids", "interval_poset_reachable",
     "parse_interval_spec", "format_interval_spec",

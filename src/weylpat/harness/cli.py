@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from collections.abc import Iterable, Sequence
+from itertools import chain
 
 from ..errors import (
     CapExceededError,
@@ -31,9 +32,10 @@ from ..patterns import (
 from ..roots import build_root_system
 from ..weyl import (
     DEFAULT_ENUMERATION_CAP,
+    WeylElement,
+    WeylGroup,
     bruhat_leq,
     element_label,
-    enumerate_elements,
     format_word,
     interval,
     one_line,
@@ -53,21 +55,41 @@ def _element_json(w) -> dict:
     return out
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+# stands in a payload for the list that _emit writes one item at a time
+_LISTING = "\0listing"
+
+
+def _emit(args, payload: dict, text_lines: Iterable[str], items: Iterable[dict] = ()) -> None:
     """Print the JSON payload under the subcommand's name, or the text lines;
-    cases and failures default to none."""
+    cases and failures default to none.
+
+    Where the payload holds ``_LISTING``, the items are written in its
+    place one at a time, byte for byte the list ``json.dumps`` would
+    write, so lines and items given as iterators build only the format
+    printed.
+    """
     if args.format == "json":
         payload["command"] = args.command
         payload.setdefault("cases", None)
         payload.setdefault("failures", [])
-        print(json.dumps(payload, sort_keys=True))
+        head, listing, tail = json.dumps(payload, sort_keys=True).partition(json.dumps(_LISTING))
+        write = sys.stdout.write
+        write(head)
+        if listing:
+            write("[")
+            for k, item in enumerate(items):
+                if k:
+                    write(", ")
+                write(json.dumps(item, sort_keys=True))
+            write("]")
+        write(tail + "\n")
     else:
         for line in text_lines:
             print(line)
 
 
-def _root_str(vec) -> str:
-    return "(" + ", ".join(str(x) for x in vec) + ")"
+def _root_str(coords: Iterable[str]) -> str:
+    return "(" + ", ".join(coords) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +127,7 @@ def _cmd_roots(args) -> int:
         if row["simple"]:
             tags.append(f"simple a{row['simple']}")
         tag = ("  " + " ".join(tags)) if tags else ""
-        lines.append(f"  [{row['index']:>2}] {_root_str(rs.roots[row['index']])}"
+        lines.append(f"  [{row['index']:>2}] {_root_str(row['coords'])}"
                      f"  height {row['height']:>2}{tag}")
     _emit(args, payload, lines)
     return 0
@@ -113,16 +135,15 @@ def _cmd_roots(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     rs = build_root_system(args.type)
-    elements = enumerate_elements(rs, args.cap)
-    payload = {
-        "inputs": {"type": rs.cartan_type},
-        "result": {"order": len(elements),
-                   "elements": [_element_json(w) for w in elements]},
-    }
-    lines = [f"{rs.cartan_type}: {len(elements)} elements"]
-    for w in elements:
-        lines.append(f"  l={w.length:>2}  {element_label(w)}")
-    _emit(args, payload, lines)
+    wg = WeylGroup.for_system(rs, args.cap)
+    # each element is built from its mask as it is printed; only the
+    # lines or the items read this generator, the format printed
+    elements = (WeylElement(rs, m) for m in wg.masks)
+    _emit(args, {"inputs": {"type": rs.cartan_type},
+                 "result": {"order": wg.size, "elements": _LISTING}},
+          chain([f"{rs.cartan_type}: {wg.size} elements"],
+                (f"  l={w.length:>2}  {element_label(w)}" for w in elements)),
+          map(_element_json, elements))
     return 0
 
 
@@ -173,27 +194,16 @@ def _cmd_embeddings(args) -> int:
     source = build_root_system(args.source)
     target = build_root_system(args.target)
     embs = enumerate_embeddings(source, target)
-    payload = {
-        "inputs": {"source": source.cartan_type, "target": target.cartan_type},
-        "result": {
-            "count": len(embs),
-            "embeddings": [
-                {"index": k,
-                 "simple_images": [
-                     {"root_index": i, "coords": [str(x) for x in target.roots[i]]}
-                     for i in emb.simple_images
-                 ]}
-                for k, emb in enumerate(embs)
-            ],
-        },
-    }
-    lines = [f"{len(embs)} embeddings of {source.cartan_type} into {target.cartan_type}"]
-    for k, emb in enumerate(embs):
-        images = ", ".join(
-            f"a{j + 1} -> {_root_str(target.roots[i])}"
-            for j, i in enumerate(emb.simple_images))
-        lines.append(f"  [{k}] {images}")
-    _emit(args, payload, lines)
+    coords = [[str(x) for x in r] for r in target.roots]
+    _emit(args, {"inputs": {"source": source.cartan_type, "target": target.cartan_type},
+                 "result": {"count": len(embs), "embeddings": _LISTING}},
+          chain([f"{len(embs)} embeddings of {source.cartan_type} into {target.cartan_type}"],
+                (f"  [{k}] " + ", ".join(f"a{j + 1} -> {_root_str(coords[i])}"
+                                         for j, i in enumerate(emb.simple_images))
+                 for k, emb in enumerate(embs))),
+          ({"index": k,
+            "simple_images": [{"root_index": i, "coords": coords[i]} for i in emb.simple_images]}
+           for k, emb in enumerate(embs)))
     return 0
 
 

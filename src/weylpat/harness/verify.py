@@ -52,10 +52,10 @@ KL column once into bit masks, and sweeps each window pair once.
 from __future__ import annotations
 
 import json
+import os
 import re
 import time
-from importlib import resources
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from ..errors import InternalInvariantError, NotComparableError
 from ..kl import KLPolynomial, _bits, _table_for, is_rationally_smooth
@@ -63,7 +63,6 @@ from ..patterns import (
     _coset_tables,
     _cosets,
     _cover_check,
-    _equal_gap_instances,
     embed_element,
     enumerate_embeddings,
     format_interval_spec,
@@ -96,8 +95,10 @@ __all__ = [
 
 
 def default_window() -> dict:
-    text = resources.files("weylpat.harness").joinpath("default_window.json").read_text()
-    return json.loads(text)
+    """The shipped window, read through this module's own loader, which also
+    reads from a zip install."""
+    path = os.path.join(os.path.dirname(__file__), "default_window.json")
+    return json.loads(__spec__.loader.get_data(path))
 
 
 def load_window(path: str | None = None) -> dict:
@@ -310,21 +311,23 @@ def verify_kl_transfer(source_type: str, target_type: str,
         src_kl, tgt_kl = _table_for(src), _table_for(tgt)
         columns: dict[int, dict[int, int]] = {}
         readers: dict[int, Callable[[int], int]] = {}
-        for u, v, x, w in _equal_gap_instances(enumerate_embeddings(source, target), cap):
-            rep.cases += 1
-            column = columns.get(v)
-            if column is None:
-                column = columns[v] = dict(src_kl._entries(v))
-            read = readers.get(w)
-            if read is None:
-                read = readers[w] = tgt_kl._reader(w)
-            packed = column.get(u, 0)
-            if packed != read(x) or not packed:
-                p1 = src_kl.polynomial(u, v)
-                p2 = tgt_kl.polynomial(x, w)
-                if p1 != p2:
-                    rep.failures.append(
-                        f"{_pair_label(src, tgt, u, v, x, w)}: {p1} != {p2}")
+        for phi, pairs in _cosets(enumerate_embeddings(source, target), cap):
+            rep.cases += len(pairs)
+            for u, v in pairs:
+                x, w = phi[u], phi[v]
+                column = columns.get(v)
+                if column is None:
+                    column = columns[v] = dict(src_kl._entries(v))
+                read = readers.get(w)
+                if read is None:
+                    read = readers[w] = tgt_kl._reader(w)
+                packed = column.get(u, 0)
+                if packed != read(x) or not packed:
+                    p1 = src_kl.polynomial(u, v)
+                    p2 = tgt_kl.polynomial(x, w)
+                    if p1 != p2:
+                        rep.failures.append(
+                            f"{_pair_label(src, tgt, u, v, x, w)}: {p1} != {p2}")
 
     return _timed(run, report)
 
@@ -375,24 +378,18 @@ def _kl_masks(wg: WeylGroup, props: Sequence[Callable[[KLPolynomial], bool]]
     return down, holds
 
 
-def verify_upper_ideal(property_name: str, types: Sequence[str],
+def verify_upper_ideal(property_names: Sequence[str], types: Sequence[str],
                        pairs: Sequence[tuple[str, str]] | None = None,
-                       cap: int = DEFAULT_ENUMERATION_CAP) -> VerificationReport:
-    """The interval set cut out by a KL property is upward closed.
+                       cap: int = DEFAULT_ENUMERATION_CAP) -> list[VerificationReport]:
+    """The interval sets cut out by KL properties are upward closed; one
+    report per property, in the order given.
 
     Upward moves in the interval poset lower the bottom within a group
     (the closure of a cell only adds smaller elements) and transport
     along interval pattern embeddings across groups.  Both closures are
-    checked exhaustively inside the window, by the sweep of
-    :func:`_upper_ideal` with this one property.
-    """
-    return _upper_ideal([property_name], types, pairs, cap)[0]
-
-
-def _upper_ideal(property_names: Sequence[str], types: Sequence[str],
-                 pairs: Sequence[tuple[str, str]] | None,
-                 cap: int) -> list[VerificationReport]:
-    """One sweep that checks every property at once, one report per property.
+    checked exhaustively inside the window of ``types``, move 1 over
+    ``pairs`` (every rank compatible pair of ``types`` by default), in
+    one sweep for all the properties.
 
     Each KL column of each group is decoded once, into the mask of D(v)
     and, per property, the mask of the u in D(v) where it holds on
@@ -550,7 +547,7 @@ def run_suite(name: str, args: Sequence[str], window: dict,
             key=lambda t: (build_root_system(t).rank, t))
         props = [args[0]] if args else window["upper_ideal_properties"]
         pairs = None if args[1:] else matrix_pairs(window, slow)
-        return _upper_ideal(props, list(args[1:]) or window_types, pairs, cap)
+        return verify_upper_ideal(props, list(args[1:]) or window_types, pairs, cap)
     if name == "type-a-smoothness":
         sizes = [int(a) for a in args] if args else window["smoothness_sizes"]
         return [verify_type_a_smoothness(n, cap) for n in sizes]

@@ -119,11 +119,11 @@ of it.
 
 from __future__ import annotations
 
-import threading
+from _thread import allocate_lock
 from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from itertools import islice, repeat
-from typing import Callable
 
 from .errors import InternalInvariantError, NotComparableError
 from .weyl import (
@@ -249,7 +249,7 @@ class _ValueIds(dict):
     def __init__(self):
         super().__init__({1: 0})
         self.values = [1]
-        self.lock = threading.Lock()
+        self.lock = allocate_lock()
 
     def __missing__(self, val: int) -> int:
         with self.lock:

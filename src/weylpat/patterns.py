@@ -47,9 +47,9 @@ enumerates no target group; its ``flatten`` calls enumerate the source group.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable, Iterator, Sequence
 from functools import cache
 from itertools import chain
-from typing import Callable, Iterator, Sequence
 
 from .errors import (
     CapExceededError,
@@ -78,7 +78,6 @@ __all__ = [
     "enumerate_embeddings",
     "embed_element",
     "flatten",
-    "pattern_embeds",
     "pattern_avoids",
     "interval_embeds",
     "forced_bottom",
@@ -429,13 +428,6 @@ def flatten(emb: SubsystemEmbedding, w: WeylElement,
     return WeylElement(emb.source, source.masks[k])
 
 
-def pattern_embeds(emb: SubsystemEmbedding, v: WeylElement, w: WeylElement) -> bool:
-    """True when this embedding flattens w to v."""
-    if v.group != emb.source:
-        raise GroupMismatchError("pattern element does not belong to the embedding source")
-    return flatten(emb, w) == v
-
-
 def pattern_avoids(v: WeylElement, w: WeylElement,
                    cap: int = DEFAULT_EMBEDDING_CAP) -> bool:
     """True when no embedding of v's system into w's system flattens w to v.
@@ -646,15 +638,6 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
             yield phi, pairs
 
 
-def _equal_gap_instances(embeddings: Sequence[SubsystemEmbedding], cap: int
-                         ) -> Iterator[tuple[int, int, int, int]]:
-    """(u, v, phi[u], phi[v]) for each pair of each coset of :func:`_cosets`:
-    the interval pattern embeddings, those with equal length gaps."""
-    for phi, pairs in _cosets(embeddings, cap):
-        for u, v in pairs:
-            yield u, v, phi[u], phi[v]
-
-
 def interval_pattern_avoids(w: WeylElement, u: WeylElement, v: WeylElement,
                             cap: int = DEFAULT_EMBEDDING_CAP) -> bool:
     """True when no embedding realizes [u, v] as an interval pattern in w.
@@ -739,8 +722,9 @@ def interval_poset_reachable(generators: Sequence[BruhatInterval],
         if hits is None:
             hits = moves[sys_type] = {}
             for tgt in systems.values():
-                for u, v, x2, w2 in _equal_gap_instances(enumerate_embeddings(sys, tgt, cap), cap):
-                    hits.setdefault((u, v), []).append((tgt.cartan_type, x2, w2))
+                for phi, pairs in _cosets(enumerate_embeddings(sys, tgt, cap), cap):
+                    for u, v in pairs:
+                        hits.setdefault((u, v), []).append((tgt.cartan_type, phi[u], phi[v]))
         for st in hits.get((bot, top), ()):
             if push(st):
                 return True

@@ -10,10 +10,9 @@ table, and every other row is a conjugate: s_a = s_i s_p s_i for
 a = s_i(p), two ``map`` calls per row.  The roots are ordered by their
 ambient vectors in integers, the simple roots scaled over one common
 denominator; ``roots``, the ambient vectors with `fractions.Fraction`
-coordinates, is built on first read, for display and for the vector
-functions of this module, so nothing else imports ``fractions``.  The
-realization of each simple type is fixed once and for all so that root
-indices are reproducible bit for bit:
+coordinates, is built on first read, for display, so nothing else
+imports ``fractions``.  The realization of each simple type is fixed
+once and for all so that root indices are reproducible bit for bit:
 
     A1          {+-e1} in R^1
     An (n>=2)   {e_i - e_j : i != j} in R^(n+1),  alpha_i = e_i - e_(i+1)
@@ -45,11 +44,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from operator import mul
-from typing import TYPE_CHECKING, Sequence
 
 from .errors import InternalInvariantError, InvalidCartanType
 
+TYPE_CHECKING = False  # true for a type checker only, so no run imports typing
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -60,24 +60,7 @@ __all__ = [
     "RootSystem",
     "build_root_system",
     "clear_caches",
-    "reflect",
-    "inner_product",
-    "dot",
 ]
-
-
-def dot(u: Vector, v: Vector) -> Fraction:
-    """Exact Euclidean inner product."""
-    from fractions import Fraction
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(map(mul, u, v), Fraction(0))
-
-
-def _reflect_vec(alpha: Vector, v: Vector) -> Vector:
-    """s_alpha(v) = v - 2(v,alpha)/(alpha,alpha) alpha, computed exactly."""
-    c = 2 * dot(v, alpha) / dot(alpha, alpha)
-    return tuple(x - c * a for x, a in zip(v, alpha))
 
 
 def _reduce(basis: list[tuple[int, list[int]]], v: Sequence[int]) -> list[int]:
@@ -419,23 +402,3 @@ def build_root_system(cartan_type: str) -> RootSystem:
     _SYSTEMS[canonical] = rs
     return rs
 
-
-def reflect(rs: RootSystem, alpha: int, v: Vector) -> Vector:
-    """Image of the vector v under the reflection in the root with index alpha.
-
-    Agrees with ``rs.reflection_table[alpha]`` whenever v is itself a root.
-    """
-    from fractions import Fraction
-    if not 0 <= alpha < len(rs.simple_coords):
-        raise ValueError(f"root index {alpha} out of range for {rs.cartan_type}")
-    return _reflect_vec(rs.roots[alpha], tuple(Fraction(x) for x in v))
-
-
-def inner_product(rs: RootSystem, v1: Vector, v2: Vector) -> Fraction:
-    """Exact inner product in the ambient space of rs."""
-    from fractions import Fraction
-    if len(v1) != rs.ambient_dim or len(v2) != rs.ambient_dim:
-        raise ValueError(
-            f"dimension mismatch: expected {rs.ambient_dim}, got {len(v1)} and {len(v2)}"
-        )
-    return dot(tuple(Fraction(x) for x in v1), tuple(Fraction(x) for x in v2))

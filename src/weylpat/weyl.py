@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import sys
 from array import array
+from collections.abc import Iterable, Sequence
 from itertools import repeat
-from typing import Iterable, Sequence
 
 from .errors import (
     CapExceededError,
@@ -363,19 +363,25 @@ class WeylGroup:
 
     @property
     def inverses(self) -> list[int]:
-        """inverses[k] is the index of elements[k]^-1, built on first use by
-        walking the first-letter chain of k, s_i1 ... s_ik, and applying the
-        same letters to the identity, which gives s_ik ... s_i1."""
+        """inverses[k] is the index of elements[k]^-1, built on first use in
+        one pass in index order.  For k = s_i a, i its first letter, the last
+        letter t of k's word is that of a (i when a = e), and k s_t = s_i (a s_t)
+        precedes k, so k^-1 = s_t (k s_t)^-1 reads an index already filled."""
         if self._inverses is None:
             first, lmult = self.first, self.lmult
-            out = []
-            for k in range(self.size):
-                j, a = 0, k
-                while a:
-                    row = lmult[first[a] - 1]
-                    j, a = row[j], row[a]
-                out.append(j)
-            self._inverses = out
+            # last[k] is the 0-based last letter of k's word, pre[k] the index of
+            # k s_last[k]; pre is an array, as it is dropped once inv is filled
+            last, pre, inv = bytearray(self.size), array("i", [0]) * self.size, [0] * self.size
+            for k in range(1, self.size):
+                i = first[k] - 1
+                row = lmult[i]
+                a = row[k]
+                if a:
+                    last[k], pre[k] = last[a], row[pre[a]]
+                else:
+                    last[k] = i
+                inv[k] = lmult[last[k]][inv[pre[k]]]
+            self._inverses = inv
         return self._inverses
 
     @property

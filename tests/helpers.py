@@ -16,7 +16,6 @@ from fractions import Fraction
 from weylpat.errors import InternalInvariantError
 from weylpat.kl import _bits
 from weylpat.patterns import SubsystemEmbedding, enumerate_embeddings, flatten
-from weylpat.roots import dot
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
@@ -67,6 +66,22 @@ def perm_of(w: WeylElement) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # roots and descents read off vectors and inversion masks
 # ---------------------------------------------------------------------------
+
+def dot(u, v) -> Fraction:
+    """Exact Euclidean inner product of two vectors of one dimension."""
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((x * y for x, y in zip(u, v)), Fraction(0))
+
+
+def reflect(rs, alpha: int, v) -> tuple[Fraction, ...]:
+    """The image of the ambient vector v under the reflection in root alpha,
+    s_a(v) = v - 2(v, a)/(a, a) a, in exact arithmetic: the oracle of the
+    integer reflection table."""
+    a = rs.roots[alpha]
+    c = 2 * dot(v, a) / dot(a, a)
+    return tuple(x - c * y for x, y in zip(v, a))
+
 
 def root_index(rs) -> dict:
     """The root index of each root vector of rs."""
@@ -319,6 +334,21 @@ def kl_identity_holds_on_columns(wg, tops, kl_coeffs) -> bool:
             if ptrim(lhs) != ptrim(rhs):
                 return False
     return True
+
+
+def inverses_by_walk(wg) -> list[int]:
+    """inverses[k] is the index of elements[k]^-1: the first-letter chain of
+    k, s_i1 ... s_ik, walked down the lmult rows while the same letters are
+    applied to the identity, which gives s_ik ... s_i1."""
+    first, lmult = wg.first, wg.lmult
+    out = []
+    for k in range(wg.size):
+        j, a = 0, k
+        while a:
+            row = lmult[first[a] - 1]
+            j, a = row[j], row[a]
+        out.append(j)
+    return out
 
 
 def lmult_left_descents(wg) -> list[int]:

@@ -162,7 +162,7 @@ def test_criterion_08_upper_ideal():
     ok = True
     details = []
     for prop in window["upper_ideal_properties"]:
-        r = verify_upper_ideal(prop, types, pairs)
+        r, = verify_upper_ideal([prop], types, pairs)
         ok &= r.passed
         details.append(f"{prop}: {r.cases} cases, {len(r.failures)} failures")
     _report(8, ok, "; ".join(details))

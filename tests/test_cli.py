@@ -227,13 +227,59 @@ def test_root_and_embedding_output_is_pinned(capsys, argv):
     assert tuple(got) == OUTPUT_PINS[argv]
 
 
+# the exit code and the sha256 of the text and of the JSON output of one query
+# per command that answers about elements
+QUERY_PINS = {
+    ("enumerate", "G2"):
+        (0, "d17f673c4537a7613c42ea87e5d778c4037b65101f71aac7a76bd4cbe21e6ceb",
+         "ba8678e5bd0e0a33bea8617ec979d8f5473d511123a1ad40e56eba6dd059e405"),
+    ("bruhat", "A3", "--u", "e", "--v", "3412"):
+        (0, "4195470a83b403791be06307f0e94cdab1f7b6f1181e2bd7c6a27fd0387c0699",
+         "6e12255a655dca23e9bda1a9dd51aa068aae9e9df913a2b9e58d37f23c2d279e"),
+    ("bruhat", "B3", "--u", "1", "--v", "1 2 3"):
+        (0, "9e99c12eb0e951ceb14df77c67eef28b9ef996dd03c1f88e57a5955d32739d56",
+         "411f6b03625a14658012defba6f80fd0d6a6fc28838ff953566c000c37c75941"),
+    ("kl", "A3", "--u", "1324", "--v", "3412"):
+        (0, "49814df1bec924098edd0d87055b30e8fd2fa2a16ad5cd88cebaebeab305d039",
+         "6e812e17001804385c0820910fe99d4c432658e96d4573b0036d983188e030d3"),
+    ("kl", "B3", "--u", "e", "--v", "3 2 3 2"):
+        (0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+         "695fc6aa5641cd34132de3d9909d95ee496818e23f07ae531b66f535d48e06ea"),
+    ("flatten", "A2", "A3", "--w", "3412", "--embedding", "1"):
+        (0, "9eae140351398b4e6058d9f21eb917a80fb74a76900e1c21483355321496db05",
+         "699c8a65ffcc4fd02508500b40c8787d053c4afbbd62dc02375804e789b3ccfc"),
+    ("avoids", "A3", "--w", "3412", "--pattern", "A3:3412"):
+        (1, "a053372c76fc65e588e8e69eeb7b42b5455b4c7d84bf532c2450836bef864bf2",
+         "449ce20fc01a680ccf41489d52b45f41dcbc7218840ec60b4a2d9c4d71904a50"),
+    ("avoids", "B3", "--w", "1 2 3 2 1", "--pattern", "A2:321"):
+        (0, "2f6810386b51904f2098879cb5b4bb1dc078c5402b6fa43d47f52d76143a4085",
+         "1edd3648e712290a24562248715caac3d695661a01642ace16021154ca1b8ce0"),
+    ("interval-avoids", "A4", "--w", "45312", "--interval", "A3:1324..3412"):
+        (0, "2f6810386b51904f2098879cb5b4bb1dc078c5402b6fa43d47f52d76143a4085",
+         "eff0c0b9ff51eebb8799ec88347c6849c3875a2ad019c6c0a8dc2a517ed5c506"),
+}
+
+
+@pytest.mark.parametrize("argv", list(QUERY_PINS))
+def test_query_output_is_pinned(capsys, argv):
+    code, text, _ = run(capsys, *argv)
+    json_code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == json_code == QUERY_PINS[argv][0]
+    assert (hashlib.sha256(text.encode()).hexdigest(),
+            hashlib.sha256(out.encode()).hexdigest()) == QUERY_PINS[argv][1:]
+
+
 def test_a_verify_run_loads_neither_fractions_nor_decimal():
-    # only the ambient vectors read Fraction, and no sweep reads them
+    # only the ambient vectors read Fraction, and no sweep reads them; nor does
+    # a run load typing, threading or the modules importlib.resources pulls in.
+    # Under -S, site preloads none of them either
     script = ("import sys\n"
               "from weylpat.harness.cli import main\n"
               "assert main(['verify', 'flattening', 'A1', 'A2']) == 0\n"
-              "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n")
+              "print(sorted({'fractions', 'decimal', 'typing', 'importlib.resources', 'pathlib',\n"
+              "              'tempfile', 'zipfile', 'urllib.parse', 'threading'}\n"
+              "             & set(sys.modules)))\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(weylpat.__file__)))
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.splitlines()[-1] == "[]"

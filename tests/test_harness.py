@@ -283,7 +283,8 @@ def test_equal_gap_generator_matches_the_scan_filtered_by_gap(source, target):
     embs = enumerate_embeddings(s, t)
     filtered = Counter((u, v, x, w) for emb in embs for u, v, x, w in interval_pattern_instances(emb)
                        if src[v] - src[u] == tgt[w] - tgt[x])
-    assert Counter(patterns._equal_gap_instances(embs, DEFAULT_ENUMERATION_CAP)) == filtered
+    swept = patterns._cosets(embs, DEFAULT_ENUMERATION_CAP)
+    assert Counter((u, v, phi[u], phi[v]) for phi, pairs in swept for u, v in pairs) == filtered
 
 
 def test_length_sufficiency_builds_each_embeddings_coset_maps_once(monkeypatch):
@@ -310,7 +311,7 @@ def test_verify_suites_on_small_pairs():
     assert r.passed and r.cases > 0
     r = verify_kl_transfer("A1", "A2")
     assert r.passed and r.cases == 26
-    r = verify_upper_ideal("kl-nontrivial", ["A2"])
+    r, = verify_upper_ideal(["kl-nontrivial"], ["A2"])
     assert r.passed  # vacuous: every KL polynomial in A2 is 1
     r = verify_type_a_smoothness(3)
     assert r.passed and r.parameters["smooth_kl"] == 6
@@ -426,8 +427,8 @@ def _a3_a4_tables(monkeypatch):
     tables = _KLTable(src), _KLTable(tgt)
     monkeypatch.setattr(src, "_kl_table", tables[0])
     monkeypatch.setattr(tgt, "_kl_table", tables[1])
-    instances = list(patterns._equal_gap_instances(enumerate_embeddings(a3, a4),
-                                                   DEFAULT_ENUMERATION_CAP))
+    instances = [(u, v, phi[u], phi[v]) for phi, pairs in patterns._cosets(
+        enumerate_embeddings(a3, a4), DEFAULT_ENUMERATION_CAP) for u, v in pairs]
     return src, tgt, tables, instances
 
 
@@ -456,8 +457,8 @@ def test_kl_transfer_raises_on_a_planted_miss(monkeypatch, sides):
     for table, pair, planted in zip(tables, [(u, v), (x, w)], sides):
         if planted:
             _plant_in_a_read_key(table, [pair], miss=True)
-    monkeypatch.setattr(verify_module, "_equal_gap_instances",
-                        lambda embeddings, cap: iter([(u, v, x, w)]))
+    monkeypatch.setattr(verify_module, "_cosets",
+                        lambda embeddings, cap: iter([({u: x, v: w}, [(u, v)])]))
     with pytest.raises(NotComparableError):
         verify_kl_transfer("A3", "A4")
 
@@ -529,7 +530,7 @@ def test_upper_ideal_sweep_gives_each_property_its_own_report(slow):
     assert len(props) == 2
     together = run_suite("upper-ideal", [], default_window(), slow=slow)
     assert len({r.wall_time for r in together}) == 1
-    apart = [verify_upper_ideal(p, types, pairs) for p in props]
+    apart = [verify_upper_ideal([p], types, pairs)[0] for p in props]
     assert _without_wall_time(together) == _without_wall_time(apart)
 
 
@@ -561,8 +562,9 @@ def test_upper_ideal_reports_a_planted_failure_under_its_own_property(monkeypatc
     assert all(r.passed for r in clean)
     a3 = WeylGroup.for_system(build_root_system("A3"))
     into_a3 = [(s, t) for s, t in matrix_pairs(window) if t == "A3"]
-    yields = [(s, u, v, x, w) for s, t in into_a3 for u, v, x, w in patterns._equal_gap_instances(
-        enumerate_embeddings(build_root_system(s), a3.rs), DEFAULT_ENUMERATION_CAP)]
+    yields = [(s, u, v, phi[u], phi[v]) for s, t in into_a3 for phi, pairs in patterns._cosets(
+        enumerate_embeddings(build_root_system(s), a3.rs), DEFAULT_ENUMERATION_CAP)
+        for u, v in pairs]
     u0, v0 = next((x, w) for *_, x, w in yields if x != w)
     real = verify_module._kl_masks
 
@@ -596,7 +598,7 @@ def test_upper_ideal_masks_match_one_kl_read_per_case(prop):
     # the sweep reads holder masks decoded once per column; the oracle reads
     # every polynomial on its own, one property at a time
     _, types, pairs = _upper_ideal_window(False)
-    r = verify_upper_ideal(prop, types, pairs)
+    r, = verify_upper_ideal([prop], types, pairs)
     assert (r.cases, r.failures) == upper_ideal_by_reads(_parse_property(prop), types, pairs)
     assert r.cases
 
@@ -668,4 +670,4 @@ def test_upper_ideal_rejects_a_scanned_pair_outside_its_down_set(monkeypatch, si
         prop, phi, pairs = "kl-coeff(0,0)", (top, 0) + tuple(range(1, top)), [(0, 1)]
     monkeypatch.setattr(verify_module, "_cosets", lambda embs, cap: iter([(phi, pairs)]))
     with pytest.raises(NotComparableError, match="not comparable: 1 2 1 !<= e"):
-        verify_upper_ideal(prop, ["A2"], [("A2", "A2")])
+        verify_upper_ideal([prop], ["A2"], [("A2", "A2")])

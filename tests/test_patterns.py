@@ -2,11 +2,13 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import (
     classical_contains,
     coset_maps_by_target,
     digest,
+    dot,
     flip_perm,
     full_map_by_vector_sums,
     interval_embeds as defined_interval_embeds,
@@ -24,6 +26,7 @@ from weylpat.errors import (
 from weylpat.kl import is_rationally_smooth, kl_polynomial, mu
 from weylpat.patterns import (
     SubsystemEmbedding,
+    _cosets,
     _full_map,
     _pair_masks,
     embed_element,
@@ -37,10 +40,10 @@ from weylpat.patterns import (
     interval_poset_reachable,
     parse_interval_spec,
     pattern_avoids,
-    pattern_embeds,
 )
-from weylpat.roots import build_root_system, clear_caches, dot
+from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
+    DEFAULT_ENUMERATION_CAP,
     WeylElement,
     WeylGroup,
     bruhat_leq,
@@ -274,7 +277,7 @@ def test_pattern_embedding_basics():
     assert pattern_avoids(v, identity(a3))
     ident_emb = next(e for e in enumerate_embeddings(a3, a3)
                      if e.simple_images == a3.simple)
-    assert pattern_embeds(ident_emb, v, v)
+    assert flatten(ident_emb, v) == v
     # the identity of the target avoids every nonidentity pattern
     a2 = build_root_system("A2")
     for vp in enumerate_elements(a2):
@@ -468,6 +471,34 @@ def test_coset_maps_match_the_object_level_definition(source, target):
                     == [multiply(image[multiply(g, fl_inv)], w) for g in src_elements])
 
 
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_coset_sweep_matches_the_object_level(data):
+    # one embedding and one target element w: the flat table at w against
+    # flatten, the map of w's coset from coset_maps and from _cosets against
+    # i(g) m built with embed_element, m = i(fl(w)^-1) w, and the equal-gap
+    # pairs of that coset against the definition of an interval pattern
+    source = build_root_system(data.draw(st.sampled_from(["A1", "A1xA1", "A2", "B2", "G2"])))
+    target = build_root_system(data.draw(st.sampled_from(["A3", "B3", "C3", "G2", "A4"])))
+    embs = enumerate_embeddings(source, target)
+    assume(embs)
+    emb = data.draw(st.sampled_from(embs))
+    src, tgt = WeylGroup.for_system(source), WeylGroup.for_system(target)
+    w = data.draw(st.integers(0, tgt.size - 1))
+    v = flatten(emb, tgt.elements[w])
+    assert emb.flat()[w] == src.idx(v)
+    m = multiply(embed_element(emb, inverse(v)), tgt.elements[w])
+    phi = tuple(tgt.idx(multiply(embed_element(emb, g), m)) for g in src.elements)
+    assert [p for p in emb.coset_maps() if w in p] == [phi]
+    swept = [(p, pairs) for p, pairs in _cosets((emb,), DEFAULT_ENUMERATION_CAP) if w in p]
+    assert [p for p, _ in swept] == [phi]
+    el = src.elements
+    assert swept[0][1] == [
+        (a, b) for b in range(src.size) for a in range(src.size)
+        if bruhat_leq(el[a], el[b])
+        and defined_interval_embeds(emb, el[a], el[b], tgt.elements[phi[a]], tgt.elements[phi[b]])]
+
+
 @pytest.mark.parametrize("source,target", [("A2", "A3"), ("B2", "B3")])
 def test_single_coset_map_equals_the_coset_maps_entry(source, target):
     # interval_embeds builds only the map of w's coset, from w and v = fl(w);
@@ -513,7 +544,7 @@ def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
         interval_embeds(emb, v, v, w, w)
     for suite in (lambda: verify_length_sufficiency("A2", "A3"),
                   lambda: verify_kl_transfer("A2", "A3"),
-                  lambda: verify_upper_ideal("kl-nontrivial", ["A2", "A3"], [("A2", "A3")])):
+                  lambda: verify_upper_ideal(["kl-nontrivial"], ["A2", "A3"], [("A2", "A3")])):
         with pytest.raises(InternalInvariantError, match="cosets"):
             suite()
     assert main(["verify", "length-sufficiency", "A2", "A3"]) == 3
@@ -647,7 +678,7 @@ def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, cap
             interval_embeds(emb, v, v, tgt.elements[w], tgt.elements[w])
     for suite in (lambda: verify_length_sufficiency("A2", "A3"),
                   lambda: verify_kl_transfer("A2", "A3"),
-                  lambda: verify_upper_ideal("kl-nontrivial", ["A2", "A3"], [("A2", "A3")])):
+                  lambda: verify_upper_ideal(["kl-nontrivial"], ["A2", "A3"], [("A2", "A3")])):
         with pytest.raises(InternalInvariantError, match=message):
             suite()
     assert main(["verify", "length-sufficiency", "A2", "A3"]) == 3

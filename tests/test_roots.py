@@ -2,7 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from helpers import RationalSpan, digest, negatives, root_index
+from helpers import RationalSpan, digest, dot, negatives, reflect, root_index
 from weylpat import roots
 from weylpat.errors import InternalInvariantError, InvalidCartanType
 from weylpat.roots import (
@@ -10,9 +10,6 @@ from weylpat.roots import (
     _integer_roots,
     build_root_system,
     clear_caches,
-    dot,
-    inner_product,
-    reflect,
 )
 
 ROOT_COUNTS = {
@@ -45,7 +42,7 @@ def test_products():
     # factors sit in orthogonal coordinate blocks
     for i in ab.simple[:2]:
         for j in ab.simple[2:]:
-            assert inner_product(ab, ab.roots[i], ab.roots[j]) == 0
+            assert dot(ab.roots[i], ab.roots[j]) == 0
     assert ab.cartan_matrix[0][2] == 0 and ab.cartan_matrix[2][0] == 0
 
 
@@ -122,18 +119,6 @@ def test_reflect_agrees_with_table_on_all_root_pairs():
         for a in range(len(rs.roots)):
             for b in range(len(rs.roots)):
                 assert reflect(rs, a, rs.roots[b]) == rs.roots[rs.reflection_table[a][b]]
-
-
-def test_inner_product():
-    rs = build_root_system("A2")
-    a1, a2 = (rs.roots[i] for i in rs.simple)
-    assert inner_product(rs, a1, a1) == 2
-    assert inner_product(rs, a1, a2) == -1
-    zero = (Q(0),) * 3
-    assert inner_product(rs, a1, zero) == 0
-    assert inner_product(rs, a1, a2) == inner_product(rs, a2, a1)
-    with pytest.raises(ValueError):
-        inner_product(rs, (Q(1),), a2)
 
 
 CARTAN_MATRICES = {

@@ -15,6 +15,7 @@ from helpers import (
     covers,
     image_inversions,
     interval_isomorphic,
+    inverses_by_walk,
     invert,
     is_biconvex,
     left_descents,
@@ -254,6 +255,15 @@ def test_index_product_and_inverse_match_the_object_level(data):
     u, v = wg.elements[a], wg.elements[b]
     assert wg.elements[mul(wg, a, b)] == multiply(u, v)
     assert wg.elements[wg.inverses[a]] == inverse(u)
+
+
+@pytest.mark.parametrize("cartan_type",
+                         ["A4", "B3", "D4", "F4", "G2", "A1xA1", "A3xA2xA2xA1xA1", "E6"])
+def test_inverses_match_the_first_letter_walk(cartan_type):
+    # the one-pass recurrence on last letters against the walk down each
+    # element's first-letter chain
+    wg = WeylGroup.for_system(build_root_system(cartan_type), 60000)
+    assert wg.inverses == inverses_by_walk(wg)
 
 
 def test_longest_element_word():
@@ -649,7 +659,7 @@ def test_element_objects_are_built_only_at_the_edges():
     assert wg._elements is None and WeylGroup.for_system(a2)._elements is None
     assert wg.elements == [from_word(b3, wg.word(k)) for k in range(wg.size)]
 
-    report = verify_upper_ideal("kl-nontrivial", ["A3"])
+    report, = verify_upper_ideal(["kl-nontrivial"], ["A3"])
     assert report.cases and not report.failures
     assert WeylGroup.for_system(build_root_system("A3"))._elements is None
 

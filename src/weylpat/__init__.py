@@ -26,7 +26,6 @@ from .patterns import (
     format_interval_spec,
     interval_embeds,
     interval_pattern_avoids,
-    interval_pattern_instances,
     interval_poset_reachable,
     parse_interval_spec,
     pattern_avoids,
@@ -78,8 +77,7 @@ __all__ = [
     "KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth",
     "SubsystemEmbedding", "enumerate_embeddings", "embed_element", "flatten",
     "pattern_avoids", "interval_embeds",
-    "forced_bottom", "interval_pattern_instances",
-    "interval_pattern_avoids", "interval_poset_reachable",
+    "forced_bottom", "interval_pattern_avoids", "interval_poset_reachable",
     "parse_interval_spec", "format_interval_spec",
     "VerificationReport",
     "verify_flattening", "verify_x_determination", "verify_length_sufficiency",

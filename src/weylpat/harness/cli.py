@@ -2,13 +2,16 @@
 
 Exit codes: 0 for success or a true answer, 1 for a false answer (for
 example "does not avoid", or a verification sweep with failures), 2 for
-usage errors, 3 for internal invariant violations.
+usage errors, 3 for internal invariant violations.  A reader that closes
+stdout early, such as ``head``, ends the command with exit code 1 and
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections.abc import Iterable, Sequence
 from itertools import chain
@@ -358,7 +361,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         # argparse already printed a message; normalize all usage exits to 2
         return 0 if exc.code == 0 else 2
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # output that fits the buffer meets a closed pipe only here
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # send the flush at shutdown to devnull, as the Python docs' SIGPIPE note does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except NotComparableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

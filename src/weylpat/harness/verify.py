@@ -32,8 +32,8 @@ its pairs u <= v with equal length gaps, each the pair
 exactly those pairs, as ``length-sufficiency`` checks.  The oracle of
 the sweep is the coset walk of ``x-determination``: it builds each
 coset from :func:`~weylpat.patterns.embed_element`, not from the coset
-maps, checks it once itself, and compares it with
-:func:`~weylpat.patterns.interval_pattern_instances`.
+maps, checks it once itself, and compares each coset whole with the
+map :meth:`~weylpat.patterns.SubsystemEmbedding.coset_maps` lists for it.
 
 ``length-sufficiency`` works on element indices.  Unequal gaps need no
 check, since the rank span of an interval is its gap; each coset counts
@@ -56,6 +56,7 @@ import os
 import re
 import time
 from collections.abc import Callable, Sequence
+from itertools import zip_longest
 
 from ..errors import InternalInvariantError, NotComparableError
 from ..kl import KLPolynomial, _bits, _table_for, is_rationally_smooth
@@ -66,7 +67,6 @@ from ..patterns import (
     embed_element,
     enumerate_embeddings,
     format_interval_spec,
-    interval_pattern_instances,
 )
 from ..roots import RootSystem, build_root_system
 from ..weyl import (
@@ -195,25 +195,26 @@ def verify_x_determination(source_type: str, target_type: str,
     """With matching flattenings and a shared coset, the bottom is forced.
 
     The subgroup i(W') comes from :func:`embed_element`, independent of
-    the coset maps that
-    :func:`~weylpat.patterns.interval_pattern_instances` reads: the word
-    of each i(g) is folded through the lmult rows over the coset minima
-    m, one column per g.  Each coset is checked once, as
+    :meth:`~weylpat.patterns.SubsystemEmbedding.coset_maps`: the word of
+    each i(g) is folded through the lmult rows over the coset minima m,
+    one column per g.  Each coset is checked once, as
     :func:`~weylpat.patterns._cosets` checks a coset map: fl(i(g) m) = g,
-    and l(i(c) m) < l(i(g) m) for each cover c of g.  Then each u <= v of
-    W' is one case, whose listed bottom for (u, i(v) m) must be i(u) m.
-    A coset that fails is walked pair by pair, u <= v by the below-lists
-    and x <= w by lifting.
+    and l(i(c) m) < l(i(g) m) for each cover c of g.  Then every x <= w
+    of the coset is i(u) m <= i(v) m for one u <= v of W', which counts
+    one case, and the coset must equal the map that ``coset_maps`` lists
+    at the same place: both list the cosets by ascending minimum of the
+    one flat table.  A coset that fails its check fails every pair, and
+    one that differs from its map fails each pair whose u or v it maps
+    elsewhere; a map past the walk's cosets fails all its pairs.
     """
     source, target, report = _pair_report("x-determination", source_type, target_type)
 
     def run(rep: VerificationReport) -> None:
         src, tgt = WeylGroup.for_system(source, cap), WeylGroup.for_system(target, cap)
-        belows, pairs, covers = _coset_tables(src)
-        ident, leq, lengths = list(range(src.size)), tgt.leq_idx, tgt.lengths
+        pairs, covers = _coset_tables(src)
+        ident, lengths = list(range(src.size)), tgt.lengths
         for emb in enumerate_embeddings(source, target):
             flat = emb.flat(cap)
-            bottom = {(u, w): x for u, _, x, w in interval_pattern_instances(emb, cap)}
             # cols[g][c] = i(g) m_c over the coset minima m_c
             minima, cols = [m for m, f in enumerate(flat) if not f], []
             for g in src.elements:
@@ -222,24 +223,21 @@ def verify_x_determination(source_type: str, target_type: str,
                     row = tgt.lmult[i - 1]
                     col = [row[y] for y in col]
                 cols.append(col)
-            for phi in zip(*cols):
-                if (list(map(flat.__getitem__, phi)) == ident
-                        and all(lengths[phi[c]] < lengths[phi[g]] for c, g in covers)):
-                    found = [(u, phi[u], phi[v]) for u, v in pairs]
-                else:
-                    found = [(flat[x], x, w) for w in phi for x in phi
-                             if flat[x] in belows[flat[w]] and leq(x, w)]
-                rep.cases += len(found)
-                for u, x, w in found:
-                    if bottom.pop((u, w), None) != x:
-                        rep.failures.append(
-                            f"{_pair_label(src, tgt, u, flat[w], x, w)}: bottom is not forced")
-            # the listing must yield nothing the walk did not reach
-            for (u, w), x in bottom.items():
-                rep.failures.append(
-                    f"{_pair_label(src, tgt, u, flat[w], x, w)}: scanned bottom outside the coset walk")
-            # free the emptied dict's table before the next one is built
-            bottom.clear()
+            for phi, psi in zip_longest(zip(*cols), emb.coset_maps(cap), fillvalue=()):
+                if not phi:
+                    rep.failures += [
+                        f"{_pair_label(src, tgt, u, v, psi[u], psi[v])}: "
+                        "scanned bottom outside the coset walk" for u, v in pairs]
+                    continue
+                rep.cases += len(pairs)
+                checked = (list(map(flat.__getitem__, phi)) == ident
+                           and all(lengths[phi[c]] < lengths[phi[g]] for c, g in covers))
+                if checked and phi == psi:
+                    continue
+                wrong = [not checked or y != z for y, z in zip_longest(phi, psi)]
+                rep.failures += [
+                    f"{_pair_label(src, tgt, u, v, phi[u], phi[v])}: bottom is not forced"
+                    for u, v in pairs if wrong[u] or wrong[v]]
 
     return _timed(run, report)
 
@@ -267,7 +265,7 @@ def verify_length_sufficiency(source_type: str, target_type: str,
     def run(rep: VerificationReport) -> None:
         src, tgt = WeylGroup.for_system(source, cap), WeylGroup.for_system(target, cap)
         # down[v] and above[u] as masks over source indices, so [u, v] is down[v] & above[u]
-        below_pairs = _coset_tables(src)[1]
+        below_pairs = _coset_tables(src)[0]
         down, above = [0] * src.size, [0] * src.size
         for u, v in below_pairs:
             down[v] |= 1 << u

@@ -34,14 +34,13 @@ Along one embedding the interval patterns are read per coset:
 :func:`_cosets` walks the list of coset maps, checks each map once, by
 fl(phi_m[g]) = g and by lengths across the covers of W', and gives its
 pairs u <= v with equal length gaps, each the pattern
-[u, v] -> [phi_m[u], phi_m[v]].  The suites read that sweep, and
-:func:`interval_pattern_instances` lists every pair u <= v = fl(w) in the
-order of the top w after the same checks, with no test per pair.
+[u, v] -> [phi_m[u], phi_m[v]].  The suites read that sweep.
 Each embedding keeps a flatten table over the enumerated groups, pulled
 back from the byte planes of the target's masks by ``bytes.translate``
 and itself a ``bytes`` when the source's masks fit one byte.
-:func:`forced_bottom` is the object-level twin of that listing, which
-enumerates no target group; its ``flatten`` calls enumerate the source group.
+:func:`forced_bottom` gives the one bottom x = i(u v^-1) w that x-determination
+allows, at the object level, and enumerates no target group; its ``flatten``
+calls enumerate the source group.
 """
 
 from __future__ import annotations
@@ -81,7 +80,6 @@ __all__ = [
     "pattern_avoids",
     "interval_embeds",
     "forced_bottom",
-    "interval_pattern_instances",
     "interval_pattern_avoids",
     "interval_poset_reachable",
     "parse_interval_spec",
@@ -429,12 +427,13 @@ def flatten(emb: SubsystemEmbedding, w: WeylElement,
 
 
 def pattern_avoids(v: WeylElement, w: WeylElement,
-                   cap: int = DEFAULT_EMBEDDING_CAP) -> bool:
+                   cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """True when no embedding of v's system into w's system flattens w to v.
 
-    cap bounds both the embedding search and the enumeration of v's group.
+    cap bounds the enumeration of v's group; the embedding search runs
+    under its own default.
     """
-    for emb in enumerate_embeddings(v.group, w.group, cap):
+    for emb in enumerate_embeddings(v.group, w.group):
         if flatten(emb, w, cap) == v:
             return False
     return True
@@ -539,9 +538,9 @@ def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     """x = i(u v^-1) w when fl(w) = v, x <= w and fl(x) = u, else None.
 
     By x-determination no other x in the coset of w can be the bottom of
-    an interval pattern [u, v] -> [x, w] along emb.  This object-level
-    twin of :func:`interval_pattern_instances` enumerates no target
-    group; ``flatten`` looks the pulled-back masks up in the source group.
+    an interval pattern [u, v] -> [x, w] along emb.  No target group is
+    enumerated; ``flatten`` looks the pulled-back masks up in the source
+    group.
     """
     if flatten(emb, w) != v:
         return None
@@ -551,33 +550,12 @@ def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     return x
 
 
-def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUMERATION_CAP
-                               ) -> Iterator[tuple[int, int, int, int]]:
-    """Each (u, v, x, w) with u <= v = fl(w) that :func:`forced_bottom` accepts.
-
-    Streams source indices u, v and target indices x, w, ordered by w,
-    then u, and keeps nothing but the coset maps.  cap is checked against
-    both groups, the flat table and the coset maps are built, and every
-    coset passes the checks of :func:`_cosets`, when the call is made.
-    Then x = phi_w[u] for every u <= fl(w), with no test per yield: by
-    those checks fl(x) = u and x <= w.
-    """
-    flat = emb.flat(cap)
-    maps: list[Sequence[int]] = [()] * len(flat)
-    for phi, _ in _cosets((emb,), cap):
-        for y in phi:
-            maps[y] = phi
-    belows = _coset_tables(WeylGroup.for_system(emb.source, cap))[0]
-    return ((u, v, maps[w][u], w) for w, v in enumerate(flat) for u in belows[v])
-
-
-def _coset_tables(source: WeylGroup) -> tuple[list, list, list]:
-    """(belows, pairs, covers) of W', built once and kept on the group:
-    belows[v] = below(v), every u <= v by v, and every (lower cover c, g)."""
+def _coset_tables(source: WeylGroup) -> tuple[list, list]:
+    """(pairs, covers) of W', built once and kept on the group: every
+    u <= v, by v and then u, and every (lower cover c, g)."""
     if source._coset_tables is None:
-        belows = [source.below(v) for v in range(source.size)]
         source._coset_tables = (
-            belows, [(u, v) for v, below in enumerate(belows) for u in below],
+            [(u, v) for v in range(source.size) for u in source.below(v)],
             [(c, g) for g, lower in enumerate(source.lower_covers) for c in lower])
     return source._coset_tables
 
@@ -615,7 +593,7 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
         return
     source = WeylGroup.for_system(embeddings[0].source, cap)
     lengths = WeylGroup.for_system(embeddings[0].target, cap).lengths
-    _, below_pairs, covers = _coset_tables(source)
+    below_pairs, covers = _coset_tables(source)
     memo: dict[bytes, list[tuple[int, int]]] = {}
     src_len, ident = source.lengths, list(range(source.size))
     # shift[l] is the translate table y -> (y - l) mod 256, the identity rotated; it is
@@ -639,15 +617,17 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
 
 
 def interval_pattern_avoids(w: WeylElement, u: WeylElement, v: WeylElement,
-                            cap: int = DEFAULT_EMBEDDING_CAP) -> bool:
+                            cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """True when no embedding realizes [u, v] as an interval pattern in w.
 
     Tests the forced bottom of each embedding by its length gap, so no
-    target group is enumerated; each source group is, by ``flatten``.
+    target group is enumerated; the pattern's group is, by ``flatten``,
+    and cap bounds it.  The embedding search runs under its own default.
     """
     if not bruhat_leq(u, v):
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
-    for emb in enumerate_embeddings(u.group, w.group, cap):
+    WeylGroup.for_system(u.group, cap)  # raises CapExceededError past cap
+    for emb in enumerate_embeddings(u.group, w.group):
         x = forced_bottom(emb, u, v, w)
         if x is not None and w.length - x.length == v.length - u.length:
             return False

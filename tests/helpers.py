@@ -11,11 +11,12 @@ import functools
 import hashlib
 import itertools
 from array import array
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
 from weylpat.errors import InternalInvariantError
 from weylpat.kl import _bits
-from weylpat.patterns import SubsystemEmbedding, enumerate_embeddings, flatten
+from weylpat.patterns import SubsystemEmbedding, _cosets, enumerate_embeddings, flatten
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
     BruhatInterval,
@@ -869,7 +870,7 @@ def upper_ideal_by_reads(prop, types, pairs) -> tuple[int, list[str]]:
     u' < u; move 1 carries [u, v] along each equal-gap yield of the scan.
     """
     from weylpat.kl import kl_polynomial
-    from weylpat.patterns import format_interval_spec, interval_pattern_instances
+    from weylpat.patterns import format_interval_spec
     from weylpat.roots import build_root_system
     from weylpat.weyl import format_word
 
@@ -973,6 +974,28 @@ def coset_maps_by_target(emb) -> list[tuple[int, ...]]:
         for y in phi:
             maps[y] = phi
     return maps
+
+
+def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUMERATION_CAP
+                               ) -> Iterator[tuple[int, int, int, int]]:
+    """Each (u, v, x, w) with u <= v = fl(w) that :func:`~weylpat.patterns.forced_bottom` accepts.
+
+    Streams source indices u, v and target indices x, w, ordered by w,
+    then u, and keeps nothing but the coset maps and the source's
+    below-lists.  cap is checked against both groups, the flat table and
+    the coset maps are built, and every coset passes the checks of
+    :func:`~weylpat.patterns._cosets`, when the call is made.  Then
+    x = phi_w[u] for every u <= fl(w), with no test per yield: by those
+    checks fl(x) = u and x <= w.
+    """
+    flat = emb.flat(cap)
+    maps: list[Sequence[int]] = [()] * len(flat)
+    for phi, _ in _cosets((emb,), cap):
+        for y in phi:
+            maps[y] = phi
+    source = WeylGroup.for_system(emb.source, cap)
+    belows = [source.below(v) for v in range(source.size)]
+    return ((u, v, maps[w][u], w) for w, v in enumerate(flat) for u in belows[v])
 
 
 # ---------------------------------------------------------------------------

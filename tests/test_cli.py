@@ -162,10 +162,30 @@ def test_flatten_and_avoids_honour_cap(capsys):
     code, out, err = run(capsys, "avoids", "A4", "--w", "45312", "--pattern", "A3:3412",
                          "--cap", "23")
     assert code == 2 and "cap exceeded" in err  # |W(A3)| = 24
-    # 3 is too few nodes for the search of A2 embeddings into A4
     code, out, err = run(capsys, "interval-avoids", "A4", "--w", "1 2",
                          "--interval", "A2:e..1 2", "--cap", "3")
-    assert code == 2 and "cap exceeded" in err
+    assert code == 2 and "cap exceeded" in err  # |W(A2)| = 6
+
+
+def test_avoids_cap_bounds_the_pattern_group_alone(capsys):
+    # |W(A1)| = 2 is within the cap, and the search for the 6 embeddings of A1
+    # into A3 runs under its own default, as the embeddings command's does
+    code, out, err = run(capsys, "avoids", "A3", "--w", "e", "--pattern", "A1:e", "--cap", "5")
+    assert (code, out.strip(), err) == (1, "does not avoid", "")
+
+
+def test_a_closed_stdout_ends_quietly_with_exit_1():
+    # the reader takes the first of 5,041 lines (196 kB, more than a pipe holds)
+    # and closes the pipe, as `weylpat enumerate A6 | head -1` does
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weylpat.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "weylpat", "enumerate", "A6"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert proc.stdout.readline() == b"A6: 5040 elements\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (1, b"")
 
 
 def test_verify_flattening_honours_cap_for_the_source(capsys):

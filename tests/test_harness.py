@@ -9,6 +9,7 @@ from helpers import (
     coset_maps_by_target,
     flattening_by_element,
     interval_isomorphic,
+    interval_pattern_instances,
     pattern_map_isomorphic_on_target_interval,
     swapped_identity_embedding,
     upper_ideal_by_reads,
@@ -38,7 +39,6 @@ from weylpat.patterns import (
     _pattern_map_isomorphic,
     enumerate_embeddings,
     format_interval_spec,
-    interval_pattern_instances,
 )
 from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import DEFAULT_ENUMERATION_CAP, WeylGroup, format_word, interval, parse_element
@@ -100,38 +100,45 @@ def test_property_parser():
     ("extra", "scanned bottom outside the coset walk"),
 ])
 def test_x_determination_catches_a_planted_scan_error(monkeypatch, plant, message):
-    # the coset walk is an oracle of the scan: a wrong bottom, or one the
-    # walk cannot reach, planted in one embedding's scan must show up
-    from weylpat.harness import verify
-
+    # the coset walk is an oracle of the coset sweep: one wrong entry planted in
+    # one embedding's coset maps fails each pair that reads it, and one map past
+    # the walk's cosets fails each of its pairs
     a2 = build_root_system("A2")
-    w0 = WeylGroup.for_system(a2).size - 1  # the longest element is indexed last
     emb = enumerate_embeddings(a2, build_root_system("A3"))[0]
-    found = list(interval_pattern_instances(emb))
-    k = next(k for k, (u, v, x, w) in enumerate(found) if x != w and v != w0)
-    u, v, x, w = found[k]
-    if plant == "wrong":
-        found[k] = (u, v, w, w)
-    else:
-        found.append((w0, v, x, w))  # w0 is not below v, so no walk reaches it
-    real = verify.interval_pattern_instances
-    monkeypatch.setattr(verify, "interval_pattern_instances",
-                        lambda e, cap: iter(found) if e is emb else real(e, cap))
+    pairs = patterns._coset_tables(WeylGroup.for_system(a2))[0]
+    cases = verify_x_determination("A2", "A3").cases
+    real = SubsystemEmbedding.coset_maps
+
+    def planted(self, cap=DEFAULT_ENUMERATION_CAP):
+        maps = real(self, cap)
+        if self is emb:
+            if plant == "wrong":
+                maps[1] = maps[1][:1] + maps[1][:1] + maps[1][2:]  # phi[1] = phi[0]
+            else:
+                maps.append(maps[0])
+        return maps
+
+    monkeypatch.setattr(SubsystemEmbedding, "coset_maps", planted)
     r = verify_x_determination("A2", "A3")
-    assert not r.passed
-    assert any(f.endswith(message) for f in r.failures)
+    assert r.cases == cases
+    assert all(f.endswith(message) for f in r.failures)
+    if plant == "wrong":
+        assert len(r.failures) == sum(1 for u, v in pairs if 1 in (u, v))
+    else:
+        assert len(r.failures) == len(pairs)
 
 
 def test_x_determination_walks_a_coset_that_fails_its_check_pair_by_pair(monkeypatch):
     # one g of one embedding is given the image of another element, so every
-    # coset of that embedding fails the walk's own check (fl(i(g) m) = g); the
-    # walk then tests each pair of the coset by the below-lists and the lifting
-    # test, which a valid coset never reaches, and the suite fails
+    # coset of that embedding fails the walk's own check (fl(i(g) m) = g) and
+    # fails each of its pairs; neither that run nor a clean one makes a lifting
+    # test in the target
     from weylpat.harness import verify
 
     a2, a3 = build_root_system("A2"), build_root_system("A3")
     src, tgt = WeylGroup.for_system(a2), WeylGroup.for_system(a3)
     emb = enumerate_embeddings(a2, a3)[0]
+    pairs = patterns._coset_tables(src)[0]
     g, h = src.elements[1], src.elements[2]
     real_embed = verify.embed_element
     monkeypatch.setattr(verify, "embed_element",
@@ -145,12 +152,10 @@ def test_x_determination_walks_a_coset_that_fails_its_check_pair_by_pair(monkeyp
 
     monkeypatch.setattr(WeylGroup, "leq_idx", counted)
     r = verify_x_determination("A2", "A3")
-    assert not r.passed
-    assert lifted["A3"] > 0
-    assert all(f.endswith(("bottom is not forced", "scanned bottom outside the coset walk"))
-               for f in r.failures)
+    assert all(f.endswith("bottom is not forced") for f in r.failures)
+    assert len(r.failures) == tgt.size // src.size * len(pairs)
+    assert not lifted["A3"]
     monkeypatch.setattr(verify, "embed_element", real_embed)
-    lifted.clear()
     assert verify_x_determination("A2", "A3").passed and not lifted["A3"]
 
 

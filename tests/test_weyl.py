@@ -15,6 +15,7 @@ from helpers import (
     covers,
     image_inversions,
     interval_isomorphic,
+    interval_pattern_instances,
     inverses_by_walk,
     invert,
     is_biconvex,
@@ -37,7 +38,6 @@ from weylpat.kl import _table_for
 from weylpat.patterns import (
     enumerate_embeddings,
     flatten,
-    interval_pattern_instances,
     pattern_avoids,
 )
 from weylpat.roots import build_root_system, clear_caches

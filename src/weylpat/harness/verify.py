@@ -178,14 +178,12 @@ def verify_flattening(source_type: str, target_type: str,
 
     def run(rep: VerificationReport) -> None:
         for emb in enumerate_embeddings(source, target):
-            # groups built only once some embedding exists, and one fresh table per
-            # embedding, kept by nobody, where the memoized flat() would keep them all
-            tgt = WeylGroup.for_system(target, cap)
+            # groups built only once some embedding exists, by flat()
             try:
-                emb._flat_table(WeylGroup.for_system(source, cap), tgt)
+                emb.flat(cap)
             except InternalInvariantError as exc:
                 rep.failures.append(f"{emb!r}: {exc}")
-            rep.cases += tgt.size
+            rep.cases += WeylGroup.for_system(target, cap).size
 
     return _timed(run, report)
 
@@ -203,9 +201,10 @@ def verify_x_determination(source_type: str, target_type: str,
     of the coset is i(u) m <= i(v) m for one u <= v of W', which counts
     one case, and the coset must equal the map that ``coset_maps`` lists
     at the same place: both list the cosets by ascending minimum of the
-    one flat table.  A coset that fails its check fails every pair, and
-    one that differs from its map fails each pair whose u or v it maps
-    elsewhere; a map past the walk's cosets fails all its pairs.
+    flat table, each from its own.  A coset that fails its check fails
+    every pair, and one that differs from its map fails each pair whose
+    u or v it maps elsewhere; a map past the walk's cosets fails all its
+    pairs.
     """
     source, target, report = _pair_report("x-determination", source_type, target_type)
 
@@ -501,7 +500,7 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
         # A3's masks fit one byte, so each flat table is a bytes
         found = 0
         for emb in enumerate_embeddings(a3, rs):
-            found |= int.from_bytes(emb._flat_table(src, wg).translate(mark), "little")
+            found |= int.from_bytes(emb.flat(cap).translate(mark), "little")
         contains = found.to_bytes(wg.size, "little")
 
         smooth = bytes(is_rationally_smooth(WeylElement(rs, m), cap) for m in wg.masks)

@@ -31,13 +31,15 @@ isomorphism or refutes one by one check per element, from
 that check is the library's only poset-isomorphism decision.
 
 Along one embedding the interval patterns are read per coset:
-:func:`_cosets` walks the list of coset maps, checks each map once, by
-fl(phi_m[g]) = g and by lengths across the covers of W', and gives its
-pairs u <= v with equal length gaps, each the pattern
-[u, v] -> [phi_m[u], phi_m[v]].  The suites read that sweep.
-Each embedding keeps a flatten table over the enumerated groups, pulled
-back from the byte planes of the target's masks by ``bytes.translate``
-and itself a ``bytes`` when the source's masks fit one byte.
+:func:`_cosets` walks the list of coset maps, which ``coset_maps`` has
+checked whole by fl(phi_m[g]) = g, checks each map's order by lengths
+across the covers of W', and gives its pairs u <= v with equal length
+gaps, each the pattern [u, v] -> [phi_m[u], phi_m[v]].  The suites read
+that sweep.  The flatten table over the enumerated groups, pulled back
+from the byte planes of the target's masks by ``bytes.translate`` and
+itself a ``bytes`` when the source's masks fit one byte, is built where
+it is read, as are the coset maps and the source's tables of a sweep;
+no embedding or group keeps them.
 :func:`forced_bottom` gives the one bottom x = i(u v^-1) w that x-determination
 allows, at the object level, and enumerates no target group; its ``flatten``
 calls enumerate the source group.
@@ -48,7 +50,6 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from functools import cache
-from itertools import chain
 
 from .errors import (
     CapExceededError,
@@ -97,11 +98,11 @@ class SubsystemEmbedding:
     ``full_map[r]`` extends this linearly to every source root index.
     :meth:`flat` is the index table of :func:`flatten` over the
     enumerated groups; :meth:`coset_maps` lists the coset map of each
-    right coset of the embedded subgroup.
+    right coset of the embedded subgroup.  Both are built on each call
+    and kept by no one, so an embedding holds nothing of size |W|.
     """
 
-    __slots__ = ("source", "target", "simple_images", "full_map",
-                 "_pos_pairs", "_flat")
+    __slots__ = ("source", "target", "simple_images", "full_map", "_pos_pairs")
 
     def __init__(self, source: RootSystem, target: RootSystem,
                  simple_images: tuple[int, ...], full_map: tuple[int, ...]):
@@ -114,7 +115,6 @@ class SubsystemEmbedding:
             (source.positive_position(r), target.positive_position(full_map[r]))
             for r in source.positive
         )
-        self._flat: Sequence[int] | None = None
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -143,29 +143,25 @@ class SubsystemEmbedding:
         return bits
 
     def flat(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Sequence[int]:
-        """flat[w] is the source index of fl(w), for each target index w; memoized."""
-        source = WeylGroup.for_system(self.source, cap)
-        target = WeylGroup.for_system(self.target, cap)
-        if self._flat is None:
-            self._flat = self._flat_table(source, target)
-        return self._flat
+        """flat[w] is the source index of fl(w), for each target index w.
 
-    def _flat_table(self, source: WeylGroup, target: WeylGroup) -> Sequence[int]:
-        """A fresh flat table over the enumerated groups, not memoized.
-
-        Byte j of every pulled-back mask comes out at once: each of the
-        target's byte planes (``target.planes``) goes through one
-        ``bytes.translate`` that maps a byte of a target mask to byte j of
-        the source bits its set bits pull back to, a table built by
-        doubling over the byte's 8 bits, each step one translate through
-        an OR table, and the translated planes are ORed as big ints.
-        When the source's masks fit one byte, |W(source)| <= 2^8, so one
-        more translate maps the masks to their source indices and the
-        table is a ``bytes``; a wider source's masks are assembled per
-        element and looked up in ``source.index``.  Raises InternalInvariantError when a
+        Built afresh on each call, after checking cap against both
+        groups, and kept by no one.  Byte j of every pulled-back mask
+        comes out at once: each of the target's byte planes
+        (``target.planes``) goes through one ``bytes.translate`` that maps
+        a byte of a target mask to byte j of the source bits its set bits
+        pull back to, a table built by doubling over the byte's 8 bits,
+        each step one translate through an OR table, and the translated
+        planes are ORed as big ints.  When the source's masks fit one
+        byte, |W(source)| <= 2^8, so one more translate maps the masks to
+        their source indices and the table is a ``bytes``; a wider
+        source's masks are assembled per element and looked up in
+        ``source.index``.  Raises InternalInvariantError when a
         pulled-back mask is no element's inversion set, that is, not
         biconvex, which means the embedding is invalid.
         """
+        target = WeylGroup.for_system(self.target, cap)
+        source = WeylGroup.for_system(self.source, cap)
         # image[tp] is the source bit pulled back from target positive position tp
         image = [0] * self.target.num_positive
         for sp, tp in self._pos_pairs:
@@ -209,38 +205,39 @@ class SubsystemEmbedding:
         One tuple per coset, in ascending order of its minimum
         m = phi_m[0], the target index with fl(m) = e: the columns of
         :meth:`_columns` over all the minima at once, zipped.  Built
-        afresh on each call, after checking cap against both groups.
+        afresh on each call, with one flat table, after checking cap
+        against both groups.
 
-        Raises InternalInvariantError when the cosets do not partition
-        the target, which only an invalid flat table can cause.  The test
-        is exact: the maps hold #cosets * |W'| entries, which must be |W|,
-        and no minimum may stand in a column g != e.  Every ``lmult`` row
-        is an involution of the target indices, so each i(g) is one
-        permutation of them and column g is one permutation of column 0.
-        So an index in two maps, i(g) m = i(h) m' with m != m', has g != h,
-        and puts the minimum m' = i(h^-1 g) m in column h^-1 g != e.  With
-        no such index the entries are distinct, and |W| distinct entries
-        are all of W.  Where fl(phi[g]) = g for every g, as :func:`_cosets`
-        checks, no minimum stands in another column and the count alone
-        would decide; the second test decides without that check, as when
-        a flat table moves a minimum into another coset.
+        Raises InternalInvariantError unless fl inverts every map,
+        flat[phi_m[g]] = g, and the maps hold |W| entries in all, which
+        only an invalid flat table can cause.  The test is exact: it
+        holds exactly when the cosets partition W.  Where fl inverts
+        every map, the entries of one map are distinct, and two maps
+        share none: an index in both, phi_m[g] = phi_m'[h], has g =
+        fl of it = h, so i(g) m = i(g) m' and m = m', as each i(g) is a
+        permutation of the target indices (every ``lmult`` row is an
+        involution).  So the entries are #maps * |W'| distinct indices,
+        all of W exactly when they count |W|.  Conversely the cosets of a
+        valid table partition W, and fl inverts each map by equivariance.
         """
         flat = self.flat(cap)
         cols = self._columns([m for m in range(len(flat)) if flat[m] == 0], cap)
         if (len(cols[0]) * len(cols) != len(flat)
-                or not set(cols[0]).isdisjoint(chain.from_iterable(cols[1:]))):
-            raise InternalInvariantError(
-                "cosets of the embedded subgroup do not partition the target")
+                or any(set(map(flat.__getitem__, col)) != {g} for g, col in enumerate(cols))):
+            raise InternalInvariantError("the flat table does not invert coset maps, "
+                                         "or the cosets of the embedded subgroup "
+                                         "do not partition the target")
         return list(zip(*cols))
 
-    def _coset_map(self, w: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
-        """The entry of :meth:`coset_maps` that holds target index w, alone.
+    def _coset_map(self, flat: Sequence[int], w: int,
+                   cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+        """The entry of :meth:`coset_maps` that holds target index w, alone,
+        read off the flat table that the caller holds.
 
         Its minimum m = i(v^-1) w, v = fl(w), is the column of
         :meth:`_columns` over [w] at v^-1.  Raises InternalInvariantError
         unless fl inverts the map and it carries v to w.
         """
-        flat = self.flat(cap)
         m = self._columns([w], cap)[WeylGroup.for_system(self.source, cap).inverses[flat[w]]][0]
         phi = next(zip(*self._columns([m], cap)))
         if phi[flat[w]] != w or list(map(flat.__getitem__, phi)) != list(range(len(phi))):
@@ -292,13 +289,14 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
     that counts the target positive roots reducing to zero.  Each source
     root then maps as :func:`_full_map` gives.  The result is sorted by
     (sorted image tuple, image tuple) and kept on the source system,
-    keyed by the target's type.
+    keyed by the target system itself, so two realizations of one type
+    keep their own embeddings.
 
     ``cap`` bounds the search nodes tried, one per partial assignment
     the search extends to; the memo keeps that count, so a warm call
     raises CapExceededError exactly when a cold one would.
     """
-    cached = source._embeddings.get(target.cartan_type)
+    cached = source._embeddings.get(target)
     if cached is not None:
         nodes, result = cached
         if nodes > cap:
@@ -344,7 +342,7 @@ def enumerate_embeddings(source: RootSystem, target: RootSystem,
         extend([])
     found.sort(key=lambda e: (tuple(sorted(e.simple_images)), e.simple_images))
     result = tuple(found)
-    source._embeddings[target.cartan_type] = (nodes, result)
+    source._embeddings[target] = (nodes, result)
     return result
 
 
@@ -462,9 +460,10 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
     if not tgt.leq_idx(c, d):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    if emb.flat(cap)[d] != b:
+    flat = emb.flat(cap)
+    if flat[d] != b:
         return False
-    return _pattern_map_isomorphic(src, tgt, emb._coset_map(d, cap), a, b, c, d)
+    return _pattern_map_isomorphic(src, tgt, emb._coset_map(flat, d, cap), a, b, c, d)
 
 
 def _cover_check(src: WeylGroup, tgt: WeylGroup
@@ -551,13 +550,10 @@ def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
 
 
 def _coset_tables(source: WeylGroup) -> tuple[list, list]:
-    """(pairs, covers) of W', built once and kept on the group: every
-    u <= v, by v and then u, and every (lower cover c, g)."""
-    if source._coset_tables is None:
-        source._coset_tables = (
-            [(u, v) for v in range(source.size) for u in source.below(v)],
+    """(pairs, covers) of W', built on each call and kept by the caller:
+    every u <= v, by v and then u, and every (lower cover c, g)."""
+    return ([(u, v) for v in range(source.size) for u in source.below(v)],
             [(c, g) for g, lower in enumerate(source.lower_covers) for c in lower])
-    return source._coset_tables
 
 
 def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
@@ -565,29 +561,27 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
     """(phi, pairs) for each right coset of each embedded subgroup in turn.
 
     The embeddings share one source and one target.  The cosets come
-    from :meth:`SubsystemEmbedding.coset_maps`, in index order of their
-    minima m, flat[m] = 0; phi = phi_m, phi[g] = i(g) m, and pairs lists
-    the (u, v) with u <= v in W' and l(v) - l(u) = l(phi[v]) - l(phi[u]),
-    by v, then u.  By the Billey-Braden coset lemma
-    the interval patterns of the coset are exactly (u, v, phi[u], phi[v])
-    over all u <= v: flattening is equivariant, so fl(phi[g]) = g, and
-    g -> phi[g] preserves Bruhat order.  So no pair is tested, and each
-    coset map is checked instead, raising InternalInvariantError on a
-    fault:
-
-    * fl(phi[g]) = g for every g, which at g = 0 makes m = phi[0] the
-      minimum;
-    * l(phi[c]) < l(phi[g]) for every cover c of g in W'.  This is exact:
-      g = t c for a reflection t of W', so phi[g] = i(t) phi[c] differs
-      from phi[c] by a reflection of W, and of two such elements the
-      longer is the larger (Bjorner-Brenti, GTM 231, 2.1).  Along chains
-      of covers it gives phi[u] <= phi[v] for every u <= v.
+    from :meth:`SubsystemEmbedding.coset_maps`, once per embedding, in
+    index order of their minima m, fl(m) = e; phi = phi_m,
+    phi[g] = i(g) m, and pairs lists the (u, v) with u <= v in W' and
+    l(v) - l(u) = l(phi[v]) - l(phi[u]), by v, then u.  By the
+    Billey-Braden coset lemma the interval patterns of the coset are
+    exactly (u, v, phi[u], phi[v]) over all u <= v: flattening is
+    equivariant, so fl(phi[g]) = g, and g -> phi[g] preserves Bruhat
+    order.  So no pair is tested.  ``coset_maps`` has checked that fl
+    inverts each map; the sweep checks the order, raising
+    InternalInvariantError unless l(phi[c]) < l(phi[g]) for every cover
+    c of g in W'.  This is exact: g = t c for a reflection t of W', so
+    phi[g] = i(t) phi[c] differs from phi[c] by a reflection of W, and of
+    two such elements the longer is the larger (Bjorner-Brenti, GTM 231,
+    2.1).  Along chains of covers it gives phi[u] <= phi[v] for every
+    u <= v.
 
     The pairs and the cover test depend only on the coset's length
     signature (l(phi[g]) - l(m))_g, so both are taken once per signature
-    in a memo that lives as long as the sweep; a reader may key
-    per-signature work by the pairs list's id for as long as it reads the
-    sweep.
+    in a memo that lives as long as the sweep, beside the source's
+    tables of :func:`_coset_tables`; a reader may key per-signature work
+    by the pairs list's id for as long as it reads the sweep.
     """
     if not embeddings:
         return
@@ -595,16 +589,13 @@ def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int
     lengths = WeylGroup.for_system(embeddings[0].target, cap).lengths
     below_pairs, covers = _coset_tables(source)
     memo: dict[bytes, list[tuple[int, int]]] = {}
-    src_len, ident = source.lengths, list(range(source.size))
+    src_len = source.lengths
     # shift[l] is the translate table y -> (y - l) mod 256, the identity rotated; it is
     # one-to-one on lengths, so a key names one signature, checked on the lengths themselves
     shift = [(bytes(range(256)) * 2)[256 - l:512 - l] for l in range(max(lengths) + 1)]
     for emb in embeddings:
-        flat = emb.flat(cap)
         for phi in emb.coset_maps(cap):
             m = phi[0]
-            if list(map(flat.__getitem__, phi)) != ident:
-                raise InternalInvariantError(f"the flat table does not invert coset map {m}")
             key = bytes(map(lengths.__getitem__, phi)).translate(shift[lengths[m]])
             pairs = memo.get(key)
             if pairs is None:

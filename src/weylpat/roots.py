@@ -188,9 +188,9 @@ class RootSystem:
     lazily and idempotently: ``_roots`` holds the ambient vectors that
     ``roots`` gives, ``_group`` the enumerated
     :class:`~weylpat.weyl.WeylGroup`, which owns the per-group tables,
-    ``_embeddings`` maps another system's type to the search-node count
-    and the embeddings of this system into it, which own their flatten
-    tables, and ``_pair_masks`` holds the Cartan-pairing masks that the
+    ``_embeddings`` maps another system, as a realization and not only a
+    type, to the search-node count and the embeddings of this system into
+    it, and ``_pair_masks`` holds the Cartan-pairing masks that the
     embedding search into this system reads.
 
     Linearly dependent simple roots raise ValueError, and a pairing
@@ -277,7 +277,7 @@ class RootSystem:
                                         for b in self.positive]))
             for a in simple)
         self._group = None
-        self._embeddings: dict[str, tuple] = {}
+        self._embeddings: dict[RootSystem, tuple] = {}
         self._pair_masks = None
 
     @property
@@ -370,8 +370,8 @@ _SYSTEMS: dict[str, RootSystem] = {}
 def clear_caches() -> None:
     """Forget every interned root system, and with them every memo.
 
-    Groups, KL tables, embeddings and their index tables are owned by
-    their root system, so they are freed once no caller holds that system.
+    Groups, KL tables and embeddings are owned by their root system, so
+    they are freed once no caller holds that system.
     """
     _SYSTEMS.clear()
 

@@ -267,8 +267,9 @@ class WeylGroup:
     per mask, are read off them.  Products on indices apply ``lmult`` rows to whole
     columns; Bruhat order is the lifting test :meth:`leq_idx` on the rows
     and walks down the cover lists, nothing of size |W|^2.
-    Its root system keeps it (:meth:`for_system`), and it keeps the KL table
-    and the source-side tables of the coset sweeps.
+    Its root system keeps it (:meth:`for_system`), and it keeps the KL
+    table; the tables that flattening and the coset sweeps derive from it
+    are built where they are read and kept by no group.
     """
 
     def __init__(self, rs: RootSystem, cap: int):
@@ -323,7 +324,6 @@ class WeylGroup:
         self._inverses: list[int] | None = None
         self._planes: list[bytes] | None = None
         self._kl_table = None  # kl._KLTable, built on the first KL query
-        self._coset_tables = None  # patterns._coset_tables, built on the first coset sweep
 
     @classmethod
     def for_system(cls, rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> "WeylGroup":

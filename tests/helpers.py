@@ -984,9 +984,9 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     then u, and keeps nothing but the coset maps and the source's
     below-lists.  cap is checked against both groups, the flat table and
     the coset maps are built, and every coset passes the checks of
-    :func:`~weylpat.patterns._cosets`, when the call is made.  Then
-    x = phi_w[u] for every u <= fl(w), with no test per yield: by those
-    checks fl(x) = u and x <= w.
+    ``coset_maps`` and :func:`~weylpat.patterns._cosets`, when the call
+    is made.  Then x = phi_w[u] for every u <= fl(w), with no test per
+    yield: by those checks fl(x) = u and x <= w.
     """
     flat = emb.flat(cap)
     maps: list[Sequence[int]] = [()] * len(flat)

@@ -40,7 +40,7 @@ from weylpat.patterns import (
     parse_interval_spec,
     pattern_avoids,
 )
-from weylpat.roots import build_root_system, clear_caches
+from weylpat.roots import RootSystem, build_root_system, clear_caches
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
     WeylElement,
@@ -246,6 +246,36 @@ def test_flat_table_matches_the_pullback_oracle(src, tgt):
         flat = emb.flat()
         assert isinstance(flat, bytes) == (source.num_positive <= 8)
         assert list(flat) == [src_group.index[emb._pull_back(m)] for m in tgt_group.masks]
+
+
+@pytest.mark.parametrize("src,tgt", [("A2", "A3"), ("B3", "F4")])
+def test_flat_builds_a_fresh_table_on_each_call(src, tgt):
+    # no embedding keeps its flat table: two calls give equal tables, a bytes
+    # for A2 and a list for B3, and never the same object
+    emb = enumerate_embeddings(build_root_system(src), build_root_system(tgt))[0]
+    first, second = emb.flat(), emb.flat()
+    assert first == second
+    assert first is not second
+
+
+def test_embeddings_into_another_realization_are_its_own():
+    # A2 on doubled simple roots is a valid A2 but not the interned one, so the
+    # embeddings into it are searched and kept apart from those into the
+    # interned A2, and the query answers the same on a warm memo as on a cold one
+    custom = RootSystem("A2", [(2, -2, 0), (0, 2, -2)], 3)
+    assert custom != build_root_system("A2")
+
+    def query():
+        a1 = build_root_system("A1")
+        return pattern_avoids(parse_element(a1, "1"), parse_element(custom, "1 2"))
+
+    clear_caches()
+    cold = query()
+    clear_caches()
+    enumerate_embeddings(build_root_system("A1"), build_root_system("A2"))
+    assert query() == cold is False
+    assert all(e.target is custom
+               for e in enumerate_embeddings(build_root_system("A1"), custom))
 
 
 def test_flatten_group_mismatch():
@@ -500,21 +530,25 @@ def test_coset_sweep_matches_the_object_level(data):
 
 @pytest.mark.parametrize("source,target", [("A2", "A3"), ("B2", "B3")])
 def test_single_coset_map_equals_the_coset_maps_entry(source, target):
-    # interval_embeds builds only the map of w's coset, from w and v = fl(w);
-    # for every target w it is the entry of coset_maps that holds w
+    # interval_embeds builds only the map of w's coset, from w and v = fl(w)
+    # read off the one flat table it holds; for every target w it is the entry
+    # of coset_maps that holds w
     s, t = build_root_system(source), build_root_system(target)
     for emb in enumerate_embeddings(s, t):
-        maps = coset_maps_by_target(emb)
-        assert [emb._coset_map(w) for w in range(len(maps))] == maps
+        maps, flat = coset_maps_by_target(emb), emb.flat()
+        assert [emb._coset_map(flat, w) for w in range(len(maps))] == maps
 
 
-@pytest.mark.parametrize("flat", ["overlap", "gap", "moved"])
+@pytest.mark.parametrize("flat", ["overlap", "gap", "moved", "dropped"])
 def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
     # a flat table whose cosets overlap (every element a coset minimum),
-    # leave a gap (no minimum at all), or keep their number of minima but
+    # leave a gap (no minimum at all), keep their number of minima but
     # move one (y = phi_e[1], the image of s1, made a minimum and another
-    # coset's minimum not) is an internal fault, raised by the library for
-    # every reader of the coset maps and reported by the CLI with exit code 3
+    # coset's minimum not), or drop one coset's minimum (y, given fl(y) = s1),
+    # so that fl inverts every map built but the maps miss that coset, is an
+    # internal fault, raised by the library for every reader of the coset maps
+    # and reported by the CLI with exit code 3; every reader gets its table
+    # from flat(), where the plant sits
     from weylpat.harness.cli import main
     from weylpat.harness.verify import (
         verify_kl_transfer, verify_length_sufficiency, verify_upper_ideal)
@@ -522,15 +556,19 @@ def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
     source, target = build_root_system("A2"), build_root_system("A3")
     src, tgt = WeylGroup.for_system(source), WeylGroup.for_system(target)
     embs = enumerate_embeddings(source, target)
-    ys = []
+    ys, tables = [], {}
     for emb in embs:
         maps = emb.coset_maps()
-        ys.append(maps[0][1])
+        ys.append(maps[1][0] if flat == "dropped" else maps[0][1])
         planted = {"overlap": [0] * tgt.size, "gap": [1] * tgt.size,
-                   "moved": list(emb.flat())}[flat]
+                   "moved": list(emb.flat()), "dropped": list(emb.flat())}[flat]
         if flat == "moved":
             planted[ys[-1]], planted[maps[1][0]] = 0, 1
-        monkeypatch.setattr(emb, "_flat", planted)
+        elif flat == "dropped":
+            planted[ys[-1]] = 1
+        tables[emb] = planted
+    monkeypatch.setattr(SubsystemEmbedding, "flat",
+                        lambda self, cap=DEFAULT_ENUMERATION_CAP: tables[self])
     emb, y = embs[0], ys[0]
     with pytest.raises(InternalInvariantError, match="cosets of the embedded subgroup"):
         emb.coset_maps()
@@ -639,13 +677,15 @@ def test_interval_pattern_instances_match_object_level_forced_bottom(src, tgt):
 
 @pytest.mark.parametrize("shift,check", [("within", "flat"), ("across", "order"), ("table", "flat")])
 def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, capsys, shift, check):
-    # with valid tables neither per-coset check rejects (see _cosets), so
-    # wrong tables are planted: each coset map rotated within itself, which
-    # moves phi[0] off the coset's minimum; each coset keeping its minimum but
+    # with valid tables neither the fl test of coset_maps nor the order check
+    # of _cosets rejects, so wrong tables are planted: each coset map rotated
+    # within itself, which moves phi[0] off the coset's minimum, planted in the
+    # columns below coset_maps' own test; each coset keeping its minimum but
     # taking the rest of its map from the coset before it, which keeps
-    # fl(phi[g]) = g but not the order of every cover; or a flat table with
-    # s1 and s2 swapped, whose cosets stay the same.  The named check must
-    # raise for every interval reader, and the CLI must exit 3
+    # fl(phi[g]) = g but not the order of every cover, planted on the maps
+    # coset_maps returns; or a flat table with s1 and s2 swapped, whose cosets
+    # stay the same, planted in flat().  The named check must raise for every
+    # interval reader, and the CLI must exit 3
     from weylpat.harness.cli import main
     from weylpat.harness.verify import (
         verify_kl_transfer, verify_length_sufficiency, verify_upper_ideal)
@@ -653,25 +693,33 @@ def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, cap
     source, target = build_root_system("A2"), build_root_system("A3")
     message = {"flat": "does not invert coset map", "order": "does not lengthen a cover"}[check]
     if shift == "table":
-        for emb in enumerate_embeddings(source, target):
-            monkeypatch.setattr(emb, "_flat", [{1: 2, 2: 1}.get(f, f) for f in emb.flat()])
+        # w = phi_e[1], read before the plant
+        w = enumerate_embeddings(source, target)[0].coset_maps()[0][1]
+        real_flat = SubsystemEmbedding.flat
+        monkeypatch.setattr(SubsystemEmbedding, "flat", lambda self, cap=DEFAULT_ENUMERATION_CAP:
+                            [{1: 2, 2: 1}.get(f, f) for f in real_flat(self, cap)])
+    elif shift == "within":
+        real_columns = SubsystemEmbedding._columns
+
+        def rotated(self, col, cap):
+            # cols[g] over every coset at once, so each map phi[g] = cols[g][c] rotates
+            cols = real_columns(self, col, cap)
+            return cols[1:] + cols[:1]
+        monkeypatch.setattr(SubsystemEmbedding, "_columns", rotated)
     else:
         real = SubsystemEmbedding.coset_maps
 
         def planted(self, cap):
             # the coset maps, in the order of their minima phi[0]
             phis = real(self, cap)
-            if shift == "within":
-                return [phi[1:] + phi[:1] for phi in phis]
             return [phi[:1] + prev[1:] for phi, prev in zip(phis, phis[-1:] + phis[:-1])]
         monkeypatch.setattr(SubsystemEmbedding, "coset_maps", planted)
     with pytest.raises(InternalInvariantError, match=message):
         interval_pattern_instances(enumerate_embeddings(source, target)[0])
     if shift == "table":
-        # w = phi_e[1] has the planted fl(w) = s2, and no coset map carries s2 to w
+        # w has the planted fl(w) = s2, and no coset map carries s2 to w
         emb = enumerate_embeddings(source, target)[0]
         src, tgt = WeylGroup.for_system(source), WeylGroup.for_system(target)
-        w = emb.coset_maps()[0][1]
         v = src.elements[emb.flat()[w]]
         with pytest.raises(InternalInvariantError, match="no coset map carries"):
             interval_embeds(emb, v, v, tgt.elements[w], tgt.elements[w])

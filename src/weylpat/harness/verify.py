@@ -101,7 +101,17 @@ def default_window() -> dict:
     return json.loads(__spec__.loader.get_data(path))
 
 
+# the items of each window list, as (test, description); the other keys list strings
+_WINDOW_ITEMS = {
+    "kl_transfer_pairs": (lambda x: isinstance(x, list) and len(x) == 2
+                          and all(isinstance(t, str) for t in x), "[source, target] string pairs"),
+    "smoothness_sizes": (lambda x: type(x) is int, "integers"),
+}
+
+
 def load_window(path: str | None = None) -> dict:
+    """The shipped window, with the keys of the JSON file at path in place of its own;
+    ValueError names the key and file of an unknown key or a malformed value."""
     if path is None:
         return default_window()
     with open(path, "r", encoding="utf-8") as fh:
@@ -112,6 +122,10 @@ def load_window(path: str | None = None) -> dict:
     unknown = sorted(set(window) - set(base))
     if unknown:
         raise ValueError(f"unknown window key(s) in {path}: {', '.join(unknown)}")
+    for key, value in window.items():
+        test, items = _WINDOW_ITEMS.get(key, (lambda x: isinstance(x, str), "strings"))
+        if not isinstance(value, list) or not all(map(test, value)):
+            raise ValueError(f"window key {key!r} in {path} must be a list of {items}")
     base.update(window)
     return base
 

@@ -123,7 +123,7 @@ from _thread import allocate_lock
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from itertools import islice, repeat
+from itertools import islice
 
 from .errors import InternalInvariantError, NotComparableError
 from .weyl import (
@@ -131,6 +131,7 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     _byte_planes,
+    _plane_sum,
     format_word,
 )
 
@@ -284,15 +285,12 @@ def _check_bounds(val: int) -> None:
 def _index_sets(descents: list[int], rank: int) -> list[int]:
     """sets[s] is the bit mask over element indices of the u whose descent mask has bit s.
 
-    Each byte of the descent masks becomes one ``bytes`` over the elements,
-    reversed so that index 0 comes last; one ``bytes.translate`` per bit
-    writes its ASCII digits and ``int(..., 2)`` reads them as a mask.
+    The byte planes (:func:`~weylpat.weyl._byte_planes`) of the descent
+    masks in reverse order put index 0 last; one ``bytes.translate`` per
+    bit writes its ASCII digits and ``int(..., 2)`` reads them as a mask.
     """
     sets = []
-    for lo in range(0, rank, 8):
-        part = descents if rank <= 8 else map(
-            (255).__and__, map(int.__rshift__, descents, repeat(lo)))
-        plane = bytes(part)[::-1]
+    for lo, plane in zip(range(0, rank, 8), _byte_planes(reversed(descents), rank)):
         for b in range(min(8, rank - lo)):
             # bit b of x is 1 on runs of 2^b bytes, starting at x = 2^b
             sets.append(int(plane.translate((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b)), 2))
@@ -306,31 +304,19 @@ def _parabolic_lengths(wg: WeylGroup) -> list[bytes]:
 
     The minimal element of W_J u is as long as the inversions of u outside
     the roots of W_J, those whose support holds a_i: the set bits of
-    masks[u] & R_i, in the first rank fields; the other rank fields hold
-    those of u W_J, read off the masks of the inverses.  Each byte plane
-    of the masks is translated to the bit counts of its bytes within R_i
-    and the planes are summed as big ints, one byte per element: a count
-    is at most the element's length, below 2^8, so no byte carries into
-    the next.
+    masks[u] within R_i, in the first rank fields; the other rank fields
+    hold those of u W_J, read off the masks of the inverses.  Each field
+    is one :func:`~weylpat.weyl._plane_sum` of the byte planes of the
+    masks, weighting each root of R_i by 1; a count is at most the
+    element's length, and R_i has fewer than 2^8 roots.
     """
     rs = wg.rs
-    support = [sum(1 << p for p, r in enumerate(rs.positive) if rs.simple_coords[r][i])
+    support = [[1 if rs.simple_coords[r][i] else 0 for r in rs.positive]
                for i in range(rs.rank)]
-    plus_one = bytes(range(1, 256)) + b"\0"  # x -> x + 1, a translate table
     fields = []
     for masks in (wg.masks, map(wg.masks.__getitem__, wg.inverses)):
         planes = _byte_planes(masks, rs.num_positive)
-        for r in support:
-            acc = 0
-            for k, plane in enumerate(planes):
-                rb = r >> 8 * k & 255
-                if rb:
-                    # counts[x] = the set bits of x & rb, doubled over the 8 bits
-                    counts = b"\0"
-                    for b in range(8):
-                        counts += counts.translate(plus_one) if rb >> b & 1 else counts
-                    acc += int.from_bytes(plane.translate(counts), "little")
-            fields.append(acc.to_bytes(wg.size, "big"))
+        fields += [_plane_sum(planes, weights)[::-1] for weights in support]
     return fields
 
 

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
-from functools import cache
 
 from .errors import (
     CapExceededError,
@@ -63,6 +62,7 @@ from .weyl import (
     BruhatInterval,
     WeylElement,
     WeylGroup,
+    _plane_sum,
     bruhat_leq,
     format_word,
     from_word,
@@ -147,18 +147,16 @@ class SubsystemEmbedding:
 
         Built afresh on each call, after checking cap against both
         groups, and kept by no one.  Byte j of every pulled-back mask
-        comes out at once: each of the target's byte planes
-        (``target.planes``) goes through one ``bytes.translate`` that maps
-        a byte of a target mask to byte j of the source bits its set bits
-        pull back to, a table built by doubling over the byte's 8 bits,
-        each step one translate through an OR table, and the translated
-        planes are ORed as big ints.  When the source's masks fit one
-        byte, |W(source)| <= 2^8, so one more translate maps the masks to
-        their source indices and the table is a ``bytes``; a wider
-        source's masks are assembled per element and looked up in
-        ``source.index``.  Raises InternalInvariantError when a
-        pulled-back mask is no element's inversion set, that is, not
-        biconvex, which means the embedding is invalid.
+        comes out at once, as the sums of :func:`~weylpat.weyl._plane_sum`
+        over the target's byte planes (``target.planes``), each target
+        bit weighted by the source bit it pulls back to within byte j;
+        the images are disjoint single bits, so the sums are ORs.  When
+        the source's masks fit one byte, |W(source)| <= 2^8, so one more
+        translate maps the masks to their source indices and the table is
+        a ``bytes``; a wider source's masks are assembled per element and
+        looked up in ``source.index``.  Raises InternalInvariantError
+        when a pulled-back mask is no element's inversion set, that is,
+        not biconvex, which means the embedding is invalid.
         """
         target = WeylGroup.for_system(self.target, cap)
         source = WeylGroup.for_system(self.source, cap)
@@ -166,20 +164,8 @@ class SubsystemEmbedding:
         image = [0] * self.target.num_positive
         for sp, tp in self._pos_pairs:
             image[tp] = 1 << sp
-        size = target.size
-        planes = []
-        for lo in range(0, self.source.num_positive, 8):
-            acc = 0
-            for k, plane in enumerate(target.planes):
-                bits = [b >> lo & 255 for b in image[8 * k:8 * k + 8]]
-                if any(bits):
-                    # tr[x] is the OR of bits[j] over the set bits j of x,
-                    # doubled once per bit
-                    tr = b"\0"
-                    for b in bits:
-                        tr += tr.translate(_or_table(b))
-                    acc |= int.from_bytes(plane.translate(tr.ljust(256, b"\0")), "little")
-            planes.append(acc.to_bytes(size, "little"))
+        planes = [_plane_sum(target.planes, [b >> lo & 255 for b in image])
+                  for lo in range(0, self.source.num_positive, 8)]
         if len(planes) == 1:
             masks = bytes(source.masks)
             if planes[0].translate(None, delete=masks):
@@ -262,12 +248,6 @@ class SubsystemEmbedding:
                 col = [row[y] for y in col]
             cols.append(col)
         return cols
-
-
-@cache
-def _or_table(b: int) -> bytes:
-    """The ``bytes.translate`` table x -> x | b, kept for each byte b."""
-    return bytes(x | b for x in range(256))
 
 
 def enumerate_embeddings(source: RootSystem, target: RootSystem,

@@ -92,19 +92,20 @@ def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
 
 
 def _byte_tables(images: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """One table per byte of a mask over len(images) bits, so that the OR of
-    images[j] over the set bits j of a mask m is the OR over k of
+    """One table per byte of a mask over len(images) bits, so that the sum of
+    images[j] over the set bits j of a mask m is the sum over k of
     tables[k][m >> 8k & 255].
 
     A table doubles once per bit: the entries with that bit set are the
-    entries so far ORed with its image, so the last table is only as long
-    as the bits left, 2^b entries for b < 8 bits.
+    entries so far plus its image, so the last table is only as long as
+    the bits left, 2^b entries for b < 8 bits.  The sum is the OR where
+    the images are disjoint single bits, as those of a left step are.
     """
     tables = []
     for lo in range(0, len(images), 8):
         t = [0]
         for image in images[lo:lo + 8]:
-            t += [x | image for x in t]
+            t += [x + image for x in t]
         tables.append(tuple(t))
     return tuple(tables)
 

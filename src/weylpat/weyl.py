@@ -42,10 +42,11 @@ from itertools import repeat
 from .errors import (
     CapExceededError,
     GroupMismatchError,
+    InternalInvariantError,
     NotAnInversionSetError,
     NotComparableError,
 )
-from .roots import RootSystem
+from .roots import RootSystem, _byte_tables
 
 __all__ = [
     "WeylElement",
@@ -452,20 +453,37 @@ def _byte_planes(masks: Iterable[int], bits: int) -> list[bytes]:
     """planes[k] holds byte k of every mask, in order, for masks below 2^bits.
 
     Eight bytes of every mask at a time are packed into one ``array('Q')``,
-    whose little-endian bytes are sliced into planes, so no object is
-    made per mask.
+    or masks of at most 8 bits into one ``array('B')``, whose little-endian
+    bytes are sliced into planes, so no object is made per mask.
     """
     if bits > 64:
         masks = list(masks)  # read once per eight bytes
     planes: list[bytes] = []
     for lo in range(0, bits, 64):
-        words = array("Q", masks if bits <= 64 else map(
+        words = array("B" if bits <= 8 else "Q", masks if bits <= 64 else map(
             ((1 << 64) - 1).__and__, map(int.__rshift__, masks, repeat(lo))))
         if sys.byteorder == "big":
             words.byteswap()
         joined = words.tobytes()
-        planes += [joined[k::8] for k in range(min(8, (bits - lo + 7) // 8))]
+        planes += [joined[k::words.itemsize] for k in range(min(8, (bits - lo + 7) // 8))]
     return planes
+
+
+def _plane_sum(planes: Sequence[bytes], weights: Sequence[int]) -> bytes:
+    """sums[u] = the sum of weights[j] over the set bits j of mask u, one byte
+    per mask, from the byte planes of :func:`_byte_planes`: each plane goes
+    through one ``bytes.translate`` by its table of
+    :func:`~weylpat.roots._byte_tables`, and the planes are added as big
+    ints.  Raises InternalInvariantError unless the weights sum below 2^8,
+    so that no sum carries into the next mask's byte.
+    """
+    if sum(weights) > 255:
+        raise InternalInvariantError(f"plane weights sum to {sum(weights)}, past one byte")
+    acc = 0
+    for plane, table in zip(planes, _byte_tables(weights)):
+        if table[-1]:
+            acc += int.from_bytes(plane.translate(bytes(table).ljust(256, b"\0")), "little")
+    return acc.to_bytes(len(planes[0]), "little")
 
 
 def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> list[WeylElement]:

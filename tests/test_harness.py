@@ -81,6 +81,32 @@ def test_load_window_override(tmp_path):
     assert window["kl_transfer_pairs"]  # defaults fill the rest
 
 
+@pytest.mark.parametrize("suite,window,key", [
+    ("flattening", {"targets": None}, "targets"),
+    ("upper-ideal", {"sources": 5}, "sources"),
+    ("type-a-smoothness", {"smoothness_sizes": [None]}, "smoothness_sizes"),
+    ("type-a-smoothness", {"smoothness_sizes": "12"}, "smoothness_sizes"),
+    ("flattening", {"sources": "A1"}, "sources"),
+    ("upper-ideal", {"upper_ideal_properties": "kl-nontrivial"}, "upper_ideal_properties"),
+    ("kl-transfer", {"kl_transfer_pairs": [["A1"]]}, "kl_transfer_pairs"),
+    ("type-a-smoothness", {"smoothness_sizes": [True]}, "smoothness_sizes"),
+], ids=["targets-null", "sources-number", "sizes-null", "sizes-string", "sources-string",
+        "properties-string", "pairs-short", "sizes-bool"])
+def test_a_malformed_window_key_is_a_usage_error(tmp_path, capsys, suite, window, key):
+    # each key of a window file is checked before any sweep reads it
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(window))
+    assert main(["verify", suite, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert key in err and str(path) in err
+
+
+def test_a_window_file_may_set_every_key(tmp_path):
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps(default_window()))
+    assert load_window(str(path)) == default_window()
+
+
 def test_property_parser():
     nontrivial = _parse_property("kl-nontrivial")
     assert nontrivial(KLPolynomial([1, 1]))

@@ -28,6 +28,7 @@ from weylpat.kl import (
     KLPolynomial,
     _KLTable,
     _bits,
+    _index_sets,
     _w0_conjugation,
     is_rationally_smooth,
     kl_polynomial,
@@ -388,6 +389,14 @@ def test_descent_kernels_match_the_lmult_rows(cartan_type, positions):
         assert table.with_right[s] == sum(1 << u for u in range(wg.size)
                                           if table.right[u] >> s & 1)
     assert table.bits == [tuple(_bits(m)) for m in range(1 << rs.rank)]
+
+
+@pytest.mark.parametrize("rank", range(1, 18))
+def test_index_sets_hold_the_indices_of_each_descent(rank):
+    rnd = random.Random(rank)
+    descents = [rnd.getrandbits(rank) for _ in range(300)] + [(1 << rank) - 1, 0]
+    assert _index_sets(descents, rank) == [
+        sum(1 << u for u, d in enumerate(descents) if d >> s & 1) for s in range(rank)]
 
 
 def test_rank_nine_table_counts_its_smooth_elements_and_meets_the_r_oracle():

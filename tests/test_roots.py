@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -160,6 +162,29 @@ def test_deterministic_reconstruction():
     assert after is not before
     assert (after.roots, after.simple, after.positive, after.cartan_matrix) == snapshot
     assert after == before
+
+
+def test_no_module_keeps_a_functools_cache():
+    # every memo hangs off an interned root system, so clear_caches() empties
+    # them all; a module-level functools cache would outlive it
+    import weylpat.harness.cli  # noqa: F401
+    held = [f"{name}.{attr}" for name, mod in list(sys.modules.items())
+            if name == "weylpat" or name.startswith("weylpat.")
+            for attr, value in vars(mod).items() if hasattr(value, "cache_clear")]
+    assert held == []
+
+
+def test_byte_tables_sum_the_images_of_a_mask():
+    # overlapping images are summed, not ORed: bits 0-2 under [1, 1, 3] give 5
+    rnd = random.Random(20)
+    for bits in range(1, 21):
+        images = ([1, 1, 3] * 7)[:bits]
+        tables = roots._byte_tables(images)
+        assert [len(t) for t in tables] == [1 << min(8, bits - lo) for lo in range(0, bits, 8)]
+        for m in [0, (1 << bits) - 1] + [rnd.getrandbits(bits) for _ in range(200)]:
+            assert sum(t[m >> 8 * k & 255] for k, t in enumerate(tables)) == sum(
+                image for j, image in enumerate(images) if m >> j & 1)
+    assert roots._byte_tables([1, 1, 3])[0][7] == 5
 
 
 def test_two_root_lengths_in_g2():

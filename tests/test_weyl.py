@@ -30,6 +30,7 @@ from helpers import (
 from weylpat.errors import (
     CapExceededError,
     GroupMismatchError,
+    InternalInvariantError,
     NotAnInversionSetError,
     NotComparableError,
 )
@@ -47,6 +48,7 @@ from weylpat.weyl import (
     WeylGroup,
     _byte_planes,
     _left_step,
+    _plane_sum,
     apply,
     bruhat_leq,
     enumerate_elements,
@@ -737,6 +739,25 @@ def test_byte_planes_hold_each_byte_of_every_mask(bits):
     expected = [bytes(m >> 8 * k & 255 for m in masks) for k in range(width)]
     assert _byte_planes(masks, bits) == expected
     assert _byte_planes(iter(masks), bits) == expected
+
+
+@pytest.mark.parametrize("bits", [1, 7, 8, 9, 16, 20, 36])
+def test_plane_sum_sums_the_weights_of_each_masks_set_bits(bits):
+    # weights summing to at most 255 keep every sum in its own byte
+    rnd = random.Random(bits)
+    weights = [rnd.randrange(256 // bits) for _ in range(bits)]
+    masks = [rnd.getrandbits(bits) for _ in range(300)] + [(1 << bits) - 1, 0]
+    assert list(_plane_sum(_byte_planes(masks, bits), weights)) == [
+        sum(w for j, w in enumerate(weights) if m >> j & 1) for m in masks]
+    assert _plane_sum(_byte_planes(masks, bits), [0] * bits) == bytes(len(masks))
+
+
+def test_plane_sum_refuses_weights_past_one_byte():
+    planes = _byte_planes(range(512), 9)
+    assert list(_plane_sum(planes, [1] * 8 + [247])) == [
+        bin(m & 255).count("1") + 247 * (m >> 8) for m in range(512)]
+    with pytest.raises(InternalInvariantError, match="past one byte"):
+        _plane_sum(planes, [1] * 8 + [248])
 
 
 def test_group_planes_are_the_byte_planes_of_its_masks():

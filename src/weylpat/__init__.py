@@ -1,10 +1,10 @@
 """Exact Weyl group combinatorics.
 
 Root systems in fixed rational realizations, Weyl group elements with
-inversion-set bit vectors, Bruhat order and intervals, Kazhdan-Lusztig
-polynomials, subsystem pattern embeddings with their flattening maps,
-interval pattern avoidance, and exhaustive verification suites over
-small-rank windows.
+inversion-set bit vectors, Bruhat order with its intervals as element
+index lists, Kazhdan-Lusztig polynomials, subsystem pattern embeddings
+with their flattening maps, interval pattern avoidance, and exhaustive
+verification suites over small-rank windows.
 """
 
 from .errors import (
@@ -22,17 +22,14 @@ from .patterns import (
     embed_element,
     enumerate_embeddings,
     flatten,
-    forced_bottom,
     format_interval_spec,
     interval_embeds,
     interval_pattern_avoids,
-    interval_poset_reachable,
     parse_interval_spec,
     pattern_avoids,
 )
 from .roots import RootSystem, build_root_system, clear_caches
 from .weyl import (
-    BruhatInterval,
     WeylElement,
     WeylGroup,
     apply,
@@ -43,7 +40,6 @@ from .weyl import (
     from_inversion_set,
     from_word,
     identity,
-    interval,
     inverse,
     inversion_roots,
     multiply,
@@ -69,15 +65,14 @@ __all__ = [
     "WeylError", "InvalidCartanType", "GroupMismatchError", "NotComparableError",
     "NotAnInversionSetError", "CapExceededError", "InternalInvariantError",
     "RootSystem", "build_root_system", "clear_caches",
-    "WeylElement", "WeylGroup", "BruhatInterval",
+    "WeylElement", "WeylGroup",
     "identity", "simple_reflection", "reflection", "multiply", "inverse", "apply",
     "from_word", "to_reduced_word", "from_inversion_set", "inversion_roots",
-    "enumerate_elements", "bruhat_leq", "interval",
+    "enumerate_elements", "bruhat_leq",
     "parse_element", "format_word", "one_line", "element_label",
     "KLPolynomial", "kl_polynomial", "mu", "is_rationally_smooth",
     "SubsystemEmbedding", "enumerate_embeddings", "embed_element", "flatten",
-    "pattern_avoids", "interval_embeds",
-    "forced_bottom", "interval_pattern_avoids", "interval_poset_reachable",
+    "pattern_avoids", "interval_embeds", "interval_pattern_avoids",
     "parse_interval_spec", "format_interval_spec",
     "VerificationReport",
     "verify_flattening", "verify_x_determination", "verify_length_sufficiency",

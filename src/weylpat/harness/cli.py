@@ -40,7 +40,6 @@ from ..weyl import (
     bruhat_leq,
     element_label,
     format_word,
-    interval,
     one_line,
     parse_element,
 )
@@ -162,15 +161,17 @@ def _cmd_bruhat(args) -> int:
     if not comparable:
         _emit(args, payload, [f"{element_label(u)} is not below {element_label(v)}"])
         return 1
-    iv = interval(u, v, args.cap)
-    payload["result"]["size"] = iv.size
-    payload["result"]["rank"] = iv.rank_span
-    payload["result"]["elements"] = [_element_json(z) for z in iv.elements]
+    wg = WeylGroup.for_system(rs, args.cap)
+    elements = [WeylElement(rs, wg.masks[z]) for z in wg.interval_indices(wg.idx(u), wg.idx(v))]
+    rank = v.length - u.length
+    payload["result"]["size"] = len(elements)
+    payload["result"]["rank"] = rank
+    payload["result"]["elements"] = [_element_json(z) for z in elements]
     lines = [f"interval [{element_label(u)}, {element_label(v)}] in {rs.cartan_type}: "
-             f"{iv.size} elements, rank {iv.rank_span}"]
-    levels: list[list[str]] = [[] for _ in range(iv.rank_span + 1)]
-    for z in iv.elements:
-        levels[z.length - iv.bottom.length].append(element_label(z))
+             f"{len(elements)} elements, rank {rank}"]
+    levels: list[list[str]] = [[] for _ in range(rank + 1)]
+    for z in elements:
+        levels[z.length - u.length].append(element_label(z))
     for level, names in enumerate(levels):
         lines.append(f"  rank {level}: {', '.join(names)}")
     _emit(args, payload, lines)

@@ -111,7 +111,8 @@ _WINDOW_ITEMS = {
 
 def load_window(path: str | None = None) -> dict:
     """The shipped window, with the keys of the JSON file at path in place of its own;
-    ValueError names the key and file of an unknown key or a malformed value."""
+    ValueError names the key and file of an unknown key or a malformed value.  Every
+    list but ``slow_targets`` must be non-empty, as a sweep over none passes on nothing."""
     if path is None:
         return default_window()
     with open(path, "r", encoding="utf-8") as fh:
@@ -126,6 +127,8 @@ def load_window(path: str | None = None) -> dict:
         test, items = _WINDOW_ITEMS.get(key, (lambda x: isinstance(x, str), "strings"))
         if not isinstance(value, list) or not all(map(test, value)):
             raise ValueError(f"window key {key!r} in {path} must be a list of {items}")
+        if not value and key != "slow_targets":
+            raise ValueError(f"window key {key!r} in {path} must not be empty")
     base.update(window)
     return base
 

@@ -40,14 +40,14 @@ from the byte planes of the target's masks by ``bytes.translate`` and
 itself a ``bytes`` when the source's masks fit one byte, is built where
 it is read, as are the coset maps and the source's tables of a sweep;
 no embedding or group keeps them.
-:func:`forced_bottom` gives the one bottom x = i(u v^-1) w that x-determination
-allows, at the object level, and enumerates no target group; its ``flatten``
-calls enumerate the source group.
+:func:`interval_pattern_avoids` tests, per embedding, the one bottom
+x = i(u v^-1) w that x-determination allows, at the object level, and
+enumerates no target group; its ``flatten`` calls enumerate the source
+group.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 
 from .errors import (
@@ -59,7 +59,6 @@ from .errors import (
 from .roots import RootSystem, _echelon, _reduce, build_root_system
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
-    BruhatInterval,
     WeylElement,
     WeylGroup,
     _plane_sum,
@@ -80,9 +79,7 @@ __all__ = [
     "flatten",
     "pattern_avoids",
     "interval_embeds",
-    "forced_bottom",
     "interval_pattern_avoids",
-    "interval_poset_reachable",
     "parse_interval_spec",
     "format_interval_spec",
 ]
@@ -512,23 +509,6 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
     return phi[u] == x and all(check(phi, u, up, z) for z in span if z != u)
 
 
-def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
-                  w: WeylElement) -> WeylElement | None:
-    """x = i(u v^-1) w when fl(w) = v, x <= w and fl(x) = u, else None.
-
-    By x-determination no other x in the coset of w can be the bottom of
-    an interval pattern [u, v] -> [x, w] along emb.  No target group is
-    enumerated; ``flatten`` looks the pulled-back masks up in the source
-    group.
-    """
-    if flatten(emb, w) != v:
-        return None
-    x = multiply(embed_element(emb, multiply(u, inverse(v))), w)
-    if not bruhat_leq(x, w) or flatten(emb, x) != u:
-        return None
-    return x
-
-
 def _coset_tables(source: WeylGroup) -> tuple[list, list]:
     """(pairs, covers) of W', built on each call and kept by the caller:
     every u <= v, by v and then u, and every (lower cover c, g)."""
@@ -591,95 +571,24 @@ def interval_pattern_avoids(w: WeylElement, u: WeylElement, v: WeylElement,
                             cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """True when no embedding realizes [u, v] as an interval pattern in w.
 
-    Tests the forced bottom of each embedding by its length gap, so no
+    By x-determination an embedding with fl(w) = v allows one bottom,
+    x = i(u v^-1) w, and realizes the pattern exactly when x <= w,
+    fl(x) = u and the length gaps agree (length sufficiency).  So no
     target group is enumerated; the pattern's group is, by ``flatten``,
     and cap bounds it.  The embedding search runs under its own default.
     """
     if not bruhat_leq(u, v):
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
     WeylGroup.for_system(u.group, cap)  # raises CapExceededError past cap
+    g = multiply(u, inverse(v))
     for emb in enumerate_embeddings(u.group, w.group):
-        x = forced_bottom(emb, u, v, w)
-        if x is not None and w.length - x.length == v.length - u.length:
+        if flatten(emb, w, cap) != v:
+            continue
+        x = multiply(embed_element(emb, g), w)
+        if (w.length - x.length == v.length - u.length and bruhat_leq(x, w)
+                and flatten(emb, x, cap) == u):
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# the interval poset
-# ---------------------------------------------------------------------------
-
-def interval_poset_reachable(generators: Sequence[BruhatInterval],
-                             x: WeylElement, w: WeylElement,
-                             groups: Sequence[RootSystem] | None = None,
-                             cap: int = 100_000) -> bool:
-    """Whether [x, w] sits above some generator in the interval poset.
-
-    The poset on intervals (across all configured groups) is the
-    reflexive transitive closure of two generating moves upward:
-
-    * [u, v] -> [x', w'] when some embedding realizes [u, v] as an
-      interval pattern in [x', w'];
-    * [u, v] -> [u', v] when u' <= u (shrinking the bottom keeps the
-      property locus, since cell closures only add smaller elements).
-
-    The search is a breadth-first walk upward from the generators,
-    restricted to the supplied window of groups (default: the groups of
-    the generators plus the group of the goal), on (type, bottom, top)
-    element-index states.  cap bounds the states visited, each group's
-    enumeration and each embedding search.
-    """
-    if not bruhat_leq(x, w):
-        raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    # the window by type, in first-seen order
-    systems: dict[str, RootSystem] = {}
-    for sys in [g.bottom.group for g in generators] + list(groups or ()) + [w.group]:
-        systems.setdefault(sys.cartan_type, sys)
-
-    def state(bot: WeylElement, top: WeylElement) -> tuple[str, int, int]:
-        wg = WeylGroup.for_system(top.group, cap)
-        return (top.group.cartan_type, wg.idx(bot), wg.idx(top))
-
-    goal = state(x, w)
-    queue: deque[tuple[str, int, int]] = deque()
-    visited: set[tuple[str, int, int]] = set()
-
-    def push(st: tuple[str, int, int]) -> bool:
-        if st in visited:
-            return False
-        visited.add(st)
-        if len(visited) > cap:
-            raise CapExceededError("cap exceeded in interval poset search")
-        queue.append(st)
-        return st == goal
-
-    for gen in generators:
-        if push(state(gen.bottom, gen.top)):
-            return True
-
-    # move 1 out of each source type, filled when a state of it is first
-    # popped: (u, v) -> the states its sweeps reach with equal length gaps
-    moves: dict[str, dict[tuple[int, int], list[tuple[str, int, int]]]] = {}
-    while queue:
-        sys_type, bot, top = queue.popleft()
-        sys = systems[sys_type]
-        wg = WeylGroup.for_system(sys, cap)
-        # move 2: lower the bottom
-        for k in wg.below(bot):
-            if k != bot and push((sys_type, k, top)):
-                return True
-        # move 1: interval pattern embeddings into every window group
-        hits = moves.get(sys_type)
-        if hits is None:
-            hits = moves[sys_type] = {}
-            for tgt in systems.values():
-                for phi, pairs in _cosets(enumerate_embeddings(sys, tgt, cap), cap):
-                    for u, v in pairs:
-                        hits.setdefault((u, v), []).append((tgt.cartan_type, phi[u], phi[v]))
-        for st in hits.get((bot, top), ()):
-            if push(st):
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Weyl group elements, length, inversion sets, Bruhat order and intervals.
+"""Weyl group elements, length, inversion sets and Bruhat order.
 
 An element is determined by its inversion set I(w), a bit mask over the
 positive root positions: equality and hashing go through it, and its set
@@ -9,7 +9,8 @@ built in index order one length level at a time: the masks, and per
 element its length and the first letter of its lex-least reduced word
 as bytes, from which the word is read back down the left
 multiplication rows.  Bruhat order on indices is the lifting test down
-those rows and the lower-cover lists; no down-set is kept.  A
+those rows and the lower-cover lists, and an interval is the ascending
+index list of :meth:`WeylGroup.interval_indices`; no down-set is kept.  A
 :class:`WeylElement` is the same mask tagged with its root system, built
 only at the API edges; its products, inverses and action on roots fold
 the left step or the reflection rows along a reduced word.
@@ -44,13 +45,11 @@ from .errors import (
     GroupMismatchError,
     InternalInvariantError,
     NotAnInversionSetError,
-    NotComparableError,
 )
 from .roots import RootSystem, _byte_tables
 
 __all__ = [
     "WeylElement",
-    "BruhatInterval",
     "identity",
     "simple_reflection",
     "reflection",
@@ -63,7 +62,6 @@ __all__ = [
     "inversion_roots",
     "enumerate_elements",
     "bruhat_leq",
-    "interval",
     "parse_element",
     "format_word",
     "one_line",
@@ -510,55 +508,6 @@ def bruhat_leq(u: WeylElement, v: WeylElement) -> bool:
         if a & rs._left_steps[i - 1][0]:
             a = _left_step(rs, a, i - 1)
     return a == 0
-
-
-# ---------------------------------------------------------------------------
-# intervals
-# ---------------------------------------------------------------------------
-
-class BruhatInterval:
-    """The graded poset of all z with u <= z <= v."""
-
-    __slots__ = ("bottom", "top", "elements", "cover_pairs")
-
-    def __init__(self, bottom: WeylElement, top: WeylElement,
-                 elements: Sequence[WeylElement], cover_pairs: Sequence[tuple[int, int]]):
-        self.bottom = bottom
-        self.top = top
-        self.elements = tuple(elements)
-        self.cover_pairs = tuple(cover_pairs)
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def rank_span(self) -> int:
-        return self.top.length - self.bottom.length
-
-    def __repr__(self) -> str:
-        return (f"<BruhatInterval {self.bottom.group.cartan_type} "
-                f"[{format_word(self.bottom)} .. {format_word(self.top)}] "
-                f"{self.size} elements>")
-
-
-def interval(u: WeylElement, v: WeylElement,
-             cap: int = DEFAULT_ENUMERATION_CAP) -> BruhatInterval:
-    """The Bruhat interval [u, v], its elements built from their masks; raises
-    NotComparableError when u is not <= v."""
-    _check_same_group(u, v)
-    wg = WeylGroup.for_system(u.group, cap)
-    a, b = wg.idx(u), wg.idx(v)
-    if not wg.leq_idx(a, b):
-        raise NotComparableError(
-            f"not comparable: {format_word(u)} !<= {format_word(v)}"
-        )
-    idxs = wg.interval_indices(a, b)
-    elements = [WeylElement(u.group, wg.masks[z]) for z in idxs]
-    pos = {z: k for k, z in enumerate(idxs)}
-    lower = wg.lower_covers
-    pairs = sorted((pos[c], k) for k, z in enumerate(idxs) for c in lower[z] if c in pos)
-    return BruhatInterval(elements[0], elements[-1], elements, pairs)
 
 
 # ---------------------------------------------------------------------------

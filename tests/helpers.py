@@ -11,19 +11,30 @@ import functools
 import hashlib
 import itertools
 from array import array
+from collections import deque
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 
-from weylpat.errors import InternalInvariantError
+from weylpat.errors import CapExceededError, InternalInvariantError, NotComparableError
 from weylpat.kl import _bits
-from weylpat.patterns import SubsystemEmbedding, _cosets, enumerate_embeddings, flatten
+from weylpat.patterns import (
+    SubsystemEmbedding,
+    _cosets,
+    embed_element,
+    enumerate_embeddings,
+    flatten,
+)
+from weylpat.roots import RootSystem
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
-    BruhatInterval,
     WeylElement,
     WeylGroup,
+    _check_same_group,
+    bruhat_leq,
     enumerate_elements,
-    interval,
+    format_word,
+    inverse,
+    multiply,
     to_reduced_word,
 )
 
@@ -708,6 +719,55 @@ def full_map_by_vector_sums(source, target, images: tuple[int, ...]) -> tuple[in
 
 
 # ---------------------------------------------------------------------------
+# intervals as element objects with their cover pairs
+# ---------------------------------------------------------------------------
+
+class BruhatInterval:
+    """The graded poset of all z with u <= z <= v."""
+
+    __slots__ = ("bottom", "top", "elements", "cover_pairs")
+
+    def __init__(self, bottom: WeylElement, top: WeylElement,
+                 elements: Sequence[WeylElement], cover_pairs: Sequence[tuple[int, int]]):
+        self.bottom = bottom
+        self.top = top
+        self.elements = tuple(elements)
+        self.cover_pairs = tuple(cover_pairs)
+
+    @property
+    def size(self) -> int:
+        return len(self.elements)
+
+    @property
+    def rank_span(self) -> int:
+        return self.top.length - self.bottom.length
+
+    def __repr__(self) -> str:
+        return (f"<BruhatInterval {self.bottom.group.cartan_type} "
+                f"[{format_word(self.bottom)} .. {format_word(self.top)}] "
+                f"{self.size} elements>")
+
+
+def interval(u: WeylElement, v: WeylElement,
+             cap: int = DEFAULT_ENUMERATION_CAP) -> BruhatInterval:
+    """The Bruhat interval [u, v], its elements built from their masks; raises
+    NotComparableError when u is not <= v."""
+    _check_same_group(u, v)
+    wg = WeylGroup.for_system(u.group, cap)
+    a, b = wg.idx(u), wg.idx(v)
+    if not wg.leq_idx(a, b):
+        raise NotComparableError(
+            f"not comparable: {format_word(u)} !<= {format_word(v)}"
+        )
+    idxs = wg.interval_indices(a, b)
+    elements = [WeylElement(u.group, wg.masks[z]) for z in idxs]
+    pos = {z: k for k, z in enumerate(idxs)}
+    lower = wg.lower_covers
+    pairs = sorted((pos[c], k) for k, z in enumerate(idxs) for c in lower[z] if c in pos)
+    return BruhatInterval(elements[0], elements[-1], elements, pairs)
+
+
+# ---------------------------------------------------------------------------
 # poset isomorphism: a colour-refined search and a search over bijections
 # ---------------------------------------------------------------------------
 
@@ -978,7 +1038,7 @@ def coset_maps_by_target(emb) -> list[tuple[int, ...]]:
 
 def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUMERATION_CAP
                                ) -> Iterator[tuple[int, int, int, int]]:
-    """Each (u, v, x, w) with u <= v = fl(w) that :func:`~weylpat.patterns.forced_bottom` accepts.
+    """Each (u, v, x, w) with u <= v = fl(w) that :func:`forced_bottom` accepts.
 
     Streams source indices u, v and target indices x, w, ordered by w,
     then u, and keeps nothing but the coset maps and the source's
@@ -996,6 +1056,100 @@ def interval_pattern_instances(emb: SubsystemEmbedding, cap: int = DEFAULT_ENUME
     source = WeylGroup.for_system(emb.source, cap)
     belows = [source.below(v) for v in range(source.size)]
     return ((u, v, maps[w][u], w) for w, v in enumerate(flat) for u in belows[v])
+
+
+def forced_bottom(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
+                  w: WeylElement) -> WeylElement | None:
+    """x = i(u v^-1) w when fl(w) = v, x <= w and fl(x) = u, else None.
+
+    By x-determination no other x in the coset of w can be the bottom of
+    an interval pattern [u, v] -> [x, w] along emb.  No target group is
+    enumerated; ``flatten`` looks the pulled-back masks up in the source
+    group.
+    """
+    if flatten(emb, w) != v:
+        return None
+    x = multiply(embed_element(emb, multiply(u, inverse(v))), w)
+    if not bruhat_leq(x, w) or flatten(emb, x) != u:
+        return None
+    return x
+
+
+# ---------------------------------------------------------------------------
+# the interval poset
+# ---------------------------------------------------------------------------
+
+def interval_poset_reachable(generators: Sequence[BruhatInterval],
+                             x: WeylElement, w: WeylElement,
+                             groups: Sequence[RootSystem] | None = None,
+                             cap: int = 100_000) -> bool:
+    """Whether [x, w] sits above some generator in the interval poset.
+
+    The poset on intervals (across all configured groups) is the
+    reflexive transitive closure of two generating moves upward:
+
+    * [u, v] -> [x', w'] when some embedding realizes [u, v] as an
+      interval pattern in [x', w'];
+    * [u, v] -> [u', v] when u' <= u (shrinking the bottom keeps the
+      property locus, since cell closures only add smaller elements).
+
+    The search is a breadth-first walk upward from the generators,
+    restricted to the supplied window of groups (default: the groups of
+    the generators plus the group of the goal), on (type, bottom, top)
+    element-index states.  cap bounds the states visited, each group's
+    enumeration and each embedding search.
+    """
+    if not bruhat_leq(x, w):
+        raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
+    # the window by type, in first-seen order
+    systems: dict[str, RootSystem] = {}
+    for sys in [g.bottom.group for g in generators] + list(groups or ()) + [w.group]:
+        systems.setdefault(sys.cartan_type, sys)
+
+    def state(bot: WeylElement, top: WeylElement) -> tuple[str, int, int]:
+        wg = WeylGroup.for_system(top.group, cap)
+        return (top.group.cartan_type, wg.idx(bot), wg.idx(top))
+
+    goal = state(x, w)
+    queue: deque[tuple[str, int, int]] = deque()
+    visited: set[tuple[str, int, int]] = set()
+
+    def push(st: tuple[str, int, int]) -> bool:
+        if st in visited:
+            return False
+        visited.add(st)
+        if len(visited) > cap:
+            raise CapExceededError("cap exceeded in interval poset search")
+        queue.append(st)
+        return st == goal
+
+    for gen in generators:
+        if push(state(gen.bottom, gen.top)):
+            return True
+
+    # move 1 out of each source type, filled when a state of it is first
+    # popped: (u, v) -> the states its sweeps reach with equal length gaps
+    moves: dict[str, dict[tuple[int, int], list[tuple[str, int, int]]]] = {}
+    while queue:
+        sys_type, bot, top = queue.popleft()
+        sys = systems[sys_type]
+        wg = WeylGroup.for_system(sys, cap)
+        # move 2: lower the bottom
+        for k in wg.below(bot):
+            if k != bot and push((sys_type, k, top)):
+                return True
+        # move 1: interval pattern embeddings into every window group
+        hits = moves.get(sys_type)
+        if hits is None:
+            hits = moves[sys_type] = {}
+            for tgt in systems.values():
+                for phi, pairs in _cosets(enumerate_embeddings(sys, tgt, cap), cap):
+                    for u, v in pairs:
+                        hits.setdefault((u, v), []).append((tgt.cartan_type, phi[u], phi[v]))
+        for st in hits.get((bot, top), ()):
+            if push(st):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,16 @@ def run_json(capsys, *argv):
     return code, payload
 
 
+def test_moved_names_are_gone_and_every_export_resolves():
+    # the object-level interval layer lives with the test oracles in helpers.py
+    from weylpat import patterns, weyl
+
+    for module in (weylpat, weyl, patterns):
+        assert [name for name in module.__all__ if not hasattr(module, name)] == []
+        for name in ("BruhatInterval", "interval", "interval_poset_reachable", "forced_bottom"):
+            assert name not in module.__all__ and not hasattr(module, name)
+
+
 def test_roots_command(capsys):
     code, out, _ = run(capsys, "roots", "A2")
     assert code == 0
@@ -165,6 +175,10 @@ def test_flatten_and_avoids_honour_cap(capsys):
     code, out, err = run(capsys, "interval-avoids", "A4", "--w", "1 2",
                          "--interval", "A2:e..1 2", "--cap", "3")
     assert code == 2 and "cap exceeded" in err  # |W(A2)| = 6
+    # a cap above the default bounds a larger pattern group as well (|W(D6)| = 23040)
+    code, out, err = run(capsys, "interval-avoids", "D6", "--cap", "30000", "--w", "1 2",
+                         "--interval", "D6:e..1 2")
+    assert (code, out.strip(), err) == (1, "does not avoid", "")
 
 
 def test_avoids_cap_bounds_the_pattern_group_alone(capsys):

@@ -8,6 +8,7 @@ from helpers import (
     brute_force_isomorphic,
     coset_maps_by_target,
     flattening_by_element,
+    interval,
     interval_isomorphic,
     interval_pattern_instances,
     pattern_map_isomorphic_on_target_interval,
@@ -41,7 +42,7 @@ from weylpat.patterns import (
     format_interval_spec,
 )
 from weylpat.roots import build_root_system, clear_caches
-from weylpat.weyl import DEFAULT_ENUMERATION_CAP, WeylGroup, format_word, interval, parse_element
+from weylpat.weyl import DEFAULT_ENUMERATION_CAP, WeylGroup, format_word, parse_element
 
 
 def test_report_round_trip():
@@ -90,8 +91,9 @@ def test_load_window_override(tmp_path):
     ("upper-ideal", {"upper_ideal_properties": "kl-nontrivial"}, "upper_ideal_properties"),
     ("kl-transfer", {"kl_transfer_pairs": [["A1"]]}, "kl_transfer_pairs"),
     ("type-a-smoothness", {"smoothness_sizes": [True]}, "smoothness_sizes"),
+    ("flattening", {"sources": []}, "sources"),
 ], ids=["targets-null", "sources-number", "sizes-null", "sizes-string", "sources-string",
-        "properties-string", "pairs-short", "sizes-bool"])
+        "properties-string", "pairs-short", "sizes-bool", "sources-empty"])
 def test_a_malformed_window_key_is_a_usage_error(tmp_path, capsys, suite, window, key):
     # each key of a window file is checked before any sweep reads it
     path = tmp_path / "window.json"
@@ -99,6 +101,15 @@ def test_a_malformed_window_key_is_a_usage_error(tmp_path, capsys, suite, window
     assert main(["verify", suite, "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert key in err and str(path) in err
+
+
+def test_an_empty_slow_targets_list_loads(tmp_path):
+    # the slow tier is an addition, so a window may have none
+    path = tmp_path / "window.json"
+    path.write_text(json.dumps({"slow_targets": []}))
+    window = load_window(str(path))
+    assert window["slow_targets"] == []
+    assert matrix_pairs(window, slow=True) == matrix_pairs(window)
 
 
 def test_a_window_file_may_set_every_key(tmp_path):

@@ -12,6 +12,7 @@ from helpers import (
     coset_lengths,
     cover_downsets,
     covers,
+    interval,
     kl_defining_identity_holds,
     kl_identity_holds_on_columns,
     left_descents,
@@ -43,7 +44,6 @@ from weylpat.weyl import (
     enumerate_elements,
     from_word,
     identity,
-    interval,
     inverse,
     parse_element,
 )

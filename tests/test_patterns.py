@@ -9,9 +9,12 @@ from helpers import (
     digest,
     dot,
     flip_perm,
+    forced_bottom,
     full_map_by_vector_sums,
+    interval,
     interval_embeds as defined_interval_embeds,
     interval_pattern_instances,
+    interval_poset_reachable,
     naive_embeddings,
     negatives,
     perm_of,
@@ -32,11 +35,9 @@ from weylpat.patterns import (
     embed_element,
     enumerate_embeddings,
     flatten,
-    forced_bottom,
     format_interval_spec,
     interval_embeds,
     interval_pattern_avoids,
-    interval_poset_reachable,
     parse_interval_spec,
     pattern_avoids,
 )
@@ -51,7 +52,6 @@ from weylpat.weyl import (
     from_inversion_set,
     from_word,
     identity,
-    interval,
     inverse,
     inversion_roots,
     multiply,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    BruhatInterval,
     _reflection_closure_downsets,
     all_reduced_words,
     brute_force_isomorphic,
@@ -14,6 +15,7 @@ from helpers import (
     cover_downsets,
     covers,
     image_inversions,
+    interval,
     interval_isomorphic,
     interval_pattern_instances,
     inverses_by_walk,
@@ -44,7 +46,6 @@ from weylpat.patterns import (
 from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
-    BruhatInterval,
     WeylGroup,
     _byte_planes,
     _left_step,
@@ -56,7 +57,6 @@ from weylpat.weyl import (
     from_inversion_set,
     from_word,
     identity,
-    interval,
     inverse,
     inversion_roots,
     multiply,

@@ -314,9 +314,10 @@ def verify_kl_transfer(source_type: str, target_type: str,
     """Interval pattern embeddings preserve Kazhdan-Lusztig polynomials.
 
     The packed values are compared: one source column dict per v and one
-    reader per target w.  Only a pair whose values differ, or where either
-    misses, is decoded, which gives the failure text, or raises
-    NotComparableError for the miss.
+    reader per orbit representative r of the target table, which reads
+    P(x, w) as P(flip[w][x], r).  Only a pair whose values differ, or
+    where either misses, is decoded, which gives the failure text, or
+    raises NotComparableError for the miss.
     """
     source, target, report = _pair_report("kl-transfer", source_type, target_type)
 
@@ -325,6 +326,7 @@ def verify_kl_transfer(source_type: str, target_type: str,
         src_kl, tgt_kl = _table_for(src), _table_for(tgt)
         columns: dict[int, dict[int, int]] = {}
         readers: dict[int, Callable[[int], int]] = {}
+        reps, flips = tgt_kl.rep, tgt_kl.flip
         for phi, pairs in _cosets(enumerate_embeddings(source, target), cap):
             rep.cases += len(pairs)
             for u, v in pairs:
@@ -332,11 +334,12 @@ def verify_kl_transfer(source_type: str, target_type: str,
                 column = columns.get(v)
                 if column is None:
                     column = columns[v] = dict(src_kl._entries(v))
-                read = readers.get(w)
+                r, f = reps[w], flips[w]
+                read = readers.get(r)
                 if read is None:
-                    read = readers[w] = tgt_kl._reader(w)
+                    read = readers[r] = tgt_kl._reader(r)
                 packed = column.get(u, 0)
-                if packed != read(x) or not packed:
+                if packed != read(x if f is None else f[x]) or not packed:
                     p1 = src_kl.polynomial(u, v)
                     p2 = tgt_kl.polynomial(x, w)
                     if p1 != p2:

@@ -103,11 +103,13 @@ caller sees no column or the whole column.  The value list is the one
 state that fills share: a value seen for the first time is checked and
 appended under a lock, checked for again inside it, so racing fills
 give a value one id and a column filled twice is filled with the same
-ids.  The orbit maps, descent sets, right multiplication rows and
-parabolic lengths are built in the table's constructor, before any
-caller can see it.  A threshold mask of the cut is built on first use
-and stored in one assignment; racing fills may both build it, and both
-store the same int.
+ids.  The orbit maps, descent sets and parabolic lengths are built in
+the table's constructor, before any caller can see it.  The table keeps
+no right multiplication rows: x s_t = (s_t x^-1)^-1 and
+D_R(x) = D_L(x^-1), so every right raise of a read is a left raise of
+x^-1 through ``lmult``, mapped back through ``inverses``.  A threshold
+mask of the cut is built on first use and stored in one assignment;
+racing fills may both build it, and both store the same int.
 Polynomials are packed as Python ints with 16 bits per coefficient.  A
 value is checked as it is interned: positive, constant term 1 and
 every coefficient below 2^15, so a borrow from a negative coefficient
@@ -132,6 +134,7 @@ from .weyl import (
     WeylGroup,
     _byte_planes,
     _plane_sum,
+    _plane_tables,
     format_word,
 )
 
@@ -316,7 +319,7 @@ def _parabolic_lengths(wg: WeylGroup) -> list[bytes]:
     fields = []
     for masks in (wg.masks, map(wg.masks.__getitem__, wg.inverses)):
         planes = _byte_planes(masks, rs.num_positive)
-        fields += [_plane_sum(planes, weights)[::-1] for weights in support]
+        fields += [_plane_sum(planes, _plane_tables(weights))[::-1] for weights in support]
     return fields
 
 
@@ -343,15 +346,18 @@ class _KLTable:
     ``values[0] == 1``.  ``rep[v]`` is the representative of v's orbit
     under inversion and w0-conjugation, and ``flip[v]`` the involution of
     that orbit group taking v to ``rep[v]``, as an index list, or None for
-    the identity.  ``left[u]`` and ``right[u]`` are the left and right
-    descent sets of u as bit masks over 0-based simple indices,
-    ``rmult[t][u]`` is the index of u s_t, and ``with_left[s]`` and
+    the identity; each rep is the group's own int object, read off the
+    ``lmult`` rows.  ``left[u]`` and ``right[u]`` are the left and right
+    descent sets of u as bit masks over 0-based simple indices, in arrays
+    of the narrowest typecode that holds rank bits, and ``with_left[s]`` and
     ``with_right[t]`` are bit masks over element indices of the u with s
     in D_L(u), resp. t in D_R(u); ``bits[m]`` lists the set bits of a
-    descent mask m, and ``lrows[m]`` and ``rrows[m]`` are the lmult and
-    rmult rows of its lowest bit, the raising step of every read.
-    ``starts[l]`` is the first index of length l, ``fields`` the
-    parabolic lengths of :func:`_parabolic_lengths`, and
+    descent mask m, and ``lrows[m]`` is the lmult row of its lowest bit,
+    the raising step of every read.  The table keeps no right
+    multiplication rows: u s_t = (s_t u^-1)^-1 and D_R(u) = D_L(u^-1), so
+    a right raise of u through J is a left raise of u^-1 through the same
+    ``lrows`` and ``left``, mapped back through ``inverses``.  ``fields``
+    holds the parabolic lengths of :func:`_parabolic_lengths`, and
     ``at_most[f][t]`` the bit mask over element indices of the u with
     value at most t in ``fields[f]``, built on first use by
     :meth:`_candidates`.  ``mus[r]`` holds the odd-gap part of the
@@ -389,9 +395,11 @@ class _KLTable:
         self.flip: list[list[int] | None] = []
         rep, flip = self.rep, self.flip
         # the group's own int objects, in index order, so each rep is a shared
-        # int; the least image wins, the first of equal ones, by three plain
+        # int: each lmult row is an involution holding every index once; the
+        # least image wins, the first of equal ones, by three plain
         # comparisons, which cost less than a call of min on four arguments
-        for v, i, c, ic in zip(wg.index.values(), inv, conj, inv_conj):
+        row = wg.lmult[0]
+        for v, i, c, ic in zip(map(row.__getitem__, row), inv, conj, inv_conj):
             r, f = v, None
             if i < r:
                 r, f = i, inv
@@ -403,30 +411,25 @@ class _KLTable:
             flip.append(f)
         rs = wg.rs
         rank = rs.rank
+        # the simple roots take the first rank positive positions (height 1);
+        # order[m] is the descent mask, over simple indices, of a mask m over
+        # those positions, so left[u] reads the low bits of masks[u]; since
+        # |W| >= 2^rank, a group that was built has rank at most 64
+        order = [0]
+        for p in sorted(range(rank), key=lambda i: rs._left_steps[i][0]):
+            order += [m | 1 << p for m in order]
+        typecode = next(t for t in "BHILQ" if 8 * array(t).itemsize >= rank)
+        self.left = left = array(typecode, map(order.__getitem__,
+                                               map(((1 << rank) - 1).__and__, wg.masks)))
+        self.right = array(typecode, map(left.__getitem__, inv))
         # bits[m] lists the set bits of a descent mask m < 2^rank, ascending
         self.bits: list[tuple[int, ...]] = [()]
         for b in range(rank):
             self.bits += [t + (b,) for t in self.bits]
-        # the simple roots take the first rank positive positions (height 1);
-        # order[m] is the descent mask, over simple indices, of a mask m over
-        # those positions, so left[u] reads the low bits of masks[u]
-        order = [0]
-        for p in sorted(range(rank), key=lambda i: rs._left_steps[i][0]):
-            order += [m | 1 << p for m in order]
-        self.left = left = list(map(order.__getitem__, map(((1 << rank) - 1).__and__, wg.masks)))
-        self.right = list(map(left.__getitem__, inv))
-        # u s = (s u^-1)^-1
-        self.rmult = [list(map(inv.__getitem__, map(row.__getitem__, inv))) for row in wg.lmult]
         # the raising step of a read: the row of the lowest missing descent
         self.lrows = [wg.lmult[b[0]] if b else None for b in self.bits]
-        self.rrows = [self.rmult[b[0]] if b else None for b in self.bits]
-        self.with_left = _index_sets(left, rank)
+        self.with_left = _index_sets(self.left, rank)
         self.with_right = _index_sets(self.right, rank)
-        # starts[l] is the first index of length l, as levels are contiguous
-        lengths = wg.lengths
-        self.starts = [0]
-        for length in range(1, lengths[-1] + 1):
-            self.starts.append(lengths.index(length, self.starts[-1]))
         self.at_most: list[dict[int, int]] = [{} for _ in self.fields]
 
     def _cheapest_descent(self, v: int) -> int:
@@ -465,7 +468,7 @@ class _KLTable:
         """
         keys, ids = self.ensure_column(v)
         r, f = self.rep[v], self.flip[v]
-        left, right, lrows, rrows = self.left, self.right, self.lrows, self.rrows
+        left, right, lrows, inv = self.left, self.right, self.lrows, self.wg.inverses
         need_left, need_right = left[r], right[r]
         values, n = self.values, len(keys)
 
@@ -477,9 +480,13 @@ class _KLTable:
                 u = lrows[missing][u]
                 missing = need_left & ~left[u]
             missing = need_right & ~right[u]
-            while missing:
-                u = rrows[missing][u]
-                missing = need_right & ~right[u]
+            if missing:
+                # the right raise of u is the left raise of u^-1
+                u = inv[u]
+                while missing:
+                    u = lrows[missing][u]
+                    missing = need_right & ~left[u]
+                u = inv[u]
             i = bisect_left(keys, u)
             return values[ids[i]] if i < n and keys[i] == u else 0
         return read
@@ -513,20 +520,28 @@ class _KLTable:
         D(rep[v]) is the union of the double cosets W_I k W_J of its keys
         k, I and J its left and right descents, each a Bruhat interval
         with top k on which P(-, rep[v]) is constant; each is walked from
-        k through the lmult rows of I and the rmult rows of J.
+        k through the lmult rows of I, and of J between inverses, as
+        x s_t = (s_t x^-1)^-1.
         """
         keys, ids = self.ensure_column(v)
         r, f = self.rep[v], self.flip[v]
-        steps = ([self.wg.lmult[s] for s in self.bits[self.left[r]]]
-                 + [self.rmult[t] for t in self.bits[self.right[r]]])
+        lmult, inv = self.wg.lmult, self.wg.inverses
+        on_left = [lmult[s] for s in self.bits[self.left[r]]]
+        on_right = [lmult[t] for t in self.bits[self.right[r]]]
         found: dict[int, int] = {}
         for k, p in zip(keys, map(self.values.__getitem__, ids)):
             found[k] = p
             stack = [k]
             while stack:
                 x = stack.pop()
-                for row in steps:
+                for row in on_left:
                     y = row[x]
+                    if y not in found:
+                        found[y] = p
+                        stack.append(y)
+                x = inv[x]
+                for row in on_right:
+                    y = inv[row[x]]
                     if y not in found:
                         found[y] = p
                         stack.append(y)
@@ -554,8 +569,9 @@ class _KLTable:
                     if m:
                         pairs += (z, m)
             odd = self.mus[r] = array("i", pairs)
-        coatoms = {self.wg.lmult[s][r] for s in self.bits[self.left[r]]}
-        coatoms.update(self.rmult[t][r] for t in self.bits[self.right[r]])
+        lmult, inv = self.wg.lmult, self.wg.inverses
+        coatoms = {lmult[s][r] for s in self.bits[self.left[r]]}
+        coatoms.update(inv[lmult[t][inv[r]]] for t in self.bits[self.right[r]])
         return list(zip(odd[::2], odd[1::2])) + [(z, 1) for z in sorted(coatoms)]
 
     def _candidates(self, v: int) -> int:
@@ -569,7 +585,7 @@ class _KLTable:
         2.5.1).
         """
         bits = self.bits
-        below = (1 << self.starts[self.wg.lengths[v]]) - 1 | 1 << v
+        below = (1 << self.wg.starts[self.wg.lengths[v]]) - 1 | 1 << v
         for d in bits[self.left[v]]:
             below &= self.with_left[d]
         for d in bits[self.right[v]]:
@@ -616,10 +632,11 @@ class _KLTable:
 
         # Each read below flips u into the frame of a representative r,
         # raises it through the left descents of r it lacks, then the right
-        # ones, and looks the result up among the keys of r; a miss is 0.
-        # The raise is written out in each loop: a call per read, or per
-        # list of reads, makes the fill slower by about a tenth.
-        left, right, lrows, rrows = self.left, self.right, self.lrows, self.rrows
+        # ones, as a left raise of its inverse, and looks the result up among
+        # the keys of r; a miss is 0.  The raise is written out in each loop:
+        # a call per read, or per list of reads, makes the fill slower by
+        # about a tenth.
+        left, right, lrows, inv = self.left, self.right, self.lrows, wg.inverses
 
         # the keys of v: each candidate u with D_L(u) >= D_L(v) and
         # D_R(u) >= D_R(v) for which u <= v, that is su <= sv; there
@@ -634,9 +651,12 @@ class _KLTable:
                 x = lrows[missing][x]
                 missing = need_left & ~left[x]
             missing = need_right & ~right[x]
-            while missing:
-                x = rrows[missing][x]
-                missing = need_right & ~right[x]
+            if missing:
+                x = inv[x]
+                while missing:
+                    x = lrows[missing][x]
+                    missing = need_right & ~left[x]
+                x = inv[x]
             p = index.get(x)
             if p:
                 x = u if f is None else f[u]
@@ -645,9 +665,12 @@ class _KLTable:
                     x = lrows[missing][x]
                     missing = need_left & ~left[x]
                 missing = need_right & ~right[x]
-                while missing:
-                    x = rrows[missing][x]
-                    missing = need_right & ~right[x]
+                if missing:
+                    x = inv[x]
+                    while missing:
+                        x = lrows[missing][x]
+                        missing = need_right & ~left[x]
+                    x = inv[x]
                 keys.append(u)
                 vals.append(p + (index.get(x, 0) << _SHIFT))
         for z, m in terms:
@@ -660,9 +683,12 @@ class _KLTable:
                     x = lrows[missing][x]
                     missing = need_left & ~left[x]
                 missing = need_right & ~right[x]
-                while missing:
-                    x = rrows[missing][x]
-                    missing = need_right & ~right[x]
+                if missing:
+                    x = inv[x]
+                    while missing:
+                        x = lrows[missing][x]
+                        missing = need_right & ~left[x]
+                    x = inv[x]
                 p = index.get(x)
                 if p:
                     vals[i] -= m * p

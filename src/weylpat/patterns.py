@@ -62,6 +62,7 @@ from .weyl import (
     WeylElement,
     WeylGroup,
     _plane_sum,
+    _plane_tables,
     bruhat_leq,
     format_word,
     from_word,
@@ -151,9 +152,10 @@ class SubsystemEmbedding:
         the source's masks fit one byte, |W(source)| <= 2^8, so one more
         translate maps the masks to their source indices and the table is
         a ``bytes``; a wider source's masks are assembled per element and
-        looked up in ``source.index``.  Raises InternalInvariantError
-        when a pulled-back mask is no element's inversion set, that is,
-        not biconvex, which means the embedding is invalid.
+        looked up in a dict of the source's masks that lives for the call.
+        Raises InternalInvariantError when a pulled-back mask is no
+        element's inversion set, that is, not biconvex, which means the
+        embedding is invalid.
         """
         target = WeylGroup.for_system(self.target, cap)
         source = WeylGroup.for_system(self.source, cap)
@@ -161,10 +163,10 @@ class SubsystemEmbedding:
         image = [0] * self.target.num_positive
         for sp, tp in self._pos_pairs:
             image[tp] = 1 << sp
-        planes = [_plane_sum(target.planes, [b >> lo & 255 for b in image])
+        planes = [_plane_sum(target.planes, _plane_tables([b >> lo & 255 for b in image]))
                   for lo in range(0, self.source.num_positive, 8)]
         if len(planes) == 1:
-            masks = bytes(source.masks)
+            masks = bytes(iter(source.masks))
             if planes[0].translate(None, delete=masks):
                 raise InternalInvariantError(
                     "pulled-back inversion set is not biconvex; embedding is invalid")
@@ -175,8 +177,9 @@ class SubsystemEmbedding:
         pulled: Sequence[int] = planes[0]
         for k in range(1, len(planes)):
             pulled = [p | b << 8 * k for p, b in zip(pulled, planes[k])]
+        index = dict(zip(source.masks, range(source.size)))
         try:
-            return [source.index[p] for p in pulled]
+            return [index[p] for p in pulled]
         except KeyError:
             raise InternalInvariantError(
                 "pulled-back inversion set is not biconvex; embedding is invalid"
@@ -388,13 +391,14 @@ def flatten(emb: SubsystemEmbedding, w: WeylElement,
     """Flattening: the source element whose inversion set pulls back I(w).
 
     The pulled-back mask is looked up among the inversion sets of the
-    enumerated source group (bounded by cap); a mask that is no element's
-    inversion set is not biconvex, which means the embedding is invalid.
+    enumerated source group (bounded by cap), by :meth:`WeylGroup.find`;
+    a mask that is no element's inversion set is not biconvex, which
+    means the embedding is invalid.
     """
     if w.group != emb.target:
         raise GroupMismatchError("element does not belong to the embedding target")
     source = WeylGroup.for_system(emb.source, cap)
-    k = source.index.get(emb._pull_back(w.inversions))
+    k = source.find(emb._pull_back(w.inversions))
     if k is None:
         raise InternalInvariantError(
             "pulled-back inversion set is not biconvex; embedding is invalid")

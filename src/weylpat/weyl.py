@@ -36,9 +36,11 @@ coordinates by w(e_i) = e_(w(i)).
 from __future__ import annotations
 
 import sys
+from _thread import allocate_lock
 from array import array
-from collections.abc import Iterable, Sequence
-from itertools import repeat
+from bisect import bisect_left
+from collections.abc import Iterable, MutableSequence, Sequence
+from itertools import compress, repeat
 
 from .errors import (
     CapExceededError,
@@ -255,17 +257,26 @@ class WeylGroup:
     smallest left descent i, so level l+1 is, in order, the s_i a for i
     ascending and a of level l in index order with i an ascent of a,
     skipping each b that has a smaller left descent, which an earlier i
-    has already numbered.  The group keeps the inversion masks
-    (``masks``; ``index`` is keyed by them), ``lengths`` and ``first``,
-    the first letter of each element's word, as ``bytes``, and the left
-    multiplication rows ``lmult``; :meth:`word` reads a word off
-    ``first`` and the rows.  Built on first use, inverses, the
-    lower-cover lists of Bruhat order (by the lifting property, see
-    :attr:`lower_covers`), the byte planes of the masks (:attr:`planes`)
-    and ``elements``, the only list of :class:`WeylElement` objects, one
-    per mask, are read off them.  Products on indices apply ``lmult`` rows to whole
-    columns; Bruhat order is the lifting test :meth:`leq_idx` on the rows
-    and walks down the cover lists, nothing of size |W|^2.
+    has already numbered.  The left steps of a whole level come from
+    ``bytes.translate`` over the level's byte planes (:func:`_plane_words`),
+    and one dict keyed by mask covers only the level being built, so
+    nothing of size |W| is keyed by mask.
+
+    The group keeps the inversion masks (``masks``, one ``array('Q')``
+    where the positive roots fit 64 bits, a list of ints otherwise),
+    ``starts``, the first index of each length level (with |W| last),
+    ``lengths`` and ``first``, the first letter of each element's word,
+    as ``bytes``, and the left multiplication rows ``lmult``, lists that
+    share one int object per index; :meth:`word` reads a word off
+    ``first`` and the rows.  :meth:`find` looks a mask up within its own
+    length level, by bisection of that level's masks, sorted on first
+    use.  Built on first use, inverses, the lower-cover lists of Bruhat
+    order (by the lifting property, one element at a time, see
+    :meth:`covers`), the byte planes of the masks (:attr:`planes`) and
+    ``elements``, the only list of :class:`WeylElement` objects, one per
+    mask, are read off them.  Products on indices apply ``lmult`` rows to
+    whole columns; Bruhat order is the lifting test :meth:`leq_idx` on
+    the rows and walks down the cover lists, nothing of size |W|^2.
     Its root system keeps it (:meth:`for_system`), and it keeps the KL
     table; the tables that flattening and the coset sweeps derive from it
     are built where they are read and kept by no group.
@@ -273,53 +284,63 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystem, cap: int):
         self.rs = rs
-        bits = [bit for bit, _ in rs._left_steps]
-        earlier = [sum(bits[:i]) for i in range(len(bits))]  # the bits of a_j, j < i
-        masks = [0]
-        index: dict[int, int] = {0: 0}
+        width = rs.num_positive
+        steps = _step_tables(rs)
+        masks: MutableSequence[int] = array("Q", [0]) if width <= 64 else [0]
         first = bytearray(1)
-        lengths = bytearray(1)
-        lmult: list[list[int]] = [[0] for _ in bits]
-        start = 0
-        while start < len(masks):
-            end = len(masks)
-            # index values are the one int object per index, shared by the rows
-            # and every list read off them (inverses, rmult, conj, covers), so
-            # each entry costs one 8-byte pointer; array rows would box a fresh
-            # int on every read, which those lists would then keep, and an
-            # array read costs about twice a list read
-            level = [(index[m], m) for m in masks[start:end]]
-            for i, bit in enumerate(bits):
-                row, before = lmult[i], earlier[i]
-                for a, m in level:
-                    if m & bit:
-                        continue
-                    el = _left_step(rs, m, i)
+        lmult: list[list[int]] = [[0] for _ in steps]
+        starts = [0]
+        # the int objects of the level being read, one per index, shared by
+        # the rows and every list read off them (inverses, conj, covers), so
+        # each entry costs one 8-byte pointer; array rows would box a fresh
+        # int on every read, which those lists would then keep, and an array
+        # read costs about twice a list read
+        ids = [0]
+        # the rows grow a block at a time, and are cut to |W| at the end
+        block, room = [0] * 4096, 1
+        while ids:
+            level = masks[starts[-1]:]
+            planes = _byte_planes(level, width)
+            found: dict[int, int] = {}  # mask -> index, over the level being built
+            for i, (bit, before, tables, ascents) in enumerate(steps):
+                row = lmult[i]
+                # the a of the level with i an ascent, beside I(s_i a) less a_i
+                for a, el in compress(zip(ids, _plane_words(planes, tables)),
+                                      planes[ascents[0]].translate(ascents[1])):
+                    el |= bit
                     if el & before:
                         # a smaller left descent: numbered by an earlier i
-                        b = index[el]
+                        b = found[el]
                     else:
                         b = len(masks)
                         if b >= cap:
                             raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
                         masks.append(el)
-                        index[el] = b
+                        found[el] = b
                         first.append(i + 1)
-                        for r in lmult:
-                            r.append(0)
+                        if b == room:
+                            room += len(block)
+                            for r in lmult:
+                                r += block
                     # s_i swaps the ends of each ascent, which covers every pair
                     row[a] = b
                     row[b] = a
-            lengths += bytes([lengths[start] + 1]) * (len(masks) - end)
-            start = end
-        self.masks: list[int] = masks
+            starts.append(starts[-1] + len(level))
+            ids = list(found.values())
+        for r in lmult:
+            del r[len(masks):]
+        self.masks = masks
         self.size = len(masks)
-        self.index: dict[int, int] = index
-        self.lengths = bytes(lengths)
+        self.starts = starts
+        self.lengths = b"".join(bytes([n]) * (b - a) for n, (a, b)
+                                in enumerate(zip(starts, starts[1:])))
         self.first = bytes(first)
         self.lmult: list[list[int]] = lmult
+        self._levels: list[tuple[Sequence[int], array] | None] = [None] * (len(starts) - 1)
         self._elements: list[WeylElement] | None = None
-        self._covers: list[list[int]] | None = None
+        self._covers: list[list[int] | None] | None = None
+        self._all_covers = False
+        self._lock = allocate_lock()
         self._inverses: list[int] | None = None
         self._planes: list[bytes] | None = None
         self._kl_table = None  # kl._KLTable, built on the first KL query
@@ -347,7 +368,33 @@ class WeylGroup:
             raise GroupMismatchError(
                 f"element of {w.group.cartan_type} does not belong to W({self.rs.cartan_type})"
             )
-        return self.index[w.inversions]
+        k = self.find(w.inversions)
+        if k is None:
+            raise KeyError(w.inversions)
+        return k
+
+    def find(self, mask: int) -> int | None:
+        """The index of the element whose inversion mask is mask, or None.
+
+        A mask is looked up within its own length level, the count of its
+        set bits: by bisection of that level's masks, sorted once on first
+        use beside an ``array('i')`` of their indices, so a lookup sorts no
+        level but its own.
+        """
+        n = mask.bit_count()
+        if n >= len(self._levels):
+            return None
+        level = self._levels[n]
+        if level is None:
+            lo, hi, masks = self.starts[n], self.starts[n + 1], self.masks
+            order = sorted(range(lo, hi), key=masks.__getitem__)
+            keys = map(masks.__getitem__, order)
+            # stored in one assignment; racing lookups store equal pairs
+            level = self._levels[n] = (
+                array("Q", keys) if isinstance(masks, array) else list(keys), array("i", order))
+        keys, ids = level
+        i = bisect_left(keys, mask)
+        return ids[i] if i < len(keys) and keys[i] == mask else None
 
     def word(self, k: int) -> tuple[int, ...]:
         """The lex-least reduced word of element k, 1-based: its first letter
@@ -391,24 +438,47 @@ class WeylGroup:
             self._planes = _byte_planes(self.masks, self.rs.num_positive)
         return self._planes
 
+    def covers(self, v: int) -> list[int]:
+        """The indices u covered by v: u < v, l(u) = l(v) - 1, memoized per element.
+
+        By the lifting property (Bjorner-Brenti, *Combinatorics of Coxeter
+        Groups*, GTM 231, section 2.2): for a left descent s of v, the
+        covers of v are sv and sc for each cover c of sv with sc > c.  sv
+        precedes the rest, which follow the list of sv.  With s the first
+        letter, the lists down v's first-letter chain are filled first, up
+        from the first one known, so a walk fills only what it visits.
+        The memo is one list of |W| entries, None until filled, made once
+        under a lock; racing fills store equal lists.
+        """
+        memo = self._covers
+        if memo is None:
+            with self._lock:
+                if self._covers is None:
+                    self._covers = [[]] + [None] * (self.size - 1)
+            memo = self._covers
+        cs = memo[v]
+        if cs is None:
+            lengths, lmult, first = self.lengths, self.lmult, self.first
+            chain = []
+            while cs is None:
+                chain.append(v)
+                v = lmult[first[v] - 1][v]
+                cs = memo[v]
+            for v in reversed(chain):
+                row = lmult[first[v] - 1]
+                cs = memo[v] = [row[v]] + [row[c] for c in cs if lengths[row[c]] > lengths[c]]
+        return cs
+
     @property
     def lower_covers(self) -> list[list[int]]:
-        """lower_covers[v] lists the indices u covered by v: u < v, l(u) = l(v) - 1.
-
-        Built on first use by the lifting property (Bjorner-Brenti,
-        *Combinatorics of Coxeter Groups*, GTM 231, section 2.2): for a
-        left descent s of v, the covers of v are sv and sc for each cover
-        c of sv with sc > c.  sv precedes the rest, which follow the list
-        of sv.
-        """
-        if self._covers is None:
-            lengths, lmult, first = self.lengths, self.lmult, self.first
-            table: list[list[int]] = [[]]
-            for v in range(1, self.size):
-                row = lmult[first[v] - 1]
-                sv = row[v]
-                table.append([sv] + [row[c] for c in table[sv] if lengths[row[c]] > lengths[c]])
-            self._covers = table
+        """lower_covers[v] is :meth:`covers` of v, every entry filled, for
+        sweeps that read the whole table; filled in index order, where each
+        list reads that of sv, already filled."""
+        if not self._all_covers:
+            covers = self.covers
+            for v in range(self.size):
+                covers(v)
+            self._all_covers = True
         return self._covers
 
     def leq_idx(self, a: int, b: int) -> bool:
@@ -433,18 +503,44 @@ class WeylGroup:
 
         Every z in [a, b] other than b lies below an upper cover inside
         the interval, so the walk down from b through the cover lists,
-        keeping each cover above a, reaches all of it.
+        keeping each cover above a, reaches all of it; it fills the
+        covers of what it visits and of their first-letter chains only.
         """
-        leq, lower = self.leq_idx, self.lower_covers
+        leq, covers = self.leq_idx, self.covers
         if not leq(a, b):
             return []
         seen, stack = {b}, [b]
         while stack:
-            for c in lower[stack.pop()]:
+            for c in covers(stack.pop()):
                 if c not in seen and leq(a, c):
                     seen.add(c)
                     stack.append(c)
         return sorted(seen)
+
+
+def _step_tables(rs: RootSystem) -> list[tuple[int, int, list[list[tuple[int, bytes]]],
+                                                tuple[int, bytes]]]:
+    """Per simple reflection s_i of rs, the left step of a whole level:
+    (the bit of a_i, the bits of a_j for j < i, per byte of a mask the
+    translate tables of :func:`_plane_tables` that give that byte of
+    s_i(I(w) minus a_i) from the byte planes of I(w), and the byte plane
+    of a_i with the translate table that maps a byte to 1 when it lacks
+    a_i's bit, else 0, so that a whole level's ascents of s_i are one
+    translate).
+
+    The images of the positive roots are read off the byte tables of
+    ``rs._left_steps``, whose entry 2^j of table k is the image of bit
+    8k + j; they are single bits, so each byte of the step is a sum.
+    """
+    steps, before = [], 0
+    for bit, tables in rs._left_steps:
+        images = [tables[p >> 3][1 << (p & 7)] for p in range(rs.num_positive)]
+        p = bit.bit_length() - 1
+        steps.append((bit, before, [_plane_tables([x >> lo & 255 for x in images])
+                                    for lo in range(0, rs.num_positive, 8)],
+                      (p >> 3, bytes(x >> (p & 7) & 1 ^ 1 for x in range(256)))))
+        before |= bit
+    return steps
 
 
 def _byte_planes(masks: Iterable[int], bits: int) -> list[bytes]:
@@ -452,7 +548,8 @@ def _byte_planes(masks: Iterable[int], bits: int) -> list[bytes]:
 
     Eight bytes of every mask at a time are packed into one ``array('Q')``,
     or masks of at most 8 bits into one ``array('B')``, whose little-endian
-    bytes are sliced into planes, so no object is made per mask.
+    bytes are sliced into planes, so no object is made per mask; an
+    ``array('Q')`` of masks is copied whole.
     """
     if bits > 64:
         masks = list(masks)  # read once per eight bytes
@@ -467,21 +564,53 @@ def _byte_planes(masks: Iterable[int], bits: int) -> list[bytes]:
     return planes
 
 
-def _plane_sum(planes: Sequence[bytes], weights: Sequence[int]) -> bytes:
-    """sums[u] = the sum of weights[j] over the set bits j of mask u, one byte
-    per mask, from the byte planes of :func:`_byte_planes`: each plane goes
-    through one ``bytes.translate`` by its table of
-    :func:`~weylpat.roots._byte_tables`, and the planes are added as big
-    ints.  Raises InternalInvariantError unless the weights sum below 2^8,
-    so that no sum carries into the next mask's byte.
+def _plane_tables(weights: Sequence[int]) -> list[tuple[int, bytes]]:
+    """(k, table) for each byte plane k that holds a nonzero weight: the
+    ``bytes.translate`` table that gives each mask's sum of weights[j]
+    over its set bits j within byte k, from the tables of
+    :func:`~weylpat.roots._byte_tables`.  Raises InternalInvariantError
+    unless the weights sum below 2^8, so that no sum carries into the
+    next mask's byte.
     """
     if sum(weights) > 255:
         raise InternalInvariantError(f"plane weights sum to {sum(weights)}, past one byte")
+    return [(k, bytes(t).ljust(256, b"\0")) for k, t in enumerate(_byte_tables(weights)) if t[-1]]
+
+
+def _plane_sum(planes: Sequence[bytes], tables: Sequence[tuple[int, bytes]]) -> bytes:
+    """sums[u] = the sum of weights[j] over the set bits j of mask u, one byte
+    per mask, from the byte planes of :func:`_byte_planes` and the pairs
+    (k, table) of :func:`_plane_tables` of the weights: each plane k goes
+    through one ``bytes.translate`` by its table, and the planes are added
+    as big ints."""
     acc = 0
-    for plane, table in zip(planes, _byte_tables(weights)):
-        if table[-1]:
-            acc += int.from_bytes(plane.translate(bytes(table).ljust(256, b"\0")), "little")
+    for k, table in tables:
+        acc += int.from_bytes(planes[k].translate(table), "little")
     return acc.to_bytes(len(planes[0]), "little")
+
+
+def _plane_words(planes: Sequence[bytes],
+                 by_byte: Sequence[Sequence[tuple[int, bytes]]]) -> Sequence[int]:
+    """words[u] = the sum over j of byte j, :func:`_plane_sum` by
+    ``by_byte[j]``, shifted 8j bits, for every mask u of the planes.
+
+    The bytes of each word are interleaved into one ``bytearray`` and read
+    as an ``array('Q')``, so no object is made per mask.  Past 64 bits the
+    words of each run of eight bytes are added as ints, in a list.
+    """
+    chunks = []
+    for lo in range(0, len(by_byte), 8):
+        joined = bytearray(8 * len(planes[0]))
+        for j, tables in enumerate(by_byte[lo:lo + 8]):
+            if tables:
+                joined[j::8] = _plane_sum(planes, tables)
+        words = array("Q", joined)
+        if sys.byteorder == "big":
+            words.byteswap()
+        chunks.append(words)
+    if len(chunks) == 1:
+        return chunks[0]
+    return [sum(w << 64 * c for c, w in enumerate(ws)) for ws in zip(*chunks)]
 
 
 def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> list[WeylElement]:

@@ -363,6 +363,48 @@ def inverses_by_walk(wg) -> list[int]:
     return out
 
 
+def mask_index(wg) -> dict[int, int]:
+    """The whole-group mask -> index dict, as the group kept it before it
+    looked masks up within their length level: one entry per element."""
+    return {m: k for k, m in enumerate(wg.masks)}
+
+
+def lower_covers_table(wg) -> list[list[int]]:
+    """Every lower-cover list of wg, built whole in index order, as the
+    group built it before it filled covers per element: the covers of v
+    are sv, s its first letter, and sc for each cover c of sv with
+    sc > c (Bjorner-Brenti, GTM 231, section 2.2)."""
+    lengths, lmult, first = wg.lengths, wg.lmult, wg.first
+    table: list[list[int]] = [[]]
+    for v in range(1, wg.size):
+        row = lmult[first[v] - 1]
+        sv = row[v]
+        table.append([sv] + [row[c] for c in table[sv] if lengths[row[c]] > lengths[c]])
+    return table
+
+
+def rmult_rows(wg) -> list[list[int]]:
+    """rmult[t][u] is the index of u s_t, as the KL table kept it before it
+    raised through inverses: u s = (s u^-1)^-1, one list per simple index."""
+    inv = wg.inverses
+    return [list(map(inv.__getitem__, map(row.__getitem__, inv))) for row in wg.lmult]
+
+
+def raise_by_rmult(table, rmult, u: int, need_left: int, need_right: int) -> int:
+    """u raised through the descents in need_left it lacks, by the lmult
+    rows, then through those in need_right, by the rmult rows, each step
+    by the lowest missing descent, with descents read off those rows."""
+    lmult = table.wg.lmult
+
+    def missing(rows, u, need):
+        return [s for s in range(len(rows)) if need >> s & 1 and rows[s][u] > u]
+
+    for rows, need in ((lmult, need_left), (rmult, need_right)):
+        while gaps := missing(rows, u, need):
+            u = rows[gaps[0]][u]
+    return u
+
+
 def lmult_left_descents(wg) -> list[int]:
     """The left descent mask of every element, over 0-based simple indices,
     from the lmult rows: s is a left descent of u when s.u < u, since
@@ -529,13 +571,14 @@ def _reflection_closure_downsets(wg: WeylGroup) -> list[int]:
     rs = wg.rs
     down = [0] * wg.size
     refls = [rs.reflection_table[a] for a in rs.positive]
+    index = mask_index(wg)
     for v_idx, v in enumerate(wg.elements):
         image = root_image(v)
         mask = 1 << v_idx
         for t in refls:
             u = image_inversions(rs, compose(t, image))
             if u.bit_count() < v.length:
-                mask |= down[wg.index[u]]
+                mask |= down[index[u]]
         down[v_idx] = mask
     return down
 

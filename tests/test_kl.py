@@ -17,9 +17,12 @@ from helpers import (
     kl_identity_holds_on_columns,
     left_descents,
     lmult_left_descents,
+    mask_index,
     mul,
     negatives,
     plain_kl_columns,
+    raise_by_rmult,
+    rmult_rows,
     uncut_candidates,
     word_image,
 )
@@ -370,25 +373,85 @@ def test_the_cut_fills_the_same_table_as_the_uncut_candidates(cartan_type):
         assert [u for u in _bits(cut._candidates(v)) if wg.lengths[u] >= wg.lengths[v]] == [v]
 
 
+RANK_17 = "x".join(["A1"] * 15) + "xB2"
+
+
 @pytest.mark.parametrize("cartan_type, positions", [
     ("E6", [4, 5, 0, 1, 2, 3]), ("D4", [3, 2, 0, 1]), ("F4", [2, 1, 0, 3]),
     ("A3xA2xA2xA1xA1", [8, 7, 6, 5, 4, 3, 2, 1, 0]),
+    (RANK_17, list(range(16, -1, -1))),
 ])
 def test_descent_kernels_match_the_lmult_rows(cartan_type, positions):
-    # the simple roots sit at permuted positive positions, and rank 9 needs
-    # descent masks wider than a byte
+    # the simple roots sit at permuted positive positions; rank 9 needs
+    # descent masks wider than a byte, and rank 17 wider than two
     rs = build_root_system(cartan_type)
     assert [rs._left_steps[i][0].bit_length() - 1 for i in range(rs.rank)] == positions
-    wg = WeylGroup.for_system(rs, 60000)
+    wg = WeylGroup.for_system(rs, 300_000)
     table = _KLTable(wg)
     left = lmult_left_descents(wg)
-    assert table.left == left
-    assert table.right == [left[k] for k in wg.inverses]
+    assert list(table.left) == left
+    assert list(table.right) == [left[k] for k in wg.inverses]
+
+    def index_mask(flags):
+        # the bit mask over element indices u with flags[u], in linear time
+        return int("".join("1" if f else "0" for f in reversed(flags)), 2)
+
     for s in range(rs.rank):
-        assert table.with_left[s] == sum(1 << u for u in range(wg.size) if left[u] >> s & 1)
-        assert table.with_right[s] == sum(1 << u for u in range(wg.size)
-                                          if table.right[u] >> s & 1)
+        assert table.with_left[s] == index_mask([d >> s & 1 for d in left])
+        assert table.with_right[s] == index_mask([d >> s & 1 for d in table.right])
     assert table.bits == [tuple(_bits(m)) for m in range(1 << rs.rank)]
+
+
+def test_rank_seventeen_point_queries_read_the_high_descents():
+    # A1^15xB2 (262,144 elements) has rank 17: s16 and s17, the simple
+    # reflections of its B2 factor, have descent bits past two bytes, and
+    # w0 is central, so s17 and s17 s16 represent their own orbits; every
+    # element of the product is rationally smooth, so a read of column v
+    # is 1 on u <= v and 0 elsewhere
+    rs = build_root_system(RANK_17)
+    wg = WeylGroup.for_system(rs, 300_000)
+    table = _KLTable(wg)
+    rng = random.Random(17)
+    words = [[17], [16, 17], [17, 16], [17, 16, 17], [1, 17, 16], [3, 17, 16, 17, 9],
+             list(range(1, 16)) + [16, 17, 16, 17]]
+    tops = [wg.idx(from_word(rs, w)) for w in words]
+    assert tops[-1] == wg.size - 1
+    low = [wg.idx(from_word(rs, w))
+           for w in ([], [16], [17], [16, 17], [17, 16], [16, 17, 16], [17, 16, 17])]
+    sample = low + [wg.lmult[0][u] for u in low] + rng.sample(range(wg.size), 2000)
+    for v in tops:
+        read = table._reader(v)
+        assert [read(u) for u in sample] == [1 if wg.leq_idx(u, v) else 0 for u in sample]
+    e, top = from_word(rs, []), from_word(rs, [1, 17, 16, 17])
+    assert kl_polynomial(e, top, cap=300_000) == kl_polynomial(e, e, cap=300_000)
+    assert is_rationally_smooth(top, cap=300_000)
+    with pytest.raises(NotComparableError):
+        kl_polynomial(from_word(rs, [17]), from_word(rs, [16]), cap=300_000)
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4", "E6"])
+def test_right_raise_through_inverses_matches_the_rmult_rows(cartan_type):
+    # the table keeps no right multiplication rows: u s_t = (s_t u^-1)^-1, and
+    # a point read raises u through the right descents of its column as a
+    # left raise of u^-1; every element is read in the columns of tops with
+    # two left and two right descents, against a raise by the rmult rows
+    wg = WeylGroup.for_system(build_root_system(cartan_type), 60_000)
+    table = _KLTable(wg)
+    rmult = rmult_rows(wg)
+    assert list(table.right) == [sum(1 << t for t, row in enumerate(rmult) if row[u] < u)
+                                 for u in range(wg.size)]
+    tops = [v for v in range(wg.size) if len(table.bits[table.left[v]]) == 2
+            and len(table.bits[table.right[v]]) == 2 and table.left[v] != table.right[v]]
+    for v in tops[:1] + tops[-1:]:
+        read = table._reader(v)
+        r, f = table.rep[v], table.flip[v]
+        keys, ids = table.packed[r]
+        value = dict(zip(keys, map(table.values.__getitem__, ids)))
+        assert table.right[r]
+        for u in range(wg.size):
+            x = raise_by_rmult(table, rmult, u if f is None else f[u],
+                               table.left[r], table.right[r])
+            assert read(u) == value.get(x, 0)
 
 
 @pytest.mark.parametrize("rank", range(1, 18))
@@ -534,9 +597,10 @@ def test_w0_conjugation_relabels_simple_roots_as_minus_w0(cartan_type, central):
         assert wg.word(conj[wg.lmult[i][0]]) == (sigma[i] + 1,)
     if wg.size <= 2000:
         # every element: w0 s_i1 ... s_ik w0 = s_sigma(i1) ... s_sigma(ik)
+        index = mask_index(wg)
         for k in range(wg.size):
             relabelled = from_word(rs, [sigma[i - 1] + 1 for i in wg.word(k)])
-            assert conj[k] == wg.index[relabelled.inversions]
+            assert conj[k] == index[relabelled.inversions]
 
 
 def test_full_fill_stores_one_column_per_orbit():
@@ -552,13 +616,17 @@ def test_full_fill_stores_one_column_per_orbit():
 
 
 def test_orbit_representatives_are_the_groups_own_ints():
-    # each rep is the int object the group's index dict holds, so a table
-    # keeps no int of its own; A6 has indices past the small-int cache
+    # each rep is the int object every lmult row holds for its index, so a
+    # table keeps no int of its own; A6 has indices past the small-int cache
     wg = WeylGroup.for_system(build_root_system("A6"))
     table = _KLTable(wg)
     for v in range(wg.size):
         table.ensure_column(v)
-    assert all(r is wg.index[wg.masks[r]] for r in table.rep)
+    assert list(table.rep) == [min(v, inv, c, inv_c) for v, inv, c, inv_c in zip(
+        range(wg.size), wg.inverses, _w0_conjugation(wg),
+        map(wg.inverses.__getitem__, _w0_conjugation(wg)))]
+    assert any(r > 256 for r in table.rep)
+    assert all(r is row[row[r]] for row in wg.lmult for r in table.rep)
 
 
 def test_kl_fill_never_builds_down_sets():
@@ -802,7 +870,7 @@ def test_elements_of_another_group_are_rejected():
     # group check tells the two apart at the index level
     a3, b3 = build_root_system("A3"), build_root_system("B3")
     u, v = identity(a3), from_word(b3, [1, 2, 1])
-    assert v.inversions in WeylGroup.for_system(a3).index
+    assert WeylGroup.for_system(a3).find(v.inversions) is not None
     for query in (kl_polynomial, mu, interval):
         with pytest.raises(GroupMismatchError):
             query(u, v)

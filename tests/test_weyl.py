@@ -23,6 +23,8 @@ from helpers import (
     is_biconvex,
     left_descents,
     lifting_downsets,
+    lower_covers_table,
+    mask_index,
     mul,
     negatives,
     one_line_by_coordinates,
@@ -46,10 +48,14 @@ from weylpat.patterns import (
 from weylpat.roots import build_root_system, clear_caches
 from weylpat.weyl import (
     DEFAULT_ENUMERATION_CAP,
+    WeylElement,
     WeylGroup,
     _byte_planes,
     _left_step,
     _plane_sum,
+    _plane_tables,
+    _plane_words,
+    _step_tables,
     apply,
     bruhat_leq,
     enumerate_elements,
@@ -247,6 +253,114 @@ def test_group_keeps_no_word_tuples_and_builds_small():
     assert peak < 1_000_000
 
 
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4", "E6"])
+def test_find_and_idx_match_the_whole_group_index_dict(cartan_type):
+    # every mask is looked up within its length level, against the dict over
+    # all of W that the group used to keep; a mask of no element misses
+    rs = build_root_system(cartan_type)
+    wg = WeylGroup(rs, 60_000)
+    index = mask_index(wg)
+    assert len(index) == wg.size
+    assert [wg.find(m) for m in wg.masks] == [index[m] for m in wg.masks] == list(range(wg.size))
+    assert [wg.idx(w) for w in wg.elements] == list(range(wg.size))
+    assert all(lv is not None for lv in wg._levels)
+    top = (1 << rs.num_positive) - 1
+    misses = [top << 1, 1 << rs.num_positive, top ^ 1 << (rs.num_positive - 1)]
+    rnd = random.Random(wg.size)
+    misses += [m for m in (rnd.getrandbits(rs.num_positive) for _ in range(300)) if m not in index]
+    assert len(misses) > 100
+    assert all(m not in index and wg.find(m) is None for m in misses)
+    with pytest.raises(KeyError):
+        wg.idx(WeylElement(rs, misses[-1]))
+
+
+def test_a_cold_idx_sorts_only_the_level_it_reads():
+    rs = build_root_system("E6")
+    wg = WeylGroup(rs, 60_000)
+    assert wg._levels == [None] * 37
+    k = wg.idx(from_word(rs, [1, 3, 4]))
+    assert wg.word(k) == (1, 3, 4)
+    assert [n for n, lv in enumerate(wg._levels) if lv is not None] == [3]
+    keys, ids = wg._levels[3]
+    assert list(keys) == sorted(keys) and sorted(ids) == list(range(wg.starts[3], wg.starts[4]))
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4", "E6"])
+def test_covers_on_demand_match_the_whole_table_build(cartan_type):
+    # covers filled per element, in any order, against the whole table built
+    # in index order; the property fills every entry
+    wg = WeylGroup(build_root_system(cartan_type), 60_000)
+    table = lower_covers_table(wg)
+    order = list(range(wg.size))
+    random.Random(wg.size).shuffle(order)
+    assert all(wg.covers(v) == table[v] for v in order)
+    assert wg.lower_covers == table
+    fresh = WeylGroup(wg.rs, 60_000)
+    assert fresh.lower_covers == table
+
+
+def test_a_cold_e6_interval_fills_only_the_covers_it_walks():
+    # [e, s1 s2] visits 4 elements, whose first-letter chains stay inside
+    # it, so 4 of the 51,840 lists are filled; [e, s1 s3] adds 2 more
+    rs = build_root_system("E6")
+    wg = WeylGroup(rs, 60_000)
+    assert wg._covers is None
+    iv = wg.interval_indices(0, wg.idx(from_word(rs, [1, 2])))
+    assert [wg.word(z) for z in iv] == [(), (1,), (2,), (1, 2)]
+    assert sum(cs is not None for cs in wg._covers) == 4
+    assert not wg._all_covers
+    assert wg.below(wg.idx(from_word(rs, [1, 3]))) == [0, 1, 3, wg.idx(from_word(rs, [1, 3]))]
+    assert sum(cs is not None for cs in wg._covers) == 6
+
+
+@pytest.mark.parametrize("cartan_type", ["E8", "E7", "A3xA2xA2xA1xA1"])
+def test_level_steps_match_the_left_step_past_64_bits(cartan_type):
+    # E8 has 120 positive roots, so the masks of a level are a list and each
+    # step is added up from two runs of eight bytes
+    rs = build_root_system(cartan_type)
+    rnd = random.Random(8)
+    masks = [from_word(rs, [rnd.randint(1, rs.rank) for _ in range(rnd.randint(0, 150))]).inversions
+             for _ in range(200)] + [0, (1 << rs.num_positive) - 1]
+    planes = _byte_planes(masks, rs.num_positive)
+    for i, (bit, before, tables, (k, ascents)) in enumerate(_step_tables(rs)):
+        words = _plane_words(planes, tables)
+        assert isinstance(words, list) == (rs.num_positive > 64)
+        assert before == sum(b for b, _ in rs._left_steps[:i])
+        assert list(planes[k].translate(ascents)) == [0 if m & bit else 1 for m in masks]
+        assert [w if m & bit else w | bit for m, w in zip(masks, words)] == [
+            _left_step(rs, m, i) for m in masks]
+
+
+def test_enumeration_cap_at_the_size_of_e6():
+    # the cap is tested per new element: |W(E6)| = 51,840, cold and warm
+    clear_caches()
+    e6 = build_root_system("E6")
+    with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E6\)\| > 51839$"):
+        WeylGroup.for_system(e6, 51_839)
+    assert e6._group is None
+    assert WeylGroup.for_system(e6, 51_840).size == 51_840
+    with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E6\)\| > 51839$"):
+        WeylGroup.for_system(e6, 51_839)
+    assert WeylGroup.for_system(e6, 51_840).size == 51_840
+
+
+def test_an_e7_cap_fails_quickly_and_small():
+    # |W(E7)| = 2,903,040: a cap of 100,000 stops the build at its 100,000th
+    # element, within a few levels, holding tables of that size only
+    clear_caches()
+    e7 = build_root_system("E7")
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E7\)\| > 100000$"):
+            WeylGroup.for_system(e7, 100_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        clear_caches()
+    assert e7._group is None
+    assert peak < 16 * 2**20
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_index_product_and_inverse_match_the_object_level(data):
@@ -436,7 +550,7 @@ def test_leq_idx_matches_reflection_moves_on_sampled_e6_pairs():
                 if c.inversions not in seen:
                     seen.add(c.inversions)
                     stack.append(c)
-        down = sorted(wg.index[m] for m in seen)
+        down = sorted(map(mask_index(wg).__getitem__, seen))
         assert wg.below(b) == down
         assert all(wg.leq_idx(a, b) for a in down)
         for a in rnd.sample(range(wg.size), 400):
@@ -747,17 +861,17 @@ def test_plane_sum_sums_the_weights_of_each_masks_set_bits(bits):
     rnd = random.Random(bits)
     weights = [rnd.randrange(256 // bits) for _ in range(bits)]
     masks = [rnd.getrandbits(bits) for _ in range(300)] + [(1 << bits) - 1, 0]
-    assert list(_plane_sum(_byte_planes(masks, bits), weights)) == [
+    assert list(_plane_sum(_byte_planes(masks, bits), _plane_tables(weights))) == [
         sum(w for j, w in enumerate(weights) if m >> j & 1) for m in masks]
-    assert _plane_sum(_byte_planes(masks, bits), [0] * bits) == bytes(len(masks))
+    assert _plane_sum(_byte_planes(masks, bits), _plane_tables([0] * bits)) == bytes(len(masks))
 
 
 def test_plane_sum_refuses_weights_past_one_byte():
     planes = _byte_planes(range(512), 9)
-    assert list(_plane_sum(planes, [1] * 8 + [247])) == [
+    assert list(_plane_sum(planes, _plane_tables([1] * 8 + [247]))) == [
         bin(m & 255).count("1") + 247 * (m >> 8) for m in range(512)]
     with pytest.raises(InternalInvariantError, match="past one byte"):
-        _plane_sum(planes, [1] * 8 + [248])
+        _plane_tables([1] * 8 + [248])
 
 
 def test_group_planes_are_the_byte_planes_of_its_masks():

@@ -25,8 +25,9 @@ settled by the coset map phi_m(g) = i(g) m of the Billey-Braden lemma,
 m the minimum of a right coset of the embedded subgroup:
 :meth:`SubsystemEmbedding.coset_maps` lists one such map per coset.
 :func:`interval_embeds` decides the definition through the map whose
-coset holds w, and :func:`_pattern_map_isomorphic` proves that map an
-isomorphism or refutes one by one check per element, from
+coset holds w, flattening that coset alone, and
+:func:`_pattern_map_isomorphic` proves that map an isomorphism or
+refutes one by one check per element, from
 :func:`_cover_check`, which the ``length-sufficiency`` sweep shares;
 that check is the library's only poset-isomorphism decision.
 
@@ -63,6 +64,7 @@ from .weyl import (
     WeylGroup,
     _plane_sum,
     _plane_tables,
+    _plane_words,
     bruhat_leq,
     format_word,
     from_word,
@@ -151,11 +153,12 @@ class SubsystemEmbedding:
         the images are disjoint single bits, so the sums are ORs.  When
         the source's masks fit one byte, |W(source)| <= 2^8, so one more
         translate maps the masks to their source indices and the table is
-        a ``bytes``; a wider source's masks are assembled per element and
-        looked up in a dict of the source's masks that lives for the call.
-        Raises InternalInvariantError when a pulled-back mask is no
-        element's inversion set, that is, not biconvex, which means the
-        embedding is invalid.
+        a ``bytes``; a wider source's masks are assembled from those sums
+        by :func:`~weylpat.weyl._plane_words`, the group build's kernel, and
+        looked up by one ``map`` over a dict of the source's masks that
+        lives for the call.  Raises InternalInvariantError when a
+        pulled-back mask is no element's inversion set, that is, not
+        biconvex, which means the embedding is invalid.
         """
         target = WeylGroup.for_system(self.target, cap)
         source = WeylGroup.for_system(self.source, cap)
@@ -163,27 +166,33 @@ class SubsystemEmbedding:
         image = [0] * self.target.num_positive
         for sp, tp in self._pos_pairs:
             image[tp] = 1 << sp
-        planes = [_plane_sum(target.planes, _plane_tables([b >> lo & 255 for b in image]))
+        tables = [_plane_tables([b >> lo & 255 for b in image])
                   for lo in range(0, self.source.num_positive, 8)]
-        if len(planes) == 1:
+        if len(tables) == 1:
             masks = bytes(iter(source.masks))
-            if planes[0].translate(None, delete=masks):
-                raise InternalInvariantError(
-                    "pulled-back inversion set is not biconvex; embedding is invalid")
-            index = bytearray(256)
-            for k, m in enumerate(masks):
-                index[m] = k
-            return planes[0].translate(index)
-        pulled: Sequence[int] = planes[0]
-        for k in range(1, len(planes)):
-            pulled = [p | b << 8 * k for p, b in zip(pulled, planes[k])]
-        index = dict(zip(source.masks, range(source.size)))
-        try:
-            return [index[p] for p in pulled]
-        except KeyError:
+            pulled = _plane_sum(target.planes, tables[0])
+            if not pulled.translate(None, delete=masks):
+                index = bytearray(256)
+                for k, m in enumerate(masks):
+                    index[m] = k
+                return pulled.translate(index)
+        else:
+            index = dict(zip(source.masks, range(source.size)))
+            try:
+                return list(map(index.__getitem__, _plane_words(target.planes, tables)))
+            except KeyError:
+                pass
+        raise InternalInvariantError("pulled-back inversion set is not biconvex; embedding is invalid")
+
+    def _fl(self, source: WeylGroup, mask: int) -> int:
+        """The source index of fl(w) for I(w) = mask, the pullback found by
+        :meth:`WeylGroup.find`.  Raises InternalInvariantError when it is
+        not biconvex, which means the embedding is invalid."""
+        k = source.find(self._pull_back(mask))
+        if k is None:
             raise InternalInvariantError(
-                "pulled-back inversion set is not biconvex; embedding is invalid"
-            ) from None
+                "pulled-back inversion set is not biconvex; embedding is invalid")
+        return k
 
     def coset_maps(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[tuple[int, ...]]:
         """The coset map phi_m[g] = i(g) m of each right coset i(W')m of the embedded subgroup.
@@ -215,18 +224,21 @@ class SubsystemEmbedding:
                                          "do not partition the target")
         return list(zip(*cols))
 
-    def _coset_map(self, flat: Sequence[int], w: int,
-                   cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
-        """The entry of :meth:`coset_maps` that holds target index w, alone,
-        read off the flat table that the caller holds.
+    def _coset_map(self, w: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+        """The entry of :meth:`coset_maps` that holds target index w, alone.
 
         Its minimum m = i(v^-1) w, v = fl(w), is the column of
-        :meth:`_columns` over [w] at v^-1.  Raises InternalInvariantError
-        unless fl inverts the map and it carries v to w.
+        :meth:`_columns` over [w] at v^-1.  Only w and the |W'| entries of
+        the map are flattened, each by :meth:`_fl`; no flat table is built.
+        Raises InternalInvariantError unless fl inverts the map and it
+        carries v to w.
         """
-        m = self._columns([w], cap)[WeylGroup.for_system(self.source, cap).inverses[flat[w]]][0]
+        source = WeylGroup.for_system(self.source, cap)
+        masks = WeylGroup.for_system(self.target, cap).masks
+        v = self._fl(source, masks[w])
+        m = self._columns([w], cap)[source.inverses[v]][0]
         phi = next(zip(*self._columns([m], cap)))
-        if phi[flat[w]] != w or list(map(flat.__getitem__, phi)) != list(range(len(phi))):
+        if phi[v] != w or [self._fl(source, masks[y]) for y in phi] != list(range(len(phi))):
             raise InternalInvariantError(f"no coset map carries fl(w) to w = {w}")
         return phi
 
@@ -391,18 +403,14 @@ def flatten(emb: SubsystemEmbedding, w: WeylElement,
     """Flattening: the source element whose inversion set pulls back I(w).
 
     The pulled-back mask is looked up among the inversion sets of the
-    enumerated source group (bounded by cap), by :meth:`WeylGroup.find`;
-    a mask that is no element's inversion set is not biconvex, which
-    means the embedding is invalid.
+    enumerated source group (bounded by cap), by
+    :meth:`SubsystemEmbedding._fl`; a mask that is no element's inversion
+    set is not biconvex, which means the embedding is invalid.
     """
     if w.group != emb.target:
         raise GroupMismatchError("element does not belong to the embedding target")
     source = WeylGroup.for_system(emb.source, cap)
-    k = source.find(emb._pull_back(w.inversions))
-    if k is None:
-        raise InternalInvariantError(
-            "pulled-back inversion set is not biconvex; embedding is invalid")
-    return WeylElement(emb.source, source.masks[k])
+    return WeylElement(emb.source, source.masks[emb._fl(source, w.inversions)])
 
 
 def pattern_avoids(v: WeylElement, w: WeylElement,
@@ -431,8 +439,9 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
     flattens to u by equivariance.  Conversely the three conditions
     force that x, since fl inverts g -> i(g v^-1) w on the coset, and
     then the proof succeeds by its completeness.  That map is the coset
-    map phi with phi[v] = w, the only one built, and none is built when
-    fl(w) != v.  cap bounds both groups.
+    map phi of w's coset, the only one built, and as fl inverts it,
+    fl(w) = v exactly when phi[v] = w.  Only w and that coset are
+    flattened, and nothing of size |W| is built.  cap bounds both groups.
     """
     src = WeylGroup.for_system(emb.source, cap)
     tgt = WeylGroup.for_system(emb.target, cap)
@@ -441,10 +450,8 @@ def interval_embeds(emb: SubsystemEmbedding, u: WeylElement, v: WeylElement,
         raise NotComparableError(f"not comparable: {format_word(u)} !<= {format_word(v)}")
     if not tgt.leq_idx(c, d):
         raise NotComparableError(f"not comparable: {format_word(x)} !<= {format_word(w)}")
-    flat = emb.flat(cap)
-    if flat[d] != b:
-        return False
-    return _pattern_map_isomorphic(src, tgt, emb._coset_map(flat, d, cap), a, b, c, d)
+    phi = emb._coset_map(d, cap)
+    return phi[b] == d and _pattern_map_isomorphic(src, tgt, phi, a, b, c, d)
 
 
 def _cover_check(src: WeylGroup, tgt: WeylGroup
@@ -460,7 +467,8 @@ def _cover_check(src: WeylGroup, tgt: WeylGroup
     proving many intervals of one coset map and bottom takes it once per
     z; it holds vacuously for z = u.  A cover of phi[z] outside the image
     is above x if it is x, or longer and lifts to x (``tgt.leq_idx``).
-    No target interval is built.
+    No target interval is built, and the covers of each group are read
+    from its ``lower_covers`` mapping, which fills only the lists read.
     """
     src_lower = src.lower_covers
     lower, leq, lengths = tgt.lower_covers, tgt.leq_idx, tgt.lengths
@@ -516,8 +524,9 @@ def _pattern_map_isomorphic(src: WeylGroup, tgt: WeylGroup, phi: Sequence[int],
 def _coset_tables(source: WeylGroup) -> tuple[list, list]:
     """(pairs, covers) of W', built on each call and kept by the caller:
     every u <= v, by v and then u, and every (lower cover c, g)."""
+    lower = source.lower_covers
     return ([(u, v) for v in range(source.size) for u in source.below(v)],
-            [(c, g) for g, lower in enumerate(source.lower_covers) for c in lower])
+            [(c, g) for g in range(source.size) for c in lower[g]])
 
 
 def _cosets(embeddings: Sequence[SubsystemEmbedding], cap: int

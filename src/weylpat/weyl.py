@@ -36,7 +36,6 @@ coordinates by w(e_i) = e_(w(i)).
 from __future__ import annotations
 
 import sys
-from _thread import allocate_lock
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, MutableSequence, Sequence
@@ -233,6 +232,8 @@ def from_inversion_set(rs: RootSystem, S: int | Iterable[int]) -> WeylElement:
     else:
         mask = 0
         for idx in S:
+            if not 0 <= idx < len(rs.simple_coords):
+                raise ValueError(f"root index {idx} out of range for {rs.cartan_type}")
             if not rs.is_positive(idx):
                 raise ValueError(f"root index {idx} is not positive in {rs.cartan_type}")
             mask |= 1 << rs.positive_position(idx)
@@ -270,12 +271,13 @@ class WeylGroup:
     share one int object per index; :meth:`word` reads a word off
     ``first`` and the rows.  :meth:`find` looks a mask up within its own
     length level, by bisection of that level's masks, sorted on first
-    use.  Built on first use, inverses, the lower-cover lists of Bruhat
-    order (by the lifting property, one element at a time, see
-    :meth:`covers`), the byte planes of the masks (:attr:`planes`) and
-    ``elements``, the only list of :class:`WeylElement` objects, one per
-    mask, are read off them.  Products on indices apply ``lmult`` rows to
-    whole columns; Bruhat order is the lifting test :meth:`leq_idx` on
+    use.  ``lower_covers[v]`` lists the elements v covers in Bruhat
+    order, a mapping that fills each list on its first read, by the
+    lifting property, from the list of s v (:class:`_LowerCovers`).  Built
+    on first use, inverses, the byte planes of the masks (:attr:`planes`)
+    and ``elements``, the only list of :class:`WeylElement` objects, one
+    per mask, are read off them.  Products on indices apply ``lmult`` rows
+    to whole columns; Bruhat order is the lifting test :meth:`leq_idx` on
     the rows and walks down the cover lists, nothing of size |W|^2.
     Its root system keeps it (:meth:`for_system`), and it keeps the KL
     table; the tables that flattening and the coset sweeps derive from it
@@ -338,9 +340,7 @@ class WeylGroup:
         self.lmult: list[list[int]] = lmult
         self._levels: list[tuple[Sequence[int], array] | None] = [None] * (len(starts) - 1)
         self._elements: list[WeylElement] | None = None
-        self._covers: list[list[int] | None] | None = None
-        self._all_covers = False
-        self._lock = allocate_lock()
+        self.lower_covers = _LowerCovers(self)
         self._inverses: list[int] | None = None
         self._planes: list[bytes] | None = None
         self._kl_table = None  # kl._KLTable, built on the first KL query
@@ -438,49 +438,6 @@ class WeylGroup:
             self._planes = _byte_planes(self.masks, self.rs.num_positive)
         return self._planes
 
-    def covers(self, v: int) -> list[int]:
-        """The indices u covered by v: u < v, l(u) = l(v) - 1, memoized per element.
-
-        By the lifting property (Bjorner-Brenti, *Combinatorics of Coxeter
-        Groups*, GTM 231, section 2.2): for a left descent s of v, the
-        covers of v are sv and sc for each cover c of sv with sc > c.  sv
-        precedes the rest, which follow the list of sv.  With s the first
-        letter, the lists down v's first-letter chain are filled first, up
-        from the first one known, so a walk fills only what it visits.
-        The memo is one list of |W| entries, None until filled, made once
-        under a lock; racing fills store equal lists.
-        """
-        memo = self._covers
-        if memo is None:
-            with self._lock:
-                if self._covers is None:
-                    self._covers = [[]] + [None] * (self.size - 1)
-            memo = self._covers
-        cs = memo[v]
-        if cs is None:
-            lengths, lmult, first = self.lengths, self.lmult, self.first
-            chain = []
-            while cs is None:
-                chain.append(v)
-                v = lmult[first[v] - 1][v]
-                cs = memo[v]
-            for v in reversed(chain):
-                row = lmult[first[v] - 1]
-                cs = memo[v] = [row[v]] + [row[c] for c in cs if lengths[row[c]] > lengths[c]]
-        return cs
-
-    @property
-    def lower_covers(self) -> list[list[int]]:
-        """lower_covers[v] is :meth:`covers` of v, every entry filled, for
-        sweeps that read the whole table; filled in index order, where each
-        list reads that of sv, already filled."""
-        if not self._all_covers:
-            covers = self.covers
-            for v in range(self.size):
-                covers(v)
-            self._all_covers = True
-        return self._covers
-
     def leq_idx(self, a: int, b: int) -> bool:
         """a <= b by the lifting property, as :func:`bruhat_leq`: while b is
         longer than a, peel the first letter s of b's word off b, and off a
@@ -506,16 +463,45 @@ class WeylGroup:
         keeping each cover above a, reaches all of it; it fills the
         covers of what it visits and of their first-letter chains only.
         """
-        leq, covers = self.leq_idx, self.covers
+        leq, lower = self.leq_idx, self.lower_covers
         if not leq(a, b):
             return []
         seen, stack = {b}, [b]
         while stack:
-            for c in covers(stack.pop()):
+            for c in lower[stack.pop()]:
                 if c not in seen and leq(a, c):
                     seen.add(c)
                     stack.append(c)
         return sorted(seen)
+
+
+class _LowerCovers(dict):
+    """v -> the indices u covered by v (u < v, l(u) = l(v) - 1) in one
+    group, each list filled on its first read.  By the lifting property (Bjorner-Brenti, *Combinatorics of Coxeter
+    Groups*, GTM 231, section 2.2): for a left descent s of v, the covers
+    of v are sv and sc for each cover c of sv with sc > c.  sv precedes
+    the rest, which follow the list of sv.  With s the first letter, a
+    read of a v not yet filled goes through ``__missing__``, which fills
+    the lists down v's first-letter chain, up from the first one known,
+    so a walk fills only what it visits; racing fills store equal lists.
+    A hit is a plain dict lookup.
+    """
+
+    def __init__(self, wg: WeylGroup):
+        super().__init__({0: []})
+        self.tables = wg.lengths, wg.lmult, wg.first
+
+    def __missing__(self, v: int) -> list[int]:
+        lengths, lmult, first = self.tables
+        chain, cs, get = [], None, self.get
+        while cs is None:
+            chain.append(v)
+            v = lmult[first[v] - 1][v]
+            cs = get(v)
+        for v in reversed(chain):
+            row = lmult[first[v] - 1]
+            cs = self[v] = [row[v]] + [row[c] for c in cs if lengths[row[c]] > lengths[c]]
+        return cs
 
 
 def _step_tables(rs: RootSystem) -> list[tuple[int, int, list[list[tuple[int, bytes]]],

@@ -517,9 +517,10 @@ def cover_downsets(wg) -> list[int]:
     """Every down-set of wg as a bit mask, by D(v) = {v} | the D(c) over the
     lower covers c of v, read off ``wg.lower_covers``."""
     down: list[int] = []
-    for v, cs in enumerate(wg.lower_covers):
+    lower = wg.lower_covers
+    for v in range(wg.size):
         m = 1 << v
-        for c in cs:
+        for c in lower[v]:
             m |= down[c]
         down.append(m)
     return down

@@ -532,13 +532,33 @@ def test_coset_sweep_matches_the_object_level(data):
 
 @pytest.mark.parametrize("source,target", [("A2", "A3"), ("B2", "B3")])
 def test_single_coset_map_equals_the_coset_maps_entry(source, target):
-    # interval_embeds builds only the map of w's coset, from w and v = fl(w)
-    # read off the one flat table it holds; for every target w it is the entry
-    # of coset_maps that holds w
+    # interval_embeds builds only the map of w's coset, from w and v = fl(w),
+    # flattening that coset alone; for every target w it is the entry of
+    # coset_maps that holds w
     s, t = build_root_system(source), build_root_system(target)
     for emb in enumerate_embeddings(s, t):
-        maps, flat = coset_maps_by_target(emb), emb.flat()
-        assert [emb._coset_map(flat, w) for w in range(len(maps))] == maps
+        maps = coset_maps_by_target(emb)
+        assert [emb._coset_map(w) for w in range(len(maps))] == maps
+
+
+def test_an_e6_interval_proof_builds_no_flat_table_and_fills_few_covers(monkeypatch):
+    # [e, s1] -> [e, i(s1)] along the first A1 -> E6 embedding: the proof
+    # flattens only the coset of i(s1) and reads the covers of the two
+    # elements it checks, so of the 51,840 cover lists at most a handful are
+    # filled, and no flat table is built
+    def no_table(self, cap=DEFAULT_ENUMERATION_CAP):
+        raise AssertionError("interval_embeds built a flat table")
+
+    monkeypatch.setattr(SubsystemEmbedding, "flat", no_table)
+    clear_caches()
+    a1, e6 = build_root_system("A1"), build_root_system("E6")
+    emb = enumerate_embeddings(a1, e6)[0]
+    e, s1, top = identity(a1), from_word(a1, [1]), embed_element(emb, from_word(a1, [1]))
+    assert interval_embeds(emb, e, s1, identity(e6), top, cap=60_000)
+    # fl(e) = e is not s1: refuted by the one coset map, still with no table
+    assert not interval_embeds(emb, e, s1, identity(e6), identity(e6), cap=60_000)
+    tgt = WeylGroup.for_system(e6, 60_000)
+    assert tgt.size == 51_840 and len(tgt.lower_covers) <= 4
 
 
 @pytest.mark.parametrize("flat", ["overlap", "gap", "moved", "dropped"])
@@ -549,8 +569,9 @@ def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
     # coset's minimum not), or drop one coset's minimum (y, given fl(y) = s1),
     # so that fl inverts every map built but the maps miss that coset, is an
     # internal fault, raised by the library for every reader of the coset maps
-    # and reported by the CLI with exit code 3; every reader gets its table
-    # from flat(), where the plant sits
+    # and reported by the CLI with exit code 3; every reader of the table gets
+    # it from flat(), and interval_embeds reads each flattening from _fl, so
+    # the same table is planted in both
     from weylpat.harness.cli import main
     from weylpat.harness.verify import (
         verify_kl_transfer, verify_length_sufficiency, verify_upper_ideal)
@@ -571,6 +592,8 @@ def test_coset_maps_reject_a_planted_flat_table(monkeypatch, capsys, flat):
         tables[emb] = planted
     monkeypatch.setattr(SubsystemEmbedding, "flat",
                         lambda self, cap=DEFAULT_ENUMERATION_CAP: tables[self])
+    monkeypatch.setattr(SubsystemEmbedding, "_fl",
+                        lambda self, source, mask: tables[self][tgt.find(mask)])
     emb, y = embs[0], ys[0]
     with pytest.raises(InternalInvariantError, match="cosets of the embedded subgroup"):
         emb.coset_maps()
@@ -686,8 +709,9 @@ def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, cap
     # taking the rest of its map from the coset before it, which keeps
     # fl(phi[g]) = g but not the order of every cover, planted on the maps
     # coset_maps returns; or a flat table with s1 and s2 swapped, whose cosets
-    # stay the same, planted in flat().  The named check must raise for every
-    # interval reader, and the CLI must exit 3
+    # stay the same, planted in flat() and in _fl, the per-element lookup that
+    # interval_embeds reads.  The named check must raise for every interval
+    # reader, and the CLI must exit 3
     from weylpat.harness.cli import main
     from weylpat.harness.verify import (
         verify_kl_transfer, verify_length_sufficiency, verify_upper_ideal)
@@ -697,9 +721,14 @@ def test_scan_checks_reject_candidates_of_a_planted_wrong_table(monkeypatch, cap
     if shift == "table":
         # w = phi_e[1], read before the plant
         w = enumerate_embeddings(source, target)[0].coset_maps()[0][1]
-        real_flat = SubsystemEmbedding.flat
+        real_flat, real_fl = SubsystemEmbedding.flat, SubsystemEmbedding._fl
+
+        def swap(k):
+            return {1: 2, 2: 1}.get(k, k)
         monkeypatch.setattr(SubsystemEmbedding, "flat", lambda self, cap=DEFAULT_ENUMERATION_CAP:
-                            [{1: 2, 2: 1}.get(f, f) for f in real_flat(self, cap)])
+                            [swap(f) for f in real_flat(self, cap)])
+        monkeypatch.setattr(SubsystemEmbedding, "_fl",
+                            lambda self, source, mask: swap(real_fl(self, source, mask)))
     elif shift == "within":
         real_columns = SubsystemEmbedding._columns
 

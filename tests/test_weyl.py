@@ -287,16 +287,49 @@ def test_a_cold_idx_sorts_only_the_level_it_reads():
 
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4", "E6"])
 def test_covers_on_demand_match_the_whole_table_build(cartan_type):
-    # covers filled per element, in any order, against the whole table built
-    # in index order; the property fills every entry
+    # the mapping read in any order, each list filled on its first read,
+    # against the whole table built in index order; a fresh group read in
+    # index order fills each list from one already filled
     wg = WeylGroup(build_root_system(cartan_type), 60_000)
     table = lower_covers_table(wg)
     order = list(range(wg.size))
     random.Random(wg.size).shuffle(order)
-    assert all(wg.covers(v) == table[v] for v in order)
-    assert wg.lower_covers == table
+    assert all(wg.lower_covers[v] == table[v] for v in order)
+    assert wg.lower_covers == dict(enumerate(table))
     fresh = WeylGroup(wg.rs, 60_000)
-    assert fresh.lower_covers == table
+    assert [fresh.lower_covers[v] for v in range(fresh.size)] == table
+
+
+def test_racing_cover_reads_see_whole_lists():
+    # eight threads read every entry of one cold mapping, each in its own
+    # order, with the interpreter switching threads every microsecond: a
+    # fill that stored a list before it was whole, or stored a wrong one,
+    # would show in some read
+    import sys
+    import threading
+
+    wg = WeylGroup(build_root_system("F4"), 60_000)
+    table = lower_covers_table(wg)
+    reads: list[list[bool]] = []
+
+    def read(seed):
+        order = list(range(wg.size))
+        random.Random(seed).shuffle(order)
+        reads.append([wg.lower_covers[v] == table[v] for v in order])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(seed,)) for seed in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(reads) == 8 and all(all(r) for r in reads)
+    assert wg.lower_covers == dict(enumerate(table))
 
 
 def test_a_cold_e6_interval_fills_only_the_covers_it_walks():
@@ -304,13 +337,12 @@ def test_a_cold_e6_interval_fills_only_the_covers_it_walks():
     # it, so 4 of the 51,840 lists are filled; [e, s1 s3] adds 2 more
     rs = build_root_system("E6")
     wg = WeylGroup(rs, 60_000)
-    assert wg._covers is None
+    assert wg.lower_covers == {0: []}
     iv = wg.interval_indices(0, wg.idx(from_word(rs, [1, 2])))
     assert [wg.word(z) for z in iv] == [(), (1,), (2,), (1, 2)]
-    assert sum(cs is not None for cs in wg._covers) == 4
-    assert not wg._all_covers
+    assert sorted(wg.lower_covers) == iv
     assert wg.below(wg.idx(from_word(rs, [1, 3]))) == [0, 1, 3, wg.idx(from_word(rs, [1, 3]))]
-    assert sum(cs is not None for cs in wg._covers) == 6
+    assert len(wg.lower_covers) == 6
 
 
 @pytest.mark.parametrize("cartan_type", ["E8", "E7", "A3xA2xA2xA1xA1"])
@@ -399,6 +431,15 @@ def test_from_inversion_set_examples():
         from_inversion_set(rs, [a1, a2])
     with pytest.raises(ValueError):
         from_inversion_set(rs, [0])  # a negative root index
+
+
+@pytest.mark.parametrize("idx", [-1, 99])
+def test_from_inversion_set_rejects_a_root_index_out_of_range(idx):
+    # as reflection and apply do: a ValueError that names the index, not a
+    # KeyError or IndexError from the root tables
+    rs = build_root_system("A2")
+    with pytest.raises(ValueError, match=f"root index {idx} out of range for A2"):
+        from_inversion_set(rs, [idx])
 
 
 @pytest.mark.parametrize("cartan_type", ["A3", "B2", "G2"])
@@ -760,7 +801,8 @@ def test_element_objects_are_built_only_at_the_edges():
     clear_caches()
     a2, b3 = build_root_system("A2"), build_root_system("B3")
     wg = WeylGroup.for_system(b3)
-    assert wg.lower_covers and wg.below(wg.size - 1) == list(range(wg.size))
+    assert [wg.lower_covers[v] for v in range(wg.size)] == lower_covers_table(wg)
+    assert wg.below(wg.size - 1) == list(range(wg.size))
     assert str(_table_for(wg).polynomial(0, wg.size - 1)) == "1"
     for emb in enumerate_embeddings(a2, b3):
         for _ in interval_pattern_instances(emb):

@@ -315,9 +315,9 @@ def verify_kl_transfer(source_type: str, target_type: str,
 
     The packed values are compared: one source column dict per v and one
     reader per orbit representative r of the target table, which reads
-    P(x, w) as P(flip[w][x], r).  Only a pair whose values differ, or
-    where either misses, is decoded, which gives the failure text, or
-    raises NotComparableError for the miss.
+    P(x, w) as P(f(x), r) for the involution f that takes w to r.  Only a
+    pair whose values differ, or where either misses, is decoded, which
+    gives the failure text, or raises NotComparableError for the miss.
     """
     source, target, report = _pair_report("kl-transfer", source_type, target_type)
 
@@ -326,7 +326,6 @@ def verify_kl_transfer(source_type: str, target_type: str,
         src_kl, tgt_kl = _table_for(src), _table_for(tgt)
         columns: dict[int, dict[int, int]] = {}
         readers: dict[int, Callable[[int], int]] = {}
-        reps, flips = tgt_kl.rep, tgt_kl.flip
         for phi, pairs in _cosets(enumerate_embeddings(source, target), cap):
             rep.cases += len(pairs)
             for u, v in pairs:
@@ -334,7 +333,7 @@ def verify_kl_transfer(source_type: str, target_type: str,
                 column = columns.get(v)
                 if column is None:
                     column = columns[v] = dict(src_kl._entries(v))
-                r, f = reps[w], flips[w]
+                f, r = tgt_kl._orbit(w)
                 read = readers.get(r)
                 if read is None:
                     read = readers[r] = tgt_kl._reader(r)

@@ -62,13 +62,15 @@ and a dict from each key to its packed value, built from the stored
 arrays and dropped with the fill.  Then one loop flips, raises and
 looks up every u, with no Python call per read; each raising step
 multiplies by the lowest missing descent, one row lookup.  The
-mu-terms come from the mu-list of a filled representative y: its
-odd-gap keys z with mu(z,y) != 0, kept with their mu as one array per
-y, and its coatoms sy and yt for its left descents s and right descents
-t, added as the array is read.  That list is every z with
-mu(z,y) != 0, since a z < y that lacks a left descent s of y has
-mu(z,y) != 0 only for z = sy, and one that lacks a right descent t only
-for z = yt (Kazhdan-Lusztig 1979, 2.3; Bjorner-Brenti, GTM 231, ch. 5).
+mu-terms are read off the stored column of a filled representative y
+when a fill needs them, and nothing of them is kept: the odd-gap keys z
+with mu(z,y) != 0, and the coatoms sy and yt for the left descents s
+and right descents t of y.  That is every z with mu(z,y) != 0, since a
+z < y that lacks a left descent s of y has mu(z,y) != 0 only for
+z = sy, and one that lacks a right descent t only for z = yt
+(Kazhdan-Lusztig 1979, 2.3; Bjorner-Brenti, GTM 231, ch. 5).  Only the
+z that the recursion reads, those with sz < z for the descent s of the
+fill, are formed.
 The keys of v are found among the indices up to v whose descents
 contain those of v, the intersection of one cached bit mask per simple
 reflection and side: such a u is below v exactly when su <= sv, that
@@ -88,22 +90,28 @@ its mu-terms, and fills their representatives first, recursively, so a
 query touches a few columns rather than all of D(v), at a recursion
 depth of at most l(v) + 1.
 
-Each ``WeylGroup`` keeps its table, a list indexed by the element index
-v of the enumerated group: entry v is None until v is a filled
-representative, then a pair of arrays, ``keys``, an ``array('i')`` of
-its extremal u in ascending index, and ``ids``, an aligned
+Each ``WeylGroup`` keeps its table, which holds every filled column in
+one flat store of two aligned arrays: ``keys``, an ``array('i')`` of
+the extremal u of each column in ascending index, and ``key_ids``, an
 ``array('H')`` of ids into one table-wide list of the distinct packed
-values.  An entry takes 6 bytes.  Id 0 is the value 1, so v is
+values.  An entry takes 6 bytes, and the table keeps no object per
+column: per element index, ``start`` and ``count``, two
+``array('i')``, place a filled representative's column in the store,
+with start -1 until it is filled.  Id 0 is the value 1, so v is
 rationally smooth exactly when every id of its column is 0.  The ids
 of one table must fit ``array('H')``, at most 65,536 distinct values.
 A full column over D(v), for the value oracles, is read by walking the
 double coset of each key.
-A column is built locally and stored in one assignment, so a concurrent
-caller sees no column or the whole column.  The value list is the one
-state that fills share: a value seen for the first time is checked and
+A column is built locally and appended to the store under the table's
+lock, which writes its count and then its start, so a concurrent caller
+sees no column or the whole column, and a column that racing fills both
+built is stored once.  Entries are never moved once stored, and the
+store is read by index and by copied slices only, never through a view
+that would stop it from growing.  The value list is the other state
+that fills share: a value seen for the first time is checked and
 appended under a lock, checked for again inside it, so racing fills
 give a value one id and a column filled twice is filled with the same
-ids.  The orbit maps, descent sets and parabolic lengths are built in
+ids.  The orbit codes, descent sets and parabolic lengths are built in
 the table's constructor, before any caller can see it.  The table keeps
 no right multiplication rows: x s_t = (s_t x^-1)^-1 and
 D_R(x) = D_L(x^-1), so every right raise of a read is a left raise of
@@ -338,33 +346,34 @@ def _bits(m: int) -> list[int]:
 class _KLTable:
     """Per-group memo over orbit representatives and their extremal keys.
 
-    ``packed[r]`` is None or, for a representative r, the pair
-    (keys, ids): ``keys`` is an ``array('i')`` of the extremal u of r,
-    the u <= r with D_L(u) >= D_L(r) and D_R(u) >= D_R(r), in ascending
-    index, and ``ids`` an aligned ``array('H')`` with P(u,r) = values[id].
+    Every filled column sits in one flat store of two aligned arrays,
+    ``keys``, an ``array('i')``, and ``key_ids``, an ``array('H')``: the
+    column of a filled representative r is ``keys[a:b]``, the u <= r with
+    D_L(u) >= D_L(r) and D_R(u) >= D_R(r) in ascending index, beside
+    ``key_ids[a:b]``, with P(u,r) = values[id], where a = ``start[r]`` and
+    b = a + ``count[r]``; ``start[r]`` is -1 until r is filled.
+    :meth:`_span` gives (a, b), filling the column first if need be.
     ``ids`` interns the values and ``values`` lists them by id, with
-    ``values[0] == 1``.  ``rep[v]`` is the representative of v's orbit
-    under inversion and w0-conjugation, and ``flip[v]`` the involution of
-    that orbit group taking v to ``rep[v]``, as an index list, or None for
-    the identity; each rep is the group's own int object, read off the
-    ``lmult`` rows.  ``left[u]`` and ``right[u]`` are the left and right
-    descent sets of u as bit masks over 0-based simple indices, in arrays
-    of the narrowest typecode that holds rank bits, and ``with_left[s]`` and
-    ``with_right[t]`` are bit masks over element indices of the u with s
-    in D_L(u), resp. t in D_R(u); ``bits[m]`` lists the set bits of a
-    descent mask m, and ``lrows[m]`` is the lmult row of its lowest bit,
-    the raising step of every read.  The table keeps no right
-    multiplication rows: u s_t = (s_t u^-1)^-1 and D_R(u) = D_L(u^-1), so
-    a right raise of u through J is a left raise of u^-1 through the same
-    ``lrows`` and ``left``, mapped back through ``inverses``.  ``fields``
-    holds the parabolic lengths of :func:`_parabolic_lengths`, and
+    ``values[0] == 1``.  ``code[v]``, one byte, picks out of ``maps`` =
+    (None, inverses, conj, inv_conj) the involution of v's orbit under
+    inversion and w0-conjugation that takes v to its representative, None
+    for the identity; where w0 is central no code is 2 or 3, and ``maps``
+    ends at the inverses.  :meth:`_orbit` reads both.  ``left[u]`` and
+    ``right[u]`` are the left and right descent sets of u as bit masks
+    over 0-based simple indices, in arrays of the narrowest typecode that
+    holds rank bits, and ``with_left[s]`` and ``with_right[t]`` are bit
+    masks over element indices of the u with s in D_L(u), resp. t in
+    D_R(u); ``bits[m]`` lists the set bits of a descent mask m, and
+    ``lrows[m]`` is the lmult row of its lowest bit, the raising step of
+    every read.  The table keeps no right multiplication rows:
+    u s_t = (s_t u^-1)^-1 and D_R(u) = D_L(u^-1), so a right raise of u
+    through J is a left raise of u^-1 through the same ``lrows`` and
+    ``left``, mapped back through ``inverses``.  ``fields`` holds the
+    parabolic lengths of :func:`_parabolic_lengths`, and
     ``at_most[f][t]`` the bit mask over element indices of the u with
     value at most t in ``fields[f]``, built on first use by
-    :meth:`_candidates`.  ``mus[r]`` holds the odd-gap part of the
-    mu-list of a filled representative r, one ``array('i')`` of its keys
-    z with mu(z,r) != 0 interleaved with their mu, z0, mu0, z1, mu1, ...;
-    :meth:`_mu_list` adds the coatoms.  ``decoded`` memoizes
-    :meth:`polynomial` by (packed value, length gap).
+    :meth:`_candidates`.  ``decoded`` memoizes :meth:`polynomial` by
+    (packed value, length gap).
 
     A query reads one value at a time through :meth:`_reader`, which
     finds the raised u among the keys by bisection.  A fill reads whole
@@ -377,8 +386,11 @@ class _KLTable:
     def __init__(self, wg: WeylGroup, descent: Callable[[int], int] | None = None):
         self.wg = wg
         size = wg.size
-        self.packed: list[tuple[array, array] | None] = [None] * size
-        self.mus: list[array | None] = [None] * size
+        self.keys = array("i")
+        self.key_ids = array("H")
+        self.start = array("i", [-1]) * size
+        self.count = array("i", [0]) * size
+        self.lock = allocate_lock()
         self.ids = _ValueIds()
         self.values = self.ids.values
         self.decoded: dict[tuple[int, int], KLPolynomial] = {}
@@ -388,27 +400,22 @@ class _KLTable:
         inv = wg.inverses
         # built first, while its byte planes are the largest thing held
         self.fields = _parabolic_lengths(wg)
-        # not kept: where w0 is central conj is the identity, and no flip is conj
         conj = _w0_conjugation(wg)
         inv_conj = list(map(inv.__getitem__, conj))
-        self.rep: list[int] = []
-        self.flip: list[list[int] | None] = []
-        rep, flip = self.rep, self.flip
-        # the group's own int objects, in index order, so each rep is a shared
-        # int: each lmult row is an involution holding every index once; the
-        # least image wins, the first of equal ones, by three plain
+        # the least image wins, the first of equal ones, by three plain
         # comparisons, which cost less than a call of min on four arguments
-        row = wg.lmult[0]
-        for v, i, c, ic in zip(map(row.__getitem__, row), inv, conj, inv_conj):
-            r, f = v, None
+        self.code = code = bytearray()
+        for v, i, c, ic in zip(range(size), inv, conj, inv_conj):
+            r, k = v, 0
             if i < r:
-                r, f = i, inv
+                r, k = i, 1
             if c < r:
-                r, f = c, conj
+                r, k = c, 2
             if ic < r:
-                r, f = ic, inv_conj
-            rep.append(r)
-            flip.append(f)
+                k = 3
+            code.append(k)
+        # where w0 is central conj is the identity and is not kept
+        self.maps = (None, inv, conj, inv_conj) if max(code) > 1 else (None, inv)
         rs = wg.rs
         rank = rs.rank
         # the simple roots take the first rank positive positions (height 1);
@@ -432,45 +439,72 @@ class _KLTable:
         self.with_right = _index_sets(self.right, rank)
         self.at_most: list[dict[int, int]] = [{} for _ in self.fields]
 
+    def _orbit(self, v: int) -> tuple[list[int] | None, int]:
+        """(f, r): r is the representative of v's orbit and f the involution
+        taking v to r, an index list, or None for the identity."""
+        f = self.maps[self.code[v]]
+        return f, v if f is None else f[v]
+
     def _cheapest_descent(self, v: int) -> int:
         """The left descent s of v whose filled column sv has the fewest keys.
 
-        Only representatives already in ``packed`` are candidates, and the
+        Only representatives already in the store are candidates, and the
         smaller s wins a tie; with none filled, the smallest descent.
         Fills nothing.
         """
-        packed, rep, lmult = self.packed, self.rep, self.wg.lmult
+        start, count, code, maps = self.start, self.count, self.code, self.maps
+        lmult = self.wg.lmult
         first = best = -1
         fewest = 0
         for s in self.bits[self.left[v]]:
             if first < 0:
                 first = s
-            col = packed[rep[lmult[s][v]]]
-            if col is not None and (best < 0 or len(col[0]) < fewest):
-                best, fewest = s, len(col[0])
+            x = lmult[s][v]
+            f = maps[code[x]]
+            if f is not None:
+                x = f[x]
+            if start[x] >= 0 and (best < 0 or count[x] < fewest):
+                best, fewest = s, count[x]
         return first if best < 0 else best
 
+    def _span(self, r: int) -> tuple[int, int]:
+        """(a, b) with the column of the representative r at keys[a:b] and
+        key_ids[a:b], filled first if need be."""
+        a = self.start[r]
+        if a < 0:
+            keys, ids = self._compute_column(r)
+            with self.lock:
+                a = self.start[r]
+                if a < 0:
+                    # the start last, so a reader that sees it sees the column
+                    a = len(self.keys)
+                    self.keys.fromlist(keys)
+                    self.key_ids.fromlist(ids)
+                    self.count[r] = len(keys)
+                    self.start[r] = a
+        return a, a + self.count[r]
+
     def ensure_column(self, v: int) -> tuple[array, array]:
-        """(keys, ids) of the column of rep[v], filled first if need be."""
-        r = self.rep[v]
-        col = self.packed[r]
-        if col is None:
-            col = self.packed[r] = self._compute_column(r)
-        return col
+        """(keys, ids) of the column of v's representative, copied out of the
+        store, filled first if need be."""
+        a, b = self._span(self._orbit(v)[1])
+        return self.keys[a:b], self.key_ids[a:b]
 
     def _reader(self, v: int) -> Callable[[int], int]:
-        """u -> packed P(u,v), 0 when u is not below v; fills column rep[v] first.
+        """u -> packed P(u,v), 0 when u is not below v; fills column rep(v) first.
 
-        u is flipped into the frame of r = rep[v], raised through the left
-        descents of r it lacks, then the right ones, to the extremal element
-        of r in its double coset, and found among the keys of r by
-        bisection; u <= r exactly when that element is a key.
+        u is flipped into the frame of the representative r, raised through
+        the left descents of r it lacks, then the right ones, to the
+        extremal element of r in its double coset, and found among the keys
+        of r by bisection within r's span of the store; u <= r exactly when
+        that element is a key.
         """
-        keys, ids = self.ensure_column(v)
-        r, f = self.rep[v], self.flip[v]
+        f, r = self._orbit(v)
+        a, b = self._span(r)
+        keys, key_ids = self.keys, self.key_ids
         left, right, lrows, inv = self.left, self.right, self.lrows, self.wg.inverses
         need_left, need_right = left[r], right[r]
-        values, n = self.values, len(keys)
+        values = self.values
 
         def read(u: int) -> int:
             if f is not None:
@@ -487,8 +521,8 @@ class _KLTable:
                     u = lrows[missing][u]
                     missing = need_right & ~left[u]
                 u = inv[u]
-            i = bisect_left(keys, u)
-            return values[ids[i]] if i < n and keys[i] == u else 0
+            i = bisect_left(keys, u, a, b)
+            return values[key_ids[i]] if i < b and keys[i] == u else 0
         return read
 
     def polynomial(self, u: int, v: int) -> KLPolynomial:
@@ -517,19 +551,19 @@ class _KLTable:
     def _entries(self, v: int) -> list[tuple[int, int]]:
         """(u, packed P(u,v)) for every u in D(v), ascending u.
 
-        D(rep[v]) is the union of the double cosets W_I k W_J of its keys
-        k, I and J its left and right descents, each a Bruhat interval
-        with top k on which P(-, rep[v]) is constant; each is walked from
-        k through the lmult rows of I, and of J between inverses, as
-        x s_t = (s_t x^-1)^-1.
+        D(r), r the representative of v, is the union of the double cosets
+        W_I k W_J of its keys k, I and J its left and right descents, each
+        a Bruhat interval with top k on which P(-, r) is constant; each is
+        walked from k through the lmult rows of I, and of J between
+        inverses, as x s_t = (s_t x^-1)^-1.
         """
-        keys, ids = self.ensure_column(v)
-        r, f = self.rep[v], self.flip[v]
+        f, r = self._orbit(v)
+        a, b = self._span(r)
         lmult, inv = self.wg.lmult, self.wg.inverses
         on_left = [lmult[s] for s in self.bits[self.left[r]]]
         on_right = [lmult[t] for t in self.bits[self.right[r]]]
         found: dict[int, int] = {}
-        for k, p in zip(keys, map(self.values.__getitem__, ids)):
+        for k, p in zip(self.keys[a:b], map(self.values.__getitem__, self.key_ids[a:b])):
             found[k] = p
             stack = [k]
             while stack:
@@ -547,32 +581,40 @@ class _KLTable:
                         stack.append(y)
         return sorted(found.items() if f is None else ((f[u], p) for u, p in found.items()))
 
-    def _mu_list(self, r: int) -> list[tuple[int, int]]:
-        """(z, mu(z,r)) for every z with mu(z,r) != 0; column r must be filled.
+    def _mu_terms(self, y: int, s: int) -> list[tuple[int, int]]:
+        """(z, mu(z,y)) for every z with mu(z,y) != 0 and sz < z, read off the
+        column of y's representative r, which must be filled.
 
-        A z with mu(z,r) != 0 that lacks a left descent s of r is sr, and
+        A z with mu(z,r) != 0 that lacks a left descent s' of r is s'r, and
         one that lacks a right descent t of r is rt (Kazhdan-Lusztig 1979,
         2.3; Bjorner-Brenti, GTM 231, ch. 5), where mu is 1; every other z
-        is a key of r.  The keys come first, in key order, from ``mus[r]``,
-        built on the first call; then the coatoms, ascending.
+        is a key of r at odd gap.  The keys come first, in key order, then
+        the coatoms of r, ascending, each flipped into the frame of y; a
+        key's mu is read only once sz < z holds.
         """
-        odd = self.mus[r]
-        if odd is None:
-            keys, ids = self.packed[r]
-            lengths, values = self.wg.lengths, self.values
-            lr = lengths[r]
-            pairs = []
-            for z, i in zip(keys, ids):
-                gap = lr - lengths[z]
-                if gap % 2:
-                    m = (values[i] >> (_SHIFT * (gap // 2))) & _MASK
+        f, r = self._orbit(y)
+        a, b = self._span(r)
+        wg = self.wg
+        lengths, lmult, inv = wg.lengths, wg.lmult, wg.inverses
+        row, values, lr = lmult[s], self.values, lengths[r]
+        terms = []
+        for z, i in zip(self.keys[a:b], self.key_ids[a:b]):
+            gap = lr - lengths[z]
+            if gap % 2:
+                if f is not None:
+                    z = f[z]
+                if row[z] < z:
+                    m = values[i] >> _SHIFT * (gap // 2) & _MASK
                     if m:
-                        pairs += (z, m)
-            odd = self.mus[r] = array("i", pairs)
-        lmult, inv = self.wg.lmult, self.wg.inverses
-        coatoms = {lmult[s][r] for s in self.bits[self.left[r]]}
+                        terms.append((z, m))
+        coatoms = {lmult[t][r] for t in self.bits[self.left[r]]}
         coatoms.update(inv[lmult[t][inv[r]]] for t in self.bits[self.right[r]])
-        return list(zip(odd[::2], odd[1::2])) + [(z, 1) for z in sorted(coatoms)]
+        for z in sorted(coatoms):
+            if f is not None:
+                z = f[z]
+            if row[z] < z:
+                terms.append((z, 1))
+        return terms
 
     def _candidates(self, v: int) -> int:
         """The bit mask over element indices of the candidate keys of v.
@@ -601,34 +643,32 @@ class _KLTable:
         return below
 
     def _frame(self, v: int) -> tuple[list[int] | None, int, int, dict[int, int]]:
-        """What a bulk read of column v needs: for r = rep[v], filled,
-        (flip[v], D_L(r), D_R(r), the dict key -> packed P(key, r))."""
-        r = self.rep[v]
-        keys, ids = self.packed[r]
-        return (self.flip[v], self.left[r], self.right[r],
-                dict(zip(keys, map(self.values.__getitem__, ids))))
+        """What a bulk read of column v needs: for r the representative of
+        v, filled first if need be, (the flip of v, D_L(r), D_R(r), the dict
+        key -> packed P(key, r))."""
+        f, r = self._orbit(v)
+        a, b = self._span(r)
+        return (f, self.left[r], self.right[r],
+                dict(zip(self.keys[a:b], map(self.values.__getitem__, self.key_ids[a:b]))))
 
-    def _compute_column(self, v: int) -> tuple[array, array]:
+    def _compute_column(self, v: int) -> tuple[list[int], list[int]]:
+        """(keys, ids) of column v, as lists, for :meth:`_span` to store."""
         wg = self.wg
         lengths = wg.lengths
         if lengths[v] == 0:
-            return array("i", [v]), array("H", [0])
+            return [v], [0]
         s = self.descent(v)
         row = wg.lmult[s]
         sv = row[v]
         lv = lengths[v]
-        self.ensure_column(sv)
+        self._span(self._orbit(sv)[1])
 
         # the mu-terms z < sv with sz < z, each column filled first if need
         # be, so depth stays within l(v) + 1
-        f = self.flip[sv]
         terms = []
-        for z, m in self._mu_list(self.rep[sv]):
-            if f is not None:
-                z = f[z]
-            if row[z] < z:
-                self.ensure_column(z)
-                terms.append((z, m << (_SHIFT * ((lv - lengths[z]) // 2))))
+        for z, m in self._mu_terms(sv, s):
+            self._span(self._orbit(z)[1])
+            terms.append((z, m << (_SHIFT * ((lv - lengths[z]) // 2))))
 
         # Each read below flips u into the frame of a representative r,
         # raises it through the left descents of r it lacks, then the right
@@ -692,8 +732,7 @@ class _KLTable:
                 p = index.get(x)
                 if p:
                     vals[i] -= m * p
-        # arrays from lists are allocated to size; from iterators they over-allocate
-        return array("i", keys), array("H", list(map(self.ids.__getitem__, vals)))
+        return keys, list(map(self.ids.__getitem__, vals))
 
 
 def _table_for(wg: WeylGroup) -> _KLTable:

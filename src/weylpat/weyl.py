@@ -298,7 +298,7 @@ class WeylGroup:
         # int on every read, which those lists would then keep, and an array
         # read costs about twice a list read
         ids = [0]
-        # the rows grow a block at a time, and are cut to |W| at the end
+        # the rows grow a block at a time until |W| is known
         block, room = [0] * 4096, 1
         while ids:
             level = masks[starts[-1]:]
@@ -329,8 +329,18 @@ class WeylGroup:
                     row[b] = a
             starts.append(starts[-1] + len(level))
             ids = list(found.values())
+            if 2 * len(starts) - 2 in (width, width + 1):
+                # the level just built is the middle one, and w0 maps level l
+                # onto level N - l, so the levels still to come are as large
+                # as the first ones and |W| is known: each row grows in place
+                # to |W| in one step, which allocates it to size, where blocks
+                # leave spare capacity that del does not give back, and a copy
+                # at the end would cost a row at the build's peak
+                room = len(masks) + starts[width + 1 - len(starts)]
+                for r in lmult:
+                    r.extend(repeat(0, room - len(r)))
         for r in lmult:
-            del r[len(masks):]
+            del r[len(masks):]  # a group smaller than its first block
         self.masks = masks
         self.size = len(masks)
         self.starts = starts
@@ -533,20 +543,26 @@ def _byte_planes(masks: Iterable[int], bits: int) -> list[bytes]:
     """planes[k] holds byte k of every mask, in order, for masks below 2^bits.
 
     Eight bytes of every mask at a time are packed into one ``array('Q')``,
-    or masks of at most 8 bits into one ``array('B')``, whose little-endian
-    bytes are sliced into planes, so no object is made per mask; an
-    ``array('Q')`` of masks is copied whole.
+    or masks of at most 8 bits into one ``array('B')``, and the planes are
+    sliced off a ``memoryview`` of its little-endian bytes, so no object is
+    made per mask; an ``array('Q')`` of masks on a little-endian host is
+    sliced in place, with no copy.
     """
     if bits > 64:
         masks = list(masks)  # read once per eight bytes
     planes: list[bytes] = []
     for lo in range(0, bits, 64):
-        words = array("B" if bits <= 8 else "Q", masks if bits <= 64 else map(
-            ((1 << 64) - 1).__and__, map(int.__rshift__, masks, repeat(lo))))
-        if sys.byteorder == "big":
-            words.byteswap()
-        joined = words.tobytes()
-        planes += [joined[k::words.itemsize] for k in range(min(8, (bits - lo + 7) // 8))]
+        if isinstance(masks, array) and masks.typecode == "Q" and sys.byteorder == "little":
+            words = masks
+        else:
+            words = array("B" if bits <= 8 else "Q", masks if bits <= 64 else map(
+                ((1 << 64) - 1).__and__, map(int.__rshift__, masks, repeat(lo))))
+            if sys.byteorder == "big":
+                words.byteswap()
+        # released on exit, so the array can grow again
+        with memoryview(words) as view, view.cast("B") as joined:
+            planes += [joined[k::words.itemsize].tobytes()
+                       for k in range(min(8, (bits - lo + 7) // 8))]
     return planes
 
 

@@ -451,6 +451,23 @@ def uncut_candidates(table, v: int) -> int:
     return below
 
 
+def stored_columns(table) -> dict[int, tuple[array, array]]:
+    """{r: (keys, ids)} for every filled representative r of a KL table,
+    sliced off its flat store at ``start[r]`` for ``count[r]`` entries."""
+    return {r: (table.keys[a:a + n], table.key_ids[a:a + n])
+            for r, (a, n) in enumerate(zip(table.start, table.count)) if a >= 0}
+
+
+def put_column(table, r: int, keys, ids) -> None:
+    """Point column r of a KL table at keys and ids appended to its store,
+    to plant a wrong column; the entries it had stay where they were, so
+    saving and restoring ``start[r]`` and ``count[r]`` puts it back."""
+    table.count[r] = len(keys)
+    table.start[r] = len(table.keys)
+    table.keys.extend(keys)
+    table.key_ids.extend(ids)
+
+
 def column_by_point_reads(table, v: int) -> tuple[array, array]:
     """The column of v as ``_KLTable._compute_column`` fills it, with every
     read a call of a ``_reader`` closure: the point-read fill.
@@ -468,13 +485,8 @@ def column_by_point_reads(table, v: int) -> tuple[array, array]:
     sv = row[v]
     lv = lengths[v]
     read_sv = table._reader(sv)
-    f = table.flip[sv]
-    terms = []
-    for z, m in table._mu_list(table.rep[sv]):
-        if f is not None:
-            z = f[z]
-        if row[z] < z:
-            terms.append((z, m << (shift * ((lv - lengths[z]) // 2)), table._reader(z)))
+    terms = [(z, m << (shift * ((lv - lengths[z]) // 2)), table._reader(z))
+             for z, m in table._mu_terms(sv, s)]
     keys, vals = [], []
     for u in _bits(table._candidates(v)):
         p = read_sv(row[u])

@@ -9,7 +9,7 @@ first.
 
 import time
 
-from helpers import bruhat_leq_by_reflection_closure, left_descents
+from helpers import bruhat_leq_by_reflection_closure, left_descents, stored_columns
 from weylpat.kl import _KLTable, kl_polynomial
 from weylpat.harness.verify import (
     default_window,
@@ -209,7 +209,8 @@ def test_criterion_10_kl_spot_values():
             ref.ensure_column(b)
             alt.ensure_column(b)
         # ids follow the order values are first seen: compare the values
-        ok &= [c and c[0] for c in ref.packed] == [c and c[0] for c in alt.packed]
+        ok &= ({r: keys for r, (keys, _) in stored_columns(ref).items()}
+               == {r: keys for r, (keys, _) in stored_columns(alt).items()})
         ok &= all(ref._entries(v) == alt._entries(v) for v in range(wg.size))
     _report(10, ok, "P(id,3412) = 1 + q; gap <= 2 forces 1; descent choice "
                     "independent in A3, B2, G2")

@@ -12,6 +12,7 @@ from helpers import (
     interval_isomorphic,
     interval_pattern_instances,
     pattern_map_isomorphic_on_target_interval,
+    put_column,
     swapped_identity_embedding,
     upper_ideal_by_reads,
 )
@@ -440,23 +441,24 @@ def _plant_in_a_read_key(table, pairs, miss=False):
     pair (u, v) of ``pairs`` reads, or with ``miss`` drop that key.  The key
     a pair reads is the one whose removal makes the read miss."""
     for u, v in pairs:
-        r = table.rep[v]
+        r = table._orbit(v)[1]
         keys, ids = table.ensure_column(v)
+        start = table.start[r]
         for i in range(len(keys)):
-            table.packed[r] = (keys[:i] + keys[i + 1:], ids[:i] + ids[i + 1:])
+            put_column(table, r, keys[:i] + keys[i + 1:], ids[:i] + ids[i + 1:])
             dropped = not table._reader(v)(u)
-            table.packed[r] = (keys, ids)
+            table.start[r], table.count[r] = start, len(keys)
             if dropped:
                 break
         else:
             raise AssertionError("no key read")
         if ids[i]:
             if miss:
-                table.packed[r] = (keys[:i] + keys[i + 1:], ids[:i] + ids[i + 1:])
+                put_column(table, r, keys[:i] + keys[i + 1:], ids[:i] + ids[i + 1:])
             else:
                 planted = array("H", ids)
                 planted[i] = 0
-                table.packed[r] = (keys, planted)
+                put_column(table, r, keys, planted)
             return
     raise AssertionError("no key to plant in")
 

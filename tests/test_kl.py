@@ -1,7 +1,7 @@
+import gc
 import random
 import sys
 import threading
-from array import array
 
 import pytest
 
@@ -23,6 +23,7 @@ from helpers import (
     plain_kl_columns,
     raise_by_rmult,
     rmult_rows,
+    stored_columns,
     uncut_candidates,
     word_image,
 )
@@ -184,7 +185,8 @@ def test_descent_choice_independence_b2():
         ref.ensure_column(b)
     # the same down-sets; ids follow the order values are first seen, so
     # compare the values themselves
-    assert [c and c[0] for c in alt.packed] == [c and c[0] for c in ref.packed]
+    assert ({r: keys for r, (keys, _) in stored_columns(alt).items()}
+            == {r: keys for r, (keys, _) in stored_columns(ref).items()})
     assert all(alt._entries(v) == ref._entries(v) for v in range(wg.size))
 
 
@@ -197,7 +199,7 @@ def _expected_descent(wg, table, v, extremal):
     """
     lmult = wg.lmult
     descents = [i - 1 for i in left_descents(wg.elements[v])]
-    filled = [s for s in descents if table.packed[table.rep[lmult[s][v]]] is not None]
+    filled = [s for s in descents if table.start[table._orbit(lmult[s][v])[1]] >= 0]
     if not filled:
         return descents[0]
     return min(filled, key=lambda s: (len(extremal[lmult[s][v]]), s))
@@ -211,15 +213,15 @@ def test_cheapest_descent_reads_only_filled_columns(cartan_type):
     # cold: the smallest descent, and the choice fills nothing
     for v in range(1, wg.size):
         assert table._cheapest_descent(v) == wg.first[v] - 1
-    assert all(col is None for col in table.packed)
+    assert not stored_columns(table) and not table.keys
     # half filled, then full: the filled column sv with the fewest keys
     for stop in (wg.size // 2, wg.size):
         for v in range(stop):
             table.ensure_column(v)
-        filled = sum(col is not None for col in table.packed)
+        filled = len(table.keys)
         for v in range(1, wg.size):
             assert table._cheapest_descent(v) == _expected_descent(wg, table, v, extremal)
-        assert sum(col is not None for col in table.packed) == filled
+        assert len(table.keys) == filled
     # the full table takes another descent than the smallest somewhere
     assert any(table._cheapest_descent(v) != wg.first[v] - 1
                for v in range(1, wg.size))
@@ -288,9 +290,8 @@ def test_bulk_reads_fill_the_columns_that_point_reads_fill(cartan_type):
     table = _KLTable(wg)
     for v in range(wg.size):
         table.ensure_column(v)
-    for r, col in enumerate(table.packed):
-        if col is not None:
-            assert col == column_by_point_reads(table, r)
+    for r, col in stored_columns(table).items():
+        assert col == column_by_point_reads(table, r)
 
 
 def test_bulk_reads_match_point_reads_on_sampled_e6_columns():
@@ -300,7 +301,7 @@ def test_bulk_reads_match_point_reads_on_sampled_e6_columns():
     table = _KLTable(wg)
     rnd = random.Random(33)
     for v in rnd.sample(range(wg.size), 24):
-        assert table.ensure_column(v) == column_by_point_reads(table, table.rep[v])
+        assert table.ensure_column(v) == column_by_point_reads(table, table._orbit(v)[1])
 
 
 def _descent_sets(wg):
@@ -327,10 +328,10 @@ def test_stored_keys_are_the_extremal_set(cartan_type):
     for v in range(wg.size):
         table.ensure_column(v)
     extremal = _extremal_sets(wg)
-    stored = [r for r, col in enumerate(table.packed) if col is not None]
+    stored = stored_columns(table)
     assert stored
-    for r in stored:
-        assert list(table.packed[r][0]) == extremal[r]
+    for r, (keys, _) in stored.items():
+        assert list(keys) == extremal[r]
 
 
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4", "G2"])
@@ -366,7 +367,9 @@ def test_the_cut_fills_the_same_table_as_the_uncut_candidates(cartan_type):
         cut.ensure_column(v)
         uncut.ensure_column(v)
     assert cut.values == uncut.values
-    assert cut.packed == uncut.packed
+    # the same columns, stored in the same order
+    assert (cut.start, cut.count, cut.keys, cut.key_ids) == (
+        uncut.start, uncut.count, uncut.keys, uncut.key_ids)
     assert any(uncut_candidates(cut, v) & ~cut._candidates(v) for v in range(wg.size))
     # v is the only candidate of its length
     for v in range(wg.size):
@@ -444,8 +447,8 @@ def test_right_raise_through_inverses_matches_the_rmult_rows(cartan_type):
             and len(table.bits[table.right[v]]) == 2 and table.left[v] != table.right[v]]
     for v in tops[:1] + tops[-1:]:
         read = table._reader(v)
-        r, f = table.rep[v], table.flip[v]
-        keys, ids = table.packed[r]
+        f, r = table._orbit(v)
+        keys, ids = stored_columns(table)[r]
         value = dict(zip(keys, map(table.values.__getitem__, ids)))
         assert table.right[r]
         for u in range(wg.size):
@@ -485,57 +488,85 @@ def test_rank_nine_table_counts_its_smooth_elements_and_meets_the_r_oracle():
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4"])
 def test_mu_lemma_against_the_plain_recursion(cartan_type):
     # mu(z,y) != 0 with a left descent s of y missing from z forces z = sy,
-    # and with a right descent t missing, z = yt; so the mu-list of each
-    # representative, its odd-gap keys with mu != 0 and its coatoms sy and
-    # yt, is every z with mu(z,y) != 0
+    # and with a right descent t missing, z = yt; so the odd-gap keys of
+    # each representative with mu != 0 and its coatoms sy and yt are every
+    # z with mu(z,y) != 0
     wg = WeylGroup.for_system(build_root_system(cartan_type))
-    oracle = plain_kl_columns(wg)
     descents = _descent_sets(wg)
     simple = {i: wg.lmult[i - 1][0] for i in range(1, wg.rs.rank + 1)}
-    lengths = wg.lengths
-    table = _KLTable(wg)
-    for y in range(wg.size):
-        mus = {}
-        for z, p in oracle[y].items():
-            gap = lengths[y] - lengths[z]
-            if gap % 2 and (m := p >> (16 * (gap // 2)) & 0xFFFF):
-                mus[z] = m
+    for y, mus in enumerate(_plain_mus(wg)):
         for z, m in mus.items():
             for s in descents[y][0] - descents[z][0]:
                 assert z == mul(wg, simple[s], y) and m == 1
             for t in descents[y][1] - descents[z][1]:
                 assert z == mul(wg, y, simple[t]) and m == 1
-        if table.rep[y] == y:
-            table.ensure_column(y)
-            assert dict(table._mu_list(y)) == mus
+
+
+def _plain_mus(wg):
+    """mus[y] = {z: mu(z,y)} over the z with mu(z,y) != 0, from the plain recursion."""
+    oracle = plain_kl_columns(wg)
+    lengths = wg.lengths
+    mus = []
+    for y in range(wg.size):
+        mus.append({})
+        for z, p in oracle[y].items():
+            gap = lengths[y] - lengths[z]
+            if gap % 2 and (m := p >> (16 * (gap // 2)) & 0xFFFF):
+                mus[y][z] = m
+    return mus
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4", "A1xA2"])
+def test_mu_terms_read_off_the_column_match_the_plain_recursion(cartan_type):
+    # the terms a fill of v = sy subtracts are read off the stored column of
+    # y's representative: for every y and every s they must be the z with
+    # mu(z,y) != 0 and sz < z of the recursion that fills every column alone,
+    # flips and all (A4 and A1xA2 flip by w0-conjugation too)
+    wg = WeylGroup.for_system(build_root_system(cartan_type))
+    table = _KLTable(wg)
+    for y, mus in enumerate(_plain_mus(wg)):
+        table.ensure_column(y)
+        for s, row in enumerate(wg.lmult):
+            assert dict(table._mu_terms(y, s)) == {z: m for z, m in mus.items() if row[z] < z}
 
 
 @pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4"])
 def test_mu_list_is_the_odd_gap_keys_then_the_sorted_coatoms(cartan_type):
-    # the stored array holds only the odd-gap keys; the list read off it must
-    # be the definition rebuilt from the decoded column, in the same order:
-    # the keys z with odd gap and mu(z,r) != 0 ascending, then the coatoms sr
-    # and rt ascending with mu 1, so a fill interns its values in that order
+    # the terms are read off the stored column when a fill needs them and
+    # nothing of them is kept; in the frame of the representative r they
+    # must be the definition rebuilt from the decoded column, in the same
+    # order: the keys z with odd gap and mu(z,r) != 0 ascending, then the
+    # coatoms sr and rt ascending with mu 1, each flipped into the frame of y
+    # and kept when sz < z, so a fill interns its values in that order
     wg = WeylGroup.for_system(build_root_system(cartan_type))
     table = _KLTable(wg)
+    table.ensure_column(0)
+    gc.collect()
+    tracked = len(gc.get_objects())
     for v in range(wg.size):
         table.ensure_column(v)
+    # the full fill leaves no object per column behind: the store, the
+    # counts and the value list grow in place
+    gc.collect()
+    assert len(gc.get_objects()) - tracked < 5 < len(stored_columns(table))
     simple = [wg.lmult[i][0] for i in range(wg.rs.rank)]
     lengths = wg.lengths
-    for r, col in enumerate(table.packed):
-        if col is None:
-            continue
-        keys = set(col[0])
-        expected = []
+    expected = {}
+    for r, (keys, _) in stored_columns(table).items():
+        keys = set(keys)
+        terms = expected[r] = []
         for z in wg.below(r):
             gap = lengths[r] - lengths[z]
             if z in keys and gap % 2 and (m := table.polynomial(z, r).coefficient(gap // 2)):
-                expected.append((z, m))
+                terms.append((z, m))
         coatoms = {y for y in (wg.lmult[s][r] for s in range(wg.rs.rank)) if y < r}
         coatoms.update(y for y in (mul(wg, r, t) for t in simple) if y < r)
-        expected += [(z, 1) for z in sorted(coatoms)]
-        assert table._mu_list(r) == expected
-        assert isinstance(table.mus[r], array)
+        terms += [(z, 1) for z in sorted(coatoms)]
+    for y in range(wg.size):
+        f, r = table._orbit(y)
+        flipped = [(z if f is None else f[z], m) for z, m in expected[r]]
+        for s, row in enumerate(wg.lmult):
+            assert table._mu_terms(y, s) == [(z, m) for z, m in flipped if row[z] < z]
 
 
 @pytest.mark.parametrize("cartan_type", ["A4", "B3"])
@@ -572,11 +603,12 @@ def test_orbit_maps_are_commuting_involutions(cartan_type, central):
     for fixed in (0, w0):
         assert inv[fixed] == fixed and conj[fixed] == fixed
     # w0 is central exactly when conjugation is the identity, and then the
-    # table keeps no conjugation list: every flip is the identity or inversion
+    # table keeps no conjugation list: every orbit code picks the identity
+    # or inversion
     assert (conj == list(range(wg.size))) == central
     table = _KLTable(wg)
-    assert not hasattr(table, "conj")
-    assert all(f is None or f is inv for f in table.flip) == central
+    assert not hasattr(table, "conj") and table.maps[:2] == (None, inv)
+    assert (len(table.maps) == 2) == (max(table.code) < 2) == central
 
 
 @pytest.mark.parametrize("cartan_type, central",
@@ -610,23 +642,45 @@ def test_full_fill_stores_one_column_per_orbit():
         table.ensure_column(v)
     inv, conj = wg.inverses, _w0_conjugation(wg)
     orbits = {frozenset((k, inv[k], conj[k], inv[conj[k]])) for k in range(wg.size)}
-    stored = [r for r, col in enumerate(table.packed) if col is not None]
+    stored = list(stored_columns(table))
     assert stored == sorted(min(orbit) for orbit in orbits)
     assert len(stored) < wg.size // 2
 
 
 def test_orbit_representatives_are_the_groups_own_ints():
-    # each rep is the int object every lmult row holds for its index, so a
-    # table keeps no int of its own; A6 has indices past the small-int cache
+    # the table keeps one byte per element for its orbit maps and no int of
+    # its own: a representative other than v is read out of the inverses or
+    # the w0-conjugation list, whose int objects are those every lmult row
+    # holds for its index; A6 has indices past the small-int cache
     wg = WeylGroup.for_system(build_root_system("A6"))
     table = _KLTable(wg)
     for v in range(wg.size):
         table.ensure_column(v)
-    assert list(table.rep) == [min(v, inv, c, inv_c) for v, inv, c, inv_c in zip(
+    assert type(table.code) is bytearray and len(table.code) == wg.size
+    reps = [table._orbit(v)[1] for v in range(wg.size)]
+    assert reps == [min(v, inv, c, inv_c) for v, inv, c, inv_c in zip(
         range(wg.size), wg.inverses, _w0_conjugation(wg),
         map(wg.inverses.__getitem__, _w0_conjugation(wg)))]
-    assert any(r > 256 for r in table.rep)
-    assert all(r is row[row[r]] for row in wg.lmult for r in table.rep)
+    assert any(r > 256 for r in reps)
+    moved = [r for v, r in enumerate(reps) if r != v]
+    assert moved and all(r is row[row[r]] for row in wg.lmult for r in moved)
+
+
+@pytest.mark.parametrize("cartan_type", ["A4", "B3", "D4", "F4", "E6"])
+def test_orbit_codes_pick_the_least_image(cartan_type):
+    # code[v] indexes (identity, inversion, w0-conjugation, both), the first
+    # of the four images of v that is least; the representative read through
+    # it is that image, and the identity comes back as no flip
+    wg = WeylGroup.for_system(build_root_system(cartan_type), 60_000)
+    table = _KLTable(wg)
+    inv, conj = wg.inverses, _w0_conjugation(wg)
+    for v in range(wg.size):
+        images = [v, inv[v], conj[v], inv[conj[v]]]
+        f, r = table._orbit(v)
+        assert r == min(images)
+        assert table.code[v] == images.index(r)
+        assert (f is None) == (table.code[v] == 0)
+        assert f is None or (f[v], f[r]) == (r, v)
 
 
 def test_kl_fill_never_builds_down_sets():
@@ -647,8 +701,8 @@ def test_cold_point_query_fills_few_columns(monkeypatch):
     monkeypatch.setattr(wg, "_kl_table", table)
     w0 = wg.elements[-1]
     assert kl_polynomial(identity(a5), w0) == 1
-    filled = sum(col is not None for col in table.packed)
-    assert table.packed[wg.size - 1] is not None
+    filled = len(stored_columns(table))
+    assert table.start[wg.size - 1] >= 0
     assert filled < wg.size // 2
 
 
@@ -717,10 +771,10 @@ def test_bad_packed_values_are_rejected_on_decode(monkeypatch, capsys, bad, mess
     # e is not one of its keys: it raises by s1 on the left, then by s2 on the
     # right, to the key s1 s2
     k = wg.idx(v)
-    assert table.rep[k] == k
+    assert table._orbit(k) == (None, k)
     keys, ids = table.ensure_column(k)
     assert wg.idx(u) not in keys
-    ids[keys.index(k)] = len(table.values)
+    table.key_ids[table.start[k] + keys.index(k)] = len(table.values)
     table.values.append(bad)
     monkeypatch.setattr(wg, "_kl_table", table)
     with pytest.raises(InternalInvariantError, match=message):
@@ -737,16 +791,16 @@ def test_full_a5_columns_are_index_arrays_of_value_ids():
     assert table.values[0] == 1 and table.ids[1] == 0
     assert all(table.ids[p] == i for i, p in enumerate(table.values))
     extremal = _extremal_sets(wg)
-    for r, col in enumerate(table.packed):
-        if col is None:
-            continue
-        keys, ids = col
-        assert (keys.typecode, ids.typecode) == ("i", "H")
+    # 6 bytes an entry, in one pair of arrays for the whole table
+    assert (table.keys.typecode, table.key_ids.typecode) == ("i", "H")
+    assert table.keys.itemsize + table.key_ids.itemsize == 6
+    assert len(table.keys) == len(table.key_ids) == sum(table.count)
+    for r, (keys, ids) in stored_columns(table).items():
         assert list(keys) == extremal[r]  # ascending
-        assert len(ids) == len(keys)
-        # 6 bytes an entry: the arrays are allocated to size
-        empty = sys.getsizeof(array("i")) + sys.getsizeof(array("H"))
-        assert sys.getsizeof(keys) + sys.getsizeof(ids) - empty == 6 * len(keys)
+    # the columns tile the store, each stored once
+    spans = sorted((a, a + n) for a, n in zip(table.start, table.count) if a >= 0)
+    assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+    assert spans[-1][1] == len(table.keys)
 
 
 @pytest.mark.parametrize("val, message", [
@@ -802,11 +856,47 @@ def test_threads_filling_one_table_agree_with_a_sequential_fill():
     finally:
         sys.setswitchinterval(interval)
     assert shared.at_most == ref.at_most
-    assert [c is None for c in shared.packed] == [c is None for c in ref.packed]
+    assert [a < 0 for a in shared.start] == [a < 0 for a in ref.start]
+    assert len(shared.keys) == len(shared.key_ids) == sum(shared.count) == len(ref.keys)
     assert sorted(shared.values) == sorted(ref.values)
     assert all(shared.ids[p] == i for i, p in enumerate(shared.values))
     for v in range(wg.size):
         assert shared._entries(v) == ref._entries(v)
+
+
+def test_threads_racing_to_fill_one_column_store_it_once():
+    # eight threads ask for the same cold column at once, so they race
+    # through the same recursive fills; each column must be appended once,
+    # so the store is as long as the sum of the counts and as long as that
+    # of a sequential fill, whose columns it holds; the smallest-descent
+    # rule makes the set of columns filled independent of the order
+    from concurrent.futures import ThreadPoolExecutor
+
+    wg = WeylGroup.for_system(build_root_system("D5"))
+    top = wg.size - 1
+    ref = _KLTable(wg, descent=lambda v: wg.first[v] - 1)
+    ref.ensure_column(top)
+    shared = _KLTable(wg, descent=lambda v: wg.first[v] - 1)
+    barrier = threading.Barrier(8)
+
+    def fill(_):
+        barrier.wait()
+        return shared.ensure_column(top)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tops = list(pool.map(fill, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(shared.keys) == len(shared.key_ids) == sum(shared.count) == len(ref.keys)
+    assert [a < 0 for a in shared.start] == [a < 0 for a in ref.start]
+    columns = stored_columns(shared)
+    for r, (keys, ids) in stored_columns(ref).items():
+        assert columns[r][0] == keys
+        assert [shared.values[i] for i in columns[r][1]] == [ref.values[i] for i in ids]
+    assert all(t == tops[0] for t in tops)
 
 
 def test_memoization_is_stable():

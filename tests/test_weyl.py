@@ -1,5 +1,7 @@
 import random
+import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +219,16 @@ def test_group_words_and_lmult_match_the_object_level(cartan_type):
         assert wg.word(k) == to_reduced_word(w)
         for i in range(rs.rank):
             assert wg.elements[wg.lmult[i][k]] == multiply(simple_reflection(rs, i + 1), w)
+
+
+@pytest.mark.parametrize("cartan_type", ["A6", "A7", "D6", "E6"])
+def test_lmult_rows_are_allocated_to_the_group_size(cartan_type):
+    # the rows grow a block at a time up to the middle level, and then once
+    # to |W|, spare capacity included; each lists every index once
+    wg = WeylGroup(build_root_system(cartan_type), 60_000)
+    for row in wg.lmult:
+        assert sys.getsizeof(row) == sys.getsizeof([]) + 8 * wg.size
+        assert sorted(row) == list(range(wg.size))
 
 
 @pytest.mark.parametrize("cartan_type",
@@ -895,6 +907,12 @@ def test_byte_planes_hold_each_byte_of_every_mask(bits):
     expected = [bytes(m >> 8 * k & 255 for m in masks) for k in range(width)]
     assert _byte_planes(masks, bits) == expected
     assert _byte_planes(iter(masks), bits) == expected
+    if bits <= 64:
+        # a group's array('Q') of masks is sliced through a view released on
+        # return, so the array can still grow
+        words = array("Q", masks)
+        assert _byte_planes(words, bits) == expected
+        words.append(0)
 
 
 @pytest.mark.parametrize("bits", [1, 7, 8, 9, 16, 20, 36])

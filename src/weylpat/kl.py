@@ -102,16 +102,18 @@ rationally smooth exactly when every id of its column is 0.  The ids
 of one table must fit ``array('H')``, at most 65,536 distinct values.
 A full column over D(v), for the value oracles, is read by walking the
 double coset of each key.
-A column is built locally and appended to the store under the table's
-lock, which writes its count and then its start, so a concurrent caller
-sees no column or the whole column, and a column that racing fills both
-built is stored once.  Entries are never moved once stored, and the
-store is read by index and by copied slices only, never through a view
-that would stop it from growing.  The value list is the other state
-that fills share: a value seen for the first time is checked and
-appended under a lock, checked for again inside it, so racing fills
-give a value one id and a column filled twice is filled with the same
-ids.  The orbit codes, descent sets and parabolic lengths are built in
+The table has one lock, that of its value list.  A column is built
+locally and appended to the store under it, which writes its count and
+then its start, so a concurrent caller sees no column or the whole
+column, and a column that racing fills both built is stored once.
+Entries are never moved once stored, and the store is read by index
+and by copied slices only, never through a view that would stop it from
+growing.  The value list is the other state that fills share: a value
+seen for the first time is checked and appended under the same lock,
+checked for again inside it, so racing fills give a value one id and a
+column filled twice is filled with the same ids.  A fill interns its
+values before it appends its column, so neither step waits on the
+other while holding the lock.  The orbit codes, descent sets and parabolic lengths are built in
 the table's constructor, before any caller can see it.  The table keeps
 no right multiplication rows: x s_t = (s_t x^-1)^-1 and
 D_R(x) = D_L(x^-1), so every right raise of a read is a left raise of
@@ -390,7 +392,6 @@ class _KLTable:
         self.key_ids = array("H")
         self.start = array("i", [-1]) * size
         self.count = array("i", [0]) * size
-        self.lock = allocate_lock()
         self.ids = _ValueIds()
         self.values = self.ids.values
         self.decoded: dict[tuple[int, int], KLPolynomial] = {}
@@ -452,17 +453,13 @@ class _KLTable:
         smaller s wins a tie; with none filled, the smallest descent.
         Fills nothing.
         """
-        start, count, code, maps = self.start, self.count, self.code, self.maps
-        lmult = self.wg.lmult
+        start, count, lmult = self.start, self.count, self.wg.lmult
         first = best = -1
         fewest = 0
         for s in self.bits[self.left[v]]:
             if first < 0:
                 first = s
-            x = lmult[s][v]
-            f = maps[code[x]]
-            if f is not None:
-                x = f[x]
+            x = self._orbit(lmult[s][v])[1]
             if start[x] >= 0 and (best < 0 or count[x] < fewest):
                 best, fewest = s, count[x]
         return first if best < 0 else best
@@ -473,7 +470,8 @@ class _KLTable:
         a = self.start[r]
         if a < 0:
             keys, ids = self._compute_column(r)
-            with self.lock:
+            # the value list's lock: no fill interns while it appends
+            with self.ids.lock:
                 a = self.start[r]
                 if a < 0:
                     # the start last, so a reader that sees it sees the column
@@ -661,14 +659,10 @@ class _KLTable:
         row = wg.lmult[s]
         sv = row[v]
         lv = lengths[v]
-        self._span(self._orbit(sv)[1])
-
-        # the mu-terms z < sv with sz < z, each column filled first if need
-        # be, so depth stays within l(v) + 1
-        terms = []
-        for z, m in self._mu_terms(sv, s):
-            self._span(self._orbit(z)[1])
-            terms.append((z, m << (_SHIFT * ((lv - lengths[z]) // 2))))
+        # the mu-terms z < sv with sz < z, read off column sv, which is filled
+        # first if need be; each column z is filled by its read below
+        terms = [(z, m << (_SHIFT * ((lv - lengths[z]) // 2)))
+                 for z, m in self._mu_terms(sv, s)]
 
         # Each read below flips u into the frame of a representative r,
         # raises it through the left descents of r it lacks, then the right

@@ -335,8 +335,11 @@ class WeylGroup:
                 # as the first ones and |W| is known: each row grows in place
                 # to |W| in one step, which allocates it to size, where blocks
                 # leave spare capacity that del does not give back, and a copy
-                # at the end would cost a row at the build's peak
+                # at the end would cost a row at the build's peak; a |W| past
+                # the cap is refused here, before the rows grow to it
                 room = len(masks) + starts[width + 1 - len(starts)]
+                if room > cap:
+                    raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
                 for r in lmult:
                     r.extend(repeat(0, room - len(r)))
         for r in lmult:

@@ -376,7 +376,8 @@ def test_level_steps_match_the_left_step_past_64_bits(cartan_type):
 
 
 def test_enumeration_cap_at_the_size_of_e6():
-    # the cap is tested per new element: |W(E6)| = 51,840, cold and warm
+    # the cap is tested per new element, and against |W| once the middle
+    # level is built: |W(E6)| = 51,840, cold and warm
     clear_caches()
     e6 = build_root_system("E6")
     with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E6\)\| > 51839$"):
@@ -386,6 +387,25 @@ def test_enumeration_cap_at_the_size_of_e6():
     with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E6\)\| > 51839$"):
         WeylGroup.for_system(e6, 51_839)
     assert WeylGroup.for_system(e6, 51_840).size == 51_840
+
+
+def test_a_cap_past_the_middle_level_fails_before_the_rows_grow():
+    # once the middle level of E6 is built, past |W|/2 = 25,920 elements,
+    # |W| = 51,840 is known; a cap between the two is refused there, before
+    # each row grows to |W|, so the failed build peaks well below a full one
+    # (2.9 against 4.6 MB; growing the rows first took it to 4.4 MB)
+    rs = build_root_system("E6")
+    tracemalloc.start()
+    try:
+        WeylGroup(rs, 51_840)  # dropped at once
+        full = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E6\)\| > 40000$"):
+            WeylGroup(rs, 40_000)
+        failed = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert failed < 0.75 * full
 
 
 def test_an_e7_cap_fails_quickly_and_small():

@@ -548,24 +548,19 @@ def _byte_planes(masks: Iterable[int], bits: int) -> list[bytes]:
     Eight bytes of every mask at a time are packed into one ``array('Q')``,
     or masks of at most 8 bits into one ``array('B')``, and the planes are
     sliced off a ``memoryview`` of its little-endian bytes, so no object is
-    made per mask; an ``array('Q')`` of masks on a little-endian host is
-    sliced in place, with no copy.
+    made per mask and the bytes are not copied whole.
     """
     if bits > 64:
         masks = list(masks)  # read once per eight bytes
     planes: list[bytes] = []
     for lo in range(0, bits, 64):
-        if isinstance(masks, array) and masks.typecode == "Q" and sys.byteorder == "little":
-            words = masks
-        else:
-            words = array("B" if bits <= 8 else "Q", masks if bits <= 64 else map(
-                ((1 << 64) - 1).__and__, map(int.__rshift__, masks, repeat(lo))))
-            if sys.byteorder == "big":
-                words.byteswap()
-        # released on exit, so the array can grow again
-        with memoryview(words) as view, view.cast("B") as joined:
-            planes += [joined[k::words.itemsize].tobytes()
-                       for k in range(min(8, (bits - lo + 7) // 8))]
+        words = array("B" if bits <= 8 else "Q", masks if bits <= 64 else map(
+            ((1 << 64) - 1).__and__, map(int.__rshift__, masks, repeat(lo))))
+        if sys.byteorder == "big":
+            words.byteswap()
+        joined = memoryview(words).cast("B")
+        planes += [joined[k::words.itemsize].tobytes()
+                   for k in range(min(8, (bits - lo + 7) // 8))]
     return planes
 
 

@@ -393,7 +393,7 @@ def test_a_cap_past_the_middle_level_fails_before_the_rows_grow():
     # once the middle level of E6 is built, past |W|/2 = 25,920 elements,
     # |W| = 51,840 is known; a cap between the two is refused there, before
     # each row grows to |W|, so the failed build peaks well below a full one
-    # (2.9 against 4.6 MB; growing the rows first took it to 4.4 MB)
+    # (2.9 against 4.6 MB)
     rs = build_root_system("E6")
     tracemalloc.start()
     try:
@@ -928,8 +928,8 @@ def test_byte_planes_hold_each_byte_of_every_mask(bits):
     assert _byte_planes(masks, bits) == expected
     assert _byte_planes(iter(masks), bits) == expected
     if bits <= 64:
-        # a group's array('Q') of masks is sliced through a view released on
-        # return, so the array can still grow
+        # a group's array('Q') of masks is read as a list would be, and is
+        # left free to grow
         words = array("Q", masks)
         assert _byte_planes(words, bits) == expected
         words.append(0)

@@ -39,7 +39,7 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, MutableSequence, Sequence
-from itertools import compress, repeat
+from itertools import accumulate, compress, repeat
 
 from .errors import (
     CapExceededError,
@@ -261,7 +261,11 @@ class WeylGroup:
     has already numbered.  The left steps of a whole level come from
     ``bytes.translate`` over the level's byte planes (:func:`_plane_words`),
     and one dict keyed by mask covers only the level being built, so
-    nothing of size |W| is keyed by mask.
+    nothing of size |W| is keyed by mask.  The size of each level is read
+    off the root heights first, as a coefficient of the Poincare
+    polynomial (:func:`_level_sizes`): a cap below |W| is refused before
+    anything is built, every table is allocated once, to |W|, and a level
+    built to another size raises InternalInvariantError.
 
     The group keeps the inversion masks (``masks``, one ``array('Q')``
     where the positive roots fit 64 bits, a list of ints otherwise),
@@ -286,69 +290,54 @@ class WeylGroup:
 
     def __init__(self, rs: RootSystem, cap: int):
         self.rs = rs
+        sizes = _level_sizes(rs)
+        starts = [0, *accumulate(sizes)]
+        size = starts[-1]
+        if size > cap:
+            raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
         width = rs.num_positive
         steps = _step_tables(rs)
-        masks: MutableSequence[int] = array("Q", [0]) if width <= 64 else [0]
-        first = bytearray(1)
-        lmult: list[list[int]] = [[0] for _ in steps]
-        starts = [0]
-        # the int objects of the level being read, one per index, shared by
-        # the rows and every list read off them (inverses, conj, covers), so
-        # each entry costs one 8-byte pointer; array rows would box a fresh
-        # int on every read, which those lists would then keep, and an array
-        # read costs about twice a list read
-        ids = [0]
-        # the rows grow a block at a time until |W| is known
-        block, room = [0] * 4096, 1
-        while ids:
-            level = masks[starts[-1]:]
-            planes = _byte_planes(level, width)
-            found: dict[int, int] = {}  # mask -> index, over the level being built
-            for i, (bit, before, tables, ascents) in enumerate(steps):
-                row = lmult[i]
-                # the a of the level with i an ascent, beside I(s_i a) less a_i
-                for a, el in compress(zip(ids, _plane_words(planes, tables)),
-                                      planes[ascents[0]].translate(ascents[1])):
-                    el |= bit
-                    if el & before:
-                        # a smaller left descent: numbered by an earlier i
-                        b = found[el]
-                    else:
-                        b = len(masks)
-                        if b >= cap:
-                            raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
-                        masks.append(el)
-                        found[el] = b
-                        first.append(i + 1)
-                        if b == room:
-                            room += len(block)
-                            for r in lmult:
-                                r += block
-                    # s_i swaps the ends of each ascent, which covers every pair
-                    row[a] = b
-                    row[b] = a
-            starts.append(starts[-1] + len(level))
-            ids = list(found.values())
-            if 2 * len(starts) - 2 in (width, width + 1):
-                # the level just built is the middle one, and w0 maps level l
-                # onto level N - l, so the levels still to come are as large
-                # as the first ones and |W| is known: each row grows in place
-                # to |W| in one step, which allocates it to size, where blocks
-                # leave spare capacity that del does not give back, and a copy
-                # at the end would cost a row at the build's peak; a |W| past
-                # the cap is refused here, before the rows grow to it
-                room = len(masks) + starts[width + 1 - len(starts)]
-                if room > cap:
-                    raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
-                for r in lmult:
-                    r.extend(repeat(0, room - len(r)))
-        for r in lmult:
-            del r[len(masks):]  # a group smaller than its first block
+        # every table is allocated once, to |W|; the rows hold the int objects
+        # of the level being read, one per index, shared by the rows and every
+        # list read off them (inverses, conj, covers), so each entry costs one
+        # 8-byte pointer, where array rows would box a fresh int on every read,
+        # which those lists would then keep, and read at about half the speed
+        masks: MutableSequence[int] = (array("Q", [0]) if width <= 64 else [0]) * size
+        first = bytearray(size)
+        lmult = [[0] * size for _ in steps]
+        top, ids = 1, [0]  # the elements numbered, and the indices of the last level
+        try:
+            for n, (lo, end) in enumerate(zip(starts, starts[2:]), 1):
+                planes = _byte_planes(masks[lo:top], width)
+                found: dict[int, int] = {}  # mask -> index, over level n
+                for i, (bit, before, tables, ascents) in enumerate(steps):
+                    row = lmult[i]
+                    # the a of level n - 1 with i an ascent, beside I(s_i a) less a_i
+                    for a, el in compress(zip(ids, _plane_words(planes, tables)),
+                                          planes[ascents[0]].translate(ascents[1])):
+                        el |= bit
+                        if el & before:
+                            # a smaller left descent: numbered by an earlier i
+                            b = found[el]
+                        else:
+                            b = found[el] = top + len(found)
+                            masks[b] = el
+                            first[b] = i + 1
+                        # s_i swaps the ends of each ascent, which covers every pair
+                        row[a] = b
+                        row[b] = a
+                top += len(found)
+                if top != end:
+                    raise InternalInvariantError(f"W({rs.cartan_type}) has {top} elements "
+                                                 f"of length at most {n}, not {end}")
+                ids = list(found.values())
+        except IndexError:  # a level that ran past the end of the tables
+            raise InternalInvariantError(
+                f"W({rs.cartan_type}) has more than {size} elements") from None
         self.masks = masks
-        self.size = len(masks)
+        self.size = size
         self.starts = starts
-        self.lengths = b"".join(bytes([n]) * (b - a) for n, (a, b)
-                                in enumerate(zip(starts, starts[1:])))
+        self.lengths = b"".join(bytes([n]) * k for n, k in enumerate(sizes))
         self.first = bytes(first)
         self.lmult: list[list[int]] = lmult
         self._levels: list[tuple[Sequence[int], array] | None] = [None] * (len(starts) - 1)
@@ -515,6 +504,21 @@ class _LowerCovers(dict):
             row = lmult[first[v] - 1]
             cs = self[v] = [row[v]] + [row[c] for c in cs if lengths[row[c]] > lengths[c]]
         return cs
+
+
+def _level_sizes(rs: RootSystem) -> list[int]:
+    """sizes[l] = the number of elements of length l, from the root heights
+    alone.  The numbers of positive roots of each height form the partition
+    dual to the exponents e_i, so e_j is the number of heights held by at
+    least j roots (Kostant, Macdonald, Steinberg; Humphreys, *Reflection
+    Groups and Coxeter Groups*, section 3.20), and the Poincare polynomial,
+    the sum of sizes[l] q^l, is the product of 1 + q + ... + q^e_i over the
+    exponents (section 3.15)."""
+    per_height = [rs.heights.count(h) for h in range(1, max(rs.heights) + 1)]
+    sizes = [1]
+    for e in (sum(n >= j for n in per_height) for j in range(1, rs.rank + 1)):
+        sizes = [sum(sizes[max(0, k - e):k + 1]) for k in range(len(sizes) + e)]
+    return sizes
 
 
 def _step_tables(rs: RootSystem) -> list[tuple[int, int, list[list[tuple[int, bytes]]],

@@ -40,7 +40,8 @@ from weylpat.errors import (
     NotAnInversionSetError,
     NotComparableError,
 )
-from weylpat.harness.verify import verify_upper_ideal
+from weylpat.harness.cli import main as cli_main
+from weylpat.harness.verify import default_window, verify_upper_ideal
 from weylpat.kl import _table_for
 from weylpat.patterns import (
     enumerate_embeddings,
@@ -53,6 +54,7 @@ from weylpat.weyl import (
     WeylElement,
     WeylGroup,
     _byte_planes,
+    _level_sizes,
     _left_step,
     _plane_sum,
     _plane_tables,
@@ -221,10 +223,11 @@ def test_group_words_and_lmult_match_the_object_level(cartan_type):
             assert wg.elements[wg.lmult[i][k]] == multiply(simple_reflection(rs, i + 1), w)
 
 
-@pytest.mark.parametrize("cartan_type", ["A6", "A7", "D6", "E6"])
+@pytest.mark.parametrize("cartan_type",
+                         ["A1", "A3", "B3", "F4", "D5", "B5", "A6", "A7", "D6", "E6"])
 def test_lmult_rows_are_allocated_to_the_group_size(cartan_type):
-    # the rows grow a block at a time up to the middle level, and then once
-    # to |W|, spare capacity included; each lists every index once
+    # each row is allocated once, to |W| from the root heights, with no spare
+    # capacity in groups of any size; each lists every index once
     wg = WeylGroup(build_root_system(cartan_type), 60_000)
     for row in wg.lmult:
         assert sys.getsizeof(row) == sys.getsizeof([]) + 8 * wg.size
@@ -375,54 +378,127 @@ def test_level_steps_match_the_left_step_past_64_bits(cartan_type):
             _left_step(rs, m, i) for m in masks]
 
 
+def _window_types():
+    window = default_window()
+    pairs = [t for pair in window["kl_transfer_pairs"] for t in pair]
+    return sorted({*window["sources"], *window["targets"], *window["slow_targets"], *pairs,
+                   *(f"A{n - 1}" for n in window["smoothness_sizes"])})
+
+
+@pytest.mark.parametrize("cartan_type", _window_types() + [
+    "B5", "C5", "D5", "D6", "E6", "A2xB2xG2", "A3xA2xA2xA1xA1"])
+def test_level_sizes_are_the_level_sizes_of_the_build(cartan_type):
+    # the Poincare polynomial from the root heights against the enumeration
+    rs = build_root_system(cartan_type)
+    starts = WeylGroup.for_system(rs, 60_000).starts
+    assert _level_sizes(rs) == [b - a for a, b in zip(starts, starts[1:])]
+
+
+def test_level_sizes_of_e7_and_e8_build_no_group():
+    clear_caches()
+    try:
+        for cartan_type, order in (("E7", 2_903_040), ("E8", 696_729_600)):
+            rs = build_root_system(cartan_type)
+            sizes = _level_sizes(rs)
+            assert sum(sizes) == order and len(sizes) == rs.num_positive + 1
+            assert sizes == sizes[::-1]  # w0 maps level l onto level N - l
+            assert rs._group is None
+    finally:
+        clear_caches()
+
+
+@pytest.mark.parametrize("cartan_type", ["B3", "A2xB2"])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_a_level_off_its_predicted_size_is_an_invariant_error(monkeypatch, cartan_type, delta):
+    # a level one short or one over, the first and the last included, is
+    # caught by the level check or at the end of the rows, never as an IndexError
+    rs = build_root_system(cartan_type)
+    true_sizes = _level_sizes(rs)
+    for n in range(len(true_sizes)):
+        sizes = true_sizes[:n] + [true_sizes[n] + delta] + true_sizes[n + 1:]
+        monkeypatch.setattr("weylpat.weyl._level_sizes", lambda rs: sizes)
+        with pytest.raises(InternalInvariantError, match=rf"W\({cartan_type}\)"):
+            WeylGroup(rs, 60_000)
+
+
+def test_the_cli_maps_a_wrong_level_size_to_exit_3(monkeypatch, capsys):
+    clear_caches()
+    monkeypatch.setattr("weylpat.weyl._level_sizes", lambda rs: [1, 2, 5, 6, 5, 3, 1])
+    try:
+        assert cli_main(["bruhat", "A3", "--u", "e", "--v", "1"]) == 3
+    finally:
+        clear_caches()
+    assert capsys.readouterr().err == (
+        "internal invariant violation: W(A3) has 4 elements of length at most 1, not 3\n")
+
+
+def _refusal(cartan_type, cap):
+    """The message and the tracemalloc peak of a refused for_system."""
+    rs = build_root_system(cartan_type)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError) as refused:
+            WeylGroup.for_system(rs, cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return str(refused.value), peak
+
+
 def test_enumeration_cap_at_the_size_of_e6():
-    # the cap is tested per new element, and against |W| once the middle
-    # level is built: |W(E6)| = 51,840, cold and warm
+    # |W(E6)| = 51,840 from the root heights: a cap one below it is refused
+    # before any table is allocated, in a few KB and with one message,
+    # whether the group is built or not
     clear_caches()
     e6 = build_root_system("E6")
-    with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E6\)\| > 51839$"):
-        WeylGroup.for_system(e6, 51_839)
+    cold = _refusal("E6", 51_839)
     assert e6._group is None
     assert WeylGroup.for_system(e6, 51_840).size == 51_840
-    with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E6\)\| > 51839$"):
-        WeylGroup.for_system(e6, 51_839)
+    warm = _refusal("E6", 51_839)
+    assert cold[0] == warm[0] == "cap exceeded: |W(E6)| > 51839"
+    assert cold[1] < 64 * 1024 and warm[1] < 64 * 1024
     assert WeylGroup.for_system(e6, 51_840).size == 51_840
 
 
 def test_a_cap_past_the_middle_level_fails_before_the_rows_grow():
-    # once the middle level of E6 is built, past |W|/2 = 25,920 elements,
-    # |W| = 51,840 is known; a cap between the two is refused there, before
-    # each row grows to |W|, so the failed build peaks well below a full one
-    # (2.9 against 4.6 MB)
-    rs = build_root_system("E6")
-    tracemalloc.start()
+    # a cap between the middle level of E6 (past 25,920 elements) and |W| is
+    # refused as any cap below |W| is, before the first level is built
+    clear_caches()
     try:
-        WeylGroup(rs, 51_840)  # dropped at once
-        full = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E6\)\| > 40000$"):
-            WeylGroup(rs, 40_000)
-        failed = tracemalloc.get_traced_memory()[1]
+        message, peak = _refusal("E6", 40_000)
     finally:
-        tracemalloc.stop()
-    assert failed < 0.75 * full
+        clear_caches()
+    assert message == "cap exceeded: |W(E6)| > 40000"
+    assert peak < 64 * 1024
 
 
 def test_an_e7_cap_fails_quickly_and_small():
-    # |W(E7)| = 2,903,040: a cap of 100,000 stops the build at its 100,000th
-    # element, within a few levels, holding tables of that size only
+    # |W(E7)| = 2,903,040: a cap below it leaves the root system without a
+    # group, and the refusal allocates a few KB, where the build took 183 MB
+    # to reach 2,000,000 elements
     clear_caches()
     e7 = build_root_system("E7")
-    tracemalloc.start()
     try:
-        with pytest.raises(CapExceededError, match=r"cap exceeded: \|W\(E7\)\| > 100000$"):
-            WeylGroup.for_system(e7, 100_000)
-        peak = tracemalloc.get_traced_memory()[1]
+        refusals = {cap: _refusal("E7", cap) for cap in (100_000, 2_000_000)}
     finally:
-        tracemalloc.stop()
         clear_caches()
+    for cap, (message, peak) in refusals.items():
+        assert message == f"cap exceeded: |W(E7)| > {cap}"
+        assert peak < 64 * 1024
     assert e7._group is None
-    assert peak < 16 * 2**20
+
+
+def test_an_e8_cap_is_refused_before_the_build():
+    # |W(E8)| = 696,729,600; a build up to the cap of 3,000,000 took 568 MB
+    clear_caches()
+    e8 = build_root_system("E8")
+    try:
+        message, peak = _refusal("E8", 3_000_000)
+    finally:
+        clear_caches()
+    assert message == "cap exceeded: |W(E8)| > 3000000"
+    assert peak < 64 * 1024
+    assert e8._group is None
 
 
 @given(data=st.data())

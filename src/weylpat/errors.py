@@ -32,7 +32,8 @@ class NotAnInversionSetError(WeylError, ValueError):
 
 
 class CapExceededError(WeylError, RuntimeError):
-    """An enumeration grew past the configured cap."""
+    """A request is past the enumeration cap or a fixed size of the tables:
+    64 positive roots for a group's masks, 2^16 distinct values for a KL table."""
 
 
 class InternalInvariantError(WeylError, RuntimeError):

